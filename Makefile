@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test bench-parallel bench-textscan bench-obs bench-inject verify fmt lint
+.PHONY: build test bench verify fmt lint
 
 build:
 	cargo build --release
@@ -8,21 +8,10 @@ build:
 test:
 	cargo test -q
 
-# Writes BENCH_parallel.json: campaign/mining throughput at 1..N threads.
-bench-parallel:
-	sh scripts/bench_parallel.sh
-
-# Writes BENCH_textscan.json: naive vs automaton scan throughput at 1 thread.
-bench-textscan:
-	sh scripts/bench_textscan.sh
-
-# Writes BENCH_obs.json: metrics-layer overhead on an instrumented campaign.
-bench-obs:
-	sh scripts/bench_obs.sh
-
-# Writes BENCH_inject.json: injection-campaign determinism + supervisor overhead.
-bench-inject:
-	sh scripts/bench_inject.sh
+# Runs every benchmark workload once, as BENCHMARK.json declares it;
+# see benchmark/README.md for the options and the metrics it prints.
+bench:
+	cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --bin benchmark --
 
 verify:
 	cargo run --release -p faultstudy-harness --bin faultstudy -- verify

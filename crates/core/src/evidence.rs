@@ -124,7 +124,7 @@ impl Evidence {
     /// concatenates [`BugReport::full_text`], lowercases it, and runs
     /// every cue and rule as an independent `contains` scan (three
     /// allocations, ~95 traversals). Ground truth for the differential
-    /// tests and the naive side of the `textscan` benchmarks.
+    /// tests.
     pub fn extract_naive(report: &BugReport) -> Evidence {
         Evidence::from_text_naive(&report.full_text())
     }

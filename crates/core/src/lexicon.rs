@@ -107,8 +107,8 @@ pub fn conditions_in(text: &str) -> Vec<ConditionKind> {
 
 /// The pre-automaton reference implementation: lowercases `text` and runs
 /// every rule as independent `contains` scans. Kept as the ground truth
-/// for the differential property tests and the naive-vs-automaton
-/// benchmarks; [`conditions_in`] must agree with it on every input.
+/// for the differential property tests; [`conditions_in`] must agree
+/// with it on every input.
 pub fn conditions_in_naive(text: &str) -> Vec<ConditionKind> {
     let lower = text.to_lowercase();
     let mut found: Vec<ConditionKind> = RULES

@@ -2,8 +2,9 @@
 //! one chain (client → miniweb → minidb) per request, with the IPC fault
 //! plan armed on the wire and one of two recovery planes answering.
 //!
-//! The engine mirrors the single-app open-loop engine event for event —
-//! sessions arrive on the timing wheel, think, and issue requests — but
+//! The engine runs on the single-app engine's open-loop driver,
+//! [`drive_open_loop`] — sessions arrive on its timing wheel, think, and
+//! issue requests, and its tick runs the operator-console probe — but
 //! each request is served by [`serve_chain`]: a client-level retry loop
 //! around a web-tier call that may itself run a web-level retry loop
 //! around the db sub-call. Both loops share ONE [`ChainDeadline`], so a
@@ -36,10 +37,8 @@ use faultstudy_obs::Histogram;
 use faultstudy_recovery::{
     BackoffPolicy, ChainDeadline, RebootScope, RestartRetry, RestartTree, SupervisorConfig,
 };
-use faultstudy_sim::rng::SplitSeedStream;
 use faultstudy_sim::time::{Duration, SimTime};
-use faultstudy_sim::wheel::TimingWheel;
-use faultstudy_traffic::{run_open_loop, ArrivalProcess, Session, TrafficParams, UnitStats};
+use faultstudy_traffic::{drive_open_loop, run_open_loop, Answer, TrafficParams, UnitStats};
 use serde::{Deserialize, Serialize};
 
 /// Service time the web tier charges per request it handles.
@@ -272,23 +271,6 @@ pub fn degenerate_config() -> SupervisorConfig {
     }
 }
 
-/// Wheel payload of the graph engine.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// A new user session arrives.
-    SessionStart,
-    /// An existing session issues its next request after think time.
-    Next(u32),
-    /// The operator console probes the web tier.
-    Probe,
-}
-
-/// How one chain ended.
-enum ChainEnd {
-    Served { denied: bool },
-    Dropped,
-}
-
 /// The per-chain bookkeeping shared by both retry levels.
 struct ChainCtx {
     chain: ChainDeadline,
@@ -302,6 +284,10 @@ struct ChainCtx {
 /// Drives one unit of open-loop traffic across the graph under `plan`,
 /// with `plane` answering channel faults and `retry_budget` retries
 /// available at each level of the chain.
+///
+/// Arrivals, sessions and the request ledger are [`drive_open_loop`]'s:
+/// it hands every request to `serve_chain` and ticks the console probe
+/// every [`PROBE_EVERY`], each after the plan's due events are applied.
 ///
 /// A single-node graph short-circuits into the single-app open-loop
 /// engine with [`degenerate_config`] and [`web_mix`] — no channels, no
@@ -346,94 +332,34 @@ pub fn run_graph(
         recovery_seed,
     );
     let mix = graph_mix();
-    if params.requests == 0 {
-        stats.base.sim_nanos = env.now().as_nanos();
-        return stats;
-    }
-    let per_session = params.requests_per_session.max(1);
-    let mut arrivals = ArrivalProcess::new(
-        params.arrival,
-        params.rate_per_sec / f64::from(per_session),
+    let base = drive_open_loop(
+        env,
+        &mix,
+        params,
         arrival_seed,
+        session_master,
+        Some(PROBE_EVERY),
+        |env, req| {
+            graph.apply_due(plan, env.now());
+            match req {
+                Some(req) => {
+                    Some(serve_chain(graph, env, &mut tree, plane, retry_budget, req, &mut stats))
+                }
+                None => {
+                    probe(graph, env, &mut stats);
+                    None
+                }
+            }
+        },
     );
-    let mut session_seeds = SplitSeedStream::new(session_master, 0);
-    let mut wheel: TimingWheel<Event> = TimingWheel::new();
-    let mut sessions: Vec<Session> = Vec::new();
-    let mut free: Vec<u32> = Vec::new();
-    let mut allotted: u64 = 0;
-
-    let start = env.now();
-    let gap = arrivals.next_gap(start);
-    wheel.schedule(start.saturating_add(gap), Event::SessionStart);
-    wheel.schedule(start.saturating_add(PROBE_EVERY), Event::Probe);
-    while let Some((at, event)) = wheel.pop() {
-        let sid = match event {
-            Event::SessionStart => {
-                let size = (params.requests - allotted).min(u64::from(per_session)) as u32;
-                allotted += u64::from(size);
-                if allotted < params.requests {
-                    let gap = arrivals.next_gap(at);
-                    wheel.schedule(at.saturating_add(gap), Event::SessionStart);
-                }
-                let session = Session::new(size, session_seeds.next_seed());
-                match free.pop() {
-                    Some(slot) => {
-                        sessions[slot as usize] = session;
-                        slot
-                    }
-                    None => {
-                        sessions.push(session);
-                        (sessions.len() - 1) as u32
-                    }
-                }
-            }
-            Event::Next(sid) => sid,
-            Event::Probe => {
-                if env.now() < at {
-                    env.advance(at.saturating_since(env.now()));
-                }
-                graph.apply_due(plan, env.now());
-                probe(graph, env, &mut stats);
-                if stats.base.offered < params.requests {
-                    wheel.schedule(at.saturating_add(PROBE_EVERY), Event::Probe);
-                }
-                continue;
-            }
-        };
-        if env.now() < at {
-            env.advance(at.saturating_since(env.now()));
-        }
-        graph.apply_due(plan, env.now());
-        let session = &mut sessions[sid as usize];
-        session.remaining -= 1;
-        let pick = session.pick(mix.len());
-        let end = serve_chain(graph, env, &mut tree, plane, retry_budget, &mix[pick], &mut stats);
-        stats.base.offered += 1;
-        match end {
-            ChainEnd::Served { denied } => {
-                let latency = env.now().saturating_since(at);
-                stats.base.latency.record(latency.as_nanos());
-                if denied {
-                    stats.base.denied += 1;
-                } else {
-                    stats.base.ok += 1;
-                }
-                if latency > params.slo {
-                    stats.base.slo_violations += 1;
-                }
-            }
-            ChainEnd::Dropped => stats.base.dropped += 1,
-        }
-        let session = &mut sessions[sid as usize];
-        if session.remaining > 0 {
-            let think = session.think(params.think_mean);
-            wheel.schedule(env.now().saturating_add(think), Event::Next(sid));
-        } else {
-            free.push(sid);
-        }
-    }
-    stats.base.sim_nanos = env.now().as_nanos();
-    debug_assert_eq!(stats.base.offered, params.requests);
+    // The chains counted failures, recoveries and watchdog fires into
+    // `stats.base`; the driver ledgered everything else.
+    stats.base = UnitStats {
+        failures: stats.base.failures,
+        recoveries: stats.base.recoveries,
+        watchdog_fires: stats.base.watchdog_fires,
+        ..base
+    };
     stats
 }
 
@@ -472,7 +398,7 @@ fn serve_chain(
     retry_budget: u32,
     req: &GraphRequest,
     stats: &mut GraphUnitStats,
-) -> ChainEnd {
+) -> Answer {
     let mut ctx = ChainCtx {
         chain: ChainDeadline::new(env.now(), CHAIN_BUDGET),
         first_fault: None,
@@ -877,7 +803,7 @@ fn finish_served(
     env: &Environment,
     stats: &mut GraphUnitStats,
     denied: bool,
-) -> ChainEnd {
+) -> Answer {
     if let Some(t0) = ctx.first_fault {
         let depth = if ctx.client_retries > 0 { 2 } else { 1 };
         stats.cascade_depth.record(depth);
@@ -886,15 +812,15 @@ fn finish_served(
             tree.settle(component);
         }
     }
-    ChainEnd::Served { denied }
+    Answer::Served { denied }
 }
 
 /// Closes a defeated chain: user-visible loss is cascade depth 3.
-fn finish_dropped(ctx: &mut ChainCtx, stats: &mut GraphUnitStats) -> ChainEnd {
+fn finish_dropped(ctx: &mut ChainCtx, stats: &mut GraphUnitStats) -> Answer {
     if ctx.first_fault.is_some() {
         stats.cascade_depth.record(3);
     }
-    ChainEnd::Dropped
+    Answer::Dropped
 }
 
 /// Charges `want` to the clock, clamped to the chain budget remaining —

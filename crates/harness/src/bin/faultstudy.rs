@@ -31,9 +31,8 @@ use faultstudy_core::taxonomy::AppKind;
 use faultstudy_core::timeline::{by_month, by_release};
 use faultstudy_corpus::paper_study;
 use faultstudy_harness::{
-    paper_scale_funnels_with, CampaignReport, CampaignSpec, GraphReport, GraphSpec, InjectReport,
-    InjectSpec, MicroReport, MicroSpec, ObliviousReport, ObliviousSpec, ParallelSpec,
-    RecoveryMatrix, TrafficReport, TrafficSpec,
+    paper_scale_funnels_with, CampaignReport, CampaignSpec, GraphReport, InjectReport, InjectSpec,
+    LoadSpec, MicroReport, ObliviousReport, ParallelSpec, RecoveryMatrix, TrafficReport,
 };
 use faultstudy_report::{
     render_discussion, render_release_figure, render_table, render_time_figure,
@@ -71,6 +70,13 @@ impl Default for Options {
             requests: 20_000,
             arrival: ArrivalKind::Poisson,
         }
+    }
+}
+
+impl Options {
+    /// The load every open-loop campaign offers.
+    fn load(&self) -> LoadSpec {
+        LoadSpec { seed: self.seed, requests: self.requests, arrival: self.arrival }
     }
 }
 
@@ -482,8 +488,7 @@ impl CampaignCommand for TrafficReport {
     const NAME: &'static str = "traffic";
 
     fn from_options(opts: &Options) -> Self {
-        let spec = TrafficSpec { seed: opts.seed, requests: opts.requests, arrival: opts.arrival };
-        TrafficReport::run_with(spec, opts.parallel)
+        TrafficReport::run_with(opts.load(), opts.parallel)
     }
 
     fn violations(&self) -> Vec<String> {
@@ -500,8 +505,7 @@ impl CampaignCommand for MicroReport {
     const NAME: &'static str = "micro";
 
     fn from_options(opts: &Options) -> Self {
-        let spec = MicroSpec { seed: opts.seed, requests: opts.requests, arrival: opts.arrival };
-        MicroReport::run_with(spec, opts.parallel)
+        MicroReport::run_with(opts.load(), opts.parallel)
     }
 
     fn violations(&self) -> Vec<String> {
@@ -519,8 +523,7 @@ impl CampaignCommand for GraphReport {
     const NAME: &'static str = "graph";
 
     fn from_options(opts: &Options) -> Self {
-        let spec = GraphSpec { seed: opts.seed, requests: opts.requests, arrival: opts.arrival };
-        GraphReport::run_with(spec, opts.parallel)
+        GraphReport::run_with(opts.load(), opts.parallel)
     }
 
     fn violations(&self) -> Vec<String> {
@@ -538,9 +541,7 @@ impl CampaignCommand for ObliviousReport {
     const NAME: &'static str = "oblivious";
 
     fn from_options(opts: &Options) -> Self {
-        let spec =
-            ObliviousSpec { seed: opts.seed, requests: opts.requests, arrival: opts.arrival };
-        ObliviousReport::run_with(spec, opts.parallel)
+        ObliviousReport::run_with(opts.load(), opts.parallel)
     }
 
     fn violations(&self) -> Vec<String> {

@@ -44,12 +44,6 @@ pub struct CampaignSpec {
     pub seed: u64,
 }
 
-impl Default for CampaignSpec {
-    fn default() -> Self {
-        CampaignSpec { samples: 500, seed: 1 }
-    }
-}
-
 /// Aggregate of one campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignReport {
@@ -301,9 +295,8 @@ impl CampaignReport {
     /// into a vector, then aggregates — O(samples) memory.
     ///
     /// This is the original campaign implementation, kept as the oracle
-    /// the streaming fold is differentially tested against (and as the
-    /// byte-identity precondition the parallel bench asserts before
-    /// timing). Use [`run_with`](Self::run_with) for real campaigns.
+    /// the streaming fold is differentially tested against; only tests
+    /// call it. Use [`run_with`](Self::run_with) for real campaigns.
     pub fn run_materialized(
         spec: CampaignSpec,
         parallel: ParallelSpec,

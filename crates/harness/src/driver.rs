@@ -13,7 +13,21 @@ use faultstudy_exec::{run_chunk_fold, ParallelSpec};
 use faultstudy_obs::MetricsRegistry;
 use faultstudy_sim::rng::SplitSeedStream;
 use faultstudy_traffic::{ArrivalKind, UnitStats};
+use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Configuration of an open-loop campaign: traffic, micro, oblivious and
+/// graph all offer their load from one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct LoadSpec {
+    /// Master seed; the campaign is a pure function of it.
+    pub seed: u64,
+    /// Total requests offered across the whole campaign, spread evenly
+    /// over the units (earlier units absorb the remainder).
+    pub requests: u64,
+    /// Arrival-process family for every unit.
+    pub arrival: ArrivalKind,
+}
 
 /// Runs units `0..units` of the campaign seeded by `seed` on `parallel`
 /// workers. `unit(acc, index, unit_seed)` folds unit `index` into its
@@ -144,11 +158,10 @@ pub(crate) fn ms(nanos: Option<u64>) -> f64 {
 pub(crate) fn write_title(
     f: &mut fmt::Formatter<'_>,
     campaign: &str,
-    requests: u64,
+    spec: &LoadSpec,
     units: usize,
-    arrival: ArrivalKind,
-    seed: u64,
 ) -> fmt::Result {
+    let LoadSpec { seed, requests, arrival } = *spec;
     let arrival = arrival.name();
     writeln!(f, "{campaign} campaign: {requests} requests offered over {units} units ({arrival} arrivals, seed {seed})")
 }

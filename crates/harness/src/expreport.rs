@@ -6,15 +6,17 @@
 //! against the measured value. `faultstudy experiments > EXPERIMENTS.md`
 //! regenerates the checked-in file.
 
+use crate::driver::LoadSpec;
 use crate::experiment::StrategyKind;
 use crate::funnel::paper_scale_funnels;
-use crate::graph::{GraphReport, GraphSpec, GRAPH_BUDGETS};
+use crate::graph::{GraphReport, GRAPH_BUDGETS};
 use crate::matrix::RecoveryMatrix;
-use crate::oblivious::{HealMode, ObliviousReport, ObliviousSpec};
+use crate::oblivious::{HealMode, ObliviousReport};
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
 use faultstudy_core::timeline::{by_month, by_release, ei_shares, max_deviation, totals_grow};
 use faultstudy_corpus::paper_study;
 use faultstudy_report::TandemReconciliation;
+use faultstudy_traffic::ArrivalKind;
 use std::fmt::Write as _;
 
 /// Renders the full paper-vs-measured report as markdown.
@@ -309,7 +311,7 @@ pub fn experiments_markdown(seed: u64) -> String {
     .expect("w");
     writeln!(md).expect("w");
     let oblivious =
-        ObliviousReport::run(ObliviousSpec { seed, requests: 6_000, ..ObliviousSpec::default() });
+        ObliviousReport::run(LoadSpec { seed, requests: 6_000, arrival: ArrivalKind::Poisson });
     let (ei, edn) = (FaultClass::EnvironmentIndependent, FaultClass::EnvDependentNonTransient);
     writeln!(
         md,
@@ -401,7 +403,7 @@ pub fn experiments_markdown(seed: u64) -> String {
     )
     .expect("w");
     writeln!(md).expect("w");
-    let graph = GraphReport::run(GraphSpec { seed, requests: 7_200, ..GraphSpec::default() });
+    let graph = GraphReport::run(LoadSpec { seed, requests: 7_200, arrival: ArrivalKind::Poisson });
     let full = *GRAPH_BUDGETS.last().expect("sweep is nonempty");
     writeln!(md, "| Class | Plane | Availability | Dropped | TTR p50 | Amplification |")
         .expect("w");

@@ -20,7 +20,7 @@
 
 use crate::driver::{
     drive_cells, fold, grid, ledger, miss_rate, ms, unit_share, write_anomalies, write_title,
-    write_totals,
+    write_totals, LoadSpec,
 };
 use crate::experiment::standard_env;
 use faultstudy_core::taxonomy::FaultClass;
@@ -40,23 +40,9 @@ use std::fmt;
 /// engine's contract tests pin.
 pub const GRAPH_BUDGETS: [u32; 3] = [0, 1, 3];
 
-/// Configuration of a graph campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GraphSpec {
-    /// Master seed; the campaign is a pure function of it.
-    pub seed: u64,
-    /// Total requests offered across the whole campaign, spread evenly
-    /// over the units (earlier units absorb the remainder).
-    pub requests: u64,
-    /// Arrival-process family for every unit.
-    pub arrival: ArrivalKind,
-}
-
-impl Default for GraphSpec {
-    fn default() -> Self {
-        GraphSpec { seed: 1, requests: 21_600, arrival: ArrivalKind::Poisson }
-    }
-}
+/// The graph campaign's [`LoadSpec`], under the name the benchmark
+/// package spells it by.
+pub type GraphSpec = LoadSpec;
 
 /// One `(fault kind, plane, budget)` unit of the campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,7 +67,7 @@ pub struct GraphCell {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GraphReport {
     /// The spec that produced this report.
-    pub spec: GraphSpec,
+    pub spec: LoadSpec,
     /// Every unit, in `(kind, plane, budget)` enumeration order.
     pub cells: Vec<GraphCell>,
 }
@@ -152,12 +138,12 @@ fn ledger_unit(registry: &mut MetricsRegistry, cell: &GraphCell) {
 
 impl GraphReport {
     /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: GraphSpec) -> GraphReport {
+    pub fn run(spec: LoadSpec) -> GraphReport {
         Self::run_with(spec, ParallelSpec::default())
     }
 
     /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: GraphSpec, parallel: ParallelSpec) -> GraphReport {
+    pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> GraphReport {
         Self::run_units(spec, parallel, false).0
     }
 
@@ -175,14 +161,14 @@ impl GraphReport {
     /// recorded. Registries merge in unit-index order, so the result is
     /// byte-identical at any thread count.
     pub fn run_instrumented(
-        spec: GraphSpec,
+        spec: LoadSpec,
         parallel: ParallelSpec,
     ) -> (GraphReport, MetricsRegistry) {
         Self::run_units(spec, parallel, true)
     }
 
     fn run_units(
-        spec: GraphSpec,
+        spec: LoadSpec,
         parallel: ParallelSpec,
         instrumented: bool,
     ) -> (GraphReport, MetricsRegistry) {
@@ -244,13 +230,6 @@ impl GraphReport {
         self.class_graph(class, plane, budget).ttr
     }
 
-    /// The merged cascade-depth histogram of `(class, plane, budget)`:
-    /// depth 1 = salvaged inside the chain, 2 = client retried,
-    /// 3 = user-visible drop.
-    pub fn class_cascade(&self, class: FaultClass, plane: PlaneKind, budget: u32) -> Histogram {
-        self.class_graph(class, plane, budget).cascade_depth
-    }
-
     /// The largest per-cell downstream-amplification ratio at `budget` —
     /// db requests served per db request the chains first demanded.
     pub fn max_amplification(&self, budget: u32) -> f64 {
@@ -269,12 +248,6 @@ impl GraphReport {
     /// The folded graph ledger of the whole campaign.
     pub fn graph_totals(&self) -> GraphUnitStats {
         fold(self.cells.iter().map(|c| &c.stats), GraphUnitStats::absorb)
-    }
-
-    /// Fraction of offered requests in `(class, plane, budget)` that
-    /// missed the SLO — violations plus drops over offered, in [0, 1].
-    pub fn slo_miss_rate(&self, class: FaultClass, plane: PlaneKind, budget: u32) -> f64 {
-        miss_rate(&self.class_stats(class, plane, budget))
     }
 
     /// Violations of the campaign's class contracts — the distributed
@@ -348,8 +321,7 @@ impl GraphReport {
 
 impl fmt::Display for GraphReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let spec = &self.spec;
-        write_title(f, "Graph", spec.requests, self.cells.len(), spec.arrival, spec.seed)?;
+        write_title(f, "Graph", &self.spec, self.cells.len())?;
         writeln!(
             f,
             "  {:<12} {:<8} {:>3} {:>8} {:>7} {:>8} {:>11} {:>6} {:>7}",
@@ -400,9 +372,9 @@ impl fmt::Display for GraphReport {
 mod tests {
     use super::*;
 
-    fn small_spec(seed: u64) -> GraphSpec {
+    fn small_spec(seed: u64) -> LoadSpec {
         // 3600 / 72 units = 50 requests per unit, exactly.
-        GraphSpec { seed, requests: 3_600, arrival: ArrivalKind::Poisson }
+        LoadSpec { seed, requests: 3_600, arrival: ArrivalKind::Poisson }
     }
 
     #[test]
@@ -425,7 +397,7 @@ mod tests {
 
     #[test]
     fn uneven_loads_land_on_the_earliest_units() {
-        let spec = GraphSpec { seed: 1, requests: 145, arrival: ArrivalKind::Poisson };
+        let spec = LoadSpec { seed: 1, requests: 145, arrival: ArrivalKind::Poisson };
         let report = GraphReport::run(spec);
         assert_eq!(report.totals().offered, 145);
         assert_eq!(report.cells[0].stats.base.offered, 3);

@@ -40,12 +40,6 @@ pub struct InjectSpec {
     pub seed: u64,
 }
 
-impl Default for InjectSpec {
-    fn default() -> Self {
-        InjectSpec { seed: 1 }
-    }
-}
-
 /// One `(plan, strategy, scrub)` unit of the campaign.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InjectCell {

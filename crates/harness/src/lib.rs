@@ -54,6 +54,7 @@ pub mod traffic;
 pub mod workload;
 
 pub use campaign::{CampaignReport, CampaignSpec};
+pub use driver::LoadSpec;
 pub use experiment::{
     run_fault_experiment, run_fault_experiment_instrumented, FaultOutcome, StrategyKind,
 };
@@ -63,6 +64,6 @@ pub use funnel::{paper_scale_funnels, paper_scale_funnels_instrumented, paper_sc
 pub use graph::{GraphCell, GraphReport, GraphSpec, GRAPH_BUDGETS};
 pub use inject::{InjectCell, InjectReport, InjectSpec};
 pub use matrix::RecoveryMatrix;
-pub use micro::{micro_plans, MicroCell, MicroReport, MicroSpec, RecoveryMode};
+pub use micro::{micro_plans, MicroCell, MicroReport, RecoveryMode};
 pub use oblivious::{HealMode, ObliviousCell, ObliviousReport, ObliviousSpec};
 pub use traffic::{TrafficCell, TrafficReport, TrafficSpec};

@@ -25,7 +25,7 @@
 
 use crate::driver::{
     drive_cells, fold, grid, ledger, miss_rate, ms, unit_share, write_anomalies, write_title,
-    write_totals,
+    write_totals, LoadSpec,
 };
 use crate::traffic::serve_plan;
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
@@ -49,24 +49,6 @@ const RESTART_RETRIES: u32 = 3;
 /// milliseconds, so eight microreboot attempts still spend well under one
 /// process-restart attempt's worth of downtime.
 const MICRO_RETRIES: u32 = 8;
-
-/// Configuration of a microreboot campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MicroSpec {
-    /// Master seed; the campaign is a pure function of it.
-    pub seed: u64,
-    /// Total requests offered across the whole campaign, spread evenly
-    /// over the units (earlier units absorb the remainder).
-    pub requests: u64,
-    /// Arrival-process family for every unit.
-    pub arrival: ArrivalKind,
-}
-
-impl Default for MicroSpec {
-    fn default() -> Self {
-        MicroSpec { seed: 1, requests: 20_000, arrival: ArrivalKind::Poisson }
-    }
-}
 
 /// The recovery mode of one campaign unit — the comparison axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -146,7 +128,7 @@ pub struct MicroCell {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MicroReport {
     /// The spec that produced this report.
-    pub spec: MicroSpec,
+    pub spec: LoadSpec,
     /// Every unit, in `(plan, mode, app)` enumeration order.
     pub cells: Vec<MicroCell>,
 }
@@ -184,12 +166,12 @@ fn run_unit(
 
 impl MicroReport {
     /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: MicroSpec) -> MicroReport {
+    pub fn run(spec: LoadSpec) -> MicroReport {
         Self::run_with(spec, ParallelSpec::default())
     }
 
     /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: MicroSpec, parallel: ParallelSpec) -> MicroReport {
+    pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> MicroReport {
         Self::run_units(spec, parallel, false).0
     }
 
@@ -206,14 +188,14 @@ impl MicroReport {
     /// unit-index order, so the result is byte-identical at any thread
     /// count.
     pub fn run_instrumented(
-        spec: MicroSpec,
+        spec: LoadSpec,
         parallel: ParallelSpec,
     ) -> (MicroReport, MetricsRegistry) {
         Self::run_units(spec, parallel, true)
     }
 
     fn run_units(
-        spec: MicroSpec,
+        spec: LoadSpec,
         parallel: ParallelSpec,
         instrumented: bool,
     ) -> (MicroReport, MetricsRegistry) {
@@ -268,12 +250,6 @@ impl MicroReport {
         fold(self.cells.iter().map(|c| &c.stats), UnitStats::absorb)
     }
 
-    /// Fraction of offered requests in `(class, mode)` that missed the
-    /// SLO — violations plus drops over offered, in [0, 1].
-    pub fn slo_miss_rate(&self, class: FaultClass, mode: RecoveryMode) -> f64 {
-        miss_rate(&self.class_stats(class, mode))
-    }
-
     /// Violations of the campaign's class contract on the state-leak
     /// plan: the restored checkpoint must preserve the leak (restart
     /// drops requests), the crash-only reboot must discard it (no drops,
@@ -317,8 +293,7 @@ impl MicroReport {
 
 impl fmt::Display for MicroReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let spec = &self.spec;
-        write_title(f, "Microreboot", spec.requests, self.cells.len(), spec.arrival, spec.seed)?;
+        write_title(f, "Microreboot", &self.spec, self.cells.len())?;
         writeln!(
             f,
             "  {:<12} {:<12} {:>9} {:>7} {:>9} {:>11} {:>11} {:>7}",
@@ -358,9 +333,9 @@ impl fmt::Display for MicroReport {
 mod tests {
     use super::*;
 
-    fn small_spec(seed: u64) -> MicroSpec {
+    fn small_spec(seed: u64) -> LoadSpec {
         // 3600 / 60 units = 60 requests per unit, exactly.
-        MicroSpec { seed, requests: 3_600, arrival: ArrivalKind::Poisson }
+        LoadSpec { seed, requests: 3_600, arrival: ArrivalKind::Poisson }
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //! reports and registries are byte-identical at any thread count and
 //! chunk size.
 
-use crate::driver::{drive_cells, fold, grid, ledger, unit_share, write_anomalies, write_title};
+use crate::driver::{
+    drive_cells, fold, grid, ledger, unit_share, write_anomalies, write_title, LoadSpec,
+};
 use crate::micro::micro_plans;
 use crate::traffic::serve_plan;
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
@@ -66,23 +68,9 @@ const SCRUB_RETRIES: u32 = 8;
 /// distills — is independent of the unit's measured load.
 const PROBE_REQUESTS: u64 = 96;
 
-/// Configuration of an oblivious-recovery campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ObliviousSpec {
-    /// Master seed; the campaign is a pure function of it.
-    pub seed: u64,
-    /// Total requests offered across the whole campaign, spread evenly
-    /// over the units (earlier units absorb the remainder).
-    pub requests: u64,
-    /// Arrival-process family for every unit.
-    pub arrival: ArrivalKind,
-}
-
-impl Default for ObliviousSpec {
-    fn default() -> Self {
-        ObliviousSpec { seed: 1, requests: 20_000, arrival: ArrivalKind::Poisson }
-    }
-}
+/// The oblivious campaign's [`LoadSpec`], under the name the benchmark
+/// package spells it by.
+pub type ObliviousSpec = LoadSpec;
 
 /// The recovery mode of one campaign unit — the comparison axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -195,7 +183,7 @@ pub struct ObliviousCell {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObliviousReport {
     /// The spec that produced this report.
-    pub spec: ObliviousSpec,
+    pub spec: LoadSpec,
     /// Every unit, in `(plan, mode, app)` enumeration order.
     pub cells: Vec<ObliviousCell>,
     /// Violations of the oblivious-recovery contract; must be empty for
@@ -320,12 +308,12 @@ fn contract_anomalies(cells: &[ObliviousCell]) -> Vec<String> {
 
 impl ObliviousReport {
     /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: ObliviousSpec) -> ObliviousReport {
+    pub fn run(spec: LoadSpec) -> ObliviousReport {
         Self::run_with(spec, ParallelSpec::default())
     }
 
     /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: ObliviousSpec, parallel: ParallelSpec) -> ObliviousReport {
+    pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> ObliviousReport {
         Self::run_units(spec, parallel, false).0
     }
 
@@ -339,14 +327,14 @@ impl ObliviousReport {
     /// unit-index order, so the result is byte-identical at any thread
     /// count.
     pub fn run_instrumented(
-        spec: ObliviousSpec,
+        spec: LoadSpec,
         parallel: ParallelSpec,
     ) -> (ObliviousReport, MetricsRegistry) {
         Self::run_units(spec, parallel, true)
     }
 
     fn run_units(
-        spec: ObliviousSpec,
+        spec: LoadSpec,
         parallel: ParallelSpec,
         instrumented: bool,
     ) -> (ObliviousReport, MetricsRegistry) {
@@ -410,16 +398,6 @@ impl ObliviousReport {
         })
     }
 
-    /// Fraction of offered requests in `(class, mode)` that were answered
-    /// with a silent manufactured default — the silent-wrong-answer rate.
-    pub fn wrong_answer_rate(&self, class: FaultClass, mode: HealMode) -> f64 {
-        let stats = self.class_stats(class, mode);
-        if stats.offered == 0 {
-            return 0.0;
-        }
-        self.class_costs(class, mode).1 as f64 / stats.offered as f64
-    }
-
     /// The folded ledger of the whole campaign.
     pub fn totals(&self) -> UnitStats {
         fold(self.cells.iter().map(|c| &c.stats), UnitStats::absorb)
@@ -428,15 +406,7 @@ impl ObliviousReport {
 
 impl fmt::Display for ObliviousReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let spec = &self.spec;
-        write_title(
-            f,
-            "Oblivious-recovery",
-            spec.requests,
-            self.cells.len(),
-            spec.arrival,
-            spec.seed,
-        )?;
+        write_title(f, "Oblivious-recovery", &self.spec, self.cells.len())?;
         writeln!(
             f,
             "  {:<12} {:<13} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9}",
@@ -484,9 +454,9 @@ impl fmt::Display for ObliviousReport {
 mod tests {
     use super::*;
 
-    fn small_spec(seed: u64) -> ObliviousSpec {
+    fn small_spec(seed: u64) -> LoadSpec {
         // 6000 / 150 units = 40 requests per unit, exactly.
-        ObliviousSpec { seed, requests: 6_000, arrival: ArrivalKind::Poisson }
+        LoadSpec { seed, requests: 6_000, arrival: ArrivalKind::Poisson }
     }
 
     #[test]
@@ -591,7 +561,7 @@ mod tests {
     #[test]
     fn underpowered_campaigns_report_anomalies_instead_of_passing() {
         // One request per unit cannot exercise the contract cells.
-        let spec = ObliviousSpec { seed: 1, requests: 150, arrival: ArrivalKind::Poisson };
+        let spec = LoadSpec { seed: 1, requests: 150, arrival: ArrivalKind::Poisson };
         let report = ObliviousReport::run(spec);
         assert!(!report.anomalies.is_empty(), "a vacuous campaign must not look healthy");
     }

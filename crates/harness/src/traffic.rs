@@ -19,7 +19,7 @@
 
 use crate::driver::{
     drive_cells, fold, grid, ledger, miss_rate, ms, unit_share, write_anomalies, write_title,
-    write_totals,
+    write_totals, LoadSpec,
 };
 use crate::experiment::{cell_label, standard_env, StrategyKind};
 use faultstudy_apps::{spawn_app, Application, Request};
@@ -34,23 +34,9 @@ use faultstudy_traffic::{run_open_loop, ArrivalKind, TrafficParams, UnitStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Configuration of a traffic campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrafficSpec {
-    /// Master seed; the campaign is a pure function of it.
-    pub seed: u64,
-    /// Total requests offered across the whole campaign, spread evenly
-    /// over the units (earlier units absorb the remainder).
-    pub requests: u64,
-    /// Arrival-process family for every unit.
-    pub arrival: ArrivalKind,
-}
-
-impl Default for TrafficSpec {
-    fn default() -> Self {
-        TrafficSpec { seed: 1, requests: 20_000, arrival: ArrivalKind::Poisson }
-    }
-}
+/// The traffic campaign's [`LoadSpec`], under the name the benchmark
+/// package spells it by.
+pub type TrafficSpec = LoadSpec;
 
 /// One `(plan, strategy, application)` unit of the campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,7 +59,7 @@ pub struct TrafficCell {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficReport {
     /// The spec that produced this report.
-    pub spec: TrafficSpec,
+    pub spec: LoadSpec,
     /// Every unit, in `(plan, strategy, app)` enumeration order.
     pub cells: Vec<TrafficCell>,
 }
@@ -209,12 +195,12 @@ pub(crate) fn serve_plan(
 
 impl TrafficReport {
     /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: TrafficSpec) -> TrafficReport {
+    pub fn run(spec: LoadSpec) -> TrafficReport {
         Self::run_with(spec, ParallelSpec::default())
     }
 
     /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: TrafficSpec, parallel: ParallelSpec) -> TrafficReport {
+    pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> TrafficReport {
         Self::run_units(spec, parallel, false).0
     }
 
@@ -230,14 +216,14 @@ impl TrafficReport {
     /// merge in unit-index order, so the result is byte-identical at any
     /// thread count.
     pub fn run_instrumented(
-        spec: TrafficSpec,
+        spec: LoadSpec,
         parallel: ParallelSpec,
     ) -> (TrafficReport, MetricsRegistry) {
         Self::run_units(spec, parallel, true)
     }
 
     fn run_units(
-        spec: TrafficSpec,
+        spec: LoadSpec,
         parallel: ParallelSpec,
         instrumented: bool,
     ) -> (TrafficReport, MetricsRegistry) {
@@ -339,8 +325,7 @@ impl TrafficReport {
 
 impl fmt::Display for TrafficReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let spec = &self.spec;
-        write_title(f, "Traffic", spec.requests, self.cells.len(), spec.arrival, spec.seed)?;
+        write_title(f, "Traffic", &self.spec, self.cells.len())?;
         writeln!(
             f,
             "  {:<12} {:<13} {:>9} {:>7} {:>10} {:>9} {:>9} {:>7}",
@@ -375,8 +360,8 @@ impl fmt::Display for TrafficReport {
 mod tests {
     use super::*;
 
-    fn small_spec(seed: u64) -> TrafficSpec {
-        TrafficSpec { seed, requests: 3_780, arrival: ArrivalKind::Poisson }
+    fn small_spec(seed: u64) -> LoadSpec {
+        LoadSpec { seed, requests: 3_780, arrival: ArrivalKind::Poisson }
     }
 
     #[test]
@@ -390,7 +375,7 @@ mod tests {
 
     #[test]
     fn uneven_loads_land_on_the_earliest_units() {
-        let spec = TrafficSpec { seed: 1, requests: 191, arrival: ArrivalKind::Poisson };
+        let spec = LoadSpec { seed: 1, requests: 191, arrival: ArrivalKind::Poisson };
         let report = TrafficReport::run(spec);
         assert_eq!(report.totals().offered, 191);
         assert_eq!(report.cells[0].stats.offered, 2);

@@ -98,7 +98,7 @@ impl KeywordQuery {
     /// The pre-automaton reference implementation of
     /// [`Self::matches_text`]: one `to_lowercase` allocation plus one
     /// `contains` traversal per keyword. Ground truth for the
-    /// differential tests and the naive side of the `textscan` benches.
+    /// differential tests.
     pub fn matches_text_naive(&self, text: &str) -> bool {
         let lower = text.to_lowercase();
         self.keywords.iter().any(|k| lower.contains(k))

@@ -1,5 +1,7 @@
-//! The open-loop engine: a timing wheel full of arrivals drained through
-//! the per-request supervisor.
+//! The open-loop engine: [`drive_open_loop`] drains a timing wheel full
+//! of arrivals through a server. [`run_open_loop`] serves each request
+//! through the per-request supervisor; the service graph
+//! (`faultstudy-graph`) serves each one as a chain across its tiers.
 //!
 //! Open-loop means arrivals never wait for the server: session starts
 //! are scheduled by the arrival process regardless of how far behind the
@@ -20,6 +22,7 @@ use faultstudy_recovery::{
     EnvHook, RecoveryStrategy, RequestSupervisor, ServeOutcome, SupervisorConfig,
 };
 use faultstudy_sim::rng::SplitSeedStream;
+use faultstudy_sim::time::Duration;
 use faultstudy_sim::wheel::TimingWheel;
 use serde::{Deserialize, Serialize};
 
@@ -111,6 +114,18 @@ impl UnitStats {
     }
 }
 
+/// How the server answered one request of the open loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answer {
+    /// An answer reached the user: a success, or a graceful denial.
+    Served {
+        /// Whether the answer was a graceful denial.
+        denied: bool,
+    },
+    /// No answer reached the user: the request is lost.
+    Dropped,
+}
+
 /// Wheel payload: what to do when simulated time reaches the event.
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -119,31 +134,39 @@ enum Event {
     SessionStart,
     /// An existing session issues its next request after think time.
     Next(u32),
+    /// The server's periodic tick.
+    Tick,
 }
 
-/// Drives one unit of open-loop traffic against `app` under `strategy`,
-/// returning the request ledger.
+/// The open-loop driver: offers exactly `params.requests` requests drawn
+/// from `mix` to a server and ledgers how each was answered.
 ///
-/// The request mix is prepared once by the caller and picked from by
-/// index per request, so the hot loop allocates nothing of its own;
-/// session slots are slab-recycled and the wheel reuses slot buffers.
-/// `arrival_seed` and `session_master` are independent `split_seed`
-/// derivations of the unit's seed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_open_loop(
-    app: &mut dyn Application,
+/// Sessions arrive on the timing wheel from an [`ArrivalProcess`] seeded
+/// by `arrival_seed`, each with its randomness drawn from
+/// `session_master`'s split-seed stream; they pick requests by index and
+/// think between them. Session slots are slab-recycled and the wheel
+/// reuses slot buffers, so the loop allocates nothing per request.
+///
+/// `serve(env, Some(request))` serves one request at the current instant
+/// and returns its answer. With `tick` set to `Some(every)`,
+/// `serve(env, None)` also runs every `every` of simulated time from the
+/// start, for background work outside the offered load, and returns
+/// `None`; ticks stop once every request has been offered.
+///
+/// The returned ledger leaves `failures`, `recoveries` and
+/// `watchdog_fires` zero: the server counts those, and its caller fills
+/// them in.
+pub fn drive_open_loop<M>(
     env: &mut Environment,
-    strategy: &mut dyn RecoveryStrategy,
-    config: &SupervisorConfig,
-    mut hook: Option<&mut dyn EnvHook>,
-    mix: &[Request],
+    mix: &[M],
     params: &TrafficParams,
     arrival_seed: u64,
     session_master: u64,
+    tick: Option<Duration>,
+    mut serve: impl FnMut(&mut Environment, Option<&M>) -> Option<Answer>,
 ) -> UnitStats {
     assert!(!mix.is_empty(), "traffic needs a request mix");
     let mut stats = UnitStats::new();
-    let mut sup = RequestSupervisor::begin(app, env, strategy, config);
     if params.requests == 0 {
         stats.sim_nanos = env.now().as_nanos();
         return stats;
@@ -165,7 +188,16 @@ pub fn run_open_loop(
     let start = env.now();
     let gap = arrivals.next_gap(start);
     wheel.schedule(start.saturating_add(gap), Event::SessionStart);
+    if let Some(every) = tick {
+        wheel.schedule(start.saturating_add(every), Event::Tick);
+    }
     while let Some((at, event)) = wheel.pop() {
+        // The event is due at `at`; if the serving clock is behind, the
+        // server was idle and catches up. If it is ahead, a request
+        // queues and the difference lands in its latency.
+        if env.now() < at {
+            env.advance(at.saturating_since(env.now()));
+        }
         let sid = match event {
             Event::SessionStart => {
                 let size = (params.requests - allotted).min(u64::from(per_session)) as u32;
@@ -187,20 +219,23 @@ pub fn run_open_loop(
                 }
             }
             Event::Next(sid) => sid,
+            Event::Tick => {
+                serve(env, None);
+                if let Some(every) = tick {
+                    if stats.offered < params.requests {
+                        wheel.schedule(at.saturating_add(every), Event::Tick);
+                    }
+                }
+                continue;
+            }
         };
-        // The request arrives at `at`; if the serving clock is behind,
-        // the server was idle and catches up. If it is ahead, the request
-        // queues and the difference lands in its latency.
-        if env.now() < at {
-            env.advance(at.saturating_since(env.now()));
-        }
         let session = &mut sessions[sid as usize];
         session.remaining -= 1;
         let pick = session.pick(mix.len());
-        let outcome = sup.serve(app, env, &mix[pick], strategy, config, &mut hook);
+        let answer = serve(env, Some(&mix[pick])).expect("every request gets an answer");
         stats.offered += 1;
-        match outcome {
-            ServeOutcome::Served { denied, .. } => {
+        match answer {
+            Answer::Served { denied } => {
                 let latency = env.now().saturating_since(at);
                 stats.latency.record(latency.as_nanos());
                 if denied {
@@ -212,9 +247,7 @@ pub fn run_open_loop(
                     stats.slo_violations += 1;
                 }
             }
-            ServeOutcome::Abandoned { .. } | ServeOutcome::Degraded { .. } | ServeOutcome::Shed => {
-                stats.dropped += 1;
-            }
+            Answer::Dropped => stats.dropped += 1,
         }
         let session = &mut sessions[sid as usize];
         if session.remaining > 0 {
@@ -224,11 +257,44 @@ pub fn run_open_loop(
             free.push(sid);
         }
     }
+    stats.sim_nanos = env.now().as_nanos();
+    debug_assert_eq!(stats.offered, params.requests);
+    stats
+}
+
+/// Drives one unit of open-loop traffic against `app` under `strategy`,
+/// returning the request ledger.
+///
+/// Every request is served through the per-request supervisor; the
+/// arrivals, sessions and ledger are [`drive_open_loop`]'s. The request
+/// mix is prepared once by the caller and picked from by index per
+/// request. `arrival_seed` and `session_master` are independent
+/// `split_seed` derivations of the unit's seed.
+#[allow(clippy::too_many_arguments)]
+pub fn run_open_loop(
+    app: &mut dyn Application,
+    env: &mut Environment,
+    strategy: &mut dyn RecoveryStrategy,
+    config: &SupervisorConfig,
+    mut hook: Option<&mut dyn EnvHook>,
+    mix: &[Request],
+    params: &TrafficParams,
+    arrival_seed: u64,
+    session_master: u64,
+) -> UnitStats {
+    let mut sup = RequestSupervisor::begin(app, env, strategy, config);
+    let mut stats =
+        drive_open_loop(env, mix, params, arrival_seed, session_master, None, |env, req| {
+            req.map(|req| match sup.serve(app, env, req, strategy, config, &mut hook) {
+                ServeOutcome::Served { denied, .. } => Answer::Served { denied },
+                ServeOutcome::Abandoned { .. }
+                | ServeOutcome::Degraded { .. }
+                | ServeOutcome::Shed => Answer::Dropped,
+            })
+        });
     stats.failures = u64::from(sup.failures());
     stats.recoveries = u64::from(sup.recoveries());
     stats.watchdog_fires = u64::from(sup.watchdog_fires());
-    stats.sim_nanos = env.now().as_nanos();
-    debug_assert_eq!(stats.offered, params.requests);
     stats
 }
 

@@ -15,9 +15,9 @@
 //!   derived from `split_seed`.
 //! - [`session`] — user sessions: a burst of requests with exponential
 //!   think time and a seeded request-mix pick.
-//! - [`engine`] — the open-loop drive loop and its per-unit
-//!   [`UnitStats`] ledger (availability, goodput, SLO violations,
-//!   latency histogram).
+//! - [`engine`] — the open-loop driver every serving engine runs on, and
+//!   its per-unit [`UnitStats`] ledger (availability, goodput, SLO
+//!   violations, latency histogram).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +28,6 @@ pub mod params;
 pub mod session;
 
 pub use arrival::{ArrivalKind, ArrivalProcess};
-pub use engine::{run_open_loop, UnitStats};
+pub use engine::{drive_open_loop, run_open_loop, Answer, UnitStats};
 pub use params::TrafficParams;
 pub use session::Session;

@@ -14,13 +14,14 @@
 use faultstudy::core::taxonomy::FaultClass;
 use faultstudy::exec::ParallelSpec;
 use faultstudy::graph::PlaneKind;
-use faultstudy::harness::graph::{GraphReport, GraphSpec, GRAPH_BUDGETS};
+use faultstudy::harness::graph::{GraphReport, GRAPH_BUDGETS};
+use faultstudy::harness::LoadSpec;
 use faultstudy::harness::RecoveryMatrix;
 use faultstudy::traffic::ArrivalKind;
 
-fn contract_spec(seed: u64) -> GraphSpec {
+fn contract_spec(seed: u64) -> LoadSpec {
     // 7200 / 72 units = 100 requests per unit, exactly.
-    GraphSpec { seed, requests: 7_200, arrival: ArrivalKind::Poisson }
+    LoadSpec { seed, requests: 7_200, arrival: ArrivalKind::Poisson }
 }
 
 /// The campaign is a pure function of its spec: report, merged registry,

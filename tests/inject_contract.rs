@@ -8,9 +8,14 @@
 //! directly by scheduled injection plans and the outcomes must still line
 //! up with the class of the injected condition.
 
+use faultstudy::apps::spawn_app;
 use faultstudy::core::taxonomy::FaultClass;
-use faultstudy::harness::experiment::StrategyKind;
+use faultstudy::corpus::full_corpus;
+use faultstudy::env::Environment;
+use faultstudy::harness::experiment::{build_workload, StrategyKind};
 use faultstudy::harness::{InjectReport, InjectSpec, ParallelSpec};
+use faultstudy::recovery::{run_workload, run_workload_supervised, SupervisorConfig};
+use faultstudy::sim::rng::split_seed;
 
 #[test]
 fn the_class_contract_holds_under_direct_environment_injection() {
@@ -79,5 +84,48 @@ fn injection_reports_are_byte_identical_across_thread_counts() {
         let report = InjectReport::run_with(spec, ParallelSpec::threads(threads));
         let json = serde_json::to_string(&report).expect("report serializes");
         assert_eq!(json, reference_json, "{threads} threads");
+    }
+}
+
+/// With every hardening policy armed but unable to change a run — hang
+/// detection, zero backoff, a breaker no retry budget can trip, scrubbing
+/// off — the supervised loop replays the bare one on every transient
+/// corpus fault: the same outcome and the same final simulated clock.
+#[test]
+fn inert_hardening_reproduces_the_bare_loop() {
+    let mut inert = SupervisorConfig::permissive();
+    inert.breaker_threshold = u32::MAX;
+    let corpus = full_corpus();
+    for fault in corpus.iter().filter(|f| f.class() == FaultClass::EnvDependentTransient) {
+        let workload = build_workload(fault);
+        for strategy in [StrategyKind::Restart, StrategyKind::Rollback, StrategyKind::Progressive] {
+            for round in 0..3 {
+                let run = |config: Option<&SupervisorConfig>| {
+                    let mut env = Environment::builder()
+                        .seed(split_seed(2000, round))
+                        .fd_limit(16)
+                        .proc_slots(8)
+                        .fs_capacity(256 * 1024)
+                        .max_file_size(64 * 1024)
+                        .build();
+                    let mut app = spawn_app(fault.app(), &mut env);
+                    app.inject(fault.slug(), &mut env).expect("corpus fault injects");
+                    let mut strategy = strategy.build();
+                    let (app, strategy) = (app.as_mut(), strategy.as_mut());
+                    let run = match config {
+                        None => run_workload(app, &mut env, &workload, strategy),
+                        Some(config) => {
+                            run_workload_supervised(
+                                app, &mut env, &workload, strategy, config, None,
+                            )
+                            .run
+                        }
+                    };
+                    (run, env.now())
+                };
+                let slug = fault.slug();
+                assert_eq!(run(Some(&inert)), run(None), "{slug} {strategy} round {round}");
+            }
+        }
     }
 }

@@ -15,13 +15,14 @@ use faultstudy::apps::spawn_app;
 use faultstudy::core::taxonomy::{AppKind, FaultClass};
 use faultstudy::env::Environment;
 use faultstudy::exec::ParallelSpec;
-use faultstudy::harness::micro::{MicroReport, MicroSpec, RecoveryMode};
+use faultstudy::harness::micro::{MicroReport, RecoveryMode};
+use faultstudy::harness::LoadSpec;
 use faultstudy::recovery::{run_workload, MicroReboot};
 use faultstudy::traffic::ArrivalKind;
 
-fn contract_spec(seed: u64) -> MicroSpec {
+fn contract_spec(seed: u64) -> LoadSpec {
     // 6000 / 60 units = 100 requests per unit, exactly.
-    MicroSpec { seed, requests: 6_000, arrival: ArrivalKind::Poisson }
+    LoadSpec { seed, requests: 6_000, arrival: ArrivalKind::Poisson }
 }
 
 /// The headline differential: state poisoned *inside* the checkpoint

@@ -1,5 +1,7 @@
 //! Integration: the §4 selection funnels at paper scale.
 
+use faultstudy::core::evidence::Evidence;
+use faultstudy::core::scanset;
 use faultstudy::core::taxonomy::AppKind;
 use faultstudy::corpus::{PopulationSpec, SyntheticPopulation};
 use faultstudy::harness::funnel::{paper_scale_funnels, run_funnel};
@@ -89,4 +91,23 @@ fn single_keyword_pipelines_lose_recall() {
         any_smaller |= n < full;
     }
     assert!(any_smaller, "at least one single-keyword query must lose recall");
+}
+
+/// The shared one-pass scan agrees with the naive per-keyword and
+/// per-pattern scans on every report of the paper-scale MySQL archive:
+/// the same keyword verdict and the same evidence.
+#[test]
+fn shared_scan_matches_the_naive_scans_on_the_paper_scale_archive() {
+    let population =
+        SyntheticPopulation::generate(&PopulationSpec::paper_scale(AppKind::Mysql, 2000));
+    assert_eq!(population.reports.len(), 44_000);
+    let set = scanset::shared();
+    let query = KeywordQuery::mysql();
+    for r in &population.reports {
+        let hits = set.hits_report(r);
+        let naive = query.matches_naive(r);
+        assert_eq!(set.matches_mysql_keywords(&hits), naive, "keyword verdict on {}", r.id);
+        assert_eq!(query.matches(r), naive, "keyword verdict on {}", r.id);
+        assert_eq!(Evidence::from_hits(&hits), Evidence::extract_naive(r), "evidence on {}", r.id);
+    }
 }

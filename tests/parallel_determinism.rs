@@ -7,7 +7,7 @@ use faultstudy::core::taxonomy::{AppKind, Severity};
 use faultstudy::exec::{run_indexed, ParallelSpec};
 use faultstudy::harness::campaign::{CampaignReport, CampaignSpec};
 use faultstudy::harness::funnel::paper_scale_funnels_with;
-use faultstudy::harness::{InjectReport, InjectSpec, ObliviousReport, ObliviousSpec};
+use faultstudy::harness::{InjectReport, InjectSpec, LoadSpec, ObliviousReport};
 use faultstudy::mining::dedup::{dedup_reports, dedup_reports_with_norms, normalize_title};
 use faultstudy::obs::MetricsRegistry;
 use faultstudy::traffic::ArrivalKind;
@@ -112,7 +112,7 @@ fn inject_and_oblivious_are_byte_identical_across_threads_and_chunks() {
     assert_identical_across_threads_and_chunks(|parallel| {
         InjectReport::run_instrumented(inject, parallel)
     });
-    let oblivious = ObliviousSpec { seed: 2000, requests: 6_000, arrival: ArrivalKind::Poisson };
+    let oblivious = LoadSpec { seed: 2000, requests: 6_000, arrival: ArrivalKind::Poisson };
     assert_identical_across_threads_and_chunks(|parallel| {
         ObliviousReport::run_instrumented(oblivious, parallel)
     });

@@ -119,11 +119,12 @@ fn million_sample_streaming_campaign_holds_constant_state() {
 /// component reboots the stream provokes.
 #[test]
 fn million_request_microreboot_campaign_holds_constant_state() {
-    use faultstudy::harness::micro::{MicroReport, MicroSpec, RecoveryMode};
+    use faultstudy::harness::micro::{MicroReport, RecoveryMode};
+    use faultstudy::harness::LoadSpec;
     use faultstudy::traffic::ArrivalKind;
 
     const REQUESTS: u64 = if cfg!(debug_assertions) { 60_000 } else { 1_000_000 };
-    let spec = |requests| MicroSpec { seed: 2000, requests, arrival: ArrivalKind::Poisson };
+    let spec = |requests| LoadSpec { seed: 2000, requests, arrival: ArrivalKind::Poisson };
     let small = MicroReport::run_with(spec(REQUESTS / 10), ParallelSpec::AUTO);
     let big = MicroReport::run_with(spec(REQUESTS), ParallelSpec::AUTO);
 

@@ -1,10 +1,11 @@
 //! Determinism of the open-loop traffic campaign: the report, the
 //! instrumented metrics registry, and the rendered SLO table must be pure
-//! functions of the `TrafficSpec` — thread count and chunk size must be
+//! functions of the `LoadSpec` — thread count and chunk size must be
 //! unobservable down to the serialized byte, for every arrival curve.
 
 use faultstudy::exec::ParallelSpec;
-use faultstudy::harness::traffic::{TrafficReport, TrafficSpec};
+use faultstudy::harness::traffic::TrafficReport;
+use faultstudy::harness::LoadSpec;
 use faultstudy::traffic::ArrivalKind;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -14,7 +15,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 #[test]
 fn traffic_report_is_byte_identical_across_thread_counts() {
     for arrival in ArrivalKind::ALL {
-        let spec = TrafficSpec { seed: 7, requests: 3_780, arrival };
+        let spec = LoadSpec { seed: 7, requests: 3_780, arrival };
         let (reference, reference_registry) =
             TrafficReport::run_instrumented(spec, ParallelSpec::SEQUENTIAL);
         let reference_json = serde_json::to_string(&reference).expect("report serializes");
@@ -34,7 +35,7 @@ fn traffic_report_is_byte_identical_across_thread_counts() {
 /// unit index space folds to the same bytes.
 #[test]
 fn traffic_report_is_identical_for_every_chunk_size() {
-    let spec = TrafficSpec { seed: 2000, requests: 2_457, arrival: ArrivalKind::Bursty };
+    let spec = LoadSpec { seed: 2000, requests: 2_457, arrival: ArrivalKind::Bursty };
     let (reference, reference_registry) =
         TrafficReport::run_instrumented(spec, ParallelSpec::SEQUENTIAL);
     for chunk in [1, 2, 7, 63, 189, 1000] {
@@ -51,7 +52,7 @@ fn traffic_report_is_identical_for_every_chunk_size() {
 /// parallelism matches sequential.
 #[test]
 fn traffic_entry_points_agree() {
-    let spec = TrafficSpec { seed: 5, requests: 1_890, arrival: ArrivalKind::Poisson };
+    let spec = LoadSpec { seed: 5, requests: 1_890, arrival: ArrivalKind::Poisson };
     let reference = TrafficReport::run_with(spec, ParallelSpec::SEQUENTIAL);
     assert_eq!(TrafficReport::run(spec), reference);
     assert_eq!(TrafficReport::run_with(spec, ParallelSpec::AUTO), reference);
@@ -64,7 +65,7 @@ fn traffic_entry_points_agree() {
 #[test]
 fn every_request_is_accounted_for() {
     for arrival in ArrivalKind::ALL {
-        let spec = TrafficSpec { seed: 11, requests: 1_323, arrival };
+        let spec = LoadSpec { seed: 11, requests: 1_323, arrival };
         let report = TrafficReport::run(spec);
         let totals = report.totals();
         assert_eq!(totals.offered, spec.requests, "{arrival:?}");
