@@ -31,22 +31,23 @@ use faultstudy_core::taxonomy::AppKind;
 use faultstudy_core::timeline::{by_month, by_release};
 use faultstudy_corpus::paper_study;
 use faultstudy_harness::{
-    paper_scale_funnels_with, CampaignReport, CampaignSpec, GraphReport, InjectReport, InjectSpec,
-    LoadSpec, MicroReport, ObliviousReport, ParallelSpec, RecoveryMatrix, TrafficReport,
+    paper_scale_funnels_with, Campaign, CampaignReport, CampaignSpec, GraphReport, InjectReport,
+    InjectSpec, LoadSpec, MicroReport, ObliviousReport, ParallelSpec, RecoveryMatrix,
+    TrafficReport,
 };
 use faultstudy_report::{
     render_discussion, render_release_figure, render_table, render_time_figure,
     TandemReconciliation,
 };
 use faultstudy_traffic::ArrivalKind;
-use std::fmt;
 use std::process::ExitCode;
 
 struct Options {
     seed: u64,
     json: bool,
-    /// Worker threads for campaign/mining; `AUTO` = available parallelism.
-    /// Results are byte-identical for every value.
+    /// Worker threads for the recovery matrix, every campaign and mining;
+    /// `AUTO` = available parallelism. Results are byte-identical for every
+    /// value.
     parallel: ParallelSpec,
     /// Sample count for the `campaign` subcommand. The streaming fold
     /// holds O(threads) state regardless of this value, so multi-million
@@ -152,18 +153,21 @@ fn main() -> ExitCode {
         "figures" => figures(&opts),
         "summary" => summary(&opts),
         "mine" => mine(&opts),
-        "recover" => recover(&opts),
+        "recover" => run_campaign::<RecoveryMatrix>(opts.seed, &opts),
         "lee-iyer" => lee_iyer(&opts),
         "experiments" => {
             print!("{}", faultstudy_harness::experiments_markdown(opts.seed));
             true
         }
-        "campaign" => run_campaign::<CampaignReport>(&opts),
-        "inject" => run_campaign::<InjectReport>(&opts),
-        "traffic" => run_campaign::<TrafficReport>(&opts),
-        "micro" => run_campaign::<MicroReport>(&opts),
-        "graph" => run_campaign::<GraphReport>(&opts),
-        "oblivious" => run_campaign::<ObliviousReport>(&opts),
+        "campaign" => run_campaign::<CampaignReport>(
+            CampaignSpec { samples: opts.samples, seed: opts.seed },
+            &opts,
+        ),
+        "inject" => run_campaign::<InjectReport>(InjectSpec { seed: opts.seed }, &opts),
+        "traffic" => run_campaign::<TrafficReport>(opts.load(), &opts),
+        "micro" => run_campaign::<MicroReport>(opts.load(), &opts),
+        "graph" => run_campaign::<GraphReport>(opts.load(), &opts),
+        "oblivious" => run_campaign::<ObliviousReport>(opts.load(), &opts),
         "metrics" => metrics(&opts),
         "verify" => verify(&opts),
         "all" => {
@@ -173,7 +177,7 @@ fn main() -> ExitCode {
                 figures(&opts),
                 summary(&opts),
                 mine(&opts),
-                recover(&opts),
+                run_campaign::<RecoveryMatrix>(opts.seed, &opts),
                 lee_iyer(&opts),
             ];
             results.iter().all(|&ok| ok)
@@ -248,49 +252,22 @@ fn mine(opts: &Options) -> bool {
     true
 }
 
-fn recover(opts: &Options) -> bool {
-    let matrix = RecoveryMatrix::run(opts.seed);
-    if opts.json {
-        return print_json("matrix", &matrix);
-    }
-    println!("{matrix}");
-    true
-}
-
 /// CI-style self-check: re-runs the headline experiments and exits
 /// non-zero if any of the paper's guarantees fails to reproduce.
 fn verify(opts: &Options) -> bool {
-    use faultstudy_core::taxonomy::FaultClass;
-    use faultstudy_harness::StrategyKind;
     let mut problems: Vec<String> = Vec::new();
 
     let study = paper_study();
     if study.total() != 139 {
         problems.push(format!("corpus has {} faults, expected 139", study.total()));
     }
-    let matrix = RecoveryMatrix::run(opts.seed);
-    for strategy in StrategyKind::ALL {
-        let ei = matrix.cell(FaultClass::EnvironmentIndependent, strategy);
-        if ei.survived != 0 {
-            problems.push(format!("{} survived {} EI faults", strategy.name(), ei.survived));
-        }
-        if strategy.is_generic() {
-            let edn = matrix.cell(FaultClass::EnvDependentNonTransient, strategy);
-            if edn.survived != 0 {
-                problems.push(format!("{} survived {} EDN faults", strategy.name(), edn.survived));
-            }
-        }
-    }
-    let restart_pct = matrix.overall(StrategyKind::Restart).rate() * 100.0;
-    if !(5.0..=14.0).contains(&restart_pct) {
-        problems.push(format!("restart overall {restart_pct:.1}% outside the 5-14% band"));
-    }
-    let report =
-        CampaignReport::run_with(CampaignSpec { samples: 200, seed: opts.seed }, opts.parallel);
+    problems.extend(RecoveryMatrix::run(opts.seed, opts.parallel, false).0.violations());
+    let spec = CampaignSpec { samples: 200, seed: opts.seed };
+    let (report, _) = CampaignReport::run(spec, opts.parallel, false);
     if !report.anomalies.is_empty() {
         problems.push(format!("campaign anomalies: {:?}", report.anomalies));
     }
-    let injection = InjectReport::run_with(InjectSpec { seed: opts.seed }, opts.parallel);
+    let (injection, _) = InjectReport::run(InjectSpec { seed: opts.seed }, opts.parallel, false);
     if !injection.anomalies.is_empty() {
         problems.push(format!("injection anomalies: {:?}", injection.anomalies));
     }
@@ -338,11 +315,10 @@ fn metrics(opts: &Options) -> bool {
     use faultstudy_harness::StrategyKind;
     use faultstudy_sim::time::Duration;
 
-    let (matrix, mut registry) = RecoveryMatrix::run_instrumented(opts.seed);
+    let (matrix, mut registry) = RecoveryMatrix::run(opts.seed, opts.parallel, true);
     let (_, mining) = paper_scale_funnels_instrumented(opts.seed, opts.parallel);
     registry.merge_from(&mining);
-    let (_, injection) =
-        InjectReport::run_instrumented(InjectSpec { seed: opts.seed }, opts.parallel);
+    let (_, injection) = InjectReport::run(InjectSpec { seed: opts.seed }, opts.parallel, true);
     registry.merge_from(&injection);
 
     if opts.json {
@@ -432,141 +408,21 @@ fn metrics(opts: &Options) -> bool {
     true
 }
 
-/// A campaign subcommand: the report the options run, the anomalies that
-/// decide its exit code, and what its text mode prints.
-trait CampaignCommand: serde::Serialize + fmt::Display {
-    /// The subcommand's name, as it appears in `ANOMALY:` lines.
-    const NAME: &'static str;
-
-    /// Runs the campaign the options describe.
-    fn from_options(opts: &Options) -> Self;
-
-    /// Violations of the campaign's class contract; empty on success.
-    fn violations(&self) -> Vec<String>;
-
-    /// The text-mode output: the report, then whatever it appends.
-    fn text(&self, _seed: u64) -> String {
-        self.to_string()
-    }
+/// The one arm behind `recover` and every campaign subcommand: runs the
+/// campaign `spec` describes and prints it.
+fn run_campaign<C: Campaign>(spec: C::Spec, opts: &Options) -> bool {
+    print_campaign(&C::run(spec, opts.parallel, false).0, opts)
 }
 
-/// Randomized `(fault, strategy, seed)` sampling in distribution.
-impl CampaignCommand for CampaignReport {
-    const NAME: &'static str = "campaign";
-
-    fn from_options(opts: &Options) -> Self {
-        CampaignReport::run_with(
-            CampaignSpec { samples: opts.samples, seed: opts.seed },
-            opts.parallel,
-        )
-    }
-
-    fn violations(&self) -> Vec<String> {
-        self.anomalies.clone()
-    }
-
-    fn text(&self, _: u64) -> String {
-        format!("{self}\n")
-    }
-}
-
-/// Every standard injection plan x strategy x scrub setting.
-impl CampaignCommand for InjectReport {
-    const NAME: &'static str = "inject";
-
-    fn from_options(opts: &Options) -> Self {
-        InjectReport::run_with(InjectSpec { seed: opts.seed }, opts.parallel)
-    }
-
-    fn violations(&self) -> Vec<String> {
-        self.anomalies.clone()
-    }
-}
-
-/// Open-loop traffic per (fault class, strategy), then the SLO-miss matrix.
-impl CampaignCommand for TrafficReport {
-    const NAME: &'static str = "traffic";
-
-    fn from_options(opts: &Options) -> Self {
-        TrafficReport::run_with(opts.load(), opts.parallel)
-    }
-
-    fn violations(&self) -> Vec<String> {
-        self.anomalies()
-    }
-
-    fn text(&self, seed: u64) -> String {
-        format!("{self}{}", RecoveryMatrix::run(seed).render_with_slo(self))
-    }
-}
-
-/// Microreboot against whole-process restart, then the comparison matrix.
-impl CampaignCommand for MicroReport {
-    const NAME: &'static str = "micro";
-
-    fn from_options(opts: &Options) -> Self {
-        MicroReport::run_with(opts.load(), opts.parallel)
-    }
-
-    fn violations(&self) -> Vec<String> {
-        self.anomalies()
-    }
-
-    fn text(&self, seed: u64) -> String {
-        format!("{self}{}", RecoveryMatrix::run(seed).render_with_micro(self))
-    }
-}
-
-/// Per-channel recovery against process supervision on the service graph,
-/// then the distributed comparison matrix.
-impl CampaignCommand for GraphReport {
-    const NAME: &'static str = "graph";
-
-    fn from_options(opts: &Options) -> Self {
-        GraphReport::run_with(opts.load(), opts.parallel)
-    }
-
-    fn violations(&self) -> Vec<String> {
-        self.anomalies()
-    }
-
-    fn text(&self, seed: u64) -> String {
-        format!("{self}{}", RecoveryMatrix::run(seed).render_with_graph(self))
-    }
-}
-
-/// Oblivious recovery priced by correctness oracles, then the wrong-answer
-/// matrix.
-impl CampaignCommand for ObliviousReport {
-    const NAME: &'static str = "oblivious";
-
-    fn from_options(opts: &Options) -> Self {
-        ObliviousReport::run_with(opts.load(), opts.parallel)
-    }
-
-    fn violations(&self) -> Vec<String> {
-        self.anomalies.clone()
-    }
-
-    fn text(&self, seed: u64) -> String {
-        format!("{self}{}", RecoveryMatrix::run(seed).render_with_oracle(self))
-    }
-}
-
-/// The one arm behind every campaign subcommand.
-fn run_campaign<C: CampaignCommand>(opts: &Options) -> bool {
-    print_campaign(&C::from_options(opts), opts)
-}
-
-/// Prints `report` as JSON or text, reports each anomaly on stderr, and
+/// Prints `report` as JSON or text, reports each violation on stderr, and
 /// returns whether there were none — so a violated class contract, or an
 /// underpowered run that could not check one, exits non-zero in every
 /// output mode.
-fn print_campaign<C: CampaignCommand>(report: &C, opts: &Options) -> bool {
+fn print_campaign<C: Campaign>(report: &C, opts: &Options) -> bool {
     let printed = if opts.json {
         print_json(C::NAME, report)
     } else {
-        print!("{}", report.text(opts.seed));
+        print!("{}", report.text());
         true
     };
     let anomalies = report.violations();

@@ -7,19 +7,17 @@
 //! the only stochastic cell (races depend on the drawn interleavings), so
 //! the campaign reports their survival rate with its spread.
 
-use crate::driver::{drive, write_anomalies};
+use crate::driver::{drive, write_anomalies, Campaign};
 use crate::experiment::{
-    build_workload, run_fault_experiment, run_fault_experiment_instrumented,
-    run_prepared_experiment, run_prepared_experiment_instrumented, LeanOutcome, StrategyKind,
+    build_workload, ledger_experiment, run_prepared, LeanOutcome, StrategyKind,
 };
 use faultstudy_apps::Request;
 use faultstudy_core::taxonomy::FaultClass;
 use faultstudy_corpus::full_corpus;
-use faultstudy_exec::{run_indexed, ParallelSpec};
+use faultstudy_exec::ParallelSpec;
 use faultstudy_obs::MetricsRegistry;
-use faultstudy_sim::rng::{split_seed, DetRng, Xoshiro256StarStar};
+use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One (class, strategy) cell of a campaign.
@@ -56,24 +54,12 @@ pub struct CampaignReport {
     pub anomalies: Vec<String>,
 }
 
-/// The outcome of one campaign sample, before aggregation.
-struct Sample {
-    class: FaultClass,
-    strategy: StrategyKind,
-    survived: bool,
-    recoveries: u32,
-    anomaly: Option<String>,
-    /// `Some` only for instrumented samples that recorded anything — most
-    /// samples never recover and produce an empty registry, which the
-    /// aggregation can skip outright.
-    metrics: Option<MetricsRegistry>,
-}
-
 /// Draws the `(fault index, strategy, env_seed)` triple of the sample
 /// seeded by `sample_seed` from a corpus of `faults` faults.
 ///
-/// Shared by the streaming and materialized engines so the draw — and
-/// therefore every downstream result — is identical between them.
+/// The materialized reference engine in `tests/parallel_determinism.rs`
+/// keeps its own copy of this draw; the streaming-vs-materialized tests
+/// there fail if the two ever diverge.
 fn draw(faults: usize, sample_seed: u64) -> (usize, StrategyKind, u64) {
     let mut rng = Xoshiro256StarStar::seed_from(sample_seed);
     let fault = rng.below(faults as u64) as usize;
@@ -92,7 +78,7 @@ struct CampaignAcc {
     /// `(survived, total)` per `(class, strategy)` cell, flat in the order
     /// the `ALL` arrays declare. That order equals the derived `Ord`
     /// order of both enums, so emitting non-empty cells in flat order
-    /// reproduces the materialized `BTreeMap` aggregation byte for byte.
+    /// reproduces a `BTreeMap` aggregation byte for byte.
     counts: [(u32, u32); CELL_COUNT],
     /// Guarantee violations, in sample-index order.
     anomalies: Vec<String>,
@@ -113,9 +99,7 @@ impl CampaignAcc {
         class as usize * StrategyKind::ALL.len() + strategy as usize
     }
 
-    /// Folds one sample's outcome in. Mirrors `aggregate`'s per-sample
-    /// body exactly — same counter order, same anomaly text — except the
-    /// anomaly borrows the slug from the corpus instead of owning it.
+    /// Folds one sample's outcome in; an instrumented run also ledgers it.
     fn record(
         &mut self,
         slug: &str,
@@ -134,13 +118,7 @@ impl CampaignAcc {
             self.anomalies.push(format!("{slug} survived {} at seed {env_seed}", strategy.name()));
         }
         if instrumented {
-            self.registry.incr("experiment.total", strategy.name(), 1);
-            if out.survived {
-                self.registry.incr("experiment.survived", strategy.name(), 1);
-            }
-            if out.recoveries > 0 {
-                self.registry.incr("recovery.actions", strategy.name(), u64::from(out.recoveries));
-            }
+            ledger_experiment(&mut self.registry, strategy, out.survived, out.recoveries);
         }
     }
 
@@ -175,91 +153,20 @@ impl CampaignAcc {
     }
 }
 
-fn aggregate(
-    spec: CampaignSpec,
-    samples: Vec<Sample>,
-    instrumented: bool,
-) -> (CampaignReport, MetricsRegistry) {
-    let mut cells: BTreeMap<(FaultClass, StrategyKind), (u32, u32)> = BTreeMap::new();
-    let mut anomalies = Vec::new();
-    // Per-sample registries merge in index order, so the merged registry is
-    // the same for every thread count.
-    let mut registry = MetricsRegistry::new();
-    for sample in samples {
-        let cell = cells.entry((sample.class, sample.strategy)).or_insert((0, 0));
-        cell.1 += 1;
-        cell.0 += u32::from(sample.survived);
-        anomalies.extend(sample.anomaly);
-        if let Some(reg) = &sample.metrics {
-            registry.merge_from(reg);
-        }
-        if instrumented {
-            // Counters derivable from the outcome live with the
-            // aggregation, not the sample: one upsert here is cheaper than
-            // a fresh key in every per-sample registry plus a merge.
-            registry.incr("experiment.total", sample.strategy.name(), 1);
-            if sample.survived {
-                registry.incr("experiment.survived", sample.strategy.name(), 1);
-            }
-            if sample.recoveries > 0 {
-                registry.incr(
-                    "recovery.actions",
-                    sample.strategy.name(),
-                    u64::from(sample.recoveries),
-                );
-            }
-        }
-    }
-    let cells = cells
-        .into_iter()
-        .map(|((class, strategy), (survived, total))| CampaignCell {
-            class,
-            strategy,
-            survived,
-            total,
-        })
-        .collect();
-    (CampaignReport { spec, cells, anomalies }, registry)
-}
+impl Campaign for CampaignReport {
+    type Spec = CampaignSpec;
+    const NAME: &'static str = "campaign";
 
-impl CampaignReport {
-    /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: CampaignSpec) -> CampaignReport {
-        Self::run_with(spec, ParallelSpec::default())
-    }
-
-    /// Runs the campaign on `parallel` worker threads.
-    ///
     /// Each sample's RNG is seeded from `split_seed(spec.seed, index)`, so
     /// sample `index` draws the same `(fault, strategy, env_seed)` triple no
-    /// matter which worker executes it; aggregation folds the outcomes in
-    /// index order. The report is therefore byte-identical for every thread
-    /// count.
-    pub fn run_with(spec: CampaignSpec, parallel: ParallelSpec) -> CampaignReport {
-        Self::run_streamed(spec, parallel, false).0
-    }
-
-    /// Runs the campaign with per-sample metrics enabled, returning the
-    /// merged registry alongside the (unchanged) report.
+    /// matter which worker executes it. Every fault's workload is prepared
+    /// once up front, and the driver folds each chunk of samples into a
+    /// constant-size `CampaignAcc`, so memory is O(workers), not
+    /// O(samples).
     ///
     /// The registry aggregates the supervisor's time-to-recovery and retry
-    /// histograms per strategy and per `(class, strategy)` cell. It is as
-    /// deterministic as the report itself: per-sample registries merge in
-    /// index order, so the result is byte-identical at any thread count.
-    pub fn run_instrumented(
-        spec: CampaignSpec,
-        parallel: ParallelSpec,
-    ) -> (CampaignReport, MetricsRegistry) {
-        Self::run_streamed(spec, parallel, true)
-    }
-
-    /// The streaming campaign engine behind [`run_with`](Self::run_with)
-    /// and [`run_instrumented`](Self::run_instrumented).
-    ///
-    /// Every fault's workload is prepared once up front; the campaign
-    /// driver then folds each chunk of samples into a constant-size
-    /// [`CampaignAcc`], so memory is O(workers), not O(samples).
-    fn run_streamed(
+    /// histograms per strategy and per `(class, strategy)` cell.
+    fn run(
         spec: CampaignSpec,
         parallel: ParallelSpec,
         instrumented: bool,
@@ -274,16 +181,11 @@ impl CampaignReport {
             |acc: &mut CampaignAcc, _, sample_seed| {
                 let (fi, strategy, env_seed) = draw(corpus.len(), sample_seed);
                 let (fault, workload) = (&corpus[fi], &workloads[fi]);
-                let out = if instrumented {
-                    let (out, reg) =
-                        run_prepared_experiment_instrumented(fault, strategy, env_seed, workload);
-                    if !reg.is_empty() {
-                        acc.registry.merge_from(&reg);
-                    }
-                    out
-                } else {
-                    run_prepared_experiment(fault, strategy, env_seed, workload)
-                };
+                let (out, metrics) =
+                    run_prepared(fault, strategy, env_seed, workload, instrumented);
+                if let Some(metrics) = metrics {
+                    acc.registry.merge_from(&metrics);
+                }
                 acc.record(fault.slug(), strategy, env_seed, out, instrumented);
             },
             CampaignAcc::merge,
@@ -291,44 +193,21 @@ impl CampaignReport {
         acc.into_report(spec)
     }
 
-    /// The materialized reference engine: collects every sample outcome
-    /// into a vector, then aggregates — O(samples) memory.
-    ///
-    /// This is the original campaign implementation, kept as the oracle
-    /// the streaming fold is differentially tested against; only tests
-    /// call it. Use [`run_with`](Self::run_with) for real campaigns.
-    pub fn run_materialized(
-        spec: CampaignSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (CampaignReport, MetricsRegistry) {
-        let corpus = full_corpus();
-        let samples = run_indexed(spec.samples as usize, parallel, |index| {
-            let (fi, strategy, env_seed) = draw(corpus.len(), split_seed(spec.seed, index as u64));
-            let fault = &corpus[fi];
-            let (out, metrics) = if instrumented {
-                let (out, reg) = run_fault_experiment_instrumented(fault, strategy, env_seed);
-                (out, (!reg.is_empty()).then_some(reg))
-            } else {
-                (run_fault_experiment(fault, strategy, env_seed), None)
-            };
-            // The deterministic guarantees of the taxonomy.
-            let violates = out.survived
-                && (out.class == FaultClass::EnvironmentIndependent
-                    || (out.class == FaultClass::EnvDependentNonTransient
-                        && strategy.is_generic()));
-            Sample {
-                class: out.class,
-                strategy,
-                survived: out.survived,
-                recoveries: out.recoveries,
-                anomaly: violates.then(|| {
-                    format!("{} survived {} at seed {env_seed}", out.slug, strategy.name())
-                }),
-                metrics,
-            }
-        });
-        aggregate(spec, samples, instrumented)
+    fn violations(&self) -> Vec<String> {
+        self.anomalies.clone()
+    }
+
+    fn text(&self) -> String {
+        format!("{self}\n")
+    }
+}
+
+impl CampaignReport {
+    /// `Campaign::run` without metrics. Kept only because
+    /// `benchmark/src/workload.rs` names it; everything else calls
+    /// [`Campaign::run`].
+    pub fn run_with(spec: CampaignSpec, parallel: ParallelSpec) -> CampaignReport {
+        Self::run(spec, parallel, false).0
     }
 
     /// Survival rate of transient faults under `strategy` over the
@@ -366,9 +245,13 @@ impl fmt::Display for CampaignReport {
 mod tests {
     use super::*;
 
+    fn run(samples: u32, seed: u64) -> CampaignReport {
+        CampaignReport::run(CampaignSpec { samples, seed }, ParallelSpec::AUTO, false).0
+    }
+
     #[test]
     fn campaign_upholds_the_deterministic_guarantees() {
-        let report = CampaignReport::run(CampaignSpec { samples: 300, seed: 42 });
+        let report = run(300, 42);
         assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
         // Every cell's survived <= total.
         for cell in &report.cells {
@@ -380,7 +263,7 @@ mod tests {
 
     #[test]
     fn transient_survival_is_high_under_retry_strategies() {
-        let report = CampaignReport::run(CampaignSpec { samples: 600, seed: 9 });
+        let report = run(600, 9);
         for strategy in [StrategyKind::Restart, StrategyKind::Progressive] {
             let (rate, n) = report.transient_rate(strategy);
             assert!(n > 0, "{strategy}: no transient samples drawn");
@@ -391,17 +274,9 @@ mod tests {
     }
 
     #[test]
-    fn campaigns_are_reproducible() {
-        let spec = CampaignSpec { samples: 50, seed: 7 };
-        assert_eq!(CampaignReport::run(spec), CampaignReport::run(spec));
-    }
-
-    #[test]
-    fn instrumented_campaign_reproduces_the_plain_report() {
+    fn instrumented_campaign_ledgers_every_sample() {
         let spec = CampaignSpec { samples: 60, seed: 11 };
-        let plain = CampaignReport::run(spec);
-        let (report, registry) = CampaignReport::run_instrumented(spec, ParallelSpec::default());
-        assert_eq!(report, plain, "metrics must not perturb the campaign");
+        let (_, registry) = CampaignReport::run(spec, ParallelSpec::AUTO, true);
         let total: u64 =
             StrategyKind::ALL.iter().map(|s| registry.counter("experiment.total", s.name())).sum();
         assert_eq!(total, 60, "every sample counted exactly once");
@@ -411,24 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_registry_is_identical_across_thread_counts() {
-        let spec = CampaignSpec { samples: 40, seed: 5 };
-        let (ref_report, ref_registry) =
-            CampaignReport::run_instrumented(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 8] {
-            let (report, registry) =
-                CampaignReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, ref_report, "{threads} threads");
-            assert_eq!(registry, ref_registry, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn flat_cell_order_reproduces_btreemap_order() {
         // The streaming accumulator indexes cells by enum discriminant and
-        // emits them in flat order; that only matches the materialized
-        // BTreeMap aggregation if each ALL array lists its variants in
-        // declaration (= derived Ord) order.
+        // emits them in flat order; that only matches a BTreeMap
+        // aggregation if each ALL array lists its variants in declaration
+        // (= derived Ord) order.
         for (i, &class) in FaultClass::ALL.iter().enumerate() {
             assert_eq!(class as usize, i, "{class:?}");
         }
@@ -438,22 +300,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_fold_matches_the_materialized_reference() {
-        let spec = CampaignSpec { samples: 120, seed: 13 };
-        let (mat_report, mat_registry) =
-            CampaignReport::run_materialized(spec, ParallelSpec::SEQUENTIAL, true);
-        for threads in [1usize, 2, 4] {
-            let (report, registry) =
-                CampaignReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, mat_report, "{threads} threads");
-            assert_eq!(registry, mat_registry, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn display_summarizes() {
-        let report = CampaignReport::run(CampaignSpec { samples: 30, seed: 3 });
-        let text = report.to_string();
+        let text = run(30, 3).to_string();
         assert!(text.contains("30 samples"));
         assert!(text.contains("no anomalies"));
     }

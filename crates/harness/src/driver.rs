@@ -1,5 +1,6 @@
-//! The campaign driver: the one determinism recipe every campaign runs on,
-//! and what the cell campaigns share on top of it (DESIGN.md §18).
+//! The campaign driver: the one contract every campaign report keeps, the
+//! one determinism recipe they all run on, and what the cell campaigns
+//! share on top of it (DESIGN.md §18).
 //!
 //! [`drive`] runs units `0..units` through [`run_chunk_fold`]: unit
 //! `index` runs on `split_seed(seed, index)`, drawn from one
@@ -15,6 +16,34 @@ use faultstudy_sim::rng::SplitSeedStream;
 use faultstudy_traffic::{ArrivalKind, UnitStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// One instance of the paper's end-to-end experiment (§5.4, §8): run each
+/// fault class under each recovery strategy and tabulate the outcome per
+/// class. The recovery matrix and the six campaigns all implement it, and
+/// `tests/campaign_contract.rs` holds all seven to one contract: the
+/// report, its JSON, its text and its registry are the same bytes at any
+/// thread count and chunk size, instrumented or not.
+pub trait Campaign: Sized + Serialize + fmt::Display {
+    /// What a run is a pure function of.
+    type Spec;
+
+    /// The subcommand that runs it, as it appears in `ANOMALY:` lines.
+    const NAME: &'static str;
+
+    /// Runs the campaign on `parallel` workers. An instrumented run
+    /// enables each unit's metrics sink and returns the merged registry;
+    /// a plain run returns it empty. The report is the same either way.
+    fn run(spec: Self::Spec, parallel: ParallelSpec, instrumented: bool)
+        -> (Self, MetricsRegistry);
+
+    /// Violations of the campaign's class contract; empty on success.
+    fn violations(&self) -> Vec<String>;
+
+    /// What the `faultstudy` subcommand prints in text mode.
+    fn text(&self) -> String {
+        self.to_string()
+    }
+}
 
 /// Configuration of an open-loop campaign: traffic, micro, oblivious and
 /// graph all offer their load from one of these.

@@ -100,22 +100,9 @@ pub struct FaultOutcome {
     pub recoveries: u32,
 }
 
-/// Builds the triggering workload for a fault: warm-up, the trigger
-/// repeated as its How-To-Repeat demands, and a trailing request proving
-/// continued service.
-fn workload_for(fault: &CuratedFault, benign: Request, trigger: Request) -> Vec<Request> {
-    // Resource-leak faults manifest under sustained load (§5.1 "high
-    // load"): their trigger must be repeated past the leak threshold. The
-    // corpus knows how often from the condition kind.
-    let mut workload = vec![benign.clone(), benign.clone()];
-    for _ in 0..fault.trigger_reps() {
-        workload.push(trigger.clone());
-    }
-    workload.push(benign);
-    workload
-}
-
-/// Builds `fault`'s triggering workload without running anything.
+/// Builds `fault`'s triggering workload without running anything: warm-up,
+/// the trigger repeated as its How-To-Repeat demands, and a trailing
+/// request proving continued service.
 ///
 /// Benign and trigger requests are pure functions of `(application,
 /// slug)` — they never read the environment — so a campaign prepares every
@@ -129,7 +116,13 @@ pub fn build_workload(fault: &CuratedFault) -> Vec<Request> {
     let benign = app.benign_request();
     let trigger =
         app.trigger_request(fault.slug()).expect("every corpus fault has a triggering request");
-    workload_for(fault, benign, trigger)
+    // Resource-leak faults manifest under sustained load (§5.1 "high
+    // load"): their trigger must be repeated past the leak threshold. The
+    // corpus knows how often from the condition kind.
+    let mut workload = vec![benign.clone(), benign.clone()];
+    workload.extend(std::iter::repeat_n(trigger, fault.trigger_reps()));
+    workload.push(benign);
+    workload
 }
 
 /// The slug-free outcome of one experiment: what a campaign aggregates.
@@ -149,54 +142,84 @@ pub struct LeanOutcome {
     pub recoveries: u32,
 }
 
-fn run_prepared_in(
+impl FaultOutcome {
+    /// `fault`'s outcome under `strategy`, with the slug attached.
+    pub(crate) fn new(
+        fault: &CuratedFault,
+        strategy: StrategyKind,
+        out: LeanOutcome,
+    ) -> FaultOutcome {
+        let LeanOutcome { class, survived, failures, recoveries } = out;
+        let slug = fault.slug().to_owned();
+        FaultOutcome { slug, class, strategy, survived, failures, recoveries }
+    }
+}
+
+/// The one experiment body: a fresh environment seeded by `seed` (metrics
+/// on iff `metrics`), `fault` injected into a fresh instance of its
+/// application, and `workload` — prepared by [`build_workload`] — driven
+/// under `strategy`. With metrics on it also returns the registry, with
+/// the TTR distribution re-keyed under the experiment's matrix cell,
+/// `recovery.ttr.class{<class>/<strategy>}`. Metrics are pure
+/// observation, so the outcome is the same either way.
+pub(crate) fn run_prepared(
     fault: &CuratedFault,
     strategy: StrategyKind,
-    env: &mut Environment,
+    seed: u64,
     workload: &[Request],
-) -> LeanOutcome {
-    let mut app = spawn_app(fault.app(), env);
-    app.inject(fault.slug(), env).expect("every corpus fault is injectable into its application");
+    metrics: bool,
+) -> (LeanOutcome, Option<MetricsRegistry>) {
+    let mut env = standard_env(seed, metrics);
+    let mut app = spawn_app(fault.app(), &mut env);
+    app.inject(fault.slug(), &mut env)
+        .expect("every corpus fault is injectable into its application");
     let mut strat = strategy.build();
-    let run = run_workload(app.as_mut(), env, workload, strat.as_mut());
-    LeanOutcome {
+    let run = run_workload(app.as_mut(), &mut env, workload, strat.as_mut());
+    let outcome = LeanOutcome {
         class: fault.class(),
         survived: run.survived,
         failures: run.failures,
         recoveries: run.recoveries,
-    }
+    };
+    let registry = env.metrics.take().map(|mut reg| {
+        if let Some(ttr) = reg.histogram("recovery.ttr", strategy.name()).cloned() {
+            reg.merge_histogram("recovery.ttr.class", cell_label(fault.class(), strategy), ttr);
+        }
+        reg
+    });
+    (outcome, registry)
 }
 
 /// Runs one fault under one strategy against a workload prepared by
-/// [`build_workload`] — the campaign hot path. Byte-identical in outcome
-/// to [`run_fault_experiment`], minus the owned slug.
+/// [`build_workload`], without metrics: the sampled campaign's per-sample
+/// step. Byte-identical in outcome to [`run_fault_experiment`], minus the
+/// owned slug.
 pub fn run_prepared_experiment(
     fault: &CuratedFault,
     strategy: StrategyKind,
     seed: u64,
     workload: &[Request],
 ) -> LeanOutcome {
-    let mut env = standard_env(seed, false);
-    run_prepared_in(fault, strategy, &mut env, workload)
+    run_prepared(fault, strategy, seed, workload, false).0
 }
 
-/// Like [`run_prepared_experiment`] with the metrics sink enabled; returns
-/// the registry alongside the outcome, re-keying the TTR distribution
-/// under this experiment's matrix cell exactly as
-/// [`run_fault_experiment_instrumented`] does.
-pub fn run_prepared_experiment_instrumented(
-    fault: &CuratedFault,
+/// Ledgers one experiment into a registry that aggregates a whole
+/// population: `experiment.total`, `experiment.survived` and
+/// `recovery.actions`, each under the strategy's name. The matrix and the
+/// sampled campaign both ledger through it.
+pub(crate) fn ledger_experiment(
+    registry: &mut MetricsRegistry,
     strategy: StrategyKind,
-    seed: u64,
-    workload: &[Request],
-) -> (LeanOutcome, MetricsRegistry) {
-    let mut env = standard_env(seed, true);
-    let outcome = run_prepared_in(fault, strategy, &mut env, workload);
-    let mut reg = env.metrics.take().expect("metrics were enabled");
-    if let Some(ttr) = reg.histogram("recovery.ttr", strategy.name()).cloned() {
-        reg.merge_histogram("recovery.ttr.class", cell_label(fault.class(), strategy), ttr);
+    survived: bool,
+    recoveries: u32,
+) {
+    registry.incr("experiment.total", strategy.name(), 1);
+    if survived {
+        registry.incr("experiment.survived", strategy.name(), 1);
     }
-    (outcome, reg)
+    if recoveries > 0 {
+        registry.incr("recovery.actions", strategy.name(), u64::from(recoveries));
+    }
 }
 
 /// The harness's standard environment budgets, shared by every experiment.
@@ -211,41 +234,18 @@ pub(crate) fn standard_env(seed: u64, metrics: bool) -> Environment {
         .build()
 }
 
-fn run_experiment_in(
-    fault: &CuratedFault,
-    strategy: StrategyKind,
-    env: &mut Environment,
-) -> FaultOutcome {
-    let mut app = spawn_app(fault.app(), env);
-    app.inject(fault.slug(), env).expect("every corpus fault is injectable into its application");
-    let benign = app.benign_request();
-    let trigger =
-        app.trigger_request(fault.slug()).expect("every corpus fault has a triggering request");
-    let workload = workload_for(fault, benign, trigger);
-    let mut strat = strategy.build();
-    let run = run_workload(app.as_mut(), env, &workload, strat.as_mut());
-    FaultOutcome {
-        slug: fault.slug().to_owned(),
-        class: fault.class(),
-        strategy,
-        survived: run.survived,
-        failures: run.failures,
-        recoveries: run.recoveries,
-    }
-}
-
 /// Runs one fault under one strategy with the given environment seed.
 ///
-/// The environment is built fresh, the application spawned and injected,
-/// and the triggering workload driven by the supervisor. Everything is a
-/// pure function of `(fault, strategy, seed)`.
+/// Builds the fault's triggering workload, then drives it under the
+/// supervisor in a fresh environment with the application spawned and
+/// injected. Everything is a pure function of `(fault, strategy, seed)`.
 pub fn run_fault_experiment(
     fault: &CuratedFault,
     strategy: StrategyKind,
     seed: u64,
 ) -> FaultOutcome {
-    let mut env = standard_env(seed, false);
-    run_experiment_in(fault, strategy, &mut env)
+    let out = run_prepared_experiment(fault, strategy, seed, &build_workload(fault));
+    FaultOutcome::new(fault, strategy, out)
 }
 
 /// Like [`run_fault_experiment`], but with the environment's metrics sink
@@ -263,13 +263,8 @@ pub fn run_fault_experiment_instrumented(
     strategy: StrategyKind,
     seed: u64,
 ) -> (FaultOutcome, MetricsRegistry) {
-    let mut env = standard_env(seed, true);
-    let outcome = run_experiment_in(fault, strategy, &mut env);
-    let mut reg = env.metrics.take().expect("metrics were enabled");
-    if let Some(ttr) = reg.histogram("recovery.ttr", strategy.name()).cloned() {
-        reg.merge_histogram("recovery.ttr.class", cell_label(fault.class(), strategy), ttr);
-    }
-    (outcome, reg)
+    let (out, registry) = run_prepared(fault, strategy, seed, &build_workload(fault), true);
+    (FaultOutcome::new(fault, strategy, out), registry.expect("metrics were enabled"))
 }
 
 /// The `<class>/<strategy>` label of a matrix cell, interned once so the

@@ -6,7 +6,7 @@
 //! against the measured value. `faultstudy experiments > EXPERIMENTS.md`
 //! regenerates the checked-in file.
 
-use crate::driver::LoadSpec;
+use crate::driver::{Campaign, LoadSpec};
 use crate::experiment::StrategyKind;
 use crate::funnel::paper_scale_funnels;
 use crate::graph::{GraphReport, GRAPH_BUDGETS};
@@ -15,6 +15,7 @@ use crate::oblivious::{HealMode, ObliviousReport};
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
 use faultstudy_core::timeline::{by_month, by_release, ei_shares, max_deviation, totals_grow};
 use faultstudy_corpus::paper_study;
+use faultstudy_exec::ParallelSpec;
 use faultstudy_report::TandemReconciliation;
 use faultstudy_traffic::ArrivalKind;
 use std::fmt::Write as _;
@@ -189,7 +190,7 @@ pub fn experiments_markdown(seed: u64) -> String {
     )
     .expect("w");
     writeln!(md).expect("w");
-    let matrix = RecoveryMatrix::run(seed);
+    let matrix = RecoveryMatrix::run(seed, ParallelSpec::AUTO, false).0;
     writeln!(md, "| Strategy | EI survived | EDN survived | EDT survived | Overall |").expect("w");
     writeln!(md, "|---|---|---|---|---|").expect("w");
     for strategy in StrategyKind::ALL {
@@ -310,8 +311,8 @@ pub fn experiments_markdown(seed: u64) -> String {
     )
     .expect("w");
     writeln!(md).expect("w");
-    let oblivious =
-        ObliviousReport::run(LoadSpec { seed, requests: 6_000, arrival: ArrivalKind::Poisson });
+    let spec = LoadSpec { seed, requests: 6_000, arrival: ArrivalKind::Poisson };
+    let oblivious = ObliviousReport::run(spec, ParallelSpec::AUTO, false).0;
     let (ei, edn) = (FaultClass::EnvironmentIndependent, FaultClass::EnvDependentNonTransient);
     writeln!(
         md,
@@ -403,7 +404,8 @@ pub fn experiments_markdown(seed: u64) -> String {
     )
     .expect("w");
     writeln!(md).expect("w");
-    let graph = GraphReport::run(LoadSpec { seed, requests: 7_200, arrival: ArrivalKind::Poisson });
+    let spec = LoadSpec { seed, requests: 7_200, arrival: ArrivalKind::Poisson };
+    let graph = GraphReport::run(spec, ParallelSpec::AUTO, false).0;
     let full = *GRAPH_BUDGETS.last().expect("sweep is nonempty");
     writeln!(md, "| Class | Plane | Availability | Dropped | TTR p50 | Amplification |")
         .expect("w");

@@ -20,9 +20,10 @@
 
 use crate::driver::{
     drive_cells, fold, grid, ledger, miss_rate, ms, unit_share, write_anomalies, write_title,
-    write_totals, LoadSpec,
+    write_totals, Campaign, LoadSpec,
 };
 use crate::experiment::standard_env;
+use crate::matrix::RecoveryMatrix;
 use faultstudy_core::taxonomy::FaultClass;
 use faultstudy_exec::ParallelSpec;
 use faultstudy_graph::{
@@ -136,19 +137,12 @@ fn ledger_unit(registry: &mut MetricsRegistry, cell: &GraphCell) {
     registry.merge_histogram("graph.cascade.depth", &label, s.cascade_depth.clone());
 }
 
-impl GraphReport {
-    /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: LoadSpec) -> GraphReport {
-        Self::run_with(spec, ParallelSpec::default())
-    }
+impl Campaign for GraphReport {
+    type Spec = LoadSpec;
+    const NAME: &'static str = "graph";
 
-    /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> GraphReport {
-        Self::run_units(spec, parallel, false).0
-    }
-
-    /// Runs the campaign with per-unit metrics enabled, returning the
-    /// merged registry alongside the (unchanged) report.
+    /// Each unit derives its arrival, session and recovery seeds from its
+    /// own unit seed.
     ///
     /// The registry carries the per-cell request ledgers
     /// (`graph.offered`, `graph.ok`, `graph.denied`, `graph.dropped`,
@@ -158,16 +152,8 @@ impl GraphReport {
     /// `graph.edge.lost`, `graph.edge.resets`), the merged per-cell
     /// histograms (`graph.latency`, `graph.ttr.class`,
     /// `graph.cascade.depth`), and everything the units' environments
-    /// recorded. Registries merge in unit-index order, so the result is
-    /// byte-identical at any thread count.
-    pub fn run_instrumented(
-        spec: LoadSpec,
-        parallel: ParallelSpec,
-    ) -> (GraphReport, MetricsRegistry) {
-        Self::run_units(spec, parallel, true)
-    }
-
-    fn run_units(
+    /// recorded.
+    fn run(
         spec: LoadSpec,
         parallel: ParallelSpec,
         instrumented: bool,
@@ -197,6 +183,25 @@ impl GraphReport {
             ledger_unit,
         );
         (GraphReport { spec, cells }, registry)
+    }
+
+    fn violations(&self) -> Vec<String> {
+        self.anomalies()
+    }
+
+    /// The report, then the distributed comparison matrix.
+    fn text(&self) -> String {
+        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL, false).0;
+        format!("{self}{}", matrix.render_with_graph(self))
+    }
+}
+
+impl GraphReport {
+    /// `Campaign::run` without metrics. Kept only because
+    /// `benchmark/src/workload.rs` names it; everything else calls
+    /// [`Campaign::run`].
+    pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> GraphReport {
+        Self::run(spec, parallel, false).0
     }
 
     /// The unit for `(kind, plane, budget)`, if it exists.
@@ -377,9 +382,13 @@ mod tests {
         LoadSpec { seed, requests: 3_600, arrival: ArrivalKind::Poisson }
     }
 
+    fn run(spec: LoadSpec) -> GraphReport {
+        GraphReport::run(spec, ParallelSpec::AUTO, false).0
+    }
+
     #[test]
     fn campaign_enumerates_every_kind_plane_budget() {
-        let report = GraphReport::run(small_spec(1));
+        let report = run(small_spec(1));
         assert_eq!(report.cells.len(), 12 * 2 * 3);
         assert_eq!(report.totals().offered, 3_600);
         assert!(report.cells.iter().all(|c| c.stats.base.offered == 50));
@@ -398,7 +407,7 @@ mod tests {
     #[test]
     fn uneven_loads_land_on_the_earliest_units() {
         let spec = LoadSpec { seed: 1, requests: 145, arrival: ArrivalKind::Poisson };
-        let report = GraphReport::run(spec);
+        let report = run(spec);
         assert_eq!(report.totals().offered, 145);
         assert_eq!(report.cells[0].stats.base.offered, 3);
         assert_eq!(report.cells[1].stats.base.offered, 2);
@@ -406,20 +415,8 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_reproducible_and_thread_invariant() {
-        let spec = small_spec(7);
-        let reference = GraphReport::run_with(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let report = GraphReport::run_with(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, reference, "{threads} threads");
-        }
-        let chunked = GraphReport::run_with(spec, ParallelSpec::threads(2).with_chunk(7));
-        assert_eq!(chunked, reference);
-    }
-
-    #[test]
     fn the_class_contracts_hold_and_the_report_is_anomaly_free() {
-        let report = GraphReport::run(small_spec(1));
+        let report = run(small_spec(1));
         assert_eq!(report.anomalies(), Vec::<String>::new());
 
         // Sticky wedges: the channel plane salvages everything and
@@ -451,11 +448,8 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_campaign_reproduces_the_plain_report() {
-        let spec = small_spec(5);
-        let plain = GraphReport::run(spec);
-        let (report, registry) = GraphReport::run_instrumented(spec, ParallelSpec::default());
-        assert_eq!(report, plain, "instrumentation must not perturb the campaign");
+    fn instrumented_ledgers_reconcile_with_the_report() {
+        let (report, registry) = GraphReport::run(small_spec(5), ParallelSpec::AUTO, true);
         let mut offered = 0;
         let mut cascade = 0;
         for class in FaultClass::ALL {
@@ -474,21 +468,8 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_registry_is_identical_across_thread_counts() {
-        let spec = small_spec(2);
-        let (ref_report, ref_registry) =
-            GraphReport::run_instrumented(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let (report, registry) =
-                GraphReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, ref_report, "{threads} threads");
-            assert_eq!(registry, ref_registry, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn display_renders_the_cascade_table() {
-        let report = GraphReport::run(small_spec(4));
+        let report = run(small_spec(4));
         let text = report.to_string();
         assert!(text.contains("ttr p50 ms"));
         assert!(text.contains("channel"));

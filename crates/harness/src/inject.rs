@@ -20,7 +20,7 @@
 //! run on the campaign driver — the report is byte-identical at any
 //! thread count and chunk size.
 
-use crate::driver::{drive_cells, grid, write_anomalies};
+use crate::driver::{drive_cells, grid, write_anomalies, Campaign};
 use crate::experiment::{standard_env, StrategyKind};
 use faultstudy_apps::{Application, MiniWeb};
 use faultstudy_core::taxonomy::FaultClass;
@@ -173,34 +173,16 @@ fn contract_violation(cell: &InjectCell) -> Option<String> {
     })
 }
 
-impl InjectReport {
-    /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: InjectSpec) -> InjectReport {
-        Self::run_with(spec, ParallelSpec::default())
-    }
+impl Campaign for InjectReport {
+    type Spec = InjectSpec;
+    const NAME: &'static str = "inject";
 
-    /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: InjectSpec, parallel: ParallelSpec) -> InjectReport {
-        Self::run_units(spec, parallel, false).0
-    }
-
-    /// Runs the campaign with per-unit metrics enabled, returning the
-    /// merged registry alongside the (unchanged) report.
-    ///
     /// The registry carries the supervisor's hardening counters
     /// (`supervisor.watchdog`, `supervisor.breaker.trips`,
     /// `supervisor.scrubs`, `supervisor.backoff`), the injector's
-    /// `inject.applied` event counts, and the usual recovery histograms.
-    /// Per-unit registries merge in index order, so the result is
-    /// byte-identical at any thread count.
-    pub fn run_instrumented(
-        spec: InjectSpec,
-        parallel: ParallelSpec,
-    ) -> (InjectReport, MetricsRegistry) {
-        Self::run_units(spec, parallel, true)
-    }
-
-    fn run_units(
+    /// `inject.applied` event counts, the per-strategy `inject.units` and
+    /// `inject.survived` ledger, and the usual recovery histograms.
+    fn run(
         spec: InjectSpec,
         parallel: ParallelSpec,
         instrumented: bool,
@@ -228,11 +210,12 @@ impl InjectReport {
         (InjectReport { spec, cells, anomalies }, registry)
     }
 
-    /// The unit for `(plan, strategy, scrub)`, if the plan exists.
-    pub fn cell(&self, plan: &str, strategy: StrategyKind, scrub: bool) -> Option<&InjectCell> {
-        self.cells.iter().find(|c| c.plan == plan && c.strategy == strategy && c.scrub == scrub)
+    fn violations(&self) -> Vec<String> {
+        self.anomalies.clone()
     }
+}
 
+impl InjectReport {
     /// `(survived, total)` over every unit of `class` under `strategy`
     /// with the given scrub setting.
     pub fn class_survival(
@@ -310,9 +293,13 @@ impl fmt::Display for InjectReport {
 mod tests {
     use super::*;
 
+    fn run(seed: u64) -> InjectReport {
+        InjectReport::run(InjectSpec { seed }, ParallelSpec::AUTO, false).0
+    }
+
     #[test]
     fn campaign_upholds_the_class_contract() {
-        let report = InjectReport::run(InjectSpec { seed: 1 });
+        let report = run(1);
         assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
         assert_eq!(report.cells.len(), 9 * 7 * 2);
         // Transient injections are survivable by the retry family without
@@ -349,7 +336,7 @@ mod tests {
 
     #[test]
     fn hardening_counters_are_exercised() {
-        let report = InjectReport::run(InjectSpec { seed: 1 });
+        let report = run(1);
         assert!(report.watchdog_fires() > 0, "no hang was ever detected");
         assert!(report.breaker_trips() > 0, "no breaker ever tripped");
         assert!(report.scrubs() > 0, "no scrub ever ran");
@@ -366,21 +353,9 @@ mod tests {
     }
 
     #[test]
-    fn campaigns_are_reproducible_and_thread_invariant() {
-        let spec = InjectSpec { seed: 7 };
-        let reference = InjectReport::run_with(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 8] {
-            let report = InjectReport::run_with(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, reference, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn instrumented_campaign_reproduces_the_plain_report() {
-        let spec = InjectSpec { seed: 5 };
-        let plain = InjectReport::run(spec);
-        let (report, registry) = InjectReport::run_instrumented(spec, ParallelSpec::default());
-        assert_eq!(report, plain, "metrics must not perturb the campaign");
+    fn instrumented_campaign_ledgers_every_unit() {
+        let (report, registry) =
+            InjectReport::run(InjectSpec { seed: 5 }, ParallelSpec::AUTO, true);
         let units: u64 =
             StrategyKind::ALL.iter().map(|s| registry.counter("inject.units", s.name())).sum();
         assert_eq!(units, 9 * 7 * 2, "every unit counted exactly once");
@@ -396,21 +371,8 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_registry_is_identical_across_thread_counts() {
-        let spec = InjectSpec { seed: 3 };
-        let (ref_report, ref_registry) =
-            InjectReport::run_instrumented(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 8] {
-            let (report, registry) =
-                InjectReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, ref_report, "{threads} threads");
-            assert_eq!(registry, ref_registry, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn display_summarizes() {
-        let report = InjectReport::run(InjectSpec { seed: 2 });
+        let report = run(2);
         let text = report.to_string();
         assert!(text.contains("9 plans"));
         assert!(text.contains("ei-control"));

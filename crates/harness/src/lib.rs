@@ -7,6 +7,8 @@
 //! # Modules
 //!
 //! - [`experiment`] — one fault × one strategy → one [`FaultOutcome`].
+//! - [`Campaign`] — the one runner the recovery matrix and the six
+//!   campaigns below implement.
 //! - [`ablation`] — parameter sweeps over the recovery designs (E11–E13).
 //! - [`matrix`] — the full corpus × strategy survival matrix.
 //! - [`funnel`] — the §4 selection funnels at paper scale.
@@ -54,7 +56,7 @@ pub mod traffic;
 pub mod workload;
 
 pub use campaign::{CampaignReport, CampaignSpec};
-pub use driver::LoadSpec;
+pub use driver::{Campaign, LoadSpec};
 pub use experiment::{
     run_fault_experiment, run_fault_experiment_instrumented, FaultOutcome, StrategyKind,
 };

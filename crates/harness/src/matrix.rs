@@ -7,16 +7,18 @@
 //! generic retry-based recovery. Running every corpus fault under every
 //! strategy turns that prediction into measurement.
 
+use crate::driver::{drive_cells, Campaign};
 use crate::experiment::{
-    run_fault_experiment, run_fault_experiment_instrumented, FaultOutcome, StrategyKind,
+    build_workload, ledger_experiment, run_prepared, FaultOutcome, StrategyKind,
 };
 use crate::graph::{GraphReport, GRAPH_BUDGETS};
 use crate::micro::{MicroReport, RecoveryMode};
 use crate::oblivious::{HealMode, ObliviousReport};
 use crate::traffic::TrafficReport;
+use faultstudy_apps::Request;
 use faultstudy_core::taxonomy::FaultClass;
 use faultstudy_corpus::full_corpus;
-use faultstudy_exec::{run_chunk_fold, ParallelSpec};
+use faultstudy_exec::ParallelSpec;
 use faultstudy_graph::PlaneKind;
 use faultstudy_obs::{Histogram, MetricsRegistry};
 use faultstudy_sim::time::Duration;
@@ -65,102 +67,84 @@ pub struct RecoveryMatrix {
     outcomes: Vec<FaultOutcome>,
 }
 
-impl RecoveryMatrix {
-    /// Runs the whole corpus under every strategy with the given seed.
-    pub fn run(seed: u64) -> RecoveryMatrix {
-        Self::run_strategies(seed, &StrategyKind::ALL)
-    }
+impl Campaign for RecoveryMatrix {
+    /// The environment seed every experiment runs on.
+    type Spec = u64;
+    const NAME: &'static str = "recover";
 
-    /// Runs the whole corpus under the given strategies only.
-    pub fn run_strategies(seed: u64, strategies: &[StrategyKind]) -> RecoveryMatrix {
-        Self::run_strategies_sampled(seed, strategies, false, ParallelSpec::SEQUENTIAL).0
-    }
-
-    /// Runs the whole corpus under every strategy across worker threads.
-    ///
-    /// The matrix is byte-identical to [`RecoveryMatrix::run`]: each
-    /// experiment is keyed only by its `(fault, strategy)` index and the
-    /// shared seed, and chunk partials merge in index order.
-    pub fn run_parallel(seed: u64, parallel: ParallelSpec) -> RecoveryMatrix {
-        Self::run_strategies_sampled(seed, &StrategyKind::ALL, false, parallel).0
-    }
-
-    /// Runs the whole corpus under every strategy with per-experiment
-    /// metrics enabled, returning the merged registry alongside the
-    /// (unchanged) matrix.
+    /// Runs the whole corpus under every strategy, each fault's workload
+    /// prepared once. Every experiment runs on the matrix seed itself, so
+    /// the driver's per-unit seeds go unused.
     ///
     /// The registry holds a time-to-recovery histogram per strategy
     /// (`recovery.ttr{<strategy>}`) and per `(class, strategy)` cell
     /// (`recovery.ttr.class{<class>/<strategy>}`); render them next to the
     /// survival columns with [`RecoveryMatrix::render_with_ttr`].
-    pub fn run_instrumented(seed: u64) -> (RecoveryMatrix, MetricsRegistry) {
-        Self::run_strategies_sampled(seed, &StrategyKind::ALL, true, ParallelSpec::SEQUENTIAL)
-    }
-
-    fn run_strategies_sampled(
+    fn run(
         seed: u64,
-        strategies: &[StrategyKind],
-        instrumented: bool,
         parallel: ParallelSpec,
+        instrumented: bool,
     ) -> (RecoveryMatrix, MetricsRegistry) {
-        struct Acc {
-            map: BTreeMap<(FaultClass, StrategyKind), Cell>,
-            outcomes: Vec<FaultOutcome>,
-            registry: MetricsRegistry,
-        }
         let corpus = full_corpus();
-        let acc = run_chunk_fold(
-            corpus.len() * strategies.len(),
+        let workloads: Vec<Vec<Request>> = corpus.iter().map(build_workload).collect();
+        let strategies = StrategyKind::ALL.len();
+        let (outcomes, registry) = drive_cells(
+            seed,
+            corpus.len() * strategies,
             parallel,
-            || Acc { map: BTreeMap::new(), outcomes: Vec::new(), registry: MetricsRegistry::new() },
-            |range, acc: &mut Acc| {
-                for index in range {
-                    let fault = &corpus[index / strategies.len()];
-                    let strategy = strategies[index % strategies.len()];
-                    let out = if instrumented {
-                        let (out, reg) = run_fault_experiment_instrumented(fault, strategy, seed);
-                        if !reg.is_empty() {
-                            acc.registry.merge_from(&reg);
-                        }
-                        acc.registry.incr("experiment.total", strategy.name(), 1);
-                        if out.survived {
-                            acc.registry.incr("experiment.survived", strategy.name(), 1);
-                        }
-                        if out.recoveries > 0 {
-                            acc.registry.incr(
-                                "recovery.actions",
-                                strategy.name(),
-                                u64::from(out.recoveries),
-                            );
-                        }
-                        out
-                    } else {
-                        run_fault_experiment(fault, strategy, seed)
-                    };
-                    let cell = acc.map.entry((out.class, strategy)).or_default();
-                    cell.total += 1;
-                    cell.survived += u32::from(out.survived);
-                    acc.outcomes.push(out);
-                }
+            instrumented,
+            |index, _| {
+                let (fault, workload) =
+                    (&corpus[index / strategies], &workloads[index / strategies]);
+                let strategy = StrategyKind::ALL[index % strategies];
+                let (out, metrics) = run_prepared(fault, strategy, seed, workload, instrumented);
+                (FaultOutcome::new(fault, strategy, out), metrics)
             },
-            |acc, later| {
-                for (key, cell) in later.map {
-                    let merged = acc.map.entry(key).or_default();
-                    merged.total += cell.total;
-                    merged.survived += cell.survived;
-                }
-                acc.outcomes.extend(later.outcomes);
-                acc.registry.merge_from(&later.registry);
+            |registry, out: &FaultOutcome| {
+                ledger_experiment(registry, out.strategy, out.survived, out.recoveries);
             },
         );
-        let cells = acc
-            .map
-            .into_iter()
-            .map(|((class, strategy), cell)| MatrixCell { class, strategy, cell })
-            .collect();
-        (RecoveryMatrix { seed, cells, outcomes: acc.outcomes }, acc.registry)
+        let mut map: BTreeMap<(FaultClass, StrategyKind), Cell> = BTreeMap::new();
+        for out in &outcomes {
+            let cell = map.entry((out.class, out.strategy)).or_default();
+            cell.total += 1;
+            cell.survived += u32::from(out.survived);
+        }
+        let cells =
+            map.into_iter().map(|((class, strategy), cell)| MatrixCell { class, strategy, cell });
+        (RecoveryMatrix { seed, cells: cells.collect(), outcomes }, registry)
     }
 
+    /// The paper's thesis, checked on the matrix: no strategy survives an
+    /// environment-independent fault, no generic strategy survives a
+    /// nontransient one, and restart's overall survival lands in the
+    /// paper's 5–14% transient band.
+    fn violations(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        for strategy in StrategyKind::ALL {
+            let name = strategy.name();
+            let ei = self.cell(FaultClass::EnvironmentIndependent, strategy).survived;
+            if ei != 0 {
+                violations.push(format!("{name} survived {ei} EI faults"));
+            }
+            let edn = self.cell(FaultClass::EnvDependentNonTransient, strategy).survived;
+            if strategy.is_generic() && edn != 0 {
+                violations.push(format!("{name} survived {edn} EDN faults"));
+            }
+        }
+        let restart_pct = self.overall(StrategyKind::Restart).rate() * 100.0;
+        if !(5.0..=14.0).contains(&restart_pct) {
+            violations.push(format!("restart overall {restart_pct:.1}% outside the 5-14% band"));
+        }
+        violations
+    }
+
+    fn text(&self) -> String {
+        format!("{self}\n")
+    }
+}
+
+impl RecoveryMatrix {
     /// The seed the matrix was computed with.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -208,8 +192,8 @@ impl RecoveryMatrix {
     }
 
     /// Renders the matrix with a time-to-recovery column per strategy,
-    /// taken from the `recovery.ttr{<strategy>}` histograms of a registry
-    /// produced by [`RecoveryMatrix::run_instrumented`]. Strategies that
+    /// taken from the `recovery.ttr{<strategy>}` histograms of the registry
+    /// an instrumented [`Campaign::run`] returns. Strategies that
     /// never recovered anything show `-`.
     pub fn render_with_ttr(&self, registry: &MetricsRegistry) -> String {
         let mut out = self.to_string();
@@ -430,9 +414,13 @@ impl fmt::Display for RecoveryMatrix {
 mod tests {
     use super::*;
 
+    fn run(seed: u64) -> RecoveryMatrix {
+        RecoveryMatrix::run(seed, ParallelSpec::AUTO, false).0
+    }
+
     // One full-matrix computation shared by the assertions below.
     fn matrix() -> RecoveryMatrix {
-        RecoveryMatrix::run(2000)
+        run(2000)
     }
 
     #[test]
@@ -489,8 +477,7 @@ mod tests {
 
     #[test]
     fn display_renders_all_strategies() {
-        let m = RecoveryMatrix::run_strategies(1, &[StrategyKind::None]);
-        let text = m.to_string();
+        let text = run(1).to_string();
         assert!(text.contains("none"));
         assert!(text.contains("transient"));
         assert!(text.contains("0/113"));
@@ -498,8 +485,8 @@ mod tests {
 
     #[test]
     fn instrumented_matrix_matches_plain_and_renders_ttr() {
-        let plain = RecoveryMatrix::run(2000);
-        let (m, registry) = RecoveryMatrix::run_instrumented(2000);
+        let plain = matrix();
+        let (m, registry) = RecoveryMatrix::run(2000, ParallelSpec::AUTO, true);
         assert_eq!(m, plain, "metrics must not perturb the matrix");
         // Retry strategies recovered transient faults, so their TTR columns
         // are populated; the baseline never recovers anything.
@@ -515,21 +502,59 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_identical_at_every_thread_count() {
-        let sequential = matrix();
-        for threads in [2, 4, 8] {
-            let parallel = RecoveryMatrix::run_parallel(2000, ParallelSpec::threads(threads));
-            assert_eq!(parallel, sequential, "matrix diverged at {threads} threads");
-        }
-    }
-
-    #[test]
     fn slugs_where_partitions_outcomes() {
-        let m = RecoveryMatrix::run_strategies(3, &[StrategyKind::Restart]);
+        let m = run(3);
         let survived =
             m.slugs_where(FaultClass::EnvDependentTransient, StrategyKind::Restart, true);
         let failed = m.slugs_where(FaultClass::EnvDependentTransient, StrategyKind::Restart, false);
         assert_eq!(survived.len() + failed.len(), 12);
         assert!(survived.contains(&"apache-edt-02"));
+    }
+
+    /// A hand-built matrix with the corpus's class totals, in which
+    /// `survived(class, strategy)` faults of each cell survived.
+    fn matrix_with(survived: impl Fn(FaultClass, StrategyKind) -> u32) -> RecoveryMatrix {
+        let total = |class| match class {
+            FaultClass::EnvironmentIndependent => 113,
+            FaultClass::EnvDependentNonTransient => 14,
+            FaultClass::EnvDependentTransient => 12,
+        };
+        let cells = FaultClass::ALL
+            .into_iter()
+            .flat_map(|class| StrategyKind::ALL.map(|strategy| (class, strategy)))
+            .map(|(class, strategy)| {
+                let cell = Cell { total: total(class), survived: survived(class, strategy) };
+                MatrixCell { class, strategy, cell }
+            });
+        RecoveryMatrix { seed: 0, cells: cells.collect(), outcomes: Vec::new() }
+    }
+
+    #[test]
+    fn thesis_violations_fail_the_matrix() {
+        use FaultClass::{EnvDependentNonTransient as Edn, EnvDependentTransient as Edt};
+        // Every transient fault survives and app-specific recovery also
+        // rescues four nontransient ones: restart lands at 12/139 = 8.6%.
+        let healthy = |class, strategy| match (class, strategy) {
+            (Edt, _) => 12,
+            (Edn, StrategyKind::AppSpecific) => 4,
+            _ => 0,
+        };
+        assert_eq!(matrix_with(healthy).violations(), Vec::<String>::new());
+        let ei = matrix_with(|class, strategy| match (class, strategy) {
+            (FaultClass::EnvironmentIndependent, StrategyKind::Restart) => 1,
+            _ => healthy(class, strategy),
+        });
+        assert_eq!(ei.violations(), ["restart survived 1 EI faults"]);
+        let edn = matrix_with(|class, strategy| match (class, strategy) {
+            (Edn, StrategyKind::Rollback) => 2,
+            _ => healthy(class, strategy),
+        });
+        assert_eq!(edn.violations(), ["rollback survived 2 EDN faults"]);
+        let band = matrix_with(|class, strategy| match (class, strategy) {
+            (Edt, StrategyKind::Restart) => 3,
+            _ => healthy(class, strategy),
+        });
+        assert_eq!(band.violations(), ["restart overall 2.2% outside the 5-14% band"]);
+        assert_eq!(matrix().violations(), Vec::<String>::new());
     }
 }

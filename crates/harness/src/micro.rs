@@ -25,8 +25,9 @@
 
 use crate::driver::{
     drive_cells, fold, grid, ledger, miss_rate, ms, unit_share, write_anomalies, write_title,
-    write_totals, LoadSpec,
+    write_totals, Campaign, LoadSpec,
 };
+use crate::matrix::RecoveryMatrix;
 use crate::traffic::serve_plan;
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
 use faultstudy_exec::ParallelSpec;
@@ -164,37 +165,22 @@ fn run_unit(
     (cell, Some(registry))
 }
 
-impl MicroReport {
-    /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: LoadSpec) -> MicroReport {
-        Self::run_with(spec, ParallelSpec::default())
-    }
+impl Campaign for MicroReport {
+    type Spec = LoadSpec;
+    const NAME: &'static str = "micro";
 
-    /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> MicroReport {
-        Self::run_units(spec, parallel, false).0
-    }
-
-    /// Runs the campaign with the per-unit registries merged and the
-    /// per-cell ledgers (`micro.offered`, `micro.ok`, `micro.denied`,
-    /// `micro.dropped`, `micro.slo.violations`, `micro.sim_nanos`,
-    /// `micro.latency`, `micro.ttr.class`) added, returning the registry
-    /// alongside the (unchanged) report. The merged registry also carries
+    /// Each unit is the traffic campaign's open-loop unit with the same
+    /// per-unit seed derivation.
+    ///
+    /// The registry carries the per-cell ledgers (`micro.offered`,
+    /// `micro.ok`, `micro.denied`, `micro.dropped`, `micro.slo.violations`,
+    /// `micro.sim_nanos`, `micro.latency`, `micro.ttr.class`) and
     /// everything the units' environments recorded: the microreboot
     /// strategy's per-component counters (`micro.reboot`,
     /// `micro.reboot.subtree`, `micro.reboot.process`, `micro.lost`) and
     /// per-component TTR spans (`micro.ttr`), supervisor hardening
-    /// counters, and injector applications. Registries merge in
-    /// unit-index order, so the result is byte-identical at any thread
-    /// count.
-    pub fn run_instrumented(
-        spec: LoadSpec,
-        parallel: ParallelSpec,
-    ) -> (MicroReport, MetricsRegistry) {
-        Self::run_units(spec, parallel, true)
-    }
-
-    fn run_units(
+    /// counters, and injector applications.
+    fn run(
         spec: LoadSpec,
         parallel: ParallelSpec,
         instrumented: bool,
@@ -222,41 +208,13 @@ impl MicroReport {
         (MicroReport { spec, cells }, registry)
     }
 
-    /// The unit for `(plan, mode, app)`, if the plan exists.
-    pub fn cell(&self, plan: &str, mode: RecoveryMode, app: AppKind) -> Option<&MicroCell> {
-        self.cells.iter().find(|c| c.plan == plan && c.mode == mode && c.app == app)
-    }
-
-    /// Every unit of `class` under `mode`, across all plans and
-    /// applications.
-    fn in_class(&self, class: FaultClass, mode: RecoveryMode) -> impl Iterator<Item = &MicroCell> {
-        self.cells.iter().filter(move |c| c.class == class && c.mode == mode)
-    }
-
-    /// The folded ledger of every unit of `class` under `mode`, across
-    /// all plans and applications.
-    pub fn class_stats(&self, class: FaultClass, mode: RecoveryMode) -> UnitStats {
-        fold(self.in_class(class, mode).map(|c| &c.stats), UnitStats::absorb)
-    }
-
-    /// The merged time-to-recovery histogram of every unit of `class`
-    /// under `mode`.
-    pub fn class_ttr(&self, class: FaultClass, mode: RecoveryMode) -> Histogram {
-        fold(self.in_class(class, mode).map(|c| &c.ttr), Histogram::merge_from)
-    }
-
-    /// The folded ledger of the whole campaign.
-    pub fn totals(&self) -> UnitStats {
-        fold(self.cells.iter().map(|c| &c.stats), UnitStats::absorb)
-    }
-
     /// Violations of the campaign's class contract on the state-leak
     /// plan: the restored checkpoint must preserve the leak (restart
     /// drops requests), the crash-only reboot must discard it (no drops,
     /// strictly better availability). A contract cell that was offered no
     /// requests is itself an anomaly — an underpowered run must exit
     /// non-zero instead of passing vacuously.
-    pub fn anomalies(&self) -> Vec<String> {
+    fn violations(&self) -> Vec<String> {
         let mut anomalies = Vec::new();
         let [restart, micro] = RecoveryMode::ALL.map(|mode| {
             let key = format!("state-leak/{}", mode.name());
@@ -288,6 +246,42 @@ impl MicroReport {
             }
         }
         anomalies
+    }
+
+    /// The report, then the microreboot comparison matrix.
+    fn text(&self) -> String {
+        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL, false).0;
+        format!("{self}{}", matrix.render_with_micro(self))
+    }
+}
+
+impl MicroReport {
+    /// The unit for `(plan, mode, app)`, if the plan exists.
+    pub fn cell(&self, plan: &str, mode: RecoveryMode, app: AppKind) -> Option<&MicroCell> {
+        self.cells.iter().find(|c| c.plan == plan && c.mode == mode && c.app == app)
+    }
+
+    /// Every unit of `class` under `mode`, across all plans and
+    /// applications.
+    fn in_class(&self, class: FaultClass, mode: RecoveryMode) -> impl Iterator<Item = &MicroCell> {
+        self.cells.iter().filter(move |c| c.class == class && c.mode == mode)
+    }
+
+    /// The folded ledger of every unit of `class` under `mode`, across
+    /// all plans and applications.
+    pub fn class_stats(&self, class: FaultClass, mode: RecoveryMode) -> UnitStats {
+        fold(self.in_class(class, mode).map(|c| &c.stats), UnitStats::absorb)
+    }
+
+    /// The merged time-to-recovery histogram of every unit of `class`
+    /// under `mode`.
+    pub fn class_ttr(&self, class: FaultClass, mode: RecoveryMode) -> Histogram {
+        fold(self.in_class(class, mode).map(|c| &c.ttr), Histogram::merge_from)
+    }
+
+    /// The folded ledger of the whole campaign.
+    pub fn totals(&self) -> UnitStats {
+        fold(self.cells.iter().map(|c| &c.stats), UnitStats::absorb)
     }
 }
 
@@ -323,7 +317,7 @@ impl fmt::Display for MicroReport {
         write_totals(f, &self.totals())?;
         write_anomalies(
             f,
-            &self.anomalies(),
+            &self.violations(),
             "the state-leak cells matched the crash-only contract",
         )
     }
@@ -338,9 +332,13 @@ mod tests {
         LoadSpec { seed, requests: 3_600, arrival: ArrivalKind::Poisson }
     }
 
+    fn run(spec: LoadSpec) -> MicroReport {
+        MicroReport::run(spec, ParallelSpec::AUTO, false).0
+    }
+
     #[test]
     fn campaign_enumerates_every_plan_mode_app() {
-        let report = MicroReport::run(small_spec(1));
+        let report = run(small_spec(1));
         assert_eq!(report.cells.len(), 10 * 2 * 3);
         assert_eq!(report.totals().offered, 3_600);
         assert!(report.cells.iter().all(|c| c.stats.offered == 60));
@@ -353,20 +351,8 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_reproducible_and_thread_invariant() {
-        let spec = small_spec(7);
-        let reference = MicroReport::run_with(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let report = MicroReport::run_with(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, reference, "{threads} threads");
-        }
-        let chunked = MicroReport::run_with(spec, ParallelSpec::threads(2).with_chunk(7));
-        assert_eq!(chunked, reference);
-    }
-
-    #[test]
     fn state_leak_recovers_under_microreboot_and_defeats_restart() {
-        let report = MicroReport::run(small_spec(1));
+        let report = run(small_spec(1));
         let restart = report.cell("state-leak", RecoveryMode::Restart, AppKind::Apache).unwrap();
         let micro = report.cell("state-leak", RecoveryMode::Micro, AppKind::Apache).unwrap();
         // The checkpoint preserves the leaked allocations, so the generic
@@ -378,11 +364,8 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_campaign_reproduces_the_plain_report() {
-        let spec = small_spec(5);
-        let plain = MicroReport::run(spec);
-        let (report, registry) = MicroReport::run_instrumented(spec, ParallelSpec::default());
-        assert_eq!(report, plain, "instrumentation must not perturb the campaign");
+    fn instrumented_ledgers_reconcile_with_the_report() {
+        let (report, registry) = MicroReport::run(small_spec(5), ParallelSpec::AUTO, true);
         let mut offered = 0;
         for class in FaultClass::ALL {
             for mode in RecoveryMode::ALL {
@@ -401,21 +384,8 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_registry_is_identical_across_thread_counts() {
-        let spec = small_spec(2);
-        let (ref_report, ref_registry) =
-            MicroReport::run_instrumented(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let (report, registry) =
-                MicroReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, ref_report, "{threads} threads");
-            assert_eq!(registry, ref_registry, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn display_renders_the_comparison_table() {
-        let report = MicroReport::run(small_spec(4));
+        let report = run(small_spec(4));
         let text = report.to_string();
         assert!(text.contains("ttr p50 ms"));
         assert!(text.contains("microreboot"));

@@ -19,9 +19,10 @@
 
 use crate::driver::{
     drive_cells, fold, grid, ledger, miss_rate, ms, unit_share, write_anomalies, write_title,
-    write_totals, LoadSpec,
+    write_totals, Campaign, LoadSpec,
 };
 use crate::experiment::{cell_label, standard_env, StrategyKind};
+use crate::matrix::RecoveryMatrix;
 use faultstudy_apps::{spawn_app, Application, Request};
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
 use faultstudy_exec::ParallelSpec;
@@ -193,36 +194,20 @@ pub(crate) fn serve_plan(
     }
 }
 
-impl TrafficReport {
-    /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: LoadSpec) -> TrafficReport {
-        Self::run_with(spec, ParallelSpec::default())
-    }
+impl Campaign for TrafficReport {
+    type Spec = LoadSpec;
+    const NAME: &'static str = "traffic";
 
-    /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> TrafficReport {
-        Self::run_units(spec, parallel, false).0
-    }
-
-    /// Runs the campaign with per-unit metrics enabled, returning the
-    /// merged registry alongside the (unchanged) report.
+    /// Each unit draws its arrival schedule and session randomness from
+    /// its own unit seed.
     ///
     /// The registry carries per-cell request ledgers (`traffic.offered`,
     /// `traffic.ok`, `traffic.denied`, `traffic.dropped`,
     /// `traffic.slo.violations`, `traffic.sim_nanos`), the merged
     /// per-cell latency histograms (`traffic.latency`), and everything
     /// the environment's own sink recorded (supervisor hardening
-    /// counters, recovery TTR spans, injector applications). Registries
-    /// merge in unit-index order, so the result is byte-identical at any
-    /// thread count.
-    pub fn run_instrumented(
-        spec: LoadSpec,
-        parallel: ParallelSpec,
-    ) -> (TrafficReport, MetricsRegistry) {
-        Self::run_units(spec, parallel, true)
-    }
-
-    fn run_units(
+    /// counters, recovery TTR spans, injector applications).
+    fn run(
         spec: LoadSpec,
         parallel: ParallelSpec,
         instrumented: bool,
@@ -268,9 +253,23 @@ impl TrafficReport {
         (TrafficReport { spec, cells }, registry)
     }
 
-    /// The unit for `(plan, strategy, app)`, if the plan exists.
-    pub fn cell(&self, plan: &str, strategy: StrategyKind, app: AppKind) -> Option<&TrafficCell> {
-        self.cells.iter().find(|c| c.plan == plan && c.strategy == strategy && c.app == app)
+    fn violations(&self) -> Vec<String> {
+        self.anomalies()
+    }
+
+    /// The report, then the SLO-miss matrix.
+    fn text(&self) -> String {
+        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL, false).0;
+        format!("{self}{}", matrix.render_with_slo(self))
+    }
+}
+
+impl TrafficReport {
+    /// `Campaign::run` without metrics. Kept only because
+    /// `benchmark/src/workload.rs` names it; everything else calls
+    /// [`Campaign::run`].
+    pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> TrafficReport {
+        Self::run(spec, parallel, false).0
     }
 
     /// The folded ledger of every unit of `class` under `strategy`,
@@ -364,9 +363,13 @@ mod tests {
         LoadSpec { seed, requests: 3_780, arrival: ArrivalKind::Poisson }
     }
 
+    fn run(spec: LoadSpec) -> TrafficReport {
+        TrafficReport::run(spec, ParallelSpec::AUTO, false).0
+    }
+
     #[test]
     fn campaign_offers_exactly_the_requested_load() {
-        let report = TrafficReport::run(small_spec(1));
+        let report = run(small_spec(1));
         assert_eq!(report.cells.len(), 9 * 7 * 3);
         assert_eq!(report.totals().offered, 3_780);
         // Every unit got its even share (3780 / 189 = 20 exactly).
@@ -376,7 +379,7 @@ mod tests {
     #[test]
     fn uneven_loads_land_on_the_earliest_units() {
         let spec = LoadSpec { seed: 1, requests: 191, arrival: ArrivalKind::Poisson };
-        let report = TrafficReport::run(spec);
+        let report = run(spec);
         assert_eq!(report.totals().offered, 191);
         assert_eq!(report.cells[0].stats.offered, 2);
         assert_eq!(report.cells[1].stats.offered, 2);
@@ -384,21 +387,8 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_reproducible_and_thread_invariant() {
-        let spec = small_spec(7);
-        let reference = TrafficReport::run_with(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let report = TrafficReport::run_with(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, reference, "{threads} threads");
-        }
-        // Chunk size must not matter either.
-        let chunked = TrafficReport::run_with(spec, ParallelSpec::threads(2).with_chunk(7));
-        assert_eq!(chunked, reference);
-    }
-
-    #[test]
     fn faults_degrade_availability_but_recovery_restores_goodput() {
-        let report = TrafficReport::run(small_spec(3));
+        let report = run(small_spec(3));
         // The environment-independent control defeats every strategy on
         // MiniWeb: its trigger rides in the mix and always crashes.
         let none = report.class_stats(FaultClass::EnvironmentIndependent, StrategyKind::None);
@@ -417,12 +407,8 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_campaign_reproduces_the_plain_report() {
-        let spec = small_spec(5);
-        let plain = TrafficReport::run(spec);
-        let (report, registry) = TrafficReport::run_instrumented(spec, ParallelSpec::default());
-        assert_eq!(report, plain, "metrics must not perturb the campaign");
-        // The per-cell ledgers reconcile with the report.
+    fn instrumented_ledgers_reconcile_with_the_report() {
+        let (report, registry) = TrafficReport::run(small_spec(5), ParallelSpec::AUTO, true);
         let mut offered = 0;
         let mut latency_count = 0;
         for class in FaultClass::ALL {
@@ -438,21 +424,8 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_registry_is_identical_across_thread_counts() {
-        let spec = small_spec(2);
-        let (ref_report, ref_registry) =
-            TrafficReport::run_instrumented(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let (report, registry) =
-                TrafficReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, ref_report, "{threads} threads");
-            assert_eq!(registry, ref_registry, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn display_renders_the_slo_table() {
-        let report = TrafficReport::run(small_spec(4));
+        let report = run(small_spec(4));
         let text = report.to_string();
         assert!(text.contains("goodput/s"));
         assert!(text.contains("p999 ms"));

@@ -95,27 +95,36 @@ fn json_output_parses() {
 
 #[test]
 fn campaign_commands_pass_at_adequate_sizes() {
-    let (stdout, stderr, ok) = run(&["micro", "--requests", "6000"]);
-    assert!(ok, "micro: {stderr}");
-    assert!(stdout.contains("no anomalies"));
-    let (stdout, stderr, ok) = run(&["traffic", "--seed", "3", "--requests", "3780"]);
-    assert!(ok, "traffic: {stderr}");
-    assert!(stdout.contains("no anomalies"));
+    for args in [
+        &["recover"][..],
+        &["campaign"],
+        &["inject", "--threads", "2"],
+        &["traffic", "--seed", "3", "--requests", "3780"],
+        &["micro", "--requests", "6000"],
+        &["oblivious", "--requests", "6000", "--threads", "2"],
+        &["graph", "--requests", "7200"],
+    ] {
+        let (stdout, stderr, ok) = run(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+        assert!(!stdout.is_empty(), "{args:?}");
+    }
 }
 
 #[test]
 fn underpowered_campaigns_exit_nonzero() {
     // Before the shared anomaly exit path, micro and traffic always
     // exited zero — even on runs too small to check any contract.
-    let (_, stderr, ok) = run(&["micro", "--requests", "10"]);
-    assert!(!ok, "an unchecked micro contract must fail the command");
-    assert!(stderr.contains("ANOMALY"), "{stderr}");
-    let (_, stderr, ok) = run(&["traffic", "--requests", "60"]);
-    assert!(!ok, "an unchecked traffic contract must fail the command");
-    assert!(stderr.contains("ANOMALY"), "{stderr}");
-    let (_, stderr, ok) = run(&["oblivious", "--requests", "150"]);
-    assert!(!ok, "an unchecked oblivious contract must fail the command");
-    assert!(stderr.contains("ANOMALY"), "{stderr}");
+    for args in [
+        ["micro", "--requests", "10"],
+        ["traffic", "--requests", "60"],
+        ["oblivious", "--requests", "150"],
+        ["graph", "--requests", "10"],
+    ] {
+        let (_, stderr, ok) = run(&args);
+        assert!(!ok, "an unchecked {} contract must fail the command", args[0]);
+        assert!(stderr.contains(&format!("faultstudy: {}: ANOMALY", args[0])), "{stderr}");
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@
 use faultstudy::core::taxonomy::AppKind;
 use faultstudy::core::timeline::{by_month, by_release, ei_shares, max_deviation, totals_grow};
 use faultstudy::corpus::paper_study;
-use faultstudy::harness::{paper_scale_funnels, RecoveryMatrix};
+use faultstudy::harness::{paper_scale_funnels, Campaign, ParallelSpec, RecoveryMatrix};
 use faultstudy::report::{
     render_discussion, render_release_figure, render_table, render_time_figure,
     TandemReconciliation,
@@ -49,7 +49,7 @@ fn main() {
     }
     println!();
 
-    let matrix = RecoveryMatrix::run(2000);
+    let (matrix, _) = RecoveryMatrix::run(2000, ParallelSpec::AUTO, false);
     println!("{matrix}");
 
     println!("{}", TandemReconciliation::default());

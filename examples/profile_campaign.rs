@@ -3,6 +3,7 @@
 use faultstudy::corpus::full_corpus;
 use faultstudy::harness::campaign::{CampaignReport, CampaignSpec};
 use faultstudy::harness::experiment::{run_fault_experiment, StrategyKind};
+use faultstudy::harness::Campaign;
 use std::time::Instant;
 
 fn main() {
@@ -11,9 +12,10 @@ fn main() {
     let n = 20_000u32;
 
     let start = Instant::now();
-    let report = CampaignReport::run_with(
+    let (report, _) = CampaignReport::run(
         CampaignSpec { samples: n, seed: 2000 },
         faultstudy::exec::ParallelSpec::SEQUENTIAL,
+        false,
     );
     let total = start.elapsed();
     println!(

@@ -10,12 +10,12 @@
 use faultstudy::core::taxonomy::FaultClass;
 use faultstudy::corpus::find;
 use faultstudy::harness::experiment::{run_fault_experiment, StrategyKind};
-use faultstudy::harness::RecoveryMatrix;
+use faultstudy::harness::{Campaign, ParallelSpec, RecoveryMatrix};
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     if full {
-        let matrix = RecoveryMatrix::run(2000);
+        let (matrix, _) = RecoveryMatrix::run(2000, ParallelSpec::AUTO, false);
         println!("{matrix}");
         let restart = matrix.overall(StrategyKind::Restart);
         println!(

@@ -6,7 +6,9 @@ use faultstudy::core::taxonomy::AppKind;
 use faultstudy::corpus::{full_corpus, paper_study, PopulationSpec, SyntheticPopulation};
 use faultstudy::harness::campaign::{CampaignReport, CampaignSpec};
 use faultstudy::harness::experiment::{run_fault_experiment, StrategyKind};
-use faultstudy::harness::{experiments_markdown, paper_scale_funnels, RecoveryMatrix};
+use faultstudy::harness::{
+    experiments_markdown, paper_scale_funnels, Campaign, ParallelSpec, RecoveryMatrix,
+};
 
 #[test]
 fn corpus_and_study_are_constant() {
@@ -24,12 +26,11 @@ fn populations_funnels_matrices_campaigns_reports_are_seed_pure() {
     };
     assert_eq!(SyntheticPopulation::generate(&spec), SyntheticPopulation::generate(&spec));
     assert_eq!(paper_scale_funnels(5), paper_scale_funnels(5));
-    assert_eq!(
-        RecoveryMatrix::run_strategies(5, &[StrategyKind::Restart]),
-        RecoveryMatrix::run_strategies(5, &[StrategyKind::Restart])
-    );
-    let cspec = CampaignSpec { samples: 40, seed: 5 };
-    assert_eq!(CampaignReport::run(cspec), CampaignReport::run(cspec));
+    let matrix = || RecoveryMatrix::run(5, ParallelSpec::AUTO, false);
+    assert_eq!(matrix(), matrix());
+    let campaign =
+        || CampaignReport::run(CampaignSpec { samples: 40, seed: 5 }, ParallelSpec::AUTO, false);
+    assert_eq!(campaign(), campaign());
     assert_eq!(experiments_markdown(5), experiments_markdown(5));
 }
 

@@ -3,8 +3,9 @@
 //!
 //! Determinism first: the campaign is a pure function of its spec —
 //! report, merged metrics registry, and every rendered table are
-//! byte-identical at any thread count and chunk size. Then the two
-//! acceptance pins of the distributed fault plane: (1) on sticky
+//! byte-identical at any thread count and chunk size
+//! (`campaign_contract.rs` holds every campaign to the same contract).
+//! Then the two acceptance pins of the distributed fault plane: (1) on sticky
 //! (nontransient) channel wedges at the full retry budget, per-channel
 //! recovery loses zero requests and strictly beats process supervision
 //! on median time-to-recovery; (2) at least one retry policy amplifies
@@ -15,13 +16,16 @@ use faultstudy::core::taxonomy::FaultClass;
 use faultstudy::exec::ParallelSpec;
 use faultstudy::graph::PlaneKind;
 use faultstudy::harness::graph::{GraphReport, GRAPH_BUDGETS};
-use faultstudy::harness::LoadSpec;
-use faultstudy::harness::RecoveryMatrix;
+use faultstudy::harness::{Campaign, LoadSpec, RecoveryMatrix};
 use faultstudy::traffic::ArrivalKind;
 
 fn contract_spec(seed: u64) -> LoadSpec {
     // 7200 / 72 units = 100 requests per unit, exactly.
     LoadSpec { seed, requests: 7_200, arrival: ArrivalKind::Poisson }
+}
+
+fn contract_report() -> GraphReport {
+    GraphReport::run(contract_spec(2000), ParallelSpec::AUTO, false).0
 }
 
 /// The campaign is a pure function of its spec: report, merged registry,
@@ -30,9 +34,9 @@ fn contract_spec(seed: u64) -> LoadSpec {
 #[test]
 fn campaign_is_byte_identical_across_threads_and_chunks() {
     let spec = contract_spec(5);
-    let (reference, ref_registry) = GraphReport::run_instrumented(spec, ParallelSpec::threads(1));
+    let (reference, ref_registry) = GraphReport::run(spec, ParallelSpec::threads(1), true);
     let ref_rendered = reference.to_string();
-    let matrix = RecoveryMatrix::run(5);
+    let (matrix, _) = RecoveryMatrix::run(5, ParallelSpec::AUTO, false);
     let ref_matrix_table = matrix.render_with_graph(&reference);
     let specs = [
         ParallelSpec::threads(2),
@@ -41,7 +45,7 @@ fn campaign_is_byte_identical_across_threads_and_chunks() {
         ParallelSpec::threads(4).with_chunk(1),
     ];
     for parallel in specs {
-        let (report, registry) = GraphReport::run_instrumented(spec, parallel);
+        let (report, registry) = GraphReport::run(spec, parallel, true);
         assert_eq!(report, reference, "report diverged at {parallel:?}");
         assert_eq!(registry, ref_registry, "registry diverged at {parallel:?}");
         assert_eq!(report.to_string(), ref_rendered, "rendered bytes diverged at {parallel:?}");
@@ -53,14 +57,14 @@ fn campaign_is_byte_identical_across_threads_and_chunks() {
     }
 }
 
-/// The plain runner and the instrumented runner drive the very same
-/// simulation: the report is unchanged and its ledgers reconcile with
-/// the registry's per-cell counters.
+/// The plain and the instrumented run drive the very same simulation:
+/// the report is unchanged and its ledgers reconcile with the registry's
+/// per-cell counters.
 #[test]
 fn instrumentation_does_not_perturb_the_campaign() {
     let spec = contract_spec(3);
     let plain = GraphReport::run_with(spec, ParallelSpec::threads(2));
-    let (instrumented, registry) = GraphReport::run_instrumented(spec, ParallelSpec::threads(2));
+    let (instrumented, registry) = GraphReport::run(spec, ParallelSpec::threads(2), true);
     assert_eq!(instrumented, plain);
     let mut offered = 0;
     for class in FaultClass::ALL {
@@ -80,7 +84,7 @@ fn instrumentation_does_not_perturb_the_campaign() {
 /// and rebooting one endpoint is orders cheaper than restarting nodes.
 #[test]
 fn channel_recovery_beats_process_supervision_on_sticky_wedges() {
-    let report = GraphReport::run(contract_spec(2000));
+    let report = contract_report();
     let full = *GRAPH_BUDGETS.last().unwrap();
     let edn = FaultClass::EnvDependentNonTransient;
     let channel = report.class_graph(edn, PlaneKind::Channel, full);
@@ -98,7 +102,7 @@ fn channel_recovery_beats_process_supervision_on_sticky_wedges() {
 /// first demanded, and the measured amplification ratio exceeds one.
 #[test]
 fn some_retry_policy_amplifies_downstream_load() {
-    let report = GraphReport::run(contract_spec(2000));
+    let report = contract_report();
     let full = *GRAPH_BUDGETS.last().unwrap();
     let amp = report.max_amplification(full);
     assert!(amp > 1.0, "max amplification {amp} must exceed 1");
@@ -112,7 +116,7 @@ fn some_retry_policy_amplifies_downstream_load() {
 /// planes drop requests and availability stays below 100%.
 #[test]
 fn defects_defeat_both_recovery_planes() {
-    let report = GraphReport::run(contract_spec(2000));
+    let report = contract_report();
     let full = *GRAPH_BUDGETS.last().unwrap();
     for plane in PlaneKind::ALL {
         let ei = report.class_stats(FaultClass::EnvironmentIndependent, plane, full);

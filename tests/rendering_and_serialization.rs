@@ -5,8 +5,7 @@ use faultstudy::core::taxonomy::AppKind;
 use faultstudy::core::timeline::{by_month, by_release};
 use faultstudy::corpus::paper_study;
 use faultstudy::harness::campaign::{CampaignReport, CampaignSpec};
-use faultstudy::harness::experiment::StrategyKind;
-use faultstudy::harness::RecoveryMatrix;
+use faultstudy::harness::{Campaign, ParallelSpec, RecoveryMatrix};
 use faultstudy::report::{
     render_discussion, render_release_figure, render_table, render_time_figure, RelatedWork,
     TandemReconciliation,
@@ -55,12 +54,13 @@ fn study_and_matrix_round_trip_through_json() {
         serde_json::from_str(&json).expect("study deserializes");
     assert_eq!(back, study);
 
-    let matrix = RecoveryMatrix::run_strategies(3, &[StrategyKind::None]);
+    let (matrix, _) = RecoveryMatrix::run(3, ParallelSpec::AUTO, false);
     let json = serde_json::to_string(&matrix).expect("matrix serializes");
     let back: RecoveryMatrix = serde_json::from_str(&json).expect("matrix deserializes");
     assert_eq!(back, matrix);
 
-    let campaign = CampaignReport::run(CampaignSpec { samples: 20, seed: 1 });
+    let (campaign, _) =
+        CampaignReport::run(CampaignSpec { samples: 20, seed: 1 }, ParallelSpec::AUTO, false);
     let json = serde_json::to_string(&campaign).expect("campaign serializes");
     let back: CampaignReport = serde_json::from_str(&json).expect("campaign deserializes");
     assert_eq!(back, campaign);

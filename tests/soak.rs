@@ -8,6 +8,7 @@ use faultstudy::exec::ParallelSpec;
 use faultstudy::harness::campaign::{CampaignReport, CampaignSpec};
 use faultstudy::harness::experiment::StrategyKind;
 use faultstudy::harness::workload::WorkloadGen;
+use faultstudy::harness::Campaign;
 use faultstudy::recovery::{run_workload, ProgressiveRetry, RestartRetry};
 
 fn big_env(seed: u64) -> Environment {
@@ -89,8 +90,8 @@ fn soak_outcomes_are_reproducible() {
 fn million_sample_streaming_campaign_holds_constant_state() {
     const SAMPLES: u32 = if cfg!(debug_assertions) { 50_000 } else { 1_000_000 };
     let spec = |samples| CampaignSpec { samples, seed: 2000 };
-    let small = CampaignReport::run_with(spec(SAMPLES / 10), ParallelSpec::AUTO);
-    let big = CampaignReport::run_with(spec(SAMPLES), ParallelSpec::AUTO);
+    let (small, _) = CampaignReport::run(spec(SAMPLES / 10), ParallelSpec::AUTO, false);
+    let (big, _) = CampaignReport::run(spec(SAMPLES), ParallelSpec::AUTO, false);
 
     // 10x the samples, identical aggregate shape: the fold's state is the
     // (class, strategy) cross product, not the sample stream.
@@ -125,8 +126,8 @@ fn million_request_microreboot_campaign_holds_constant_state() {
 
     const REQUESTS: u64 = if cfg!(debug_assertions) { 60_000 } else { 1_000_000 };
     let spec = |requests| LoadSpec { seed: 2000, requests, arrival: ArrivalKind::Poisson };
-    let small = MicroReport::run_with(spec(REQUESTS / 10), ParallelSpec::AUTO);
-    let big = MicroReport::run_with(spec(REQUESTS), ParallelSpec::AUTO);
+    let (small, _) = MicroReport::run(spec(REQUESTS / 10), ParallelSpec::AUTO, false);
+    let (big, _) = MicroReport::run(spec(REQUESTS), ParallelSpec::AUTO, false);
 
     // 10x the requests, identical aggregate shape.
     assert_eq!(big.cells.len(), small.cells.len(), "cell count must not scale with load");
