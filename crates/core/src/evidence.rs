@@ -103,7 +103,8 @@ impl Evidence {
 
     /// Builds evidence from a shared-automaton scan: every lexicon rule
     /// and cue list is evaluated as a bitset probe, so callers that
-    /// already hold a [`HitSet`] pay no further text traversal.
+    /// already hold a [`HitSet`](faultstudy_textscan::HitSet) pay no
+    /// further text traversal.
     pub fn from_hits(hits: &faultstudy_textscan::HitSet) -> Evidence {
         let set = crate::scanset::shared();
         if hits.is_empty() {

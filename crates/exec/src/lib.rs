@@ -18,8 +18,8 @@
 //! the work ran on 1, 2, or 8 threads, with any chunk size.
 //!
 //! Dispatch is a chunked work queue: the index space is cut into
-//! contiguous chunks (size from [`ParallelSpec::chunk`], auto-sized by
-//! default) and workers pull the next chunk from a shared atomic cursor.
+//! contiguous chunks (size set by [`ParallelSpec::with_chunk`], auto-sized
+//! by default) and workers pull the next chunk from a shared atomic cursor.
 //! Unlike the one-big-chunk-per-worker split this crate started with, an
 //! oversubscribed pool (`threads > cores`) no longer serializes on its
 //! slowest stripe — idle workers just stop pulling — so requesting more

@@ -3,14 +3,14 @@
 //! plan armed on the wire and one of two recovery planes answering.
 //!
 //! The engine runs on the single-app engine's open-loop driver,
-//! [`drive_open_loop`] — sessions arrive on its timing wheel, think, and
+//! [`drive_open_loop`] — sessions arrive on its event queue, think, and
 //! issue requests, and its tick runs the operator-console probe — but
-//! each request is served by [`serve_chain`]: a client-level retry loop
+//! each request is served by `serve_chain`: a client-level retry loop
 //! around a web-tier call that may itself run a web-level retry loop
 //! around the db sub-call. Both loops share ONE [`ChainDeadline`], so a
 //! storm of nested retries can never charge the user more than the outer
-//! budget — the end-to-end-timeout contract the supervisor satellite
-//! pins at unit level.
+//! budget — the end-to-end-timeout contract the supervisor's own tests
+//! pin at unit level.
 //!
 //! The two recovery planes differ only in what a detected channel fault
 //! costs and tears down:
@@ -332,6 +332,7 @@ pub fn run_graph(
         recovery_seed,
     );
     let mix = graph_mix();
+    let console = Request::new("PROBE console");
     let base = drive_open_loop(
         env,
         &mix,
@@ -346,7 +347,7 @@ pub fn run_graph(
                     Some(serve_chain(graph, env, &mut tree, plane, retry_budget, req, &mut stats))
                 }
                 None => {
-                    probe(graph, env, &mut stats);
+                    probe(graph, env, &console, &mut stats);
                     None
                 }
             }
@@ -367,17 +368,18 @@ pub fn run_graph(
 /// web tier answers. No fault kind targets this edge; the probe keeps
 /// the console channel live and measures that the graph stays responsive
 /// to operators while the data plane is under fault.
-fn probe(graph: &mut ServiceGraph, env: &mut Environment, stats: &mut GraphUnitStats) {
+fn probe(
+    graph: &mut ServiceGraph,
+    env: &mut Environment,
+    console: &Request,
+    stats: &mut GraphUnitStats,
+) {
     let edge = stats.edges.edge_mut(EdgeId::IdeWeb);
     edge.sends += 1;
     env.advance(TRANSFER);
     let _ = graph.channel(EdgeId::IdeWeb).send("PROBE console");
     let _ = graph.channel(EdgeId::IdeWeb).recv();
-    let ok = graph
-        .node(NodeId::Web)
-        .handle(&Request::new("PROBE console"), env)
-        .map(|r| r.is_ok())
-        .unwrap_or(false);
+    let ok = graph.node(NodeId::Web).handle(console, env).map(|r| r.is_ok()).unwrap_or(false);
     env.advance(TRANSFER);
     let edge = stats.edges.edge_mut(EdgeId::IdeWeb);
     edge.sends += 1;

@@ -8,10 +8,11 @@
 //! bounded [`Channel`], which is where the IPC fault corpus bites.
 //!
 //! For process-level supervision the nodes double as components of a
-//! [`RestartTree`] topology ([`GRAPH_COMPONENTS`]): a `service` root with
-//! the three nodes as volatile children, so escalation can take out one
-//! node, and ultimately the whole service, exactly as the microreboot
-//! ladder does for intra-process components.
+//! [`RestartTree`](faultstudy_recovery::RestartTree) topology
+//! ([`GRAPH_COMPONENTS`]): a `service` root with the three nodes as
+//! volatile children, so escalation can take out one node, and
+//! ultimately the whole service, exactly as the microreboot ladder does
+//! for intra-process components.
 
 use crate::channel::Channel;
 use crate::fault::{EdgeId, GraphFaultEvent, GraphFaultPlan};

@@ -17,7 +17,8 @@
 //! plowing ahead with whatever state the failure left behind is exactly
 //! what the literature warns about, and exactly what the per-app oracles
 //! are there to price. With the feature disabled (`discard_after: None` /
-//! `defaults: false`) each strategy is byte-for-byte [`RestartRetry`].
+//! `defaults: false`) each strategy is byte-for-byte
+//! [`RestartRetry`](crate::RestartRetry).
 
 use crate::strategy::RecoveryStrategy;
 use faultstudy_apps::{AppState, Application, Request, Response};

@@ -1,10 +1,9 @@
 //! State scrubbing: drop volatile component state in place, without a
 //! reboot.
 //!
-//! PR 4's [`Environment::scrub`] clears non-transient conditions in the
+//! [`Environment::scrub`] clears non-transient conditions in the
 //! *operating environment*; this generalizes the move to *application
-//! state* using the crash-only taxonomy: every
-//! [`StateKind::Volatile`](faultstudy_micro::StateKind::Volatile)
+//! state* using the crash-only taxonomy: every [`StateKind::Volatile`]
 //! component is crashed and booted in place — state that is legitimate to
 //! discard by construction — while durable components are never touched.
 //! No checkpoint is restored and no process is killed, so a scrub is

@@ -13,8 +13,8 @@
 //!
 //! - [`time`] — logical time ([`SimTime`], [`Duration`]) and the clock.
 //! - [`rng`] — SplitMix64 and xoshiro256\*\* deterministic PRNGs.
-//! - [`wheel`] — the hierarchical timing wheel: the event scheduler, with
-//!   O(1) scheduling and stable FIFO tie-breaking among same-time events.
+//! - [`wheel`] — the event queue ([`TimingWheel`], a binary heap): O(log n)
+//!   schedule and pop, FIFO among same-time events.
 //! - [`sched`] — a cooperative step scheduler with controllable
 //!   interleavings, used to reproduce race-condition faults.
 //! - [`trace`] — bounded in-memory trace ring for debugging experiments.

@@ -1,39 +1,46 @@
-//! Hierarchical timing wheel: the event scheduler under the traffic
-//! engine's open-loop request stream.
-//!
-//! A [`TimingWheel`] orders events by simulated time with O(1) schedule
-//! and amortized-O(1) pop, against the O(log n) of a comparison-based
-//! queue. Six levels of 64 slots each cover a horizon of 2^36
-//! nanoseconds (~69 simulated seconds) ahead of the wheel's current
-//! time; events beyond the horizon fall back to a `BTreeMap` overflow
-//! ring and are pulled into the wheel when it drains down to them.
-//!
-//! Determinism contract: events scheduled for the same instant pop in
-//! scheduling order (FIFO), so a wheel-driven simulation is a pure
-//! function of its inputs. The property tests pin the wheel's order
-//! against a `BTreeMap<(time, seq), _>` reference for arbitrary
-//! schedules, including same-tick ties and far-future overflow times.
+//! The future-event list under the open-loop engines: a binary heap of
+//! pending events keyed by `(time, seq)`, `seq` numbering schedules in
+//! order, so same-instant events pop FIFO and a simulation stays a pure
+//! function of its inputs. Schedule and pop are O(log n) sift steps over
+//! one array, with no horizon; the engines hold at most about a thousand
+//! events. The property tests pin every pop, `len` and `now` against a
+//! `BTreeMap<(time, seq), _>` reference.
 
 use crate::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// log2 of the slot count per level.
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels; level `l` spans 2^(6·(l+1)) nanoseconds.
-const LEVELS: usize = 6;
-/// Bits of horizon the wheel covers; times further out overflow.
-const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// A pending event. `key` packs `(at, seq)` into one integer for a
+/// branch-free compare; `Ord` reverses it, so the max-heap's top is the
+/// earliest event.
+#[derive(Debug)]
+struct Pending<T> {
+    key: u128,
+    item: T,
+}
 
-type Entry<T> = (u64, u64, T); // (at, seq, item)
+impl<T> PartialEq for Pending<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
 
-/// A hierarchical timing wheel over simulated nanoseconds.
-///
-/// Each level holds 64 slots; an event lives at the highest level where
-/// its time differs from the wheel's current time, and cascades toward
-/// level 0 as time advances. Events with the same timestamp pop in the
-/// order they were scheduled.
+impl<T> Eq for Pending<T> {}
+
+impl<T> PartialOrd for Pending<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Pending<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+/// A binary-heap future-event list over simulated nanoseconds (the name
+/// is historical). Events pop in time order, ties in scheduling order.
 ///
 /// # Example
 ///
@@ -52,26 +59,12 @@ type Entry<T> = (u64, u64, T); // (at, seq, item)
 /// ```
 #[derive(Debug)]
 pub struct TimingWheel<T> {
-    /// The wheel's current time: the timestamp of the last popped event.
-    base: u64,
-    /// Next scheduling sequence number; breaks same-tick ties FIFO.
+    /// Pending events, earliest `(at, seq)` on top.
+    heap: BinaryHeap<Pending<T>>,
+    /// Next scheduling sequence number; breaks same-instant ties FIFO.
     seq: u64,
-    /// Total events held (wheel + immediate + batch + overflow).
-    len: usize,
-    /// Per-level slot-occupancy bitmaps; bit `s` set ⇔ slot `s` nonempty.
-    occupied: [u64; LEVELS],
-    /// `LEVELS × SLOTS` slot buckets, flattened level-major.
-    slots: Vec<Vec<Entry<T>>>,
-    /// Events due exactly at `base`, in scheduling order.
-    immediate: VecDeque<(u64, T)>,
-    /// A level-0 slot being drained, held in reverse scheduling order so
-    /// popping from the back yields FIFO (all entries share one
-    /// timestamp).
-    batch: Vec<Entry<T>>,
-    /// Far-future events beyond the wheel horizon, keyed by (time, seq).
-    overflow: BTreeMap<(u64, u64), T>,
-    /// Scratch buffer reused while cascading a slot to lower levels.
-    scratch: Vec<Entry<T>>,
+    /// The queue's current time: the timestamp of the last popped event.
+    now: u64,
 }
 
 impl<T> Default for TimingWheel<T> {
@@ -81,35 +74,24 @@ impl<T> Default for TimingWheel<T> {
 }
 
 impl<T> TimingWheel<T> {
-    /// An empty wheel at time zero.
+    /// An empty queue at time zero.
     pub fn new() -> TimingWheel<T> {
-        TimingWheel {
-            base: 0,
-            seq: 0,
-            len: 0,
-            occupied: [0; LEVELS],
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            immediate: VecDeque::new(),
-            batch: Vec::new(),
-            overflow: BTreeMap::new(),
-            scratch: Vec::new(),
-        }
+        TimingWheel { heap: BinaryHeap::new(), seq: 0, now: 0 }
     }
 
     /// Events currently scheduled.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
-    /// The wheel's current time: the timestamp of the most recently
-    /// popped event (zero before the first pop).
+    /// The timestamp of the last popped event (zero before the first pop).
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.base)
+        SimTime::from_nanos(self.now)
     }
 
     /// Schedules `item` at time `at`.
@@ -120,104 +102,18 @@ impl<T> TimingWheel<T> {
     /// simulation never schedules into its own past.
     pub fn schedule(&mut self, at: SimTime, item: T) {
         let at = at.as_nanos();
-        assert!(at >= self.base, "event at {at} scheduled before wheel time {}", self.base);
-        let seq = self.seq;
+        assert!(at >= self.now, "event at {at} scheduled before wheel time {}", self.now);
+        self.heap.push(Pending { key: u128::from(at) << 64 | u128::from(self.seq), item });
         self.seq += 1;
-        self.len += 1;
-        if (at ^ self.base) >> HORIZON_BITS != 0 {
-            self.overflow.insert((at, seq), item);
-        } else {
-            self.place((at, seq, item));
-        }
     }
 
-    /// Removes and returns the earliest event, advancing the wheel's
-    /// time to its timestamp. Same-timestamp events return in the order
-    /// they were scheduled.
+    /// Removes and returns the earliest event (the first scheduled among
+    /// equal times), advancing [`TimingWheel::now`] to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        loop {
-            // A level-0 slot mid-drain: every entry shares one timestamp
-            // and the (reversed) vector pops FIFO from the back.
-            if let Some((at, _, item)) = self.batch.pop() {
-                self.len -= 1;
-                return Some((SimTime::from_nanos(at), item));
-            }
-            if let Some((_, item)) = self.immediate.pop_front() {
-                self.len -= 1;
-                return Some((SimTime::from_nanos(self.base), item));
-            }
-            if self.len == 0 {
-                return None;
-            }
-            self.advance();
-        }
-    }
-
-    /// Moves the wheel forward to the next pending work: drains the next
-    /// level-0 slot into `batch`, cascades a higher-level slot down, or
-    /// refills from the overflow ring. Progress is guaranteed while
-    /// `len > 0`.
-    fn advance(&mut self) {
-        for level in 0..LEVELS {
-            if self.occupied[level] == 0 {
-                continue;
-            }
-            // Every occupied slot index is strictly greater than the
-            // base's index at this level (lower-indexed events would
-            // already have cascaded or popped), so the lowest set bit is
-            // the next slot in time.
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            self.occupied[level] &= !(1u64 << slot);
-            let shift = SLOT_BITS * level as u32;
-            // Advance to the start of that slot's window: slot index at
-            // this level, zeros below, untouched above.
-            let above = !0u64 << (shift + SLOT_BITS);
-            self.base = (self.base & above) | ((slot as u64) << shift);
-            let idx = level * SLOTS + slot;
-            if level == 0 {
-                // All entries share the timestamp `base`; reversed so the
-                // pop-from-the-back drain runs in scheduling order.
-                debug_assert!(self.batch.is_empty());
-                std::mem::swap(&mut self.batch, &mut self.slots[idx]);
-                self.batch.reverse();
-            } else {
-                // Redistribute to lower levels, preserving entry order so
-                // same-timestamp FIFO survives the cascade.
-                std::mem::swap(&mut self.scratch, &mut self.slots[idx]);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                for entry in scratch.drain(..) {
-                    self.place(entry);
-                }
-                self.scratch = scratch;
-            }
-            return;
-        }
-        // Wheel empty: jump to the first overflow event and pull in
-        // everything sharing its horizon window.
-        let &(at, _) = self.overflow.keys().next().expect("len > 0 with an empty wheel");
-        self.base = at;
-        let boundary = ((at >> HORIZON_BITS) + 1) << HORIZON_BITS;
-        let rest = self.overflow.split_off(&(boundary, 0));
-        let window = std::mem::replace(&mut self.overflow, rest);
-        for ((at, seq), item) in window {
-            self.place((at, seq, item));
-        }
-    }
-
-    /// Files an entry into the level for its distance from `base`, or
-    /// the immediate queue when it is due exactly now.
-    fn place(&mut self, entry: Entry<T>) {
-        let (at, seq, item) = entry;
-        let diff = at ^ self.base;
-        if diff == 0 {
-            self.immediate.push_back((seq, item));
-            return;
-        }
-        let level = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
-        debug_assert!(level < LEVELS, "horizon-checked at schedule time");
-        let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.occupied[level] |= 1u64 << slot;
-        self.slots[level * SLOTS + slot].push((at, seq, item));
+        let Pending { key, item } = self.heap.pop()?;
+        let at = (key >> 64) as u64;
+        self.now = at;
+        Some((SimTime::from_nanos(at), item))
     }
 }
 
@@ -250,9 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_overflow_and_return() {
+    fn far_future_events_return_in_order() {
         let mut wheel = TimingWheel::new();
-        let far = 1u64 << 40; // beyond the 2^36 horizon
+        let far = 1u64 << 40; // ~18 simulated minutes out
         wheel.schedule(SimTime::from_nanos(far + 7), "late");
         wheel.schedule(SimTime::from_nanos(far), "later-first");
         wheel.schedule(SimTime::from_nanos(9), "soon");

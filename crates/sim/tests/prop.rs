@@ -8,9 +8,9 @@ use faultstudy_sim::wheel::TimingWheel;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Offsets that exercise every wheel regime: same-tick ties (0), level-0
-/// slots, mid-level cascades, and the far-future overflow ring beyond the
-/// ~69 s horizon.
+/// Offsets from the queue's time, picked by `selector`: a tie (0), a
+/// near offset (under 4.1 µs), a mid offset (under 1.07 s) or a far one
+/// (under 275 s, past 69 s three times in four).
 fn wheel_offset(selector: u8, raw: u64) -> u64 {
     match selector % 4 {
         0 => 0,
@@ -112,30 +112,37 @@ proptest! {
         prop_assert_eq!(total, u64::from(expected));
     }
 
-    /// Differential check: for arbitrary schedules — same-tick ties,
-    /// near and far offsets, pops interleaved with schedules — the timing
-    /// wheel pops exactly what a `BTreeMap<(time, seq), _>` reference
-    /// pops, in the same order.
+    /// Differential check: for arbitrary schedules — same-instant ties,
+    /// near and far offsets, pops interleaved with schedules — the queue
+    /// pops exactly what a `BTreeMap<(time, seq), _>` reference pops, in
+    /// the same order, and agrees with it on `len()` and `now()` after
+    /// every operation.
     #[test]
     fn wheel_matches_btreemap_reference(
         ops in prop::collection::vec((any::<u8>(), any::<u64>(), 0u8..4), 1..120),
     ) {
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
         let mut reference: BTreeMap<(u64, u64), u32> = BTreeMap::new();
+        let mut last_popped = 0u64;
         // The schedule index doubles as the tie-break sequence number.
         for (id, (selector, raw, pops)) in ops.into_iter().enumerate() {
             let at = wheel.now().saturating_add(Duration::from_nanos(wheel_offset(selector, raw)));
             wheel.schedule(at, id as u32);
             reference.insert((at.as_nanos(), id as u64), id as u32);
+            prop_assert_eq!(wheel.len(), reference.len(), "len diverged after a schedule");
+            prop_assert_eq!(wheel.now().as_nanos(), last_popped, "now moved on a schedule");
             for _ in 0..pops {
                 match (wheel.pop(), reference.pop_first()) {
                     (Some((t, v)), Some(((rt, _), rv))) => {
                         prop_assert_eq!(t.as_nanos(), rt, "pop time diverged");
                         prop_assert_eq!(v, rv, "pop order diverged");
+                        last_popped = rt;
                     }
                     (None, None) => break,
                     (w, r) => prop_assert!(false, "wheel {w:?} vs reference {r:?}"),
                 }
+                prop_assert_eq!(wheel.len(), reference.len(), "len diverged after a pop");
+                prop_assert_eq!(wheel.now().as_nanos(), last_popped, "now is not the last pop");
             }
         }
         // Drain the rest: both must empty together, in the same order.
@@ -144,10 +151,13 @@ proptest! {
                 (Some((t, v)), Some(((rt, _), rv))) => {
                     prop_assert_eq!(t.as_nanos(), rt, "drain time diverged");
                     prop_assert_eq!(v, rv, "drain order diverged");
+                    last_popped = rt;
                 }
                 (None, None) => break,
                 (w, r) => prop_assert!(false, "wheel {w:?} vs reference {r:?}"),
             }
+            prop_assert_eq!(wheel.len(), reference.len(), "len diverged in the drain");
+            prop_assert_eq!(wheel.now().as_nanos(), last_popped, "now is not the last pop");
         }
         prop_assert!(wheel.is_empty());
     }
@@ -194,4 +204,61 @@ proptest! {
             prop_assert_eq!(trace.len(), cap);
         }
     }
+}
+
+/// An offset drawn from the mix the open-loop workloads schedule:
+/// same-instant ties, and offsets under 16.8 ms, up to 1.07 s, up to
+/// 69 s and beyond. `tie` is the time of the previous schedule.
+fn engine_offset(rng: &mut SplitMix64, now: u64, tie: u64) -> u64 {
+    match rng.range(0, 100) {
+        0..=4 => tie.max(now) - now,
+        5..=14 => rng.range(0, 1 << 24),
+        15..=69 => rng.range(1 << 24, 1 << 30),
+        70..=84 => rng.range(1 << 30, 1 << 36),
+        _ => rng.range(1 << 36, 1 << 40),
+    }
+}
+
+/// The queue at the depth the open-loop engines reach (up to about a
+/// thousand pending events): 24,000 seeded operations that climb past
+/// 1,000 pending events and come back down, then a drain. Every pop's
+/// time and item, and `len()` and `now()` after every operation, equal
+/// the `BTreeMap<(time, seq), _>` reference's.
+#[test]
+fn wheel_matches_btreemap_reference_at_engine_depth() {
+    let mut rng = SplitMix64::new(0x000f_a017_57d1);
+    let mut wheel: TimingWheel<u32> = TimingWheel::new();
+    let mut reference: BTreeMap<(u64, u64), u32> = BTreeMap::new();
+    let mut next_id = 0u32;
+    let mut last_at = 0u64;
+    let mut last_popped = 0u64;
+    let mut peak = 0;
+    let mut pops = 0;
+    for op in 0..24_000 {
+        // Schedules outnumber pops 3:2 in the first half, 2:3 after.
+        let p_schedule = if op < 12_000 { 0.6 } else { 0.4 };
+        if reference.is_empty() || rng.chance(p_schedule) {
+            let at = last_popped + engine_offset(&mut rng, last_popped, last_at);
+            wheel.schedule(SimTime::from_nanos(at), next_id);
+            reference.insert((at, u64::from(next_id)), next_id);
+            next_id += 1;
+            last_at = at;
+        } else {
+            let ((at, _), item) = reference.pop_first().expect("nonempty");
+            assert_eq!(wheel.pop(), Some((SimTime::from_nanos(at), item)), "pop {pops}");
+            last_popped = at;
+            pops += 1;
+        }
+        assert_eq!(wheel.len(), reference.len(), "len after op {op}");
+        assert_eq!(wheel.now(), SimTime::from_nanos(last_popped), "now after op {op}");
+        peak = peak.max(reference.len());
+    }
+    while let Some(((at, _), item)) = reference.pop_first() {
+        assert_eq!(wheel.pop(), Some((SimTime::from_nanos(at), item)), "drain pop");
+        assert_eq!(wheel.len(), reference.len(), "len in the drain");
+        assert_eq!(wheel.now(), SimTime::from_nanos(at), "now in the drain");
+    }
+    assert_eq!(wheel.pop(), None);
+    assert!(peak >= 1_000, "peak of {peak} pending events is below the engines' depth");
+    assert!(pops >= 5_000, "only {pops} pops interleaved with the schedules");
 }

@@ -1,4 +1,4 @@
-//! The open-loop engine: [`drive_open_loop`] drains a timing wheel full
+//! The open-loop engine: [`drive_open_loop`] drains an event queue full
 //! of arrivals through a server. [`run_open_loop`] serves each request
 //! through the per-request supervisor; the service graph
 //! (`faultstudy-graph`) serves each one as a chain across its tiers.
@@ -126,7 +126,7 @@ pub enum Answer {
     Dropped,
 }
 
-/// Wheel payload: what to do when simulated time reaches the event.
+/// Queue payload: what to do when simulated time reaches the event.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// A new user session arrives (open-loop: scheduled by the arrival
@@ -141,11 +141,12 @@ enum Event {
 /// The open-loop driver: offers exactly `params.requests` requests drawn
 /// from `mix` to a server and ledgers how each was answered.
 ///
-/// Sessions arrive on the timing wheel from an [`ArrivalProcess`] seeded
+/// Sessions arrive on the event queue from an [`ArrivalProcess`] seeded
 /// by `arrival_seed`, each with its randomness drawn from
 /// `session_master`'s split-seed stream; they pick requests by index and
-/// think between them. Session slots are slab-recycled and the wheel
-/// reuses slot buffers, so the loop allocates nothing per request.
+/// think between them. Session slots are slab-recycled and the queue's
+/// heap keeps its buffer, so once both have grown to the unit's peak the
+/// loop allocates nothing per request.
 ///
 /// `serve(env, Some(request))` serves one request at the current instant
 /// and returns its answer. With `tick` set to `Some(every)`,

@@ -10,7 +10,7 @@
 //!
 //! - [`sim`] — deterministic discrete-event substrate.
 //! - [`exec`] — deterministic parallel work distribution.
-//! - [`env`] — the simulated operating environment.
+//! - [`env`](mod@env) — the simulated operating environment.
 //! - [`core`] — fault taxonomy, bug-report model, classifier, study tables.
 //! - [`corpus`] — the curated 139-fault corpus and synthetic generators.
 //! - [`mining`] — bug-archive models and the selection pipeline of §4.
