@@ -26,7 +26,6 @@ use faultstudy_obs::Metrics;
 use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
 use faultstudy_sim::sched::Interleaver;
 use faultstudy_sim::time::{Clock, Duration, SimTime};
-use faultstudy_sim::trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -65,8 +64,6 @@ pub struct Environment {
     pub entropy: EntropyPool,
     /// Hostname and hardware inventory.
     pub host: HostConfig,
-    /// Trace of environment-level events.
-    pub trace: Trace,
     /// Deterministic metrics sink; disabled unless the builder opted in.
     /// Everything recorded here is measured in simulated time, so an
     /// instrumented run computes exactly what an uninstrumented one does.
@@ -143,12 +140,6 @@ impl Environment {
     /// Returns the number of processes killed.
     pub fn on_generic_recovery(&mut self, app: OwnerId) -> u32 {
         let killed = self.procs.kill_all_of(app);
-        let now = self.now();
-        self.trace.record(
-            now,
-            "env.recovery",
-            format!("generic recovery of {app}: killed {killed} processes"),
-        );
         self.advance(self.recovery_takes);
         killed
     }
@@ -183,7 +174,6 @@ impl Environment {
             self.net.reboot_resources();
             actions += 1;
         }
-        self.trace.record(now, "env.scrub", format!("environment scrub: {actions} actions"));
         actions
     }
 
@@ -360,7 +350,6 @@ impl EnvironmentBuilder {
             net: Network::new(self.net_normal, self.net_slow, self.net_resource_limit),
             entropy: EntropyPool::new(self.entropy_bits, self.entropy_rate, SimTime::ZERO),
             host: HostConfig::new(self.hostname),
-            trace: Trace::default(),
             metrics: if self.metrics { Metrics::enabled() } else { Metrics::disabled() },
             rng,
             interleave_seed,

@@ -159,16 +159,6 @@ impl Channel {
     pub fn resets(&self) -> u64 {
         self.resets
     }
-
-    /// Whether a sticky fault currently wedges the channel.
-    pub fn is_wedged(&self) -> bool {
-        self.wedged.is_some()
-    }
-
-    /// Whether a permanent defect is installed.
-    pub fn has_defect(&self) -> bool {
-        self.defect.is_some()
-    }
 }
 
 #[cfg(test)]

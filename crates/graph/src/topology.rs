@@ -206,19 +206,6 @@ impl ServiceGraph {
         }
         lost
     }
-
-    /// The node at the faulted end of `edge`/`leg` — the endpoint a
-    /// channel-plane recovery microreboots.
-    pub fn endpoint_of(edge: EdgeId, sender_side: bool) -> NodeId {
-        match (edge, sender_side) {
-            // On the reply leg of web→db the sender is the db tier; the
-            // request leg's receiver is also below the edge.
-            (EdgeId::ClientWeb, true) => NodeId::Web,
-            (EdgeId::ClientWeb, false) => NodeId::Web,
-            (EdgeId::WebDb, _) => NodeId::Db,
-            (EdgeId::IdeWeb, _) => NodeId::Web,
-        }
-    }
 }
 
 #[cfg(test)]

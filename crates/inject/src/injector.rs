@@ -71,11 +71,6 @@ impl EnvHook for Injector {
             }
             event.kind.apply(env, self.owner);
             env.metrics.incr("inject.applied", event.kind.name(), 1);
-            env.trace.record(
-                now,
-                "inject",
-                format!("applied {} (scheduled {})", event.kind, event.at),
-            );
             self.cursor += 1;
         }
     }

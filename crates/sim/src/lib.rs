@@ -17,7 +17,6 @@
 //!   schedule and pop, FIFO among same-time events.
 //! - [`sched`] — a cooperative step scheduler with controllable
 //!   interleavings, used to reproduce race-condition faults.
-//! - [`trace`] — bounded in-memory trace ring for debugging experiments.
 //!
 //! # Example
 //!
@@ -37,11 +36,9 @@
 pub mod rng;
 pub mod sched;
 pub mod time;
-pub mod trace;
 pub mod wheel;
 
 pub use rng::{DetRng, SplitMix64, Xoshiro256StarStar};
 pub use sched::{Interleaver, StepOutcome, StepScheduler, Task, TaskId};
 pub use time::{Clock, Duration, SimTime};
-pub use trace::{Trace, TraceEntry};
 pub use wheel::TimingWheel;

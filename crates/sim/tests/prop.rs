@@ -3,7 +3,6 @@
 use faultstudy_sim::rng::{DetRng, SplitMix64, Xoshiro256StarStar};
 use faultstudy_sim::sched::{Interleaver, StepOutcome, StepScheduler, Task};
 use faultstudy_sim::time::{Clock, Duration, SimTime};
-use faultstudy_sim::trace::Trace;
 use faultstudy_sim::wheel::TimingWheel;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -185,24 +184,6 @@ proptest! {
             drained.push((at.as_nanos(), i));
         }
         prop_assert_eq!(drained, expected);
-    }
-
-    /// The trace ring never exceeds its capacity and keeps the newest
-    /// entries.
-    #[test]
-    fn trace_ring_keeps_newest(cap in 1usize..20, n in 0usize..60) {
-        let mut trace = Trace::with_capacity(cap);
-        for i in 0..n {
-            trace.record(SimTime::from_nanos(i as u64), "s", format!("m{i}"));
-        }
-        prop_assert!(trace.len() <= cap);
-        if n > 0 {
-            prop_assert!(trace.contains(&format!("m{}", n - 1)), "newest retained");
-        }
-        if n > cap {
-            prop_assert!(!trace.contains("m0 "), "oldest evicted");
-            prop_assert_eq!(trace.len(), cap);
-        }
     }
 }
 

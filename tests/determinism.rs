@@ -35,6 +35,16 @@ fn populations_funnels_matrices_campaigns_reports_are_seed_pure() {
 }
 
 #[test]
+fn committed_experiments_md_is_the_generators_output() {
+    assert!(
+        experiments_markdown(2000) == include_str!("../EXPERIMENTS.md"),
+        "EXPERIMENTS.md differs from its generator; regenerate it with \
+         `cargo run -p faultstudy-harness --bin faultstudy -- experiments --seed 2000 \
+         > EXPERIMENTS.md`"
+    );
+}
+
+#[test]
 fn every_fault_strategy_pair_is_reproducible() {
     // A sweeping pointwise check across the full corpus for one strategy.
     for fault in full_corpus() {
