@@ -4,6 +4,7 @@ use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::CrashOnly;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// One workload request to an application.
@@ -11,9 +12,9 @@ use std::fmt;
 pub struct Request {
     /// The application-specific command, e.g. `"GET /index.html"` or
     /// `"SELECT COUNT(*) FROM t"`.
-    pub body: String,
+    pub body: Cow<'static, str>,
     /// The requesting client's host name (used by reverse-DNS paths).
-    pub client: String,
+    pub client: Cow<'static, str>,
     /// Whether the one-shot external timing event accompanying this
     /// request fires (a user pressing stop mid-download, an unexplained
     /// transient). The event belongs to the *operating environment's
@@ -24,13 +25,14 @@ pub struct Request {
 }
 
 impl Request {
-    /// A request with the given body from the default client.
-    pub fn new(body: impl Into<String>) -> Request {
-        Request { body: body.into(), client: "client0".to_owned(), timing_event: false }
+    /// A request with the given body from the default client. A literal
+    /// body stays borrowed; only a computed one is owned.
+    pub fn new(body: impl Into<Cow<'static, str>>) -> Request {
+        Request { body: body.into(), client: Cow::Borrowed("client0"), timing_event: false }
     }
 
     /// Sets the client host.
-    pub fn from_client(mut self, client: impl Into<String>) -> Request {
+    pub fn from_client(mut self, client: impl Into<Cow<'static, str>>) -> Request {
         self.client = client.into();
         self
     }
@@ -48,14 +50,15 @@ impl fmt::Display for Request {
     }
 }
 
-/// A successful (or gracefully failed) response.
+/// A successful (or gracefully failed) response. Fixed answers borrow
+/// their text, so answering with a literal allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Response {
     /// The request was served; payload is application-specific.
-    Ok(String),
+    Ok(Cow<'static, str>),
     /// The application detected a problem and reported it without failing
     /// (e.g. an SQL syntax error). Not a fault manifestation.
-    Denied(String),
+    Denied(Cow<'static, str>),
 }
 
 impl Response {
@@ -70,12 +73,12 @@ impl Response {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AppFailure {
     /// The process died (segfault, abort, assertion).
-    Crash(String),
+    Crash(Cow<'static, str>),
     /// The process stopped responding.
-    Hang(String),
+    Hang(Cow<'static, str>),
     /// The operation failed hard with an error the application could not
     /// mask (e.g. every write failing on a full filesystem).
-    ErrorReturn(String),
+    ErrorReturn(Cow<'static, str>),
 }
 
 impl AppFailure {

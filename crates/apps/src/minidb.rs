@@ -19,6 +19,7 @@ use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::{ComponentDesc, CrashOnly, StateKind};
 use faultstudy_sim::time::Duration;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Bytes one row occupies in a table's data file.
@@ -221,7 +222,7 @@ impl MiniDb {
         self.state.enabled_bugs.contains(slug)
     }
 
-    fn ok(&mut self, msg: impl Into<String>) -> Result<Response, AppFailure> {
+    fn ok(&mut self, msg: impl Into<Cow<'static, str>>) -> Result<Response, AppFailure> {
         self.state.executed += 1;
         Ok(Response::Ok(msg.into()))
     }
@@ -249,14 +250,14 @@ impl MiniDb {
                     "definition array overrun before the field-count check".into(),
                 ));
             }
-            return Ok(Response::Denied(format!(
-                "too many columns: {column_count} > {COLUMN_LIMIT}"
-            )));
+            return Ok(Response::Denied(
+                format!("too many columns: {column_count} > {COLUMN_LIMIT}").into(),
+            ));
         }
         let name = name.to_owned();
         let columns: Vec<String> = column_names().map(str::to_owned).collect();
         if self.state.tables.contains_key(&name) {
-            return Ok(Response::Denied(format!("table {name} exists")));
+            return Ok(Response::Denied(format!("table {name} exists").into()));
         }
         if env.fs.write(format!("minidb/{name}.dat"), 0).is_err() {
             return Ok(Response::Denied("cannot create data file".into()));
@@ -274,7 +275,7 @@ impl MiniDb {
         };
         let name = name.trim().trim_start_matches("INTO").trim().to_owned();
         let Some(table) = self.state.tables.get(&name) else {
-            return Ok(Response::Denied(format!("no such table {name}")));
+            return Ok(Response::Denied(format!("no such table {name}").into()));
         };
         let parsed: Option<Vec<i64>> = values
             .trim()
@@ -299,7 +300,7 @@ impl MiniDb {
             Err(FsError::NoSpace { .. }) if self.bug("mysql-edn-04") => {
                 return Err(AppFailure::ErrorReturn("write failed: file system full".into()));
             }
-            Err(e) => return Ok(Response::Denied(format!("insert failed: {e}"))),
+            Err(e) => return Ok(Response::Denied(format!("insert failed: {e}").into())),
         }
         self.state.tables.get_mut(&name).expect("checked above").rows.push(row);
         self.ok("1 row inserted")
@@ -314,13 +315,13 @@ impl MiniDb {
         let tail = tail.trim();
         let (name, where_clause, order_clause) = split_select_tail(tail);
         let Some(table) = self.state.tables.get(&name) else {
-            return Ok(Response::Denied(format!("no such table {name}")));
+            return Ok(Response::Denied(format!("no such table {name}").into()));
         };
 
         let mut rows: Vec<&Vec<i64>> = table.rows.iter().collect();
         if let Some((col, val)) = where_clause {
             let Some(ci) = table.col(&col) else {
-                return Ok(Response::Denied(format!("no such column {col}")));
+                return Ok(Response::Denied(format!("no such column {col}").into()));
             };
             rows.retain(|r| r[ci] == val);
         }
@@ -342,7 +343,7 @@ impl MiniDb {
                 ));
             }
             let Some(ci) = table.col(&order_col) else {
-                return Ok(Response::Denied(format!("no such column {order_col}")));
+                return Ok(Response::Denied(format!("no such column {order_col}").into()));
             };
             rows.sort_by_key(|r| r[ci]);
         }
@@ -362,7 +363,7 @@ impl MiniDb {
         let name = name.trim().to_owned();
         let buggy_index_scan = self.bug("mysql-ei-01");
         let Some(table) = self.state.tables.get_mut(&name) else {
-            return Ok(Response::Denied(format!("no such table {name}")));
+            return Ok(Response::Denied(format!("no such table {name}").into()));
         };
         let (set_part, where_part) = match tail.split_once("WHERE") {
             Some((s, w)) => (s.trim(), Some(w.trim())),
@@ -372,13 +373,13 @@ impl MiniDb {
             return Ok(Response::Denied("syntax error in SET".into()));
         };
         let Some(sci) = table.col(&set_col) else {
-            return Ok(Response::Denied(format!("no such column {set_col}")));
+            return Ok(Response::Denied(format!("no such column {set_col}").into()));
         };
         let filter = match where_part {
             Some(w) => match parse_eq(w) {
                 Some((c, v)) => match table.col(&c) {
                     Some(ci) => Some((ci, v)),
-                    None => return Ok(Response::Denied(format!("no such column {c}"))),
+                    None => return Ok(Response::Denied(format!("no such column {c}").into())),
                 },
                 None => return Ok(Response::Denied("syntax error in WHERE".into())),
             },
@@ -417,7 +418,7 @@ impl MiniDb {
             None => (name_and_where.to_owned(), None),
         };
         let Some(table) = self.state.tables.get_mut(&name) else {
-            return Ok(Response::Denied(format!("no such table {name}")));
+            return Ok(Response::Denied(format!("no such table {name}").into()));
         };
         let before = table.rows.len();
         match filter {
@@ -427,7 +428,7 @@ impl MiniDb {
                     return Ok(Response::Denied("syntax error in WHERE".into()));
                 };
                 let Some(ci) = table.col(&c) else {
-                    return Ok(Response::Denied(format!("no such column {c}")));
+                    return Ok(Response::Denied(format!("no such column {c}").into()));
                 };
                 table.rows.retain(|r| r[ci] != v);
             }
@@ -469,7 +470,7 @@ impl MiniDb {
         }
         match RaceGadget::default().run(env.current_interleaving()) {
             Ok(()) => self.ok(format!("{what} complete")),
-            Err(reason) => Err(AppFailure::Crash(format!("{what}: {reason}"))),
+            Err(reason) => Err(AppFailure::Crash(format!("{what}: {reason}").into())),
         }
     }
 }
@@ -520,7 +521,7 @@ impl Application for MiniDb {
         }
         if let Some(slug) = body.strip_prefix("PROBE ") {
             return if self.bug(slug) {
-                Err(AppFailure::Crash(format!("deterministic defect {slug} triggered")))
+                Err(AppFailure::Crash(format!("deterministic defect {slug} triggered").into()))
             } else {
                 self.ok("probe passed")
             };
@@ -543,7 +544,7 @@ impl Application for MiniDb {
         if let Some(rest) = body.strip_prefix("OPTIMIZE TABLE ") {
             let name = rest.trim();
             if !self.state.tables.contains_key(name) {
-                return Ok(Response::Denied(format!("no such table {name}")));
+                return Ok(Response::Denied(format!("no such table {name}").into()));
             }
             if self.bug("mysql-ei-04") {
                 return Err(AppFailure::Crash(
@@ -555,7 +556,7 @@ impl Application for MiniDb {
         if let Some(rest) = body.strip_prefix("LOCK TABLES ") {
             let name = rest.trim().to_owned();
             if !self.state.tables.contains_key(&name) {
-                return Ok(Response::Denied(format!("no such table {name}")));
+                return Ok(Response::Denied(format!("no such table {name}").into()));
             }
             self.state.locked.insert(name);
             return self.ok("locked");
@@ -577,7 +578,7 @@ impl Application for MiniDb {
             "SHUTDOWN" => self.race("mysql-edt-01", "shutdown", env),
             "ADMIN KILL" => self.race("mysql-edt-02", "admin command", env),
             "PING" => self.ok("pong"),
-            other => Ok(Response::Denied(format!("syntax error near: {other}"))),
+            other => Ok(Response::Denied(format!("syntax error near: {other}").into())),
         }
     }
 
@@ -898,7 +899,7 @@ mod tests {
     }
 
     fn run(db: &mut MiniDb, env: &mut Environment, sql: &str) -> Result<Response, AppFailure> {
-        db.handle(&Request::new(sql), env)
+        db.handle(&Request::new(sql.to_owned()), env)
     }
 
     #[test]

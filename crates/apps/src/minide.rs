@@ -16,6 +16,7 @@ use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::{ComponentDesc, CrashOnly, StateKind};
 use faultstudy_sim::time::Duration;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// The checkpointable state of the desktop.
@@ -67,7 +68,7 @@ impl MiniDe {
         self.state.enabled_bugs.contains(slug)
     }
 
-    fn ok(&mut self, msg: impl Into<String>) -> Result<Response, AppFailure> {
+    fn ok(&mut self, msg: impl Into<Cow<'static, str>>) -> Result<Response, AppFailure> {
         self.state.actions += 1;
         Ok(Response::Ok(msg.into()))
     }
@@ -101,11 +102,14 @@ impl MiniDe {
 
     fn open_display(&mut self, env: &Environment) -> Result<Response, AppFailure> {
         if env.host.hostname() != self.state.boot_hostname && self.bug("gnome-edn-01") {
-            return Err(AppFailure::Crash(format!(
-                "display authority mismatch: session bound to {} but host is {}",
-                self.state.boot_hostname,
-                env.host.hostname()
-            )));
+            return Err(AppFailure::Crash(
+                format!(
+                    "display authority mismatch: session bound to {} but host is {}",
+                    self.state.boot_hostname,
+                    env.host.hostname()
+                )
+                .into(),
+            ));
         }
         self.ok("display opened")
     }
@@ -127,9 +131,9 @@ impl MiniDe {
         match env.fs.stat_checked(path) {
             Ok(_) => self.ok(format!("properties of {path}")),
             Err(FsError::CorruptMetadata(_)) if self.bug("gnome-edn-03") => Err(AppFailure::Crash(
-                format!("properties dialog crashed on illegal owner field of {path}"),
+                format!("properties dialog crashed on illegal owner field of {path}").into(),
             )),
-            Err(e) => Ok(Response::Denied(format!("cannot stat {path}: {e}"))),
+            Err(e) => Ok(Response::Denied(format!("cannot stat {path}: {e}").into())),
         }
     }
 
@@ -144,7 +148,7 @@ impl MiniDe {
         }
         match RaceGadget::default().run(env.current_interleaving()) {
             Ok(()) => self.ok(format!("{what} done")),
-            Err(reason) => Err(AppFailure::Crash(format!("{what}: {reason}"))),
+            Err(reason) => Err(AppFailure::Crash(format!("{what}: {reason}").into())),
         }
     }
 }
@@ -159,10 +163,10 @@ impl Application for MiniDe {
     }
 
     fn handle(&mut self, req: &Request, env: &mut Environment) -> Result<Response, AppFailure> {
-        let body = req.body.as_str();
+        let body = &*req.body;
         if let Some(slug) = body.strip_prefix("PROBE ") {
             return if self.bug(slug) {
-                Err(AppFailure::Crash(format!("deterministic defect {slug} triggered")))
+                Err(AppFailure::Crash(format!("deterministic defect {slug} triggered").into()))
             } else {
                 self.ok("probe passed")
             };
@@ -215,7 +219,7 @@ impl Application for MiniDe {
             }
             "VIEW-AND-EDIT" => self.race("gnome-edt-02", "image view with property edit", env),
             "REMOVE-APPLET" => self.race("gnome-edt-03", "applet removal", env),
-            other => Ok(Response::Denied(format!("no such action: {other}"))),
+            other => Ok(Response::Denied(format!("no such action: {other}").into())),
         }
     }
 

@@ -209,7 +209,7 @@ impl MiniWeb {
 
         self.log_access(env)?;
         self.state.served += 1;
-        Ok(Response::Ok(format!("200 OK {path}")))
+        Ok(Response::Ok(format!("200 OK {path}").into()))
     }
 
     fn resolve(&mut self, host: &str, env: &mut Environment) -> Result<Response, AppFailure> {
@@ -219,13 +219,13 @@ impl MiniWeb {
                     return Err(AppFailure::Hang("request stalled on slow DNS".into()));
                 }
                 self.state.served += 1;
-                Ok(Response::Ok(format!("resolved {host}")))
+                Ok(Response::Ok(format!("resolved {host}").into()))
             }
             Lookup::ServerError if self.bug("apache-edt-01") => {
                 Err(AppFailure::Crash("unchecked DNS error dereferenced".into()))
             }
             Lookup::ServerError | Lookup::NoRecord => {
-                Ok(Response::Denied(format!("cannot resolve {host}")))
+                Ok(Response::Denied(format!("cannot resolve {host}").into()))
             }
         }
     }
@@ -282,7 +282,7 @@ impl MiniWeb {
         }
         let killed = env.procs.kill_all_of(self.owner);
         self.state.leak_units = 0;
-        Ok(Response::Ok(format!("rejuvenated: {killed} children reaped")))
+        Ok(Response::Ok(format!("rejuvenated: {killed} children reaped").into()))
     }
 }
 
@@ -296,10 +296,10 @@ impl Application for MiniWeb {
     }
 
     fn handle(&mut self, req: &Request, env: &mut Environment) -> Result<Response, AppFailure> {
-        let body = req.body.as_str();
+        let body = &*req.body;
         if let Some(slug) = body.strip_prefix("PROBE ") {
             return if self.bug(slug) {
-                Err(AppFailure::Crash(format!("deterministic defect {slug} triggered")))
+                Err(AppFailure::Crash(format!("deterministic defect {slug} triggered").into()))
             } else {
                 self.state.served += 1;
                 Ok(Response::Ok("probe passed".into()))
@@ -323,7 +323,7 @@ impl Application for MiniWeb {
                 return Ok(Response::Denied("realm too long".into()));
             }
             self.state.served += 1;
-            return Ok(Response::Ok(format!("401 realm={realm}")));
+            return Ok(Response::Ok(format!("401 realm={realm}").into()));
         }
         // apache-ei-19: `n` pipelined requests on one keep-alive
         // connection; the buggy per-connection counter is a signed short.
@@ -342,14 +342,14 @@ impl Application for MiniWeb {
                 self.state.keepalive_count = 0;
             }
             self.state.served += 1;
-            return Ok(Response::Ok(format!("served {n} pipelined requests")));
+            return Ok(Response::Ok(format!("served {n} pipelined requests").into()));
         }
         match body {
             "HUP" => self.sighup(env),
             "SPAWN" => self.spawn_child(env),
             "BIND" => self.bind_listener(env),
             "SSL" => self.ssl_handshake(env),
-            _ => Ok(Response::Denied(format!("400 bad request: {body}"))),
+            _ => Ok(Response::Denied(format!("400 bad request: {body}").into())),
         }
     }
 

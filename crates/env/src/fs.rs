@@ -138,31 +138,43 @@ impl VirtualFs {
     /// On error nothing is changed.
     pub fn write(&mut self, path: impl Into<String>, size: u64) -> Result<(), FsError> {
         let path = path.into();
-        if size > self.max_file_size {
-            return Err(FsError::FileTooLarge { would_be: size, max: self.max_file_size });
-        }
         let old = self.files.get(&path).map(|m| m.size).unwrap_or(0);
-        let grow = size.saturating_sub(old);
-        if grow > self.free() {
-            return Err(FsError::NoSpace { requested: grow, free: self.free() });
-        }
-        self.used = self.used - old + size;
+        self.resize(old, size)?;
         let owner = self.files.get(&path).map(|m| m.owner).unwrap_or(0);
         self.files.insert(path, FileMeta { size, owner });
         Ok(())
     }
 
-    /// Appends `bytes` to the file at `path`, creating it if absent.
+    /// Appends `bytes` to the file at `path`, creating it if absent. Only
+    /// creating the file allocates its path; growing one allocates nothing.
     ///
     /// # Errors
     ///
     /// Same conditions as [`VirtualFs::write`], evaluated against the
     /// resulting size.
-    pub fn append(&mut self, path: impl Into<String>, bytes: u64) -> Result<(), FsError> {
-        let path = path.into();
-        let old = self.files.get(&path).map(|m| m.size).unwrap_or(0);
-        let new = old.saturating_add(bytes);
-        self.write(path, new)
+    pub fn append(&mut self, path: impl AsRef<str>, bytes: u64) -> Result<(), FsError> {
+        let path = path.as_ref();
+        let Some(old) = self.files.get(path).map(|m| m.size) else {
+            return self.write(path, bytes);
+        };
+        let size = old.saturating_add(bytes);
+        self.resize(old, size)?;
+        self.files.get_mut(path).expect("the file exists").size = size;
+        Ok(())
+    }
+
+    /// Accounts for a file growing or shrinking from `old` to `size` bytes,
+    /// or changes nothing and says why it may not.
+    fn resize(&mut self, old: u64, size: u64) -> Result<(), FsError> {
+        if size > self.max_file_size {
+            return Err(FsError::FileTooLarge { would_be: size, max: self.max_file_size });
+        }
+        let grow = size.saturating_sub(old);
+        if grow > self.free() {
+            return Err(FsError::NoSpace { requested: grow, free: self.free() });
+        }
+        self.used = self.used - old + size;
+        Ok(())
     }
 
     /// Removes the file at `path`, reclaiming its space.

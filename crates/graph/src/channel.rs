@@ -18,14 +18,16 @@
 
 use crate::fault::{ChannelFaultKind, Leg, Persistence};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One message in flight on a channel.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Message {
     /// Monotone per-channel sequence number, assigned at send.
     pub seq: u64,
-    /// Application payload (a request or reply body).
-    pub body: String,
+    /// Application payload (a request or reply body); borrowed when the
+    /// sender passed a literal, so a fixed message costs no allocation.
+    pub body: Cow<'static, str>,
 }
 
 /// Why a send was refused.
@@ -91,7 +93,7 @@ impl Channel {
     /// # Errors
     ///
     /// [`SendError::Full`] when the bounded queue is at capacity.
-    pub fn send(&mut self, body: impl Into<String>) -> Result<u64, SendError> {
+    pub fn send(&mut self, body: impl Into<Cow<'static, str>>) -> Result<u64, SendError> {
         if self.queue.len() >= self.capacity {
             return Err(SendError::Full);
         }

@@ -40,6 +40,7 @@ use faultstudy_recovery::{
 use faultstudy_sim::time::{Duration, SimTime};
 use faultstudy_traffic::{drive_open_loop, run_open_loop, Answer, TrafficParams, UnitStats};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Service time the web tier charges per request it handles.
 pub const WEB_SERVICE: Duration = Duration::from_micros(300);
@@ -332,7 +333,6 @@ pub fn run_graph(
         recovery_seed,
     );
     let mix = graph_mix();
-    let console = Request::new("PROBE console");
     let base = drive_open_loop(
         env,
         &mix,
@@ -347,7 +347,7 @@ pub fn run_graph(
                     Some(serve_chain(graph, env, &mut tree, plane, retry_budget, req, &mut stats))
                 }
                 None => {
-                    probe(graph, env, &console, &mut stats);
+                    probe(graph, env, &mut stats);
                     None
                 }
             }
@@ -368,18 +368,14 @@ pub fn run_graph(
 /// web tier answers. No fault kind targets this edge; the probe keeps
 /// the console channel live and measures that the graph stays responsive
 /// to operators while the data plane is under fault.
-fn probe(
-    graph: &mut ServiceGraph,
-    env: &mut Environment,
-    console: &Request,
-    stats: &mut GraphUnitStats,
-) {
+fn probe(graph: &mut ServiceGraph, env: &mut Environment, stats: &mut GraphUnitStats) {
     let edge = stats.edges.edge_mut(EdgeId::IdeWeb);
     edge.sends += 1;
     env.advance(TRANSFER);
-    let _ = graph.channel(EdgeId::IdeWeb).send("PROBE console");
+    let console = Request::new("PROBE console");
+    let _ = graph.channel(EdgeId::IdeWeb).send(console.body.clone());
     let _ = graph.channel(EdgeId::IdeWeb).recv();
-    let ok = graph.node(NodeId::Web).handle(console, env).map(|r| r.is_ok()).unwrap_or(false);
+    let ok = graph.node(NodeId::Web).handle(&console, env).map(|r| r.is_ok()).unwrap_or(false);
     env.advance(TRANSFER);
     let edge = stats.edges.edge_mut(EdgeId::IdeWeb);
     edge.sends += 1;
@@ -418,7 +414,7 @@ fn serve_chain(
             env,
             EdgeId::ClientWeb,
             Leg::Request,
-            &req.web.body,
+            req.web.body.clone(),
             plane,
             tree,
             &mut ctx,
@@ -476,7 +472,7 @@ fn serve_chain(
             env,
             EdgeId::ClientWeb,
             Leg::Reply,
-            "reply",
+            Cow::Borrowed("reply"),
             plane,
             tree,
             &mut ctx,
@@ -514,8 +510,8 @@ fn serve_db(
             return Err(ChannelReset { edge: EdgeId::WebDb });
         }
         // Request leg: web → db.
-        if transfer(graph, env, EdgeId::WebDb, Leg::Request, &db_req.body, plane, tree, ctx, stats)
-            .is_err()
+        let body = db_req.body.clone();
+        if transfer(graph, env, EdgeId::WebDb, Leg::Request, body, plane, tree, ctx, stats).is_err()
         {
             if web_retries < retry_budget && !ctx.chain.expired(env.now()) {
                 web_retries += 1;
@@ -626,14 +622,15 @@ fn reply_transfer(
 }
 
 /// Moves one message across `edge` on `leg`, consulting fault state.
-/// Returns the typed reset if the exchange was torn down.
+/// Returns the typed reset if the exchange was torn down. The body is a
+/// request's own `Cow`, so a borrowed one crosses the wire uncopied.
 #[allow(clippy::too_many_arguments)]
 fn transfer(
     graph: &mut ServiceGraph,
     env: &mut Environment,
     edge: EdgeId,
     leg: Leg,
-    body: &str,
+    body: Cow<'static, str>,
     plane: PlaneKind,
     tree: &mut RestartTree,
     ctx: &mut ChainCtx,

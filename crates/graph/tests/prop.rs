@@ -35,9 +35,9 @@ proptest! {
             if op % 3 != 0 {
                 let body = format!("m{i}");
                 if reference.len() >= CHANNEL_CAPACITY {
-                    prop_assert_eq!(ch.send(&body), Err(SendError::Full));
+                    prop_assert_eq!(ch.send(body.clone()), Err(SendError::Full));
                 } else {
-                    let seq = ch.send(&body).expect("reference has room");
+                    let seq = ch.send(body.clone()).expect("reference has room");
                     prop_assert_eq!(seq, next_seq);
                     reference.push_back((next_seq, body));
                     next_seq += 1;

@@ -202,7 +202,7 @@ impl RecoveryStrategy for ProfileHealer {
         _env: &mut Environment,
     ) -> Option<Response> {
         std::mem::take(&mut self.pending_discard)
-            .then(|| Response::Denied(format!("discarded by healer: {}", req.body)))
+            .then(|| Response::Denied(format!("discarded by healer: {}", req.body).into()))
     }
 }
 

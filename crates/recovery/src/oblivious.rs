@@ -113,7 +113,7 @@ impl RecoveryStrategy for Oblivious {
         _env: &mut Environment,
     ) -> Option<Response> {
         std::mem::take(&mut self.pending_discard)
-            .then(|| Response::Denied(format!("discarded after failure: {}", req.body)))
+            .then(|| Response::Denied(format!("discarded after failure: {}", req.body).into()))
     }
 }
 
@@ -197,7 +197,7 @@ impl RecoveryStrategy for ManufacturedValue {
         _env: &mut Environment,
     ) -> Option<Response> {
         std::mem::take(&mut self.pending_default)
-            .then(|| Response::Ok(format!("manufactured default for: {}", req.body)))
+            .then(|| Response::Ok(format!("manufactured default for: {}", req.body).into()))
     }
 }
 

@@ -820,7 +820,7 @@ mod tests {
             _req: &Request,
             _env: &mut Environment,
         ) -> Result<faultstudy_apps::Response, AppFailure> {
-            Err(AppFailure::Hang("wedged tier".to_owned()))
+            Err(AppFailure::Hang("wedged tier".into()))
         }
         fn snapshot(&self) -> faultstudy_apps::AppState {
             faultstudy_apps::AppState::encode(&0u8)

@@ -1,24 +1,41 @@
-//! Pins the heap cost of one sampled-campaign step.
+//! Pins the heap cost of the request path and of one sampled-campaign step.
 //!
-//! The sampled campaign builds a fresh environment, application and
-//! strategy for every `(fault, strategy, seed)` sample, so whatever one
-//! sample allocates is paid again for every sample of a campaign. This
-//! file counts the allocations `run_prepared_experiment` makes and holds
-//! their per-sample mean to a budget.
+//! - The applications' fixed answers and a channel transfer of a borrowed
+//!   body allocate nothing: every operator-console probe and every wire
+//!   message of a service-graph chain takes these paths.
+//! - A healthy service-graph unit holds its per-request mean to a budget;
+//!   what it still allocates is the web tier's formatted payloads
+//!   (`200 OK {path}` and the like).
+//! - The sampled campaign builds a fresh environment, application and
+//!   strategy for every `(fault, strategy, seed)` sample, so whatever one
+//!   sample allocates is paid again for every sample of a campaign.
+//!   `run_prepared_experiment`'s per-sample mean is held to a budget.
 //!
 //! The counting allocator is the whole test binary's `#[global_allocator]`,
 //! so it lives in a file of its own. It counts per thread: libtest's other
 //! threads allocate into their own counters, never into the measured one.
 
+use faultstudy::apps::{spawn_app, Request};
+use faultstudy::core::taxonomy::{AppKind, FaultClass};
 use faultstudy::corpus::full_corpus;
+use faultstudy::env::Environment;
+use faultstudy::graph::{
+    run_graph, Channel, ChannelFaultKind, GraphFaultPlan, PlaneKind, ServiceGraph,
+};
 use faultstudy::harness::experiment::{build_workload, run_prepared_experiment, StrategyKind};
+use faultstudy::sim::rng::split_seed;
+use faultstudy::traffic::{ArrivalKind, TrafficParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 
 /// Mean bytes requested per sample, at most.
 const BYTES_PER_SAMPLE: f64 = 4096.0;
 /// Mean allocation calls per sample, at most.
-const ALLOCS_PER_SAMPLE: f64 = 40.0;
+const ALLOCS_PER_SAMPLE: f64 = 36.0;
+/// Mean allocation calls per offered request of a healthy graph unit, at
+/// most.
+const ALLOCS_PER_GRAPH_REQUEST: f64 = 2.0;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -66,6 +83,98 @@ static COUNTING: Counting = Counting;
 /// This thread's `(allocations, bytes)` so far.
 fn counters() -> (u64, u64) {
     (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// The allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = counters().0;
+    f();
+    counters().0 - before
+}
+
+#[test]
+fn fixed_answers_and_wire_transfers_allocate_nothing() {
+    const CALLS: u64 = 100;
+    let apps: [(&str, AppKind, &[&'static str]); 3] = [
+        ("MiniWeb", AppKind::Apache, &["PROBE console", "SSL", "BIND"]),
+        ("MiniDb", AppKind::Mysql, &["PING", "UNLOCK TABLES", "FLUSH TABLES"]),
+        ("MiniDe", AppKind::Gnome, &["OPEN-DISPLAY", "PLAY-SOUND", "LAUNCH", "FORMULA (1+2)"]),
+    ];
+    let mut counts = Vec::new();
+    for (name, kind, bodies) in apps {
+        let mut env = Environment::builder().seed(7).build();
+        let mut app = spawn_app(kind, &mut env);
+        for &body in bodies {
+            let req = Request::new(body);
+            // The first call pays for whatever is built once per process.
+            black_box(app.handle(&req, &mut env)).expect("a healthy application answers");
+            let n = allocations(|| {
+                for _ in 0..CALLS {
+                    let _ = black_box(app.handle(&req, &mut env));
+                }
+            });
+            counts.push((format!("{name} {body:?}"), n));
+        }
+    }
+
+    let mut channel = Channel::new("wire");
+    let mut transfer = || {
+        black_box(channel.send("GET /index.html")).expect("the channel has room");
+        black_box(channel.recv()).expect("the message is delivered");
+    };
+    transfer();
+    let n = allocations(|| (0..CALLS).for_each(|_| transfer()));
+    counts.push(("Channel::send of a borrowed body, then recv".to_owned(), n));
+
+    let allocating: Vec<String> = counts
+        .iter()
+        .filter(|(_, n)| *n > 0)
+        .map(|(what, n)| format!("{what}: {n} allocations in {CALLS} calls"))
+        .collect();
+    assert!(allocating.is_empty(), "allocation-free paths allocated:\n{}", allocating.join("\n"));
+}
+
+#[test]
+fn a_healthy_graph_unit_stays_within_its_allocation_budget() {
+    // Counts only `run_graph`: building the environment, the graph and
+    // the plan is paid once per unit, not once per request.
+    let unit = |seed: u64, requests: u64| {
+        let mut env = Environment::builder().seed(split_seed(seed, 0)).build();
+        let mut graph = ServiceGraph::new(&mut env);
+        let control = GraphFaultPlan {
+            name: "control".to_owned(),
+            class: FaultClass::EnvDependentTransient,
+            kind: ChannelFaultKind::S1SenderPageFault,
+            events: Vec::new(),
+        };
+        let params = TrafficParams::standard(ArrivalKind::Poisson, requests);
+        let mut offered = 0;
+        let allocs = allocations(|| {
+            let stats = run_graph(
+                &mut env,
+                &mut graph,
+                &control,
+                PlaneKind::Channel,
+                3,
+                &params,
+                split_seed(seed, 1),
+                split_seed(seed, 2),
+                split_seed(seed, 3),
+            );
+            assert_eq!(stats.base.dropped, 0, "a healthy graph answers every request");
+            offered = stats.base.offered;
+        });
+        allocs as f64 / offered as f64
+    };
+    // The first unit pays for whatever is built once per process.
+    unit(1, 4_000);
+
+    let allocs = unit(7, 4_000);
+    assert!(
+        allocs <= ALLOCS_PER_GRAPH_REQUEST,
+        "a healthy graph unit makes {allocs:.2} allocations per offered request; \
+         the budget is {ALLOCS_PER_GRAPH_REQUEST}"
+    );
 }
 
 #[test]
