@@ -1,5 +1,8 @@
 //! The application abstraction shared by the three simulated programs.
 
+use crate::minidb::DbState;
+use crate::minide::DeState;
+use crate::miniweb::WebState;
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::CrashOnly;
@@ -102,42 +105,34 @@ impl fmt::Display for AppFailure {
 
 impl std::error::Error for AppFailure {}
 
-/// An opaque, serialized application checkpoint.
+/// An opaque application checkpoint.
 ///
 /// A *truly generic* recovery system "must preserve all application state
 /// (e.g. by checkpointing or logging), because there is no application-
-/// specific code to reconstruct missing state" (§2) — so the checkpoint is
-/// a serialized value tree the recovery layer cannot interpret, only
-/// restore. The tree is held in serialization form (`serde::Content`)
-/// rather than rendered text: checkpoint strategies snapshot after *every*
-/// served request, so the encode/decode pair is the hottest allocation
-/// site in a campaign, and rendering JSON just to re-parse it on restore
-/// would double the cost for nothing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AppState(serde::Content);
+/// specific code to reconstruct missing state" (§2). The checkpoint is a
+/// typed copy of the application's own state, and its one field is private
+/// to this crate: the recovery layer can store a checkpoint and hand it back
+/// to [`Application::restore`], but cannot interpret it.
+///
+/// It is not a serialization tree. Nothing but the application that took a
+/// checkpoint ever reads it, and checkpoint strategies snapshot after
+/// *every* served request, so building a value tree on each snapshot and
+/// looking every field up by name on each restore made the pair the largest
+/// allocation site on the request path. The parts that stay fixed for a
+/// whole unit (the armed defects, the desktop's boot hostname) sit behind
+/// shared handles, so a snapshot copies only what requests change.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AppState(pub(crate) Checkpoint);
 
-impl AppState {
-    /// Serializes a state value.
-    pub fn encode<T: Serialize>(state: &T) -> AppState {
-        AppState(state.to_content())
-    }
-
-    /// Deserializes back into a concrete state type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot does not decode as `T` — restoring a
-    /// checkpoint into the wrong application is a harness bug, not a
-    /// recoverable condition.
-    pub fn decode<T: for<'de> Deserialize<'de>>(&self) -> T {
-        T::from_content(&self.0).expect("checkpoint decodes into its own state type")
-    }
-
-    /// Size of the serialized checkpoint in bytes (used by the recovery
-    /// overhead benchmarks). Rendered on demand; campaigns never call this.
-    pub fn size_bytes(&self) -> usize {
-        serde_json::to_string(&self.0).expect("checkpoint renders").len()
-    }
+/// The state a checkpoint holds: one variant per application.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) enum Checkpoint {
+    /// An application that keeps no state, such as a test double.
+    #[default]
+    Stateless,
+    Web(WebState),
+    Db(DbState),
+    De(DeState),
 }
 
 /// Error injecting a fault the application does not know.
@@ -282,20 +277,6 @@ mod tests {
         assert_eq!(f.to_string(), "crash: segfault");
         assert_eq!(AppFailure::Hang("stuck".into()).to_string(), "hang: stuck");
         assert_eq!(AppFailure::ErrorReturn("enospc".into()).to_string(), "error: enospc");
-    }
-
-    #[test]
-    fn app_state_round_trips() {
-        #[derive(Debug, PartialEq, Serialize, Deserialize)]
-        struct S {
-            a: u32,
-            b: Vec<String>,
-        }
-        let s = S { a: 7, b: vec!["x".into()] };
-        let snap = AppState::encode(&s);
-        assert!(snap.size_bytes() > 0);
-        let back: S = snap.decode();
-        assert_eq!(back, s);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! the two race faults run the use-after-free gadget under the
 //! environment's thread interleaving.
 
-use crate::app::{AppFailure, AppState, Application, InjectError, Request, Response};
+use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
 use crate::race::RaceGadget;
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::dns::Lookup;
@@ -18,9 +18,9 @@ use faultstudy_env::fs::FsError;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::{ComponentDesc, CrashOnly, StateKind};
 use faultstudy_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Bytes one row occupies in a table's data file.
 const ROW_BYTES: u64 = 32;
@@ -162,7 +162,7 @@ fn exceeds_paren_depth(sql: &str, limit: u32) -> bool {
 }
 
 /// One table: named integer columns, rows, and at most one indexed column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Table {
     columns: Vec<String>,
     rows: Vec<Vec<i64>>,
@@ -177,9 +177,11 @@ impl Table {
 }
 
 /// The checkpointable state of the server.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct DbState {
-    enabled_bugs: BTreeSet<String>,
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct DbState {
+    /// Shared with every checkpoint taken since the last defect was armed.
+    enabled_bugs: Arc<BTreeSet<String>>,
+    /// Copied by every checkpoint: the data a checkpoint exists to keep.
     tables: BTreeMap<String, Table>,
     locked: BTreeSet<String>,
     executed: u64,
@@ -583,11 +585,14 @@ impl Application for MiniDb {
     }
 
     fn snapshot(&self) -> AppState {
-        AppState::encode(&self.state)
+        AppState(Checkpoint::Db(self.state.clone()))
     }
 
     fn restore(&mut self, state: &AppState) {
-        self.state = state.decode();
+        let Checkpoint::Db(saved) = &state.0 else {
+            panic!("MiniDb restored another application's checkpoint");
+        };
+        self.state.clone_from(saved);
     }
 
     fn inject(&mut self, slug: &str, env: &mut Environment) -> Result<(), InjectError> {
@@ -631,7 +636,7 @@ impl Application for MiniDb {
             }
             _ => return Err(InjectError { slug: slug.to_owned() }),
         }
-        self.state.enabled_bugs.insert(slug.to_owned());
+        Arc::make_mut(&mut self.state.enabled_bugs).insert(slug.to_owned());
         Ok(())
     }
 

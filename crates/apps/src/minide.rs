@@ -8,24 +8,26 @@
 //! ones (an unknown failure that works on retry, and two races run on the
 //! environment's thread interleaving).
 
-use crate::app::{AppFailure, AppState, Application, InjectError, Request, Response};
+use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
 use crate::race::RaceGadget;
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::fs::FsError;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::{ComponentDesc, CrashOnly, StateKind};
 use faultstudy_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The checkpointable state of the desktop.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct DeState {
-    enabled_bugs: BTreeSet<String>,
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct DeState {
+    /// Shared with every checkpoint taken since the last defect was armed.
+    enabled_bugs: Arc<BTreeSet<String>>,
     /// The hostname the session started under; X authority and session
-    /// files embed it, which is what makes a rename fatal.
-    boot_hostname: String,
+    /// files embed it, which is what makes a rename fatal. Shared with
+    /// every checkpoint taken since the last cold start.
+    boot_hostname: Arc<str>,
     actions: u64,
 }
 
@@ -55,7 +57,7 @@ impl MiniDe {
         let owner = env.register_owner("minide");
         MiniDe {
             owner,
-            state: DeState { boot_hostname: env.host.hostname().to_owned(), ..DeState::default() },
+            state: DeState { boot_hostname: env.host.hostname().into(), ..DeState::default() },
         }
     }
 
@@ -101,7 +103,7 @@ impl MiniDe {
     }
 
     fn open_display(&mut self, env: &Environment) -> Result<Response, AppFailure> {
-        if env.host.hostname() != self.state.boot_hostname && self.bug("gnome-edn-01") {
+        if env.host.hostname() != &*self.state.boot_hostname && self.bug("gnome-edn-01") {
             return Err(AppFailure::Crash(
                 format!(
                     "display authority mismatch: session bound to {} but host is {}",
@@ -224,11 +226,14 @@ impl Application for MiniDe {
     }
 
     fn snapshot(&self) -> AppState {
-        AppState::encode(&self.state)
+        AppState(Checkpoint::De(self.state.clone()))
     }
 
     fn restore(&mut self, state: &AppState) {
-        self.state = state.decode();
+        let Checkpoint::De(saved) = &state.0 else {
+            panic!("MiniDe restored another application's checkpoint");
+        };
+        self.state.clone_from(saved);
     }
 
     fn inject(&mut self, slug: &str, env: &mut Environment) -> Result<(), InjectError> {
@@ -255,7 +260,7 @@ impl Application for MiniDe {
             }
             _ => return Err(InjectError { slug: slug.to_owned() }),
         }
-        self.state.enabled_bugs.insert(slug.to_owned());
+        Arc::make_mut(&mut self.state.enabled_bugs).insert(slug.to_owned());
         Ok(())
     }
 
@@ -289,7 +294,7 @@ impl Application for MiniDe {
         env.fds.close_all_of(self.owner);
         env.procs.kill_all_of(self.owner);
         // A restarted session re-reads the (possibly renamed) hostname.
-        self.state.boot_hostname = env.host.hostname().to_owned();
+        self.state.boot_hostname = env.host.hostname().into();
     }
 
     fn as_crash_only(&mut self) -> Option<&mut dyn CrashOnly> {
@@ -304,7 +309,7 @@ impl Application for MiniDe {
         // never regenerate.
         if self.state.boot_hostname.is_empty() {
             violations.push("editor buffer lost its session identity (empty boot hostname)".into());
-        } else if env.host.hostname() != self.state.boot_hostname && !self.bug("gnome-edn-01") {
+        } else if env.host.hostname() != &*self.state.boot_hostname && !self.bug("gnome-edn-01") {
             // A divergence between the buffer's identity and the host index
             // is only explainable by the known rename defect; without it
             // armed, the session silently drifted from its environment.

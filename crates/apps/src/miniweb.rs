@@ -9,7 +9,7 @@
 //! transient environment-dependent faults each manipulate the simulated
 //! operating environment exactly as their bug reports describe.
 
-use crate::app::{AppFailure, AppState, Application, InjectError, Request, Response};
+use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::dns::Lookup;
 use faultstudy_env::fs::FsError;
@@ -18,8 +18,8 @@ use faultstudy_env::network::NetError;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::{ComponentDesc, CrashOnly, StateKind};
 use faultstudy_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Leak units accumulated before the address space is exhausted.
 const LEAK_CRASH_UNITS: u32 = 3;
@@ -36,9 +36,10 @@ const REALM_BUFFER: usize = 256;
 const KEEPALIVE_WRAP: u64 = 32768;
 
 /// The checkpointable state of the server.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct WebState {
-    enabled_bugs: BTreeSet<String>,
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct WebState {
+    /// Shared with every checkpoint taken since the last defect was armed.
+    enabled_bugs: Arc<BTreeSet<String>>,
     served: u64,
     leak_units: u32,
     cache_seq: u64,
@@ -354,11 +355,14 @@ impl Application for MiniWeb {
     }
 
     fn snapshot(&self) -> AppState {
-        AppState::encode(&self.state)
+        AppState(Checkpoint::Web(self.state.clone()))
     }
 
     fn restore(&mut self, state: &AppState) {
-        self.state = state.decode();
+        let Checkpoint::Web(saved) = &state.0 else {
+            panic!("MiniWeb restored another application's checkpoint");
+        };
+        self.state.clone_from(saved);
     }
 
     fn inject(&mut self, slug: &str, env: &mut Environment) -> Result<(), InjectError> {
@@ -422,7 +426,7 @@ impl Application for MiniWeb {
             }
             _ => return Err(InjectError { slug: slug.to_owned() }),
         }
-        self.state.enabled_bugs.insert(slug.to_owned());
+        Arc::make_mut(&mut self.state.enabled_bugs).insert(slug.to_owned());
         Ok(())
     }
 
@@ -433,7 +437,7 @@ impl Application for MiniWeb {
         if self.trigger_request(slug).is_none() {
             return Err(InjectError { slug: slug.to_owned() });
         }
-        self.state.enabled_bugs.insert(slug.to_owned());
+        Arc::make_mut(&mut self.state.enabled_bugs).insert(slug.to_owned());
         Ok(())
     }
 

@@ -150,8 +150,8 @@ proptest! {
     }
 }
 
-/// Pulls the serialized "tables" portion out of a debug-printed AppState;
-/// crude but sufficient to compare data while ignoring counters.
+/// Pulls the "tables" portion out of a debug-printed AppState; crude but
+/// sufficient to compare data while ignoring counters.
 fn extract_tables_field(s: &str) -> String {
     let start = s.find("tables").unwrap_or(0);
     let end = s.find("locked").unwrap_or(s.len());

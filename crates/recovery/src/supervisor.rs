@@ -823,7 +823,7 @@ mod tests {
             Err(AppFailure::Hang("wedged tier".into()))
         }
         fn snapshot(&self) -> faultstudy_apps::AppState {
-            faultstudy_apps::AppState::encode(&0u8)
+            faultstudy_apps::AppState::default()
         }
         fn restore(&mut self, _state: &faultstudy_apps::AppState) {}
         fn inject(

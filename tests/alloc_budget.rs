@@ -3,6 +3,10 @@
 //! - The applications' fixed answers and a channel transfer of a borrowed
 //!   body allocate nothing: every operator-console probe and every wire
 //!   message of a service-graph chain takes these paths.
+//! - A checkpoint's snapshot and restore allocate nothing while the
+//!   application holds no table data. Checkpoint strategies snapshot after
+//!   every served request, so a healthy open-loop unit of fixed answers
+//!   allocates only its own setup.
 //! - A healthy service-graph unit holds its per-request mean to a budget;
 //!   what it still allocates is the web tier's formatted payloads
 //!   (`200 OK {path}` and the like).
@@ -23,19 +27,31 @@ use faultstudy::graph::{
     run_graph, Channel, ChannelFaultKind, GraphFaultPlan, PlaneKind, ServiceGraph,
 };
 use faultstudy::harness::experiment::{build_workload, run_prepared_experiment, StrategyKind};
+use faultstudy::recovery::{RestartRetry, SupervisorConfig};
 use faultstudy::sim::rng::split_seed;
-use faultstudy::traffic::{ArrivalKind, TrafficParams};
+use faultstudy::traffic::{run_open_loop, ArrivalKind, TrafficParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
 /// Mean bytes requested per sample, at most.
-const BYTES_PER_SAMPLE: f64 = 4096.0;
+const BYTES_PER_SAMPLE: f64 = 2048.0;
 /// Mean allocation calls per sample, at most.
-const ALLOCS_PER_SAMPLE: f64 = 36.0;
+const ALLOCS_PER_SAMPLE: f64 = 24.0;
 /// Mean allocation calls per offered request of a healthy graph unit, at
 /// most.
 const ALLOCS_PER_GRAPH_REQUEST: f64 = 2.0;
+/// Mean allocation calls per offered request of a healthy unit of fixed
+/// answers, at most: the unit's setup spread over its requests.
+const ALLOCS_PER_FIXED_ANSWER: f64 = 0.01;
+
+/// Each application's fixed answers: request bodies it answers with
+/// literal text.
+const FIXED_ANSWERS: [(&str, AppKind, &[&str]); 3] = [
+    ("MiniWeb", AppKind::Apache, &["PROBE console", "SSL", "BIND"]),
+    ("MiniDb", AppKind::Mysql, &["PING", "UNLOCK TABLES", "FLUSH TABLES"]),
+    ("MiniDe", AppKind::Gnome, &["OPEN-DISPLAY", "PLAY-SOUND", "LAUNCH", "FORMULA (1+2)"]),
+];
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -95,13 +111,8 @@ fn allocations(f: impl FnOnce()) -> u64 {
 #[test]
 fn fixed_answers_and_wire_transfers_allocate_nothing() {
     const CALLS: u64 = 100;
-    let apps: [(&str, AppKind, &[&'static str]); 3] = [
-        ("MiniWeb", AppKind::Apache, &["PROBE console", "SSL", "BIND"]),
-        ("MiniDb", AppKind::Mysql, &["PING", "UNLOCK TABLES", "FLUSH TABLES"]),
-        ("MiniDe", AppKind::Gnome, &["OPEN-DISPLAY", "PLAY-SOUND", "LAUNCH", "FORMULA (1+2)"]),
-    ];
     let mut counts = Vec::new();
-    for (name, kind, bodies) in apps {
+    for (name, kind, bodies) in FIXED_ANSWERS {
         let mut env = Environment::builder().seed(7).build();
         let mut app = spawn_app(kind, &mut env);
         for &body in bodies {
@@ -132,6 +143,75 @@ fn fixed_answers_and_wire_transfers_allocate_nothing() {
         .map(|(what, n)| format!("{what}: {n} allocations in {CALLS} calls"))
         .collect();
     assert!(allocating.is_empty(), "allocation-free paths allocated:\n{}", allocating.join("\n"));
+}
+
+#[test]
+fn snapshot_and_restore_allocate_nothing() {
+    const PAIRS: u64 = 100;
+    let mut allocating = Vec::new();
+    for (name, kind, _) in FIXED_ANSWERS {
+        let mut env = Environment::builder().seed(7).build();
+        let mut app = spawn_app(kind, &mut env);
+        if kind == AppKind::Apache {
+            app.arm_defect("apache-edn-02").expect("MiniWeb knows its own defect");
+        }
+        let mut pair = || {
+            let checkpoint = black_box(app.snapshot());
+            app.restore(&checkpoint);
+        };
+        // The first pair pays for whatever is built once per process.
+        pair();
+        let n = allocations(|| (0..PAIRS).for_each(|_| pair()));
+        if n > 0 {
+            allocating.push(format!("{name}: {n} allocations in {PAIRS} snapshot + restore pairs"));
+        }
+    }
+    assert!(allocating.is_empty(), "checkpoints allocated:\n{}", allocating.join("\n"));
+}
+
+#[test]
+fn a_healthy_unit_of_fixed_answers_allocates_only_its_setup() {
+    let mut over = Vec::new();
+    for (name, kind, bodies) in FIXED_ANSWERS {
+        let mix: Vec<Request> = bodies.iter().map(|&body| Request::new(body)).collect();
+        // Counts only `run_open_loop`: building the environment and the
+        // application is paid once per unit, not once per request.
+        let unit = |seed: u64| {
+            let mut env = Environment::builder().seed(split_seed(seed, 0)).build();
+            let mut app = spawn_app(kind, &mut env);
+            let mut strategy = RestartRetry::new(3);
+            let config = SupervisorConfig::permissive();
+            let params = TrafficParams::standard(ArrivalKind::Poisson, 4_000);
+            let mut offered = 0;
+            let allocs = allocations(|| {
+                let stats = run_open_loop(
+                    app.as_mut(),
+                    &mut env,
+                    &mut strategy,
+                    &config,
+                    None,
+                    &mix,
+                    &params,
+                    split_seed(seed, 1),
+                    split_seed(seed, 2),
+                );
+                assert_eq!((stats.dropped, stats.failures), (0, 0), "{name} is healthy");
+                offered = stats.offered;
+            });
+            allocs as f64 / offered as f64
+        };
+        // The first unit pays for whatever is built once per process.
+        unit(1);
+        let allocs = unit(7);
+        if allocs > ALLOCS_PER_FIXED_ANSWER {
+            over.push(format!("{name}: {allocs:.3} allocations per offered request"));
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "healthy units of fixed answers exceed the budget of {ALLOCS_PER_FIXED_ANSWER}:\n{}",
+        over.join("\n")
+    );
 }
 
 #[test]
