@@ -20,4 +20,4 @@ fmt:
 	cargo fmt --all -- --check
 
 lint:
-	cargo clippy --workspace --all-targets -- -D warnings
+	cargo clippy --workspace --all-targets --locked -- -D warnings

@@ -3,7 +3,12 @@
 //! order, so same-instant events pop FIFO and a simulation stays a pure
 //! function of its inputs. Schedule and pop are O(log n) sift steps over
 //! one array, with no horizon; the engines hold at most about a thousand
-//! events. The property tests pin every pop, `len` and `now` against a
+//! events. Beside the heap sits one timer slot: [`TimingWheel::set_timer`]
+//! keys an event exactly as [`TimingWheel::schedule`] would but keeps it
+//! out of the heap, and `pop` takes whichever of the slot and the heap's
+//! top has the smaller key, so a periodic event that re-arms itself from
+//! each pop costs one compare instead of two sift passes. The property
+//! tests pin every pop, `len` and `now`, timers included, against a
 //! `BTreeMap<(time, seq), _>` reference.
 
 use crate::time::SimTime;
@@ -40,7 +45,8 @@ impl<T> Ord for Pending<T> {
 }
 
 /// A binary-heap future-event list over simulated nanoseconds (the name
-/// is historical). Events pop in time order, ties in scheduling order.
+/// is historical), plus one timer slot. Events pop in time order, ties in
+/// scheduling order, whether they were scheduled or set as the timer.
 ///
 /// # Example
 ///
@@ -61,6 +67,8 @@ impl<T> Ord for Pending<T> {
 pub struct TimingWheel<T> {
     /// Pending events, earliest `(at, seq)` on top.
     heap: BinaryHeap<Pending<T>>,
+    /// The pending timer, keyed like a heap event but kept out of the heap.
+    timer: Option<Pending<T>>,
     /// Next scheduling sequence number; breaks same-instant ties FIFO.
     seq: u64,
     /// The queue's current time: the timestamp of the last popped event.
@@ -76,17 +84,17 @@ impl<T> Default for TimingWheel<T> {
 impl<T> TimingWheel<T> {
     /// An empty queue at time zero.
     pub fn new() -> TimingWheel<T> {
-        TimingWheel { heap: BinaryHeap::new(), seq: 0, now: 0 }
+        TimingWheel { heap: BinaryHeap::new(), timer: None, seq: 0, now: 0 }
     }
 
-    /// Events currently scheduled.
+    /// Events currently scheduled, a pending timer included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + usize::from(self.timer.is_some())
     }
 
-    /// Whether no events are scheduled.
+    /// Whether no events are scheduled and no timer is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.timer.is_none()
     }
 
     /// The timestamp of the last popped event (zero before the first pop).
@@ -101,16 +109,43 @@ impl<T> TimingWheel<T> {
     /// Panics if `at` is earlier than [`TimingWheel::now`] — a
     /// simulation never schedules into its own past.
     pub fn schedule(&mut self, at: SimTime, item: T) {
+        let key = self.next_key(at);
+        self.heap.push(Pending { key, item });
+    }
+
+    /// Sets the timer: `item` pops at time `at` exactly as if it had been
+    /// [scheduled](TimingWheel::schedule) then, taking the next sequence
+    /// number, but it waits in the queue's one timer slot instead of the
+    /// heap. The slot frees when the timer pops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a timer is already pending, or if `at` is earlier than
+    /// [`TimingWheel::now`].
+    pub fn set_timer(&mut self, at: SimTime, item: T) {
+        assert!(self.timer.is_none(), "a timer is already pending");
+        let key = self.next_key(at);
+        self.timer = Some(Pending { key, item });
+    }
+
+    /// Packs `at` and the next sequence number into an event key, using
+    /// the number up.
+    fn next_key(&mut self, at: SimTime) -> u128 {
         let at = at.as_nanos();
         assert!(at >= self.now, "event at {at} scheduled before wheel time {}", self.now);
-        self.heap.push(Pending { key: u128::from(at) << 64 | u128::from(self.seq), item });
+        let key = u128::from(at) << 64 | u128::from(self.seq);
         self.seq += 1;
+        key
     }
 
     /// Removes and returns the earliest event (the first scheduled among
     /// equal times), advancing [`TimingWheel::now`] to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let Pending { key, item } = self.heap.pop()?;
+        let timer_first = self
+            .timer
+            .as_ref()
+            .is_some_and(|timer| self.heap.peek().is_none_or(|top| timer.key < top.key));
+        let Pending { key, item } = if timer_first { self.timer.take() } else { self.heap.pop() }?;
         let at = (key >> 64) as u64;
         self.now = at;
         Some((SimTime::from_nanos(at), item))
@@ -170,6 +205,31 @@ mod tests {
         wheel.schedule(SimTime::from_nanos(11), "c");
         assert_eq!(wheel.pop(), Some((SimTime::from_nanos(10), "b")));
         assert_eq!(wheel.pop(), Some((SimTime::from_nanos(11), "c")));
+    }
+
+    #[test]
+    fn a_timer_ties_with_heap_events_in_scheduling_order() {
+        let at = SimTime::from_nanos(50);
+        let mut wheel = TimingWheel::new();
+        wheel.set_timer(at, "timer");
+        wheel.schedule(at, "event");
+        assert_eq!(wheel.len(), 2);
+        assert_eq!(drain(&mut wheel), vec![(50, "timer"), (50, "event")]);
+
+        let mut wheel = TimingWheel::new();
+        wheel.schedule(at, "event");
+        wheel.set_timer(at, "timer");
+        assert_eq!(wheel.len(), 2);
+        assert_eq!(drain(&mut wheel), vec![(50, "event"), (50, "timer")]);
+        assert!(wheel.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a timer is already pending")]
+    fn setting_a_second_timer_panics() {
+        let mut wheel = TimingWheel::new();
+        wheel.set_timer(SimTime::from_nanos(10), ());
+        wheel.set_timer(SimTime::from_nanos(20), ());
     }
 
     #[test]

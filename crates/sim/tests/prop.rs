@@ -112,22 +112,38 @@ proptest! {
     }
 
     /// Differential check: for arbitrary schedules — same-instant ties,
-    /// near and far offsets, pops interleaved with schedules — the queue
+    /// near and far offsets, pops interleaved with schedules, and the
+    /// timer set in place of a schedule whenever it is free — the queue
     /// pops exactly what a `BTreeMap<(time, seq), _>` reference pops, in
     /// the same order, and agrees with it on `len()` and `now()` after
-    /// every operation.
+    /// every operation. A quarter of the operations land on the instant
+    /// of the one before (or on the queue's time, once that has passed
+    /// it), so the timer often ties with heap events.
     #[test]
     fn wheel_matches_btreemap_reference(
-        ops in prop::collection::vec((any::<u8>(), any::<u64>(), 0u8..4), 1..120),
+        ops in prop::collection::vec((any::<u8>(), any::<u64>(), 0u8..4, 0u8..4), 1..120),
     ) {
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
         let mut reference: BTreeMap<(u64, u64), u32> = BTreeMap::new();
         let mut last_popped = 0u64;
-        // The schedule index doubles as the tie-break sequence number.
-        for (id, (selector, raw, pops)) in ops.into_iter().enumerate() {
-            let at = wheel.now().saturating_add(Duration::from_nanos(wheel_offset(selector, raw)));
-            wheel.schedule(at, id as u32);
-            reference.insert((at.as_nanos(), id as u64), id as u32);
+        let mut last_at = 0u64;
+        let mut timer: Option<u32> = None;
+        // The operation index doubles as the tie-break sequence number: a
+        // timer takes the next one, as a schedule does.
+        for (id, (selector, raw, pops, kind)) in ops.into_iter().enumerate() {
+            let at = if selector >= 192 {
+                last_at.max(last_popped)
+            } else {
+                last_popped + wheel_offset(selector, raw)
+            };
+            if kind == 0 && timer.is_none() {
+                wheel.set_timer(SimTime::from_nanos(at), id as u32);
+                timer = Some(id as u32);
+            } else {
+                wheel.schedule(SimTime::from_nanos(at), id as u32);
+            }
+            reference.insert((at, id as u64), id as u32);
+            last_at = at;
             prop_assert_eq!(wheel.len(), reference.len(), "len diverged after a schedule");
             prop_assert_eq!(wheel.now().as_nanos(), last_popped, "now moved on a schedule");
             for _ in 0..pops {
@@ -136,6 +152,9 @@ proptest! {
                         prop_assert_eq!(t.as_nanos(), rt, "pop time diverged");
                         prop_assert_eq!(v, rv, "pop order diverged");
                         last_popped = rt;
+                        if timer == Some(v) {
+                            timer = None;
+                        }
                     }
                     (None, None) => break,
                     (w, r) => prop_assert!(false, "wheel {w:?} vs reference {r:?}"),

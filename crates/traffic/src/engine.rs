@@ -152,11 +152,19 @@ enum Event {
 /// and returns its answer. With `tick` set to `Some(every)`,
 /// `serve(env, None)` also runs every `every` of simulated time from the
 /// start, for background work outside the offered load, and returns
-/// `None`; ticks stop once every request has been offered.
+/// `None`; ticks stop once every request has been offered. The pending
+/// tick waits in the queue's timer slot ([`TimingWheel::set_timer`]), not
+/// its heap, and pops where a scheduled tick would have.
 ///
 /// The returned ledger leaves `failures`, `recoveries` and
 /// `watchdog_fires` zero: the server counts those, and its caller fills
 /// them in.
+///
+/// # Panics
+///
+/// Panics if `mix` is empty, or if `tick` is `Some(Duration::ZERO)`: a
+/// zero-period tick would re-arm at its own instant forever, ahead of the
+/// first session start.
 pub fn drive_open_loop<M>(
     env: &mut Environment,
     mix: &[M],
@@ -167,6 +175,9 @@ pub fn drive_open_loop<M>(
     mut serve: impl FnMut(&mut Environment, Option<&M>) -> Option<Answer>,
 ) -> UnitStats {
     assert!(!mix.is_empty(), "traffic needs a request mix");
+    if let Some(every) = tick {
+        assert!(every > Duration::ZERO, "a periodic tick needs a nonzero period");
+    }
     let mut stats = UnitStats::new();
     if params.requests == 0 {
         stats.sim_nanos = env.now().as_nanos();
@@ -190,7 +201,7 @@ pub fn drive_open_loop<M>(
     let gap = arrivals.next_gap(start);
     wheel.schedule(start.saturating_add(gap), Event::SessionStart);
     if let Some(every) = tick {
-        wheel.schedule(start.saturating_add(every), Event::Tick);
+        wheel.set_timer(start.saturating_add(every), Event::Tick);
     }
     while let Some((at, event)) = wheel.pop() {
         // The event is due at `at`; if the serving clock is behind, the
@@ -224,7 +235,7 @@ pub fn drive_open_loop<M>(
                 serve(env, None);
                 if let Some(every) = tick {
                     if stats.offered < params.requests {
-                        wheel.schedule(at.saturating_add(every), Event::Tick);
+                        wheel.set_timer(at.saturating_add(every), Event::Tick);
                     }
                 }
                 continue;
@@ -341,5 +352,15 @@ mod tests {
         let (stats, _) = run(0, 3);
         assert_eq!(stats.offered, 0);
         assert_eq!(stats.answered(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a periodic tick needs a nonzero period")]
+    fn a_zero_period_tick_panics() {
+        let mut env = Environment::builder().seed(5).build();
+        let params = TrafficParams::standard(ArrivalKind::Poisson, 10);
+        drive_open_loop(&mut env, &["PING"], &params, 1, 2, Some(Duration::ZERO), |_, _| {
+            Some(Answer::Served { denied: false })
+        });
     }
 }
