@@ -70,6 +70,9 @@ pub struct Environment {
     pub metrics: Metrics,
     rng: Xoshiro256StarStar,
     interleave_seed: u64,
+    /// Set by the first [`Environment::current_interleaving`]; see
+    /// [`Environment::seed_observed`].
+    seed_observed: bool,
     recovery_takes: Duration,
 }
 
@@ -103,19 +106,41 @@ impl Environment {
     /// concurrent tasks. Distinct calls between [`Environment::advance`]s
     /// see the same seed — a fixed environment is deterministic; the seed
     /// only drifts when time passes (§3's clock-interrupt timing).
-    pub fn current_interleaving(&self) -> Interleaver {
+    ///
+    /// This is the only read of anything derived from the builder's seed,
+    /// so it sets the witness [`Environment::seed_observed`] reports.
+    pub fn current_interleaving(&mut self) -> Interleaver {
+        self.seed_observed = true;
         Interleaver::Seeded(self.interleave_seed)
     }
 
-    /// Overrides the interleave seed; used by tests and by the progressive
-    /// retry strategy's message-reordering perturbation \[Wang93\].
+    /// Overrides the interleave seed; used by fault injection to arm a
+    /// race's crashing interleaving, and by tests.
     pub fn force_interleave_seed(&mut self, seed: u64) {
         self.interleave_seed = seed;
     }
 
-    /// Draws from the environment's deterministic randomness stream.
-    pub fn rng(&mut self) -> &mut Xoshiro256StarStar {
-        &mut self.rng
+    /// Draws a fresh interleave seed from the environment's randomness
+    /// stream — the draw [`Environment::advance`] makes when time passes —
+    /// without moving the clock: the progressive retry strategy's
+    /// message-reordering perturbation \[Wang93\].
+    pub fn reshuffle_interleaving(&mut self) {
+        self.interleave_seed = self.rng.next_u64();
+    }
+
+    /// Whether [`Environment::current_interleaving`] has been called. The
+    /// builder's seed reaches nothing but the randomness stream and the
+    /// interleave seed, and only that method reads either, so a run that
+    /// ends with this `false` would have executed identically under every
+    /// seed. The sampled campaign reuses such a run's outcome for every
+    /// later sample of its `(fault, strategy)` pair.
+    ///
+    /// The witness covers this one value: a clone carries a flag of its
+    /// own, and the derived `Debug` prints the seed-derived state without
+    /// setting the flag. Outside tests, nothing clones an environment or
+    /// formats one.
+    pub fn seed_observed(&self) -> bool {
+        self.seed_observed
     }
 
     /// How long one generic recovery (detect, kill, restore, restart) takes.
@@ -353,6 +378,7 @@ impl EnvironmentBuilder {
             metrics: if self.metrics { Metrics::enabled() } else { Metrics::disabled() },
             rng,
             interleave_seed,
+            seed_observed: false,
             recovery_takes: self.recovery_takes,
         }
     }
@@ -530,7 +556,48 @@ mod tests {
             format!("{:?}", e1.current_interleaving()),
             format!("{:?}", e2.current_interleaving())
         );
-        assert_eq!(e1.rng().next_u64(), e2.rng().next_u64());
+        e1.reshuffle_interleaving();
+        e2.reshuffle_interleaving();
+        assert_eq!(
+            format!("{:?}", e1.current_interleaving()),
+            format!("{:?}", e2.current_interleaving())
+        );
+    }
+
+    #[test]
+    fn reshuffling_draws_as_advancing_does_without_moving_the_clock() {
+        let (mut advanced, mut reshuffled) = (env(), env());
+        let before = format!("{:?}", reshuffled.current_interleaving());
+        advanced.advance(Duration::from_millis(1));
+        reshuffled.reshuffle_interleaving();
+        let after = format!("{:?}", reshuffled.current_interleaving());
+        assert_ne!(before, after, "a reshuffle changes the interleaving");
+        assert_eq!(after, format!("{:?}", advanced.current_interleaving()));
+        assert_eq!(reshuffled.now(), SimTime::ZERO, "a reshuffle takes no time");
+    }
+
+    #[test]
+    fn reading_the_interleaving_sets_the_seed_witness() {
+        let mut e = env();
+        assert!(!e.seed_observed());
+        e.current_interleaving();
+        assert!(e.seed_observed());
+        e.advance(Duration::from_secs(1));
+        assert!(e.seed_observed(), "the witness never clears");
+    }
+
+    #[test]
+    fn drawing_forcing_and_scrubbing_leave_the_seed_witness_unset() {
+        let mut e = env();
+        let app = e.register_owner("app");
+        e.advance(Duration::from_secs(1));
+        e.reshuffle_interleaving();
+        e.force_interleave_seed(3);
+        e.fs.fill_with_ballast();
+        e.scrub();
+        e.on_generic_recovery(app);
+        assert!(!e.holds(ConditionKind::RaceCondition));
+        assert!(!e.seed_observed(), "nothing read a seed-derived value");
     }
 
     #[test]

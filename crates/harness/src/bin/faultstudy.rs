@@ -444,12 +444,20 @@ fn lee_iyer(opts: &Options) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faultstudy_core::taxonomy::FaultClass;
+    use faultstudy_harness::{campaign::CampaignCell, StrategyKind};
 
     #[test]
     fn campaign_anomalies_fail_the_shared_path() {
+        let cell = CampaignCell {
+            class: FaultClass::EnvironmentIndependent,
+            strategy: StrategyKind::Restart,
+            survived: 1,
+            total: 1,
+        };
         let report = CampaignReport {
             spec: CampaignSpec { samples: 1, seed: 1 },
-            cells: Vec::new(),
+            cells: vec![cell],
             anomalies: vec!["apache-ei-01 survived restart at seed 1".to_owned()],
         };
         let clean = CampaignReport { anomalies: Vec::new(), ..report.clone() };

@@ -19,6 +19,7 @@ use faultstudy_obs::MetricsRegistry;
 use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One (class, strategy) cell of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,6 +70,11 @@ fn draw(faults: usize, sample_seed: u64) -> (usize, StrategyKind, u64) {
 
 /// Number of `(class, strategy)` cells a campaign can populate.
 const CELL_COUNT: usize = FaultClass::ALL.len() * StrategyKind::ALL.len();
+
+/// The proven outcome of a seed-blind `(fault, strategy)` pair, with its
+/// registry when the campaign is instrumented: what every later sample of
+/// the pair folds instead of running.
+type Proven = (LeanOutcome, Option<Box<MetricsRegistry>>);
 
 /// Constant-size partial aggregate of one campaign index-partition: the
 /// streaming fold's accumulator. A whole campaign needs O(workers) of
@@ -164,6 +170,15 @@ impl Campaign for CampaignReport {
     /// constant-size `CampaignAcc`, so memory is O(workers), not
     /// O(samples).
     ///
+    /// A run that never read its environment's seed
+    /// ([`Environment::seed_observed`](faultstudy_env::Environment::seed_observed))
+    /// proves the outcome of its `(fault, strategy)` pair at every seed.
+    /// It fills the pair's slot, and every later sample of the pair folds
+    /// the slot's outcome and registry instead of running. The slots live
+    /// in this call and are shared by all workers; whichever fills one
+    /// stores the same value, so the report is the same at any thread
+    /// count and chunk size (DESIGN.md §13).
+    ///
     /// The registry aggregates the supervisor's time-to-recovery and retry
     /// histograms per strategy and per `(class, strategy)` cell.
     fn run(
@@ -173,6 +188,8 @@ impl Campaign for CampaignReport {
     ) -> (CampaignReport, MetricsRegistry) {
         let corpus = full_corpus();
         let workloads: Vec<Vec<Request>> = corpus.iter().map(build_workload).collect();
+        let proven: Vec<OnceLock<Proven>> =
+            (0..corpus.len() * StrategyKind::ALL.len()).map(|_| OnceLock::new()).collect();
         let acc = drive(
             spec.seed,
             spec.samples as usize,
@@ -180,12 +197,29 @@ impl Campaign for CampaignReport {
             CampaignAcc::new,
             |acc: &mut CampaignAcc, _, sample_seed| {
                 let (fi, strategy, env_seed) = draw(corpus.len(), sample_seed);
-                let (fault, workload) = (&corpus[fi], &workloads[fi]);
-                let (out, metrics) =
-                    run_prepared(fault, strategy, env_seed, workload, instrumented);
-                if let Some(metrics) = metrics {
-                    acc.registry.merge_from(&metrics);
-                }
+                let fault = &corpus[fi];
+                let slot = &proven[fi * StrategyKind::ALL.len() + strategy as usize];
+                let out = match slot.get() {
+                    Some((out, metrics)) => {
+                        if let Some(metrics) = metrics {
+                            acc.registry.merge_from(metrics);
+                        }
+                        *out
+                    }
+                    None => {
+                        let (out, metrics, seed_observed) =
+                            run_prepared(fault, strategy, env_seed, &workloads[fi], instrumented);
+                        if let Some(metrics) = &metrics {
+                            acc.registry.merge_from(metrics);
+                        }
+                        if !seed_observed {
+                            // A worker that filled the slot first stored
+                            // the same value.
+                            let _ = slot.set((out, metrics.map(Box::new)));
+                        }
+                        out
+                    }
+                };
                 acc.record(fault.slug(), strategy, env_seed, out, instrumented);
             },
             CampaignAcc::merge,
@@ -193,8 +227,20 @@ impl Campaign for CampaignReport {
         acc.into_report(spec)
     }
 
+    /// The guarantee anomalies, then the ledger laws: the cells hold
+    /// exactly `spec.samples` samples, and no cell survived more samples
+    /// than it drew.
     fn violations(&self) -> Vec<String> {
-        self.anomalies.clone()
+        let mut violations = self.anomalies.clone();
+        let total: u64 = self.cells.iter().map(|c| u64::from(c.total)).sum();
+        if total != u64::from(self.spec.samples) {
+            violations.push(format!("cells hold {total} of {} samples", self.spec.samples));
+        }
+        for c in self.cells.iter().filter(|c| c.survived > c.total) {
+            let (class, strategy) = (c.class.short(), c.strategy.name());
+            violations.push(format!("{class}/{strategy}: survived {} of {}", c.survived, c.total));
+        }
+        violations
     }
 
     fn text(&self) -> String {
@@ -297,6 +343,28 @@ mod tests {
         for (i, &strategy) in StrategyKind::ALL.iter().enumerate() {
             assert_eq!(strategy as usize, i, "{strategy:?}");
         }
+    }
+
+    #[test]
+    fn violations_hold_the_ledger_laws() {
+        let cell = |survived, total| CampaignCell {
+            class: FaultClass::EnvDependentTransient,
+            strategy: StrategyKind::Restart,
+            survived,
+            total,
+        };
+        let report = |cells, anomalies: &[&str]| CampaignReport {
+            spec: CampaignSpec { samples: 5, seed: 1 },
+            cells,
+            anomalies: anomalies.iter().map(|a| a.to_string()).collect(),
+        };
+        assert_eq!(report(vec![cell(3, 5)], &[]).violations(), Vec::<String>::new());
+        assert_eq!(report(vec![cell(3, 4)], &[]).violations(), ["cells hold 4 of 5 samples"]);
+        assert_eq!(
+            report(vec![cell(6, 5)], &["an anomaly"]).violations(),
+            ["an anomaly", "transient/restart: survived 6 of 5"]
+        );
+        assert!(run(40, 5).violations().is_empty());
     }
 
     #[test]

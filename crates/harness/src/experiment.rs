@@ -162,13 +162,17 @@ impl FaultOutcome {
 /// the TTR distribution re-keyed under the experiment's matrix cell,
 /// `recovery.ttr.class{<class>/<strategy>}`. Metrics are pure
 /// observation, so the outcome is the same either way.
-pub(crate) fn run_prepared(
+///
+/// The flag is the environment's seed witness
+/// ([`Environment::seed_observed`]): `false` means the run, registry
+/// included, would have been the same under every seed.
+pub fn run_prepared(
     fault: &CuratedFault,
     strategy: StrategyKind,
     seed: u64,
     workload: &[Request],
     metrics: bool,
-) -> (LeanOutcome, Option<MetricsRegistry>) {
+) -> (LeanOutcome, Option<MetricsRegistry>, bool) {
     let mut env = standard_env(seed, metrics);
     let mut app = spawn_app(fault.app(), &mut env);
     app.inject(fault.slug(), &mut env)
@@ -187,7 +191,7 @@ pub(crate) fn run_prepared(
         }
         reg
     });
-    (outcome, registry)
+    (outcome, registry, env.seed_observed())
 }
 
 /// Runs one fault under one strategy against a workload prepared by
@@ -263,7 +267,7 @@ pub fn run_fault_experiment_instrumented(
     strategy: StrategyKind,
     seed: u64,
 ) -> (FaultOutcome, MetricsRegistry) {
-    let (out, registry) = run_prepared(fault, strategy, seed, &build_workload(fault), true);
+    let (out, registry, _) = run_prepared(fault, strategy, seed, &build_workload(fault), true);
     (FaultOutcome::new(fault, strategy, out), registry.expect("metrics were enabled"))
 }
 

@@ -97,7 +97,7 @@ impl Campaign for RecoveryMatrix {
                 let (fault, workload) =
                     (&corpus[index / strategies], &workloads[index / strategies]);
                 let strategy = StrategyKind::ALL[index % strategies];
-                let (out, metrics) = run_prepared(fault, strategy, seed, workload, instrumented);
+                let (out, metrics, _) = run_prepared(fault, strategy, seed, workload, instrumented);
                 (FaultOutcome::new(fault, strategy, out), metrics)
             },
             |registry, out: &FaultOutcome| {

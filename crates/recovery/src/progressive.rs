@@ -15,7 +15,6 @@
 use crate::strategy::RecoveryStrategy;
 use faultstudy_apps::{AppState, Application, Request};
 use faultstudy_env::Environment;
-use faultstudy_sim::rng::DetRng;
 use faultstudy_sim::time::Duration;
 
 /// Escalating retry: restore → reseed interleaving → exponential backoff.
@@ -82,8 +81,7 @@ impl RecoveryStrategy for ProgressiveRetry {
         }
         if attempt >= 2 {
             // Stage 2: induce a different event ordering.
-            let seed = env.rng().next_u64();
-            env.force_interleave_seed(seed);
+            env.reshuffle_interleaving();
             self.perturbations += 1;
         }
         if attempt >= 3 {

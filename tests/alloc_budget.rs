@@ -10,10 +10,14 @@
 //! - A healthy service-graph unit holds its per-request mean to a budget;
 //!   what it still allocates is the web tier's formatted payloads
 //!   (`200 OK {path}` and the like).
-//! - The sampled campaign builds a fresh environment, application and
-//!   strategy for every `(fault, strategy, seed)` sample, so whatever one
-//!   sample allocates is paid again for every sample of a campaign.
-//!   `run_prepared_experiment`'s per-sample mean is held to a budget.
+//! - One sampled-campaign experiment builds a fresh environment,
+//!   application and strategy, so whatever it allocates is paid again for
+//!   every sample that runs. `run_prepared_experiment`'s per-sample mean
+//!   is held to a budget.
+//! - A whole campaign runs only the first sample of each seed-blind
+//!   `(fault, strategy)` pair and every sample of the race faults; the
+//!   rest reuse a proven outcome and allocate nothing. Its per-sample
+//!   mean, set-up included, is held to a budget of its own.
 //!
 //! The counting allocator is the whole test binary's `#[global_allocator]`,
 //! so it lives in a file of its own. It counts per thread: libtest's other
@@ -23,10 +27,12 @@ use faultstudy::apps::{spawn_app, Request};
 use faultstudy::core::taxonomy::{AppKind, FaultClass};
 use faultstudy::corpus::full_corpus;
 use faultstudy::env::Environment;
+use faultstudy::exec::ParallelSpec;
 use faultstudy::graph::{
     run_graph, Channel, ChannelFaultKind, GraphFaultPlan, PlaneKind, ServiceGraph,
 };
 use faultstudy::harness::experiment::{build_workload, run_prepared_experiment, StrategyKind};
+use faultstudy::harness::{Campaign, CampaignReport, CampaignSpec};
 use faultstudy::recovery::{RestartRetry, SupervisorConfig};
 use faultstudy::sim::rng::split_seed;
 use faultstudy::traffic::{run_open_loop, ArrivalKind, TrafficParams};
@@ -34,10 +40,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-/// Mean bytes requested per sample, at most.
+/// Mean bytes requested per sampled-campaign experiment, at most.
 const BYTES_PER_SAMPLE: f64 = 2048.0;
-/// Mean allocation calls per sample, at most.
+/// Mean allocation calls per sampled-campaign experiment, at most.
 const ALLOCS_PER_SAMPLE: f64 = 24.0;
+/// Mean bytes requested per sample of a whole campaign, at most.
+const BYTES_PER_CAMPAIGN_SAMPLE: f64 = 256.0;
+/// Mean allocation calls per sample of a whole campaign, at most.
+const ALLOCS_PER_CAMPAIGN_SAMPLE: f64 = 3.0;
 /// Mean allocation calls per offered request of a healthy graph unit, at
 /// most.
 const ALLOCS_PER_GRAPH_REQUEST: f64 = 2.0;
@@ -286,5 +296,29 @@ fn one_campaign_sample_stays_within_its_allocation_budget() {
         allocs <= ALLOCS_PER_SAMPLE && bytes <= BYTES_PER_SAMPLE,
         "one campaign sample makes {allocs:.1} allocations of {bytes:.0} bytes on average; \
          the budget is {ALLOCS_PER_SAMPLE} allocations and {BYTES_PER_SAMPLE} bytes"
+    );
+}
+
+#[test]
+fn a_whole_campaign_stays_within_its_allocation_budget() {
+    const SAMPLES: u32 = 20_000;
+    let run = |seed: u64| {
+        let spec = CampaignSpec { samples: SAMPLES, seed };
+        black_box(CampaignReport::run(spec, ParallelSpec::SEQUENTIAL, false));
+    };
+    // The first run pays for whatever is built once per process.
+    run(1);
+
+    let (allocs_before, bytes_before) = counters();
+    run(7);
+    let (allocs_after, bytes_after) = counters();
+
+    let allocs = (allocs_after - allocs_before) as f64 / f64::from(SAMPLES);
+    let bytes = (bytes_after - bytes_before) as f64 / f64::from(SAMPLES);
+    assert!(
+        allocs <= ALLOCS_PER_CAMPAIGN_SAMPLE && bytes <= BYTES_PER_CAMPAIGN_SAMPLE,
+        "a {SAMPLES}-sample campaign makes {allocs:.2} allocations of {bytes:.0} bytes per \
+         sample; the budget is {ALLOCS_PER_CAMPAIGN_SAMPLE} allocations and \
+         {BYTES_PER_CAMPAIGN_SAMPLE} bytes"
     );
 }

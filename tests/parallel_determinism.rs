@@ -39,7 +39,8 @@ struct Sample {
 /// aggregates into a `BTreeMap` — O(samples) memory. It shares no fold
 /// and no ledger with `Campaign::run`, only the experiment itself: its
 /// draw and its three-counter ledger are copies, so the streaming tests
-/// below fail if either side drifts.
+/// below fail if either side drifts. It runs every sample, reusing no
+/// outcome, so it also checks the campaign's reuse of proven outcomes.
 fn materialized(spec: CampaignSpec, instrumented: bool) -> (CampaignReport, MetricsRegistry) {
     let corpus = full_corpus();
     let samples: Vec<Sample> = (0..u64::from(spec.samples))
@@ -138,6 +139,28 @@ fn streaming_fold_matches_materialized_reference_at_every_thread_count() {
             assert_eq!(registry, reference_registry, "registry: seed {seed}, {threads} threads");
             let json = serde_json::to_string(&streamed).expect("campaign serializes");
             assert_eq!(json, reference_json, "json bytes: seed {seed}, {threads} threads");
+        }
+    }
+}
+
+/// At 3,000 samples most `(fault, strategy)` pairs recur, so about 2,000
+/// samples per run fold an outcome their pair's first seed-blind run
+/// proved instead of running (the 150-sample specs above repeat ~11
+/// pairs). Instrumented and plain runs both match the memo-free
+/// reference.
+#[test]
+fn reused_outcomes_match_materialized_reference() {
+    for seed in [7, 2000] {
+        let spec = CampaignSpec { samples: 3_000, seed };
+        let (reference, reference_registry) = materialized(spec, true);
+        for threads in THREAD_COUNTS {
+            let parallel = ParallelSpec::threads(threads);
+            let (instrumented, registry) = CampaignReport::run(spec, parallel, true);
+            assert_eq!(instrumented, reference, "seed {seed}, {threads} threads");
+            assert_eq!(registry, reference_registry, "registry: seed {seed}, {threads} threads");
+            let (plain, registry) = CampaignReport::run(spec, parallel, false);
+            assert_eq!(plain, reference, "plain: seed {seed}, {threads} threads");
+            assert!(registry.is_empty(), "plain: seed {seed}, {threads} threads");
         }
     }
 }
