@@ -21,7 +21,7 @@
 //!   classifier needs, and extraction of evidence from report text.
 //! - [`lexicon`] — the keyword → condition lexicon used by extraction.
 //! - [`scanset`] — the shared single-pass Aho–Corasick scan set backing
-//!   the lexicon, the cue lists, and the §4 keyword search.
+//!   the lexicon and the cue lists; it also holds the §4 keywords.
 //! - [`classify`] — the rule-based [`classify::Classifier`].
 //! - [`stats`] — chi-square homogeneity test quantifying the figures'
 //!   proportion-stability claim.

@@ -1,16 +1,24 @@
 //! The shared scan set: every fixed pattern the study ever looks for in
 //! report text, compiled into **one** Aho–Corasick automaton.
 //!
-//! Three consumers used to traverse each report's text independently —
-//! the [`lexicon`](crate::lexicon) conjunction rules (~60 distinct
+//! The [`lexicon`](crate::lexicon) conjunction rules (~60 distinct
 //! substrings), the [`evidence`](crate::evidence) reproducibility and
-//! retry cue lists, and the mining funnel's §4 keyword search — for
-//! roughly 95 traversals plus three `to_lowercase` allocations per
-//! report. This module registers all of those patterns with a single
-//! [`Automaton`], compiled lazily once per process via [`OnceLock`], so
-//! one allocation-free pass per report field yields a [`HitSet`] that
-//! answers every question at once. Rule conjunctions, cue disjunctions,
-//! and the keyword test are then bitset probes.
+//! retry cue lists, and the §4 keyword search used to traverse each
+//! report's text independently, for roughly 95 traversals plus three
+//! `to_lowercase` allocations per report. This module registers all of
+//! those patterns with a single [`Automaton`], compiled lazily once per
+//! process via [`OnceLock`], so one allocation-free pass per report field
+//! yields a [`HitSet`] that answers every question at once. Rule
+//! conjunctions, cue disjunctions, and the keyword test are then bitset
+//! probes.
+//!
+//! The lexicon and the evidence extractor read the shared scan. The
+//! mining funnel's keyword stage does not: `faultstudy-mining`'s
+//! `KeywordQuery` compiles its four keywords into an automaton of its own,
+//! small enough for the bit-parallel engine, which scans a report in about
+//! half the time of this 95-pattern DFA. The keyword probe here,
+//! [`ScanSet::matches_mysql_keywords`], answers the same question from a
+//! scan the lexicon and the evidence already made.
 //!
 //! The §4 keyword list lives here (rather than in `faultstudy-mining`,
 //! which re-exports it) so the shared automaton can include it without a
@@ -174,14 +182,6 @@ impl ScanSet {
     pub fn matches_mysql_keywords(&self, hits: &HitSet) -> bool {
         hits.intersects(&self.mysql_keywords)
     }
-
-    /// Whether `keywords` (already lowercased) is exactly the registered
-    /// §4 MySQL keyword list, making [`Self::matches_mysql_keywords`]
-    /// applicable.
-    pub fn is_mysql_keywords<S: AsRef<str>>(&self, keywords: &[S]) -> bool {
-        keywords.len() == MYSQL_KEYWORDS.len()
-            && keywords.iter().zip(MYSQL_KEYWORDS).all(|(a, b)| a.as_ref() == b)
-    }
 }
 
 #[cfg(test)]
@@ -233,14 +233,5 @@ mod tests {
         assert_eq!(set.conditions(&hits), vec![ConditionKind::RaceCondition]);
         assert_eq!(set.deterministic_repro(&hits), Some(true), "'whenever' is in the body");
         assert!(set.matches_mysql_keywords(&hits), "'race' is in the notes");
-    }
-
-    #[test]
-    fn is_mysql_keywords_requires_exact_list() {
-        let set = shared();
-        assert!(set.is_mysql_keywords(&MYSQL_KEYWORDS));
-        assert!(!set.is_mysql_keywords(&["crash", "segmentation", "race"]));
-        assert!(!set.is_mysql_keywords(&["crash", "segmentation", "race", "hang"]));
-        assert!(!set.is_mysql_keywords(&["died", "race", "segmentation", "crash"]));
     }
 }

@@ -31,9 +31,9 @@ use faultstudy_core::taxonomy::AppKind;
 use faultstudy_core::timeline::{by_month, by_release};
 use faultstudy_corpus::paper_study;
 use faultstudy_harness::{
-    paper_scale_funnels_with, Campaign, CampaignReport, CampaignSpec, GraphReport, InjectReport,
-    InjectSpec, LoadSpec, MicroReport, ObliviousReport, ParallelSpec, RecoveryMatrix,
-    TrafficReport,
+    funnel_violations, paper_scale_funnels_with, Campaign, CampaignReport, CampaignSpec,
+    GraphReport, InjectReport, InjectSpec, LoadSpec, MicroReport, ObliviousReport, ParallelSpec,
+    RecoveryMatrix, TrafficReport,
 };
 use faultstudy_report::{
     render_discussion, render_release_figure, render_table, render_time_figure,
@@ -240,16 +240,25 @@ fn summary(opts: &Options) -> bool {
     true
 }
 
+/// Prints the three funnels, reports each broken term of their §4
+/// contract on stderr, and returns whether there were none, in every
+/// output mode.
 fn mine(opts: &Options) -> bool {
     let runs = paper_scale_funnels_with(opts.seed, opts.parallel);
-    if opts.json {
-        return print_json("funnels", &runs);
+    let printed = if opts.json {
+        print_json("funnels", &runs)
+    } else {
+        for run in &runs {
+            println!("{}", run.outcome);
+            println!("  {}", run.quality);
+        }
+        true
+    };
+    let anomalies = funnel_violations(&runs);
+    for anomaly in &anomalies {
+        eprintln!("faultstudy: mine: ANOMALY: {anomaly}");
     }
-    for run in runs {
-        println!("{}", run.outcome);
-        println!("  {}", run.quality);
-    }
-    true
+    printed && anomalies.is_empty()
 }
 
 /// CI-style self-check: re-runs the headline experiments and exits
@@ -280,20 +289,7 @@ fn verify(opts: &Options) -> bool {
             injection.scrubs()
         ));
     }
-    for run in paper_scale_funnels_with(opts.seed, opts.parallel) {
-        let expected = match run.outcome.app {
-            AppKind::Apache => 50,
-            AppKind::Gnome => 45,
-            AppKind::Mysql => 44,
-        };
-        if run.outcome.unique_bugs() != expected {
-            problems.push(format!(
-                "{} funnel selected {} unique bugs, expected {expected}",
-                run.outcome.app,
-                run.outcome.unique_bugs()
-            ));
-        }
-    }
+    problems.extend(funnel_violations(&paper_scale_funnels_with(opts.seed, opts.parallel)));
     if problems.is_empty() {
         println!("verify: all guarantees reproduced at seed {}", opts.seed);
         true

@@ -54,6 +54,36 @@ pub fn run_funnel_with(app: AppKind, seed: u64, parallel: ParallelSpec) -> Funne
     FunnelRun { outcome, quality }
 }
 
+/// The §4 contract of paper-scale funnel runs: each selects the paper's
+/// unique-bug count (50 Apache, 45 GNOME, 44 MySQL) at precision and
+/// recall 1 against the generator's ground truth. Returns one line per
+/// broken term, empty when every run keeps the contract.
+pub fn funnel_violations(runs: &[FunnelRun]) -> Vec<String> {
+    let mut violations = Vec::new();
+    for run in runs {
+        let app = run.outcome.app;
+        let expected = match app {
+            AppKind::Apache => 50,
+            AppKind::Gnome => 45,
+            AppKind::Mysql => 44,
+        };
+        if run.outcome.unique_bugs() != expected {
+            violations.push(format!(
+                "{app} funnel selected {} unique bugs, expected {expected}",
+                run.outcome.unique_bugs()
+            ));
+        }
+        for (measure, value) in
+            [("precision", run.quality.precision()), ("recall", run.quality.recall())]
+        {
+            if value < 1.0 {
+                violations.push(format!("{app} funnel {measure} {value:.3}, expected 1"));
+            }
+        }
+    }
+    violations
+}
+
 /// [`paper_scale_funnels_with`] with per-stage mining metrics: the three
 /// per-app registries merge (in app order) into the one returned, carrying
 /// `mining.stage.*` timings and throughput for every `{app}/{stage}`.
@@ -81,6 +111,7 @@ pub fn paper_scale_funnels_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faultstudy_core::report::BugReport;
 
     #[test]
     fn paper_scale_funnels_reproduce_section_4() {
@@ -94,6 +125,39 @@ mod tests {
             assert_eq!(run.quality.precision(), 1.0, "{app}");
             assert_eq!(run.quality.recall(), 1.0, "{app}");
         }
+    }
+
+    /// A run of `unique` selected reports with `quality`.
+    fn hand_built(app: AppKind, unique: u64, quality: PrecisionRecall) -> FunnelRun {
+        let selected = (0..unique).map(|id| BugReport::builder(app, id).build()).collect();
+        FunnelRun { outcome: PipelineOutcome { app, funnel: Vec::new(), selected }, quality }
+    }
+
+    fn perfect(faults: usize) -> PrecisionRecall {
+        PrecisionRecall {
+            true_positives: faults,
+            false_positives: 0,
+            faults_recalled: faults,
+            faults_total: faults,
+        }
+    }
+
+    #[test]
+    fn funnel_violations_name_each_broken_term() {
+        let kept = hand_built(AppKind::Gnome, 45, perfect(45));
+        assert!(funnel_violations(&[kept]).is_empty());
+
+        let short = hand_built(AppKind::Apache, 49, perfect(49));
+        assert_eq!(
+            funnel_violations(&[short]),
+            ["Apache funnel selected 49 unique bugs, expected 50"]
+        );
+
+        let imprecise =
+            hand_built(AppKind::Mysql, 44, PrecisionRecall { false_positives: 4, ..perfect(40) });
+        assert_eq!(funnel_violations(&[imprecise]), ["MySQL funnel precision 0.909, expected 1"]);
+
+        assert!(funnel_violations(&paper_scale_funnels(2000)).is_empty());
     }
 
     #[test]

@@ -62,7 +62,10 @@ pub use experiment::{
 };
 pub use expreport::experiments_markdown;
 pub use faultstudy_exec::ParallelSpec;
-pub use funnel::{paper_scale_funnels, paper_scale_funnels_instrumented, paper_scale_funnels_with};
+pub use funnel::{
+    funnel_violations, paper_scale_funnels, paper_scale_funnels_instrumented,
+    paper_scale_funnels_with,
+};
 pub use graph::{GraphCell, GraphReport, GraphSpec, GRAPH_BUDGETS};
 pub use inject::{InjectCell, InjectReport, InjectSpec};
 pub use matrix::RecoveryMatrix;

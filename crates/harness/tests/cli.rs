@@ -40,8 +40,9 @@ fn summary_command_prints_discussion() {
 
 #[test]
 fn mine_command_prints_funnels() {
-    let (stdout, _, ok) = run(&["mine", "--seed", "5"]);
+    let (stdout, stderr, ok) = run(&["mine", "--seed", "5"]);
     assert!(ok);
+    assert!(stderr.is_empty(), "the §4 contract holds: {stderr}");
     assert!(stdout.contains("5220 (raw archive)"));
     assert!(stdout.contains("44 (unique bugs)"));
     assert!(stdout.contains("precision 1.000"));

@@ -6,9 +6,7 @@
 //! ones commonly used to describe serious bugs)"*.
 
 use faultstudy_core::report::BugReport;
-use faultstudy_core::scanset;
-use faultstudy_textscan::contains_ci;
-use serde::{Deserialize, Serialize};
+use faultstudy_textscan::{Automaton, PatternSetBuilder};
 
 /// The paper's MySQL mailing-list keywords. The canonical list lives in
 /// [`faultstudy_core::scanset`] so the shared automaton can compile it;
@@ -17,11 +15,14 @@ pub use faultstudy_core::scanset::MYSQL_KEYWORDS;
 
 /// A disjunctive, case-insensitive keyword query.
 ///
-/// The paper's own query (see [`KeywordQuery::mysql`]) is answered from a
-/// single pass of the shared Aho–Corasick automaton with zero per-report
-/// allocations; custom keyword sets fall back to an allocation-free
-/// per-keyword scan ([`contains_ci`]). Either way no `full_text`
-/// concatenation or `to_lowercase` copy is made.
+/// [`KeywordQuery::new`] compiles the keywords once into an [`Automaton`]
+/// the query owns, and every match is one pass of it over the text with
+/// zero per-report allocations: no `full_text` concatenation, no
+/// `to_lowercase` copy. Keywords that total at most 64 bytes, such as the
+/// paper's own query ([`KeywordQuery::mysql`], 25 bytes), compile to the
+/// bit-parallel Shift-And engine; longer lists to the DFA.
+///
+/// Equality compares the keywords.
 ///
 /// # Example
 ///
@@ -32,19 +33,34 @@ pub use faultstudy_core::scanset::MYSQL_KEYWORDS;
 /// assert!(q.matches_text("the server CRASHED at noon"));
 /// assert!(!q.matches_text("feature request: nicer prompt"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KeywordQuery {
     keywords: Vec<String>,
+    automaton: Automaton,
 }
 
+impl PartialEq for KeywordQuery {
+    fn eq(&self, other: &KeywordQuery) -> bool {
+        self.keywords == other.keywords
+    }
+}
+
+impl Eq for KeywordQuery {}
+
 impl KeywordQuery {
-    /// Builds a query from keywords (stored lowercased).
+    /// Builds a query from keywords (stored lowercased) and compiles it.
     pub fn new<I, S>(keywords: I) -> KeywordQuery
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        KeywordQuery { keywords: keywords.into_iter().map(|k| k.as_ref().to_lowercase()).collect() }
+        let keywords: Vec<String> =
+            keywords.into_iter().map(|k| k.as_ref().to_lowercase()).collect();
+        let mut builder = PatternSetBuilder::new();
+        for keyword in &keywords {
+            builder.add(keyword);
+        }
+        KeywordQuery { keywords, automaton: builder.build() }
     }
 
     /// The paper's MySQL query.
@@ -57,19 +73,9 @@ impl KeywordQuery {
         &self.keywords
     }
 
-    /// Whether this query is exactly the §4 MySQL keyword list and can be
-    /// answered from the shared automaton's hit bitset.
-    fn uses_shared_automaton(&self) -> bool {
-        scanset::shared().is_mysql_keywords(&self.keywords)
-    }
-
     /// Whether any keyword occurs in `text` (case-insensitive substring).
     pub fn matches_text(&self, text: &str) -> bool {
-        if self.uses_shared_automaton() {
-            let set = scanset::shared();
-            return set.matches_mysql_keywords(&set.hits_text(text));
-        }
-        self.keywords.iter().any(|k| contains_ci(text, k))
+        !self.automaton.scan(text).is_empty()
     }
 
     /// Whether any keyword occurs anywhere in the report. Each field is
@@ -88,11 +94,7 @@ impl KeywordQuery {
     /// zero-copy form the arena-backed archive feeds straight from its
     /// span columns.
     pub fn matches_segments(&self, segments: &[&str]) -> bool {
-        if self.uses_shared_automaton() {
-            let set = scanset::shared();
-            return set.matches_mysql_keywords(&set.hits_segments(segments));
-        }
-        segments.iter().any(|field| self.keywords.iter().any(|k| contains_ci(field, k)))
+        !self.automaton.scan_segments(segments).is_empty()
     }
 
     /// The pre-automaton reference implementation of
@@ -120,7 +122,8 @@ mod tests {
     fn mysql_query_has_the_four_paper_keywords() {
         let q = KeywordQuery::mysql();
         assert_eq!(q.keywords(), ["crash", "segmentation", "race", "died"]);
-        assert!(q.uses_shared_automaton());
+        assert!(q.matches_text("Segmentation fault in mysqld"));
+        assert!(!q.matches_text("the server stopped responding"));
     }
 
     #[test]
@@ -150,9 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn custom_queries_take_the_generic_path() {
+    fn custom_queries_match_only_their_keywords() {
         let q = KeywordQuery::new(["hang", "deadlock"]);
-        assert!(!q.uses_shared_automaton());
+        assert!(!q.matches_text("the daemon crashed"), "only the query's own keywords match");
         assert!(q.matches_text("the UI DEADLOCKED"));
         assert!(!q.matches_text("all good"));
         let r = BugReport::builder(AppKind::Gnome, 2).body("panel hangs on startup").build();

@@ -80,7 +80,7 @@ impl fmt::Display for PipelineOutcome {
 /// let p = SelectionPipeline::for_app(AppKind::Apache);
 /// assert!(!p.uses_keyword_search());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectionPipeline {
     keyword_query: Option<KeywordQuery>,
 }

@@ -99,6 +99,18 @@ proptest! {
     }
 }
 
+/// A custom query of 71 keyword bytes: past the 64 the bit-parallel
+/// engine holds.
+const LONG_QUERY: [&str; 7] = [
+    "hang",
+    "deadlock",
+    "crash",
+    "segmentation fault",
+    "race condition",
+    "died unexpectedly",
+    "abort",
+];
+
 /// Text woven from keyword fragments, near-misses, and filler.
 fn keyword_text_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec(
@@ -113,6 +125,12 @@ fn keyword_text_strategy() -> impl Strategy<Value = String> {
             "died".to_owned(),
             "die".to_owned(),
             "the server stopped".to_owned(),
+            "Segmentation Fault".to_owned(),
+            "race cond".to_owned(),
+            "ition".to_owned(),
+            "unexpectedly".to_owned(),
+            "dead".to_owned(),
+            "lock".to_owned(),
             " ".to_owned(),
             "\n".to_owned(),
             "ordinary words".to_owned(),
@@ -124,27 +142,28 @@ fn keyword_text_strategy() -> impl Strategy<Value = String> {
 
 proptest! {
     /// The automaton-backed keyword match is bit-identical to the naive
-    /// lowercase-and-`contains` implementation, for both the paper's
-    /// MySQL query (shared-automaton path) and a custom query (the
-    /// `contains_ci` path), on woven and fully arbitrary text.
+    /// lowercase-and-`contains` implementation on woven and fully
+    /// arbitrary text, with either text-scan engine: the paper's MySQL
+    /// query (25 bytes) and a 17-byte custom query compile to Shift-And,
+    /// a 71-byte custom query to the DFA.
     #[test]
     fn keyword_match_agrees_with_naive(
         woven in keyword_text_strategy(),
         arbitrary in ".{0,100}",
     ) {
-        let mysql = KeywordQuery::mysql();
-        let custom = KeywordQuery::new(["hang", "deadlock", "crash"]);
+        let queries = [
+            ("mysql", KeywordQuery::mysql()),
+            ("custom", KeywordQuery::new(["hang", "deadlock", "crash"])),
+            ("long", KeywordQuery::new(LONG_QUERY)),
+        ];
         for text in [woven.as_str(), arbitrary.as_str()] {
-            prop_assert_eq!(
-                mysql.matches_text(text),
-                mysql.matches_text_naive(text),
-                "mysql query on {:?}", text
-            );
-            prop_assert_eq!(
-                custom.matches_text(text),
-                custom.matches_text_naive(text),
-                "custom query on {:?}", text
-            );
+            for (name, query) in &queries {
+                prop_assert_eq!(
+                    query.matches_text(text),
+                    query.matches_text_naive(text),
+                    "{} query on {:?}", name, text
+                );
+            }
         }
     }
 

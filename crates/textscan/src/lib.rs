@@ -4,13 +4,21 @@
 //! every report: *which of these fixed substrings occur in this text,
 //! case-insensitively?* Answered naively that is one `to_lowercase`
 //! allocation plus one `contains` traversal per pattern — roughly 95
-//! traversals of every report in the corpus. This crate answers it with a
-//! classic Aho–Corasick automaton instead: all patterns are compiled once
-//! into a DFA whose transition table covers all 256 byte values with ASCII
-//! case folding baked in, and a single left-to-right pass over the text —
-//! one table load per byte, no per-byte case or range checks — produces a
-//! [`HitSet`]: a fixed-size stack bitset recording every pattern that
-//! occurs. Scanning performs **zero heap allocations**.
+//! traversals of every report in the corpus. This crate compiles the
+//! patterns once into an [`Automaton`] and answers with a single
+//! left-to-right pass over the text, ASCII case folding built into the
+//! tables, which produces a [`HitSet`]: a fixed-size stack bitset
+//! recording every pattern that occurs. Scanning performs **zero heap
+//! allocations** on ASCII text.
+//!
+//! Two engines share that contract, and compilation picks by size:
+//!
+//! - a bit-parallel **Shift-And** loop over one `u64` when the non-empty
+//!   patterns total at most 64 bytes (the §4 keyword query is 25): one
+//!   shift, one or and one and per byte;
+//! - a classic **Aho–Corasick** DFA for every larger set (the ~95-pattern
+//!   shared scan set): one table load per byte over a transition table
+//!   that covers all 256 byte values, so no per-byte case or range check.
 //!
 //! Byte-identical semantics with the naive implementation are preserved:
 //!
@@ -18,8 +26,8 @@
 //!   Unicode-lowercased pattern, the same predicate the naive scans use.
 //! - Non-ASCII text (or a non-ASCII pattern set) cannot be case folded
 //!   bytewise, so [`Automaton::scan`] transparently falls back to the
-//!   naive lowercase-and-`contains` path for that input. The fast path
-//!   covers every ASCII input, which is all of the paper's corpora.
+//!   naive lowercase-and-`contains` path for that input. The fast paths
+//!   cover every ASCII input, which is all of the paper's corpora.
 //!
 //! # Example
 //!
@@ -183,47 +191,137 @@ impl PatternSetBuilder {
 /// A compiled multi-pattern matcher: one scan of the text reports every
 /// registered pattern that occurs in it.
 ///
-/// Construction is the standard three steps — goto trie, BFS failure
-/// links, then full DFA conversion (every missing transition resolved
-/// through the failure chain at build time) with output sets propagated
-/// along failure links into per-node [`HitSet`]s. The scan loop is then
-/// branch-light: one table lookup per byte, plus one bitset union on the
-/// rare bytes whose target state completes a match.
-#[derive(Debug)]
+/// [`PatternSetBuilder::build`] picks one of two bytewise engines for a
+/// non-empty, all-ASCII pattern set:
+///
+/// - **Shift-And** (Baeza-Yates & Gonnet, "A new approach to text
+///   searching", CACM 1992) when the non-empty patterns total at most 64
+///   bytes: every pattern byte is one bit of a `u64`, and each text byte
+///   costs one shift, one or and one and on that word. The §4 keyword
+///   query (25 bytes) takes this engine.
+/// - **Aho–Corasick DFA** for every larger set (such as the ~95-pattern
+///   shared scan set): the standard three steps — goto trie, BFS failure
+///   links, then full DFA conversion (every missing transition resolved
+///   through the failure chain at build time) with output sets propagated
+///   along failure links into per-node [`HitSet`]s. The scan loop is one
+///   table lookup per byte, plus one bitset union on the rare bytes whose
+///   target state completes a match.
+///
+/// Both report exactly the naive predicate's hits; an empty or non-ASCII
+/// pattern set always takes the naive path.
+#[derive(Debug, Clone)]
 pub struct Automaton {
+    engine: Engine,
+    /// The lowercased patterns, indexed by [`PatternId`]; retained for the
+    /// non-ASCII fallback path and introspection.
+    patterns: Vec<String>,
+}
+
+/// The bytewise engine behind an [`Automaton`].
+#[derive(Debug, Clone)]
+enum Engine {
+    /// An empty or non-ASCII pattern set: every scan takes the naive path
+    /// (an empty set trivially returns).
+    Naive,
+    /// A non-empty ASCII set whose non-empty patterns total at most
+    /// [`SHIFT_AND_BITS`] bytes.
+    ShiftAnd(Box<ShiftAnd>),
+    /// Every larger ASCII set.
+    Dfa(Dfa),
+}
+
+/// Bit-parallel Shift-And over the concatenated non-empty patterns: bit
+/// `j` of the state word is set when the text read so far ends with the
+/// first `j - start + 1` bytes of the pattern occupying bits `start..`.
+#[derive(Debug, Clone)]
+struct ShiftAnd {
+    /// `masks[b]` has bit `j` set when byte `b` equals, ASCII case folded,
+    /// pattern byte `j`. Non-ASCII bytes have empty masks.
+    masks: [u64; ALPHABET],
+    /// The first bit of every pattern: a match may begin at any byte.
+    starts: u64,
+    /// The last bit of every pattern: set in the state word when the
+    /// pattern has just been read.
+    ends: u64,
+    /// `ids[j]` is the pattern whose last byte is bit `j` of `ends`.
+    ids: [PatternId; SHIFT_AND_BITS],
+    /// The empty patterns, which hit every scanned text.
+    empty: HitSet,
+}
+
+/// Longest total of non-empty pattern bytes the Shift-And engine holds:
+/// one bit of its `u64` state word per byte.
+const SHIFT_AND_BITS: usize = 64;
+
+impl ShiftAnd {
+    fn compile(patterns: &[String]) -> ShiftAnd {
+        let mut engine = ShiftAnd {
+            masks: [0; ALPHABET],
+            starts: 0,
+            ends: 0,
+            ids: [0; SHIFT_AND_BITS],
+            empty: HitSet::EMPTY,
+        };
+        let mut bit = 0;
+        for (id, pattern) in patterns.iter().enumerate() {
+            if pattern.is_empty() {
+                engine.empty.insert(id as PatternId);
+                continue;
+            }
+            engine.starts |= 1 << bit;
+            for &b in pattern.as_bytes() {
+                // Patterns are lowercase: the uppercase twin matches too.
+                engine.masks[usize::from(b)] |= 1 << bit;
+                engine.masks[usize::from(b.to_ascii_uppercase())] |= 1 << bit;
+                bit += 1;
+            }
+            engine.ends |= 1 << (bit - 1);
+            engine.ids[bit - 1] = id as PatternId;
+        }
+        engine
+    }
+
+    /// Unions the patterns occurring in `text` into `hits`, or returns
+    /// false, touching nothing, when `text` is not ASCII.
+    fn scan_into(&self, hits: &mut HitSet, text: &str) -> bool {
+        if !text.is_ascii() {
+            return false;
+        }
+        let mut state = 0u64;
+        let mut seen = 0u64;
+        for &b in text.as_bytes() {
+            // The carry out of one pattern's last bit lands on the next
+            // pattern's first bit, which `starts` sets anyway.
+            state = ((state << 1) | self.starts) & self.masks[usize::from(b)];
+            seen |= state;
+        }
+        hits.or_assign(&self.empty);
+        let mut ended = seen & self.ends;
+        while ended != 0 {
+            hits.insert(self.ids[ended.trailing_zeros() as usize]);
+            ended &= ended - 1;
+        }
+        true
+    }
+}
+
+/// The Aho–Corasick DFA.
+#[derive(Debug, Clone)]
+struct Dfa {
     /// Packed DFA transitions: `next[state * ALPHABET + byte]` is the next
     /// state index, with [`HAS_OUTPUT`] set when that state has outputs.
-    /// Empty when `ascii` is false (naive fallback only).
     next: Vec<u32>,
     /// Union of the patterns ending at each state (own outputs plus the
     /// failure chain's).
     node_hits: Vec<HitSet>,
-    /// The lowercased patterns, indexed by [`PatternId`]; retained for the
-    /// non-ASCII fallback path and introspection.
-    patterns: Vec<String>,
-    /// Whether the DFA tables were built: the pattern set is non-empty and
-    /// all-ASCII. False means every scan takes the naive path (or, for an
-    /// empty set, trivially returns).
-    ascii: bool,
     /// Whether the root state has outputs (i.e. the set contains an empty
     /// pattern); when false — the overwhelmingly common case — the scan
     /// loop skips the up-front root-hits union entirely.
     root_has_output: bool,
 }
 
-impl Automaton {
-    fn compile(patterns: Vec<String>) -> Automaton {
-        let ascii = !patterns.is_empty() && patterns.iter().all(|p| p.is_ascii());
-        if !ascii {
-            return Automaton {
-                next: Vec::new(),
-                node_hits: Vec::new(),
-                patterns,
-                ascii,
-                root_has_output: false,
-            };
-        }
-
+impl Dfa {
+    fn compile(patterns: &[String]) -> Dfa {
         // Goto trie. `u32::MAX` marks an absent edge until DFA conversion.
         const NONE: u32 = u32::MAX;
         let mut children: Vec<[u32; ALPHABET]> = vec![[NONE; ALPHABET]];
@@ -303,7 +401,45 @@ impl Automaton {
         }
 
         let root_has_output = !node_hits[0].is_empty();
-        Automaton { next, node_hits, patterns, ascii, root_has_output }
+        Dfa { next, node_hits, root_has_output }
+    }
+
+    /// Unions the patterns occurring in `text` into `hits`, or returns
+    /// false at the first non-ASCII byte, leaving in `hits` only patterns
+    /// the naive scan of `text` also finds.
+    fn scan_into(&self, hits: &mut HitSet, text: &str) -> bool {
+        // The root's outputs are the empty patterns, which match any text
+        // (including "") at position 0, mirroring `contains("") == true`.
+        if self.root_has_output {
+            let root_hits = self.node_hits[0];
+            hits.or_assign(&root_hits);
+        }
+        let mut state = 0usize;
+        for &b in text.as_bytes() {
+            let entry = self.next[state * ALPHABET + usize::from(b)];
+            state = (entry & STATE_MASK) as usize;
+            if entry & (HAS_OUTPUT | NON_ASCII) != 0 {
+                if entry & NON_ASCII != 0 {
+                    return false;
+                }
+                hits.or_assign(&self.node_hits[state]);
+            }
+        }
+        true
+    }
+}
+
+impl Automaton {
+    fn compile(patterns: Vec<String>) -> Automaton {
+        let ascii = !patterns.is_empty() && patterns.iter().all(|p| p.is_ascii());
+        let engine = if !ascii {
+            Engine::Naive
+        } else if patterns.iter().map(String::len).sum::<usize>() <= SHIFT_AND_BITS {
+            Engine::ShiftAnd(Box::new(ShiftAnd::compile(&patterns)))
+        } else {
+            Engine::Dfa(Dfa::compile(&patterns))
+        };
+        Automaton { engine, patterns }
     }
 
     /// Number of distinct patterns.
@@ -316,10 +452,10 @@ impl Automaton {
         &self.patterns
     }
 
-    /// Whether the DFA fast path is available (non-empty, all-ASCII
-    /// pattern set).
+    /// Whether a bytewise fast path (Shift-And or DFA) is available
+    /// (non-empty, all-ASCII pattern set).
     pub fn is_ascii(&self) -> bool {
-        self.ascii
+        !matches!(self.engine, Engine::Naive)
     }
 
     /// Scans `text` once and returns the set of patterns occurring in it.
@@ -330,7 +466,7 @@ impl Automaton {
     }
 
     /// Scans several independent text segments (e.g. the fields of a bug
-    /// report), accumulating hits across all of them. The automaton state
+    /// report), accumulating hits across all of them. The engine state
     /// resets between segments, so no match spans a segment boundary —
     /// exactly the semantics of scanning fields joined by `'\n'` with
     /// patterns that contain no newline, which is how the naive scans
@@ -355,34 +491,19 @@ impl Automaton {
 
     /// Unions the patterns occurring in `text` into `hits`.
     pub fn scan_into(&self, hits: &mut HitSet, text: &str) {
-        if !self.ascii {
-            if !self.patterns.is_empty() {
-                self.scan_naive(hits, text);
-            }
-            return;
-        }
-        // The root's outputs are the empty patterns, which match any text
-        // (including "") at position 0, mirroring `contains("") == true`.
-        if self.root_has_output {
-            let root_hits = self.node_hits[0];
-            hits.or_assign(&root_hits);
-        }
-        let mut state = 0usize;
-        for &b in text.as_bytes() {
-            let entry = self.next[state * ALPHABET + usize::from(b)];
-            state = (entry & STATE_MASK) as usize;
-            if entry & (HAS_OUTPUT | NON_ASCII) != 0 {
-                if entry & NON_ASCII != 0 {
-                    // Bytewise case folding would be wrong from here on
-                    // (e.g. U+212A KELVIN SIGN lowercases to ASCII 'k'):
-                    // rescan the whole segment naively. Hits already found
-                    // in the ASCII prefix are a subset of the naive hits,
-                    // so the union is exactly the naive result.
-                    self.scan_naive(hits, text);
-                    return;
-                }
-                hits.or_assign(&self.node_hits[state]);
-            }
+        let answered = match &self.engine {
+            Engine::ShiftAnd(engine) => engine.scan_into(hits, text),
+            Engine::Dfa(dfa) => dfa.scan_into(hits, text),
+            // An empty set hits nothing; any other set here is non-ASCII.
+            Engine::Naive => self.patterns.is_empty(),
+        };
+        if !answered {
+            // Bytewise case folding would be wrong here (e.g. U+212A KELVIN
+            // SIGN lowercases to ASCII 'k'): scan the whole segment
+            // naively. Hits an engine found before bailing out are a
+            // subset of the naive hits, so the union is exactly the naive
+            // result.
+            self.scan_naive(hits, text);
         }
     }
 
@@ -400,81 +521,75 @@ impl Automaton {
     }
 }
 
-/// Whether `needle` occurs in `haystack` under the same case folding as
-/// the naive scans (`haystack.to_lowercase().contains(&needle.to_lowercase())`),
-/// without allocating on ASCII input.
-///
-/// This is the one-off cousin of [`Automaton::scan`] for callers with a
-/// single dynamic pattern (e.g. a custom keyword query) where compiling an
-/// automaton is not worth it.
-///
-/// # Example
-///
-/// ```
-/// use faultstudy_textscan::contains_ci;
-///
-/// assert!(contains_ci("Server CRASHED", "crash"));
-/// assert!(!contains_ci("all quiet", "crash"));
-/// assert!(contains_ci("anything", ""));
-/// ```
-pub fn contains_ci(haystack: &str, needle: &str) -> bool {
-    if needle.is_empty() {
-        return true;
-    }
-    if !haystack.is_ascii() || !needle.is_ascii() {
-        return haystack.to_lowercase().contains(&needle.to_lowercase());
-    }
-    let h = haystack.as_bytes();
-    let n = needle.as_bytes();
-    h.len() >= n.len() && h.windows(n.len()).any(|w| w.eq_ignore_ascii_case(n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn automaton(patterns: &[&str]) -> (Automaton, Vec<PatternId>) {
+    /// `patterns` as the builder compiles them plus, when the builder
+    /// picks Shift-And, the same set compiled as a DFA, so each case below
+    /// checks every engine that can hold the set.
+    fn engines(patterns: &[&str]) -> Vec<(Automaton, Vec<PatternId>)> {
         let mut b = PatternSetBuilder::new();
-        let ids = patterns.iter().map(|p| b.add(p)).collect();
-        (b.build(), ids)
+        let ids: Vec<PatternId> = patterns.iter().map(|p| b.add(p)).collect();
+        let built = b.build();
+        let mut engines = Vec::new();
+        if matches!(built.engine, Engine::ShiftAnd(_)) {
+            let dfa = Engine::Dfa(Dfa::compile(&built.patterns));
+            engines
+                .push((Automaton { engine: dfa, patterns: built.patterns.clone() }, ids.clone()));
+        }
+        engines.push((built, ids));
+        engines
+    }
+
+    fn compiled(patterns: &[&str]) -> Automaton {
+        let mut b = PatternSetBuilder::new();
+        for p in patterns {
+            b.add(p);
+        }
+        b.build()
     }
 
     #[test]
     fn single_pattern_basic_hits() {
-        let (a, ids) = automaton(&["crash"]);
-        assert!(a.scan("the server crashed").contains(ids[0]));
-        assert!(a.scan("CRASH").contains(ids[0]));
-        assert!(!a.scan("all fine").contains(ids[0]));
-        assert!(!a.scan("").contains(ids[0]));
+        for (a, ids) in engines(&["crash"]) {
+            assert!(a.scan("the server crashed").contains(ids[0]));
+            assert!(a.scan("CRASH").contains(ids[0]));
+            assert!(!a.scan("all fine").contains(ids[0]));
+            assert!(!a.scan("").contains(ids[0]));
+        }
     }
 
     #[test]
     fn overlapping_patterns_all_reported() {
         // "dns" is a suffix of "reverse dns"; "he" overlaps "she" and
         // "hers" shares its prefix — the classic Aho-Corasick example.
-        let (a, ids) = automaton(&["he", "she", "his", "hers"]);
-        let hits = a.scan("ushers");
-        assert!(hits.contains(ids[0]), "he inside ushers");
-        assert!(hits.contains(ids[1]), "she inside ushers");
-        assert!(!hits.contains(ids[2]), "no his");
-        assert!(hits.contains(ids[3]), "hers inside ushers");
-        assert_eq!(hits.len(), 3);
+        for (a, ids) in engines(&["he", "she", "his", "hers"]) {
+            let hits = a.scan("ushers");
+            assert!(hits.contains(ids[0]), "he inside ushers");
+            assert!(hits.contains(ids[1]), "she inside ushers");
+            assert!(!hits.contains(ids[2]), "no his");
+            assert!(hits.contains(ids[3]), "hers inside ushers");
+            assert_eq!(hits.len(), 3);
+        }
 
-        let (a, ids) = automaton(&["reverse dns", "dns"]);
-        let hits = a.scan("reverse dns lookup failed");
-        assert!(hits.contains(ids[0]) && hits.contains(ids[1]));
-        let hits = a.scan("plain dns lookup failed");
-        assert!(!hits.contains(ids[0]) && hits.contains(ids[1]));
+        for (a, ids) in engines(&["reverse dns", "dns"]) {
+            let hits = a.scan("reverse dns lookup failed");
+            assert!(hits.contains(ids[0]) && hits.contains(ids[1]));
+            let hits = a.scan("plain dns lookup failed");
+            assert!(!hits.contains(ids[0]) && hits.contains(ids[1]));
+        }
     }
 
     #[test]
     fn pattern_at_end_of_text() {
-        let (a, ids) = automaton(&["full", "disk"]);
-        let hits = a.scan("the disk is full");
-        assert!(hits.contains(ids[0]));
-        assert!(hits.contains(ids[1]));
-        // Exact-length text: the match consumes the final byte.
-        assert!(a.scan("full").contains(ids[0]));
+        for (a, ids) in engines(&["full", "disk"]) {
+            let hits = a.scan("the disk is full");
+            assert!(hits.contains(ids[0]));
+            assert!(hits.contains(ids[1]));
+            // Exact-length text: the match consumes the final byte.
+            assert!(a.scan("full").contains(ids[0]));
+        }
     }
 
     #[test]
@@ -488,34 +603,37 @@ mod tests {
 
     #[test]
     fn empty_pattern_matches_everything() {
-        let (a, ids) = automaton(&["", "crash"]);
-        assert!(a.scan("").contains(ids[0]));
-        assert!(a.scan("no keywords here").contains(ids[0]));
-        let hits = a.scan("crash");
-        assert!(hits.contains(ids[0]) && hits.contains(ids[1]));
+        for (a, ids) in engines(&["", "crash"]) {
+            assert!(a.scan("").contains(ids[0]));
+            assert!(a.scan("no keywords here").contains(ids[0]));
+            let hits = a.scan("crash");
+            assert!(hits.contains(ids[0]) && hits.contains(ids[1]));
+        }
     }
 
     #[test]
     fn non_ascii_input_falls_back_to_naive() {
-        let (a, ids) = automaton(&["network", "crash"]);
-        // U+212A KELVIN SIGN Unicode-lowercases to ASCII 'k': the naive
-        // predicate matches, so the fallback must too.
-        let text = "networ\u{212A} trouble";
-        assert!(text.to_lowercase().contains("network"));
-        assert!(a.scan(text).contains(ids[0]));
-        // Plain non-ASCII text with an ASCII match elsewhere.
-        let hits = a.scan("caf\u{e9} server crash");
-        assert!(hits.contains(ids[1]));
-        assert!(!hits.contains(ids[0]));
+        for (a, ids) in engines(&["network", "crash"]) {
+            // U+212A KELVIN SIGN Unicode-lowercases to ASCII 'k': the naive
+            // predicate matches, so the fallback must too.
+            let text = "networ\u{212A} trouble";
+            assert!(text.to_lowercase().contains("network"));
+            assert!(a.scan(text).contains(ids[0]));
+            // Plain non-ASCII text with an ASCII match elsewhere.
+            let hits = a.scan("caf\u{e9} server crash");
+            assert!(hits.contains(ids[1]));
+            assert!(!hits.contains(ids[0]));
+        }
     }
 
     #[test]
     fn non_ascii_pattern_set_always_uses_naive_path() {
-        let (a, ids) = automaton(&["caf\u{e9}", "crash"]);
-        assert!(!a.is_ascii());
-        assert!(a.scan("visit the CAF\u{c9}").contains(ids[0]));
-        assert!(a.scan("plain ascii crash").contains(ids[1]));
-        assert!(!a.scan("nothing relevant").contains(ids[0]));
+        for (a, ids) in engines(&["caf\u{e9}", "crash"]) {
+            assert!(!a.is_ascii());
+            assert!(a.scan("visit the CAF\u{c9}").contains(ids[0]));
+            assert!(a.scan("plain ascii crash").contains(ids[1]));
+            assert!(!a.scan("nothing relevant").contains(ids[0]));
+        }
     }
 
     #[test]
@@ -530,36 +648,71 @@ mod tests {
 
     #[test]
     fn segments_do_not_match_across_boundaries() {
-        let (a, ids) = automaton(&["race condition"]);
-        // Naive semantics: fields are joined by '\n', so "race" at the end
-        // of the title and "condition" at the start of the body is not a
-        // match.
-        assert!(!a.scan_segments(&["ends in race", "condition starts"]).contains(ids[0]));
-        assert!(a.scan_segments(&["fine", "a race condition here"]).contains(ids[0]));
+        for (a, ids) in engines(&["race condition"]) {
+            // Naive semantics: fields are joined by '\n', so "race" at the
+            // end of the title and "condition" at the start of the body is
+            // not a match.
+            assert!(!a.scan_segments(&["ends in race", "condition starts"]).contains(ids[0]));
+            assert!(a.scan_segments(&["fine", "a race condition here"]).contains(ids[0]));
+        }
     }
 
     #[test]
     fn scan_matches_naive_on_the_lexicon_shapes() {
         let patterns =
             ["file system", "full", "race condition", "dns", "reverse dns", "no space left"];
-        let (a, ids) = automaton(&patterns);
-        for text in [
-            "Full File System on /var",
-            "a race condition between reverse dns lookups",
-            "no space left on device",
-            "perfectly healthy",
-            "",
-            "fulfil is not full-, wait, full",
-        ] {
-            let lower = text.to_lowercase();
-            for (pattern, &id) in patterns.iter().zip(&ids) {
-                assert_eq!(
-                    a.scan(text).contains(id),
-                    lower.contains(pattern),
-                    "{pattern:?} in {text:?}"
-                );
+        for (a, ids) in engines(&patterns) {
+            for text in [
+                "Full File System on /var",
+                "a race condition between reverse dns lookups",
+                "no space left on device",
+                "perfectly healthy",
+                "",
+                "fulfil is not full-, wait, full",
+            ] {
+                let lower = text.to_lowercase();
+                for (pattern, &id) in patterns.iter().zip(&ids) {
+                    assert_eq!(
+                        a.scan(text).contains(id),
+                        lower.contains(pattern),
+                        "{pattern:?} in {text:?}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_64_byte_set_compiles_to_the_bit_engine() {
+        // Eight 8-byte patterns fill the state word; the last one ends on
+        // bit 63. An empty pattern takes no bit.
+        let patterns = [
+            "segfault", "deadlock", "overflow", "hostname", "too many", "timeouts", "datafile",
+            "unlocked", "",
+        ];
+        let a = compiled(&patterns);
+        assert!(matches!(a.engine, Engine::ShiftAnd(_)));
+        let hits = a.scan("the UNLOCKED table");
+        assert_eq!(hits, HitSet::of(&[7, 8]), "the last pattern and the empty one");
+    }
+
+    #[test]
+    fn a_65_byte_set_compiles_to_the_dfa() {
+        let patterns = [
+            "segfault", "deadlock", "overflow", "hostname", "too many", "timeouts", "datafile",
+            "unlocked", "x",
+        ];
+        let a = compiled(&patterns);
+        assert!(matches!(a.engine, Engine::Dfa(_)));
+        assert_eq!(a.scan("the UNLOCKED table, x"), HitSet::of(&[7, 8]));
+    }
+
+    #[test]
+    fn the_papers_keyword_query_compiles_to_the_bit_engine() {
+        // The §4 MySQL search keywords: 25 bytes.
+        let a = compiled(&["crash", "segmentation", "race", "died"]);
+        assert!(matches!(a.engine, Engine::ShiftAnd(_)));
+        assert_eq!(a.scan("Segmentation fault: the server DIED"), HitSet::of(&[1, 3]));
     }
 
     #[test]
@@ -583,26 +736,6 @@ mod tests {
         other.insert(7);
         h.or_assign(&other);
         assert!(h.contains(7));
-    }
-
-    #[test]
-    fn contains_ci_agrees_with_lowercase_contains() {
-        for (hay, needle) in [
-            ("Server CRASHED", "crash"),
-            ("Server CRASHED", "segmentation"),
-            ("", ""),
-            ("", "x"),
-            ("x", ""),
-            ("networ\u{212A}", "network"),
-            ("caf\u{e9}", "caf\u{e9}"),
-            ("ab", "abc"),
-        ] {
-            assert_eq!(
-                contains_ci(hay, needle),
-                hay.to_lowercase().contains(&needle.to_lowercase()),
-                "{hay:?} / {needle:?}"
-            );
-        }
     }
 
     #[test]

@@ -18,14 +18,19 @@
 //!   `(fault, strategy)` pair and every sample of the race faults; the
 //!   rest reuse a proven outcome and allocate nothing. Its per-sample
 //!   mean, set-up included, is held to a budget of its own.
+//! - The §4 keyword stage allocates nothing once its query is compiled:
+//!   each `KeywordQuery::matches_segments` is one `Automaton::scan_segments`
+//!   of the query's own automaton, and both text-scan engines scan ASCII
+//!   text in place.
 //!
 //! The counting allocator is the whole test binary's `#[global_allocator]`,
 //! so it lives in a file of its own. It counts per thread: libtest's other
 //! threads allocate into their own counters, never into the measured one.
 
 use faultstudy::apps::{spawn_app, Request};
+use faultstudy::core::scanset;
 use faultstudy::core::taxonomy::{AppKind, FaultClass};
-use faultstudy::corpus::full_corpus;
+use faultstudy::corpus::{full_corpus, PopulationSpec, SyntheticPopulation};
 use faultstudy::env::Environment;
 use faultstudy::exec::ParallelSpec;
 use faultstudy::graph::{
@@ -33,6 +38,7 @@ use faultstudy::graph::{
 };
 use faultstudy::harness::experiment::{build_workload, run_prepared_experiment, StrategyKind};
 use faultstudy::harness::{Campaign, CampaignReport, CampaignSpec};
+use faultstudy::mining::KeywordQuery;
 use faultstudy::recovery::{RestartRetry, SupervisorConfig};
 use faultstudy::sim::rng::split_seed;
 use faultstudy::traffic::{run_open_loop, ArrivalKind, TrafficParams};
@@ -321,4 +327,48 @@ fn a_whole_campaign_stays_within_its_allocation_budget() {
          sample; the budget is {ALLOCS_PER_CAMPAIGN_SAMPLE} allocations and \
          {BYTES_PER_CAMPAIGN_SAMPLE} bytes"
     );
+}
+
+#[test]
+fn the_keyword_stage_allocates_nothing() {
+    let population =
+        SyntheticPopulation::generate(&PopulationSpec::paper_scale(AppKind::Mysql, 2000));
+    let columns = population.to_columns();
+    let mysql = KeywordQuery::mysql();
+    let mut counts = Vec::new();
+    let n = allocations(|| {
+        for i in 0..columns.len() {
+            black_box(mysql.matches_segments(&columns.text_segments(i)));
+        }
+    });
+    counts.push((format!("the §4 query over {} archive rows", columns.len()), n));
+
+    // The §4 query's 25 bytes compile to Shift-And; these 71 bytes, and
+    // the ~95 patterns of the shared scan set, to the DFA.
+    let long = KeywordQuery::new([
+        "hang",
+        "deadlock",
+        "crash",
+        "segmentation fault",
+        "race condition",
+        "died unexpectedly",
+        "abort",
+    ]);
+    let shared = scanset::shared().automaton();
+    let text = ["Server CRASHED under load", "", "mysqld died unexpectedly: a race condition"];
+    let scans: [(&str, &dyn Fn() -> bool); 3] = [
+        ("the §4 query", &|| mysql.matches_segments(&text)),
+        ("a 71-byte query", &|| long.matches_segments(&text)),
+        ("the shared scan set", &|| !shared.scan_segments(&text).is_empty()),
+    ];
+    for (what, scan) in scans {
+        counts.push((what.to_owned(), allocations(|| assert!(black_box(scan())))));
+    }
+
+    let allocating: Vec<String> = counts
+        .iter()
+        .filter(|(_, n)| *n > 0)
+        .map(|(what, n)| format!("{what}: {n} allocations"))
+        .collect();
+    assert!(allocating.is_empty(), "allocation-free scans allocated:\n{}", allocating.join("\n"));
 }
