@@ -85,7 +85,9 @@ pub struct RaceGadget {
 
 impl Default for RaceGadget {
     fn default() -> Self {
-        // A window in which roughly a third of random interleavings lose.
+        // A window in which exactly half of random interleavings lose:
+        // 1/8 + 3/16 + 3/16, as the remover frees after 0, 1 or 2 of the
+        // user's set-up steps.
         RaceGadget { user_prepare_steps: 2, remover_delay_steps: 2 }
     }
 }

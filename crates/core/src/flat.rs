@@ -103,17 +103,9 @@ impl ReportColumns {
         I::IntoIter: Clone,
     {
         let iter = reports.into_iter();
-        let (rows, bytes) = iter.clone().fold((0usize, 0usize), |(rows, bytes), r| {
-            (
-                rows + 1,
-                bytes
-                    + r.title.len()
-                    + r.body.len()
-                    + r.how_to_repeat.len()
-                    + r.developer_notes.len()
-                    + r.version.len(),
-            )
-        });
+        let (rows, bytes) = iter
+            .clone()
+            .fold((0usize, 0usize), |(rows, bytes), r| (rows + 1, bytes + r.text_len()));
         let mut columns = ReportColumns::with_capacity(rows, bytes);
         for report in iter {
             columns.push(report);
@@ -421,16 +413,7 @@ mod tests {
     fn arena_is_contiguous_and_sized_exactly() {
         let reports = vec![sample(1), sample(2)];
         let columns = ReportColumns::from_reports(&reports);
-        let expected: usize = reports
-            .iter()
-            .map(|r| {
-                r.title.len()
-                    + r.body.len()
-                    + r.how_to_repeat.len()
-                    + r.developer_notes.len()
-                    + r.version.len()
-            })
-            .sum();
+        let expected: usize = reports.iter().map(BugReport::text_len).sum();
         assert_eq!(columns.arena_len(), expected);
     }
 

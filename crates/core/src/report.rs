@@ -164,6 +164,16 @@ impl BugReport {
         s
     }
 
+    /// Bytes of text in the five text fields: what the report adds to a
+    /// [`ReportColumns`](crate::flat::ReportColumns) arena.
+    pub fn text_len(&self) -> usize {
+        self.title.len()
+            + self.body.len()
+            + self.how_to_repeat.len()
+            + self.developer_notes.len()
+            + self.version.len()
+    }
+
     /// Whether the §4 selection keeps this report: high impact, filed
     /// against a production version, and not a duplicate.
     pub fn passes_selection(&self) -> bool {

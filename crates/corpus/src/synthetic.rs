@@ -11,14 +11,22 @@
 //! remembers which report ids correspond to which curated fault, the
 //! mining pipeline's precision and recall can be measured exactly — an
 //! end-to-end check the paper itself could not perform on its sources.
+//!
+//! Noise is nearly the whole archive: at paper scale the curated
+//! primaries and duplicates are at most 176 of MySQL's 44,000 rows. Every
+//! noise report of one kind says the same thing up to its id and filing
+//! month, so a population keeps each noise row as its id, kind and month
+//! (16 bytes) and holds only the curated reports whole.
+//! [`SyntheticPopulation::to_columns`] renders the noise text straight
+//! into the column arena, so no row of the archive allocates.
 
 use crate::{corpus_for, CuratedFault};
 use faultstudy_core::flat::ReportColumns;
 use faultstudy_core::report::{BugReport, ReportSource, Status, YearMonth};
 use faultstudy_core::taxonomy::{AppKind, Severity};
 use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Symptom phrases attached to serious reports. These carry the §4 search
 /// keywords ("crash", "segmentation", "race", "died") the way real
@@ -46,8 +54,128 @@ enum NoiseKind {
     BetaCrash,
 }
 
+/// What every noise report of one kind says. The title reads
+/// `{head}{id % modulus}{tail}`, or `head` alone when `modulus` is 0, so
+/// titles vary with the report id the way real ones do.
+struct NoiseText {
+    head: &'static str,
+    modulus: u64,
+    tail: &'static str,
+    body: &'static str,
+    severity: Severity,
+    status: Status,
+    version: &'static str,
+    production: bool,
+}
+
+/// Capacity of each text field of the report that noise rows are rendered
+/// through: wider than any noise field, so rendering never reallocates and
+/// the allocations of [`SyntheticPopulation::to_columns`] do not depend on
+/// which kinds of noise come first.
+const NOISE_FIELD_CAPACITY: usize = 64;
+
+impl NoiseKind {
+    /// What a report of this kind says, and how it is filed.
+    fn text(self) -> NoiseText {
+        let (head, modulus, tail, body) = match self {
+            NoiseKind::BuildProblem => (
+                "build fails on platform variant ",
+                17,
+                "",
+                "make stops with an undefined symbol during linking.",
+            ),
+            NoiseKind::InstallProblem => (
+                "installer cannot find prefix ",
+                13,
+                "",
+                "configure script mis-detects the system libraries.",
+            ),
+            NoiseKind::FeatureRequest => (
+                "please add an option for behaviour ",
+                23,
+                "",
+                "it would be convenient if the next version supported this.",
+            ),
+            // Questions often mention the serious keywords without being
+            // study faults — the funnel must reject them on severity.
+            NoiseKind::Question => (
+                "question: how do I read a core file after a crash?",
+                0,
+                "",
+                "the documentation does not say what to do when it crashed.",
+            ),
+            NoiseKind::DocIssue => {
+                ("manual section ", 31, " has a typo", "small wording problem, nothing functional.")
+            }
+            NoiseKind::LowImpactBug => (
+                "cosmetic glitch in output formatting ",
+                11,
+                "",
+                "alignment is off by one column; output is still correct.",
+            ),
+            // A real crash, but on a beta: §4 keeps production versions only.
+            NoiseKind::BetaCrash => (
+                "development snapshot crashed during testing",
+                0,
+                "",
+                "the beta died with a segmentation fault while we evaluated it.",
+            ),
+        };
+        let (severity, status, version, production) = match self {
+            NoiseKind::BuildProblem => (Severity::Major, Status::Closed, "source tree", true),
+            NoiseKind::InstallProblem => (Severity::Minor, Status::Open, "source tree", true),
+            NoiseKind::FeatureRequest | NoiseKind::DocIssue => {
+                (Severity::Trivial, Status::Open, "", true)
+            }
+            NoiseKind::Question => (Severity::Minor, Status::Closed, "", true),
+            NoiseKind::LowImpactBug => (Severity::Minor, Status::Fixed, "", true),
+            NoiseKind::BetaCrash => (Severity::Critical, Status::Open, "2.0-beta", false),
+        };
+        NoiseText { head, modulus, tail, body, severity, status, version, production }
+    }
+}
+
+impl NoiseText {
+    /// Bytes of text the report with archive id `id` holds.
+    fn len(&self, id: u64) -> usize {
+        let number = match self.modulus {
+            0 => 0,
+            m => (id % m).checked_ilog10().map_or(1, |d| d as usize + 1),
+        };
+        self.head.len() + number + self.tail.len() + self.body.len() + self.version.len()
+    }
+
+    /// Overwrites `report`'s id, filing month and kind-specific fields
+    /// with this kind's report `id`, reusing its strings' capacity.
+    fn render(&self, id: u64, filed: YearMonth, report: &mut BugReport) {
+        report.id = id;
+        report.title.clear();
+        report.title.push_str(self.head);
+        if self.modulus > 0 {
+            write!(report.title, "{}", id % self.modulus).expect("writing to a String");
+        }
+        report.title.push_str(self.tail);
+        report.body.clear();
+        report.body.push_str(self.body);
+        report.version.clear();
+        report.version.push_str(self.version);
+        report.severity = self.severity;
+        report.status = self.status;
+        report.on_production_version = self.production;
+        report.filed = filed;
+    }
+}
+
+/// One archive row: a noise report by its parts, or a curated report by
+/// its index into [`SyntheticPopulation::curated`]. 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Row {
+    Noise { id: u64, kind: NoiseKind, filed: YearMonth },
+    Curated(u32),
+}
+
 /// Configuration for one synthetic archive.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PopulationSpec {
     /// Application whose curated faults are embedded.
     pub app: AppKind,
@@ -74,11 +202,16 @@ impl PopulationSpec {
     }
 }
 
-/// A generated archive plus its ground truth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A generated archive plus its ground truth. [`Self::to_columns`] renders
+/// the archive's reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyntheticPopulation {
-    /// All reports, in randomized archive order.
-    pub reports: Vec<BugReport>,
+    app: AppKind,
+    /// Every row, in randomized archive order.
+    rows: Vec<Row>,
+    /// The primaries and duplicates of the curated faults, in generation
+    /// order.
+    curated: Vec<BugReport>,
     /// Map from report id to the slug of the curated fault it describes.
     /// Primaries and duplicates both appear; noise reports do not.
     pub ground_truth: BTreeMap<u64, String>,
@@ -99,7 +232,7 @@ impl SyntheticPopulation {
             faults.len()
         );
         let mut rng = Xoshiro256StarStar::seed_from(spec.seed);
-        let mut reports: Vec<BugReport> = Vec::with_capacity(spec.archive_size);
+        let mut curated: Vec<BugReport> = Vec::with_capacity(faults.len());
         let mut ground_truth = BTreeMap::new();
         let mut next_id: u64 = 1;
         let take_id = |n: &mut u64| {
@@ -109,36 +242,41 @@ impl SyntheticPopulation {
         };
 
         // Primaries.
-        let mut primary_ids = Vec::with_capacity(faults.len());
         for f in &faults {
             let id = take_id(&mut next_id);
-            reports.push(decorate_primary(f, id, &mut rng));
+            curated.push(decorate_primary(f, id, &mut rng));
             ground_truth.insert(id, f.slug().to_owned());
-            primary_ids.push(id);
         }
 
         // Duplicates, budget permitting.
         if spec.max_duplicates_per_fault > 0 {
-            for (f, &primary) in faults.iter().zip(&primary_ids) {
+            for (i, f) in faults.iter().enumerate() {
+                let primary = curated[i].id;
                 let dups = rng.below(u64::from(spec.max_duplicates_per_fault) + 1) as u32;
                 for _ in 0..dups {
-                    if reports.len() >= spec.archive_size {
+                    if curated.len() >= spec.archive_size {
                         break;
                     }
                     let id = take_id(&mut next_id);
                     let mut dup = decorate_primary(f, id, &mut rng);
                     dup.duplicate_of = Some(primary);
                     dup.title = format!("(again) {}", f.title());
-                    reports.push(dup);
+                    curated.push(dup);
                     ground_truth.insert(id, f.slug().to_owned());
                 }
             }
         }
 
+        let mut rows = Vec::with_capacity(spec.archive_size);
+        rows.extend(
+            (0..curated.len())
+                .map(|i| Row::Curated(u32::try_from(i).expect("curated rows fit 32 bits"))),
+        );
+
         // Noise to fill the archive. Serious-sounding noise (questions
         // about crashes, beta crashes) is rare — in the real MySQL archive
         // only "a few hundred" of 44,000 messages matched the §4 keywords.
-        while reports.len() < spec.archive_size {
+        while rows.len() < spec.archive_size {
             let id = take_id(&mut next_id);
             let kind = match rng.below(1000) {
                 0..=7 => NoiseKind::BetaCrash,
@@ -153,11 +291,14 @@ impl SyntheticPopulation {
                     ])
                     .expect("nonempty"),
             };
-            reports.push(noise_report(spec.app, id, kind, &mut rng));
+            let filed = YearMonth::new(1998, 1).plus_months(rng.below(22) as u32);
+            rows.push(Row::Noise { id, kind, filed });
         }
 
-        rng.shuffle(&mut reports);
-        SyntheticPopulation { reports, ground_truth }
+        // A Fisher–Yates shuffle's draws depend only on the length, so the
+        // rows take the order whole reports would take.
+        rng.shuffle(&mut rows);
+        SyntheticPopulation { app: spec.app, rows, curated, ground_truth }
     }
 
     /// Number of reports describing real (curated) faults, duplicates
@@ -166,12 +307,38 @@ impl SyntheticPopulation {
         self.ground_truth.len()
     }
 
-    /// Flattens the population into struct-of-arrays columns — one
-    /// contiguous text arena plus `(offset, len)` spans per field — the
-    /// layout the mining funnel scans. Row order is archive order, so
-    /// `columns.materialize(i) == self.reports[i]` for every row.
+    /// Renders the archive as struct-of-arrays columns — one contiguous
+    /// text arena plus `(offset, len)` spans per field — the layout the
+    /// mining funnel scans. Row order is archive order. The arena is
+    /// reserved once at its exact size, and every noise row is written
+    /// through one reused report, so no row allocates.
     pub fn to_columns(&self) -> ReportColumns {
-        ReportColumns::from_reports(&self.reports)
+        let noise_bytes: usize = self
+            .rows
+            .iter()
+            .map(|row| match *row {
+                Row::Noise { id, kind, .. } => kind.text().len(id),
+                Row::Curated(_) => 0,
+            })
+            .sum();
+        let curated_bytes: usize = self.curated.iter().map(BugReport::text_len).sum();
+        let mut columns =
+            ReportColumns::with_capacity(self.rows.len(), noise_bytes + curated_bytes);
+        let mut noise = BugReport::builder(self.app, 0).source(source_for(self.app)).build();
+        for field in [&mut noise.title, &mut noise.body, &mut noise.version] {
+            field.reserve(NOISE_FIELD_CAPACITY);
+        }
+        for row in &self.rows {
+            match *row {
+                Row::Noise { id, kind, filed } => {
+                    kind.text().render(id, filed, &mut noise);
+                    columns.push(&noise);
+                }
+                Row::Curated(index) => columns.push(&self.curated[index as usize]),
+            }
+        }
+        debug_assert_eq!(columns.arena_len(), noise_bytes + curated_bytes, "arena size");
+        columns
     }
 }
 
@@ -192,63 +359,209 @@ fn decorate_primary(f: &CuratedFault, id: u64, rng: &mut Xoshiro256StarStar) -> 
     r
 }
 
-fn noise_report(app: AppKind, id: u64, kind: NoiseKind, rng: &mut Xoshiro256StarStar) -> BugReport {
-    let filed = YearMonth::new(1998, 1).plus_months(rng.below(22) as u32);
-    let b = BugReport::builder(app, id).filed(filed).source(source_for(app));
-    match kind {
-        NoiseKind::BuildProblem => b
-            .title(format!("build fails on platform variant {}", id % 17))
-            .body("make stops with an undefined symbol during linking.")
-            .severity(Severity::Major)
-            .status(Status::Closed)
-            .version("source tree", true)
-            .build(),
-        NoiseKind::InstallProblem => b
-            .title(format!("installer cannot find prefix {}", id % 13))
-            .body("configure script mis-detects the system libraries.")
-            .severity(Severity::Minor)
-            .version("source tree", true)
-            .build(),
-        NoiseKind::FeatureRequest => b
-            .title(format!("please add an option for behaviour {}", id % 23))
-            .body("it would be convenient if the next version supported this.")
-            .severity(Severity::Trivial)
-            .build(),
-        NoiseKind::Question => b
-            // Questions often mention the serious keywords without being
-            // study faults — the funnel must reject them on severity.
-            .title("question: how do I read a core file after a crash?")
-            .body("the documentation does not say what to do when it crashed.")
-            .severity(Severity::Minor)
-            .status(Status::Closed)
-            .build(),
-        NoiseKind::DocIssue => b
-            .title(format!("manual section {} has a typo", id % 31))
-            .body("small wording problem, nothing functional.")
-            .severity(Severity::Trivial)
-            .build(),
-        NoiseKind::LowImpactBug => b
-            .title(format!("cosmetic glitch in output formatting {}", id % 11))
-            .body("alignment is off by one column; output is still correct.")
-            .severity(Severity::Minor)
-            .status(Status::Fixed)
-            .build(),
-        NoiseKind::BetaCrash => b
-            // A real crash, but on a beta: §4 keeps production versions only.
-            .title("development snapshot crashed during testing")
-            .body("the beta died with a segmentation fault while we evaluated it.")
-            .severity(Severity::Critical)
-            .version("2.0-beta", false)
-            .build(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spec(app: AppKind, size: usize) -> PopulationSpec {
         PopulationSpec { app, archive_size: size, max_duplicates_per_fault: 2, seed: 42 }
+    }
+
+    fn reports(p: &SyntheticPopulation) -> Vec<BugReport> {
+        p.to_columns().iter().map(|row| row.materialize()).collect()
+    }
+
+    /// The reference generator: one owned `BugReport` per row, noise
+    /// built through the report builder, then the whole vector shuffled.
+    /// It keeps its own copy of every draw; the compact rows must render
+    /// exactly its reports.
+    fn reference(spec: &PopulationSpec) -> (Vec<BugReport>, BTreeMap<u64, String>) {
+        let faults = corpus_for(spec.app);
+        let mut rng = Xoshiro256StarStar::seed_from(spec.seed);
+        let mut reports: Vec<BugReport> = Vec::with_capacity(spec.archive_size);
+        let mut ground_truth = BTreeMap::new();
+        let mut next_id: u64 = 1;
+        let take_id = |n: &mut u64| {
+            let id = *n;
+            *n += 1;
+            id
+        };
+
+        let mut primary_ids = Vec::with_capacity(faults.len());
+        for f in &faults {
+            let id = take_id(&mut next_id);
+            reports.push(decorate_primary(f, id, &mut rng));
+            ground_truth.insert(id, f.slug().to_owned());
+            primary_ids.push(id);
+        }
+
+        if spec.max_duplicates_per_fault > 0 {
+            for (f, &primary) in faults.iter().zip(&primary_ids) {
+                let dups = rng.below(u64::from(spec.max_duplicates_per_fault) + 1) as u32;
+                for _ in 0..dups {
+                    if reports.len() >= spec.archive_size {
+                        break;
+                    }
+                    let id = take_id(&mut next_id);
+                    let mut dup = decorate_primary(f, id, &mut rng);
+                    dup.duplicate_of = Some(primary);
+                    dup.title = format!("(again) {}", f.title());
+                    reports.push(dup);
+                    ground_truth.insert(id, f.slug().to_owned());
+                }
+            }
+        }
+
+        while reports.len() < spec.archive_size {
+            let id = take_id(&mut next_id);
+            let kind = match rng.below(1000) {
+                0..=7 => NoiseKind::BetaCrash,
+                8..=15 => NoiseKind::Question,
+                _ => *rng
+                    .pick(&[
+                        NoiseKind::BuildProblem,
+                        NoiseKind::InstallProblem,
+                        NoiseKind::FeatureRequest,
+                        NoiseKind::DocIssue,
+                        NoiseKind::LowImpactBug,
+                    ])
+                    .expect("nonempty"),
+            };
+            reports.push(reference_noise(spec.app, id, kind, &mut rng));
+        }
+
+        rng.shuffle(&mut reports);
+        (reports, ground_truth)
+    }
+
+    fn reference_noise(
+        app: AppKind,
+        id: u64,
+        kind: NoiseKind,
+        rng: &mut Xoshiro256StarStar,
+    ) -> BugReport {
+        let filed = YearMonth::new(1998, 1).plus_months(rng.below(22) as u32);
+        let b = BugReport::builder(app, id).filed(filed).source(source_for(app));
+        match kind {
+            NoiseKind::BuildProblem => b
+                .title(format!("build fails on platform variant {}", id % 17))
+                .body("make stops with an undefined symbol during linking.")
+                .severity(Severity::Major)
+                .status(Status::Closed)
+                .version("source tree", true)
+                .build(),
+            NoiseKind::InstallProblem => b
+                .title(format!("installer cannot find prefix {}", id % 13))
+                .body("configure script mis-detects the system libraries.")
+                .severity(Severity::Minor)
+                .version("source tree", true)
+                .build(),
+            NoiseKind::FeatureRequest => b
+                .title(format!("please add an option for behaviour {}", id % 23))
+                .body("it would be convenient if the next version supported this.")
+                .severity(Severity::Trivial)
+                .build(),
+            NoiseKind::Question => b
+                .title("question: how do I read a core file after a crash?")
+                .body("the documentation does not say what to do when it crashed.")
+                .severity(Severity::Minor)
+                .status(Status::Closed)
+                .build(),
+            NoiseKind::DocIssue => b
+                .title(format!("manual section {} has a typo", id % 31))
+                .body("small wording problem, nothing functional.")
+                .severity(Severity::Trivial)
+                .build(),
+            NoiseKind::LowImpactBug => b
+                .title(format!("cosmetic glitch in output formatting {}", id % 11))
+                .body("alignment is off by one column; output is still correct.")
+                .severity(Severity::Minor)
+                .status(Status::Fixed)
+                .build(),
+            NoiseKind::BetaCrash => b
+                .title("development snapshot crashed during testing")
+                .body("the beta died with a segmentation fault while we evaluated it.")
+                .severity(Severity::Critical)
+                .version("2.0-beta", false)
+                .build(),
+        }
+    }
+
+    fn assert_matches_reference(spec: &PopulationSpec) {
+        let population = SyntheticPopulation::generate(spec);
+        let (reports, ground_truth) = reference(spec);
+        assert_eq!(population.to_columns(), ReportColumns::from_reports(&reports), "{spec:?}");
+        assert_eq!(population.ground_truth, ground_truth, "{spec:?}");
+    }
+
+    proptest! {
+        /// The compact rows render, row for row, the archive the
+        /// reference generator builds, with the same ground truth.
+        #[test]
+        fn columns_equal_the_reference_generators_reports(
+            app in prop::sample::select(AppKind::ALL.to_vec()),
+            seed in any::<u64>(),
+            // A quarter of the cases hold exactly the curated faults.
+            extra in (0u32..4, 0usize..3_000).prop_map(|(q, n)| if q == 0 { 0 } else { n }),
+            max_duplicates_per_fault in 0u32..5,
+        ) {
+            let archive_size = corpus_for(app).len() + extra;
+            assert_matches_reference(&PopulationSpec {
+                app,
+                archive_size,
+                max_duplicates_per_fault,
+                seed,
+            });
+        }
+    }
+
+    #[test]
+    fn edge_and_paper_scale_specs_equal_the_reference() {
+        for app in AppKind::ALL {
+            for seed in [7, 2000] {
+                assert_matches_reference(&PopulationSpec::paper_scale(app, seed));
+            }
+            let faults = corpus_for(app).len();
+            for (archive_size, max_duplicates_per_fault) in [
+                // Room for the primaries only: every duplicate is cut.
+                (faults, 3),
+                (faults, 0),
+                (faults + 500, 0),
+                // The first faults' duplicates fill the archive.
+                (faults + 100, u32::MAX),
+            ] {
+                for seed in [1, 7, 99, 2000] {
+                    assert_matches_reference(&PopulationSpec {
+                        app,
+                        archive_size,
+                        max_duplicates_per_fault,
+                        seed,
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_are_16_bytes_and_noise_fits_the_render_report() {
+        assert_eq!(std::mem::size_of::<Row>(), 16);
+        for kind in [
+            NoiseKind::BuildProblem,
+            NoiseKind::InstallProblem,
+            NoiseKind::FeatureRequest,
+            NoiseKind::Question,
+            NoiseKind::DocIssue,
+            NoiseKind::LowImpactBug,
+            NoiseKind::BetaCrash,
+        ] {
+            let t = kind.text();
+            // The widest title carries a two-digit number.
+            let title = t.head.len() + 2 + t.tail.len();
+            for width in [title, t.body.len(), t.version.len()] {
+                assert!(width <= NOISE_FIELD_CAPACITY, "{kind:?}: a {width}-byte field");
+            }
+        }
     }
 
     #[test]
@@ -270,7 +583,7 @@ mod tests {
     #[test]
     fn archive_size_and_ground_truth_counts() {
         let p = SyntheticPopulation::generate(&spec(AppKind::Apache, 600));
-        assert_eq!(p.reports.len(), 600);
+        assert_eq!(p.to_columns().len(), 600);
         // 50 primaries plus up to 2 duplicates each.
         assert!(p.true_report_count() >= 50);
         assert!(p.true_report_count() <= 150);
@@ -283,7 +596,8 @@ mod tests {
     #[test]
     fn ids_are_unique() {
         let p = SyntheticPopulation::generate(&spec(AppKind::Mysql, 500));
-        let mut ids: Vec<u64> = p.reports.iter().map(|r| r.id).collect();
+        let columns = p.to_columns();
+        let mut ids: Vec<u64> = columns.iter().map(|r| r.id()).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 500);
@@ -293,7 +607,7 @@ mod tests {
     fn primaries_pass_selection_and_carry_keywords() {
         let p = SyntheticPopulation::generate(&spec(AppKind::Mysql, 200));
         let keywords = ["crash", "segmentation", "race", "died"];
-        for r in &p.reports {
+        for r in &reports(&p) {
             if p.ground_truth.contains_key(&r.id) && r.duplicate_of.is_none() {
                 assert!(r.passes_selection(), "primary {} must survive the funnel", r.id);
                 let text = r.full_text().to_lowercase();
@@ -310,7 +624,7 @@ mod tests {
     fn duplicates_link_to_their_primary() {
         let p = SyntheticPopulation::generate(&spec(AppKind::Apache, 700));
         let mut dup_count = 0;
-        for r in &p.reports {
+        for r in &reports(&p) {
             if let Some(primary) = r.duplicate_of {
                 dup_count += 1;
                 let primary_slug = p.ground_truth.get(&primary).expect("primary tracked");
@@ -326,7 +640,7 @@ mod tests {
         // rejected by selection or never matches the keyword search.
         let p = SyntheticPopulation::generate(&spec(AppKind::Mysql, 400));
         let keywords = ["crash", "segmentation", "race", "died"];
-        for r in &p.reports {
+        for r in &reports(&p) {
             if !p.ground_truth.contains_key(&r.id) {
                 let text = r.full_text().to_lowercase();
                 let keyword_hit = keywords.iter().any(|k| text.contains(k));
@@ -337,16 +651,6 @@ mod tests {
                     r.title
                 );
             }
-        }
-    }
-
-    #[test]
-    fn columns_mirror_the_report_vector() {
-        let p = SyntheticPopulation::generate(&spec(AppKind::Gnome, 250));
-        let columns = p.to_columns();
-        assert_eq!(columns.len(), p.reports.len());
-        for (i, r) in p.reports.iter().enumerate() {
-            assert_eq!(&columns.materialize(i), r, "row {i}");
         }
     }
 

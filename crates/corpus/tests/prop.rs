@@ -28,13 +28,14 @@ proptest! {
             seed,
         };
         let population = SyntheticPopulation::generate(&spec);
-        prop_assert_eq!(population.reports.len(), spec.archive_size);
+        let columns = population.to_columns();
+        prop_assert_eq!(columns.len(), spec.archive_size);
         let slugs: BTreeSet<&str> =
             population.ground_truth.values().map(String::as_str).collect();
         prop_assert_eq!(slugs.len(), base, "every fault has at least its primary");
         // Ids are unique.
-        let ids: BTreeSet<u64> = population.reports.iter().map(|r| r.id).collect();
-        prop_assert_eq!(ids.len(), population.reports.len());
+        let ids: BTreeSet<u64> = columns.iter().map(|r| r.id()).collect();
+        prop_assert_eq!(ids.len(), columns.len());
     }
 
     /// Ground truth is sound: every tracked id exists in the archive and
@@ -49,7 +50,7 @@ proptest! {
         };
         let population = SyntheticPopulation::generate(&spec);
         let ids: std::collections::BTreeSet<u64> =
-            population.reports.iter().map(|r| r.id).collect();
+            population.to_columns().iter().map(|r| r.id()).collect();
         for (id, slug) in &population.ground_truth {
             prop_assert!(ids.contains(id), "tracked id {id} missing from archive");
             prop_assert!(

@@ -18,7 +18,7 @@
 //! let spec = PopulationSpec { app: AppKind::Gnome, archive_size: 300,
 //!                             max_duplicates_per_fault: 2, seed: 7 };
 //! let population = SyntheticPopulation::generate(&spec);
-//! let archive = Archive::new(AppKind::Gnome, population.reports.clone());
+//! let archive = Archive::from_columns(AppKind::Gnome, population.to_columns());
 //! let outcome = SelectionPipeline::for_app(AppKind::Gnome).run(&archive);
 //! assert_eq!(outcome.selected.len(), 45); // Table 2's fault count
 //! ```

@@ -237,7 +237,7 @@ mod tests {
     fn outcome_for(app: AppKind, size: usize, seed: u64) -> (PipelineOutcome, SyntheticPopulation) {
         let spec = PopulationSpec { app, archive_size: size, max_duplicates_per_fault: 2, seed };
         let pop = SyntheticPopulation::generate(&spec);
-        let archive = Archive::new(app, pop.reports.clone());
+        let archive = Archive::from_columns(app, pop.to_columns());
         (SelectionPipeline::for_app(app).run(&archive), pop)
     }
 
@@ -298,7 +298,7 @@ mod tests {
             seed: 21,
         };
         let pop = SyntheticPopulation::generate(&spec);
-        let archive = Archive::new(AppKind::Mysql, pop.reports);
+        let archive = Archive::from_columns(AppKind::Mysql, pop.to_columns());
         let pipeline = SelectionPipeline::for_app(AppKind::Mysql);
         let sequential = pipeline.run_with(&archive, faultstudy_exec::ParallelSpec::SEQUENTIAL);
         for threads in [2, 8] {
@@ -317,7 +317,7 @@ mod tests {
             seed: 22,
         };
         let pop = SyntheticPopulation::generate(&spec);
-        let archive = Archive::new(AppKind::Mysql, pop.reports);
+        let archive = Archive::from_columns(AppKind::Mysql, pop.to_columns());
         let pipeline = SelectionPipeline::for_app(AppKind::Mysql);
         let plain = pipeline.run(&archive);
         let (out, reg) = pipeline.run_instrumented(&archive, ParallelSpec::default());

@@ -27,19 +27,19 @@ fn main() {
         max_duplicates_per_fault: 3,
         seed: 11,
     };
-    let population = SyntheticPopulation::generate(&spec);
-    let matches = population.reports.iter().filter(|r| q.matches(r)).count();
+    let columns = SyntheticPopulation::generate(&spec).to_columns();
+    let matches = columns.iter().filter(|r| q.matches_segments(&r.text_segments())).count();
     println!(
         "{} of {} messages match (the paper: 'a few hundred' of 44,000)",
         matches,
-        population.reports.len()
+        columns.len()
     );
 
     println!();
     println!("== what a differently-tuned pipeline would have found ==");
     // Searching only for "crash" misses race reports that never say it.
     let narrow = SelectionPipeline::with_keywords(Some(KeywordQuery::new(["crash"])));
-    let archive = Archive::from_columns(AppKind::Mysql, population.to_columns());
+    let archive = Archive::from_columns(AppKind::Mysql, columns);
     let narrow_out = narrow.run(&archive);
     let full_out = SelectionPipeline::for_app(AppKind::Mysql).run(&archive);
     println!(

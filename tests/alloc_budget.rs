@@ -22,6 +22,10 @@
 //!   each `KeywordQuery::matches_segments` is one `Automaton::scan_segments`
 //!   of the query's own automaton, and both text-scan engines scan ASCII
 //!   text in place.
+//! - Generating an archive and rendering it into columns makes the same
+//!   allocations at 44,000 and at 440,000 rows: a noise row is rendered
+//!   through one reused report into an arena reserved once, so no row
+//!   allocates and no column regrows.
 //!
 //! The counting allocator is the whole test binary's `#[global_allocator]`,
 //! so it lives in a file of its own. It counts per thread: libtest's other
@@ -371,4 +375,24 @@ fn the_keyword_stage_allocates_nothing() {
         .map(|(what, n)| format!("{what}: {n} allocations"))
         .collect();
     assert!(allocating.is_empty(), "allocation-free scans allocated:\n{}", allocating.join("\n"));
+}
+
+#[test]
+fn generating_an_archive_allocates_nothing_per_row() {
+    let build = |archive_size: usize| {
+        let spec =
+            PopulationSpec { archive_size, ..PopulationSpec::paper_scale(AppKind::Mysql, 2000) };
+        allocations(|| {
+            black_box(SyntheticPopulation::generate(&spec).to_columns());
+        })
+    };
+    // The first build pays for whatever is built once per process.
+    build(1_000);
+    let paper = build(44_000);
+    let tenfold = build(440_000);
+    assert_eq!(
+        paper, tenfold,
+        "generating and flattening the MySQL archive makes {paper} allocations at 44,000 rows \
+         and {tenfold} at 440,000; a row or a regrown column allocates"
+    );
 }

@@ -98,12 +98,13 @@ fn single_keyword_pipelines_lose_recall() {
 /// the same keyword verdict and the same evidence.
 #[test]
 fn shared_scan_matches_the_naive_scans_on_the_paper_scale_archive() {
-    let population =
-        SyntheticPopulation::generate(&PopulationSpec::paper_scale(AppKind::Mysql, 2000));
-    assert_eq!(population.reports.len(), 44_000);
+    let columns = SyntheticPopulation::generate(&PopulationSpec::paper_scale(AppKind::Mysql, 2000))
+        .to_columns();
+    assert_eq!(columns.len(), 44_000);
     let set = scanset::shared();
     let query = KeywordQuery::mysql();
-    for r in &population.reports {
+    for row in columns.iter() {
+        let r = &row.materialize();
         let hits = set.hits_report(r);
         let naive = query.matches_naive(r);
         assert_eq!(set.matches_mysql_keywords(&hits), naive, "keyword verdict on {}", r.id);
