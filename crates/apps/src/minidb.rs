@@ -211,7 +211,7 @@ pub struct MiniDb {
 impl MiniDb {
     /// Creates the server, registering it as a resource owner in `env`.
     pub fn new(env: &mut Environment) -> MiniDb {
-        let owner = env.register_owner("minidb");
+        let owner = env.register_owner();
         MiniDb { owner, state: DbState::default() }
     }
 
@@ -615,7 +615,7 @@ impl Application for MiniDb {
             s if s.starts_with("mysql-ei-") => {}
             "mysql-edn-01" => {
                 // The co-hosted web server grabs every descriptor.
-                let web = env.register_owner("cohosted-webserver");
+                let web = env.register_owner();
                 env.fds.exhaust_as(web);
             }
             "mysql-edn-02" => {} // the client simply has no PTR record

@@ -54,7 +54,7 @@ impl MiniDe {
     /// Creates the desktop, registering it as a resource owner and
     /// capturing the boot-time hostname into session state.
     pub fn new(env: &mut Environment) -> MiniDe {
-        let owner = env.register_owner("minide");
+        let owner = env.register_owner();
         MiniDe {
             owner,
             state: DeState { boot_hostname: env.host.hostname().into(), ..DeState::default() },

@@ -69,7 +69,7 @@ pub struct MiniWeb {
 impl MiniWeb {
     /// Creates the server, registering it as a resource owner in `env`.
     pub fn new(env: &mut Environment) -> MiniWeb {
-        let owner = env.register_owner("miniweb");
+        let owner = env.register_owner();
         MiniWeb { owner, state: WebState::default() }
     }
 
@@ -918,7 +918,7 @@ mod tests {
         // until something else (an injection plan) drains the table.
         let req = web.trigger_request("apache-edn-02").unwrap();
         assert!(web.handle(&req, &mut env).unwrap().is_ok(), "environment untouched");
-        let hog = env.register_owner("hog");
+        let hog = env.register_owner();
         env.fds.exhaust_as(hog);
         assert!(web.handle(&req, &mut env).is_err(), "armed defect fires once env degrades");
         assert!(web.arm_defect("mysql-ei-01").is_err(), "foreign slug rejected");

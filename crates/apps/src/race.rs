@@ -3,74 +3,19 @@
 //! Every race fault in the corpus has the same anatomy: two concurrent
 //! activities share a resource, and one interleaving order frees (or
 //! removes, or masks) the resource while the other still needs it. The
-//! gadget realises that anatomy on the deterministic step scheduler: a
-//! *user* task that initialises and then uses a shared slot, and a
-//! *remover* task that waits a configurable number of steps and then frees
-//! the slot. Whether the run crashes depends solely on the interleaving —
-//! which the environment owns — so the same gadget run under
+//! gadget realises that anatomy as two step counters driven by a
+//! [`Schedule`](faultstudy_sim::sched::Schedule): a *user* that initialises
+//! and then uses a shared slot, and a *remover* that waits a configurable
+//! number of steps and then frees the slot. Whether the run crashes
+//! depends solely on the interleaving — which the environment owns — so
+//! the same gadget run under
 //! [`Environment::current_interleaving`](faultstudy_env::Environment::current_interleaving)
 //! is deterministic for a fixed environment and variable across retries,
 //! exactly the paper's definition of an environment-dependent-transient
 //! fault.
 
-use faultstudy_sim::sched::{Interleaver, StepOutcome, StepScheduler, Task};
+use faultstudy_sim::sched::Interleaver;
 use serde::{Deserialize, Serialize};
-
-/// Shared state of the gadget.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct Slot {
-    /// The resource, present until the remover frees it.
-    resource: Option<u32>,
-    /// Set once the user has safely finished.
-    user_done: bool,
-}
-
-/// The user task: `prepare_steps` setup steps, then one use of the
-/// resource. Using a freed resource crashes.
-struct UserTask {
-    prepare_left: u32,
-}
-
-impl Task<Slot> for UserTask {
-    fn step(&mut self, shared: &mut Slot) -> StepOutcome {
-        if self.prepare_left > 0 {
-            self.prepare_left -= 1;
-            return StepOutcome::Ready;
-        }
-        match shared.resource {
-            Some(_) => {
-                shared.user_done = true;
-                StepOutcome::Done
-            }
-            None => StepOutcome::Failed("use after free: resource gone".to_owned()),
-        }
-    }
-
-    fn label(&self) -> &str {
-        "user"
-    }
-}
-
-/// The remover task: `delay_steps` steps of unrelated work, then frees the
-/// resource (gracefully if the user already finished).
-struct RemoverTask {
-    delay_left: u32,
-}
-
-impl Task<Slot> for RemoverTask {
-    fn step(&mut self, shared: &mut Slot) -> StepOutcome {
-        if self.delay_left > 0 {
-            self.delay_left -= 1;
-            return StepOutcome::Ready;
-        }
-        shared.resource = None;
-        StepOutcome::Done
-    }
-
-    fn label(&self) -> &str {
-        "remover"
-    }
-}
 
 /// Configuration of one race execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,16 +55,24 @@ impl RaceGadget {
     /// assert!(gadget.run(crashing).is_err());
     /// ```
     pub fn run(&self, interleaver: Interleaver) -> Result<(), String> {
-        let mut sched =
-            StepScheduler::new(Slot { resource: Some(7), user_done: false }, interleaver);
-        sched.spawn(UserTask { prepare_left: self.user_prepare_steps });
-        sched.spawn(RemoverTask { delay_left: self.remover_delay_steps });
-        let (slot, report) = sched.run(10_000);
-        match report.failure {
-            Some((_, reason)) => Err(reason),
-            None => {
-                debug_assert!(slot.user_done);
-                Ok(())
+        let mut schedule = interleaver.start();
+        let mut user_left = self.user_prepare_steps;
+        let mut remover_left = self.remover_delay_steps;
+        // While both tasks are runnable the schedule picks between them,
+        // user first. Whichever task reaches its last step first decides
+        // the run: the user's last step uses the resource while it is
+        // still there, the remover's frees it before the user can.
+        loop {
+            if schedule.choose(2) == 0 {
+                match user_left.checked_sub(1) {
+                    Some(left) => user_left = left,
+                    None => return Ok(()),
+                }
+            } else {
+                match remover_left.checked_sub(1) {
+                    Some(left) => remover_left = left,
+                    None => return Err("use after free: resource gone".to_owned()),
+                }
             }
         }
     }
@@ -153,6 +106,79 @@ impl RaceGadget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The general step scheduler the gadget ran on before `run` became a
+    /// two-counter loop, kept as its reference: a task list stepped in the
+    /// schedule's order, a task removed once done, a failed step aborting
+    /// the run, and a step budget that models a hang.
+    fn reference(gadget: &RaceGadget, interleaver: Interleaver) -> Result<(), String> {
+        enum Task {
+            User { prepare_left: u32 },
+            Remover { delay_left: u32 },
+        }
+        let mut tasks = vec![
+            Task::User { prepare_left: gadget.user_prepare_steps },
+            Task::Remover { delay_left: gadget.remover_delay_steps },
+        ];
+        let mut freed = false;
+        let mut schedule = interleaver.start();
+        let mut steps = 0u64;
+        while !tasks.is_empty() {
+            if steps >= 10_000 {
+                return Err("step budget exhausted".to_owned());
+            }
+            let idx = schedule.choose(tasks.len());
+            steps += 1;
+            let done = match &mut tasks[idx] {
+                Task::User { prepare_left: left } | Task::Remover { delay_left: left }
+                    if *left > 0 =>
+                {
+                    *left -= 1;
+                    false
+                }
+                Task::User { .. } if freed => {
+                    return Err("use after free: resource gone".to_owned());
+                }
+                Task::User { .. } => true,
+                Task::Remover { .. } => {
+                    freed = true;
+                    true
+                }
+            };
+            if done {
+                tasks.remove(idx);
+            }
+        }
+        Ok(())
+    }
+
+    /// One of the three interleaving policies, from a selector and the
+    /// draws each policy needs.
+    fn interleaver(policy: u8, seed: u64, script: Vec<u32>) -> Interleaver {
+        match policy {
+            0 => Interleaver::RoundRobin,
+            1 => Interleaver::Seeded(seed),
+            _ => Interleaver::Fixed(script),
+        }
+    }
+
+    proptest! {
+        /// The two-counter loop returns what the step scheduler returned,
+        /// reason included, for every geometry and policy.
+        #[test]
+        fn run_matches_the_step_scheduler(
+            user_prepare_steps in 0u32..8,
+            remover_delay_steps in 0u32..8,
+            policy in 0u8..3,
+            seed in any::<u64>(),
+            script in prop::collection::vec(any::<u32>(), 0..13),
+        ) {
+            let gadget = RaceGadget { user_prepare_steps, remover_delay_steps };
+            let inter = interleaver(policy, seed, script);
+            prop_assert_eq!(gadget.run(inter.clone()), reference(&gadget, inter));
+        }
+    }
 
     #[test]
     fn fixed_schedule_reproduces_the_crash() {

@@ -67,7 +67,7 @@ pub struct RecoveryAssumptions {
 
 impl RecoveryAssumptions {
     /// The persistence of `cond` under these assumptions.
-    pub fn persistence_of(&self, cond: ConditionKind) -> Persistence {
+    pub(crate) fn persistence_of(&self, cond: ConditionKind) -> Persistence {
         let base = cond.persistence();
         match cond {
             ConditionKind::FileSystemFull

@@ -51,11 +51,9 @@ pub const MYSQL_KEYWORDS: [&str; 4] = ["crash", "segmentation", "race", "died"];
 #[derive(Debug)]
 pub struct ScanSet {
     automaton: Automaton,
-    /// `rule_patterns[i]` holds the pattern ids of `RULES[i].all_of`.
-    rule_patterns: Vec<Vec<PatternId>>,
-    /// `rule_masks[i]` is `rule_patterns[i]` as a bitmask paired with the
-    /// rule's condition: the conjunction holds iff the scan's [`HitSet`] is
-    /// a superset of the mask.
+    /// `rule_masks[i]` holds the pattern ids of `RULES[i].all_of` as a
+    /// bitmask paired with the rule's condition: the conjunction holds iff
+    /// the scan's [`HitSet`] is a superset of the mask.
     rule_masks: Vec<(HitSet, ConditionKind)>,
     /// Union of every rule's mask: when a scan intersects none of it, no
     /// conjunction can hold and the rule loop is skipped entirely.
@@ -80,13 +78,12 @@ impl ScanSet {
         let mut b = PatternSetBuilder::new();
         let mut register =
             |patterns: &[&str]| -> Vec<PatternId> { patterns.iter().map(|p| b.add(p)).collect() };
-        let rule_patterns: Vec<Vec<PatternId>> = RULES.iter().map(|r| register(r.all_of)).collect();
+        let rule_masks: Vec<(HitSet, ConditionKind)> =
+            RULES.iter().map(|r| (HitSet::of(&register(r.all_of)), r.kind)).collect();
         let deterministic = HitSet::of(&register(DETERMINISTIC_CUES));
         let nondeterministic = HitSet::of(&register(NONDETERMINISTIC_CUES));
         let retry = HitSet::of(&register(RETRY_SUCCESS_CUES));
         let mysql_keywords = HitSet::of(&register(&MYSQL_KEYWORDS));
-        let rule_masks: Vec<(HitSet, ConditionKind)> =
-            RULES.iter().zip(&rule_patterns).map(|(r, ids)| (HitSet::of(ids), r.kind)).collect();
         let mut rule_union = HitSet::EMPTY;
         for (mask, _) in &rule_masks {
             rule_union.or_assign(mask);
@@ -94,7 +91,6 @@ impl ScanSet {
         let has_unconditional_rule = rule_masks.iter().any(|(mask, _)| mask.is_empty());
         ScanSet {
             automaton: b.build(),
-            rule_patterns,
             rule_masks,
             rule_union,
             has_unconditional_rule,
@@ -108,12 +104,6 @@ impl ScanSet {
     /// The underlying automaton.
     pub fn automaton(&self) -> &Automaton {
         &self.automaton
-    }
-
-    /// The pattern ids of each lexicon rule's conjunction, parallel to
-    /// [`RULES`]; introspection for tests and tooling.
-    pub fn rule_patterns(&self) -> &[Vec<PatternId>] {
-        &self.rule_patterns
     }
 
     /// Scans one text in a single pass (no per-call heap allocation on
@@ -138,7 +128,7 @@ impl ScanSet {
     /// between segments — the input shape of
     /// [`flat::ReportColumns::text_segments`](crate::flat::ReportColumns::text_segments),
     /// so arena-backed archives scan without materializing any report.
-    pub fn hits_segments(&self, segments: &[&str]) -> HitSet {
+    pub(crate) fn hits_segments(&self, segments: &[&str]) -> HitSet {
         self.automaton.scan_segments(segments)
     }
 
@@ -194,14 +184,14 @@ mod tests {
         let set = shared();
         assert!(std::ptr::eq(set, shared()), "OnceLock returns the same instance");
         assert!(set.automaton().is_ascii(), "every registered pattern is ASCII");
-        assert_eq!(set.rule_patterns.len(), RULES.len());
+        assert_eq!(set.rule_masks.len(), RULES.len());
         assert_eq!(set.deterministic.len(), DETERMINISTIC_CUES.len());
         assert_eq!(set.nondeterministic.len(), NONDETERMINISTIC_CUES.len());
         assert_eq!(set.retry.len(), RETRY_SUCCESS_CUES.len());
         assert_eq!(set.mysql_keywords.len(), MYSQL_KEYWORDS.len());
         // Patterns shared between families (e.g. "works on a retry" is both
         // a lexicon pattern and a retry cue) deduplicate in the automaton.
-        let registered: usize = set.rule_patterns.iter().map(Vec::len).sum::<usize>()
+        let registered: usize = RULES.iter().map(|r| r.all_of.len()).sum::<usize>()
             + DETERMINISTIC_CUES.len()
             + NONDETERMINISTIC_CUES.len()
             + RETRY_SUCCESS_CUES.len()

@@ -61,11 +61,6 @@ impl FaultClass {
         }
     }
 
-    /// Whether faults of this class are deterministic given the workload.
-    pub fn is_deterministic(self) -> bool {
-        self == FaultClass::EnvironmentIndependent
-    }
-
     /// Whether a purely application-generic recovery is expected to survive
     /// a fault of this class (the paper's hypothesis test: only transient
     /// faults qualify).
@@ -215,9 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn determinism_and_recovery_expectations() {
-        assert!(FaultClass::EnvironmentIndependent.is_deterministic());
-        assert!(!FaultClass::EnvDependentTransient.is_deterministic());
+    fn recovery_expectations() {
         assert!(FaultClass::EnvDependentTransient.generic_recovery_expected());
         assert!(!FaultClass::EnvDependentNonTransient.generic_recovery_expected());
         assert!(!FaultClass::EnvironmentIndependent.generic_recovery_expected());

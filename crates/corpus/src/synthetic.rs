@@ -301,12 +301,6 @@ impl SyntheticPopulation {
         SyntheticPopulation { app: spec.app, rows, curated, ground_truth }
     }
 
-    /// Number of reports describing real (curated) faults, duplicates
-    /// included.
-    pub fn true_report_count(&self) -> usize {
-        self.ground_truth.len()
-    }
-
     /// Renders the archive as struct-of-arrays columns — one contiguous
     /// text arena plus `(offset, len)` spans per field — the layout the
     /// mining funnel scans. Row order is archive order. The arena is
@@ -585,8 +579,8 @@ mod tests {
         let p = SyntheticPopulation::generate(&spec(AppKind::Apache, 600));
         assert_eq!(p.to_columns().len(), 600);
         // 50 primaries plus up to 2 duplicates each.
-        assert!(p.true_report_count() >= 50);
-        assert!(p.true_report_count() <= 150);
+        assert!(p.ground_truth.len() >= 50);
+        assert!(p.ground_truth.len() <= 150);
         // Every curated fault has at least its primary.
         let slugs: std::collections::BTreeSet<&str> =
             p.ground_truth.values().map(String::as_str).collect();

@@ -34,14 +34,6 @@ pub enum Persistence {
     ChangesNaturally,
 }
 
-impl Persistence {
-    /// Whether a fault triggered by a condition with this persistence is
-    /// transient in the paper's sense (likely survivable by retry).
-    pub fn is_transient(self) -> bool {
-        !matches!(self, Persistence::Persists)
-    }
-}
-
 impl fmt::Display for Persistence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -241,7 +233,6 @@ mod tests {
             ConditionKind::ReverseDnsMissing,
         ] {
             assert_eq!(c.persistence(), Persistence::Persists, "{c}");
-            assert!(!c.persistence().is_transient());
         }
     }
 
@@ -258,7 +249,7 @@ mod tests {
             ConditionKind::RaceCondition,
             ConditionKind::UnknownTransient,
         ] {
-            assert!(c.persistence().is_transient(), "{c}");
+            assert_ne!(c.persistence(), Persistence::Persists, "{c}");
         }
     }
 

@@ -82,9 +82,9 @@ impl Environment {
         EnvironmentBuilder::default()
     }
 
-    /// Registers a named resource owner.
-    pub fn register_owner(&mut self, name: impl Into<String>) -> OwnerId {
-        self.procs.register_owner(name)
+    /// Registers a resource owner and returns its id.
+    pub fn register_owner(&mut self) -> OwnerId {
+        self.procs.register_owner()
     }
 
     /// The current instant.
@@ -328,12 +328,6 @@ impl EnvironmentBuilder {
         self
     }
 
-    /// Units in the opaque network resource pool.
-    pub fn net_resource_limit(mut self, units: u32) -> Self {
-        self.net_resource_limit = units;
-        self
-    }
-
     /// Entropy pool capacity in bits and refill rate in bits/second.
     pub fn entropy(mut self, capacity_bits: u64, refill_bits_per_sec: u64) -> Self {
         self.entropy_bits = capacity_bits;
@@ -413,8 +407,8 @@ mod tests {
     #[test]
     fn generic_recovery_kills_app_processes_only() {
         let mut e = env();
-        let app = e.register_owner("app");
-        let ext = e.register_owner("ext");
+        let app = e.register_owner();
+        let ext = e.register_owner();
         let child = e.procs.spawn(app).unwrap();
         e.procs.bind_port(child, 80).unwrap();
         e.procs.hang(child).unwrap();
@@ -431,7 +425,7 @@ mod tests {
     #[test]
     fn generic_recovery_leaves_fd_and_disk_claims() {
         let mut e = env();
-        let app = e.register_owner("app");
+        let app = e.register_owner();
         for _ in 0..4 {
             e.fds.open(app).unwrap();
         }
@@ -460,7 +454,7 @@ mod tests {
         assert!(e.holds(ConditionKind::HostnameChanged));
 
         assert!(!e.holds(ConditionKind::ProcessTableFull));
-        let ext = e.register_owner("bomb");
+        let ext = e.register_owner();
         e.procs.exhaust_as(ext);
         assert!(e.holds(ConditionKind::ProcessTableFull));
     }
@@ -495,7 +489,7 @@ mod tests {
     #[test]
     fn scrub_clears_nontransient_resource_conditions() {
         let mut e = env();
-        let ext = e.register_owner("hog");
+        let ext = e.register_owner();
         e.fds.exhaust_as(ext);
         e.fs.fill_with_ballast();
         e.entropy.drain(e.now());
@@ -589,7 +583,7 @@ mod tests {
     #[test]
     fn drawing_forcing_and_scrubbing_leave_the_seed_witness_unset() {
         let mut e = env();
-        let app = e.register_owner("app");
+        let app = e.register_owner();
         e.advance(Duration::from_secs(1));
         e.reshuffle_interleaving();
         e.force_interleave_seed(3);

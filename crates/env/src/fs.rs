@@ -194,7 +194,7 @@ impl VirtualFs {
 
     /// Removes every file whose path starts with `prefix`; returns the
     /// number of files removed. Used by the applications' disk caches.
-    pub fn remove_prefix(&mut self, prefix: &str) -> usize {
+    pub(crate) fn remove_prefix(&mut self, prefix: &str) -> usize {
         let doomed: Vec<String> = self
             .files
             .range(prefix.to_owned()..)
@@ -242,11 +242,6 @@ impl VirtualFs {
         } else {
             Ok(meta)
         }
-    }
-
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
     }
 
     /// Iterates over `(path, metadata)` pairs in path order.
@@ -301,7 +296,7 @@ mod tests {
         f.write("b", 200).unwrap();
         assert_eq!(f.used(), 300);
         assert_eq!(f.free(), 700);
-        assert_eq!(f.file_count(), 2);
+        assert_eq!(f.iter().count(), 2);
         // Truncate shrinks usage.
         f.write("b", 50).unwrap();
         assert_eq!(f.used(), 150);

@@ -35,7 +35,7 @@
 //! use faultstudy_env::{Environment, condition::{ConditionKind, Persistence}};
 //!
 //! let mut env = Environment::builder().seed(1).fd_limit(8).build();
-//! let app = env.register_owner("myapp");
+//! let app = env.register_owner();
 //! for _ in 0..8 {
 //!     env.fds.open(app).unwrap();
 //! }

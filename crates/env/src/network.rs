@@ -56,8 +56,8 @@ impl std::error::Error for NetError {}
 ///
 /// let mut net = Network::new(Duration::from_millis(1), Duration::from_secs(2), 100);
 /// net.set_quality(LinkQuality::Slow, SimTime::from_secs(30));
-/// assert_eq!(net.latency_at(SimTime::from_secs(10)), Duration::from_secs(2));
-/// assert_eq!(net.latency_at(SimTime::from_secs(30)), Duration::from_millis(1));
+/// assert_eq!(net.rtt_at(SimTime::from_secs(10)), Ok(Duration::from_secs(2)));
+/// assert_eq!(net.rtt_at(SimTime::from_secs(30)), Ok(Duration::from_millis(1)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Network {
@@ -117,16 +117,6 @@ impl Network {
         }
     }
 
-    /// Like [`Network::rtt_at`] but panics on a downed link; convenient in
-    /// tests that know the link is up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link is down.
-    pub fn latency_at(&self, now: SimTime) -> Duration {
-        self.rtt_at(now).expect("link is up")
-    }
-
     /// Consumes `units` of the opaque network resource.
     ///
     /// # Errors
@@ -170,15 +160,15 @@ mod tests {
 
     #[test]
     fn normal_latency_by_default() {
-        assert_eq!(net().latency_at(SimTime::ZERO), Duration::from_millis(5));
+        assert_eq!(net().rtt_at(SimTime::ZERO), Ok(Duration::from_millis(5)));
     }
 
     #[test]
     fn slow_link_self_heals() {
         let mut n = net();
         n.set_quality(LinkQuality::Slow, SimTime::from_secs(8));
-        assert_eq!(n.latency_at(SimTime::from_secs(7)), Duration::from_secs(1));
-        assert_eq!(n.latency_at(SimTime::from_secs(8)), Duration::from_millis(5));
+        assert_eq!(n.rtt_at(SimTime::from_secs(7)), Ok(Duration::from_secs(1)));
+        assert_eq!(n.rtt_at(SimTime::from_secs(8)), Ok(Duration::from_millis(5)));
         assert_eq!(n.quality_at(SimTime::from_secs(9)), LinkQuality::Normal);
     }
 

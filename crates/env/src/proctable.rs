@@ -29,8 +29,6 @@ pub enum ProcState {
     Running,
     /// Hung: holds its slot (and any ports) but does no work.
     Hung,
-    /// Exited but not yet reaped: still consumes a slot (a zombie).
-    Zombie,
 }
 
 /// Error returned when no process-table slots remain.
@@ -66,7 +64,7 @@ struct ProcEntry {
 /// use faultstudy_env::proctable::ProcessTable;
 ///
 /// let mut t = ProcessTable::new(4);
-/// let app = t.register_owner("apache");
+/// let app = t.register_owner();
 /// let child = t.spawn(app).unwrap();
 /// t.hang(child).unwrap();
 /// assert_eq!(t.kill_all_of(app), 1); // recovery kills app processes
@@ -77,7 +75,6 @@ pub struct ProcessTable {
     slots: u32,
     next_pid: u32,
     next_owner: u32,
-    owners: BTreeMap<u32, String>,
     procs: BTreeMap<Pid, ProcEntry>,
 }
 
@@ -89,27 +86,15 @@ impl ProcessTable {
     /// Panics if `slots` is zero.
     pub fn new(slots: u32) -> Self {
         assert!(slots > 0, "process table needs at least one slot");
-        ProcessTable {
-            slots,
-            next_pid: 1,
-            next_owner: 1,
-            owners: BTreeMap::new(),
-            procs: BTreeMap::new(),
-        }
+        ProcessTable { slots, next_pid: 1, next_owner: 1, procs: BTreeMap::new() }
     }
 
-    /// Registers a named owner (an application or an external program) and
+    /// Registers an owner (an application or an external program) and
     /// returns its id.
-    pub fn register_owner(&mut self, name: impl Into<String>) -> OwnerId {
+    pub fn register_owner(&mut self) -> OwnerId {
         let id = OwnerId(self.next_owner);
         self.next_owner += 1;
-        self.owners.insert(id.0, name.into());
         id
-    }
-
-    /// The name an owner registered with, if any.
-    pub fn owner_name(&self, owner: OwnerId) -> Option<&str> {
-        self.owners.get(&owner.0).map(String::as_str)
     }
 
     /// Total slots.
@@ -117,7 +102,7 @@ impl ProcessTable {
         self.slots
     }
 
-    /// Slots currently occupied (running, hung, or zombie).
+    /// Slots currently occupied (running or hung).
     pub fn in_use(&self) -> u32 {
         self.procs.len() as u32
     }
@@ -151,23 +136,6 @@ impl ProcessTable {
         match self.procs.get_mut(&pid) {
             Some(e) => {
                 e.state = ProcState::Hung;
-                Ok(())
-            }
-            None => Err(pid),
-        }
-    }
-
-    /// Marks `pid` as a zombie (exited, unreaped). Keeps its slot; ports are
-    /// released on exit.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(pid)` if the process does not exist.
-    pub fn zombify(&mut self, pid: Pid) -> Result<(), Pid> {
-        match self.procs.get_mut(&pid) {
-            Some(e) => {
-                e.state = ProcState::Zombie;
-                e.ports.clear();
                 Ok(())
             }
             None => Err(pid),
@@ -223,17 +191,6 @@ impl ProcessTable {
         self.procs.values().filter(|e| e.owner == owner).count() as u32
     }
 
-    /// Number of hung processes owned by `owner`.
-    pub fn hung_of(&self, owner: OwnerId) -> u32 {
-        self.procs.values().filter(|e| e.owner == owner && e.state == ProcState::Hung).count()
-            as u32
-    }
-
-    /// Pids owned by `owner`, ascending.
-    pub fn pids_of(&self, owner: OwnerId) -> Vec<Pid> {
-        self.procs.iter().filter(|(_, e)| e.owner == owner).map(|(p, _)| *p).collect()
-    }
-
     /// Spawns processes for `owner` until the table fills; returns how many
     /// were created. Models an external fork bomb or peak-load pile-up.
     pub fn exhaust_as(&mut self, owner: OwnerId) -> u32 {
@@ -251,7 +208,7 @@ mod tests {
 
     fn table() -> (ProcessTable, OwnerId) {
         let mut t = ProcessTable::new(4);
-        let app = t.register_owner("app");
+        let app = t.register_owner();
         (t, app)
     }
 
@@ -266,35 +223,26 @@ mod tests {
     }
 
     #[test]
-    fn owner_names_round_trip() {
+    fn owners_get_distinct_ids() {
         let (mut t, app) = table();
-        assert_eq!(t.owner_name(app), Some("app"));
-        let ext = t.register_owner("cron");
-        assert_eq!(t.owner_name(ext), Some("cron"));
-        assert_ne!(app, ext);
-        assert_eq!(t.owner_name(OwnerId(999)), None);
+        assert_ne!(app, t.register_owner());
     }
 
     #[test]
-    fn hang_keeps_slot_and_ports_zombie_frees_ports() {
+    fn hang_keeps_slot_and_ports() {
         let (mut t, app) = table();
         let a = t.spawn(app).unwrap();
-        let b = t.spawn(app).unwrap();
         t.bind_port(a, 80).unwrap();
-        t.bind_port(b, 443).unwrap();
         t.hang(a).unwrap();
-        t.zombify(b).unwrap();
         assert_eq!(t.state(a), Some(ProcState::Hung));
-        assert_eq!(t.state(b), Some(ProcState::Zombie));
         assert!(t.port_held(80), "hung process still holds its port");
-        assert!(!t.port_held(443), "zombie released its port");
-        assert_eq!(t.in_use(), 2, "both still consume slots");
+        assert_eq!(t.in_use(), 1, "a hung process still consumes its slot");
     }
 
     #[test]
     fn kill_all_of_clears_owner_only() {
         let (mut t, app) = table();
-        let ext = t.register_owner("other");
+        let ext = t.register_owner();
         let a = t.spawn(app).unwrap();
         t.bind_port(a, 8080).unwrap();
         t.hang(a).unwrap();
@@ -311,7 +259,6 @@ mod tests {
         let (mut t, _) = table();
         assert_eq!(t.kill(Pid(42)), Err(Pid(42)));
         assert_eq!(t.hang(Pid(42)), Err(Pid(42)));
-        assert_eq!(t.zombify(Pid(42)), Err(Pid(42)));
         assert_eq!(t.bind_port(Pid(42), 1), Err(Pid(42)));
     }
 
@@ -319,19 +266,9 @@ mod tests {
     fn exhaust_fills_remaining_slots() {
         let (mut t, app) = table();
         t.spawn(app).unwrap();
-        let ext = t.register_owner("bomb");
+        let ext = t.register_owner();
         assert_eq!(t.exhaust_as(ext), 3);
         assert!(t.is_full());
-    }
-
-    #[test]
-    fn hung_count_and_pids() {
-        let (mut t, app) = table();
-        let a = t.spawn(app).unwrap();
-        let b = t.spawn(app).unwrap();
-        t.hang(b).unwrap();
-        assert_eq!(t.hung_of(app), 1);
-        assert_eq!(t.pids_of(app), vec![a, b]);
     }
 
     #[test]

@@ -18,9 +18,9 @@ proptest! {
     ) {
         let mut table = ProcessTable::new(12);
         let owners = [
-            table.register_owner("a"),
-            table.register_owner("b"),
-            table.register_owner("c"),
+            table.register_owner(),
+            table.register_owner(),
+            table.register_owner(),
         ];
         let mut live = Vec::new();
         for (op, who) in ops {
@@ -118,7 +118,7 @@ proptest! {
     #[test]
     fn generic_recovery_is_idempotent(seed in any::<u64>(), children in 0u32..6) {
         let mut env = Environment::builder().seed(seed).proc_slots(16).build();
-        let app = env.register_owner("app");
+        let app = env.register_owner();
         for _ in 0..children {
             let pid = env.procs.spawn(app).expect("slots available");
             let _ = env.procs.hang(pid);
@@ -136,7 +136,7 @@ proptest! {
     #[test]
     fn persistent_conditions_survive_recovery(seed in any::<u64>()) {
         let mut env = Environment::builder().seed(seed).fd_limit(4).build();
-        let app = env.register_owner("app");
+        let app = env.register_owner();
         env.fs.fill_with_ballast();
         env.fds.exhaust_as(app);
         env.host.set_hostname("renamed");
@@ -162,7 +162,7 @@ proptest! {
     #[test]
     fn cleared_conditions_do_not_survive_recovery(seed in any::<u64>()) {
         let mut env = Environment::builder().seed(seed).proc_slots(8).build();
-        let app = env.register_owner("app");
+        let app = env.register_owner();
         let pids: Vec<_> = std::iter::from_fn(|| env.procs.spawn(app).ok()).collect();
         for pid in &pids {
             let _ = env.procs.hang(*pid);

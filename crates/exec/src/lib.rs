@@ -7,10 +7,10 @@
 //! - [`run_indexed`] — fans a pure `Fn(index) -> T` out over a fixed-size
 //!   worker pool and returns the results **in index order**, regardless of
 //!   thread count or scheduling.
-//! - [`run_indexed_fold`] / [`run_chunk_fold`] — the streaming variant:
-//!   each worker folds its indices into a constant-size partial aggregate
-//!   and partials merge **in index order**, so memory is O(workers), not
-//!   O(jobs). This is what makes 10–100M-sample campaigns possible: the
+//! - [`run_chunk_fold`] — the streaming variant: each worker folds its
+//!   chunks of indices into a constant-size partial aggregate and partials
+//!   merge **in index order**, so memory is O(workers), not O(jobs).
+//!   This is what makes 10–100M-sample campaigns possible: the
 //!   materialize-then-fold path would hold every sample alive at once.
 //!
 //! Combined with per-index seed derivation
@@ -74,7 +74,7 @@ impl ParallelSpec {
     ///
     /// Never exceeds `jobs` (an idle worker is pure overhead) and is always
     /// at least 1.
-    pub fn effective_threads(&self, jobs: usize) -> usize {
+    pub(crate) fn effective_threads(&self, jobs: usize) -> usize {
         let requested = if self.threads == 0 {
             thread::available_parallelism().map_or(1, NonZeroUsize::get)
         } else {
@@ -87,7 +87,7 @@ impl ParallelSpec {
     /// `workers` threads: explicit if set, otherwise enough chunks for the
     /// queue to balance (8 per worker) without dispatch overhead drowning
     /// tiny jobs.
-    pub fn effective_chunk(&self, jobs: usize, workers: usize) -> usize {
+    pub(crate) fn effective_chunk(&self, jobs: usize, workers: usize) -> usize {
         if self.chunk > 0 {
             return self.chunk;
         }
@@ -104,15 +104,14 @@ impl Default for ParallelSpec {
 /// Runs `chunk_fn` over contiguous index ranges covering `0..jobs` and
 /// merges the per-chunk partial aggregates **in chunk order**.
 ///
-/// This is the streaming primitive underneath [`run_indexed_fold`] and
-/// [`run_indexed`], exposed because chunk-at-a-time callers (e.g. batched
-/// per-sample RNG derivation) want the whole range, not one index at a
-/// time. Workers pull chunk numbers from a shared atomic cursor, fold each
-/// chunk into a fresh partial created by `init`, and ship `(chunk,
-/// partial)` back over a bounded channel; the calling thread merges
-/// partials strictly in chunk order, buffering at most the channel bound
-/// of out-of-order arrivals. Peak memory is O(workers + buffered
-/// partials), independent of `jobs`.
+/// This is the streaming primitive underneath [`run_indexed`], exposed
+/// because chunk-at-a-time callers (e.g. batched per-sample RNG
+/// derivation) want the whole range, not one index at a time. Workers
+/// pull chunk numbers from a shared atomic cursor, fold each chunk into a
+/// fresh partial created by `init`, and ship `(chunk, partial)` back over
+/// a bounded channel; the calling thread merges partials strictly in chunk
+/// order, buffering at most the channel bound of out-of-order arrivals.
+/// Peak memory is O(workers + buffered partials), independent of `jobs`.
 ///
 /// The result equals the sequential fold `init(); chunk_fn(0..jobs)`
 /// whenever `merge(a, b)` is equivalent to folding `b`'s indices directly
@@ -183,60 +182,6 @@ where
         debug_assert_eq!(next, chunks, "every chunk merged exactly once");
     });
     acc
-}
-
-/// Streams `work(0..jobs)` through per-worker folds and merges the partial
-/// aggregates in index order: the constant-memory sibling of
-/// [`run_indexed`].
-///
-/// Each worker folds its chunk of the index space into a fresh aggregate
-/// from `fold_init` via `fold_step(acc, index, value)`; `merge` combines
-/// finished partials in index order on the calling thread. The result is a
-/// pure function of `(jobs, work, fold)` — thread count and chunk size
-/// cannot be observed — provided `merge` distributes over `fold_step` the
-/// way any append/accumulate fold does.
-///
-/// # Example
-///
-/// ```
-/// use faultstudy_exec::{run_indexed_fold, ParallelSpec};
-/// let sum = run_indexed_fold(
-///     100,
-///     ParallelSpec::threads(4),
-///     |i| i as u64,
-///     || 0u64,
-///     |acc, _i, v| *acc += v,
-///     |acc, partial| *acc += partial,
-/// );
-/// assert_eq!(sum, 4950);
-/// ```
-pub fn run_indexed_fold<A, T, W, I, S, M>(
-    jobs: usize,
-    spec: ParallelSpec,
-    work: W,
-    fold_init: I,
-    fold_step: S,
-    mut merge: M,
-) -> A
-where
-    A: Send,
-    T: Send,
-    W: Fn(usize) -> T + Sync,
-    I: Fn() -> A + Sync,
-    S: Fn(&mut A, usize, T) + Sync,
-    M: FnMut(&mut A, A),
-{
-    run_chunk_fold(
-        jobs,
-        spec,
-        &fold_init,
-        |range, acc| {
-            for index in range {
-                fold_step(acc, index, work(index));
-            }
-        },
-        |acc, partial| merge(acc, partial),
-    )
 }
 
 /// Runs `work(0..jobs)` across a fixed-size worker pool and returns the
@@ -336,40 +281,6 @@ mod tests {
                 let spec = ParallelSpec::threads(threads).with_chunk(chunk);
                 let got = run_indexed(143, spec, |i| i ^ 0x2A);
                 assert_eq!(got, expected, "chunk={chunk} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn fold_matches_materialized_fold() {
-        // The fold laws the campaign relies on: stream == materialize-then-
-        // fold for an append/accumulate fold, at every (threads, chunk).
-        let materialized: Vec<u64> =
-            run_indexed(250, ParallelSpec::SEQUENTIAL, |i| (i as u64).wrapping_mul(0x9E37));
-        let expected: (u64, Vec<u64>) =
-            materialized.iter().fold((0, Vec::new()), |(mut sum, mut all), &v| {
-                sum += v % 97;
-                all.push(v);
-                (sum, all)
-            });
-        for threads in [1, 2, 4, 8] {
-            for chunk in [0, 1, 3, 17, 250, 999] {
-                let spec = ParallelSpec::threads(threads).with_chunk(chunk);
-                let got = run_indexed_fold(
-                    250,
-                    spec,
-                    |i| (i as u64).wrapping_mul(0x9E37),
-                    || (0u64, Vec::new()),
-                    |acc, _i, v| {
-                        acc.0 += v % 97;
-                        acc.1.push(v);
-                    },
-                    |acc, mut partial| {
-                        acc.0 += partial.0;
-                        acc.1.append(&mut partial.1);
-                    },
-                );
-                assert_eq!(got, expected, "threads={threads} chunk={chunk}");
             }
         }
     }

@@ -7,10 +7,10 @@
 //! issue requests, and its tick runs the operator-console probe — but
 //! each request is served by `serve_chain`: a client-level retry loop
 //! around a web-tier call that may itself run a web-level retry loop
-//! around the db sub-call. Both loops share ONE [`ChainDeadline`], so a
-//! storm of nested retries can never charge the user more than the outer
-//! budget — the end-to-end-timeout contract the supervisor's own tests
-//! pin at unit level.
+//! around the db sub-call. Both loops share ONE chain deadline, so a
+//! storm of nested retries can never charge the user more than
+//! [`CHAIN_BUDGET`] — the end-to-end-timeout contract this module's tests
+//! pin under every plan, plane and retry budget.
 //!
 //! The two recovery planes differ only in what a detected channel fault
 //! costs and tears down:
@@ -35,7 +35,7 @@ use faultstudy_apps::Request;
 use faultstudy_env::Environment;
 use faultstudy_obs::Histogram;
 use faultstudy_recovery::{
-    BackoffPolicy, ChainDeadline, RebootScope, RestartRetry, RestartTree, SupervisorConfig,
+    BackoffPolicy, RebootScope, RestartRetry, RestartTree, SupervisorConfig,
 };
 use faultstudy_sim::time::{Duration, SimTime};
 use faultstudy_traffic::{drive_open_loop, run_open_loop, Answer, TrafficParams, UnitStats};
@@ -140,7 +140,7 @@ pub struct GraphEdges {
 
 impl GraphEdges {
     /// The ledger behind `edge`.
-    pub fn edge_mut(&mut self, edge: EdgeId) -> &mut EdgeStats {
+    pub(crate) fn edge_mut(&mut self, edge: EdgeId) -> &mut EdgeStats {
         match edge {
             EdgeId::ClientWeb => &mut self.client_web,
             EdgeId::WebDb => &mut self.web_db,
@@ -269,6 +269,44 @@ pub fn degenerate_config() -> SupervisorConfig {
         breaker_threshold: 0,
         scrub_every: 0,
         request_takes: WEB_SERVICE,
+    }
+}
+
+/// An end-to-end deadline shared by every hop of one client chain.
+///
+/// A request that fans out across tiers (client → miniweb → minidb) gets
+/// ONE watchdog budget for the whole chain, fixed at the instant the
+/// chain begins. Each hop charges its hang-detection, timeout and reboot
+/// delays against the *remaining* budget via [`ChainDeadline::clamp`], so
+/// nested retries cannot stack per-hop deadlines past the outer budget —
+/// without this, a chain of H hops with per-hop watchdog W could burn H·W
+/// of user-visible time on a single request, which is exactly the
+/// end-to-end-timeout bug the fault-tolerance literature warns layered
+/// retry designs about.
+struct ChainDeadline {
+    deadline: SimTime,
+}
+
+impl ChainDeadline {
+    /// Opens a chain budget of `budget` starting at `now`.
+    fn new(now: SimTime, budget: Duration) -> ChainDeadline {
+        ChainDeadline { deadline: now.saturating_add(budget) }
+    }
+
+    /// Budget left at `now` (zero once expired).
+    fn remaining(&self, now: SimTime) -> Duration {
+        self.deadline.saturating_since(now)
+    }
+
+    /// Whether the budget is exhausted at `now`.
+    fn expired(&self, now: SimTime) -> bool {
+        self.remaining(now) == Duration::ZERO
+    }
+
+    /// Clamps a delay a hop wants to charge (a service time, a detection
+    /// timeout, a reboot) to the budget remaining at `now`.
+    fn clamp(&self, now: SimTime, want: Duration) -> Duration {
+        want.min(self.remaining(now))
     }
 }
 
@@ -964,5 +1002,65 @@ mod tests {
             (stats, env.now())
         };
         assert_eq!(drive(true), drive(false));
+    }
+
+    #[test]
+    fn chain_deadline_clamps_and_expires() {
+        let t0 = SimTime::from_secs(10);
+        let chain = ChainDeadline::new(t0, Duration::from_secs(2));
+        assert_eq!(chain.remaining(t0), Duration::from_secs(2));
+        assert_eq!(chain.clamp(t0, Duration::from_secs(5)), Duration::from_secs(2));
+        assert_eq!(chain.clamp(t0, Duration::from_secs(1)), Duration::from_secs(1));
+        assert!(!chain.expired(t0));
+        assert!(chain.expired(SimTime::from_secs(12)));
+        assert_eq!(chain.remaining(SimTime::from_secs(13)), Duration::ZERO);
+    }
+
+    /// Every plan × plane × retry budget, each chain timed from its
+    /// arrival to its answer: nested retries, timeouts and reboots never
+    /// charge one chain more than [`CHAIN_BUDGET`], and the budget is not
+    /// vacuous — some chains spend all of it.
+    #[test]
+    fn no_chain_is_charged_more_than_the_chain_budget() {
+        let mix = graph_mix();
+        let (mut chains, mut worst) = (0u32, Duration::ZERO);
+        for seed in 1..=4 {
+            for plan in graph_plans(seed) {
+                for plane in PlaneKind::ALL {
+                    for budget in [0, 1, 3] {
+                        let mut env = Environment::builder().seed(split_seed(seed, 0)).build();
+                        let mut graph = ServiceGraph::new(&mut env);
+                        let mut tree = RestartTree::new(
+                            &GRAPH_COMPONENTS,
+                            2,
+                            Duration::from_millis(50),
+                            Duration::from_secs(2),
+                            split_seed(seed, 3),
+                        );
+                        let mut stats = GraphUnitStats::new();
+                        drive_open_loop(
+                            &mut env,
+                            &mix,
+                            &params(200),
+                            split_seed(seed, 1),
+                            split_seed(seed, 2),
+                            None,
+                            |env, req| {
+                                graph.apply_due(&plan, env.now());
+                                let start = env.now();
+                                let answer = serve_chain(
+                                    &mut graph, env, &mut tree, plane, budget, req?, &mut stats,
+                                );
+                                chains += 1;
+                                worst = worst.max(env.now() - start);
+                                Some(answer)
+                            },
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(chains, 4 * 12 * 2 * 3 * 200, "every offered request is one chain");
+        assert_eq!(worst, CHAIN_BUDGET, "no chain outlives its budget, and some reach it");
     }
 }

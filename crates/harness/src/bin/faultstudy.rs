@@ -31,9 +31,9 @@ use faultstudy_core::taxonomy::AppKind;
 use faultstudy_core::timeline::{by_month, by_release};
 use faultstudy_corpus::paper_study;
 use faultstudy_harness::{
-    funnel_violations, paper_scale_funnels_with, Campaign, CampaignReport, CampaignSpec,
-    GraphReport, InjectReport, InjectSpec, LoadSpec, MicroReport, ObliviousReport, ParallelSpec,
-    RecoveryMatrix, TrafficReport,
+    funnel_violations, paper_scale_funnels, Campaign, CampaignReport, CampaignSpec, GraphReport,
+    InjectReport, InjectSpec, LoadSpec, MicroReport, ObliviousReport, ParallelSpec, RecoveryMatrix,
+    TrafficReport,
 };
 use faultstudy_report::{
     render_discussion, render_release_figure, render_table, render_time_figure,
@@ -41,6 +41,11 @@ use faultstudy_report::{
 };
 use faultstudy_traffic::ArrivalKind;
 use std::process::ExitCode;
+
+/// The largest `--threads` value accepted. A worker pool starts one OS
+/// thread per requested worker, capped only by its job count, and results
+/// are byte-identical at every thread count, so no run needs more.
+const MAX_THREADS: usize = 256;
 
 struct Options {
     seed: u64,
@@ -115,9 +120,9 @@ fn main() -> ExitCode {
                 }
             },
             "--threads" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.parallel = ParallelSpec::threads(v),
-                None => {
-                    eprintln!("--threads requires an integer value (0 = auto)");
+                Some(v) if v <= MAX_THREADS => opts.parallel = ParallelSpec::threads(v),
+                _ => {
+                    eprintln!("--threads requires an integer value from 0 (auto) to {MAX_THREADS}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -244,7 +249,7 @@ fn summary(opts: &Options) -> bool {
 /// contract on stderr, and returns whether there were none, in every
 /// output mode.
 fn mine(opts: &Options) -> bool {
-    let runs = paper_scale_funnels_with(opts.seed, opts.parallel);
+    let (runs, _) = paper_scale_funnels(opts.seed, opts.parallel, false);
     let printed = if opts.json {
         print_json("funnels", &runs)
     } else {
@@ -289,7 +294,7 @@ fn verify(opts: &Options) -> bool {
             injection.scrubs()
         ));
     }
-    problems.extend(funnel_violations(&paper_scale_funnels_with(opts.seed, opts.parallel)));
+    problems.extend(funnel_violations(&paper_scale_funnels(opts.seed, opts.parallel, false).0));
     if problems.is_empty() {
         println!("verify: all guarantees reproduced at seed {}", opts.seed);
         true
@@ -307,12 +312,11 @@ fn verify(opts: &Options) -> bool {
 /// per-stage timings, all measured in simulated time and byte-identical
 /// for every seed and thread count.
 fn metrics(opts: &Options) -> bool {
-    use faultstudy_harness::paper_scale_funnels_instrumented;
     use faultstudy_harness::StrategyKind;
     use faultstudy_sim::time::Duration;
 
     let (matrix, mut registry) = RecoveryMatrix::run(opts.seed, opts.parallel, true);
-    let (_, mining) = paper_scale_funnels_instrumented(opts.seed, opts.parallel);
+    let (_, mining) = paper_scale_funnels(opts.seed, opts.parallel, true);
     registry.merge_from(&mining);
     let (_, injection) = InjectReport::run(InjectSpec { seed: opts.seed }, opts.parallel, true);
     registry.merge_from(&injection);

@@ -289,54 +289,6 @@ pub(crate) fn cell_label(class: FaultClass, strategy: StrategyKind) -> &'static 
     cells[ci * StrategyKind::ALL.len() + si].as_str()
 }
 
-/// Runs several co-resident faults of the *same application* under one
-/// strategy: the workload triggers each fault in corpus order.
-///
-/// Released software carries many latent defects at once (§4: "every piece
-/// of software goes through a huge number of bugs over its lifetime");
-/// this extension measures whether recovery from one fault is undone by
-/// the next. The survival rule composes naturally: the workload survives
-/// iff every constituent trigger is eventually served.
-///
-/// # Panics
-///
-/// Panics if the faults span different applications or the list is empty.
-pub fn run_multi_fault_experiment(
-    faults: &[&CuratedFault],
-    strategy: StrategyKind,
-    seed: u64,
-) -> FaultOutcome {
-    let first = faults.first().expect("at least one fault");
-    assert!(
-        faults.iter().all(|f| f.app() == first.app()),
-        "multi-fault experiments are per-application"
-    );
-    let mut env = standard_env(seed, false);
-    let mut app = spawn_app(first.app(), &mut env);
-    for fault in faults {
-        app.inject(fault.slug(), &mut env).expect("injectable");
-    }
-    let benign = app.benign_request();
-    let mut workload = vec![benign.clone()];
-    for fault in faults {
-        workload.push(app.trigger_request(fault.slug()).expect("trigger"));
-    }
-    workload.push(benign);
-    let mut strat = strategy.build();
-    let run = run_workload(app.as_mut(), &mut env, &workload, strat.as_mut());
-    // The combined class is the hardest constituent: EI dominates EDN
-    // dominates EDT (ordered by how little recovery can do).
-    let class = faults.iter().map(|f| f.class()).min().expect("nonempty");
-    FaultOutcome {
-        slug: faults.iter().map(|f| f.slug()).collect::<Vec<_>>().join("+"),
-        class,
-        strategy,
-        survived: run.survived,
-        failures: run.failures,
-        recoveries: run.recoveries,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,41 +355,6 @@ mod tests {
         let fault = find("apache-edt-04").unwrap();
         assert!(run_fault_experiment(&fault, StrategyKind::Restart, 7).survived);
         assert!(!run_fault_experiment(&fault, StrategyKind::None, 7).survived);
-    }
-
-    #[test]
-    fn two_transient_faults_both_survive_one_strategy() {
-        let a = find("apache-edt-02").unwrap();
-        let b = find("apache-edt-07").unwrap();
-        let out = run_multi_fault_experiment(&[&a, &b], StrategyKind::Restart, 7);
-        assert!(out.survived, "both transient triggers recoverable in sequence");
-        assert_eq!(out.class, FaultClass::EnvDependentTransient);
-        // Recovering the first fault advances simulated time, which heals
-        // the second (drained entropy) before its trigger even runs — one
-        // recovery can clear multiple transient conditions.
-        assert!(out.recoveries >= 1);
-        assert!(out.failures >= 1);
-        assert_eq!(out.slug, "apache-edt-02+apache-edt-07");
-    }
-
-    #[test]
-    fn a_deterministic_cohabitant_dooms_the_workload() {
-        let transient = find("apache-edt-02").unwrap();
-        let deterministic = find("apache-ei-26").unwrap();
-        let out =
-            run_multi_fault_experiment(&[&transient, &deterministic], StrategyKind::Restart, 7);
-        assert!(!out.survived, "the EI trigger is still fatal");
-        assert_eq!(out.class, FaultClass::EnvironmentIndependent, "hardest class wins");
-        // The transient fault *was* recovered before the EI one hit.
-        assert!(out.recoveries >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "per-application")]
-    fn cross_application_multi_fault_rejected() {
-        let a = find("apache-edt-02").unwrap();
-        let b = find("mysql-edt-01").unwrap();
-        let _ = run_multi_fault_experiment(&[&a, &b], StrategyKind::Restart, 1);
     }
 
     #[test]

@@ -163,7 +163,8 @@ pub fn experiments_markdown(seed: u64) -> String {
         (AppKind::Gnome, "~500 → 45"),
         (AppKind::Mysql, "44,000 → few hundred → 44"),
     ];
-    for (run, (app, paper)) in paper_scale_funnels(seed).iter().zip(paper_funnels) {
+    let (runs, _) = paper_scale_funnels(seed, ParallelSpec::AUTO, false);
+    for (run, (app, paper)) in runs.iter().zip(paper_funnels) {
         let measured: Vec<String> =
             run.outcome.funnel.iter().map(|s| s.survivors.to_string()).collect();
         writeln!(
@@ -532,7 +533,7 @@ pub fn experiments_markdown(seed: u64) -> String {
 
 /// Re-classifies the corpus under each §3 assumption set; returns
 /// `(label, [EI, EDN, EDT])` rows.
-pub fn assumption_sensitivity() -> Vec<(&'static str, [u32; 3])> {
+pub(crate) fn assumption_sensitivity() -> Vec<(&'static str, [u32; 3])> {
     use faultstudy_core::classify::{Classifier, RecoveryAssumptions};
     use faultstudy_core::evidence::Evidence;
     let sets = [

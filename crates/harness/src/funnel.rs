@@ -17,41 +17,48 @@ pub struct FunnelRun {
 }
 
 /// Runs the three §4 funnels at the paper's archive scales (5220 Apache
-/// reports, 500 GNOME reports, 44,000 MySQL messages).
+/// reports, 500 GNOME reports, 44,000 MySQL messages) on `parallel`
+/// workers. An instrumented run returns the per-stage mining metrics —
+/// `mining.stage.*` timings and throughput for every `{app}/{stage}`, the
+/// per-app registries merged in app order — and a plain run returns the
+/// registry empty. The runs are the same either way, and at every thread
+/// count.
 ///
 /// # Example
 ///
 /// ```
-/// use faultstudy_harness::paper_scale_funnels;
+/// use faultstudy_harness::{paper_scale_funnels, ParallelSpec};
 ///
-/// let runs = paper_scale_funnels(7);
+/// let (runs, _) = paper_scale_funnels(7, ParallelSpec::AUTO, false);
 /// assert_eq!(runs[0].outcome.unique_bugs(), 50); // Apache
 /// assert_eq!(runs[1].outcome.unique_bugs(), 45); // GNOME
 /// assert_eq!(runs[2].outcome.unique_bugs(), 44); // MySQL
 /// ```
-pub fn paper_scale_funnels(seed: u64) -> Vec<FunnelRun> {
-    paper_scale_funnels_with(seed, ParallelSpec::default())
-}
-
-/// [`paper_scale_funnels`] on `parallel` worker threads; the runs are
-/// identical for every thread count.
-pub fn paper_scale_funnels_with(seed: u64, parallel: ParallelSpec) -> Vec<FunnelRun> {
-    AppKind::ALL.iter().map(|&app| run_funnel_with(app, seed, parallel)).collect()
-}
-
-/// Runs one application's funnel at paper scale.
-pub fn run_funnel(app: AppKind, seed: u64) -> FunnelRun {
-    run_funnel_with(app, seed, ParallelSpec::default())
-}
-
-/// [`run_funnel`] on `parallel` worker threads.
-pub fn run_funnel_with(app: AppKind, seed: u64, parallel: ParallelSpec) -> FunnelRun {
-    let spec = PopulationSpec::paper_scale(app, seed);
-    let population = SyntheticPopulation::generate(&spec);
-    let archive = Archive::from_columns(app, population.to_columns());
-    let outcome = SelectionPipeline::for_app(app).run_with(&archive, parallel);
-    let quality = PrecisionRecall::measure(&outcome.selected, &population.ground_truth);
-    FunnelRun { outcome, quality }
+pub fn paper_scale_funnels(
+    seed: u64,
+    parallel: ParallelSpec,
+    instrumented: bool,
+) -> (Vec<FunnelRun>, MetricsRegistry) {
+    let mut registry = MetricsRegistry::new();
+    let runs = AppKind::ALL
+        .iter()
+        .map(|&app| {
+            let spec = PopulationSpec::paper_scale(app, seed);
+            let population = SyntheticPopulation::generate(&spec);
+            let archive = Archive::from_columns(app, population.to_columns());
+            let pipeline = SelectionPipeline::for_app(app);
+            let outcome = if instrumented {
+                let (outcome, stages) = pipeline.run_instrumented(&archive, parallel);
+                registry.merge_from(&stages);
+                outcome
+            } else {
+                pipeline.run_with(&archive, parallel)
+            };
+            let quality = PrecisionRecall::measure(&outcome.selected, &population.ground_truth);
+            FunnelRun { outcome, quality }
+        })
+        .collect();
+    (runs, registry)
 }
 
 /// The §4 contract of paper-scale funnel runs: each selects the paper's
@@ -84,38 +91,18 @@ pub fn funnel_violations(runs: &[FunnelRun]) -> Vec<String> {
     violations
 }
 
-/// [`paper_scale_funnels_with`] with per-stage mining metrics: the three
-/// per-app registries merge (in app order) into the one returned, carrying
-/// `mining.stage.*` timings and throughput for every `{app}/{stage}`.
-pub fn paper_scale_funnels_instrumented(
-    seed: u64,
-    parallel: ParallelSpec,
-) -> (Vec<FunnelRun>, MetricsRegistry) {
-    let mut registry = MetricsRegistry::new();
-    let runs = AppKind::ALL
-        .iter()
-        .map(|&app| {
-            let spec = PopulationSpec::paper_scale(app, seed);
-            let population = SyntheticPopulation::generate(&spec);
-            let archive = Archive::from_columns(app, population.to_columns());
-            let (outcome, reg) =
-                SelectionPipeline::for_app(app).run_instrumented(&archive, parallel);
-            registry.merge_from(&reg);
-            let quality = PrecisionRecall::measure(&outcome.selected, &population.ground_truth);
-            FunnelRun { outcome, quality }
-        })
-        .collect();
-    (runs, registry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use faultstudy_core::report::BugReport;
 
+    fn funnels(seed: u64) -> Vec<FunnelRun> {
+        paper_scale_funnels(seed, ParallelSpec::AUTO, false).0
+    }
+
     #[test]
     fn paper_scale_funnels_reproduce_section_4() {
-        let runs = paper_scale_funnels(99);
+        let runs = funnels(99);
         let expected =
             [(AppKind::Apache, 5220, 50), (AppKind::Gnome, 500, 45), (AppKind::Mysql, 44_000, 44)];
         for (run, (app, raw, unique)) in runs.iter().zip(expected) {
@@ -157,14 +144,13 @@ mod tests {
             hand_built(AppKind::Mysql, 44, PrecisionRecall { false_positives: 4, ..perfect(40) });
         assert_eq!(funnel_violations(&[imprecise]), ["MySQL funnel precision 0.909, expected 1"]);
 
-        assert!(funnel_violations(&paper_scale_funnels(2000)).is_empty());
+        assert!(funnel_violations(&funnels(2000)).is_empty());
     }
 
     #[test]
     fn instrumented_funnels_match_plain_runs() {
-        let plain = paper_scale_funnels_with(99, ParallelSpec::default());
-        let (runs, registry) = paper_scale_funnels_instrumented(99, ParallelSpec::default());
-        assert_eq!(runs, plain, "metrics must not perturb the funnels");
+        let (runs, registry) = paper_scale_funnels(99, ParallelSpec::AUTO, true);
+        assert_eq!(runs, funnels(99), "metrics must not perturb the funnels");
         assert_eq!(registry.counter("mining.stage.reports", "MySQL/keyword match"), 44_000);
         assert_eq!(registry.counter("mining.stage.reports", "Apache/high impact"), 5_220);
         assert!(registry.gauge("mining.stage.rps", "GNOME/unique bugs").is_some());
@@ -172,7 +158,8 @@ mod tests {
 
     #[test]
     fn mysql_keyword_stage_does_the_heavy_lifting() {
-        let run = run_funnel(AppKind::Mysql, 5);
+        let run = &funnels(5)[2];
+        assert_eq!(run.outcome.app, AppKind::Mysql);
         // 44,000 messages reduce by orders of magnitude at the keyword
         // stage ("we looked at a few hundred messages", §4).
         let keyword_survivors = run.outcome.funnel[1].survivors;

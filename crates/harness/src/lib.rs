@@ -53,7 +53,6 @@ pub mod matrix;
 pub mod micro;
 pub mod oblivious;
 pub mod traffic;
-pub mod workload;
 
 pub use campaign::{CampaignReport, CampaignSpec};
 pub use driver::{Campaign, LoadSpec};
@@ -62,10 +61,7 @@ pub use experiment::{
 };
 pub use expreport::experiments_markdown;
 pub use faultstudy_exec::ParallelSpec;
-pub use funnel::{
-    funnel_violations, paper_scale_funnels, paper_scale_funnels_instrumented,
-    paper_scale_funnels_with,
-};
+pub use funnel::{funnel_violations, paper_scale_funnels};
 pub use graph::{GraphCell, GraphReport, GraphSpec, GRAPH_BUDGETS};
 pub use inject::{InjectCell, InjectReport, InjectSpec};
 pub use matrix::RecoveryMatrix;

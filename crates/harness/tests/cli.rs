@@ -159,4 +159,9 @@ fn bad_usage_fails_cleanly() {
     let (_, stderr, ok) = run(&["tables", "--bogus"]);
     assert!(!ok);
     assert!(stderr.contains("unknown argument"));
+    // Rejected while parsing, so no worker thread is ever started.
+    let (stdout, stderr, ok) = run(&["mine", "--threads", "100000"]);
+    assert!(!ok);
+    assert!(stdout.is_empty());
+    assert!(stderr.contains("--threads requires"), "{stderr}");
 }

@@ -42,7 +42,7 @@ impl Injector {
     /// Prepares to replay `plan`, registering the injector as an external
     /// resource owner in `env`.
     pub fn new(plan: &InjectionPlan, env: &mut Environment) -> Injector {
-        let owner = env.register_owner("injector");
+        let owner = env.register_owner();
         Injector { owner, events: plan.events.clone(), cursor: 0 }
     }
 

@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn kind_classes_match_healing_behavior() {
         let mut env = Environment::builder().seed(1).fd_limit(8).build();
-        let owner = env.register_owner("ext");
+        let owner = env.register_owner();
         // A transient kind heals with time alone.
         InjectionKind::DnsTimeout { heal_after: Duration::from_secs(1) }.apply(&mut env, owner);
         assert_eq!(env.dns.health_at(env.now()), DnsHealth::Erroring);
@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn fd_leak_ramp_steps_toward_exhaustion() {
         let mut env = Environment::builder().seed(1).fd_limit(16).build();
-        let owner = env.register_owner("ext");
+        let owner = env.register_owner();
         let ramp = InjectionKind::FdLeakRamp { per_event: 5 };
         for step in 1..=3 {
             ramp.apply(&mut env, owner);

@@ -62,7 +62,7 @@ proptest! {
     #[test]
     fn fd_ramp_saturates_cleanly(limit in 1u32..64, per_event in 0u32..40, reps in 1u32..6) {
         let mut env = Environment::builder().seed(2).fd_limit(limit).build();
-        let owner = env.register_owner("ext");
+        let owner = env.register_owner();
         for _ in 0..reps {
             InjectionKind::FdLeakRamp { per_event }.apply(&mut env, owner);
         }

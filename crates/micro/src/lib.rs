@@ -134,7 +134,7 @@ pub fn validate_topology(components: &[ComponentDesc]) -> Result<(), TopologyErr
 
 /// Whether `ancestor` is on the parent chain of `index` (a component is
 /// its own ancestor).
-pub fn is_ancestor(components: &[ComponentDesc], ancestor: usize, index: usize) -> bool {
+pub(crate) fn is_ancestor(components: &[ComponentDesc], ancestor: usize, index: usize) -> bool {
     let mut cursor = Some(index);
     while let Some(i) = cursor {
         if i == ancestor {

@@ -8,7 +8,6 @@
 //! and collapses whitespace, so `"(again) Server crashed!"` and
 //! `"server crashed"` coincide.
 
-use faultstudy_core::report::BugReport;
 use std::collections::HashSet;
 
 /// Normalizes a title for duplicate comparison.
@@ -55,57 +54,17 @@ pub fn normalize_title(title: &str) -> String {
 }
 
 /// Retains the first report of each distinct fault, dropping explicit
-/// duplicates and title-level re-posts. Order is preserved; among
-/// duplicates the earliest archive id survives.
-pub fn dedup_reports(reports: Vec<BugReport>) -> Vec<BugReport> {
-    let norms = reports.iter().map(|r| normalize_title(&r.title)).collect();
-    dedup_reports_with_norms(reports, norms)
-}
-
-/// [`dedup_reports`] over titles normalized ahead of time.
-///
-/// `norms[i]` must be `normalize_title(&reports[i].title)`; callers compute
-/// the norms in parallel (normalization is the per-report cost; the reduce
-/// below is inherently sequential because each keep decision depends on
-/// every earlier one) and this function performs the order-dependent scan.
-/// Output is identical to [`dedup_reports`] on the same input.
-///
-/// # Panics
-///
-/// Panics if `norms.len() != reports.len()`.
-pub fn dedup_reports_with_norms(reports: Vec<BugReport>, norms: Vec<String>) -> Vec<BugReport> {
-    assert_eq!(reports.len(), norms.len(), "one normalized title per report");
-    let kept = dedup_indices_with_norms(&reports, (0..reports.len()).collect(), norms);
-    let mut slots: Vec<Option<BugReport>> = reports.into_iter().map(Some).collect();
-    kept.into_iter()
-        .map(|i| slots[i].take().expect("dedup keeps each index at most once"))
-        .collect()
-}
-
-/// The zero-copy core of [`dedup_reports_with_norms`]: operates on indices
-/// into a borrowed report slice, so the §4 pipeline can run the whole
-/// funnel without cloning a single report until the survivors are known.
+/// duplicates and title-level re-posts. Works on indices into any report
+/// storage: all it needs from a report is its archive id and duplicate
+/// link, supplied by `key` per index, so arena-backed archives pass their
+/// id/duplicate columns directly instead of materializing reports.
 ///
 /// `selected` are the indices still in the funnel (any order) and
-/// `norms[i]` must be `normalize_title(&reports[selected[i]].title)`.
-/// Returns the kept indices, ordered by report id — the same survivor set
-/// and order [`dedup_reports`] produces.
-///
-/// # Panics
-///
-/// Panics if `norms.len() != selected.len()` or an index is out of bounds.
-pub fn dedup_indices_with_norms(
-    reports: &[BugReport],
-    selected: Vec<usize>,
-    norms: Vec<String>,
-) -> Vec<usize> {
-    dedup_indices_keyed(|i| (reports[i].id, reports[i].duplicate_of), selected, norms)
-}
-
-/// The storage-agnostic core of [`dedup_indices_with_norms`]: all it needs
-/// from a report is its archive id and duplicate link, supplied by `key`
-/// per index. Arena-backed archives pass their id/duplicate columns
-/// directly instead of materializing reports.
+/// `norms[i]` must be [`normalize_title`] of report `selected[i]`'s title;
+/// callers compute the norms in parallel (normalization is the per-report
+/// cost; this scan is inherently sequential because each keep decision
+/// depends on every earlier one). Returns the kept indices ordered by
+/// report id; among duplicates the earliest archive id survives.
 ///
 /// # Panics
 ///
@@ -117,7 +76,7 @@ where
     assert_eq!(selected.len(), norms.len(), "one normalized title per report");
     let mut paired: Vec<(usize, String)> = selected.into_iter().zip(norms).collect();
     // Earliest report first so the primary survives (stable, so equal ids
-    // keep their incoming order, exactly as the owned variant did).
+    // keep their incoming order).
     paired.sort_by_key(|&(i, _)| key(i).0);
     let mut seen_titles: HashSet<String> = HashSet::new();
     let mut kept_ids: HashSet<u64> = HashSet::new();
@@ -141,10 +100,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faultstudy_core::report::BugReport;
     use faultstudy_core::taxonomy::{AppKind, Severity};
 
     fn report(id: u64, title: &str) -> BugReport {
         BugReport::builder(AppKind::Apache, id).title(title).severity(Severity::Severe).build()
+    }
+
+    /// The reports [`dedup_indices_keyed`] keeps, in its order.
+    fn dedup_reports(reports: Vec<BugReport>) -> Vec<BugReport> {
+        let norms = reports.iter().map(|r| normalize_title(&r.title)).collect();
+        let key = |i: usize| (reports[i].id, reports[i].duplicate_of);
+        let kept = dedup_indices_keyed(key, (0..reports.len()).collect(), norms);
+        kept.into_iter().map(|i| reports[i].clone()).collect()
     }
 
     #[test]
@@ -211,18 +179,5 @@ mod tests {
         // Idempotent.
         let once = normalize_title("(again) Server CRASHED!!");
         assert_eq!(normalize_title(&once), once);
-    }
-
-    #[test]
-    fn precomputed_norms_match_inline_normalization() {
-        let reports = vec![
-            report(9, "(again) server crashed"),
-            report(2, "Server crashed!"),
-            report(4, "unrelated other bug"),
-            report(7, "RE: unrelated other bug"),
-        ];
-        let norms = reports.iter().map(|r| normalize_title(&r.title)).collect();
-        let expected = dedup_reports(reports.clone());
-        assert_eq!(dedup_reports_with_norms(reports, norms), expected);
     }
 }

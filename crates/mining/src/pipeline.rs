@@ -75,10 +75,10 @@ impl fmt::Display for PipelineOutcome {
 /// use faultstudy_core::taxonomy::AppKind;
 /// use faultstudy_mining::SelectionPipeline;
 ///
-/// let p = SelectionPipeline::for_app(AppKind::Mysql);
-/// assert!(p.uses_keyword_search());
-/// let p = SelectionPipeline::for_app(AppKind::Apache);
-/// assert!(!p.uses_keyword_search());
+/// // The trackers skip the keyword search; the MySQL mailing list does not.
+/// let no_search = SelectionPipeline::with_keywords(None);
+/// assert_eq!(SelectionPipeline::for_app(AppKind::Apache), no_search);
+/// assert_ne!(SelectionPipeline::for_app(AppKind::Mysql), no_search);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectionPipeline {
@@ -100,11 +100,6 @@ impl SelectionPipeline {
     /// A pipeline with a custom (or no) keyword stage.
     pub fn with_keywords(keyword_query: Option<KeywordQuery>) -> SelectionPipeline {
         SelectionPipeline { keyword_query }
-    }
-
-    /// Whether the pipeline begins with a keyword search.
-    pub fn uses_keyword_search(&self) -> bool {
-        self.keyword_query.is_some()
     }
 
     /// Runs the funnel over `archive` with the host's available parallelism.

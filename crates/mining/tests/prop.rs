@@ -2,7 +2,7 @@
 
 use faultstudy_core::report::BugReport;
 use faultstudy_core::taxonomy::{AppKind, Severity};
-use faultstudy_mining::dedup::{dedup_reports, normalize_title};
+use faultstudy_mining::dedup::{dedup_indices_keyed, normalize_title};
 use faultstudy_mining::{Archive, KeywordQuery, SelectionPipeline};
 use proptest::prelude::*;
 
@@ -94,7 +94,9 @@ proptest! {
             .collect();
         let distinct: BTreeSet<String> =
             titles.iter().map(|t| normalize_title(t)).collect();
-        let kept = dedup_reports(reports);
+        let norms = reports.iter().map(|r| normalize_title(&r.title)).collect();
+        let key = |i: usize| (reports[i].id, reports[i].duplicate_of);
+        let kept = dedup_indices_keyed(key, (0..reports.len()).collect(), norms);
         prop_assert_eq!(kept.len(), distinct.len());
     }
 }
@@ -182,34 +184,5 @@ proptest! {
             .build();
         let mysql = KeywordQuery::mysql();
         prop_assert_eq!(mysql.matches(&r), mysql.matches_naive(&r));
-    }
-
-    /// The index-based dedup used by the zero-copy funnel selects exactly
-    /// the reports the owned dedup selects.
-    #[test]
-    fn index_dedup_agrees_with_owned_dedup(
-        titles in prop::collection::vec("[a-c]{0,4}", 0..30),
-    ) {
-        use faultstudy_mining::dedup::dedup_indices_with_norms;
-        let reports: Vec<BugReport> = titles
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                BugReport::builder(AppKind::Apache, (titles.len() - i) as u64)
-                    .title(t.clone())
-                    .severity(Severity::Severe)
-                    .build()
-            })
-            .collect();
-        let norms: Vec<String> = reports.iter().map(|r| normalize_title(&r.title)).collect();
-        let kept = dedup_indices_with_norms(
-            &reports,
-            (0..reports.len()).collect(),
-            norms.clone(),
-        );
-        let owned = dedup_reports(reports.clone());
-        let via_indices: Vec<BugReport> =
-            kept.into_iter().map(|i| reports[i].clone()).collect();
-        prop_assert_eq!(via_indices, owned);
     }
 }

@@ -132,7 +132,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `den` is zero or `num > den`.
-    pub fn quantile(&self, num: u64, den: u64) -> Option<u64> {
+    pub(crate) fn quantile(&self, num: u64, den: u64) -> Option<u64> {
         assert!(den > 0 && num <= den, "quantile must be in [0, 1]");
         if self.count == 0 {
             return None;

@@ -63,11 +63,6 @@ impl CircuitBreaker {
     pub fn is_open(&self) -> bool {
         self.open
     }
-
-    /// Consecutive failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +79,6 @@ mod tests {
         assert!(b.is_open());
         // Already open: further failures are not new trips.
         assert!(!b.record_failure());
-        assert_eq!(b.consecutive_failures(), 4);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use rollback::RollbackRecovery;
 pub use scrub::{scrub_volatile_state, StateScrub};
 pub use strategy::{NoRecovery, RecoveryStrategy};
 pub use supervisor::{
-    run_workload, run_workload_supervised, ChainDeadline, EnvHook, RequestSupervisor, ServeOutcome,
-    SupervisedRun, SupervisorConfig, WorkloadRun,
+    run_workload, run_workload_supervised, EnvHook, RequestSupervisor, ServeOutcome, SupervisedRun,
+    SupervisorConfig, WorkloadRun,
 };
 pub use tree::{MicroReboot, RebootScope, RestartTree};

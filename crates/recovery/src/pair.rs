@@ -19,32 +19,22 @@ use faultstudy_apps::{AppState, Application, Request};
 use faultstudy_env::Environment;
 use faultstudy_sim::time::Duration;
 
+/// Failover latency: much shorter than a full restart.
+const FAILOVER_TAKES: Duration = Duration::from_millis(100);
+
 /// A primary/backup process pair.
 #[derive(Debug)]
 pub struct ProcessPair {
     retries: u32,
     /// The checkpoint most recently shipped to the backup.
     backup: Option<AppState>,
-    /// Failover latency (much shorter than a full restart).
-    failover_takes: Duration,
     failovers: u32,
 }
 
 impl ProcessPair {
     /// A pair that fails over up to `retries` times, 100 ms per failover.
     pub fn new(retries: u32) -> ProcessPair {
-        ProcessPair {
-            retries,
-            backup: None,
-            failover_takes: Duration::from_millis(100),
-            failovers: 0,
-        }
-    }
-
-    /// Overrides the failover latency.
-    pub fn with_failover_latency(mut self, d: Duration) -> ProcessPair {
-        self.failover_takes = d;
-        self
+        ProcessPair { retries, backup: None, failovers: 0 }
     }
 
     /// Failovers performed so far.
@@ -85,7 +75,7 @@ impl RecoveryStrategy for ProcessPair {
         env.procs.kill_all_of(app.owner());
         // ...and the backup resumes from the mirrored state after a short
         // takeover, not a full restart.
-        env.advance(self.failover_takes);
+        env.advance(FAILOVER_TAKES);
         if let Some(backup) = &self.backup {
             app.restore(backup);
         }
@@ -133,14 +123,5 @@ mod tests {
         let mut pair = ProcessPair::new(1);
         assert!(pair.on_failure(&mut app, &mut env, 1));
         assert!(!pair.on_failure(&mut app, &mut env, 2));
-    }
-
-    #[test]
-    fn custom_failover_latency() {
-        let mut env = Environment::builder().seed(2).build();
-        let mut app = MiniWeb::new(&mut env);
-        let mut pair = ProcessPair::new(1).with_failover_latency(Duration::from_millis(5));
-        pair.on_failure(&mut app, &mut env, 1);
-        assert_eq!(env.now(), SimTime::from_millis(5));
     }
 }

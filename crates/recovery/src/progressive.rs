@@ -17,11 +17,13 @@ use faultstudy_apps::{AppState, Application, Request};
 use faultstudy_env::Environment;
 use faultstudy_sim::time::Duration;
 
+/// The first backoff, at attempt 3; each later attempt doubles it.
+const BACKOFF_BASE: Duration = Duration::from_millis(500);
+
 /// Escalating retry: restore → reseed interleaving → exponential backoff.
 #[derive(Debug)]
 pub struct ProgressiveRetry {
     retries: u32,
-    backoff_base: Duration,
     checkpoint: Option<AppState>,
     perturbations: u32,
 }
@@ -29,18 +31,7 @@ pub struct ProgressiveRetry {
 impl ProgressiveRetry {
     /// Up to `retries` attempts with a 500 ms base backoff.
     pub fn new(retries: u32) -> ProgressiveRetry {
-        ProgressiveRetry {
-            retries,
-            backoff_base: Duration::from_millis(500),
-            checkpoint: None,
-            perturbations: 0,
-        }
-    }
-
-    /// Overrides the base backoff.
-    pub fn with_backoff(mut self, base: Duration) -> ProgressiveRetry {
-        self.backoff_base = base;
-        self
+        ProgressiveRetry { retries, checkpoint: None, perturbations: 0 }
     }
 
     /// Interleaving perturbations applied so far.
@@ -87,7 +78,7 @@ impl RecoveryStrategy for ProgressiveRetry {
         if attempt >= 3 {
             // Stage 3: exponential backoff in simulated time.
             let factor = 1u64 << (attempt - 3).min(16);
-            env.advance(self.backoff_base.saturating_mul(factor));
+            env.advance(BACKOFF_BASE.saturating_mul(factor));
         }
         true
     }
@@ -103,7 +94,7 @@ mod tests {
     fn escalation_stages_fire_in_order() {
         let mut env = Environment::builder().seed(4).build();
         let mut app = MiniDb::new(&mut env);
-        let mut s = ProgressiveRetry::new(5).with_backoff(Duration::from_millis(100));
+        let mut s = ProgressiveRetry::new(5);
         s.on_start(&mut app, &mut env);
         assert!(s.on_failure(&mut app, &mut env, 1));
         assert_eq!(s.perturbations(), 0, "attempt 1 is a plain retry");
@@ -111,8 +102,8 @@ mod tests {
         assert_eq!(s.perturbations(), 1, "attempt 2 reseeds the interleaving");
         let before = env.now();
         assert!(s.on_failure(&mut app, &mut env, 3));
-        // recovery (1s) + backoff (100ms)
-        assert_eq!(env.now(), before + env.recovery_takes() + Duration::from_millis(100));
+        // recovery (1s) + backoff (500ms)
+        assert_eq!(env.now(), before + env.recovery_takes() + Duration::from_millis(500));
         assert!(!s.on_failure(&mut app, &mut env, 6));
     }
 
@@ -150,7 +141,7 @@ mod tests {
     fn exponential_backoff_grows() {
         let mut env = Environment::builder().seed(4).build();
         let mut app = MiniDb::new(&mut env);
-        let mut s = ProgressiveRetry::new(10).with_backoff(Duration::from_millis(10));
+        let mut s = ProgressiveRetry::new(10);
         let t0 = env.now();
         s.on_failure(&mut app, &mut env, 3);
         let d3 = env.now() - t0;

@@ -48,11 +48,6 @@ impl RollbackRecovery {
     pub fn replayed_total(&self) -> u64 {
         self.replayed_total
     }
-
-    /// The configured checkpoint interval.
-    pub fn checkpoint_every(&self) -> u32 {
-        self.checkpoint_every
-    }
 }
 
 impl RecoveryStrategy for RollbackRecovery {

@@ -24,7 +24,7 @@ use crate::strategy::RecoveryStrategy;
 use faultstudy_apps::{AppFailure, Application, Request};
 use faultstudy_env::Environment;
 use faultstudy_obs::Span;
-use faultstudy_sim::time::{Duration, SimTime};
+use faultstudy_sim::time::Duration;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of supervising one workload.
@@ -100,50 +100,6 @@ impl SupervisorConfig {
             scrub_every: 0,
             request_takes: Duration::ZERO,
         }
-    }
-}
-
-/// An end-to-end deadline shared by every hop of a multi-tier call chain.
-///
-/// A request that fans out across tiers (client → miniweb → minidb) gets
-/// ONE watchdog budget for the whole chain, fixed at the instant the
-/// chain begins. Each hop's supervisor charges its hang-detection and
-/// backoff delays against the *remaining* budget via
-/// [`ChainDeadline::clamp`], so nested retries cannot stack per-hop
-/// deadlines past the outer budget — without this, a chain of H hops
-/// with per-hop watchdog W could burn H·W of user-visible time on a
-/// single request, which is exactly the end-to-end-timeout bug the
-/// fault-tolerance literature warns layered retry designs about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainDeadline {
-    deadline: SimTime,
-}
-
-impl ChainDeadline {
-    /// Opens a chain budget of `budget` starting at `now`.
-    pub fn new(now: SimTime, budget: Duration) -> ChainDeadline {
-        ChainDeadline { deadline: now.saturating_add(budget) }
-    }
-
-    /// The absolute instant the chain budget runs out.
-    pub fn deadline(&self) -> SimTime {
-        self.deadline
-    }
-
-    /// Budget left at `now` (zero once expired).
-    pub fn remaining(&self, now: SimTime) -> Duration {
-        self.deadline.saturating_since(now)
-    }
-
-    /// Whether the budget is exhausted at `now`.
-    pub fn expired(&self, now: SimTime) -> bool {
-        self.remaining(now) == Duration::ZERO
-    }
-
-    /// Clamps a delay a hop wants to charge (a watchdog deadline, a
-    /// backoff pause) to the budget remaining at `now`.
-    pub fn clamp(&self, now: SimTime, want: Duration) -> Duration {
-        want.min(self.remaining(now))
     }
 }
 
@@ -288,26 +244,6 @@ impl RequestSupervisor {
         config: &SupervisorConfig,
         hook: &mut Option<&mut dyn EnvHook>,
     ) -> ServeOutcome {
-        self.serve_within(app, env, original, strategy, config, hook, None)
-    }
-
-    /// [`RequestSupervisor::serve`] with an optional end-to-end chain
-    /// budget. With `chain` set, the hop's watchdog and backoff charges
-    /// are clamped to the budget remaining on the whole chain, and an
-    /// exhausted budget abandons the request instead of retrying — one
-    /// deadline for the chain, not one per hop. With `None` this is
-    /// byte-identical to `serve`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_within(
-        &mut self,
-        app: &mut dyn Application,
-        env: &mut Environment,
-        original: &Request,
-        strategy: &mut dyn RecoveryStrategy,
-        config: &SupervisorConfig,
-        hook: &mut Option<&mut dyn EnvHook>,
-        chain: Option<&ChainDeadline>,
-    ) -> ServeOutcome {
         if self.degraded {
             return ServeOutcome::Shed;
         }
@@ -321,11 +257,6 @@ impl RequestSupervisor {
         // so its length is the user-visible time-to-recovery.
         let mut ttr: Option<Span> = None;
         loop {
-            if chain.is_some_and(|c| c.expired(env.now())) {
-                // The chain budget ran out (spent here or at another hop):
-                // no further attempt may be charged to the user.
-                return ServeOutcome::Abandoned { failed_attempts: attempt };
-            }
             env.advance(config.request_takes);
             if let Some(h) = hook.as_deref_mut() {
                 h.pre_attempt(env);
@@ -355,19 +286,10 @@ impl RequestSupervisor {
                     // the full deadline in simulated time.
                     if matches!(self.last_failure, Some(AppFailure::Hang(_))) {
                         if let Some(deadline) = config.watchdog {
-                            // Under a chain budget the hang detection may
-                            // only consume what is left of the whole
-                            // chain's deadline, never a fresh per-hop one.
-                            let charge = chain.map_or(deadline, |c| c.clamp(env.now(), deadline));
-                            env.advance(charge);
+                            env.advance(deadline);
                             self.watchdog_fires += 1;
                             env.metrics.incr("supervisor.watchdog", strategy.name(), 1);
                         }
-                    }
-                    if chain.is_some_and(|c| c.expired(env.now())) {
-                        // Detection consumed the rest of the chain budget:
-                        // no recovery or retry may be charged past it.
-                        return ServeOutcome::Abandoned { failed_attempts: attempt };
                     }
                     if !strategy.on_failure_for(req, app, env, attempt) {
                         // The strategy declined to retry. A failure-oblivious
@@ -413,10 +335,7 @@ impl RequestSupervisor {
                         self.scrubs += 1;
                         env.metrics.incr("supervisor.scrubs", strategy.name(), 1);
                     }
-                    let delay = {
-                        let want = config.backoff.delay(attempt);
-                        chain.map_or(want, |c| c.clamp(env.now(), want))
-                    };
+                    let delay = config.backoff.delay(attempt);
                     if delay > Duration::ZERO {
                         env.advance(delay);
                         self.backoff_total = self.backoff_total + delay;
@@ -455,7 +374,7 @@ impl RequestSupervisor {
     }
 
     /// Total simulated time spent in backoff delays so far.
-    pub fn backoff_total(&self) -> Duration {
+    pub(crate) fn backoff_total(&self) -> Duration {
         self.backoff_total
     }
 
@@ -800,129 +719,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(now_a, now_b);
         assert!(a.backoff_total > Duration::ZERO);
-    }
-
-    // --- end-to-end chain deadline ---
-
-    /// A tier that hangs on every request — the worst case for stacked
-    /// per-hop watchdogs.
-    struct AlwaysHangs(faultstudy_env::OwnerId);
-
-    impl Application for AlwaysHangs {
-        fn kind(&self) -> faultstudy_core::taxonomy::AppKind {
-            faultstudy_core::taxonomy::AppKind::Apache
-        }
-        fn owner(&self) -> faultstudy_env::OwnerId {
-            self.0
-        }
-        fn handle(
-            &mut self,
-            _req: &Request,
-            _env: &mut Environment,
-        ) -> Result<faultstudy_apps::Response, AppFailure> {
-            Err(AppFailure::Hang("wedged tier".into()))
-        }
-        fn snapshot(&self) -> faultstudy_apps::AppState {
-            faultstudy_apps::AppState::default()
-        }
-        fn restore(&mut self, _state: &faultstudy_apps::AppState) {}
-        fn inject(
-            &mut self,
-            slug: &str,
-            _env: &mut Environment,
-        ) -> Result<(), faultstudy_apps::InjectError> {
-            Err(faultstudy_apps::InjectError { slug: slug.to_owned() })
-        }
-        fn trigger_request(&self, _slug: &str) -> Option<Request> {
-            None
-        }
-        fn benign_request(&self) -> Request {
-            Request::new("noop")
-        }
-    }
-
-    /// Three hung hops, each with a 4 s per-hop watchdog and a retry
-    /// budget. Without a chain deadline every hop charges its own
-    /// watchdog per attempt (9 fires, 36 s of user-visible time for one
-    /// request). Under one 4 s [`ChainDeadline`] the whole chain may
-    /// consume the budget exactly once.
-    #[test]
-    fn chain_deadline_is_charged_once_across_all_hops() {
-        let drive = |chained: bool| {
-            let mut env = Environment::builder().seed(7).build();
-            let owner = env.register_owner("always-hangs");
-            let mut app = AlwaysHangs(owner);
-            let mut strategy = RestartRetry::new(2);
-            let config = SupervisorConfig {
-                watchdog: Some(Duration::from_secs(4)),
-                backoff: BackoffPolicy::none(),
-                breaker_threshold: 0,
-                scrub_every: 0,
-                request_takes: Duration::ZERO,
-            };
-            let mut sup = RequestSupervisor::begin(&mut app, &mut env, &mut strategy, &config);
-            let chain = ChainDeadline::new(env.now(), Duration::from_secs(4));
-            let req = Request::new("multi-hop");
-            for _hop in 0..3 {
-                let outcome = sup.serve_within(
-                    &mut app,
-                    &mut env,
-                    &req,
-                    &mut strategy,
-                    &config,
-                    &mut None,
-                    chained.then_some(&chain),
-                );
-                assert!(matches!(outcome, ServeOutcome::Abandoned { .. }));
-            }
-            (env.now(), sup.watchdog_fires())
-        };
-
-        let (unbounded_now, unbounded_fires) = drive(false);
-        assert_eq!(unbounded_fires, 9, "3 hops x 3 attempts, one watchdog each");
-        // 9 watchdog deadlines (4 s each) plus 6 process restarts (1 s
-        // each) from the strategy's recoveries: per-hop deadlines stack.
-        assert_eq!(unbounded_now, SimTime::from_secs(42), "per-hop deadlines stack");
-
-        let (chained_now, chained_fires) = drive(true);
-        assert_eq!(chained_fires, 1, "one detection exhausts the chain");
-        assert_eq!(
-            chained_now,
-            SimTime::from_secs(4),
-            "the whole chain is charged the outer budget exactly once"
-        );
-    }
-
-    #[test]
-    fn chain_deadline_clamps_and_expires() {
-        let t0 = SimTime::from_secs(10);
-        let chain = ChainDeadline::new(t0, Duration::from_secs(2));
-        assert_eq!(chain.deadline(), SimTime::from_secs(12));
-        assert_eq!(chain.remaining(t0), Duration::from_secs(2));
-        assert_eq!(chain.clamp(t0, Duration::from_secs(5)), Duration::from_secs(2));
-        assert_eq!(chain.clamp(t0, Duration::from_secs(1)), Duration::from_secs(1));
-        assert!(!chain.expired(t0));
-        assert!(chain.expired(SimTime::from_secs(12)));
-        assert_eq!(chain.remaining(SimTime::from_secs(13)), Duration::ZERO);
-    }
-
-    #[test]
-    fn serve_without_chain_is_byte_identical_to_serve_within_none() {
-        let run = |via_within: bool| {
-            let (mut env, mut app) = setup();
-            app.inject("apache-edt-02", &mut env).unwrap();
-            let req = app.trigger_request("apache-edt-02").unwrap();
-            let mut strategy = RestartRetry::new(3);
-            let config = hardened();
-            let mut sup = RequestSupervisor::begin(&mut app, &mut env, &mut strategy, &config);
-            let outcome = if via_within {
-                sup.serve_within(&mut app, &mut env, &req, &mut strategy, &config, &mut None, None)
-            } else {
-                sup.serve(&mut app, &mut env, &req, &mut strategy, &config, &mut None)
-            };
-            (outcome, env.now(), sup.watchdog_fires(), sup.failures())
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

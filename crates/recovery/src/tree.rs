@@ -250,7 +250,7 @@ impl MicroReboot {
     }
 
     /// Full policy control: escalation threshold and backoff band.
-    pub fn with_policy(
+    pub(crate) fn with_policy(
         retries: u32,
         escalate_after: u32,
         base: Duration,

@@ -63,28 +63,6 @@ impl TandemReconciliation {
             - self.backup_only_faults)
             .max(0.0)
     }
-
-    /// Ratio between the raw field number and the pure-generic number —
-    /// how much the deployed mechanism's application-specific help
-    /// inflated apparent generic coverage.
-    pub fn inflation_factor(&self) -> f64 {
-        let pure = self.pure_generic_transient();
-        if pure == 0.0 {
-            f64::INFINITY
-        } else {
-            self.raw_recovered / pure
-        }
-    }
-
-    /// Validates that the split is internally consistent: all categories
-    /// non-negative and not exceeding the raw total.
-    pub fn is_consistent(&self) -> bool {
-        let parts =
-            [self.backup_state_divergence, self.task_not_reexecuted, self.backup_only_faults];
-        self.raw_recovered >= 0.0
-            && parts.iter().all(|p| *p >= 0.0)
-            && parts.iter().sum::<f64>() <= self.raw_recovered
-    }
 }
 
 impl fmt::Display for TandemReconciliation {
@@ -115,14 +93,6 @@ mod tests {
         let r = TandemReconciliation::default();
         assert_eq!(r.raw_recovered, 82.0);
         assert_eq!(r.pure_generic_transient(), 29.0);
-        assert!(r.is_consistent());
-    }
-
-    #[test]
-    fn inflation_factor_is_nearly_3x() {
-        let f = TandemReconciliation::default().inflation_factor();
-        assert!((f - 82.0 / 29.0).abs() < 1e-12);
-        assert!(f > 2.8 && f < 2.9);
     }
 
     #[test]
@@ -134,22 +104,17 @@ mod tests {
             backup_only_faults: 25.0,
         };
         assert_eq!(r.pure_generic_transient(), 0.0);
-        assert_eq!(r.inflation_factor(), f64::INFINITY);
-        assert!(r.is_consistent());
     }
 
     #[test]
-    fn inconsistent_split_detected() {
+    fn oversubtracted_split_clamps_at_zero() {
         let r = TandemReconciliation {
             raw_recovered: 50.0,
             backup_state_divergence: 40.0,
             task_not_reexecuted: 20.0,
             backup_only_faults: 0.0,
         };
-        assert!(!r.is_consistent());
         assert_eq!(r.pure_generic_transient(), 0.0, "clamped at zero");
-        let neg = TandemReconciliation { backup_only_faults: -1.0, ..Default::default() };
-        assert!(!neg.is_consistent());
     }
 
     #[test]

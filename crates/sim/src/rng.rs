@@ -151,7 +151,7 @@ pub const fn split_seed(master: u64, index: u64) -> u64 {
 /// form jumps the SplitMix64 state to `start` once and then advances it
 /// additively, which is how the streaming campaign fold derives the seeds
 /// of a whole work-queue chunk at a time instead of per sample.
-pub fn fill_split_seeds(master: u64, start: u64, out: &mut [u64]) {
+pub(crate) fn fill_split_seeds(master: u64, start: u64, out: &mut [u64]) {
     let mut state = master.wrapping_add(start.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     for slot in out {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -1,58 +1,21 @@
-//! A cooperative step scheduler with controllable interleavings.
+//! Controllable interleavings of concurrent tasks.
 //!
 //! Race-condition faults — the canonical *environment-dependent-transient*
 //! faults of the paper (§3) — arise from the order in which a thread
-//! scheduler interleaves concurrent tasks. This module models exactly that:
-//! each task exposes discrete steps, and an [`Interleaver`] policy decides
-//! which runnable task steps next. The interleaving is part of the *operating
-//! environment*, so a retry under a different interleaver seed may observe a
-//! different order and thereby avoid the race — which is precisely how the
-//! simulated applications realise their transient race faults.
+//! scheduler interleaves concurrent tasks. This module models exactly that
+//! choice: whoever steps a set of tasks asks a [`Schedule`] which runnable
+//! task steps next, and an [`Interleaver`] policy decides the answers. The
+//! interleaving is part of the *operating environment*, so a retry under a
+//! different interleaver seed may observe a different order and thereby
+//! avoid the race — which is precisely how the simulated applications
+//! realise their transient race faults.
 
 use crate::rng::{DetRng, Xoshiro256StarStar};
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Identifier of a task within one [`StepScheduler`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct TaskId(pub u32);
-
-impl fmt::Display for TaskId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "task#{}", self.0)
-    }
-}
-
-/// What a task reports after executing one step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StepOutcome {
-    /// The task has more steps to run.
-    Ready,
-    /// The task finished successfully.
-    Done,
-    /// The task (and hence the run) failed; the payload describes why.
-    Failed(String),
-}
-
-/// A unit of concurrent work executed step by step over shared state `S`.
-///
-/// Implementations should make each step small enough that interesting
-/// interleavings are possible; a task that does everything in one step can
-/// never race.
-pub trait Task<S> {
-    /// Executes the next step against the shared state.
-    fn step(&mut self, shared: &mut S) -> StepOutcome;
-
-    /// Short human-readable label used in traces.
-    fn label(&self) -> &str {
-        "task"
-    }
-}
 
 /// Policy choosing which runnable task steps next.
 #[derive(Debug, Clone)]
 pub enum Interleaver {
-    /// Cycle through runnable tasks in id order. Fully deterministic and
+    /// Cycle through runnable tasks in index order. Fully deterministic and
     /// independent of any seed; useful as a "fixed environment".
     RoundRobin,
     /// Choose uniformly at random with the given seed. Two runs with the same
@@ -60,39 +23,57 @@ pub enum Interleaver {
     /// environment changing between a failed run and its retry.
     Seeded(u64),
     /// Replay an explicit schedule: indexes into the *runnable* task list at
-    /// each step. Falls back to round-robin when exhausted. Used by tests to
+    /// each step, taken modulo its length. Once the script is exhausted,
+    /// every choice is index 0, the first runnable task. Used by tests to
     /// force the exact interleaving that trips a race.
     Fixed(Vec<u32>),
 }
 
 impl Interleaver {
-    fn into_driver(self) -> Driver {
-        match self {
-            Interleaver::RoundRobin => Driver::RoundRobin { next: 0 },
-            Interleaver::Seeded(seed) => Driver::Seeded(Xoshiro256StarStar::seed_from(seed)),
-            Interleaver::Fixed(v) => Driver::Fixed { script: v, pos: 0 },
-        }
+    /// Starts a schedule that answers one choice per step under this
+    /// policy.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use faultstudy_sim::sched::Interleaver;
+    ///
+    /// let mut schedule = Interleaver::RoundRobin.start();
+    /// let picks: Vec<usize> = (0..4).map(|_| schedule.choose(2)).collect();
+    /// assert_eq!(picks, [0, 1, 0, 1]);
+    /// ```
+    pub fn start(self) -> Schedule {
+        Schedule(match self {
+            Interleaver::RoundRobin => State::RoundRobin { next: 0 },
+            Interleaver::Seeded(seed) => State::Seeded(Xoshiro256StarStar::seed_from(seed)),
+            Interleaver::Fixed(v) => State::Fixed { script: v, pos: 0 },
+        })
     }
 }
 
+/// An [`Interleaver`] in progress, from [`Interleaver::start`].
 #[derive(Debug)]
-enum Driver {
+pub struct Schedule(State);
+
+#[derive(Debug)]
+enum State {
     RoundRobin { next: usize },
     Seeded(Xoshiro256StarStar),
     Fixed { script: Vec<u32>, pos: usize },
 }
 
-impl Driver {
-    fn choose(&mut self, runnable: usize) -> usize {
+impl Schedule {
+    /// Index, in `0..runnable`, of the runnable task that steps next.
+    pub fn choose(&mut self, runnable: usize) -> usize {
         debug_assert!(runnable > 0);
-        match self {
-            Driver::RoundRobin { next } => {
+        match &mut self.0 {
+            State::RoundRobin { next } => {
                 let c = *next % runnable;
                 *next = c + 1;
                 c
             }
-            Driver::Seeded(rng) => rng.below(runnable as u64) as usize,
-            Driver::Fixed { script, pos } => {
+            State::Seeded(rng) => rng.below(runnable as u64) as usize,
+            State::Fixed { script, pos } => {
                 if *pos < script.len() {
                     let c = script[*pos] as usize % runnable;
                     *pos += 1;
@@ -105,203 +86,32 @@ impl Driver {
     }
 }
 
-/// The result of driving a set of tasks to completion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RunReport {
-    /// The order in which tasks were stepped.
-    pub schedule: Vec<TaskId>,
-    /// `Some((task, reason))` if a task failed, which aborts the run.
-    pub failure: Option<(TaskId, String)>,
-    /// Total steps executed.
-    pub steps: u64,
-}
-
-impl RunReport {
-    /// Whether every task ran to completion without failure.
-    pub fn succeeded(&self) -> bool {
-        self.failure.is_none()
-    }
-}
-
-/// Drives a set of [`Task`]s over shared state under an [`Interleaver`].
-///
-/// # Example
-///
-/// ```
-/// use faultstudy_sim::sched::{Interleaver, StepOutcome, StepScheduler, Task};
-///
-/// struct Add(u32, u32);
-/// impl Task<u32> for Add {
-///     fn step(&mut self, shared: &mut u32) -> StepOutcome {
-///         if self.1 == 0 { return StepOutcome::Done; }
-///         *shared += self.0;
-///         self.1 -= 1;
-///         StepOutcome::Ready
-///     }
-/// }
-///
-/// let mut sched = StepScheduler::new(0u32, Interleaver::RoundRobin);
-/// sched.spawn(Add(1, 3));
-/// sched.spawn(Add(10, 2));
-/// let (shared, report) = sched.run(1_000);
-/// assert!(report.succeeded());
-/// assert_eq!(shared, 23);
-/// ```
-pub struct StepScheduler<S> {
-    shared: S,
-    tasks: Vec<(TaskId, Box<dyn Task<S>>)>,
-    driver: Driver,
-    next_id: u32,
-}
-
-impl<S: fmt::Debug> fmt::Debug for StepScheduler<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StepScheduler")
-            .field("shared", &self.shared)
-            .field("tasks", &self.tasks.len())
-            .finish()
-    }
-}
-
-impl<S> StepScheduler<S> {
-    /// Creates a scheduler over `shared` using the given interleaving policy.
-    pub fn new(shared: S, interleaver: Interleaver) -> Self {
-        StepScheduler { shared, tasks: Vec::new(), driver: interleaver.into_driver(), next_id: 0 }
-    }
-
-    /// Adds a task; returns its id.
-    pub fn spawn(&mut self, task: impl Task<S> + 'static) -> TaskId {
-        let id = TaskId(self.next_id);
-        self.next_id += 1;
-        self.tasks.push((id, Box::new(task)));
-        id
-    }
-
-    /// Runs until every task completes, a task fails, or `max_steps` is hit.
-    ///
-    /// Returns the final shared state and a [`RunReport`]. Hitting the step
-    /// budget with runnable tasks remaining is reported as a failure labelled
-    /// `"step budget exhausted"`, which models a hang.
-    pub fn run(mut self, max_steps: u64) -> (S, RunReport) {
-        let mut report = RunReport { schedule: Vec::new(), failure: None, steps: 0 };
-        while !self.tasks.is_empty() {
-            if report.steps >= max_steps {
-                let (id, _) = &self.tasks[0];
-                report.failure = Some((*id, "step budget exhausted".to_owned()));
-                break;
-            }
-            let idx = self.driver.choose(self.tasks.len());
-            let (id, task) = &mut self.tasks[idx];
-            let id = *id;
-            report.schedule.push(id);
-            report.steps += 1;
-            match task.step(&mut self.shared) {
-                StepOutcome::Ready => {}
-                StepOutcome::Done => {
-                    self.tasks.remove(idx);
-                }
-                StepOutcome::Failed(reason) => {
-                    report.failure = Some((id, reason));
-                    break;
-                }
-            }
-        }
-        (self.shared, report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A task that appends its tag to the shared log `n` times.
-    struct Tagger {
-        tag: char,
-        remaining: u32,
-    }
-    impl Task<String> for Tagger {
-        fn step(&mut self, shared: &mut String) -> StepOutcome {
-            if self.remaining == 0 {
-                return StepOutcome::Done;
-            }
-            shared.push(self.tag);
-            self.remaining -= 1;
-            StepOutcome::Ready
-        }
-    }
-
-    fn two_taggers(inter: Interleaver) -> (String, RunReport) {
-        let mut s = StepScheduler::new(String::new(), inter);
-        s.spawn(Tagger { tag: 'a', remaining: 4 });
-        s.spawn(Tagger { tag: 'b', remaining: 4 });
-        s.run(1000)
+    fn picks(inter: Interleaver, runnable: usize, steps: usize) -> Vec<usize> {
+        let mut schedule = inter.start();
+        (0..steps).map(|_| schedule.choose(runnable)).collect()
     }
 
     #[test]
-    fn round_robin_alternates() {
-        let (log, report) = two_taggers(Interleaver::RoundRobin);
-        assert!(report.succeeded());
-        assert_eq!(log, "abababab");
+    fn round_robin_cycles() {
+        assert_eq!(picks(Interleaver::RoundRobin, 3, 7), [0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]
     fn seeded_is_reproducible_and_seed_sensitive() {
-        let (log1, _) = two_taggers(Interleaver::Seeded(7));
-        let (log2, _) = two_taggers(Interleaver::Seeded(7));
-        assert_eq!(log1, log2);
+        let a = picks(Interleaver::Seeded(7), 2, 16);
+        assert_eq!(a, picks(Interleaver::Seeded(7), 2, 16));
         // Some other seed yields a different interleaving (checked over a few
         // candidates to avoid asserting on one specific stream).
-        let different = (8..16).any(|s| two_taggers(Interleaver::Seeded(s)).0 != log1);
+        let different = (8..16).any(|s| picks(Interleaver::Seeded(s), 2, 16) != a);
         assert!(different, "all seeds produced identical interleavings");
     }
 
     #[test]
-    fn fixed_script_forces_exact_order() {
-        // Run task 1 to completion first, then task 0.
-        let (log, report) = two_taggers(Interleaver::Fixed(vec![1, 1, 1, 1, 1, 0]));
-        assert!(report.succeeded());
-        assert_eq!(log, "bbbbaaaa");
-    }
-
-    #[test]
-    fn failure_aborts_run() {
-        struct Bomb;
-        impl Task<String> for Bomb {
-            fn step(&mut self, _shared: &mut String) -> StepOutcome {
-                StepOutcome::Failed("segfault".to_owned())
-            }
-        }
-        let mut s = StepScheduler::new(String::new(), Interleaver::RoundRobin);
-        s.spawn(Tagger { tag: 'x', remaining: 100 });
-        let bomb = s.spawn(Bomb);
-        let (_, report) = s.run(1000);
-        let (failed, reason) = report.failure.expect("bomb fires");
-        assert_eq!(failed, bomb);
-        assert_eq!(reason, "segfault");
-        assert!(report.steps <= 3);
-    }
-
-    #[test]
-    fn step_budget_models_hang() {
-        struct Spinner;
-        impl Task<String> for Spinner {
-            fn step(&mut self, _shared: &mut String) -> StepOutcome {
-                StepOutcome::Ready
-            }
-        }
-        let mut s = StepScheduler::new(String::new(), Interleaver::RoundRobin);
-        s.spawn(Spinner);
-        let (_, report) = s.run(50);
-        assert_eq!(report.steps, 50);
-        let (_, reason) = report.failure.expect("budget exhausted");
-        assert!(reason.contains("budget"));
-    }
-
-    #[test]
-    fn empty_scheduler_finishes_immediately() {
-        let s: StepScheduler<u8> = StepScheduler::new(0, Interleaver::RoundRobin);
-        let (_, report) = s.run(10);
-        assert!(report.succeeded());
-        assert_eq!(report.steps, 0);
+    fn fixed_script_wraps_its_indexes_then_picks_the_first_task() {
+        assert_eq!(picks(Interleaver::Fixed(vec![1, 1, 0, 3]), 2, 6), [1, 1, 0, 1, 0, 0]);
     }
 }

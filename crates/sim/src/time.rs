@@ -58,16 +58,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
-    /// Whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
-    }
-
     /// Elapsed duration since `earlier`, saturating to zero if `earlier`
     /// is actually later.
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
@@ -150,11 +140,6 @@ impl Duration {
         self.0
     }
 
-    /// Whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Multiplies the span by an integer factor, saturating on overflow.
     pub const fn saturating_mul(self, k: u64) -> Duration {
         Duration(self.0.saturating_mul(k))
@@ -207,17 +192,6 @@ impl Clock {
     pub fn advance(&mut self, d: Duration) {
         self.now += d;
     }
-
-    /// Moves the clock forward to `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is earlier than the current instant — the simulation's
-    /// arrow of time never reverses.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(t >= self.now, "clock moved backwards: {} -> {}", self.now, t);
-        self.now = t;
-    }
 }
 
 #[cfg(test)]
@@ -229,9 +203,7 @@ mod tests {
         assert_eq!(SimTime::from_secs(3).as_nanos(), 3_000_000_000);
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
-        assert_eq!(SimTime::from_secs(3).as_secs(), 3);
-        assert_eq!(SimTime::from_millis(1500).as_secs(), 1);
-        assert_eq!(Duration::from_secs(2).as_millis(), 2000);
+        assert_eq!(Duration::from_secs(2).as_nanos(), 2_000_000_000);
     }
 
     #[test]
@@ -254,16 +226,8 @@ mod tests {
         let mut c = Clock::new();
         assert_eq!(c.now(), SimTime::ZERO);
         c.advance(Duration::from_millis(7));
-        c.advance_to(SimTime::from_millis(7)); // equal is allowed
+        c.advance(Duration::ZERO);
         assert_eq!(c.now(), SimTime::from_millis(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "clock moved backwards")]
-    fn clock_refuses_to_reverse() {
-        let mut c = Clock::new();
-        c.advance(Duration::from_secs(1));
-        c.advance_to(SimTime::from_millis(1));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property tests for the simulation substrate.
 
 use faultstudy_sim::rng::{DetRng, SplitMix64, Xoshiro256StarStar};
-use faultstudy_sim::sched::{Interleaver, StepOutcome, StepScheduler, Task};
 use faultstudy_sim::time::{Clock, Duration, SimTime};
 use faultstudy_sim::wheel::TimingWheel;
 use proptest::prelude::*;
@@ -84,31 +83,6 @@ proptest! {
         shuffled.sort_unstable();
         items.sort_unstable();
         prop_assert_eq!(shuffled, items);
-    }
-
-    /// A scheduler over counter tasks conserves the total work regardless
-    /// of the interleaving seed.
-    #[test]
-    fn scheduler_conserves_work(seed in any::<u64>(), counts in prop::collection::vec(1u32..8, 1..6)) {
-        struct Counter(u32);
-        impl Task<u64> for Counter {
-            fn step(&mut self, shared: &mut u64) -> StepOutcome {
-                if self.0 == 0 {
-                    return StepOutcome::Done;
-                }
-                self.0 -= 1;
-                *shared += 1;
-                StepOutcome::Ready
-            }
-        }
-        let mut sched = StepScheduler::new(0u64, Interleaver::Seeded(seed));
-        let expected: u32 = counts.iter().sum();
-        for c in counts {
-            sched.spawn(Counter(c));
-        }
-        let (total, report) = sched.run(10_000);
-        prop_assert!(report.succeeded());
-        prop_assert_eq!(total, u64::from(expected));
     }
 
     /// Differential check: for arbitrary schedules — same-instant ties,

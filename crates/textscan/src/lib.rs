@@ -119,11 +119,6 @@ impl HitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether at least one of `ids` was hit (disjunction).
-    pub fn any_of(&self, ids: &[PatternId]) -> bool {
-        ids.iter().any(|&id| self.contains(id))
-    }
-
     /// Whether every one of `ids` was hit (conjunction).
     pub fn all_of(&self, ids: &[PatternId]) -> bool {
         ids.iter().all(|&id| self.contains(id))
@@ -138,9 +133,9 @@ impl HitSet {
         set
     }
 
-    /// Whether the two sets share at least one pattern. Equivalent to
-    /// [`Self::any_of`] over the ids `other` was built from, in a fixed
-    /// four-word pass instead of a probe per id.
+    /// Whether the two sets share at least one pattern: a disjunction over
+    /// the ids `other` was built from, in a fixed four-word pass instead of
+    /// a probe per id.
     pub fn intersects(&self, other: &HitSet) -> bool {
         self.words.iter().zip(&other.words).any(|(w, o)| w & o != 0)
     }
@@ -490,7 +485,7 @@ impl Automaton {
     }
 
     /// Unions the patterns occurring in `text` into `hits`.
-    pub fn scan_into(&self, hits: &mut HitSet, text: &str) {
+    pub(crate) fn scan_into(&self, hits: &mut HitSet, text: &str) {
         let answered = match &self.engine {
             Engine::ShiftAnd(engine) => engine.scan_into(hits, text),
             Engine::Dfa(dfa) => dfa.scan_into(hits, text),
@@ -727,8 +722,8 @@ mod tests {
         assert_eq!(h.len(), 4);
         assert!(h.contains(63) && h.contains(64) && h.contains(255));
         assert!(!h.contains(1));
-        assert!(h.any_of(&[1, 64]));
-        assert!(!h.any_of(&[1, 2]));
+        assert!(h.intersects(&HitSet::of(&[1, 64])));
+        assert!(!h.intersects(&HitSet::of(&[1, 2])));
         assert!(h.all_of(&[0, 63, 64, 255]));
         assert!(!h.all_of(&[0, 1]));
         assert!(h.all_of(&[]));

@@ -44,7 +44,7 @@ fn main() {
 
     println!("{}", render_discussion(&study.discussion()));
 
-    for run in paper_scale_funnels(2000) {
+    for run in paper_scale_funnels(2000, ParallelSpec::AUTO, false).0 {
         println!("{}", run.outcome);
     }
     println!();

@@ -7,12 +7,12 @@
 
 use faultstudy::core::taxonomy::AppKind;
 use faultstudy::corpus::{PopulationSpec, SyntheticPopulation};
-use faultstudy::harness::paper_scale_funnels;
+use faultstudy::harness::{paper_scale_funnels, ParallelSpec};
 use faultstudy::mining::{Archive, KeywordQuery, SelectionPipeline};
 
 fn main() {
     println!("== paper-scale funnels (5220 / 500 / 44,000 raw entries) ==");
-    for run in paper_scale_funnels(7) {
+    for run in paper_scale_funnels(7, ParallelSpec::AUTO, false).0 {
         println!("{}", run.outcome);
         println!("  {}", run.quality);
     }

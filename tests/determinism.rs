@@ -25,7 +25,8 @@ fn populations_funnels_matrices_campaigns_reports_are_seed_pure() {
         seed: 77,
     };
     assert_eq!(SyntheticPopulation::generate(&spec), SyntheticPopulation::generate(&spec));
-    assert_eq!(paper_scale_funnels(5), paper_scale_funnels(5));
+    let funnels = || paper_scale_funnels(5, ParallelSpec::AUTO, false).0;
+    assert_eq!(funnels(), funnels());
     let matrix = || RecoveryMatrix::run(5, ParallelSpec::AUTO, false);
     assert_eq!(matrix(), matrix());
     let campaign =

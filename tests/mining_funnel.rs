@@ -4,12 +4,18 @@ use faultstudy::core::evidence::Evidence;
 use faultstudy::core::scanset;
 use faultstudy::core::taxonomy::AppKind;
 use faultstudy::corpus::{PopulationSpec, SyntheticPopulation};
-use faultstudy::harness::funnel::{paper_scale_funnels, run_funnel};
+use faultstudy::harness::funnel::{paper_scale_funnels, FunnelRun};
+use faultstudy::harness::ParallelSpec;
 use faultstudy::mining::{Archive, KeywordQuery, SelectionPipeline};
+
+/// The Apache, GNOME and MySQL funnels at paper scale, in that order.
+fn funnels(seed: u64) -> Vec<FunnelRun> {
+    paper_scale_funnels(seed, ParallelSpec::AUTO, false).0
+}
 
 #[test]
 fn funnels_reproduce_the_papers_counts() {
-    let runs = paper_scale_funnels(2000);
+    let runs = funnels(2000);
     let expected =
         [(AppKind::Apache, 5220, 50), (AppKind::Gnome, 500, 45), (AppKind::Mysql, 44_000, 44)];
     for (run, (app, raw, unique)) in runs.iter().zip(expected) {
@@ -21,7 +27,7 @@ fn funnels_reproduce_the_papers_counts() {
 
 #[test]
 fn funnels_achieve_perfect_precision_and_recall_on_synthetic_truth() {
-    for run in paper_scale_funnels(17) {
+    for run in funnels(17) {
         assert_eq!(run.quality.precision(), 1.0, "{}", run.outcome.app);
         assert_eq!(run.quality.recall(), 1.0, "{}", run.outcome.app);
         assert_eq!(run.quality.faults_recalled, run.outcome.unique_bugs());
@@ -31,14 +37,15 @@ fn funnels_achieve_perfect_precision_and_recall_on_synthetic_truth() {
 #[test]
 fn mysql_keyword_stage_keeps_a_few_hundred_of_44000() {
     // "We looked at a few hundred messages" (§4).
-    let run = run_funnel(AppKind::Mysql, 2000);
+    let run = &funnels(2000)[2];
+    assert_eq!(run.outcome.app, AppKind::Mysql);
     let kept = run.outcome.funnel[1].survivors;
     assert!((100..2500).contains(&kept), "keyword stage kept {kept}, not 'a few hundred'");
 }
 
 #[test]
 fn funnel_stages_never_grow() {
-    for run in paper_scale_funnels(3) {
+    for run in funnels(3) {
         let counts: Vec<usize> = run.outcome.funnel.iter().map(|s| s.survivors).collect();
         assert!(counts.windows(2).all(|w| w[1] <= w[0]), "{counts:?}");
     }
@@ -46,9 +53,7 @@ fn funnel_stages_never_grow() {
 
 #[test]
 fn funnels_are_deterministic_per_seed() {
-    let a = run_funnel(AppKind::Gnome, 8);
-    let b = run_funnel(AppKind::Gnome, 8);
-    assert_eq!(a, b);
+    assert_eq!(funnels(8), funnels(8));
 }
 
 #[test]

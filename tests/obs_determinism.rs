@@ -5,7 +5,7 @@
 
 use faultstudy::exec::ParallelSpec;
 use faultstudy::harness::campaign::{CampaignReport, CampaignSpec};
-use faultstudy::harness::funnel::{paper_scale_funnels_instrumented, paper_scale_funnels_with};
+use faultstudy::harness::funnel::paper_scale_funnels;
 use faultstudy::harness::{Campaign, RecoveryMatrix};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -47,13 +47,12 @@ fn campaign_registry_json_is_byte_identical_across_thread_counts() {
 /// stage-timing registry is thread-count invariant.
 #[test]
 fn funnel_registry_is_identical_across_thread_counts() {
-    let plain = paper_scale_funnels_with(2000, ParallelSpec::SEQUENTIAL);
+    let (plain, _) = paper_scale_funnels(2000, ParallelSpec::SEQUENTIAL, false);
     let (baseline_runs, baseline_registry) =
-        paper_scale_funnels_instrumented(2000, ParallelSpec::SEQUENTIAL);
+        paper_scale_funnels(2000, ParallelSpec::SEQUENTIAL, true);
     assert_eq!(baseline_runs, plain, "metrics must not perturb the funnels");
     for threads in THREAD_COUNTS {
-        let (runs, registry) =
-            paper_scale_funnels_instrumented(2000, ParallelSpec::threads(threads));
+        let (runs, registry) = paper_scale_funnels(2000, ParallelSpec::threads(threads), true);
         assert_eq!(runs, baseline_runs, "{threads} threads");
         assert_eq!(registry, baseline_registry, "{threads} threads");
     }

@@ -12,9 +12,9 @@ use faultstudy::harness::campaign::{CampaignCell, CampaignReport, CampaignSpec};
 use faultstudy::harness::experiment::{
     run_fault_experiment, run_fault_experiment_instrumented, StrategyKind,
 };
-use faultstudy::harness::funnel::paper_scale_funnels_with;
+use faultstudy::harness::funnel::paper_scale_funnels;
 use faultstudy::harness::Campaign;
-use faultstudy::mining::dedup::{dedup_reports, dedup_reports_with_norms, normalize_title};
+use faultstudy::mining::dedup::{dedup_indices_keyed, normalize_title};
 use faultstudy::obs::MetricsRegistry;
 use faultstudy::sim::rng::{split_seed, DetRng, Xoshiro256StarStar};
 use proptest::prelude::*;
@@ -196,9 +196,9 @@ fn campaign_auto_parallelism_matches_sequential() {
 #[test]
 fn funnel_outcomes_are_identical_across_thread_counts() {
     for seed in [5u64, 99] {
-        let baseline = paper_scale_funnels_with(seed, ParallelSpec::SEQUENTIAL);
+        let (baseline, _) = paper_scale_funnels(seed, ParallelSpec::SEQUENTIAL, false);
         for threads in THREAD_COUNTS {
-            let runs = paper_scale_funnels_with(seed, ParallelSpec::threads(threads));
+            let (runs, _) = paper_scale_funnels(seed, ParallelSpec::threads(threads), false);
             assert_eq!(runs, baseline, "seed {seed}, {threads} threads");
             let json_a = serde_json::to_string(&runs).expect("funnels serialize");
             let json_b = serde_json::to_string(&baseline).expect("funnels serialize");
@@ -212,9 +212,9 @@ fn report(id: u64, title: String) -> BugReport {
 }
 
 proptest! {
-    /// Sequential dedup and dedup over parallel pre-normalized titles keep
-    /// exactly the same survivor ids, for arbitrary titles (including
-    /// re-post markers and punctuation).
+    /// Dedup over titles normalized sequentially and over titles
+    /// normalized in parallel keeps exactly the same survivors, for
+    /// arbitrary titles (including re-post markers and punctuation).
     #[test]
     fn sequential_and_parallel_dedup_keep_the_same_survivors(
         titles in prop::collection::vec("(re |again |fwd )?[a-c!. ]{0,10}", 1..24)
@@ -224,15 +224,16 @@ proptest! {
             .enumerate()
             .map(|(i, t)| report(i as u64, t))
             .collect();
-        let sequential = dedup_reports(reports.clone());
+        let key = |i: usize| (reports[i].id, reports[i].duplicate_of);
+        let all = || (0..reports.len()).collect();
+        let norms = reports.iter().map(|r| normalize_title(&r.title)).collect();
+        let sequential = dedup_indices_keyed(key, all(), norms);
         for threads in THREAD_COUNTS {
             let norms = run_indexed(reports.len(), ParallelSpec::threads(threads), |i| {
                 normalize_title(&reports[i].title)
             });
-            let parallel = dedup_reports_with_norms(reports.clone(), norms);
-            let seq_ids: Vec<u64> = sequential.iter().map(|r| r.id).collect();
-            let par_ids: Vec<u64> = parallel.iter().map(|r| r.id).collect();
-            prop_assert_eq!(&seq_ids, &par_ids, "threads={}", threads);
+            let parallel = dedup_indices_keyed(key, all(), norms);
+            prop_assert_eq!(&sequential, &parallel, "threads={}", threads);
         }
     }
 

@@ -8,12 +8,20 @@ use faultstudy::env::fdtable::FdTable;
 use faultstudy::env::fs::VirtualFs;
 use faultstudy::env::Environment;
 use faultstudy::env::OwnerId;
-use faultstudy::mining::dedup::dedup_reports;
+use faultstudy::mining::dedup::{dedup_indices_keyed, normalize_title};
 use faultstudy::sim::rng::{DetRng, Xoshiro256StarStar};
 use faultstudy_apps::{Application, MiniDb, Request};
 use faultstudy_core::report::BugReport;
 use faultstudy_core::taxonomy::{AppKind, Severity};
 use proptest::prelude::*;
+
+/// The reports the §4 funnel's dedup keeps of `reports`, in its order.
+fn dedup(reports: &[BugReport]) -> Vec<BugReport> {
+    let norms = reports.iter().map(|r| normalize_title(&r.title)).collect();
+    let key = |i: usize| (reports[i].id, reports[i].duplicate_of);
+    let kept = dedup_indices_keyed(key, (0..reports.len()).collect(), norms);
+    kept.into_iter().map(|i| reports[i].clone()).collect()
+}
 
 fn condition_strategy() -> impl Strategy<Value = ConditionKind> {
     prop::sample::select(ConditionKind::ALL.to_vec())
@@ -141,9 +149,9 @@ proptest! {
                     .build()
             })
             .collect();
-        let once = dedup_reports(reports.clone());
+        let once = dedup(&reports);
         prop_assert!(once.len() <= reports.len());
-        let twice = dedup_reports(once.clone());
+        let twice = dedup(&once);
         prop_assert_eq!(once, twice);
     }
 

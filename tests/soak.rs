@@ -7,9 +7,11 @@ use faultstudy::env::Environment;
 use faultstudy::exec::ParallelSpec;
 use faultstudy::harness::campaign::{CampaignReport, CampaignSpec};
 use faultstudy::harness::experiment::StrategyKind;
-use faultstudy::harness::workload::WorkloadGen;
 use faultstudy::harness::Campaign;
 use faultstudy::recovery::{run_workload, ProgressiveRetry, RestartRetry};
+use workload::WorkloadGen;
+
+mod workload;
 
 fn big_env(seed: u64) -> Environment {
     Environment::builder()
