@@ -35,7 +35,7 @@ impl Request {
     }
 
     /// Sets the client host.
-    pub fn from_client(mut self, client: impl Into<Cow<'static, str>>) -> Request {
+    pub(crate) fn with_client(mut self, client: impl Into<Cow<'static, str>>) -> Request {
         self.client = client.into();
         self
     }
@@ -82,15 +82,6 @@ pub enum AppFailure {
     /// The operation failed hard with an error the application could not
     /// mask (e.g. every write failing on a full filesystem).
     ErrorReturn(Cow<'static, str>),
-}
-
-impl AppFailure {
-    /// Short description of what went wrong.
-    pub fn reason(&self) -> &str {
-        match self {
-            AppFailure::Crash(r) | AppFailure::Hang(r) | AppFailure::ErrorReturn(r) => r,
-        }
-    }
 }
 
 impl fmt::Display for AppFailure {
@@ -257,7 +248,7 @@ mod tests {
 
     #[test]
     fn request_builder_chain() {
-        let r = Request::new("GET /").from_client("host9").with_timing_event();
+        let r = Request::new("GET /").with_client("host9").with_timing_event();
         assert_eq!(r.body, "GET /");
         assert_eq!(r.client, "host9");
         assert!(r.timing_event);
@@ -271,9 +262,8 @@ mod tests {
     }
 
     #[test]
-    fn failure_reason_and_display() {
+    fn failure_display() {
         let f = AppFailure::Crash("segfault".into());
-        assert_eq!(f.reason(), "segfault");
         assert_eq!(f.to_string(), "crash: segfault");
         assert_eq!(AppFailure::Hang("stuck".into()).to_string(), "hang: stuck");
         assert_eq!(AppFailure::ErrorReturn("enospc".into()).to_string(), "error: enospc");

@@ -184,7 +184,6 @@ pub(crate) struct DbState {
     /// Copied by every checkpoint: the data a checkpoint exists to keep.
     tables: BTreeMap<String, Table>,
     locked: BTreeSet<String>,
-    executed: u64,
 }
 
 /// The MySQL-like database server.
@@ -215,17 +214,11 @@ impl MiniDb {
         MiniDb { owner, state: DbState::default() }
     }
 
-    /// Statements executed since start.
-    pub fn executed(&self) -> u64 {
-        self.state.executed
-    }
-
     fn bug(&self, slug: &str) -> bool {
         self.state.enabled_bugs.contains(slug)
     }
 
     fn ok(&mut self, msg: impl Into<Cow<'static, str>>) -> Result<Response, AppFailure> {
-        self.state.executed += 1;
         Ok(Response::Ok(msg.into()))
     }
 
@@ -677,7 +670,7 @@ impl Application for MiniDb {
             }
             s if s.starts_with("mysql-ei-") => Request::new(format!("PROBE {s}")),
             "mysql-edn-01" => Request::new("CONNECT"),
-            "mysql-edn-02" => Request::new("CONNECT").from_client("unregistered.host"),
+            "mysql-edn-02" => Request::new("CONNECT").with_client("unregistered.host"),
             "mysql-edn-03" | "mysql-edn-04" => Request::new("INSERT INTO t VALUES (3, 30)"),
             "mysql-edt-01" => Request::new("SHUTDOWN"),
             "mysql-edt-02" => Request::new("ADMIN KILL"),
@@ -815,8 +808,8 @@ impl CrashOnly for MiniDb {
     }
 
     fn boot_component(&mut self, _index: usize, _env: &mut Environment) {
-        // Tables reload lazily from their data files; defects and the
-        // executed counter are durable and carry over.
+        // Tables reload lazily from their data files; defects are durable
+        // and carry over.
     }
 }
 
@@ -1024,7 +1017,7 @@ mod tests {
         db.inject("mysql-edn-02", &mut env).unwrap();
         let bad = db.trigger_request("mysql-edn-02").unwrap();
         assert!(db.handle(&bad, &mut env).is_err());
-        let good = Request::new("CONNECT").from_client("friendly.host");
+        let good = Request::new("CONNECT").with_client("friendly.host");
         assert!(db.handle(&good, &mut env).unwrap().is_ok());
     }
 

@@ -28,7 +28,6 @@ pub(crate) struct DeState {
     /// files embed it, which is what makes a rename fatal. Shared with
     /// every checkpoint taken since the last cold start.
     boot_hostname: Arc<str>,
-    actions: u64,
 }
 
 /// The GNOME-like desktop shell.
@@ -61,17 +60,11 @@ impl MiniDe {
         }
     }
 
-    /// User actions completed since start.
-    pub fn actions(&self) -> u64 {
-        self.state.actions
-    }
-
     fn bug(&self, slug: &str) -> bool {
         self.state.enabled_bugs.contains(slug)
     }
 
     fn ok(&mut self, msg: impl Into<Cow<'static, str>>) -> Result<Response, AppFailure> {
-        self.state.actions += 1;
         Ok(Response::Ok(msg.into()))
     }
 
@@ -407,7 +400,7 @@ mod tests {
     use faultstudy_sim::time::Duration;
 
     fn setup() -> (Environment, MiniDe) {
-        let mut env = Environment::builder().seed(6).fd_limit(6).hostname("desk1").build();
+        let mut env = Environment::builder().seed(6).fd_limit(6).build();
         let de = MiniDe::new(&mut env);
         (env, de)
     }
@@ -427,7 +420,6 @@ mod tests {
             let resp = de.handle(&Request::new(body), &mut env).unwrap();
             assert!(resp.is_ok(), "{body}");
         }
-        assert_eq!(de.actions(), 7);
     }
 
     #[test]
@@ -555,7 +547,7 @@ mod tests {
         de.restore(&snap);
         de.inject("gnome-edn-01", &mut env).unwrap();
         let req = de.trigger_request("gnome-edn-01").unwrap();
-        assert!(de.handle(&req, &mut env).is_err(), "restored state holds desk1");
+        assert!(de.handle(&req, &mut env).is_err(), "restored state holds the boot name");
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl RaceGadget {
     ///
     /// Panics if no seed below 4096 crashes — a sign the window is
     /// configured empty.
-    pub fn crashing_seed(&self) -> u64 {
+    pub(crate) fn crashing_seed(&self) -> u64 {
         (0..4096)
             .find(|s| self.run(Interleaver::Seeded(*s)).is_err())
             .expect("race window is non-empty")

@@ -10,7 +10,7 @@ use faultstudy_apps::{Application, MiniDb, MiniDe, MiniWeb};
 use faultstudy_env::Environment;
 
 fn env() -> Environment {
-    Environment::builder().seed(5).hostname("desk1").build()
+    Environment::builder().seed(5).build()
 }
 
 #[test]

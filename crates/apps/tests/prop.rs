@@ -125,7 +125,7 @@ proptest! {
             let resp = db.handle(&Request::new(sql), &mut env).unwrap();
             prop_assert!(resp.is_ok());
         }
-        // The executed counter advanced, but data did not change.
+        // The table data did not change.
         let now: String = format!("{:?}", db.snapshot());
         let was: String = format!("{:?}", snapshot);
         prop_assert_eq!(

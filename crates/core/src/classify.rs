@@ -127,11 +127,6 @@ impl Classifier {
         Classifier { assumptions }
     }
 
-    /// The assumptions in force.
-    pub fn assumptions(&self) -> RecoveryAssumptions {
-        self.assumptions
-    }
-
     /// Extracts evidence from `report` and classifies it.
     pub fn classify_report(&self, report: &BugReport) -> Classification {
         self.classify_evidence(&Evidence::extract(report))

@@ -156,7 +156,7 @@ impl Evidence {
     }
 
     /// Whether the evidence names any environmental condition.
-    pub fn names_conditions(&self) -> bool {
+    pub(crate) fn names_conditions(&self) -> bool {
         !self.conditions.is_empty()
     }
 }

@@ -165,20 +165,9 @@ impl ReportColumns {
         self.text.len()
     }
 
-    /// One row as a lightweight view.
-    pub fn row(&self, index: usize) -> ReportRow<'_> {
-        assert!(index < self.len(), "row {index} out of bounds ({} rows)", self.len());
-        ReportRow { columns: self, index }
-    }
-
     /// Iterates over all rows in archive order.
     pub fn iter(&self) -> impl Iterator<Item = ReportRow<'_>> {
         (0..self.len()).map(move |index| ReportRow { columns: self, index })
-    }
-
-    /// Application column.
-    pub fn app(&self, index: usize) -> AppKind {
-        self.app[index]
     }
 
     /// Archive-id column.
@@ -192,22 +181,22 @@ impl ReportColumns {
     }
 
     /// Body text of one row.
-    pub fn body(&self, index: usize) -> &str {
+    pub(crate) fn body(&self, index: usize) -> &str {
         self.body[index].slice(&self.text)
     }
 
     /// How-To-Repeat text of one row.
-    pub fn how_to_repeat(&self, index: usize) -> &str {
+    pub(crate) fn how_to_repeat(&self, index: usize) -> &str {
         self.how_to_repeat[index].slice(&self.text)
     }
 
     /// Developer-notes text of one row.
-    pub fn developer_notes(&self, index: usize) -> &str {
+    pub(crate) fn developer_notes(&self, index: usize) -> &str {
         self.developer_notes[index].slice(&self.text)
     }
 
     /// Version string of one row.
-    pub fn version(&self, index: usize) -> &str {
+    pub(crate) fn version(&self, index: usize) -> &str {
         self.version[index].slice(&self.text)
     }
 
@@ -216,24 +205,9 @@ impl ReportColumns {
         self.severity[index]
     }
 
-    /// Lifecycle-status column.
-    pub fn status(&self, index: usize) -> Status {
-        self.status[index]
-    }
-
     /// Production-version column.
     pub fn production(&self, index: usize) -> bool {
         self.production[index]
-    }
-
-    /// Filing-month column.
-    pub fn filed(&self, index: usize) -> YearMonth {
-        self.filed[index]
-    }
-
-    /// Report-source column.
-    pub fn source(&self, index: usize) -> ReportSource {
-        self.source[index]
     }
 
     /// Duplicate-link column.
@@ -251,14 +225,6 @@ impl ReportColumns {
             self.how_to_repeat(index),
             self.developer_notes(index),
         ]
-    }
-
-    /// Whether the §4 selection keeps row `index`; column-only form of
-    /// [`BugReport::passes_selection`].
-    pub fn passes_selection(&self, index: usize) -> bool {
-        self.severity[index].is_high_impact()
-            && self.production[index]
-            && self.duplicate_of[index].is_none()
     }
 
     /// Reconstructs the full owned report of one row.
@@ -289,84 +255,14 @@ pub struct ReportRow<'a> {
 }
 
 impl<'a> ReportRow<'a> {
-    /// Row position in the column set.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Application the report is filed against.
-    pub fn app(&self) -> AppKind {
-        self.columns.app(self.index)
-    }
-
     /// Archive-assigned identifier.
     pub fn id(&self) -> u64 {
         self.columns.id(self.index)
     }
 
-    /// One-line summary.
-    pub fn title(&self) -> &'a str {
-        self.columns.title(self.index)
-    }
-
-    /// Free-form problem description.
-    pub fn body(&self) -> &'a str {
-        self.columns.body(self.index)
-    }
-
-    /// The How-To-Repeat field.
-    pub fn how_to_repeat(&self) -> &'a str {
-        self.columns.how_to_repeat(self.index)
-    }
-
-    /// Developer comments.
-    pub fn developer_notes(&self) -> &'a str {
-        self.columns.developer_notes(self.index)
-    }
-
-    /// Version string.
-    pub fn version(&self) -> &'a str {
-        self.columns.version(self.index)
-    }
-
-    /// Reporter-assigned severity.
-    pub fn severity(&self) -> Severity {
-        self.columns.severity(self.index)
-    }
-
-    /// Lifecycle status.
-    pub fn status(&self) -> Status {
-        self.columns.status(self.index)
-    }
-
-    /// Whether the reported version is a production release.
-    pub fn on_production_version(&self) -> bool {
-        self.columns.production(self.index)
-    }
-
-    /// When the report was filed.
-    pub fn filed(&self) -> YearMonth {
-        self.columns.filed(self.index)
-    }
-
-    /// Where the report came from.
-    pub fn source(&self) -> ReportSource {
-        self.columns.source(self.index)
-    }
-
-    /// Duplicate link, if any.
-    pub fn duplicate_of(&self) -> Option<u64> {
-        self.columns.duplicate_of(self.index)
-    }
-
     /// Searchable text segments in `full_text` order.
     pub fn text_segments(&self) -> [&'a str; 4] {
         self.columns.text_segments(self.index)
-    }
-
-    /// Whether the §4 selection keeps this report.
-    pub fn passes_selection(&self) -> bool {
-        self.columns.passes_selection(self.index)
     }
 
     /// Reconstructs the full owned report.
@@ -405,7 +301,6 @@ mod tests {
         assert_eq!(columns.len(), 3);
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(&columns.materialize(i), r, "row {i}");
-            assert_eq!(columns.passes_selection(i), r.passes_selection(), "row {i}");
         }
     }
 
@@ -429,18 +324,11 @@ mod tests {
     fn rows_view_every_column() {
         let r = sample(5);
         let columns = ReportColumns::from_reports(std::iter::once(&r));
-        let row = columns.row(0);
-        assert_eq!(row.id(), 5);
-        assert_eq!(row.app(), AppKind::Mysql);
-        assert_eq!(row.title(), "server crashed 5");
-        assert_eq!(row.version(), "3.22.20");
-        assert_eq!(row.severity(), Severity::Critical);
-        assert_eq!(row.status(), Status::Fixed);
-        assert!(row.on_production_version());
-        assert_eq!(row.filed(), YearMonth::new(1999, 4));
-        assert_eq!(row.source(), ReportSource::MailingList);
-        assert_eq!(row.duplicate_of(), None);
         assert_eq!(columns.iter().count(), 1);
+        let row = columns.iter().next().expect("one row");
+        assert_eq!(row.id(), 5);
+        assert_eq!(row.text_segments(), columns.text_segments(0));
+        assert_eq!(row.materialize(), r);
     }
 
     #[test]
@@ -451,11 +339,5 @@ mod tests {
         assert_eq!(columns.body(0), "");
         assert_eq!(columns.version(0), "");
         assert_eq!(columns.materialize(0), r);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn out_of_bounds_row_panics() {
-        ReportColumns::new().row(0);
     }
 }

@@ -153,7 +153,7 @@ impl ScanSet {
     /// The deterministic-reproduction verdict: `Some(false)` if any
     /// nondeterministic cue hit (they dominate), `Some(true)` if only
     /// deterministic cues hit, `None` if the text is silent.
-    pub fn deterministic_repro(&self, hits: &HitSet) -> Option<bool> {
+    pub(crate) fn deterministic_repro(&self, hits: &HitSet) -> Option<bool> {
         if hits.intersects(&self.nondeterministic) {
             Some(false)
         } else if hits.intersects(&self.deterministic) {
@@ -164,7 +164,7 @@ impl ScanSet {
     }
 
     /// Whether any retry-success cue hit.
-    pub fn retry_succeeded(&self, hits: &HitSet) -> bool {
+    pub(crate) fn retry_succeeded(&self, hits: &HitSet) -> bool {
         hits.intersects(&self.retry)
     }
 

@@ -176,7 +176,7 @@ mod tests {
         use crate::study::{ClassifiedFault, Study};
         use crate::taxonomy::{AppKind, FaultClass};
 
-        pub fn study() -> Study {
+        pub(crate) fn study() -> Study {
             let apache = [
                 (0u8, counts(4, 1, 1)),
                 (1, counts(7, 1, 2)),

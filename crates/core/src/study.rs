@@ -156,13 +156,8 @@ impl Study {
         self.combined().total()
     }
 
-    /// The underlying classified faults.
-    pub fn faults(&self) -> &[ClassifiedFault] {
-        &self.faults
-    }
-
     /// Faults belonging to `app`.
-    pub fn faults_of(&self, app: AppKind) -> impl Iterator<Item = &ClassifiedFault> {
+    pub(crate) fn faults_of(&self, app: AppKind) -> impl Iterator<Item = &ClassifiedFault> {
         self.faults.iter().filter(move |f| f.app == app)
     }
 
@@ -282,7 +277,7 @@ mod tests {
         assert_eq!(s.faults_of(AppKind::Apache).count(), 50);
         assert_eq!(s.faults_of(AppKind::Gnome).count(), 45);
         assert_eq!(s.faults_of(AppKind::Mysql).count(), 44);
-        assert_eq!(s.faults().len(), 139);
+        assert_eq!(s.faults.len(), 139);
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl CuratedFault {
         &self.release
     }
 
-    /// Filing month.
-    pub fn filed(&self) -> YearMonth {
-        self.filed
-    }
-
     /// The fault as a [`ClassifiedFault`] for study aggregation.
     pub fn as_classified(&self) -> ClassifiedFault {
         ClassifiedFault {
@@ -181,7 +176,6 @@ mod tests {
         let f = CuratedFault::from_entry(AppKind::Mysql, &["3.21", "3.22"], &sample_entry());
         assert_eq!(f.release(), "3.22");
         assert_eq!(f.app(), AppKind::Mysql);
-        assert_eq!(f.filed(), YearMonth::new(1999, 3));
         assert_eq!(f.slug(), "test-edn-01");
     }
 
@@ -218,6 +212,7 @@ mod tests {
         assert_eq!(c.class, FaultClass::EnvDependentNonTransient);
         assert_eq!(c.release, "1.3");
         assert_eq!(c.release_idx, 1);
+        assert_eq!(c.filed, YearMonth::new(1999, 3));
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub enum DnsHealth {
     Healthy,
     /// Lookups return errors.
     Erroring,
-    /// Lookups succeed but take [`DnsService::slow_latency`].
+    /// Lookups succeed but take the service's slow latency.
     Slow,
 }
 
@@ -103,21 +103,10 @@ impl DnsService {
         }
     }
 
-    /// Latency of a successful lookup in the degraded state.
-    pub fn slow_latency(&self) -> Duration {
-        self.slow_latency
-    }
-
     /// Injects a failure state that self-repairs at `repair_at`.
     pub fn set_health(&mut self, health: DnsHealth, repair_at: SimTime) {
         self.health = health;
         self.repair_at = repair_at;
-    }
-
-    /// Immediately restores healthy service (an operator restarted DNS).
-    pub fn repair(&mut self) {
-        self.health = DnsHealth::Healthy;
-        self.repair_at = SimTime::ZERO;
     }
 
     /// Performs a forward lookup of `name` at simulated time `now`.
@@ -209,15 +198,6 @@ mod tests {
             Lookup::Resolved { latency, .. } => assert_eq!(latency, Duration::from_millis(1)),
             other => panic!("expected healed resolution, got {other}"),
         }
-    }
-
-    #[test]
-    fn manual_repair_restores_service() {
-        let mut d = dns();
-        d.set_health(DnsHealth::Erroring, SimTime::MAX);
-        assert_eq!(d.resolve("x", SimTime::from_secs(100)), Lookup::ServerError);
-        d.repair();
-        assert!(matches!(d.resolve("x", SimTime::from_secs(100)), Lookup::Resolved { .. }));
     }
 
     #[test]

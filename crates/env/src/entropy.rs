@@ -110,7 +110,7 @@ impl EntropyPool {
     }
 
     /// Whether the pool is empty at `now`.
-    pub fn is_exhausted_at(&mut self, now: SimTime) -> bool {
+    pub(crate) fn is_exhausted_at(&mut self, now: SimTime) -> bool {
         self.available_at(now) == 0
     }
 
@@ -142,7 +142,7 @@ impl EntropyPool {
     /// it is *not* something a generic recovery may do on its own, which is
     /// why the supervisor gates it behind an explicit policy. Returns the
     /// bits added.
-    pub fn scrub(&mut self, now: SimTime) -> u64 {
+    pub(crate) fn scrub(&mut self, now: SimTime) -> u64 {
         self.settle(now);
         let added = self.capacity_bits - self.bits;
         self.bits = self.capacity_bits;

@@ -73,8 +73,23 @@ pub struct Environment {
     /// Set by the first [`Environment::current_interleaving`]; see
     /// [`Environment::seed_observed`].
     seed_observed: bool,
-    recovery_takes: Duration,
 }
+
+/// How long one generic recovery (detect, kill, restore, restart) takes.
+const RECOVERY_TAKES: Duration = Duration::from_secs(1);
+/// DNS lookup latency while healthy and while slow.
+const DNS_NORMAL: Duration = Duration::from_millis(2);
+const DNS_SLOW: Duration = Duration::from_secs(5);
+/// Network latency while healthy and while congested.
+const NET_NORMAL: Duration = Duration::from_millis(1);
+const NET_SLOW: Duration = Duration::from_secs(2);
+/// Size of the network's opaque resource pool.
+const NET_RESOURCE_LIMIT: u32 = 1024;
+/// Entropy pool capacity in bits and refill rate in bits per second.
+const ENTROPY_BITS: u64 = 4096;
+const ENTROPY_RATE: u64 = 256;
+/// Boot-time hostname.
+const HOSTNAME: &str = "sim-host";
 
 impl Environment {
     /// Starts configuring an environment.
@@ -145,7 +160,7 @@ impl Environment {
 
     /// How long one generic recovery (detect, kill, restore, restart) takes.
     pub fn recovery_takes(&self) -> Duration {
-        self.recovery_takes
+        RECOVERY_TAKES
     }
 
     /// Applies the environmental side effects of one application-generic
@@ -165,7 +180,7 @@ impl Environment {
     /// Returns the number of processes killed.
     pub fn on_generic_recovery(&mut self, app: OwnerId) -> u32 {
         let killed = self.procs.kill_all_of(app);
-        self.advance(self.recovery_takes);
+        self.advance(RECOVERY_TAKES);
         killed
     }
 
@@ -252,9 +267,8 @@ impl Environment {
 ///     .seed(42)
 ///     .fd_limit(32)
 ///     .proc_slots(16)
-///     .hostname("web1")
 ///     .build();
-/// assert_eq!(env.host.hostname(), "web1");
+/// assert_eq!(env.fds.limit(), 32);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EnvironmentBuilder {
@@ -263,15 +277,6 @@ pub struct EnvironmentBuilder {
     max_file_size: u64,
     fd_limit: u32,
     proc_slots: u32,
-    dns_normal: Duration,
-    dns_slow: Duration,
-    net_normal: Duration,
-    net_slow: Duration,
-    net_resource_limit: u32,
-    entropy_bits: u64,
-    entropy_rate: u64,
-    hostname: String,
-    recovery_takes: Duration,
     metrics: bool,
 }
 
@@ -283,15 +288,6 @@ impl Default for EnvironmentBuilder {
             max_file_size: 2 * 1024 * 1024,
             fd_limit: 64,
             proc_slots: 32,
-            dns_normal: Duration::from_millis(2),
-            dns_slow: Duration::from_secs(5),
-            net_normal: Duration::from_millis(1),
-            net_slow: Duration::from_secs(2),
-            net_resource_limit: 1024,
-            entropy_bits: 4096,
-            entropy_rate: 256,
-            hostname: "sim-host".to_owned(),
-            recovery_takes: Duration::from_secs(1),
             metrics: false,
         }
     }
@@ -328,25 +324,6 @@ impl EnvironmentBuilder {
         self
     }
 
-    /// Entropy pool capacity in bits and refill rate in bits/second.
-    pub fn entropy(mut self, capacity_bits: u64, refill_bits_per_sec: u64) -> Self {
-        self.entropy_bits = capacity_bits;
-        self.entropy_rate = refill_bits_per_sec;
-        self
-    }
-
-    /// Boot-time hostname.
-    pub fn hostname(mut self, name: impl Into<String>) -> Self {
-        self.hostname = name.into();
-        self
-    }
-
-    /// How much simulated time one generic recovery consumes.
-    pub fn recovery_takes(mut self, d: Duration) -> Self {
-        self.recovery_takes = d;
-        self
-    }
-
     /// Enables the deterministic metrics sink (disabled by default).
     /// Recording is pure observation — it never touches the clock or the
     /// RNG — so an instrumented environment computes byte-identical
@@ -365,15 +342,14 @@ impl EnvironmentBuilder {
             fs: VirtualFs::new(self.fs_capacity, self.max_file_size),
             fds: FdTable::new(self.fd_limit),
             procs: ProcessTable::new(self.proc_slots),
-            dns: DnsService::new(self.dns_normal, self.dns_slow),
-            net: Network::new(self.net_normal, self.net_slow, self.net_resource_limit),
-            entropy: EntropyPool::new(self.entropy_bits, self.entropy_rate, SimTime::ZERO),
-            host: HostConfig::new(self.hostname),
+            dns: DnsService::new(DNS_NORMAL, DNS_SLOW),
+            net: Network::new(NET_NORMAL, NET_SLOW, NET_RESOURCE_LIMIT),
+            entropy: EntropyPool::new(ENTROPY_BITS, ENTROPY_RATE, SimTime::ZERO),
+            host: HostConfig::new(HOSTNAME),
             metrics: if self.metrics { Metrics::enabled() } else { Metrics::disabled() },
             rng,
             interleave_seed,
             seed_observed: false,
-            recovery_takes: self.recovery_takes,
         }
     }
 }
@@ -395,13 +371,11 @@ mod tests {
             .max_file_size(50)
             .fd_limit(2)
             .proc_slots(3)
-            .hostname("h")
             .build();
         assert_eq!(e.fs.capacity(), 100);
         assert_eq!(e.fs.max_file_size(), 50);
         assert_eq!(e.fds.limit(), 2);
         assert_eq!(e.procs.slots(), 3);
-        assert_eq!(e.host.hostname(), "h");
     }
 
     #[test]
@@ -455,7 +429,7 @@ mod tests {
 
         assert!(!e.holds(ConditionKind::ProcessTableFull));
         let ext = e.register_owner();
-        e.procs.exhaust_as(ext);
+        while e.procs.spawn(ext).is_ok() {}
         assert!(e.holds(ConditionKind::ProcessTableFull));
     }
 

@@ -81,11 +81,6 @@ impl FdTable {
         self.open.len() as u32
     }
 
-    /// Number of descriptors still available.
-    pub fn available(&self) -> u32 {
-        self.limit - self.in_use()
-    }
-
     /// Whether the table is exhausted.
     pub fn is_exhausted(&self) -> bool {
         self.in_use() >= self.limit
@@ -144,7 +139,7 @@ impl FdTable {
     /// recovery of the *application* can do on its own (§6 — restarting the
     /// app does not return descriptors held by other programs). Descriptor
     /// ids are still never reused afterwards.
-    pub fn scrub(&mut self) -> u32 {
+    pub(crate) fn scrub(&mut self) -> u32 {
         let n = self.open.len() as u32;
         self.open.clear();
         n
@@ -166,7 +161,6 @@ mod tests {
         }
         assert!(t.is_exhausted());
         assert_eq!(t.open(APP).unwrap_err(), FdExhausted { limit: 3 });
-        assert_eq!(t.available(), 0);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub struct FileMeta {
 
 impl FileMeta {
     /// Whether the owner field holds an illegal value.
-    pub fn owner_is_illegal(&self) -> bool {
+    pub(crate) fn owner_is_illegal(&self) -> bool {
         self.owner == u32::MAX
     }
 }
@@ -255,7 +255,7 @@ impl VirtualFs {
     /// an operator deleting the *other* program's files — application data
     /// (logs, caches, databases) is deliberately untouched, because a
     /// generic recovery has no licence to delete it either.
-    pub fn scrub_ballast(&mut self) -> usize {
+    pub(crate) fn scrub_ballast(&mut self) -> usize {
         self.remove_prefix("!ballast/")
     }
 

@@ -83,11 +83,6 @@ impl HostConfig {
         &self.hostname
     }
 
-    /// The hostname at application start ("boot").
-    pub fn boot_hostname(&self) -> &str {
-        &self.boot_hostname
-    }
-
     /// Renames the host while applications are running.
     pub fn set_hostname(&mut self, name: impl Into<String>) {
         self.hostname = name.into();
@@ -131,7 +126,6 @@ mod tests {
     fn hostname_change_detected_and_reversible() {
         let mut h = HostConfig::new("alpha");
         assert_eq!(h.hostname(), "alpha");
-        assert_eq!(h.boot_hostname(), "alpha");
         h.set_hostname("beta");
         assert!(h.hostname_changed());
         h.set_hostname("alpha");

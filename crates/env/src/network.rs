@@ -86,7 +86,7 @@ impl Network {
     /// Link quality at `now`, accounting for self-repair. A link that is
     /// [`LinkQuality::Down`] does *not* self-repair: replugging hardware is
     /// an operator action.
-    pub fn quality_at(&self, now: SimTime) -> LinkQuality {
+    pub(crate) fn quality_at(&self, now: SimTime) -> LinkQuality {
         match self.quality {
             LinkQuality::Slow if now >= self.repair_at => LinkQuality::Normal,
             q => q,
@@ -134,7 +134,7 @@ impl Network {
     }
 
     /// Whether the opaque resource pool is exhausted.
-    pub fn resource_exhausted(&self) -> bool {
+    pub(crate) fn resource_exhausted(&self) -> bool {
         self.resource_used >= self.resource_limit
     }
 
@@ -145,7 +145,7 @@ impl Network {
 
     /// Replenishes the opaque resource pool (a machine reboot — something a
     /// *generic application* recovery never does, hence nontransient).
-    pub fn reboot_resources(&mut self) {
+    pub(crate) fn reboot_resources(&mut self) {
         self.resource_used = 0;
     }
 }

@@ -108,7 +108,7 @@ impl ProcessTable {
     }
 
     /// Whether no slots remain.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.in_use() >= self.slots
     }
 
@@ -190,16 +190,6 @@ impl ProcessTable {
     pub fn count_of(&self, owner: OwnerId) -> u32 {
         self.procs.values().filter(|e| e.owner == owner).count() as u32
     }
-
-    /// Spawns processes for `owner` until the table fills; returns how many
-    /// were created. Models an external fork bomb or peak-load pile-up.
-    pub fn exhaust_as(&mut self, owner: OwnerId) -> u32 {
-        let mut n = 0;
-        while self.spawn(owner).is_ok() {
-            n += 1;
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -260,15 +250,6 @@ mod tests {
         assert_eq!(t.kill(Pid(42)), Err(Pid(42)));
         assert_eq!(t.hang(Pid(42)), Err(Pid(42)));
         assert_eq!(t.bind_port(Pid(42), 1), Err(Pid(42)));
-    }
-
-    #[test]
-    fn exhaust_fills_remaining_slots() {
-        let (mut t, app) = table();
-        t.spawn(app).unwrap();
-        let ext = t.register_owner();
-        assert_eq!(t.exhaust_as(ext), 3);
-        assert!(t.is_full());
     }
 
     #[test]

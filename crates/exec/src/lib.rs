@@ -34,6 +34,11 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
+/// The most worker threads one pool starts, whatever its spec requests.
+/// Results are byte-identical at every thread count, so no run needs more,
+/// and each worker is an OS thread.
+pub const MAX_THREADS: usize = 256;
+
 /// How a parallel section should be executed.
 ///
 /// `ParallelSpec` is intentionally *not* part of any serialized experiment
@@ -72,15 +77,15 @@ impl ParallelSpec {
 
     /// The worker count this spec resolves to for `jobs` units of work.
     ///
-    /// Never exceeds `jobs` (an idle worker is pure overhead) and is always
-    /// at least 1.
+    /// Never exceeds `jobs` (an idle worker is pure overhead) or
+    /// [`MAX_THREADS`], and is always at least 1.
     pub(crate) fn effective_threads(&self, jobs: usize) -> usize {
         let requested = if self.threads == 0 {
             thread::available_parallelism().map_or(1, NonZeroUsize::get)
         } else {
             self.threads
         };
-        requested.clamp(1, jobs.max(1))
+        requested.clamp(1, jobs.clamp(1, MAX_THREADS))
     }
 
     /// The chunk size this spec resolves to for `jobs` units over
@@ -307,8 +312,13 @@ mod tests {
         assert_eq!(ParallelSpec::threads(8).effective_threads(3), 3);
         assert_eq!(ParallelSpec::threads(2).effective_threads(100), 2);
         assert_eq!(ParallelSpec::threads(5).effective_threads(0), 1);
-        assert!(ParallelSpec::AUTO.effective_threads(100) >= 1);
         assert_eq!(ParallelSpec::SEQUENTIAL.effective_threads(100), 1);
+        // Resolving a count starts no thread, so the bound is tested here
+        // and never by running a pool at a large value.
+        assert_eq!(ParallelSpec::threads(100_000).effective_threads(1 << 20), MAX_THREADS);
+        assert_eq!(ParallelSpec::threads(3).effective_threads(2), 2);
+        let auto = ParallelSpec::AUTO.effective_threads(1 << 20);
+        assert!((1..=MAX_THREADS).contains(&auto), "auto resolved to {auto}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the next matching transfer (the paper's transient class), a *wedged*
 //! sticky fault that persists until somebody resets the channel (the
 //! nontransient class), and a *defect* that survives every reset (the
-//! environment-independent control). [`Channel::reset`] is the
+//! environment-independent control). `Channel::reset` is the
 //! per-channel recovery action: it drains in-flight messages and clears
 //! pending and wedged state, but — by construction — cannot clear a
 //! defect, exactly as the paper's §2 argument demands of any generic
@@ -50,7 +50,6 @@ pub struct Channel {
     wedged: Option<ChannelFaultKind>,
     /// Defect that survives every reset — the EI control.
     defect: Option<ChannelFaultKind>,
-    resets: u64,
 }
 
 /// Default bound of every graph channel; chains are synchronous in
@@ -69,23 +68,12 @@ impl Channel {
             pending: None,
             wedged: None,
             defect: None,
-            resets: 0,
         }
     }
 
     /// The channel's stable name (metrics label).
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// Messages currently queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Enqueues a message, assigning it the next sequence number.
@@ -112,7 +100,7 @@ impl Channel {
     /// one-shot faults load [`pending`](Channel::send), sticky faults
     /// wedge the channel, defects install permanently. Re-arming an
     /// already-armed kind is idempotent.
-    pub fn arm(&mut self, kind: ChannelFaultKind) {
+    pub(crate) fn arm(&mut self, kind: ChannelFaultKind) {
         match kind.persistence() {
             Persistence::OneShot => self.pending = Some(kind),
             Persistence::Sticky => self.wedged = Some(kind),
@@ -125,7 +113,7 @@ impl Channel {
     /// Consult order is defect, then wedged, then pending — the most
     /// persistent layer wins, and only a consumed one-shot is cleared by
     /// the consult itself.
-    pub fn fault_for(&mut self, leg: Leg) -> Option<ChannelFaultKind> {
+    pub(crate) fn fault_for(&mut self, leg: Leg) -> Option<ChannelFaultKind> {
         if let Some(k) = self.defect {
             if k.site().leg == leg {
                 return Some(k);
@@ -148,18 +136,12 @@ impl Channel {
     /// Per-channel recovery: drains in-flight messages and clears pending
     /// and wedged fault state. Returns the number of messages the drain
     /// lost. A defect survives — resetting channel state cannot fix code.
-    pub fn reset(&mut self) -> u64 {
+    pub(crate) fn reset(&mut self) -> u64 {
         let lost = self.queue.len() as u64;
         self.queue.clear();
         self.pending = None;
         self.wedged = None;
-        self.resets += 1;
         lost
-    }
-
-    /// Resets performed on this channel so far.
-    pub fn resets(&self) -> u64 {
-        self.resets
     }
 }
 
@@ -218,6 +200,5 @@ mod tests {
             Some(ChannelFaultKind::S3UnmappedMsgSend),
             "a defect survives every reset"
         );
-        assert_eq!(ch.resets(), 2);
     }
 }

@@ -34,11 +34,9 @@ use crate::topology::{NodeId, ServiceGraph, GRAPH_COMPONENTS};
 use faultstudy_apps::Request;
 use faultstudy_env::Environment;
 use faultstudy_obs::Histogram;
-use faultstudy_recovery::{
-    BackoffPolicy, RebootScope, RestartRetry, RestartTree, SupervisorConfig,
-};
+use faultstudy_recovery::{RebootScope, RestartTree};
 use faultstudy_sim::time::{Duration, SimTime};
-use faultstudy_traffic::{drive_open_loop, run_open_loop, Answer, TrafficParams, UnitStats};
+use faultstudy_traffic::{drive_open_loop, Answer, TrafficParams, UnitStats};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -116,7 +114,7 @@ pub struct EdgeStats {
 
 impl EdgeStats {
     /// Folds `other` into `self`.
-    pub fn absorb(&mut self, other: &EdgeStats) {
+    pub(crate) fn absorb(&mut self, other: &EdgeStats) {
         self.sends += other.sends;
         self.delivered += other.delivered;
         self.lost += other.lost;
@@ -149,7 +147,7 @@ impl GraphEdges {
     }
 
     /// Folds `other` into `self`.
-    pub fn absorb(&mut self, other: &GraphEdges) {
+    pub(crate) fn absorb(&mut self, other: &GraphEdges) {
         self.client_web.absorb(&other.client_web);
         self.web_db.absorb(&other.web_db);
         self.ide_web.absorb(&other.ide_web);
@@ -190,7 +188,7 @@ impl Default for GraphUnitStats {
 
 impl GraphUnitStats {
     /// An empty ledger.
-    pub fn new() -> GraphUnitStats {
+    pub(crate) fn new() -> GraphUnitStats {
         GraphUnitStats {
             base: UnitStats::new(),
             edges: GraphEdges::default(),
@@ -239,7 +237,7 @@ pub struct GraphRequest {
 }
 
 /// The standard graph mix: half static web requests, half db-backed.
-pub fn graph_mix() -> Vec<GraphRequest> {
+pub(crate) fn graph_mix() -> Vec<GraphRequest> {
     vec![
         GraphRequest { web: Request::new("GET /index.html"), db: None },
         GraphRequest { web: Request::new("AUTH admin"), db: None },
@@ -251,25 +249,6 @@ pub fn graph_mix() -> Vec<GraphRequest> {
         },
         GraphRequest { web: Request::new("AUTH admin"), db: Some(Request::new("PING")) },
     ]
-}
-
-/// The single-node web mix the degenerate path feeds `run_open_loop`.
-pub fn web_mix() -> Vec<Request> {
-    vec![Request::new("GET /index.html"), Request::new("AUTH admin")]
-}
-
-/// The supervisor configuration of the degenerate single-node path —
-/// requests charge the web service time, no other policy. The
-/// degeneration proptest drives `run_open_loop` with exactly this config
-/// and pins byte-identity against [`run_graph`] on a single-node graph.
-pub fn degenerate_config() -> SupervisorConfig {
-    SupervisorConfig {
-        watchdog: Some(CHAIN_BUDGET),
-        backoff: BackoffPolicy::none(),
-        breaker_threshold: 0,
-        scrub_every: 0,
-        request_takes: WEB_SERVICE,
-    }
 }
 
 /// An end-to-end deadline shared by every hop of one client chain.
@@ -327,10 +306,6 @@ struct ChainCtx {
 /// Arrivals, sessions and the request ledger are [`drive_open_loop`]'s:
 /// it hands every request to `serve_chain` and ticks the console probe
 /// every [`PROBE_EVERY`], each after the plan's due events are applied.
-///
-/// A single-node graph short-circuits into the single-app open-loop
-/// engine with [`degenerate_config`] and [`web_mix`] — no channels, no
-/// plan, byte-identical to the existing traffic engine by construction.
 #[allow(clippy::too_many_arguments)]
 pub fn run_graph(
     env: &mut Environment,
@@ -343,25 +318,6 @@ pub fn run_graph(
     session_master: u64,
     recovery_seed: u64,
 ) -> GraphUnitStats {
-    if graph.is_single_node() {
-        let mut strategy = RestartRetry::new(retry_budget);
-        let config = degenerate_config();
-        let mix = web_mix();
-        let mut stats = GraphUnitStats::new();
-        stats.base = run_open_loop(
-            graph.node(NodeId::Web),
-            env,
-            &mut strategy,
-            &config,
-            None,
-            &mix,
-            params,
-            arrival_seed,
-            session_master,
-        );
-        return stats;
-    }
-
     let mut stats = GraphUnitStats::new();
     let mut tree = RestartTree::new(
         &GRAPH_COMPONENTS,
@@ -972,36 +928,6 @@ mod tests {
             assert!(s.base.dropped > 0, "{}: an EI defect survives every repair", plane.name());
             assert!(s.base.availability() < 1.0);
         }
-    }
-
-    #[test]
-    fn single_node_graph_degenerates_into_the_open_loop_engine() {
-        let drive = |degenerate: bool| {
-            let mut env = Environment::builder().seed(41).build();
-            let mut graph = ServiceGraph::single_node(&mut env);
-            let stats = if degenerate {
-                let plan = control_plan();
-                run_graph(&mut env, &mut graph, &plan, PlaneKind::Channel, 2, &params(120), 7, 8, 9)
-                    .base
-            } else {
-                let mut strategy = RestartRetry::new(2);
-                let config = degenerate_config();
-                let mix = web_mix();
-                run_open_loop(
-                    graph.node(NodeId::Web),
-                    &mut env,
-                    &mut strategy,
-                    &config,
-                    None,
-                    &mix,
-                    &params(120),
-                    7,
-                    8,
-                )
-            };
-            (stats, env.now())
-        };
-        assert_eq!(drive(true), drive(false));
     }
 
     #[test]

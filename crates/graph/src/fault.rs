@@ -53,15 +53,6 @@ pub enum EdgeId {
 impl EdgeId {
     /// Every edge, in index order.
     pub const ALL: [EdgeId; 3] = [EdgeId::ClientWeb, EdgeId::WebDb, EdgeId::IdeWeb];
-
-    /// Stable short name (metrics label).
-    pub fn name(self) -> &'static str {
-        match self {
-            EdgeId::ClientWeb => "client-web",
-            EdgeId::WebDb => "web-db",
-            EdgeId::IdeWeb => "ide-web",
-        }
-    }
 }
 
 /// Where on the chain a fault kind lives: which edge, which leg.
@@ -167,7 +158,7 @@ impl ChannelFaultKind {
     ];
 
     /// Stable short name (plan name, metrics label).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ChannelFaultKind::S1SenderPageFault => "s1-sender-page-fault",
             ChannelFaultKind::S2NullMsgSend => "s2-null-msg-send",
@@ -190,7 +181,7 @@ impl ChannelFaultKind {
     /// pointer) are transient; corrupted channel state that an explicit
     /// reset repairs is nontransient; wrong code is environment-
     /// independent. The split is 4 transient + 5 nontransient + 3 EI.
-    pub fn class(self) -> FaultClass {
+    pub(crate) fn class(self) -> FaultClass {
         match self.persistence() {
             Persistence::OneShot => FaultClass::EnvDependentTransient,
             Persistence::Sticky => FaultClass::EnvDependentNonTransient,
@@ -220,7 +211,7 @@ impl ChannelFaultKind {
     /// the web → db edge (the sender there is minidb, so their crashes
     /// land two tiers deep); receive-side kinds corrupt the request leg
     /// of the client → web edge (the receiver is miniweb, one tier deep).
-    pub fn site(self) -> FaultSite {
+    pub(crate) fn site(self) -> FaultSite {
         match self {
             ChannelFaultKind::S1SenderPageFault
             | ChannelFaultKind::S2NullMsgSend
@@ -242,7 +233,7 @@ impl ChannelFaultKind {
     }
 
     /// What a transfer that trips over the fault experiences.
-    pub fn behavior(self) -> FaultBehavior {
+    pub(crate) fn behavior(self) -> FaultBehavior {
         match self {
             ChannelFaultKind::S1SenderPageFault
             | ChannelFaultKind::S3UnmappedMsgSend

@@ -35,8 +35,8 @@ pub mod topology;
 
 pub use channel::{Channel, Message, SendError, CHANNEL_CAPACITY};
 pub use engine::{
-    degenerate_config, graph_mix, run_graph, web_mix, ChannelReset, EdgeStats, GraphEdges,
-    GraphRequest, GraphUnitStats, PlaneKind, CHAIN_BUDGET,
+    run_graph, ChannelReset, EdgeStats, GraphEdges, GraphRequest, GraphUnitStats, PlaneKind,
+    CHAIN_BUDGET,
 };
 pub use fault::{
     graph_plans, ChannelFaultKind, EdgeId, FaultBehavior, FaultSite, GraphFaultEvent,

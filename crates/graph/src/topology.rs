@@ -37,17 +37,8 @@ impl NodeId {
     /// Every node, in index order.
     pub const ALL: [NodeId; 3] = [NodeId::Web, NodeId::Db, NodeId::Ide];
 
-    /// Stable short name (metrics label, restart-tree component name).
-    pub fn name(self) -> &'static str {
-        match self {
-            NodeId::Web => "node-web",
-            NodeId::Db => "node-db",
-            NodeId::Ide => "node-ide",
-        }
-    }
-
     /// The node's index in [`GRAPH_COMPONENTS`] (root is 0).
-    pub fn component(self) -> usize {
+    pub(crate) fn component(self) -> usize {
         match self {
             NodeId::Web => 1,
             NodeId::Db => 2,
@@ -101,7 +92,6 @@ pub struct ServiceGraph {
     ide_web: Channel,
     /// Index of the next unapplied event in the active plan.
     cursor: usize,
-    single_node: bool,
 }
 
 impl ServiceGraph {
@@ -126,27 +116,11 @@ impl ServiceGraph {
             web_db: Channel::new("web-db"),
             ide_web: Channel::new("ide-web"),
             cursor: 0,
-            single_node: false,
         }
     }
 
-    /// A degenerate one-node graph: only the web tier, no channels in the
-    /// request path. The engine short-circuits this shape straight into
-    /// the single-app open-loop engine — the degeneration property test
-    /// pins that equivalence byte-for-byte.
-    pub fn single_node(env: &mut Environment) -> ServiceGraph {
-        let mut graph = ServiceGraph::new(env);
-        graph.single_node = true;
-        graph
-    }
-
-    /// Whether this is the degenerate one-node shape.
-    pub fn is_single_node(&self) -> bool {
-        self.single_node
-    }
-
     /// The channel behind `edge`.
-    pub fn channel(&mut self, edge: EdgeId) -> &mut Channel {
+    pub(crate) fn channel(&mut self, edge: EdgeId) -> &mut Channel {
         match edge {
             EdgeId::ClientWeb => &mut self.client_web,
             EdgeId::WebDb => &mut self.web_db,
@@ -166,7 +140,7 @@ impl ServiceGraph {
     /// Arms every plan event due at or before `now`, in schedule order.
     /// Returns how many armed. The cursor never rewinds, so each event
     /// arms exactly once per unit.
-    pub fn apply_due(&mut self, plan: &GraphFaultPlan, now: SimTime) -> u64 {
+    pub(crate) fn apply_due(&mut self, plan: &GraphFaultPlan, now: SimTime) -> u64 {
         let mut armed = 0;
         while let Some(&GraphFaultEvent { at, kind }) = plan.events.get(self.cursor) {
             if at > now {
@@ -181,7 +155,7 @@ impl ServiceGraph {
 
     /// Restores `node` to its unit-start checkpoint — the state half of
     /// an endpoint microreboot or a process restart.
-    pub fn restore_node(&mut self, node: NodeId) {
+    pub(crate) fn restore_node(&mut self, node: NodeId) {
         match node {
             NodeId::Web => self.web.restore(&self.web_snapshot),
             NodeId::Db => self.db.restore(&self.db_snapshot),
@@ -192,7 +166,7 @@ impl ServiceGraph {
     /// Resets every channel incident to `node`, returning messages lost
     /// to the drains. Process-level restarts call this: rebooting an
     /// endpoint necessarily tears down its channels too.
-    pub fn reset_channels_of(&mut self, node: NodeId) -> u64 {
+    pub(crate) fn reset_channels_of(&mut self, node: NodeId) -> u64 {
         let mut lost = 0;
         for edge in EdgeId::ALL {
             let touches = match edge {
@@ -221,9 +195,8 @@ mod tests {
     #[test]
     fn component_topology_is_valid_and_indices_line_up() {
         validate_topology(&GRAPH_COMPONENTS).unwrap();
-        for node in NodeId::ALL {
-            assert_eq!(GRAPH_COMPONENTS[node.component()].name, node.name());
-        }
+        let names = NodeId::ALL.map(|node| GRAPH_COMPONENTS[node.component()].name);
+        assert_eq!(names, ["node-web", "node-db", "node-ide"]);
     }
 
     #[test]

@@ -1,22 +1,18 @@
 //! Differential property tests for the graph plane.
 //!
-//! Two contracts are pinned here because the whole campaign rests on
-//! them: (1) a channel with no injected faults is a plain bounded FIFO —
-//! its delivery sequence is byte-identical to a `VecDeque` reference for
-//! arbitrary send/recv interleavings; (2) a single-node graph degenerates
-//! byte-for-byte into the existing single-app open-loop traffic engine,
-//! so the graph layer adds exactly nothing when there is no graph.
+//! The campaign rests on a channel with no injected faults being a plain
+//! bounded FIFO: its delivery sequence is byte-identical to a `VecDeque`
+//! reference for arbitrary send/recv interleavings.
 
 use std::collections::VecDeque;
 
 use faultstudy_env::Environment;
 use faultstudy_graph::{
-    degenerate_config, graph_plans, run_graph, web_mix, Channel, ChannelFaultKind, GraphFaultPlan,
-    NodeId, Persistence, PlaneKind, SendError, ServiceGraph, CHANNEL_CAPACITY,
+    graph_plans, run_graph, Channel, ChannelFaultKind, GraphFaultPlan, Persistence, PlaneKind,
+    SendError, ServiceGraph, CHANNEL_CAPACITY,
 };
-use faultstudy_recovery::RestartRetry;
 use faultstudy_sim::time::{Duration, SimTime};
-use faultstudy_traffic::{run_open_loop, ArrivalKind, TrafficParams};
+use faultstudy_traffic::{ArrivalKind, TrafficParams};
 use proptest::prelude::*;
 
 proptest! {
@@ -62,41 +58,6 @@ proptest! {
             prop_assert_eq!(got.body, body);
         }
         prop_assert!(ch.recv().is_none());
-    }
-
-    /// A single-node graph run degenerates byte-for-byte into the
-    /// existing open-loop traffic engine driven with the same seeds,
-    /// params, mix, and supervisor config.
-    #[test]
-    fn single_node_graph_degenerates_into_run_open_loop(
-        seed in any::<u64>(),
-        requests in 1u64..200,
-        budget in 0u32..4,
-    ) {
-        let params = TrafficParams::standard(ArrivalKind::Poisson, requests);
-        let plans = graph_plans(seed);
-
-        let mut env_g = Environment::builder().seed(seed).build();
-        let mut graph = ServiceGraph::single_node(&mut env_g);
-        let graph_stats = run_graph(
-            &mut env_g, &mut graph, &plans[0], PlaneKind::Channel, budget,
-            &params, seed ^ 1, seed ^ 2, seed ^ 3,
-        );
-
-        let mut env_r = Environment::builder().seed(seed).build();
-        let mut reference = ServiceGraph::single_node(&mut env_r);
-        let mut strategy = RestartRetry::new(budget);
-        let config = degenerate_config();
-        let mix = web_mix();
-        let reference_stats = run_open_loop(
-            reference.node(NodeId::Web), &mut env_r, &mut strategy, &config, None,
-            &mix, &params, seed ^ 1, seed ^ 2,
-        );
-
-        prop_assert_eq!(&graph_stats.base, &reference_stats);
-        prop_assert_eq!(env_g.now(), env_r.now(), "the clocks marched in lockstep");
-        prop_assert_eq!(graph_stats.db_seen, 0, "no db tier in a single node");
-        prop_assert_eq!(graph_stats.probes, 0, "no console edge in a single node");
     }
 
     /// Graph fault plans are a pure function of the seed, with the

@@ -81,7 +81,7 @@ pub struct CheckpointPoint {
 
 /// E11: a 24-request workload with one transient failure at the end, under
 /// rollback recovery at each checkpoint interval.
-pub fn sweep_checkpoint_interval(intervals: &[u32], seed: u64) -> Vec<CheckpointPoint> {
+pub(crate) fn sweep_checkpoint_interval(intervals: &[u32], seed: u64) -> Vec<CheckpointPoint> {
     intervals
         .iter()
         .map(|&interval| {
@@ -120,7 +120,7 @@ pub struct PerturbationPoint {
 
 /// E12: survival of the armed MySQL shutdown race across environment
 /// seeds, retry-in-unchanged-environment vs perturbed retry.
-pub fn sweep_perturbation(retry_budgets: &[u32], seeds: u64) -> Vec<PerturbationPoint> {
+pub(crate) fn sweep_perturbation(retry_budgets: &[u32], seeds: u64) -> Vec<PerturbationPoint> {
     retry_budgets
         .iter()
         .map(|&retries| {
@@ -166,7 +166,7 @@ pub struct RejuvenationPoint {
 
 /// E13: the Apache leak fault (crash at 3 accumulated units) under a
 /// 12-burst workload, for each rejuvenation period.
-pub fn sweep_rejuvenation(periods: &[u32], seed: u64) -> Vec<RejuvenationPoint> {
+pub(crate) fn sweep_rejuvenation(periods: &[u32], seed: u64) -> Vec<RejuvenationPoint> {
     periods
         .iter()
         .map(|&period| {

@@ -30,6 +30,7 @@
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_core::timeline::{by_month, by_release};
 use faultstudy_corpus::paper_study;
+use faultstudy_exec::MAX_THREADS;
 use faultstudy_harness::{
     funnel_violations, paper_scale_funnels, Campaign, CampaignReport, CampaignSpec, GraphReport,
     InjectReport, InjectSpec, LoadSpec, MicroReport, ObliviousReport, ParallelSpec, RecoveryMatrix,
@@ -41,11 +42,6 @@ use faultstudy_report::{
 };
 use faultstudy_traffic::ArrivalKind;
 use std::process::ExitCode;
-
-/// The largest `--threads` value accepted. A worker pool starts one OS
-/// thread per requested worker, capped only by its job count, and results
-/// are byte-identical at every thread count, so no run needs more.
-const MAX_THREADS: usize = 256;
 
 struct Options {
     seed: u64,
@@ -277,23 +273,9 @@ fn verify(opts: &Options) -> bool {
     }
     problems.extend(RecoveryMatrix::run(opts.seed, opts.parallel, false).0.violations());
     let spec = CampaignSpec { samples: 200, seed: opts.seed };
-    let (report, _) = CampaignReport::run(spec, opts.parallel, false);
-    if !report.anomalies.is_empty() {
-        problems.push(format!("campaign anomalies: {:?}", report.anomalies));
-    }
+    let (campaign, _) = CampaignReport::run(spec, opts.parallel, false);
     let (injection, _) = InjectReport::run(InjectSpec { seed: opts.seed }, opts.parallel, false);
-    if !injection.anomalies.is_empty() {
-        problems.push(format!("injection anomalies: {:?}", injection.anomalies));
-    }
-    if injection.watchdog_fires() == 0 || injection.breaker_trips() == 0 || injection.scrubs() == 0
-    {
-        problems.push(format!(
-            "injection hardening idle: {} watchdog fires, {} breaker trips, {} scrubs",
-            injection.watchdog_fires(),
-            injection.breaker_trips(),
-            injection.scrubs()
-        ));
-    }
+    problems.extend(campaign_problems(&campaign, &injection));
     problems.extend(funnel_violations(&paper_scale_funnels(opts.seed, opts.parallel, false).0));
     if problems.is_empty() {
         println!("verify: all guarantees reproduced at seed {}", opts.seed);
@@ -304,6 +286,24 @@ fn verify(opts: &Options) -> bool {
         }
         false
     }
+}
+
+/// What `verify` checks in the sampled and the injection campaign: each
+/// report's `violations()` (its anomalies, plus the sampled campaign's
+/// ledger laws), and that injection exercised every hardening mechanism.
+fn campaign_problems(campaign: &CampaignReport, injection: &InjectReport) -> Vec<String> {
+    let mut problems = campaign.violations();
+    problems.extend(injection.violations());
+    if injection.watchdog_fires() == 0 || injection.breaker_trips() == 0 || injection.scrubs() == 0
+    {
+        problems.push(format!(
+            "injection hardening idle: {} watchdog fires, {} breaker trips, {} scrubs",
+            injection.watchdog_fires(),
+            injection.breaker_trips(),
+            injection.scrubs()
+        ));
+    }
+    problems
 }
 
 /// The observability surface: time-to-recovery distributions per strategy
@@ -466,5 +466,26 @@ mod tests {
             assert!(!print_campaign(&report, &opts), "an anomaly must fail (json: {json})");
             assert!(print_campaign(&clean, &opts), "no anomaly must pass (json: {json})");
         }
+    }
+
+    #[test]
+    fn verify_holds_the_sampled_campaign_to_its_ledger_laws() {
+        let (injection, _) =
+            InjectReport::run(InjectSpec { seed: 2000 }, ParallelSpec::SEQUENTIAL, false);
+        let spec = CampaignSpec { samples: 200, seed: 2000 };
+        let (campaign, _) = CampaignReport::run(spec, ParallelSpec::SEQUENTIAL, false);
+        assert_eq!(campaign_problems(&campaign, &injection), Vec::<String>::new());
+        // No anomaly, but the cells hold one sample of the two drawn.
+        let short = CampaignReport {
+            spec: CampaignSpec { samples: 2, seed: 1 },
+            cells: vec![CampaignCell {
+                class: FaultClass::EnvDependentTransient,
+                strategy: StrategyKind::Restart,
+                survived: 1,
+                total: 1,
+            }],
+            anomalies: Vec::new(),
+        };
+        assert_eq!(campaign_problems(&short, &injection), ["cells hold 1 of 2 samples"]);
     }
 }

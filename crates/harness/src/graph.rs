@@ -204,16 +204,6 @@ impl GraphReport {
         Self::run(spec, parallel, false).0
     }
 
-    /// The unit for `(kind, plane, budget)`, if it exists.
-    pub fn cell(
-        &self,
-        kind: ChannelFaultKind,
-        plane: PlaneKind,
-        budget: u32,
-    ) -> Option<&GraphCell> {
-        self.cells.iter().find(|c| c.kind == kind && c.plane == plane && c.budget == budget)
-    }
-
     /// The folded graph ledger of every unit of `class` under `plane` at
     /// `budget`, across all fault kinds of the class.
     pub fn class_graph(&self, class: FaultClass, plane: PlaneKind, budget: u32) -> GraphUnitStats {
@@ -231,7 +221,7 @@ impl GraphReport {
 
     /// The merged time-to-recovery histogram of `(class, plane, budget)`,
     /// over chains that were bitten by a fault and still answered.
-    pub fn class_ttr(&self, class: FaultClass, plane: PlaneKind, budget: u32) -> Histogram {
+    pub(crate) fn class_ttr(&self, class: FaultClass, plane: PlaneKind, budget: u32) -> Histogram {
         self.class_graph(class, plane, budget).ttr
     }
 
@@ -396,7 +386,10 @@ mod tests {
             for plane in PlaneKind::ALL {
                 for budget in GRAPH_BUDGETS {
                     assert!(
-                        report.cell(kind, plane, budget).is_some(),
+                        report
+                            .cells
+                            .iter()
+                            .any(|c| c.kind == kind && c.plane == plane && c.budget == budget),
                         "{kind} {plane:?} {budget}"
                     );
                 }

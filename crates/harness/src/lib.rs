@@ -65,6 +65,6 @@ pub use funnel::{funnel_violations, paper_scale_funnels};
 pub use graph::{GraphCell, GraphReport, GraphSpec, GRAPH_BUDGETS};
 pub use inject::{InjectCell, InjectReport, InjectSpec};
 pub use matrix::RecoveryMatrix;
-pub use micro::{micro_plans, MicroCell, MicroReport, RecoveryMode};
+pub use micro::{MicroCell, MicroReport, RecoveryMode};
 pub use oblivious::{HealMode, ObliviousCell, ObliviousReport, ObliviousSpec};
 pub use traffic::{TrafficCell, TrafficReport, TrafficSpec};

@@ -145,11 +145,6 @@ impl Campaign for RecoveryMatrix {
 }
 
 impl RecoveryMatrix {
-    /// The seed the matrix was computed with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// One cell of the matrix.
     pub fn cell(&self, class: FaultClass, strategy: StrategyKind) -> Cell {
         self.cells
@@ -169,11 +164,6 @@ impl RecoveryMatrix {
             out.survived += c.survived;
         }
         out
-    }
-
-    /// Every individual outcome.
-    pub fn outcomes(&self) -> &[FaultOutcome] {
-        &self.outcomes
     }
 
     /// Slugs of faults with the given class and strategy that survived
@@ -224,7 +214,7 @@ impl RecoveryMatrix {
     /// recovery can do; this family measures what the one deliberately
     /// application-aware axis — knowing which state a crash may discard —
     /// buys on top.
-    pub fn render_with_micro(&self, micro: &MicroReport) -> String {
+    pub(crate) fn render_with_micro(&self, micro: &MicroReport) -> String {
         let mut out = self.to_string();
         let _ = writeln!(
             out,
@@ -284,7 +274,7 @@ impl RecoveryMatrix {
     /// defaults) and correctness-oracle violations. The survival matrix
     /// says whether a strategy keeps an application alive; these
     /// families say which answers were wrong while it did.
-    pub fn render_with_oracle(&self, oblivious: &ObliviousReport) -> String {
+    pub(crate) fn render_with_oracle(&self, oblivious: &ObliviousReport) -> String {
         let mut out = self.to_string();
         let _ = writeln!(
             out,
@@ -316,7 +306,7 @@ impl RecoveryMatrix {
     /// the latency SLO. The survival matrix says whether a strategy keeps
     /// an application alive; this family says what the users experienced
     /// while it did.
-    pub fn render_with_slo(&self, traffic: &TrafficReport) -> String {
+    pub(crate) fn render_with_slo(&self, traffic: &TrafficReport) -> String {
         let mut out = self.to_string();
         let _ =
             writeln!(out, "SLO misses under open-loop traffic (dropped + over-SLO, of offered):");

@@ -95,7 +95,7 @@ impl fmt::Display for RecoveryMode {
 /// poisoned state lives *inside* the checkpoint, which is exactly the
 /// case §2's preserve-all-state contract cannot recover and a crash-only
 /// partition can.
-pub fn micro_plans(seed: u64) -> Vec<InjectionPlan> {
+pub(crate) fn micro_plans(seed: u64) -> Vec<InjectionPlan> {
     let mut plans = standard_plans(seed);
     plans.push(InjectionPlan {
         name: "state-leak".to_owned(),

@@ -99,7 +99,7 @@ impl HealMode {
     ];
 
     /// The mode's strategy name as it appears in metrics labels.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             HealMode::Restart => "restart",
             HealMode::Oblivious => "oblivious",
@@ -121,9 +121,9 @@ impl HealMode {
     ) -> Box<dyn RecoveryStrategy> {
         match self {
             HealMode::Restart => Box::new(RestartRetry::new(RESTART_RETRIES)),
-            HealMode::Oblivious => Box::new(Oblivious::new(RESTART_RETRIES).discard_after(0)),
-            HealMode::Manufactured => Box::new(ManufacturedValue::new(0).with_defaults()),
-            HealMode::Scrub => Box::new(StateScrub::new(SCRUB_RETRIES).with_scrub()),
+            HealMode::Oblivious => Box::new(Oblivious::default()),
+            HealMode::Manufactured => Box::new(ManufacturedValue::default()),
+            HealMode::Scrub => Box::new(StateScrub::new(SCRUB_RETRIES)),
             HealMode::Healer => {
                 let profile = probe_profile(plan, app_kind, arrival, unit_seed);
                 Box::new(ProfileHealer::new(SCRUB_RETRIES, profile))
@@ -376,11 +376,6 @@ impl ObliviousReport {
         Self::run(spec, parallel, true)
     }
 
-    /// The unit for `(plan, mode, app)`, if the plan exists.
-    pub fn cell(&self, plan: &str, mode: HealMode, app: AppKind) -> Option<&ObliviousCell> {
-        self.cells.iter().find(|c| c.plan == plan && c.mode == mode && c.app == app)
-    }
-
     /// Every unit of `class` under `mode`, across all plans and
     /// applications.
     fn in_class(&self, class: FaultClass, mode: HealMode) -> impl Iterator<Item = &ObliviousCell> {
@@ -389,19 +384,13 @@ impl ObliviousReport {
 
     /// The folded ledger of every unit of `class` under `mode`, across
     /// all plans and applications.
-    pub fn class_stats(&self, class: FaultClass, mode: HealMode) -> UnitStats {
+    pub(crate) fn class_stats(&self, class: FaultClass, mode: HealMode) -> UnitStats {
         fold(self.in_class(class, mode).map(|c| &c.stats), UnitStats::absorb)
-    }
-
-    /// The merged time-to-recovery histogram of every unit of `class`
-    /// under `mode`.
-    pub fn class_ttr(&self, class: FaultClass, mode: HealMode) -> Histogram {
-        fold(self.in_class(class, mode).map(|c| &c.ttr), Histogram::merge_from)
     }
 
     /// `(discarded, manufactured, oracle violations)` summed over every
     /// unit of `class` under `mode` — the wrong-answer column family.
-    pub fn class_costs(&self, class: FaultClass, mode: HealMode) -> (u64, u64, u64) {
+    pub(crate) fn class_costs(&self, class: FaultClass, mode: HealMode) -> (u64, u64, u64) {
         self.in_class(class, mode).fold((0, 0, 0), |(d, m, o), c| {
             (d + c.discarded, m + c.manufactured, o + c.oracle_violations)
         })
@@ -472,6 +461,16 @@ mod tests {
         ObliviousReport::run(spec, ParallelSpec::AUTO, false).0
     }
 
+    /// The unit for `(plan, mode, app)`, if the plan exists.
+    fn cell<'a>(
+        report: &'a ObliviousReport,
+        plan: &str,
+        mode: HealMode,
+        app: AppKind,
+    ) -> Option<&'a ObliviousCell> {
+        report.cells.iter().find(|c| c.plan == plan && c.mode == mode && c.app == app)
+    }
+
     #[test]
     fn campaign_enumerates_every_plan_mode_app() {
         let report = run(small_spec(1));
@@ -480,7 +479,7 @@ mod tests {
         assert!(report.cells.iter().all(|c| c.stats.offered == 40));
         for mode in HealMode::ALL {
             for app in AppKind::ALL {
-                assert!(report.cell("state-leak", mode, app).is_some(), "{mode} {app:?}");
+                assert!(cell(&report, "state-leak", mode, app).is_some(), "{mode} {app:?}");
             }
         }
     }
@@ -494,11 +493,11 @@ mod tests {
     #[test]
     fn the_ei_slice_is_rescued_only_by_going_oblivious() {
         let report = run(small_spec(1));
-        let restart = report.cell("ei-control", HealMode::Restart, AppKind::Apache).unwrap();
-        let scrub = report.cell("ei-control", HealMode::Scrub, AppKind::Apache).unwrap();
-        let oblivious = report.cell("ei-control", HealMode::Oblivious, AppKind::Apache).unwrap();
+        let restart = cell(&report, "ei-control", HealMode::Restart, AppKind::Apache).unwrap();
+        let scrub = cell(&report, "ei-control", HealMode::Scrub, AppKind::Apache).unwrap();
+        let oblivious = cell(&report, "ei-control", HealMode::Oblivious, AppKind::Apache).unwrap();
         let manufactured =
-            report.cell("ei-control", HealMode::Manufactured, AppKind::Apache).unwrap();
+            cell(&report, "ei-control", HealMode::Manufactured, AppKind::Apache).unwrap();
         // Neither retry nor state surgery touches a deterministic defect.
         assert!(restart.stats.dropped > 0);
         assert!(scrub.stats.dropped > 0);
@@ -512,10 +511,10 @@ mod tests {
     #[test]
     fn the_state_leak_is_healed_silently_only_by_scrubbing() {
         let report = run(small_spec(1));
-        let restart = report.cell("state-leak", HealMode::Restart, AppKind::Apache).unwrap();
-        let scrub = report.cell("state-leak", HealMode::Scrub, AppKind::Apache).unwrap();
+        let restart = cell(&report, "state-leak", HealMode::Restart, AppKind::Apache).unwrap();
+        let scrub = cell(&report, "state-leak", HealMode::Scrub, AppKind::Apache).unwrap();
         let manufactured =
-            report.cell("state-leak", HealMode::Manufactured, AppKind::Apache).unwrap();
+            cell(&report, "state-leak", HealMode::Manufactured, AppKind::Apache).unwrap();
         assert!(restart.stats.dropped > 0, "the checkpoint preserves the leak");
         assert_eq!(scrub.stats.dropped, 0, "the in-place scrub heals it");
         assert_eq!(scrub.oracle_violations, 0, "and correctly so");

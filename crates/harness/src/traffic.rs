@@ -274,7 +274,7 @@ impl TrafficReport {
 
     /// The folded ledger of every unit of `class` under `strategy`,
     /// across all plans and applications.
-    pub fn class_stats(&self, class: FaultClass, strategy: StrategyKind) -> UnitStats {
+    pub(crate) fn class_stats(&self, class: FaultClass, strategy: StrategyKind) -> UnitStats {
         let cells = self.cells.iter().filter(|c| c.class == class && c.strategy == strategy);
         fold(cells.map(|c| &c.stats), UnitStats::absorb)
     }
@@ -286,7 +286,7 @@ impl TrafficReport {
 
     /// Fraction of offered requests in `(class, strategy)` that missed
     /// the SLO — violations plus drops over offered, in [0, 1].
-    pub fn slo_miss_rate(&self, class: FaultClass, strategy: StrategyKind) -> f64 {
+    pub(crate) fn slo_miss_rate(&self, class: FaultClass, strategy: StrategyKind) -> f64 {
         miss_rate(&self.class_stats(class, strategy))
     }
 

@@ -50,16 +50,6 @@ impl Injector {
     pub fn applied(&self) -> usize {
         self.cursor
     }
-
-    /// Events still scheduled for the future.
-    pub fn pending(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-
-    /// The owner id under which the injector holds resources.
-    pub fn owner(&self) -> OwnerId {
-        self.owner
-    }
 }
 
 impl EnvHook for Injector {
@@ -95,7 +85,8 @@ mod tests {
         let plan = plan_named("fd-leak-ramp");
         let mut env = env();
         let mut injector = Injector::new(&plan, &mut env);
-        assert_eq!(injector.pending(), 4);
+        assert_eq!(plan.events.len(), 4);
+        assert_eq!(injector.applied(), 0);
         // Walk time forward in 100ms steps, polling like the supervisor.
         let mut in_use_prev = 0;
         for _ in 0..10 {
@@ -105,7 +96,6 @@ mod tests {
             in_use_prev = env.fds.in_use();
         }
         assert_eq!(injector.applied(), 4);
-        assert_eq!(injector.pending(), 0);
         assert!(env.fds.is_exhausted(), "4 events x 5 fds saturate the 16-slot table");
         // Idempotent once drained: more polls change nothing.
         injector.pre_attempt(&mut env);

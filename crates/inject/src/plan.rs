@@ -64,7 +64,7 @@ pub enum InjectionKind {
 
 impl InjectionKind {
     /// Stable short name (used as a metric label and in reports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             InjectionKind::FdLeakRamp { .. } => "fd-leak-ramp",
             InjectionKind::FdExhaustion => "fd-exhaustion",
@@ -153,13 +153,6 @@ pub struct InjectionPlan {
     pub companion_defect: String,
     /// Events in schedule order.
     pub events: Vec<InjectionEvent>,
-}
-
-impl InjectionPlan {
-    /// The last scheduled event time, or zero for the control plan.
-    pub fn horizon(&self) -> SimTime {
-        self.events.last().map_or(SimTime::ZERO, |e| e.at)
-    }
 }
 
 /// Jittered event time for slot `i`: deterministic, strictly increasing in
@@ -334,7 +327,6 @@ mod tests {
         let plans = standard_plans(5);
         let control = plans.iter().find(|p| p.name == "ei-control").unwrap();
         assert!(control.events.is_empty());
-        assert_eq!(control.horizon(), SimTime::ZERO);
     }
 
     #[test]

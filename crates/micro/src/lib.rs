@@ -61,15 +61,6 @@ impl StateKind {
     pub fn crashable(self) -> bool {
         !matches!(self, StateKind::DurableHard)
     }
-
-    /// Short label used in reports.
-    pub fn short(self) -> &'static str {
-        match self {
-            StateKind::Volatile => "volatile",
-            StateKind::DurableSoft => "durable-soft",
-            StateKind::DurableHard => "durable-hard",
-        }
-    }
 }
 
 /// One node of an application's component tree.
@@ -256,6 +247,5 @@ mod tests {
         assert!(StateKind::Volatile.crashable());
         assert!(StateKind::DurableSoft.crashable());
         assert!(!StateKind::DurableHard.crashable());
-        assert_eq!(StateKind::DurableHard.short(), "durable-hard");
     }
 }

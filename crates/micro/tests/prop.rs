@@ -7,12 +7,16 @@
 //! and a microrebooting supervisor over an application with no crashable
 //! partition degenerates byte-for-byte into plain restart-retry — the
 //! whole-process rung *is* the generic strategy, not an approximation of
-//! it.
+//! it. The same holds for the state scrub and the profile healer's scrub
+//! arm, which fall back to that step when there is nothing to scrub.
 
 use faultstudy_apps::{Application, MiniDb, MiniDe, MiniWeb, Request};
 use faultstudy_env::Environment;
 use faultstudy_micro::{ComponentDesc, CrashOnly, StateKind};
-use faultstudy_recovery::{run_workload, MicroReboot, RebootScope, RestartRetry, RestartTree};
+use faultstudy_recovery::{
+    run_workload, FailureProfile, MicroReboot, ProfileHealer, RebootScope, RecoveryStrategy,
+    RestartRetry, RestartTree, StateScrub,
+};
 use faultstudy_sim::time::Duration;
 use proptest::prelude::*;
 
@@ -300,8 +304,9 @@ fn run_restart(
 }
 
 proptest! {
-    /// An application with no crash-only partition under [`MicroReboot`]
-    /// behaves byte-for-byte like [`RestartRetry`]: same run outcome,
+    /// An application with no crash-only partition under [`MicroReboot`],
+    /// [`StateScrub`] or a [`ProfileHealer`] whose profile picks the scrub
+    /// arm behaves byte-for-byte like [`RestartRetry`]: same run outcome,
     /// same final checkpoint, same simulated clock.
     #[test]
     fn unpartitioned_microreboot_degenerates_into_restart_retry(
@@ -311,13 +316,26 @@ proptest! {
         let workload = degeneration_workload(&picks);
         let reference = run_restart(seed, &workload);
 
-        let mut e = env(seed);
-        let mut app = Opaque(MiniWeb::new(&mut e));
-        app.inject("apache-ei-03", &mut e).expect("injectable");
-        app.inject("apache-edn-01", &mut e).expect("injectable");
-        let mut strategy = MicroReboot::new(3, seed);
-        let run = run_workload(&mut app, &mut e, &workload, &mut strategy);
-        prop_assert_eq!((app.snapshot(), e.now(), run), reference);
+        // Reboots that all worked: the healer's scrub arm.
+        let scrub_profile = FailureProfile { reboots: 3, ..FailureProfile::default() };
+        let strategies: [Box<dyn RecoveryStrategy>; 3] = [
+            Box::new(MicroReboot::new(3, seed)),
+            Box::new(StateScrub::new(3)),
+            Box::new(ProfileHealer::new(3, scrub_profile)),
+        ];
+        for mut strategy in strategies {
+            let mut e = env(seed);
+            let mut app = Opaque(MiniWeb::new(&mut e));
+            app.inject("apache-ei-03", &mut e).expect("injectable");
+            app.inject("apache-edn-01", &mut e).expect("injectable");
+            let run = run_workload(&mut app, &mut e, &workload, strategy.as_mut());
+            prop_assert_eq!(
+                (app.snapshot(), e.now(), run),
+                reference.clone(),
+                "{} diverged from restart-retry",
+                strategy.name()
+            );
+        }
     }
 
     /// A single-component durable-hard tree is the same degeneration:

@@ -1,6 +1,6 @@
 //! The in-memory bug archive.
 
-use faultstudy_core::flat::{ReportColumns, ReportRow};
+use faultstudy_core::flat::ReportColumns;
 use faultstudy_core::report::BugReport;
 use faultstudy_core::taxonomy::AppKind;
 use serde::{Deserialize, Serialize};
@@ -52,19 +52,9 @@ impl Archive {
         self.columns.is_empty()
     }
 
-    /// Iterates over the raw entries in archive order.
-    pub fn iter(&self) -> impl Iterator<Item = ReportRow<'_>> {
-        self.columns.iter()
-    }
-
     /// The underlying column storage.
     pub fn columns(&self) -> &ReportColumns {
         &self.columns
-    }
-
-    /// Looks up an entry by archive id.
-    pub fn get(&self, id: u64) -> Option<ReportRow<'_>> {
-        self.columns.iter().find(|r| r.id() == id)
     }
 }
 
@@ -86,9 +76,7 @@ mod tests {
         assert_eq!(a.app(), AppKind::Apache);
         assert_eq!(a.len(), 2);
         assert!(!a.is_empty());
-        assert_eq!(a.get(2).unwrap().title(), "bug 2");
-        assert!(a.get(99).is_none());
-        assert_eq!(a.iter().count(), 2);
+        assert_eq!(a.columns().title(1), "bug 2");
     }
 
     #[test]
@@ -102,7 +90,7 @@ mod tests {
     fn flattening_preserves_every_report() {
         let reports = vec![report(1), report(2), report(3)];
         let a = Archive::new(AppKind::Apache, reports.clone());
-        let back: Vec<BugReport> = a.iter().map(|r| r.materialize()).collect();
+        let back: Vec<BugReport> = a.columns().iter().map(|r| r.materialize()).collect();
         assert_eq!(back, reports);
     }
 }

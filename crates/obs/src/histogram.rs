@@ -105,11 +105,6 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of recorded samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Smallest recorded sample, `None` when empty.
     pub fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
@@ -118,11 +113,6 @@ impl Histogram {
     /// Largest recorded sample, `None` when empty.
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Integer mean of the recorded samples, `None` when empty.
-    pub fn mean(&self) -> Option<u64> {
-        (self.count > 0).then(|| self.sum / self.count)
     }
 
     /// The `num/den` quantile (e.g. `1/2` for the median), approximated as
@@ -175,12 +165,6 @@ impl Histogram {
     /// SLO quantile.
     pub fn p999(&self) -> Option<u64> {
         self.quantile(999, 1000)
-    }
-
-    /// Non-empty buckets in index order, as `(bucket index, count)` pairs
-    /// with indices per [`bucket_index`].
-    pub fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets.iter().map(|&(i, c)| (i as usize, c))
     }
 
     /// Adds every sample of `other` into `self`. Element-wise over the
@@ -247,7 +231,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), None);
         assert_eq!(h.p50(), None);
         assert_eq!(h.p90(), None);
         assert_eq!(h.to_string(), "n=0");
@@ -261,7 +244,6 @@ mod tests {
         assert_eq!(h.p50(), Some(5));
         assert_eq!(h.p90(), Some(5));
         assert_eq!(h.min(), Some(5));
-        assert_eq!(h.mean(), Some(5));
     }
 
     #[test]

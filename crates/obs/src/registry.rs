@@ -109,17 +109,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records a simulated duration (in nanoseconds) into `name{label}`.
-    pub fn record_duration(&mut self, name: &'static str, label: &str, d: Duration) {
-        self.record(name, label, d.as_nanos());
-    }
-
-    /// Closes `span` at `now` and records its simulated length into
-    /// `name{label}`.
-    pub fn record_span(&mut self, name: &'static str, label: &str, span: Span, now: SimTime) {
-        self.record_duration(name, label, span.elapsed(now));
-    }
-
     /// Merges a whole histogram into `name{label}` (used to re-key a
     /// distribution under an aggregate label, e.g. per-class). Takes the
     /// histogram by value so a fresh key adopts it without copying.
@@ -309,7 +298,7 @@ impl Metrics {
     }
 
     /// The backing registry, if enabled.
-    pub fn registry(&self) -> Option<&MetricsRegistry> {
+    pub(crate) fn registry(&self) -> Option<&MetricsRegistry> {
         self.0.as_deref().map(|sink| &sink.registry)
     }
 
@@ -346,9 +335,10 @@ mod tests {
 
     #[test]
     fn spans_record_simulated_durations() {
-        let mut r = MetricsRegistry::new();
+        let mut m = Metrics::enabled();
         let span = Span::begin(SimTime::from_millis(100));
-        r.record_span("ttr", "restart", span, SimTime::from_millis(1100));
+        m.record_span("ttr", "restart", span, SimTime::from_millis(1100));
+        let r = m.take().unwrap();
         let h = r.histogram("ttr", "restart").unwrap();
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), Some(Duration::from_secs(1).as_nanos()));

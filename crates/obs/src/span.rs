@@ -30,11 +30,6 @@ impl Span {
         Span { start: now }
     }
 
-    /// The instant the span was opened.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
     /// Simulated time elapsed from the span's start to `now`, saturating
     /// to zero if `now` is earlier.
     pub fn elapsed(&self, now: SimTime) -> Duration {
@@ -50,6 +45,5 @@ mod tests {
     fn elapsed_saturates_backwards() {
         let span = Span::begin(SimTime::from_secs(5));
         assert_eq!(span.elapsed(SimTime::from_secs(2)), Duration::ZERO);
-        assert_eq!(span.start(), SimTime::from_secs(5));
     }
 }

@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn cold_start_recovers_hostname_rebinding() {
-        let mut env = Environment::builder().seed(6).hostname("d1").build();
+        let mut env = Environment::builder().seed(6).build();
         let mut app = MiniDe::new(&mut env);
         app.inject("gnome-edn-01", &mut env).unwrap();
         let req = Request::new("OPEN-DISPLAY");

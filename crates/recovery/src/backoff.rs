@@ -49,12 +49,12 @@ impl BackoffPolicy {
     }
 
     /// The no-delay policy: every attempt retries immediately.
-    pub fn none() -> BackoffPolicy {
+    pub(crate) fn none() -> BackoffPolicy {
         BackoffPolicy { base: Duration::ZERO, cap: Duration::ZERO, seed: 0 }
     }
 
-    /// The delay before retry `attempt` (1-based). Attempt 0 and the
-    /// [`BackoffPolicy::none`] policy wait nothing.
+    /// The delay before retry `attempt` (1-based). Attempt 0 and a policy
+    /// with a zero base wait nothing.
     pub fn delay(&self, attempt: u32) -> Duration {
         if attempt == 0 || self.base == Duration::ZERO {
             return Duration::ZERO;

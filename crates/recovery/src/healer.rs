@@ -10,7 +10,7 @@
 //! the attempt number, so the whole campaign stays deterministic:
 //!
 //! 1. Empty profile (nothing observed): behave exactly like
-//!    [`RestartRetry`](crate::RestartRetry) — no evidence, no cleverness.
+//!    [`RestartRetry`] — no evidence, no cleverness.
 //! 2. Requests were lost even after full reboot escalation
 //!    ([`FailureProfile::lost`] > 0): the defect is environment-
 //!    independent and retrying is futile — retry once for the transient
@@ -20,9 +20,10 @@
 //!    cheapest repair that historically sufficed.
 //! 4. Otherwise: plain generic restart-retry within the budget.
 
-use crate::scrub::scrub_volatile_state;
+use crate::scrub::scrub_or_restart;
 use crate::strategy::RecoveryStrategy;
-use faultstudy_apps::{AppState, Application, Request, Response};
+use crate::RestartRetry;
+use faultstudy_apps::{Application, Request, Response};
 use faultstudy_env::Environment;
 use faultstudy_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
@@ -76,7 +77,7 @@ impl FailureProfile {
     }
 
     /// Whether nothing was observed at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         *self == FailureProfile::default()
     }
 }
@@ -101,23 +102,17 @@ enum HealAction {
 /// ```
 #[derive(Debug)]
 pub struct ProfileHealer {
-    retries: u32,
+    restart: RestartRetry,
     profile: FailureProfile,
-    checkpoint: Option<AppState>,
     pending_discard: bool,
 }
 
 impl ProfileHealer {
     /// A healer with a retry budget of `retries`, guided by `profile`.
     /// With the empty profile it is byte-for-byte
-    /// [`RestartRetry::new(retries)`](crate::RestartRetry::new).
+    /// [`RestartRetry::new(retries)`](RestartRetry::new).
     pub fn new(retries: u32, profile: FailureProfile) -> ProfileHealer {
-        ProfileHealer { retries, profile, checkpoint: None, pending_discard: false }
-    }
-
-    /// The profile guiding the healer.
-    pub fn profile(&self) -> &FailureProfile {
-        &self.profile
+        ProfileHealer { restart: RestartRetry::new(retries), profile, pending_discard: false }
     }
 
     /// The decision rules, a pure function of (profile, attempt).
@@ -150,12 +145,12 @@ impl RecoveryStrategy for ProfileHealer {
         false
     }
 
-    fn on_start(&mut self, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+    fn on_start(&mut self, app: &mut dyn Application, env: &mut Environment) {
+        self.restart.on_start(app, env);
     }
 
-    fn on_success(&mut self, _req: &Request, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+    fn on_success(&mut self, req: &Request, app: &mut dyn Application, env: &mut Environment) {
+        self.restart.on_success(req, app, env);
     }
 
     fn on_failure(
@@ -169,29 +164,8 @@ impl RecoveryStrategy for ProfileHealer {
                 self.pending_discard = true;
                 false
             }
-            HealAction::Scrub => {
-                if attempt > self.retries {
-                    return false;
-                }
-                if scrub_volatile_state(app, env) {
-                    return true;
-                }
-                env.on_generic_recovery(app.owner());
-                if let Some(cp) = &self.checkpoint {
-                    app.restore(cp);
-                }
-                true
-            }
-            HealAction::Retry => {
-                if attempt > self.retries {
-                    return false;
-                }
-                env.on_generic_recovery(app.owner());
-                if let Some(cp) = &self.checkpoint {
-                    app.restore(cp);
-                }
-                true
-            }
+            HealAction::Scrub => scrub_or_restart(&self.restart, app, env, attempt),
+            HealAction::Retry => self.restart.on_failure(app, env, attempt),
         }
     }
 

@@ -72,7 +72,7 @@ pub use progressive::ProgressiveRetry;
 pub use rejuvenation::Rejuvenation;
 pub use restart::RestartRetry;
 pub use rollback::RollbackRecovery;
-pub use scrub::{scrub_volatile_state, StateScrub};
+pub use scrub::StateScrub;
 pub use strategy::{NoRecovery, RecoveryStrategy};
 pub use supervisor::{
     run_workload, run_workload_supervised, EnvHook, RequestSupervisor, ServeOutcome, SupervisedRun,

@@ -13,7 +13,8 @@
 //! recovery-matrix experiment confirms it.
 
 use crate::strategy::RecoveryStrategy;
-use faultstudy_apps::{AppState, Application, Request};
+use crate::RestartRetry;
+use faultstudy_apps::{Application, Request};
 use faultstudy_env::Environment;
 use faultstudy_sim::time::Duration;
 
@@ -23,20 +24,13 @@ const BACKOFF_BASE: Duration = Duration::from_millis(500);
 /// Escalating retry: restore → reseed interleaving → exponential backoff.
 #[derive(Debug)]
 pub struct ProgressiveRetry {
-    retries: u32,
-    checkpoint: Option<AppState>,
-    perturbations: u32,
+    restart: RestartRetry,
 }
 
 impl ProgressiveRetry {
     /// Up to `retries` attempts with a 500 ms base backoff.
     pub fn new(retries: u32) -> ProgressiveRetry {
-        ProgressiveRetry { retries, checkpoint: None, perturbations: 0 }
-    }
-
-    /// Interleaving perturbations applied so far.
-    pub fn perturbations(&self) -> u32 {
-        self.perturbations
+        ProgressiveRetry { restart: RestartRetry::new(retries) }
     }
 }
 
@@ -49,12 +43,12 @@ impl RecoveryStrategy for ProgressiveRetry {
         true
     }
 
-    fn on_start(&mut self, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+    fn on_start(&mut self, app: &mut dyn Application, env: &mut Environment) {
+        self.restart.on_start(app, env);
     }
 
-    fn on_success(&mut self, _req: &Request, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+    fn on_success(&mut self, req: &Request, app: &mut dyn Application, env: &mut Environment) {
+        self.restart.on_success(req, app, env);
     }
 
     fn on_failure(
@@ -63,17 +57,12 @@ impl RecoveryStrategy for ProgressiveRetry {
         env: &mut Environment,
         attempt: u32,
     ) -> bool {
-        if attempt > self.retries {
+        if !self.restart.on_failure(app, env, attempt) {
             return false;
-        }
-        env.on_generic_recovery(app.owner());
-        if let Some(cp) = &self.checkpoint {
-            app.restore(cp);
         }
         if attempt >= 2 {
             // Stage 2: induce a different event ordering.
             env.reshuffle_interleaving();
-            self.perturbations += 1;
         }
         if attempt >= 3 {
             // Stage 3: exponential backoff in simulated time.
@@ -88,18 +77,34 @@ impl RecoveryStrategy for ProgressiveRetry {
 mod tests {
     use super::*;
     use faultstudy_apps::{MiniDb, Request};
-    use faultstudy_sim::time::SimTime;
 
     #[test]
     fn escalation_stages_fire_in_order() {
-        let mut env = Environment::builder().seed(4).build();
-        let mut app = MiniDb::new(&mut env);
+        // A twin environment under plain restart-retry shows what each
+        // stage adds: the interleaving is read through `Debug`.
+        let twins = || {
+            let mut env = Environment::builder().seed(4).build();
+            let app = MiniDb::new(&mut env);
+            (env, app)
+        };
+        let (mut env, mut app) = twins();
+        let (mut plain_env, mut plain_app) = twins();
         let mut s = ProgressiveRetry::new(5);
+        let mut plain = RestartRetry::new(5);
         s.on_start(&mut app, &mut env);
+        plain.on_start(&mut plain_app, &mut plain_env);
+        let interleaving = |env: &mut Environment| format!("{:?}", env.current_interleaving());
         assert!(s.on_failure(&mut app, &mut env, 1));
-        assert_eq!(s.perturbations(), 0, "attempt 1 is a plain retry");
+        assert!(plain.on_failure(&mut plain_app, &mut plain_env, 1));
+        assert_eq!(
+            interleaving(&mut env),
+            interleaving(&mut plain_env),
+            "attempt 1 is a plain retry"
+        );
         assert!(s.on_failure(&mut app, &mut env, 2));
-        assert_eq!(s.perturbations(), 1, "attempt 2 reseeds the interleaving");
+        assert!(plain.on_failure(&mut plain_app, &mut plain_env, 2));
+        assert_eq!(env.now(), plain_env.now(), "attempt 2 does not back off");
+        assert_ne!(interleaving(&mut env), interleaving(&mut plain_env), "attempt 2 reseeds");
         let before = env.now();
         assert!(s.on_failure(&mut app, &mut env, 3));
         // recovery (1s) + backoff (500ms)
@@ -149,6 +154,5 @@ mod tests {
         s.on_failure(&mut app, &mut env, 4);
         let d4 = env.now() - t1;
         assert!(d4 > d3, "attempt 4 backs off longer than attempt 3");
-        let _ = SimTime::ZERO;
     }
 }

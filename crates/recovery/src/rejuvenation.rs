@@ -10,17 +10,16 @@
 //! is the bridge case between the two §2 categories.
 
 use crate::strategy::RecoveryStrategy;
-use faultstudy_apps::{AppState, Application, Request};
+use crate::RestartRetry;
+use faultstudy_apps::{Application, Request};
 use faultstudy_env::Environment;
 
 /// Periodic rejuvenation with restart-retry fallback.
 #[derive(Debug)]
 pub struct Rejuvenation {
     period: u32,
-    retries: u32,
     served_since: u32,
-    rejuvenations: u32,
-    checkpoint: Option<AppState>,
+    restart: RestartRetry,
 }
 
 impl Rejuvenation {
@@ -32,17 +31,7 @@ impl Rejuvenation {
     /// Panics if `period` is zero.
     pub fn new(period: u32, retries: u32) -> Rejuvenation {
         assert!(period > 0, "rejuvenation period must be positive");
-        Rejuvenation { period, retries, served_since: 0, rejuvenations: 0, checkpoint: None }
-    }
-
-    /// Rejuvenations performed so far.
-    pub fn rejuvenations(&self) -> u32 {
-        self.rejuvenations
-    }
-
-    /// The configured period.
-    pub fn period(&self) -> u32 {
-        self.period
+        Rejuvenation { period, served_since: 0, restart: RestartRetry::new(retries) }
     }
 }
 
@@ -56,23 +45,21 @@ impl RecoveryStrategy for Rejuvenation {
         false
     }
 
-    fn on_start(&mut self, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+    fn on_start(&mut self, app: &mut dyn Application, env: &mut Environment) {
+        self.restart.on_start(app, env);
     }
 
-    fn on_success(&mut self, _req: &Request, app: &mut dyn Application, env: &mut Environment) {
+    fn on_success(&mut self, req: &Request, app: &mut dyn Application, env: &mut Environment) {
         self.served_since += 1;
         if self.served_since >= self.period {
             self.served_since = 0;
             if let Some(req) = app.rejuvenate_request() {
                 // Proactive rejuvenation; a failure of the hook itself is
                 // tolerated (the reactive path will deal with the fault).
-                if app.handle(&req, env).is_ok() {
-                    self.rejuvenations += 1;
-                }
+                let _ = app.handle(&req, env);
             }
         }
-        self.checkpoint = Some(app.snapshot());
+        self.restart.on_success(req, app, env);
     }
 
     fn on_failure(
@@ -81,19 +68,13 @@ impl RecoveryStrategy for Rejuvenation {
         env: &mut Environment,
         attempt: u32,
     ) -> bool {
-        if attempt > self.retries {
+        if !self.restart.on_failure(app, env, attempt) {
             return false;
-        }
-        env.on_generic_recovery(app.owner());
-        if let Some(cp) = &self.checkpoint {
-            app.restore(cp);
         }
         // After the restart, apply the rejuvenation hook as well: the
         // restarted instance begins from re-initialized resources.
         if let Some(req) = app.rejuvenate_request() {
-            if app.handle(&req, env).is_ok() {
-                self.rejuvenations += 1;
-            }
+            let _ = app.handle(&req, env);
         }
         true
     }
@@ -119,7 +100,6 @@ mod tests {
             assert!(result.is_ok(), "burst {i} crashed despite rejuvenation");
             s.on_success(&burst, &mut app, &mut env);
         }
-        assert!(s.rejuvenations() >= 5);
     }
 
     #[test]
@@ -153,19 +133,18 @@ mod tests {
         assert!(s.on_failure(&mut app, &mut env, 1));
         // The restored-but-rejuvenated instance serves the burst again.
         assert!(app.handle(&burst, &mut env).is_ok());
-        assert!(s.rejuvenations() >= 1);
     }
 
     #[test]
     fn apps_without_a_hook_degrade_to_restart() {
         let mut env = Environment::builder().seed(5).build();
         let mut app = MiniDb::new(&mut env);
+        assert!(app.rejuvenate_request().is_none(), "MiniDb has no rejuvenation hook");
         let mut s = Rejuvenation::new(1, 1);
         s.on_start(&mut app, &mut env);
         let ping = Request::new("PING");
         app.handle(&ping, &mut env).unwrap();
         s.on_success(&ping, &mut app, &mut env);
-        assert_eq!(s.rejuvenations(), 0, "MiniDb has no rejuvenation hook");
         assert!(s.on_failure(&mut app, &mut env, 1));
         assert!(!s.on_failure(&mut app, &mut env, 2));
     }

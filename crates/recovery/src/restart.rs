@@ -6,6 +6,12 @@
 //! retry the failed request. Each recovery consumes
 //! [`Environment::recovery_takes`] of simulated time, which is what gives
 //! naturally-healing conditions their chance.
+//!
+//! Every other strategy that checkpoints this way holds a [`RestartRetry`]
+//! and calls it from its own hooks, so the step is written once: progressive
+//! retry and rejuvenation escalate around it, the state scrub and the
+//! profile healer fall back to it, and microreboot's whole-process rung is
+//! it.
 
 use crate::strategy::RecoveryStrategy;
 use faultstudy_apps::{AppState, Application, Request};
@@ -35,8 +41,17 @@ impl RestartRetry {
     }
 
     /// The retry budget.
-    pub fn retries(&self) -> u32 {
+    pub(crate) fn retries(&self) -> u32 {
         self.retries
+    }
+
+    /// The generic recovery step without the budget check: kill the
+    /// application's processes and restore the last checkpoint.
+    pub(crate) fn recover(&self, app: &mut dyn Application, env: &mut Environment) {
+        env.on_generic_recovery(app.owner());
+        if let Some(cp) = &self.checkpoint {
+            app.restore(cp);
+        }
     }
 }
 
@@ -66,10 +81,7 @@ impl RecoveryStrategy for RestartRetry {
         if attempt > self.retries {
             return false;
         }
-        env.on_generic_recovery(app.owner());
-        if let Some(cp) = &self.checkpoint {
-            app.restore(cp);
-        }
+        self.recover(app, env);
         true
     }
 }

@@ -12,7 +12,8 @@
 //! checkpoint-restoring recovery faithfully preserves.
 
 use crate::strategy::RecoveryStrategy;
-use faultstudy_apps::{AppState, Application, Request};
+use crate::RestartRetry;
+use faultstudy_apps::{Application, Request};
 use faultstudy_env::Environment;
 use faultstudy_micro::StateKind;
 use faultstudy_sim::time::Duration;
@@ -21,7 +22,7 @@ use faultstudy_sim::time::Duration;
 /// the boot costs to the simulated clock. Returns `false` without doing
 /// anything when the application has no crash-only partition — callers
 /// fall back to generic restart.
-pub fn scrub_volatile_state(app: &mut dyn Application, env: &mut Environment) -> bool {
+pub(crate) fn scrub_volatile_state(app: &mut dyn Application, env: &mut Environment) -> bool {
     let Some(co) = app.as_crash_only() else {
         return false;
     };
@@ -38,37 +39,46 @@ pub fn scrub_volatile_state(app: &mut dyn Application, env: &mut Environment) ->
     true
 }
 
+/// One scrub rung within `restart`'s budget: scrub volatile state in
+/// place, or fall back to `restart`'s step when the application has no
+/// crash-only partition.
+pub(crate) fn scrub_or_restart(
+    restart: &RestartRetry,
+    app: &mut dyn Application,
+    env: &mut Environment,
+    attempt: u32,
+) -> bool {
+    if attempt > restart.retries() {
+        return false;
+    }
+    if !scrub_volatile_state(app, env) {
+        restart.recover(app, env);
+    }
+    true
+}
+
 /// Restart-retry whose recovery step scrubs volatile application state in
-/// place instead of restoring a checkpoint.
+/// place instead of restoring a checkpoint. An application without a
+/// crash-only partition gets the plain restart step.
 ///
 /// # Example
 ///
 /// ```
 /// use faultstudy_recovery::{RecoveryStrategy, StateScrub};
 ///
-/// let s = StateScrub::new(3).with_scrub();
+/// let s = StateScrub::new(3);
 /// assert_eq!(s.name(), "statescrub");
 /// assert!(!s.is_generic());
 /// ```
 #[derive(Debug)]
 pub struct StateScrub {
-    retries: u32,
-    scrub: bool,
-    checkpoint: Option<AppState>,
+    restart: RestartRetry,
 }
 
 impl StateScrub {
-    /// A strategy with a retry budget of `retries` and scrubbing
-    /// disabled — identical to [`RestartRetry::new`](crate::RestartRetry::new).
+    /// A strategy that scrubs up to `retries` times per request.
     pub fn new(retries: u32) -> StateScrub {
-        StateScrub { retries, scrub: false, checkpoint: None }
-    }
-
-    /// Enables the in-place volatile scrub as the recovery action.
-    #[must_use]
-    pub fn with_scrub(mut self) -> StateScrub {
-        self.scrub = true;
-        self
+        StateScrub { restart: RestartRetry::new(retries) }
     }
 }
 
@@ -83,12 +93,12 @@ impl RecoveryStrategy for StateScrub {
         false
     }
 
-    fn on_start(&mut self, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+    fn on_start(&mut self, app: &mut dyn Application, env: &mut Environment) {
+        self.restart.on_start(app, env);
     }
 
-    fn on_success(&mut self, _req: &Request, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+    fn on_success(&mut self, req: &Request, app: &mut dyn Application, env: &mut Environment) {
+        self.restart.on_success(req, app, env);
     }
 
     fn on_failure(
@@ -97,17 +107,7 @@ impl RecoveryStrategy for StateScrub {
         env: &mut Environment,
         attempt: u32,
     ) -> bool {
-        if attempt > self.retries {
-            return false;
-        }
-        if self.scrub && scrub_volatile_state(app, env) {
-            return true;
-        }
-        env.on_generic_recovery(app.owner());
-        if let Some(cp) = &self.checkpoint {
-            app.restore(cp);
-        }
-        true
+        scrub_or_restart(&self.restart, app, env, attempt)
     }
 }
 
@@ -132,7 +132,7 @@ mod tests {
     fn scrub_clears_the_leak_a_checkpoint_preserves() {
         let (restart, _) = leak_scenario(&mut RestartRetry::new(3));
         assert!(!restart.survived, "the restored checkpoint restores the leak too");
-        let (scrubbed, _) = leak_scenario(&mut StateScrub::new(3).with_scrub());
+        let (scrubbed, _) = leak_scenario(&mut StateScrub::new(3));
         assert!(scrubbed.survived, "dropping volatile state drops the leaked units");
         assert_eq!(scrubbed.completed, 6);
     }
@@ -143,7 +143,7 @@ mod tests {
         let mut app = MiniWeb::new(&mut env);
         app.inject("apache-ei-01", &mut env).unwrap();
         let workload = vec![app.trigger_request("apache-ei-01").unwrap()];
-        let run = run_workload(&mut app, &mut env, &workload, &mut StateScrub::new(3).with_scrub());
+        let run = run_workload(&mut app, &mut env, &workload, &mut StateScrub::new(3));
         assert!(!run.survived, "an EI fault is in the code, not in volatile state");
     }
 
@@ -157,13 +157,5 @@ mod tests {
         // served (durable progress) survives; the volatile counters were
         // already zero, so the state is unchanged byte for byte.
         assert_eq!(app.snapshot(), before);
-    }
-
-    #[test]
-    fn disabled_scrub_degenerates_into_restart_retry() {
-        let baseline = leak_scenario(&mut RestartRetry::new(3));
-        let scrub_off = leak_scenario(&mut StateScrub::new(3));
-        assert_eq!(scrub_off.0, baseline.0);
-        assert_eq!(scrub_off.1.now(), baseline.1.now());
     }
 }

@@ -353,23 +353,18 @@ impl RequestSupervisor {
         }
     }
 
-    /// Whether the breaker has tripped; every further serve is shed.
-    pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Hung attempts detected by the watchdog deadline so far.
     pub fn watchdog_fires(&self) -> u32 {
         self.watchdog_fires
     }
 
     /// Circuit-breaker trips so far (0 or 1).
-    pub fn breaker_trips(&self) -> u32 {
+    pub(crate) fn breaker_trips(&self) -> u32 {
         self.breaker_trips
     }
 
     /// Environment scrubs performed between retries so far.
-    pub fn scrubs(&self) -> u32 {
+    pub(crate) fn scrubs(&self) -> u32 {
         self.scrubs
     }
 
@@ -386,11 +381,6 @@ impl RequestSupervisor {
     /// Recovery actions the strategy performed.
     pub fn recoveries(&self) -> u32 {
         self.recoveries
-    }
-
-    /// The most recent fault manifestation, recovered or not.
-    pub fn last_failure(&self) -> Option<&AppFailure> {
-        self.last_failure.as_ref()
     }
 }
 

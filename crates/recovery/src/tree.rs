@@ -11,7 +11,7 @@
 //! reboot its parent's subtree; if breakers are open all the way up (or
 //! the failing component's state is durable-hard and may not be
 //! discarded), fall back to exactly the whole-process restart of
-//! [`RestartRetry`](crate::RestartRetry). Every node has its own
+//! [`RestartRetry`]. Every node has its own
 //! [`BackoffPolicy`] (jitter derived via `split_seed`, so schedules
 //! replay byte-identically at any thread count) and its own
 //! [`CircuitBreaker`]; reboot latency and backoff are charged to the
@@ -27,7 +27,8 @@
 use crate::backoff::BackoffPolicy;
 use crate::breaker::CircuitBreaker;
 use crate::strategy::RecoveryStrategy;
-use faultstudy_apps::{AppState, Application, Request};
+use crate::RestartRetry;
+use faultstudy_apps::{Application, Request};
 use faultstudy_env::Environment;
 use faultstudy_micro::{subtree, validate_topology, ComponentDesc};
 use faultstudy_obs::Span;
@@ -44,7 +45,7 @@ pub enum RebootScope {
     Subtree(usize),
     /// Full process reboot: kill the application's processes and restore
     /// the last checkpoint — byte-identical to
-    /// [`RestartRetry`](crate::RestartRetry)'s recovery action.
+    /// [`RestartRetry`]'s recovery action.
     Process,
 }
 
@@ -56,8 +57,6 @@ struct TreeNode {
     /// Consecutive reboots of this node since it last settled; drives its
     /// backoff schedule.
     streak: u32,
-    /// Total reboots of this node (alone or inside a subtree).
-    reboots: u64,
 }
 
 /// The per-component restart tree: one [`CircuitBreaker`] and one
@@ -98,25 +97,14 @@ impl RestartTree {
                 backoff: BackoffPolicy::new(base, cap, split_seed(seed, i as u64)),
                 breaker: CircuitBreaker::new(escalate_after),
                 streak: 0,
-                reboots: 0,
             })
             .collect();
         RestartTree { descs, nodes }
     }
 
-    /// The component slice this tree supervises.
-    pub fn components(&self) -> &'static [ComponentDesc] {
-        self.descs
-    }
-
     /// The name of component `index` (metrics label).
-    pub fn name(&self, index: usize) -> &'static str {
+    pub(crate) fn name(&self, index: usize) -> &'static str {
         self.descs[index].name
-    }
-
-    /// Total reboots of component `index` so far.
-    pub fn reboots(&self, index: usize) -> u64 {
-        self.nodes[index].reboots
     }
 
     /// Decides the reboot scope for a failure attributed to `component`,
@@ -169,8 +157,8 @@ impl RestartTree {
         subtree(self.descs, root)
     }
 
-    /// Accounts one reboot of `scope`: bumps reboot counters, advances the
-    /// charged node's backoff streak, and returns the simulated cost —
+    /// Accounts one reboot of `scope`: advances the charged node's backoff
+    /// streak and returns the simulated cost —
     /// boot latency of everything rebooted plus the node's jittered
     /// backoff delay. [`RebootScope::Process`] costs nothing here; the
     /// process restart itself charges
@@ -178,14 +166,12 @@ impl RestartTree {
     pub fn charge(&mut self, scope: RebootScope) -> Duration {
         match scope {
             RebootScope::Component(i) => {
-                self.nodes[i].reboots += 1;
                 self.nodes[i].streak += 1;
                 self.descs[i].boot_cost + self.nodes[i].backoff.delay(self.nodes[i].streak)
             }
             RebootScope::Subtree(p) => {
                 let mut cost = Duration::ZERO;
                 for m in self.members(p) {
-                    self.nodes[m].reboots += 1;
                     cost = cost + self.descs[m].boot_cost;
                 }
                 self.nodes[p].streak += 1;
@@ -202,7 +188,7 @@ impl RestartTree {
 /// On an application without a crash-only partition
 /// ([`Application::as_crash_only`] returns `None`), and for the
 /// [`RebootScope::Process`] rung of the ladder, the strategy performs
-/// exactly [`RestartRetry`](crate::RestartRetry)'s recovery — kill the
+/// exactly [`RestartRetry`]'s recovery — kill the
 /// application's processes, restore the last checkpoint — so a
 /// single-component durable-hard tree degenerates byte-for-byte into
 /// whole-process restart (pinned by the differential proptests).
@@ -216,72 +202,27 @@ impl RestartTree {
 /// explicitly.
 #[derive(Debug)]
 pub struct MicroReboot {
-    retries: u32,
-    escalate_after: u32,
-    base: Duration,
-    cap: Duration,
+    restart: RestartRetry,
     seed: u64,
-    checkpoint: Option<AppState>,
     tree: Option<RestartTree>,
     /// Per-component open time-to-recovery spans: opened at a component's
     /// first failure, closed when a request routed to it succeeds.
     pending: Vec<Option<Span>>,
 }
 
-/// Default escalation threshold: each tree level absorbs two consecutive
-/// failures before the ladder moves up.
-const DEFAULT_ESCALATE_AFTER: u32 = 2;
-/// Default per-node backoff band, matching the injection campaign's.
-const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(50);
-const DEFAULT_BACKOFF_CAP: Duration = Duration::from_secs(2);
+/// Escalation threshold: each tree level absorbs two consecutive failures
+/// before the ladder moves up.
+const ESCALATE_AFTER: u32 = 2;
+/// Per-node backoff band, matching the injection campaign's.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 impl MicroReboot {
     /// A microreboot strategy with a retry budget of `retries` attempts,
-    /// the default escalation threshold, and the default 50 ms–2 s
-    /// per-node backoff band jittered from `seed`.
+    /// an escalation threshold of two, and a 50 ms–2 s per-node backoff
+    /// band jittered from `seed`.
     pub fn new(retries: u32, seed: u64) -> MicroReboot {
-        MicroReboot::with_policy(
-            retries,
-            DEFAULT_ESCALATE_AFTER,
-            DEFAULT_BACKOFF_BASE,
-            DEFAULT_BACKOFF_CAP,
-            seed,
-        )
-    }
-
-    /// Full policy control: escalation threshold and backoff band.
-    pub(crate) fn with_policy(
-        retries: u32,
-        escalate_after: u32,
-        base: Duration,
-        cap: Duration,
-        seed: u64,
-    ) -> MicroReboot {
-        MicroReboot {
-            retries,
-            escalate_after,
-            base,
-            cap,
-            seed,
-            checkpoint: None,
-            tree: None,
-            pending: Vec::new(),
-        }
-    }
-
-    /// The restart tree, once [`RecoveryStrategy::on_start`] has seen a
-    /// partitioned application.
-    pub fn tree(&self) -> Option<&RestartTree> {
-        self.tree.as_ref()
-    }
-
-    /// The whole-process rung: byte-identical to
-    /// [`RestartRetry`](crate::RestartRetry)'s recovery action.
-    fn process_reboot(&self, app: &mut dyn Application, env: &mut Environment) {
-        env.on_generic_recovery(app.owner());
-        if let Some(cp) = &self.checkpoint {
-            app.restore(cp);
-        }
+        MicroReboot { restart: RestartRetry::new(retries), seed, tree: None, pending: Vec::new() }
     }
 }
 
@@ -297,18 +238,18 @@ impl RecoveryStrategy for MicroReboot {
         false
     }
 
-    fn on_start(&mut self, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+    fn on_start(&mut self, app: &mut dyn Application, env: &mut Environment) {
+        self.restart.on_start(app, env);
         if let Some(co) = app.as_crash_only() {
             let descs = co.components();
             self.pending = (0..descs.len()).map(|_| None).collect();
             self.tree =
-                Some(RestartTree::new(descs, self.escalate_after, self.base, self.cap, self.seed));
+                Some(RestartTree::new(descs, ESCALATE_AFTER, BACKOFF_BASE, BACKOFF_CAP, self.seed));
         }
     }
 
     fn on_success(&mut self, req: &Request, app: &mut dyn Application, env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+        self.restart.on_success(req, app, env);
         let routed = app.as_crash_only().map(|co| co.route(&req.body));
         if let (Some(c), Some(tree)) = (routed, self.tree.as_mut()) {
             tree.settle(c);
@@ -326,11 +267,7 @@ impl RecoveryStrategy for MicroReboot {
         attempt: u32,
     ) -> bool {
         // No request to route: fall back to the whole-process rung.
-        if attempt > self.retries {
-            return false;
-        }
-        self.process_reboot(app, env);
-        true
+        self.restart.on_failure(app, env, attempt)
     }
 
     fn on_failure_for(
@@ -341,7 +278,7 @@ impl RecoveryStrategy for MicroReboot {
         attempt: u32,
     ) -> bool {
         let routed = app.as_crash_only().map(|co| co.route(&req.body));
-        if attempt > self.retries {
+        if attempt > self.restart.retries() {
             if let (Some(c), Some(tree)) = (routed, self.tree.as_ref()) {
                 env.metrics.incr("micro.lost", tree.name(c), 1);
                 self.pending[c] = None;
@@ -383,7 +320,7 @@ impl RecoveryStrategy for MicroReboot {
                 env.metrics.incr("micro.reboot.subtree", name, 1);
             }
             RebootScope::Process => {
-                self.process_reboot(app, env);
+                self.restart.recover(app, env);
                 let label = match (routed, self.tree.as_ref()) {
                     (Some(c), Some(tree)) => tree.name(c),
                     _ => "unpartitioned",
@@ -458,14 +395,12 @@ mod tests {
     }
 
     #[test]
-    fn charge_sums_subtree_boot_costs_and_counts_reboots() {
+    fn charge_sums_subtree_boot_costs() {
         let mut t = tree(2);
         let solo = t.charge(RebootScope::Component(2));
         assert!(solo >= Duration::from_millis(10), "boot cost plus backoff");
         let sub = t.charge(RebootScope::Subtree(1));
         assert!(sub >= Duration::from_millis(20), "two members boot");
-        assert_eq!(t.reboots(2), 2, "leaf rebooted alone and inside the subtree");
-        assert_eq!(t.reboots(1), 1);
         assert_eq!(t.charge(RebootScope::Process), Duration::ZERO);
     }
 

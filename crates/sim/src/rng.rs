@@ -227,36 +227,6 @@ impl Xoshiro256StarStar {
         let mut sm = SplitMix64::new(seed);
         Xoshiro256StarStar { s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()] }
     }
-
-    /// Creates an independent stream by applying the `jump` polynomial,
-    /// equivalent to 2^128 calls of `next_u64`. Used to hand each simulated
-    /// subsystem its own non-overlapping stream from one master seed.
-    pub fn split(&mut self) -> Self {
-        let child = self.clone();
-        self.jump();
-        child
-    }
-
-    fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let mut acc = [0u64; 4];
-        for j in JUMP {
-            for bit in 0..64 {
-                if (j >> bit) & 1 == 1 {
-                    for (a, s) in acc.iter_mut().zip(self.s.iter()) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = acc;
-    }
 }
 
 impl DetRng for Xoshiro256StarStar {
@@ -403,21 +373,6 @@ mod tests {
         }
         let hits = (0..10_000).filter(|_| rng.chance(0.25)).count();
         assert!((2000..3000).contains(&hits), "p=0.25 hit {hits}/10000");
-    }
-
-    #[test]
-    fn split_streams_are_independent_and_deterministic() {
-        let mut master1 = Xoshiro256StarStar::seed_from(7);
-        let mut a1 = master1.split();
-        let mut b1 = master1.split();
-
-        let mut master2 = Xoshiro256StarStar::seed_from(7);
-        let mut a2 = master2.split();
-        let mut b2 = master2.split();
-
-        assert_eq!(a1.next_u64(), a2.next_u64());
-        assert_eq!(b1.next_u64(), b2.next_u64());
-        assert_ne!(a1.next_u64(), b1.next_u64());
     }
 
     #[test]

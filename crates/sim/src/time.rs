@@ -38,11 +38,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates a timestamp from microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
-
     /// Creates a timestamp from milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
@@ -202,7 +197,6 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_secs(3).as_nanos(), 3_000_000_000);
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(Duration::from_secs(2).as_nanos(), 2_000_000_000);
     }
 

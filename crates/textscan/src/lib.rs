@@ -93,7 +93,7 @@ impl HitSet {
     pub const EMPTY: HitSet = HitSet { words: [0; WORDS] };
 
     /// Marks `id` as hit.
-    pub fn insert(&mut self, id: PatternId) {
+    pub(crate) fn insert(&mut self, id: PatternId) {
         self.words[usize::from(id) / 64] |= 1 << (usize::from(id) % 64);
     }
 
@@ -119,11 +119,6 @@ impl HitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether every one of `ids` was hit (conjunction).
-    pub fn all_of(&self, ids: &[PatternId]) -> bool {
-        ids.iter().all(|&id| self.contains(id))
-    }
-
     /// The set containing exactly `ids`.
     pub fn of(ids: &[PatternId]) -> HitSet {
         let mut set = HitSet::EMPTY;
@@ -140,8 +135,8 @@ impl HitSet {
         self.words.iter().zip(&other.words).any(|(w, o)| w & o != 0)
     }
 
-    /// Whether every pattern in `other` is also in `self`. Equivalent to
-    /// [`Self::all_of`] over the ids `other` was built from.
+    /// Whether every pattern in `other` is also in `self`: the conjunction
+    /// of the ids `other` was built from.
     pub fn is_superset(&self, other: &HitSet) -> bool {
         self.words.iter().zip(&other.words).all(|(w, o)| w & o == *o)
     }
@@ -442,11 +437,6 @@ impl Automaton {
         self.patterns.len()
     }
 
-    /// The patterns, lowercased, indexed by [`PatternId`].
-    pub fn patterns(&self) -> &[String] {
-        &self.patterns
-    }
-
     /// Whether a bytewise fast path (Shift-And or DFA) is available
     /// (non-empty, all-ASCII pattern set).
     pub fn is_ascii(&self) -> bool {
@@ -724,9 +714,9 @@ mod tests {
         assert!(!h.contains(1));
         assert!(h.intersects(&HitSet::of(&[1, 64])));
         assert!(!h.intersects(&HitSet::of(&[1, 2])));
-        assert!(h.all_of(&[0, 63, 64, 255]));
-        assert!(!h.all_of(&[0, 1]));
-        assert!(h.all_of(&[]));
+        assert!(h.is_superset(&HitSet::of(&[0, 63, 64, 255])));
+        assert!(!h.is_superset(&HitSet::of(&[0, 1])));
+        assert!(h.is_superset(&HitSet::EMPTY));
         let mut other = HitSet::EMPTY;
         other.insert(7);
         h.or_assign(&other);

@@ -7,7 +7,10 @@
 //!   host's available parallelism, and at 2 and 4 threads with every
 //!   chunk size in `CHUNKS`;
 //! - the plain run gives the same report and an empty registry;
-//! - the report survives a JSON round trip.
+//! - the report survives a JSON round trip;
+//! - those bytes hash to the digest written beside the spec, so output
+//!   that changes across commits fails here. A change that alters a
+//!   report on purpose updates the digest and says why.
 
 use faultstudy::exec::ParallelSpec;
 use faultstudy::harness::{
@@ -39,15 +42,34 @@ fn bytes<C: Campaign>((report, registry): &(C, MetricsRegistry)) -> [String; 3] 
     [report_json, report.text(), registry_json]
 }
 
+/// FNV-1a-64 over the three byte strings, each preceded by its length as
+/// eight little-endian bytes (the benchmark's digest).
+fn fnv1a(parts: &[String; 3]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for part in parts {
+        eat(&(part.len() as u64).to_le_bytes());
+        eat(part.as_bytes());
+    }
+    hash
+}
+
 /// Holds `C` to the contract at `spec`; `parse` reads a report back from
-/// its JSON.
-fn keeps_the_contract<C>(spec: C::Spec, parse: fn(&str) -> serde_json::Result<C>)
+/// its JSON, and `digest` is the FNV-1a-64 of the 1-thread run's bytes.
+fn keeps_the_contract<C>(spec: C::Spec, parse: fn(&str) -> serde_json::Result<C>, digest: u64)
 where
     C: Campaign + PartialEq + Debug,
     C::Spec: Copy + Debug,
 {
     let reference = C::run(spec, ParallelSpec::SEQUENTIAL, true);
     let reference_bytes = bytes(&reference);
+    let got = fnv1a(&reference_bytes);
+    assert_eq!(got, digest, "{} {spec:?}: digest {got:#018x} differs from the pinned one", C::NAME);
     for parallel in executions() {
         let run = C::run(spec, parallel, true);
         assert_eq!(run.0, reference.0, "{} {spec:?}: report at {parallel:?}", C::NAME);
@@ -63,52 +85,64 @@ where
 
 #[test]
 fn recovery_matrix_keeps_the_contract() {
-    for seed in [77, 2000] {
-        keeps_the_contract::<RecoveryMatrix>(seed, serde_json::from_str);
+    for (seed, digest) in [(77, 0xf3fa_8b94_2fb9_0617), (2000, 0x28cc_809d_9a1a_35f2)] {
+        keeps_the_contract::<RecoveryMatrix>(seed, serde_json::from_str, digest);
     }
 }
 
 #[test]
 fn sampled_campaign_keeps_the_contract() {
-    for seed in [1, 7, 42, 2000] {
+    for (seed, digest) in [
+        (1, 0x3ad9_bd32_9a31_926c),
+        (7, 0xfd56_25bf_0de8_3b54),
+        (42, 0xaa05_5be9_dadf_49fd),
+        (2000, 0x91c3_cb51_7ca7_1c13),
+    ] {
         keeps_the_contract::<CampaignReport>(
             CampaignSpec { samples: 130, seed },
             serde_json::from_str,
+            digest,
         );
     }
 }
 
 #[test]
 fn inject_keeps_the_contract() {
-    keeps_the_contract::<InjectReport>(InjectSpec { seed: 2000 }, serde_json::from_str);
+    keeps_the_contract::<InjectReport>(
+        InjectSpec { seed: 2000 },
+        serde_json::from_str,
+        0x5b3b_bcf1_9fc4_c884,
+    );
 }
 
 #[test]
 fn traffic_keeps_the_contract_under_every_arrival_process() {
-    for arrival in ArrivalKind::ALL {
+    let digests = [0x52ce_2e4a_d382_a0a3, 0xa8e5_b7fc_73bf_a66b, 0xd149_1a81_6427_e6be];
+    for (arrival, digest) in ArrivalKind::ALL.into_iter().zip(digests) {
         let spec = LoadSpec { seed: 7, requests: 3_780, arrival };
-        keeps_the_contract::<TrafficReport>(spec, serde_json::from_str);
+        keeps_the_contract::<TrafficReport>(spec, serde_json::from_str, digest);
     }
 }
 
 #[test]
 fn micro_keeps_the_contract() {
     let spec = LoadSpec { seed: 5, requests: 6_000, arrival: ArrivalKind::Poisson };
-    keeps_the_contract::<MicroReport>(spec, serde_json::from_str);
+    keeps_the_contract::<MicroReport>(spec, serde_json::from_str, 0x3071_b9ac_864d_a662);
 }
 
 #[test]
 fn oblivious_keeps_the_contract() {
     let spec = LoadSpec { seed: 2000, requests: 6_000, arrival: ArrivalKind::Poisson };
-    keeps_the_contract::<ObliviousReport>(spec, serde_json::from_str);
+    keeps_the_contract::<ObliviousReport>(spec, serde_json::from_str, 0x68c6_a85f_edb7_8c79);
 }
 
 /// Every arrival process, since the console tick pops between session
 /// events; bursty arrivals bunch them between silences.
 #[test]
 fn graph_keeps_the_contract() {
-    for arrival in ArrivalKind::ALL {
+    let digests = [0x1281_e306_e2d7_7f8f, 0xc1f4_016c_809a_12dc, 0xad3f_afed_db71_d0d2];
+    for (arrival, digest) in ArrivalKind::ALL.into_iter().zip(digests) {
         let spec = LoadSpec { seed: 5, requests: 7_200, arrival };
-        keeps_the_contract::<GraphReport>(spec, serde_json::from_str);
+        keeps_the_contract::<GraphReport>(spec, serde_json::from_str, digest);
     }
 }
