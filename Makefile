@@ -16,8 +16,12 @@ bench:
 verify:
 	cargo run --release -p faultstudy-harness --bin faultstudy -- verify
 
+# The benchmark package sits outside the workspace, so each target
+# checks it on its own.
 fmt:
 	cargo fmt --all -- --check
+	cargo fmt --manifest-path benchmark/Cargo.toml -- --check
 
 lint:
 	cargo clippy --workspace --all-targets --locked -- -D warnings
+	cargo clippy --manifest-path benchmark/Cargo.toml --all-targets --locked -- -D warnings

@@ -1,28 +1,20 @@
-//! The shared scan set: every fixed pattern the study ever looks for in
+//! The shared scan set: every fixed pattern the classifier looks for in
 //! report text, compiled into **one** Aho–Corasick automaton.
 //!
 //! The [`lexicon`](crate::lexicon) conjunction rules (~60 distinct
-//! substrings), the [`evidence`](crate::evidence) reproducibility and
-//! retry cue lists, and the §4 keyword search used to traverse each
-//! report's text independently, for roughly 95 traversals plus three
-//! `to_lowercase` allocations per report. This module registers all of
-//! those patterns with a single [`Automaton`], compiled lazily once per
-//! process via [`OnceLock`], so one allocation-free pass per report field
-//! yields a [`HitSet`] that answers every question at once. Rule
-//! conjunctions, cue disjunctions, and the keyword test are then bitset
-//! probes.
+//! substrings) and the [`evidence`](crate::evidence) reproducibility and
+//! retry cue lists used to traverse each report's text independently,
+//! for roughly 95 traversals plus three `to_lowercase` allocations per
+//! report. This module registers all of those patterns (91 distinct)
+//! with a single [`Automaton`], compiled lazily once per process via
+//! [`OnceLock`], so one allocation-free pass per report field yields a
+//! [`HitSet`] that answers every question at once. Rule conjunctions and
+//! cue disjunctions are then bitset probes.
 //!
-//! The lexicon and the evidence extractor read the shared scan. The
-//! mining funnel's keyword stage does not: `faultstudy-mining`'s
-//! `KeywordQuery` compiles its four keywords into an automaton of its own,
-//! small enough for the bit-parallel engine, which scans a report in about
-//! half the time of this 95-pattern DFA. The keyword probe here,
-//! [`ScanSet::matches_mysql_keywords`], answers the same question from a
-//! scan the lexicon and the evidence already made.
-//!
-//! The §4 keyword list lives here (rather than in `faultstudy-mining`,
-//! which re-exports it) so the shared automaton can include it without a
-//! dependency cycle: this crate is below the mining crate in the graph.
+//! The mining funnel's §4 keyword stage does not read the shared scan:
+//! `faultstudy-mining`'s `KeywordQuery` compiles its four keywords into
+//! an automaton of its own, small enough for the bit-parallel engine,
+//! which scans a report in about half the time of this 91-pattern DFA.
 //!
 //! # Example
 //!
@@ -32,7 +24,6 @@
 //! let set = scanset::shared();
 //! let hits = set.hits_text("the file system is full and the server crashed");
 //! assert!(!set.conditions(&hits).is_empty());
-//! assert!(set.matches_mysql_keywords(&hits));
 //! ```
 
 use crate::evidence::{DETERMINISTIC_CUES, NONDETERMINISTIC_CUES, RETRY_SUCCESS_CUES};
@@ -41,10 +32,6 @@ use crate::report::BugReport;
 use faultstudy_env::condition::ConditionKind;
 use faultstudy_textscan::{Automaton, HitSet, PatternId, PatternSetBuilder};
 use std::sync::OnceLock;
-
-/// The paper's §4 mailing-list search keywords ("we use all the messages
-/// from the archives that matched one of the following keywords").
-pub const MYSQL_KEYWORDS: [&str; 4] = ["crash", "segmentation", "race", "died"];
 
 /// The compiled shared automaton plus the pattern-id views each consumer
 /// evaluates against a scan's [`HitSet`].
@@ -64,7 +51,6 @@ pub struct ScanSet {
     deterministic: HitSet,
     nondeterministic: HitSet,
     retry: HitSet,
-    mysql_keywords: HitSet,
 }
 
 /// The process-wide scan set, compiled on first use.
@@ -83,7 +69,6 @@ impl ScanSet {
         let deterministic = HitSet::of(&register(DETERMINISTIC_CUES));
         let nondeterministic = HitSet::of(&register(NONDETERMINISTIC_CUES));
         let retry = HitSet::of(&register(RETRY_SUCCESS_CUES));
-        let mysql_keywords = HitSet::of(&register(&MYSQL_KEYWORDS));
         let mut rule_union = HitSet::EMPTY;
         for (mask, _) in &rule_masks {
             rule_union.or_assign(mask);
@@ -97,7 +82,6 @@ impl ScanSet {
             deterministic,
             nondeterministic,
             retry,
-            mysql_keywords,
         }
     }
 
@@ -167,11 +151,6 @@ impl ScanSet {
     pub(crate) fn retry_succeeded(&self, hits: &HitSet) -> bool {
         hits.intersects(&self.retry)
     }
-
-    /// Whether any §4 MySQL search keyword hit.
-    pub fn matches_mysql_keywords(&self, hits: &HitSet) -> bool {
-        hits.intersects(&self.mysql_keywords)
-    }
 }
 
 #[cfg(test)]
@@ -188,15 +167,14 @@ mod tests {
         assert_eq!(set.deterministic.len(), DETERMINISTIC_CUES.len());
         assert_eq!(set.nondeterministic.len(), NONDETERMINISTIC_CUES.len());
         assert_eq!(set.retry.len(), RETRY_SUCCESS_CUES.len());
-        assert_eq!(set.mysql_keywords.len(), MYSQL_KEYWORDS.len());
         // Patterns shared between families (e.g. "works on a retry" is both
         // a lexicon pattern and a retry cue) deduplicate in the automaton.
         let registered: usize = RULES.iter().map(|r| r.all_of.len()).sum::<usize>()
             + DETERMINISTIC_CUES.len()
             + NONDETERMINISTIC_CUES.len()
-            + RETRY_SUCCESS_CUES.len()
-            + MYSQL_KEYWORDS.len();
+            + RETRY_SUCCESS_CUES.len();
         assert!(set.automaton().pattern_count() < registered, "duplicates collapsed");
+        assert_eq!(set.automaton().pattern_count(), 91);
     }
 
     #[test]
@@ -207,7 +185,6 @@ mod tests {
         assert_eq!(set.conditions(&hits), vec![ConditionKind::RaceCondition]);
         assert_eq!(set.deterministic_repro(&hits), Some(false));
         assert!(set.retry_succeeded(&hits));
-        assert!(set.matches_mysql_keywords(&hits));
     }
 
     #[test]
@@ -222,6 +199,5 @@ mod tests {
         let hits = set.hits_report(&r);
         assert_eq!(set.conditions(&hits), vec![ConditionKind::RaceCondition]);
         assert_eq!(set.deterministic_repro(&hits), Some(true), "'whenever' is in the body");
-        assert!(set.matches_mysql_keywords(&hits), "'race' is in the notes");
     }
 }

@@ -5,12 +5,13 @@
 //! The engine runs on the single-app engine's open-loop driver,
 //! [`drive_open_loop`] — sessions arrive on its event queue, think, and
 //! issue requests, and its tick runs the operator-console probe — but
-//! each request is served by `serve_chain`: a client-level retry loop
+//! each request is served by one `Chain`: a client-level retry loop
 //! around a web-tier call that may itself run a web-level retry loop
-//! around the db sub-call. Both loops share ONE chain deadline, so a
-//! storm of nested retries can never charge the user more than
-//! [`CHAIN_BUDGET`] — the end-to-end-timeout contract this module's tests
-//! pin under every plan, plane and retry budget.
+//! around the db sub-call. Every message of the chain crosses its channel
+//! through the chain's one `transfer`. Both loops share ONE chain
+//! deadline, so a storm of nested retries can never charge the user more
+//! than [`CHAIN_BUDGET`] — the end-to-end-timeout contract this module's
+//! tests pin under every plan, plane and retry budget.
 //!
 //! The two recovery planes differ only in what a detected channel fault
 //! costs and tears down:
@@ -152,11 +153,19 @@ impl GraphEdges {
         self.web_db.absorb(&other.web_db);
         self.ide_web.absorb(&other.ide_web);
     }
+
+    /// The three ledgers summed into one.
+    pub fn total(&self) -> EdgeStats {
+        let mut total = self.client_web;
+        total.absorb(&self.web_db);
+        total.absorb(&self.ide_web);
+        total
+    }
 }
 
 /// Per-unit graph outcome: the base request ledger plus the cascade,
 /// amplification, and recovery-plane accounting the campaign folds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct GraphUnitStats {
     /// The single-app ledger fields (offered/ok/dropped/latency/...).
     pub base: UnitStats,
@@ -180,28 +189,7 @@ pub struct GraphUnitStats {
     pub probes: u64,
 }
 
-impl Default for GraphUnitStats {
-    fn default() -> GraphUnitStats {
-        GraphUnitStats::new()
-    }
-}
-
 impl GraphUnitStats {
-    /// An empty ledger.
-    pub(crate) fn new() -> GraphUnitStats {
-        GraphUnitStats {
-            base: UnitStats::new(),
-            edges: GraphEdges::default(),
-            cascade_depth: Histogram::new(),
-            ttr: Histogram::new(),
-            db_first: 0,
-            db_seen: 0,
-            channel_recoveries: 0,
-            node_restarts: 0,
-            probes: 0,
-        }
-    }
-
     /// Requests the db tier saw per client chain that needed it — the
     /// downstream-amplification ratio. 1.0 means no retry ever re-drove
     /// the db; above 1.0 is retry amplification.
@@ -251,60 +239,12 @@ pub(crate) fn graph_mix() -> Vec<GraphRequest> {
     ]
 }
 
-/// An end-to-end deadline shared by every hop of one client chain.
-///
-/// A request that fans out across tiers (client → miniweb → minidb) gets
-/// ONE watchdog budget for the whole chain, fixed at the instant the
-/// chain begins. Each hop charges its hang-detection, timeout and reboot
-/// delays against the *remaining* budget via [`ChainDeadline::clamp`], so
-/// nested retries cannot stack per-hop deadlines past the outer budget —
-/// without this, a chain of H hops with per-hop watchdog W could burn H·W
-/// of user-visible time on a single request, which is exactly the
-/// end-to-end-timeout bug the fault-tolerance literature warns layered
-/// retry designs about.
-struct ChainDeadline {
-    deadline: SimTime,
-}
-
-impl ChainDeadline {
-    /// Opens a chain budget of `budget` starting at `now`.
-    fn new(now: SimTime, budget: Duration) -> ChainDeadline {
-        ChainDeadline { deadline: now.saturating_add(budget) }
-    }
-
-    /// Budget left at `now` (zero once expired).
-    fn remaining(&self, now: SimTime) -> Duration {
-        self.deadline.saturating_since(now)
-    }
-
-    /// Whether the budget is exhausted at `now`.
-    fn expired(&self, now: SimTime) -> bool {
-        self.remaining(now) == Duration::ZERO
-    }
-
-    /// Clamps a delay a hop wants to charge (a service time, a detection
-    /// timeout, a reboot) to the budget remaining at `now`.
-    fn clamp(&self, now: SimTime, want: Duration) -> Duration {
-        want.min(self.remaining(now))
-    }
-}
-
-/// The per-chain bookkeeping shared by both retry levels.
-struct ChainCtx {
-    chain: ChainDeadline,
-    first_fault: Option<SimTime>,
-    client_retries: u32,
-    /// Component the process plane last restarted; settled on success.
-    restarted: Option<usize>,
-    counted_db: bool,
-}
-
 /// Drives one unit of open-loop traffic across the graph under `plan`,
 /// with `plane` answering channel faults and `retry_budget` retries
 /// available at each level of the chain.
 ///
 /// Arrivals, sessions and the request ledger are [`drive_open_loop`]'s:
-/// it hands every request to `serve_chain` and ticks the console probe
+/// it hands every request to a new `Chain` and ticks the console probe
 /// every [`PROBE_EVERY`], each after the plan's due events are applied.
 #[allow(clippy::too_many_arguments)]
 pub fn run_graph(
@@ -318,14 +258,8 @@ pub fn run_graph(
     session_master: u64,
     recovery_seed: u64,
 ) -> GraphUnitStats {
-    let mut stats = GraphUnitStats::new();
-    let mut tree = RestartTree::new(
-        &GRAPH_COMPONENTS,
-        2,
-        Duration::from_millis(50),
-        Duration::from_secs(2),
-        recovery_seed,
-    );
+    let mut stats = GraphUnitStats::default();
+    let mut tree = RestartTree::new(&GRAPH_COMPONENTS, recovery_seed);
     let mix = graph_mix();
     let base = drive_open_loop(
         env,
@@ -337,9 +271,9 @@ pub fn run_graph(
         |env, req| {
             graph.apply_due(plan, env.now());
             match req {
-                Some(req) => {
-                    Some(serve_chain(graph, env, &mut tree, plane, retry_budget, req, &mut stats))
-                }
+                Some(req) => Some(
+                    Chain::new(graph, env, &mut tree, &mut stats, plane, retry_budget).serve(req),
+                ),
                 None => {
                     probe(graph, env, &mut stats);
                     None
@@ -379,457 +313,335 @@ fn probe(graph: &mut ServiceGraph, env: &mut Environment, stats: &mut GraphUnitS
     }
 }
 
-/// Serves one client chain end to end: a client-level retry loop around
-/// the web call, which may run a web-level retry loop around the db
-/// sub-call. One [`ChainDeadline`] bounds everything.
-fn serve_chain(
-    graph: &mut ServiceGraph,
-    env: &mut Environment,
-    tree: &mut RestartTree,
+/// One client chain in flight: the unit's graph, environment, restart
+/// tree and ledger, borrowed for the chain, plus the chain's own
+/// bookkeeping.
+///
+/// A request that fans out across tiers (client → miniweb → minidb) gets
+/// ONE watchdog budget for the whole chain, fixed at the instant the
+/// chain begins. Each hop charges its service, detection, timeout and
+/// reboot delays through `charge`, which clamps them to the *remaining*
+/// budget, so nested retries cannot stack per-hop deadlines past the
+/// outer budget — without this, a chain of H hops with per-hop watchdog
+/// W could burn H·W of user-visible time on a single request, which is
+/// exactly the end-to-end-timeout bug the fault-tolerance literature
+/// warns layered retry designs about.
+struct Chain<'a> {
+    graph: &'a mut ServiceGraph,
+    env: &'a mut Environment,
+    tree: &'a mut RestartTree,
+    stats: &'a mut GraphUnitStats,
     plane: PlaneKind,
-    retry_budget: u32,
-    req: &GraphRequest,
-    stats: &mut GraphUnitStats,
-) -> Answer {
-    let mut ctx = ChainCtx {
-        chain: ChainDeadline::new(env.now(), CHAIN_BUDGET),
-        first_fault: None,
-        client_retries: 0,
-        restarted: None,
-        counted_db: false,
-    };
-    loop {
-        if ctx.chain.expired(env.now()) {
-            return finish_dropped(&mut ctx, stats);
-        }
-        // Request leg: client → web over the client-web channel.
-        match transfer(
+    /// Retries allowed at each level of the chain.
+    budget: u32,
+    deadline: SimTime,
+    /// The chain's first fault instant: the start of its TTR span.
+    first_fault: Option<SimTime>,
+    client_retries: u32,
+    /// Component the process plane last restarted; settled on success.
+    restarted: Option<usize>,
+    /// Whether the chain is already counted in `db_first`.
+    counted_db: bool,
+}
+
+impl<'a> Chain<'a> {
+    /// Opens a chain at the environment's current instant, with
+    /// [`CHAIN_BUDGET`] to spend and `budget` retries at each level.
+    fn new(
+        graph: &'a mut ServiceGraph,
+        env: &'a mut Environment,
+        tree: &'a mut RestartTree,
+        stats: &'a mut GraphUnitStats,
+        plane: PlaneKind,
+        budget: u32,
+    ) -> Chain<'a> {
+        let deadline = env.now().saturating_add(CHAIN_BUDGET);
+        Chain {
             graph,
             env,
-            EdgeId::ClientWeb,
-            Leg::Request,
-            req.web.body.clone(),
-            plane,
             tree,
-            &mut ctx,
             stats,
-        ) {
-            Ok(()) => {}
-            Err(ChannelReset { .. }) => {
-                if retry_client(&mut ctx, retry_budget, env, stats) {
-                    continue;
-                }
-                return finish_dropped(&mut ctx, stats);
-            }
+            plane,
+            budget,
+            deadline,
+            first_fault: None,
+            client_retries: 0,
+            restarted: None,
+            counted_db: false,
         }
-        // Web service.
-        advance_clamped(env, &ctx.chain, WEB_SERVICE);
-        let web_result = graph.node(NodeId::Web).handle(&req.web, env);
-        let web_denied = match web_result {
-            Ok(resp) => !resp.is_ok(),
-            Err(_) => {
-                // An endpoint failure outside the wire corpus: treat it
-                // as a crash of the web tier and recover per plane.
-                stats.base.failures += 1;
-                note_fault(&mut ctx, env);
-                recover(graph, env, tree, plane, EdgeId::ClientWeb, NodeId::Web, &mut ctx, stats);
-                if retry_client(&mut ctx, retry_budget, env, stats) {
-                    continue;
+    }
+
+    /// Serves the chain end to end: the client's retry loop around
+    /// `web_call`, then the answer's cascade depth, TTR and restart-tree
+    /// settle.
+    fn serve(mut self, req: &GraphRequest) -> Answer {
+        let denied = loop {
+            match self.web_call(req) {
+                Ok(denied) => break denied,
+                Err(_) if self.retry(EdgeId::ClientWeb, self.client_retries) => {
+                    self.client_retries += 1;
                 }
-                return finish_dropped(&mut ctx, stats);
+                Err(_) => {
+                    // A defeated chain: user-visible loss is depth 3.
+                    if self.first_fault.is_some() {
+                        self.stats.cascade_depth.record(3);
+                    }
+                    return Answer::Dropped;
+                }
             }
         };
-        // Db sub-call, with its own web-level retry loop.
+        if let Some(t0) = self.first_fault {
+            let depth = if self.client_retries > 0 { 2 } else { 1 };
+            self.stats.cascade_depth.record(depth);
+            self.stats.ttr.record(self.env.now().saturating_since(t0).as_nanos());
+            if let Some(component) = self.restarted {
+                self.tree.settle(component);
+            }
+        }
+        Answer::Served { denied }
+    }
+
+    /// One client attempt: request leg, web service, the db sub-call if
+    /// the request has one, reply leg. `Ok` says whether the answer is a
+    /// denial.
+    fn web_call(&mut self, req: &GraphRequest) -> Result<bool, ChannelReset> {
+        let edge = EdgeId::ClientWeb;
+        if self.expired() {
+            return Err(ChannelReset { edge });
+        }
+        self.transfer(edge, Leg::Request, req.web.body.clone())?;
+        self.charge(WEB_SERVICE);
+        let web_denied = self.handle(edge, &req.web)?;
         let mut db_denied = false;
         if let Some(db_req) = &req.db {
-            if !ctx.counted_db {
-                ctx.counted_db = true;
-                stats.db_first += 1;
+            if !self.counted_db {
+                self.counted_db = true;
+                self.stats.db_first += 1;
             }
-            match serve_db(graph, env, tree, plane, retry_budget, db_req, &mut ctx, stats) {
-                Ok(denied) => db_denied = denied,
-                Err(ChannelReset { .. }) => {
-                    // The sub-call is gone past the web tier's budget:
-                    // propagate the typed reset upstream — the client is
-                    // the next level that may retry idempotently.
-                    if retry_client(&mut ctx, retry_budget, env, stats) {
-                        continue;
-                    }
-                    return finish_dropped(&mut ctx, stats);
-                }
-            }
+            // A sub-call gone past the web tier's budget propagates its
+            // typed reset upstream: the client is the next level that may
+            // retry idempotently.
+            db_denied = self.serve_db(db_req)?;
         }
-        // Reply leg: web → client. No corpus kind targets this leg, but
-        // the consult keeps the wire honest under future corpora.
-        match transfer(
-            graph,
-            env,
-            EdgeId::ClientWeb,
-            Leg::Reply,
-            Cow::Borrowed("reply"),
-            plane,
-            tree,
-            &mut ctx,
-            stats,
-        ) {
-            Ok(()) => {}
-            Err(ChannelReset { .. }) => {
-                if retry_client(&mut ctx, retry_budget, env, stats) {
-                    continue;
-                }
-                return finish_dropped(&mut ctx, stats);
-            }
-        }
-        return finish_served(&mut ctx, tree, env, stats, web_denied || db_denied);
+        // No corpus kind targets this leg, but the consult keeps the wire
+        // honest under future corpora.
+        self.transfer(edge, Leg::Reply, Cow::Borrowed("reply"))?;
+        Ok(web_denied || db_denied)
     }
-}
 
-/// The web tier's db sub-call: request leg, db service, reply leg, with
-/// up to `retry_budget` web-level retries before the failure propagates
-/// upstream as a [`ChannelReset`].
-#[allow(clippy::too_many_arguments)]
-fn serve_db(
-    graph: &mut ServiceGraph,
-    env: &mut Environment,
-    tree: &mut RestartTree,
-    plane: PlaneKind,
-    retry_budget: u32,
-    db_req: &Request,
-    ctx: &mut ChainCtx,
-    stats: &mut GraphUnitStats,
-) -> Result<bool, ChannelReset> {
-    let mut web_retries = 0u32;
-    loop {
-        if ctx.chain.expired(env.now()) {
-            return Err(ChannelReset { edge: EdgeId::WebDb });
-        }
-        // Request leg: web → db.
-        let body = db_req.body.clone();
-        if transfer(graph, env, EdgeId::WebDb, Leg::Request, body, plane, tree, ctx, stats).is_err()
-        {
-            if web_retries < retry_budget && !ctx.chain.expired(env.now()) {
-                web_retries += 1;
-                stats.edges.edge_mut(EdgeId::WebDb).retried += 1;
-                continue;
+    /// The web tier's db sub-call: its retry loop around `db_call`, with
+    /// up to `budget` web-level retries before the failure propagates
+    /// upstream as a [`ChannelReset`].
+    fn serve_db(&mut self, req: &Request) -> Result<bool, ChannelReset> {
+        let mut retries = 0;
+        loop {
+            match self.db_call(req) {
+                Err(_) if self.retry(EdgeId::WebDb, retries) => retries += 1,
+                answer => return answer,
             }
-            return Err(ChannelReset { edge: EdgeId::WebDb });
         }
+    }
+
+    /// One db attempt: request leg, db service, reply leg.
+    fn db_call(&mut self, req: &Request) -> Result<bool, ChannelReset> {
+        let edge = EdgeId::WebDb;
+        if self.expired() {
+            return Err(ChannelReset { edge });
+        }
+        self.transfer(edge, Leg::Request, req.body.clone())?;
         // Db service: the sub-call executes — this is the work retries
         // re-drive, the amplification the campaign prices.
-        advance_clamped(env, &ctx.chain, DB_SERVICE);
-        stats.db_seen += 1;
-        let denied = match graph.node(NodeId::Db).handle(db_req, env) {
-            Ok(resp) => !resp.is_ok(),
-            Err(_) => {
-                stats.base.failures += 1;
-                note_fault(ctx, env);
-                recover(graph, env, tree, plane, EdgeId::WebDb, NodeId::Db, ctx, stats);
-                if web_retries < retry_budget && !ctx.chain.expired(env.now()) {
-                    web_retries += 1;
-                    stats.edges.edge_mut(EdgeId::WebDb).retried += 1;
-                    continue;
-                }
-                return Err(ChannelReset { edge: EdgeId::WebDb });
-            }
-        };
+        self.charge(DB_SERVICE);
+        self.stats.db_seen += 1;
+        let denied = self.handle(edge, req)?;
         // Reply leg: db → web. This is where the send-side corpus bites.
-        match reply_transfer(graph, env, plane, tree, ctx, stats) {
-            ReplyOutcome::Delivered => return Ok(denied),
-            ReplyOutcome::Lost => {
-                if web_retries < retry_budget && !ctx.chain.expired(env.now()) {
-                    web_retries += 1;
-                    stats.edges.edge_mut(EdgeId::WebDb).retried += 1;
-                    continue;
-                }
-                return Err(ChannelReset { edge: EdgeId::WebDb });
+        self.transfer(edge, Leg::Reply, Cow::Borrowed("reply"))?;
+        Ok(denied)
+    }
+
+    /// Whether the level whose calls cross `edge`, having used `used`
+    /// retries, may retry once more: within the retry budget and before
+    /// the deadline. A granted retry is booked on `edge`.
+    fn retry(&mut self, edge: EdgeId, used: u32) -> bool {
+        let granted = used < self.budget && !self.expired();
+        if granted {
+            self.stats.edges.edge_mut(edge).retried += 1;
+        }
+        granted
+    }
+
+    /// Runs `req` on the node serving `edge`. A failure there is outside
+    /// the wire corpus; it is treated as a crash of that node and
+    /// recovered per plane. `Ok` says whether the answer is a denial.
+    fn handle(&mut self, edge: EdgeId, req: &Request) -> Result<bool, ChannelReset> {
+        match self.graph.node(edge.server()).handle(req, self.env) {
+            Ok(resp) => Ok(!resp.is_ok()),
+            Err(_) => {
+                self.fail();
+                self.recover(edge);
+                Err(ChannelReset { edge })
             }
         }
     }
-}
 
-/// What became of the db's reply.
-enum ReplyOutcome {
-    Delivered,
-    Lost,
-}
-
-/// Moves the db's reply across the web-db channel, consulting the fault
-/// state on the reply leg — the site of every send-side corpus kind.
-fn reply_transfer(
-    graph: &mut ServiceGraph,
-    env: &mut Environment,
-    plane: PlaneKind,
-    tree: &mut RestartTree,
-    ctx: &mut ChainCtx,
-    stats: &mut GraphUnitStats,
-) -> ReplyOutcome {
-    let edge = EdgeId::WebDb;
-    stats.edges.edge_mut(edge).sends += 1;
-    advance_clamped(env, &ctx.chain, TRANSFER);
-    let Some(kind) = graph.channel(edge).fault_for(Leg::Reply) else {
-        stats.edges.edge_mut(edge).delivered += 1;
-        return ReplyOutcome::Delivered;
-    };
-    stats.edges.edge_mut(edge).faults += 1;
-    stats.base.failures += 1;
-    note_fault(ctx, env);
-    match kind.behavior() {
-        FaultBehavior::CrashSender => {
-            // The db died after doing the work; the reply is gone.
-            stats.edges.edge_mut(edge).lost += 1;
-            recover(graph, env, tree, plane, edge, NodeId::Db, ctx, stats);
-            ReplyOutcome::Lost
-        }
-        FaultBehavior::CrashReceiver => {
-            stats.edges.edge_mut(edge).lost += 1;
-            recover(graph, env, tree, plane, edge, NodeId::Web, ctx, stats);
-            ReplyOutcome::Lost
-        }
-        FaultBehavior::LoseMessage => {
-            // Silent loss: the web tier only learns from its timeout.
-            stats.edges.edge_mut(edge).lost += 1;
-            advance_clamped(env, &ctx.chain, LOST_TIMEOUT);
-            stats.base.watchdog_fires += 1;
-            ReplyOutcome::Lost
-        }
-        FaultBehavior::Hang => {
-            // The channel wedges; hang detection converts the silence
-            // into a failure, then the plane repairs the channel.
-            advance_clamped(env, &ctx.chain, HANG_DETECT);
-            stats.base.watchdog_fires += 1;
-            stats.edges.edge_mut(edge).lost += 1;
-            recover(graph, env, tree, plane, edge, NodeId::Db, ctx, stats);
-            ReplyOutcome::Lost
-        }
-        FaultBehavior::HangAfterDeliver => {
-            // The reply WAS delivered; the sender's bookkeeping hangs and
-            // re-offers it once recovered — a duplicate, then success.
-            advance_clamped(env, &ctx.chain, HANG_DETECT);
-            stats.base.watchdog_fires += 1;
-            let e = stats.edges.edge_mut(edge);
-            e.delivered += 1;
-            e.duplicated += 1;
-            recover(graph, env, tree, plane, edge, NodeId::Db, ctx, stats);
-            ReplyOutcome::Delivered
-        }
-    }
-}
-
-/// Moves one message across `edge` on `leg`, consulting fault state.
-/// Returns the typed reset if the exchange was torn down. The body is a
-/// request's own `Cow`, so a borrowed one crosses the wire uncopied.
-#[allow(clippy::too_many_arguments)]
-fn transfer(
-    graph: &mut ServiceGraph,
-    env: &mut Environment,
-    edge: EdgeId,
-    leg: Leg,
-    body: Cow<'static, str>,
-    plane: PlaneKind,
-    tree: &mut RestartTree,
-    ctx: &mut ChainCtx,
-    stats: &mut GraphUnitStats,
-) -> Result<(), ChannelReset> {
-    stats.edges.edge_mut(edge).sends += 1;
-    advance_clamped(env, &ctx.chain, TRANSFER);
-    // Chains are synchronous in simulated time, so the queue is
-    // transit-only: the message goes on the wire and comes off it within
-    // the same exchange (the bounded-FIFO contract is pinned separately).
-    let _ = graph.channel(edge).send(body);
-    let fault = graph.channel(edge).fault_for(leg);
-    let _ = graph.channel(edge).recv();
-    let Some(kind) = fault else {
-        stats.edges.edge_mut(edge).delivered += 1;
-        return Ok(());
-    };
-    stats.edges.edge_mut(edge).faults += 1;
-    stats.base.failures += 1;
-    note_fault(ctx, env);
-    match kind.behavior() {
-        FaultBehavior::CrashReceiver | FaultBehavior::CrashSender => {
-            stats.edges.edge_mut(edge).lost += 1;
-            let endpoint = match edge {
-                EdgeId::ClientWeb | EdgeId::IdeWeb => NodeId::Web,
-                EdgeId::WebDb => NodeId::Db,
-            };
-            recover(graph, env, tree, plane, edge, endpoint, ctx, stats);
-            Err(ChannelReset { edge })
-        }
-        FaultBehavior::LoseMessage => {
-            stats.edges.edge_mut(edge).lost += 1;
-            advance_clamped(env, &ctx.chain, LOST_TIMEOUT);
-            stats.base.watchdog_fires += 1;
-            Err(ChannelReset { edge })
-        }
-        FaultBehavior::Hang | FaultBehavior::HangAfterDeliver => {
-            advance_clamped(env, &ctx.chain, HANG_DETECT);
-            stats.base.watchdog_fires += 1;
-            stats.edges.edge_mut(edge).lost += 1;
-            let endpoint = match edge {
-                EdgeId::ClientWeb | EdgeId::IdeWeb => NodeId::Web,
-                EdgeId::WebDb => NodeId::Db,
-            };
-            recover(graph, env, tree, plane, edge, endpoint, ctx, stats);
-            Err(ChannelReset { edge })
-        }
-    }
-}
-
-/// Runs the selected recovery plane for a fault on `edge` whose damaged
-/// endpoint is `node`.
-#[allow(clippy::too_many_arguments)]
-fn recover(
-    graph: &mut ServiceGraph,
-    env: &mut Environment,
-    tree: &mut RestartTree,
-    plane: PlaneKind,
-    edge: EdgeId,
-    node: NodeId,
-    ctx: &mut ChainCtx,
-    stats: &mut GraphUnitStats,
-) {
-    stats.base.recoveries += 1;
-    match plane {
-        PlaneKind::Channel => {
-            // Drain + reset only the faulted channel, microreboot only
-            // the endpoint, charge the (small) fixed costs.
-            let drained = graph.channel(edge).reset();
-            let e = stats.edges.edge_mut(edge);
-            e.resets += 1;
-            e.lost += drained;
-            graph.restore_node(node);
-            advance_clamped(env, &ctx.chain, CHANNEL_RESET + ENDPOINT_REBOOT);
-            stats.channel_recoveries += 1;
-        }
-        PlaneKind::Process => {
-            let component = node.component();
-            ctx.restarted = Some(component);
-            let scope = tree.plan(component);
-            let cost = tree.charge(scope);
-            match scope {
-                RebootScope::Component(i) => {
-                    restart_component(graph, i, stats);
-                    advance_clamped(env, &ctx.chain, cost);
-                }
-                RebootScope::Subtree(p) => {
-                    for m in tree.members(p) {
-                        restart_component(graph, m, stats);
-                    }
-                    advance_clamped(env, &ctx.chain, cost);
-                }
-                RebootScope::Process => {
-                    for n in NodeId::ALL {
-                        graph.restore_node(n);
-                        count_resets(graph.reset_channels_of(n), n, stats);
-                    }
-                    advance_clamped(env, &ctx.chain, PROCESS_REBOOT);
-                }
-            }
-            stats.node_restarts += 1;
-        }
-    }
-}
-
-/// Restarts one restart-tree component: restores its node's checkpoint
-/// and tears down the node's incident channels (index 0 is the service
-/// root, whose own restart is the members' job).
-fn restart_component(graph: &mut ServiceGraph, component: usize, stats: &mut GraphUnitStats) {
-    let node = match component {
-        1 => NodeId::Web,
-        2 => NodeId::Db,
-        3 => NodeId::Ide,
-        _ => return,
-    };
-    graph.restore_node(node);
-    count_resets(graph.reset_channels_of(node), node, stats);
-}
-
-/// Books the resets and drain losses a node restart inflicted on its
-/// incident channels.
-fn count_resets(drained: u64, node: NodeId, stats: &mut GraphUnitStats) {
-    for edge in EdgeId::ALL {
-        let touches = match edge {
-            EdgeId::ClientWeb => node == NodeId::Web,
-            EdgeId::WebDb => node == NodeId::Web || node == NodeId::Db,
-            EdgeId::IdeWeb => node == NodeId::Ide || node == NodeId::Web,
+    /// Moves one message across `edge` on `leg`; every message of the
+    /// chain crosses here. The fault the channel holds for the leg, if
+    /// any, decides the outcome, and the typed reset says the exchange was
+    /// torn down. The body is a request's own `Cow`, so a borrowed one
+    /// crosses the wire uncopied.
+    fn transfer(
+        &mut self,
+        edge: EdgeId,
+        leg: Leg,
+        body: Cow<'static, str>,
+    ) -> Result<(), ChannelReset> {
+        self.stats.edges.edge_mut(edge).sends += 1;
+        self.charge(TRANSFER);
+        // Chains are synchronous in simulated time, so the queue is
+        // transit-only: the message goes on the wire and comes off it
+        // within the same exchange (the bounded-FIFO contract is pinned
+        // separately), and every queue is empty when a recovery resets it.
+        let channel = self.graph.channel(edge);
+        let _ = channel.send(body);
+        let fault = channel.fault_for(leg);
+        let _ = channel.recv();
+        let Some(kind) = fault else {
+            self.stats.edges.edge_mut(edge).delivered += 1;
+            return Ok(());
         };
-        if touches {
-            stats.edges.edge_mut(edge).resets += 1;
+        self.stats.edges.edge_mut(edge).faults += 1;
+        self.fail();
+        match kind.behavior() {
+            FaultBehavior::CrashSender | FaultBehavior::CrashReceiver => {
+                // The receiver of a request or the sender of a reply died:
+                // either way the edge's server.
+                self.stats.edges.edge_mut(edge).lost += 1;
+                self.recover(edge);
+                Err(ChannelReset { edge })
+            }
+            FaultBehavior::LoseMessage => {
+                // Silent loss: the waiting side only learns from its timeout.
+                self.stats.edges.edge_mut(edge).lost += 1;
+                self.charge(LOST_TIMEOUT);
+                self.stats.base.watchdog_fires += 1;
+                Err(ChannelReset { edge })
+            }
+            FaultBehavior::Hang => {
+                // The channel wedges; hang detection converts the silence
+                // into a failure, then the plane repairs the channel.
+                self.charge(HANG_DETECT);
+                self.stats.base.watchdog_fires += 1;
+                self.stats.edges.edge_mut(edge).lost += 1;
+                self.recover(edge);
+                Err(ChannelReset { edge })
+            }
+            FaultBehavior::HangAfterDeliver => {
+                // The message WAS delivered; the sender's bookkeeping hangs
+                // and re-offers it once recovered — a duplicate, then
+                // success.
+                self.charge(HANG_DETECT);
+                self.stats.base.watchdog_fires += 1;
+                let e = self.stats.edges.edge_mut(edge);
+                e.delivered += 1;
+                e.duplicated += 1;
+                self.recover(edge);
+                Ok(())
+            }
         }
     }
-    // Drained messages were in flight on some incident edge; the graph
-    // reports only the total, which the ledger books against the node's
-    // primary edge.
-    let primary = match node {
-        NodeId::Web => EdgeId::ClientWeb,
-        NodeId::Db => EdgeId::WebDb,
-        NodeId::Ide => EdgeId::IdeWeb,
-    };
-    stats.edges.edge_mut(primary).lost += drained;
-}
 
-/// Notes the chain's first fault instant for the TTR span.
-fn note_fault(ctx: &mut ChainCtx, env: &Environment) {
-    ctx.first_fault.get_or_insert(env.now());
-}
-
-/// Books a client-level retry if budget and chain deadline allow.
-fn retry_client(
-    ctx: &mut ChainCtx,
-    retry_budget: u32,
-    env: &Environment,
-    stats: &mut GraphUnitStats,
-) -> bool {
-    if ctx.client_retries < retry_budget && !ctx.chain.expired(env.now()) {
-        ctx.client_retries += 1;
-        stats.edges.edge_mut(EdgeId::ClientWeb).retried += 1;
-        true
-    } else {
-        false
-    }
-}
-
-/// Closes a successful chain: cascade depth, TTR, restart-tree settle.
-fn finish_served(
-    ctx: &mut ChainCtx,
-    tree: &mut RestartTree,
-    env: &Environment,
-    stats: &mut GraphUnitStats,
-    denied: bool,
-) -> Answer {
-    if let Some(t0) = ctx.first_fault {
-        let depth = if ctx.client_retries > 0 { 2 } else { 1 };
-        stats.cascade_depth.record(depth);
-        stats.ttr.record(env.now().saturating_since(t0).as_nanos());
-        if let Some(component) = ctx.restarted.take() {
-            tree.settle(component);
+    /// Runs the selected recovery plane for a fault on `edge`, whose
+    /// damaged endpoint is the edge's server.
+    fn recover(&mut self, edge: EdgeId) {
+        let node = edge.server();
+        self.stats.base.recoveries += 1;
+        match self.plane {
+            PlaneKind::Channel => {
+                // Drain + reset only the faulted channel, microreboot only
+                // the endpoint, charge the (small) fixed costs.
+                self.reset(edge);
+                self.graph.restore_node(node);
+                self.charge(CHANNEL_RESET + ENDPOINT_REBOOT);
+                self.stats.channel_recoveries += 1;
+            }
+            PlaneKind::Process => {
+                let component = node.component();
+                self.restarted = Some(component);
+                let scope = self.tree.plan(component);
+                let cost = self.tree.charge(scope);
+                match scope {
+                    RebootScope::Component(i) => {
+                        self.restart(i);
+                        self.charge(cost);
+                    }
+                    RebootScope::Subtree(p) => {
+                        for m in self.tree.members(p) {
+                            self.restart(m);
+                        }
+                        self.charge(cost);
+                    }
+                    RebootScope::Process => {
+                        for node in NodeId::ALL {
+                            self.restart(node.component());
+                        }
+                        self.charge(PROCESS_REBOOT);
+                    }
+                }
+                self.stats.node_restarts += 1;
+            }
         }
     }
-    Answer::Served { denied }
-}
 
-/// Closes a defeated chain: user-visible loss is cascade depth 3.
-fn finish_dropped(ctx: &mut ChainCtx, stats: &mut GraphUnitStats) -> Answer {
-    if ctx.first_fault.is_some() {
-        stats.cascade_depth.record(3);
+    /// Restarts one restart-tree component: restores its node's
+    /// checkpoint and resets every channel the node touches. The
+    /// `service` root has no node; its restart is its members' job.
+    fn restart(&mut self, component: usize) {
+        let Some(node) = NodeId::of_component(component) else {
+            return;
+        };
+        self.graph.restore_node(node);
+        for edge in EdgeId::ALL {
+            if edge.touches(node) {
+                self.reset(edge);
+            }
+        }
     }
-    Answer::Dropped
-}
 
-/// Charges `want` to the clock, clamped to the chain budget remaining —
-/// a hop may detect, back off, and reboot only within what is left of
-/// the whole chain's deadline.
-fn advance_clamped(env: &mut Environment, chain: &ChainDeadline, want: Duration) {
-    let charge = chain.clamp(env.now(), want);
-    if charge > Duration::ZERO {
-        env.advance(charge);
+    /// Drains and resets `edge`'s channel, booking the reset and the
+    /// drained messages as lost on that edge.
+    fn reset(&mut self, edge: EdgeId) {
+        let drained = self.graph.channel(edge).reset();
+        let e = self.stats.edges.edge_mut(edge);
+        e.resets += 1;
+        e.lost += drained;
+    }
+
+    /// Counts a failure and notes the chain's first fault instant.
+    fn fail(&mut self) {
+        self.stats.base.failures += 1;
+        self.first_fault.get_or_insert(self.env.now());
+    }
+
+    /// Charges `want` to the clock, clamped to what is left of the
+    /// chain's deadline: a hop may detect, back off and reboot only within
+    /// the whole chain's budget.
+    fn charge(&mut self, want: Duration) {
+        let charge = want.min(self.deadline.saturating_since(self.env.now()));
+        if charge > Duration::ZERO {
+            self.env.advance(charge);
+        }
+    }
+
+    /// Whether the chain's deadline has passed.
+    fn expired(&self) -> bool {
+        self.env.now() >= self.deadline
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{graph_plans, ChannelFaultKind};
+    use crate::fault::{graph_plans, ChannelFaultKind, FaultSite};
     use crate::topology::ServiceGraph;
     use faultstudy_core::taxonomy::FaultClass;
     use faultstudy_sim::rng::split_seed;
@@ -930,16 +742,72 @@ mod tests {
         }
     }
 
+    /// `transfer` and `handle` recover the edge's server whatever the
+    /// fault. That is the endpoint the fault takes down because every
+    /// crash-receiver kind sits on a request leg, whose receiver is the
+    /// server, and every crash-sender and hang kind on a reply leg, whose
+    /// sender is the server. A hang-after-deliver completes its exchange,
+    /// which the chain has always granted on the db reply leg alone.
     #[test]
-    fn chain_deadline_clamps_and_expires() {
-        let t0 = SimTime::from_secs(10);
-        let chain = ChainDeadline::new(t0, Duration::from_secs(2));
-        assert_eq!(chain.remaining(t0), Duration::from_secs(2));
-        assert_eq!(chain.clamp(t0, Duration::from_secs(5)), Duration::from_secs(2));
-        assert_eq!(chain.clamp(t0, Duration::from_secs(1)), Duration::from_secs(1));
-        assert!(!chain.expired(t0));
-        assert!(chain.expired(SimTime::from_secs(12)));
-        assert_eq!(chain.remaining(SimTime::from_secs(13)), Duration::ZERO);
+    fn every_fault_takes_down_its_edge_server() {
+        let db_reply = FaultSite { edge: EdgeId::WebDb, leg: Leg::Reply };
+        for kind in ChannelFaultKind::ALL {
+            let site = kind.site();
+            match kind.behavior() {
+                FaultBehavior::CrashReceiver => assert_eq!(site.leg, Leg::Request, "{kind}"),
+                FaultBehavior::CrashSender | FaultBehavior::Hang => {
+                    assert_eq!(site.leg, Leg::Reply, "{kind}");
+                }
+                FaultBehavior::HangAfterDeliver => assert_eq!(site, db_reply, "{kind}"),
+                FaultBehavior::LoseMessage => {}
+            }
+        }
+    }
+
+    /// A process restart of web resets each channel web touches once and
+    /// books each drained message as lost on the edge it was drained from.
+    #[test]
+    fn a_process_restart_of_web_resets_each_edge_once_and_books_its_drain() {
+        let mut env = Environment::builder().seed(7).build();
+        let mut graph = ServiceGraph::new(&mut env);
+        for edge in EdgeId::ALL {
+            graph.channel(edge).send("queued").unwrap();
+        }
+        let mut tree = RestartTree::new(&GRAPH_COMPONENTS, 13);
+        let mut stats = GraphUnitStats::default();
+        let mut chain =
+            Chain::new(&mut graph, &mut env, &mut tree, &mut stats, PlaneKind::Process, 3);
+        chain.recover(EdgeId::ClientWeb);
+        for edge in EdgeId::ALL {
+            assert!(graph.channel(edge).recv().is_none(), "{edge:?} drained");
+        }
+        assert_eq!(stats.node_restarts, 1);
+        for e in [stats.edges.client_web, stats.edges.web_db, stats.edges.ide_web] {
+            assert_eq!((e.resets, e.lost), (1, 1));
+        }
+    }
+
+    #[test]
+    fn chain_charges_clamp_to_the_deadline_and_an_expired_chain_stops() {
+        let mut env = Environment::builder().seed(3).build();
+        let mut graph = ServiceGraph::new(&mut env);
+        let mut tree = RestartTree::new(&GRAPH_COMPONENTS, 13);
+        let mut stats = GraphUnitStats::default();
+        let t0 = env.now();
+        let mut chain =
+            Chain::new(&mut graph, &mut env, &mut tree, &mut stats, PlaneKind::Channel, 3);
+        chain.charge(Duration::from_secs(1));
+        assert_eq!(chain.env.now(), t0 + Duration::from_secs(1), "within budget, charged whole");
+        assert!(chain.retry(EdgeId::ClientWeb, 2), "budget and deadline allow a retry");
+        assert!(!chain.retry(EdgeId::ClientWeb, 3), "the level's retries are spent");
+        chain.charge(Duration::from_secs(5));
+        assert_eq!(chain.env.now(), t0 + CHAIN_BUDGET, "clamped to what is left");
+        assert!(!chain.retry(EdgeId::ClientWeb, 0), "past its deadline, a chain refuses retries");
+        assert!(chain.web_call(&graph_mix()[0]).is_err(), "and attempts nothing");
+        chain.charge(Duration::from_secs(1));
+        assert_eq!(chain.env.now(), t0 + CHAIN_BUDGET, "and is charged nothing more");
+        assert_eq!(stats.edges.client_web.retried, 1, "only the granted retry is booked");
+        assert_eq!(stats.edges.client_web.sends, 0);
     }
 
     /// Every plan × plane × retry budget, each chain timed from its
@@ -956,14 +824,8 @@ mod tests {
                     for budget in [0, 1, 3] {
                         let mut env = Environment::builder().seed(split_seed(seed, 0)).build();
                         let mut graph = ServiceGraph::new(&mut env);
-                        let mut tree = RestartTree::new(
-                            &GRAPH_COMPONENTS,
-                            2,
-                            Duration::from_millis(50),
-                            Duration::from_secs(2),
-                            split_seed(seed, 3),
-                        );
-                        let mut stats = GraphUnitStats::new();
+                        let mut tree = RestartTree::new(&GRAPH_COMPONENTS, split_seed(seed, 3));
+                        let mut stats = GraphUnitStats::default();
                         drive_open_loop(
                             &mut env,
                             &mix,
@@ -974,9 +836,10 @@ mod tests {
                             |env, req| {
                                 graph.apply_due(&plan, env.now());
                                 let start = env.now();
-                                let answer = serve_chain(
-                                    &mut graph, env, &mut tree, plane, budget, req?, &mut stats,
+                                let chain = Chain::new(
+                                    &mut graph, env, &mut tree, &mut stats, plane, budget,
                                 );
+                                let answer = chain.serve(req?);
                                 chains += 1;
                                 worst = worst.max(env.now() - start);
                                 Some(answer)

@@ -21,7 +21,8 @@
 //! - [`channel`] — bounded FIFO channels with three layers of injectable
 //!   fault state (one-shot / sticky / defect).
 //! - [`fault`] — the twelve-kind IPC corpus and its scheduled plans.
-//! - [`topology`] — the service graph and its restart-tree component view.
+//! - [`topology`] — the service graph, its topology table, and its
+//!   restart-tree component view.
 //! - [`engine`] — the open-loop chain engine, the two recovery planes,
 //!   and the per-unit cascade/amplification ledger.
 

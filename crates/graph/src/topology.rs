@@ -13,6 +13,12 @@
 //! volatile children, so escalation can take out one node, and
 //! ultimately the whole service, exactly as the microreboot ladder does
 //! for intra-process components.
+//!
+//! Every relation between nodes, edges and components is written once,
+//! here: the application each node runs, the topology table of each
+//! edge's channel and endpoints (its server is the node a fault on the
+//! edge takes down; restarting either endpoint tears the channel down),
+//! and the node ↔ component map.
 
 use crate::channel::Channel;
 use crate::fault::{EdgeId, GraphFaultEvent, GraphFaultPlan};
@@ -37,13 +43,51 @@ impl NodeId {
     /// Every node, in index order.
     pub const ALL: [NodeId; 3] = [NodeId::Web, NodeId::Db, NodeId::Ide];
 
-    /// The node's index in [`GRAPH_COMPONENTS`] (root is 0).
+    /// The node's index in [`GRAPH_COMPONENTS`]: node `i` of
+    /// [`NodeId::ALL`] is component `i + 1`, under the root at 0.
     pub(crate) fn component(self) -> usize {
-        match self {
-            NodeId::Web => 1,
-            NodeId::Db => 2,
-            NodeId::Ide => 3,
-        }
+        self as usize + 1
+    }
+
+    /// The node behind restart-tree component `component`, or `None` for
+    /// the `service` root.
+    pub(crate) fn of_component(component: usize) -> Option<NodeId> {
+        NodeId::ALL.get(component.checked_sub(1)?).copied()
+    }
+}
+
+/// The application each node runs, in [`NodeId::ALL`] order.
+const NODE_APPS: [AppKind; 3] = [AppKind::Apache, AppKind::Mysql, AppKind::Gnome];
+
+/// One edge of the topology table.
+struct EdgeEnds {
+    /// The channel's name.
+    name: &'static str,
+    /// The calling node, or `None` for the external clients.
+    client: Option<NodeId>,
+    /// The called node: the receiver of a request and the sender of a
+    /// reply, so the endpoint a fault on either leg takes down.
+    server: NodeId,
+}
+
+/// The topology table, in [`EdgeId::ALL`] order.
+const EDGES: [EdgeEnds; 3] = [
+    EdgeEnds { name: "client-web", client: None, server: NodeId::Web },
+    EdgeEnds { name: "web-db", client: Some(NodeId::Web), server: NodeId::Db },
+    EdgeEnds { name: "ide-web", client: Some(NodeId::Ide), server: NodeId::Web },
+];
+
+impl EdgeId {
+    /// The node serving the edge: the one a crash or hang on it takes down.
+    pub(crate) fn server(self) -> NodeId {
+        EDGES[self as usize].server
+    }
+
+    /// Whether `node` is an endpoint of the edge, so that restarting it
+    /// tears the edge's channel down.
+    pub(crate) fn touches(self, node: NodeId) -> bool {
+        let ends = &EDGES[self as usize];
+        ends.server == node || ends.client == Some(node)
     }
 }
 
@@ -81,60 +125,36 @@ pub const GRAPH_COMPONENTS: [ComponentDesc; 4] = [
 /// The wired service graph: three applications, three channels, and the
 /// unit-start checkpoints recovery restores endpoints from.
 pub struct ServiceGraph {
-    web: Box<dyn Application>,
-    db: Box<dyn Application>,
-    ide: Box<dyn Application>,
-    web_snapshot: AppState,
-    db_snapshot: AppState,
-    ide_snapshot: AppState,
-    client_web: Channel,
-    web_db: Channel,
-    ide_web: Channel,
+    /// The applications, in [`NodeId::ALL`] order.
+    apps: [Box<dyn Application>; 3],
+    /// Each application's unit-start checkpoint.
+    checkpoints: [AppState; 3],
+    /// The channels, in [`EdgeId::ALL`] order.
+    channels: [Channel; 3],
     /// Index of the next unapplied event in the active plan.
     cursor: usize,
 }
 
 impl ServiceGraph {
-    /// Spawns the three applications against `env` and wires the edges.
-    /// Checkpoints are taken at construction — they are the clean states
-    /// per-channel recovery microreboots endpoints back to.
+    /// Spawns the three applications against `env`, in [`NodeId::ALL`]
+    /// order, and wires the edges. Checkpoints are taken at construction —
+    /// they are the clean states per-channel recovery microreboots
+    /// endpoints back to.
     pub fn new(env: &mut Environment) -> ServiceGraph {
-        let web = spawn_app(AppKind::Apache, env);
-        let db = spawn_app(AppKind::Mysql, env);
-        let ide = spawn_app(AppKind::Gnome, env);
-        let web_snapshot = web.snapshot();
-        let db_snapshot = db.snapshot();
-        let ide_snapshot = ide.snapshot();
-        ServiceGraph {
-            web,
-            db,
-            ide,
-            web_snapshot,
-            db_snapshot,
-            ide_snapshot,
-            client_web: Channel::new("client-web"),
-            web_db: Channel::new("web-db"),
-            ide_web: Channel::new("ide-web"),
-            cursor: 0,
-        }
+        let apps = NODE_APPS.map(|kind| spawn_app(kind, env));
+        let checkpoints = apps.each_ref().map(|app| app.snapshot());
+        let channels = EDGES.map(|ends| Channel::new(ends.name));
+        ServiceGraph { apps, checkpoints, channels, cursor: 0 }
     }
 
     /// The channel behind `edge`.
     pub(crate) fn channel(&mut self, edge: EdgeId) -> &mut Channel {
-        match edge {
-            EdgeId::ClientWeb => &mut self.client_web,
-            EdgeId::WebDb => &mut self.web_db,
-            EdgeId::IdeWeb => &mut self.ide_web,
-        }
+        &mut self.channels[edge as usize]
     }
 
     /// The application at `node`.
     pub fn node(&mut self, node: NodeId) -> &mut dyn Application {
-        match node {
-            NodeId::Web => self.web.as_mut(),
-            NodeId::Db => self.db.as_mut(),
-            NodeId::Ide => self.ide.as_mut(),
-        }
+        self.apps[node as usize].as_mut()
     }
 
     /// Arms every plan event due at or before `now`, in schedule order.
@@ -156,29 +176,7 @@ impl ServiceGraph {
     /// Restores `node` to its unit-start checkpoint — the state half of
     /// an endpoint microreboot or a process restart.
     pub(crate) fn restore_node(&mut self, node: NodeId) {
-        match node {
-            NodeId::Web => self.web.restore(&self.web_snapshot),
-            NodeId::Db => self.db.restore(&self.db_snapshot),
-            NodeId::Ide => self.ide.restore(&self.ide_snapshot),
-        }
-    }
-
-    /// Resets every channel incident to `node`, returning messages lost
-    /// to the drains. Process-level restarts call this: rebooting an
-    /// endpoint necessarily tears down its channels too.
-    pub(crate) fn reset_channels_of(&mut self, node: NodeId) -> u64 {
-        let mut lost = 0;
-        for edge in EdgeId::ALL {
-            let touches = match edge {
-                EdgeId::ClientWeb => node == NodeId::Web,
-                EdgeId::WebDb => node == NodeId::Web || node == NodeId::Db,
-                EdgeId::IdeWeb => node == NodeId::Ide || node == NodeId::Web,
-            };
-            if touches {
-                lost += self.channel(edge).reset();
-            }
-        }
-        lost
+        self.apps[node as usize].restore(&self.checkpoints[node as usize]);
     }
 }
 
@@ -197,6 +195,19 @@ mod tests {
         validate_topology(&GRAPH_COMPONENTS).unwrap();
         let names = NodeId::ALL.map(|node| GRAPH_COMPONENTS[node.component()].name);
         assert_eq!(names, ["node-web", "node-db", "node-ide"]);
+        for node in NodeId::ALL {
+            assert_eq!(NodeId::of_component(node.component()), Some(node));
+        }
+        assert_eq!(NodeId::of_component(0), None, "the root is no node");
+        assert_eq!(NodeId::of_component(GRAPH_COMPONENTS.len()), None);
+    }
+
+    #[test]
+    fn the_table_wires_each_edge_to_its_endpoints() {
+        let servers = EdgeId::ALL.map(EdgeId::server);
+        assert_eq!(servers, [NodeId::Web, NodeId::Db, NodeId::Web]);
+        let touched = NodeId::ALL.map(|node| EdgeId::ALL.map(|edge| edge.touches(node)));
+        assert_eq!(touched, [[true, true, true], [false, true, false], [false, false, true]]);
     }
 
     #[test]
@@ -209,16 +220,5 @@ mod tests {
         let armed = graph.apply_due(plan, plan.horizon());
         assert_eq!(armed, plan.events.len() as u64);
         assert_eq!(graph.apply_due(plan, plan.horizon()), 0, "cursor never rewinds");
-    }
-
-    #[test]
-    fn process_restart_of_web_drains_its_incident_channels() {
-        let mut e = env();
-        let mut graph = ServiceGraph::new(&mut e);
-        graph.channel(EdgeId::ClientWeb).send("a").unwrap();
-        graph.channel(EdgeId::WebDb).send("b").unwrap();
-        graph.channel(EdgeId::IdeWeb).send("c").unwrap();
-        assert_eq!(graph.reset_channels_of(NodeId::Web), 3);
-        assert_eq!(graph.reset_channels_of(NodeId::Db), 0, "already drained");
     }
 }

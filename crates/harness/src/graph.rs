@@ -99,8 +99,7 @@ fn run_unit(
         split_seed(unit_seed, 2),
         split_seed(unit_seed, 3),
     );
-    let fired =
-        stats.edges.client_web.faults + stats.edges.web_db.faults + stats.edges.ide_web.faults;
+    let fired = stats.edges.total().faults;
     let cell = GraphCell {
         plan: plan.name.clone(),
         class: plan.class,
@@ -123,16 +122,9 @@ fn ledger_unit(registry: &mut MetricsRegistry, cell: &GraphCell) {
     registry.incr("graph.db.seen", &label, s.db_seen);
     registry.incr("graph.channel.recoveries", &label, s.channel_recoveries);
     registry.incr("graph.node.restarts", &label, s.node_restarts);
-    registry.incr(
-        "graph.edge.lost",
-        &label,
-        s.edges.client_web.lost + s.edges.web_db.lost + s.edges.ide_web.lost,
-    );
-    registry.incr(
-        "graph.edge.resets",
-        &label,
-        s.edges.client_web.resets + s.edges.web_db.resets + s.edges.ide_web.resets,
-    );
+    let edges = s.edges.total();
+    registry.incr("graph.edge.lost", &label, edges.lost);
+    registry.incr("graph.edge.resets", &label, edges.resets);
     registry.merge_histogram("graph.ttr.class", &label, s.ttr.clone());
     registry.merge_histogram("graph.cascade.depth", &label, s.cascade_depth.clone());
 }

@@ -56,13 +56,7 @@ proptest! {
     ) {
         let descs = web_components();
         let drive = |seed: u64| {
-            let mut tree = RestartTree::new(
-                descs,
-                2,
-                Duration::from_millis(50),
-                Duration::from_secs(2),
-                seed,
-            );
+            let mut tree = RestartTree::new(descs, seed);
             let mut scopes = Vec::new();
             let mut charges = Vec::new();
             for &(fail, component) in &ops {
@@ -96,13 +90,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let descs = web_components();
-        let mut tree = RestartTree::new(
-            descs,
-            2,
-            Duration::from_millis(50),
-            Duration::from_secs(2),
-            seed,
-        );
+        let mut tree = RestartTree::new(descs, seed);
         let scope = tree.plan(component);
         if descs[component].state_kind.crashable() {
             prop_assert_eq!(scope, RebootScope::Component(component));

@@ -8,10 +8,10 @@
 use faultstudy_core::report::BugReport;
 use faultstudy_textscan::{Automaton, PatternSetBuilder};
 
-/// The paper's MySQL mailing-list keywords. The canonical list lives in
-/// [`faultstudy_core::scanset`] so the shared automaton can compile it;
-/// this re-export keeps the historical path working.
-pub use faultstudy_core::scanset::MYSQL_KEYWORDS;
+/// The paper's §4 MySQL mailing-list search keywords ("we use all the
+/// messages from the archives that matched one of the following
+/// keywords").
+pub const MYSQL_KEYWORDS: [&str; 4] = ["crash", "segmentation", "race", "died"];
 
 /// A disjunctive, case-insensitive keyword query.
 ///

@@ -65,37 +65,38 @@ struct TreeNode {
 ///
 /// Escalation is a pure function of the [`RestartTree::plan`] /
 /// [`RestartTree::settle`] call sequence: each level of the tree absorbs
-/// `escalate_after` consecutive failures (its breaker's threshold) before
-/// the ladder moves one level up, and a settle closes every breaker on
-/// the failing component's ancestor chain. A threshold of zero disables
-/// escalation entirely — every failure stays scoped to its component.
+/// two consecutive failures (its breaker's threshold) before the ladder
+/// moves one level up, and a settle closes every breaker on the failing
+/// component's ancestor chain. Every node backs off in a 50 ms–2 s band.
+/// The graph's process plane and the microreboot strategy share this one
+/// policy.
 #[derive(Debug)]
 pub struct RestartTree {
     descs: &'static [ComponentDesc],
     nodes: Vec<TreeNode>,
 }
 
+/// Escalation threshold: each tree level absorbs two consecutive failures
+/// before the ladder moves up.
+const ESCALATE_AFTER: u32 = 2;
+/// Per-node backoff band, matching the injection campaign's.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
 impl RestartTree {
-    /// Builds the tree over an application's component slice with the
-    /// given escalation threshold and per-node backoff band. Per-node
+    /// Builds the tree over an application's component slice. Per-node
     /// jitter seeds derive from `seed` via `split_seed`.
     ///
     /// # Panics
     ///
     /// Panics if the component slice violates the topology invariants —
     /// an application bug, not a recoverable condition.
-    pub fn new(
-        descs: &'static [ComponentDesc],
-        escalate_after: u32,
-        base: Duration,
-        cap: Duration,
-        seed: u64,
-    ) -> RestartTree {
+    pub fn new(descs: &'static [ComponentDesc], seed: u64) -> RestartTree {
         validate_topology(descs).expect("crash-only component tree is well-formed");
         let nodes = (0..descs.len())
             .map(|i| TreeNode {
-                backoff: BackoffPolicy::new(base, cap, split_seed(seed, i as u64)),
-                breaker: CircuitBreaker::new(escalate_after),
+                backoff: BackoffPolicy::new(BACKOFF_BASE, BACKOFF_CAP, split_seed(seed, i as u64)),
+                breaker: CircuitBreaker::new(ESCALATE_AFTER),
                 streak: 0,
             })
             .collect();
@@ -210,13 +211,6 @@ pub struct MicroReboot {
     pending: Vec<Option<Span>>,
 }
 
-/// Escalation threshold: each tree level absorbs two consecutive failures
-/// before the ladder moves up.
-const ESCALATE_AFTER: u32 = 2;
-/// Per-node backoff band, matching the injection campaign's.
-const BACKOFF_BASE: Duration = Duration::from_millis(50);
-const BACKOFF_CAP: Duration = Duration::from_secs(2);
-
 impl MicroReboot {
     /// A microreboot strategy with a retry budget of `retries` attempts,
     /// an escalation threshold of two, and a 50 ms–2 s per-node backoff
@@ -243,8 +237,7 @@ impl RecoveryStrategy for MicroReboot {
         if let Some(co) = app.as_crash_only() {
             let descs = co.components();
             self.pending = (0..descs.len()).map(|_| None).collect();
-            self.tree =
-                Some(RestartTree::new(descs, ESCALATE_AFTER, BACKOFF_BASE, BACKOFF_CAP, self.seed));
+            self.tree = Some(RestartTree::new(descs, self.seed));
         }
     }
 
@@ -352,13 +345,13 @@ mod tests {
         comp("vault", StateKind::DurableHard, Some(0)),
     ];
 
-    fn tree(escalate_after: u32) -> RestartTree {
-        RestartTree::new(&TOY, escalate_after, Duration::from_millis(50), Duration::from_secs(2), 7)
+    fn tree() -> RestartTree {
+        RestartTree::new(&TOY, 7)
     }
 
     #[test]
     fn ladder_escalates_component_subtree_process() {
-        let mut t = tree(2);
+        let mut t = tree();
         // Each level absorbs two consecutive failures of the leaf.
         assert_eq!(t.plan(2), RebootScope::Component(2));
         assert_eq!(t.plan(2), RebootScope::Component(2));
@@ -372,31 +365,36 @@ mod tests {
 
     #[test]
     fn durable_hard_failures_go_straight_to_process() {
-        let mut t = tree(2);
+        let mut t = tree();
         assert_eq!(t.plan(3), RebootScope::Process);
         assert_eq!(t.plan(3), RebootScope::Process);
     }
 
     #[test]
     fn settle_closes_the_whole_ancestor_chain() {
-        let mut t = tree(1);
-        assert_eq!(t.plan(2), RebootScope::Component(2));
-        assert_eq!(t.plan(2), RebootScope::Subtree(1));
-        t.settle(2);
-        assert_eq!(t.plan(2), RebootScope::Component(2), "breakers closed by the success");
-    }
-
-    #[test]
-    fn zero_threshold_never_escalates() {
-        let mut t = tree(0);
-        for _ in 0..100 {
-            assert_eq!(t.plan(2), RebootScope::Component(2));
+        let mut t = tree();
+        let ladder = [
+            RebootScope::Component(2),
+            RebootScope::Component(2),
+            RebootScope::Subtree(1),
+            RebootScope::Subtree(1),
+            RebootScope::Subtree(0),
+        ];
+        for scope in ladder {
+            assert_eq!(t.plan(2), scope);
         }
+        t.settle(2);
+        // Leaf, mid and root each absorb their two failures afresh.
+        for scope in ladder {
+            assert_eq!(t.plan(2), scope, "breakers closed by the success");
+        }
+        assert_eq!(t.plan(2), RebootScope::Subtree(0));
+        assert_eq!(t.plan(2), RebootScope::Process);
     }
 
     #[test]
     fn charge_sums_subtree_boot_costs() {
-        let mut t = tree(2);
+        let mut t = tree();
         let solo = t.charge(RebootScope::Component(2));
         assert!(solo >= Duration::from_millis(10), "boot cost plus backoff");
         let sub = t.charge(RebootScope::Subtree(1));
@@ -407,7 +405,7 @@ mod tests {
     #[test]
     fn escalation_is_a_pure_function_of_the_call_sequence() {
         let drive = || {
-            let mut t = tree(2);
+            let mut t = tree();
             let mut scopes = Vec::new();
             for step in 0..40u32 {
                 if step % 7 == 6 {

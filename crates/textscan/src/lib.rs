@@ -16,7 +16,7 @@
 //! - a bit-parallel **Shift-And** loop over one `u64` when the non-empty
 //!   patterns total at most 64 bytes (the §4 keyword query is 25): one
 //!   shift, one or and one and per byte;
-//! - a classic **Aho–Corasick** DFA for every larger set (the ~95-pattern
+//! - a classic **Aho–Corasick** DFA for every larger set (the 91-pattern
 //!   shared scan set): one table load per byte over a transition table
 //!   that covers all 256 byte values, so no per-byte case or range check.
 //!
@@ -59,7 +59,7 @@ const WORDS: usize = 4;
 
 /// Maximum number of distinct patterns one automaton can hold: the
 /// [`HitSet`] capacity. 256 comfortably covers the shared scan set
-/// (lexicon rules + reproducibility cues + search keywords ≈ 95 patterns).
+/// (lexicon rules + reproducibility and retry cues: 91 patterns).
 pub const MAX_PATTERNS: usize = WORDS * 64;
 
 /// The byte alphabet the DFA transitions over. Patterns are ASCII, but the
@@ -189,7 +189,7 @@ impl PatternSetBuilder {
 ///   bytes: every pattern byte is one bit of a `u64`, and each text byte
 ///   costs one shift, one or and one and on that word. The §4 keyword
 ///   query (25 bytes) takes this engine.
-/// - **Aho–Corasick DFA** for every larger set (such as the ~95-pattern
+/// - **Aho–Corasick DFA** for every larger set (such as the 91-pattern
 ///   shared scan set): the standard three steps — goto trie, BFS failure
 ///   links, then full DFA conversion (every missing transition resolved
 ///   through the failure chain at build time) with output sets propagated

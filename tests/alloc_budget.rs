@@ -348,7 +348,7 @@ fn the_keyword_stage_allocates_nothing() {
     counts.push((format!("the §4 query over {} archive rows", columns.len()), n));
 
     // The §4 query's 25 bytes compile to Shift-And; these 71 bytes, and
-    // the ~95 patterns of the shared scan set, to the DFA.
+    // the 91 patterns of the shared scan set, to the DFA.
     let long = KeywordQuery::new([
         "hang",
         "deadlock",

@@ -98,9 +98,9 @@ fn single_keyword_pipelines_lose_recall() {
     assert!(any_smaller, "at least one single-keyword query must lose recall");
 }
 
-/// The shared one-pass scan agrees with the naive per-keyword and
-/// per-pattern scans on every report of the paper-scale MySQL archive:
-/// the same keyword verdict and the same evidence.
+/// The one-pass scans agree with the naive per-keyword and per-pattern
+/// scans on every report of the paper-scale MySQL archive: the §4 query
+/// gives the same keyword verdict, and the shared scan the same evidence.
 #[test]
 fn shared_scan_matches_the_naive_scans_on_the_paper_scale_archive() {
     let columns = SyntheticPopulation::generate(&PopulationSpec::paper_scale(AppKind::Mysql, 2000))
@@ -111,9 +111,7 @@ fn shared_scan_matches_the_naive_scans_on_the_paper_scale_archive() {
     for row in columns.iter() {
         let r = &row.materialize();
         let hits = set.hits_report(r);
-        let naive = query.matches_naive(r);
-        assert_eq!(set.matches_mysql_keywords(&hits), naive, "keyword verdict on {}", r.id);
-        assert_eq!(query.matches(r), naive, "keyword verdict on {}", r.id);
+        assert_eq!(query.matches(r), query.matches_naive(r), "keyword verdict on {}", r.id);
         assert_eq!(Evidence::from_hits(&hits), Evidence::extract_naive(r), "evidence on {}", r.id);
     }
 }
