@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test bench verify fmt lint
+.PHONY: build test bench verify soak docs fmt lint
 
 build:
 	cargo build --release
@@ -15,6 +15,16 @@ bench:
 
 verify:
 	cargo run --release -p faultstudy-harness --bin faultstudy -- verify
+
+# CI's release soak: only a release build runs the million-sample campaign
+# and the million-request stream, and the allocation budgets must hold on
+# the optimized build too.
+soak:
+	cargo test --release --locked -q --test soak --test alloc_budget
+
+# CI's docs step: a broken intra-doc link fails it.
+docs:
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The benchmark package sits outside the workspace, so each target
 # checks it on its own.

@@ -3,6 +3,7 @@
 use crate::minidb::DbState;
 use crate::minide::DeState;
 use crate::miniweb::WebState;
+use crate::text::Text;
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::CrashOnly;
@@ -53,15 +54,19 @@ impl fmt::Display for Request {
     }
 }
 
-/// A successful (or gracefully failed) response. Fixed answers borrow
-/// their text, so answering with a literal allocates nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A successful (or gracefully failed) response.
+///
+/// The payload is a [`Text`]: literal answers borrow their text, and the
+/// formatted ones (`200 OK {path}`, `connected {client}`) keep their
+/// pieces and render only when displayed, so answering a request whose
+/// body and client are borrowed allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// The request was served; payload is application-specific.
-    Ok(Cow<'static, str>),
+    Ok(Text),
     /// The application detected a problem and reported it without failing
     /// (e.g. an SQL syntax error). Not a fault manifestation.
-    Denied(Cow<'static, str>),
+    Denied(Text),
 }
 
 impl Response {
@@ -72,16 +77,17 @@ impl Response {
 }
 
 /// A high-impact failure: the manifestations the study selects for —
-/// crashes, hangs, and hard error returns (§4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// crashes, hangs, and hard error returns (§4). The reason is a [`Text`],
+/// rendered only if a defeated run reports it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AppFailure {
     /// The process died (segfault, abort, assertion).
-    Crash(Cow<'static, str>),
+    Crash(Text),
     /// The process stopped responding.
-    Hang(Cow<'static, str>),
+    Hang(Text),
     /// The operation failed hard with an error the application could not
     /// mask (e.g. every write failing on a full filesystem).
-    ErrorReturn(Cow<'static, str>),
+    ErrorReturn(Text),
 }
 
 impl fmt::Display for AppFailure {

@@ -30,11 +30,13 @@ pub mod minidb;
 pub mod minide;
 pub mod miniweb;
 pub mod race;
+pub mod text;
 
 pub use app::{AppFailure, AppState, Application, InjectError, Request, Response};
 pub use minidb::MiniDb;
 pub use minide::MiniDe;
 pub use miniweb::MiniWeb;
+pub use text::Text;
 
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::Environment;

@@ -12,13 +12,13 @@
 
 use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
 use crate::race::RaceGadget;
+use crate::text::{Arg, Text};
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::dns::Lookup;
 use faultstudy_env::fs::FsError;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::{ComponentDesc, CrashOnly, StateKind};
 use faultstudy_sim::time::Duration;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -218,7 +218,7 @@ impl MiniDb {
         self.state.enabled_bugs.contains(slug)
     }
 
-    fn ok(&mut self, msg: impl Into<Cow<'static, str>>) -> Result<Response, AppFailure> {
+    fn ok(&mut self, msg: impl Into<Text>) -> Result<Response, AppFailure> {
         Ok(Response::Ok(msg.into()))
     }
 
@@ -448,24 +448,24 @@ impl MiniDb {
                 "null hostname from unconfigured reverse DNS dereferenced".into(),
             )),
             Lookup::NoRecord | Lookup::ServerError => {
-                self.ok(format!("connected (unresolved {})", req.client))
+                self.ok(Text::new("connected (unresolved ", &req.client, ")"))
             }
-            Lookup::Resolved { .. } => self.ok(format!("connected {}", req.client)),
+            Lookup::Resolved { .. } => self.ok(Text::new("connected ", &req.client, "")),
         }
     }
 
     fn race(
         &mut self,
         slug: &str,
-        what: &str,
+        what: &'static str,
         env: &mut Environment,
     ) -> Result<Response, AppFailure> {
         if !self.bug(slug) {
-            return self.ok(format!("{what} complete"));
+            return self.ok(Text::new(what, " complete", ""));
         }
         match RaceGadget::default().run(env.current_interleaving()) {
-            Ok(()) => self.ok(format!("{what} complete")),
-            Err(reason) => Err(AppFailure::Crash(format!("{what}: {reason}").into())),
+            Ok(()) => self.ok(Text::new(what, " complete", "")),
+            Err(reason) => Err(AppFailure::Crash(Text::new(what, ": ", reason))),
         }
     }
 }
@@ -516,7 +516,11 @@ impl Application for MiniDb {
         }
         if let Some(slug) = body.strip_prefix("PROBE ") {
             return if self.bug(slug) {
-                Err(AppFailure::Crash(format!("deterministic defect {slug} triggered").into()))
+                Err(AppFailure::Crash(Text::new(
+                    "deterministic defect ",
+                    Arg::part_of(&req.body, slug),
+                    " triggered",
+                )))
             } else {
                 self.ok("probe passed")
             };
@@ -573,7 +577,11 @@ impl Application for MiniDb {
             "SHUTDOWN" => self.race("mysql-edt-01", "shutdown", env),
             "ADMIN KILL" => self.race("mysql-edt-02", "admin command", env),
             "PING" => self.ok("pong"),
-            other => Ok(Response::Denied(format!("syntax error near: {other}").into())),
+            other => Ok(Response::Denied(Text::new(
+                "syntax error near: ",
+                Arg::part_of(&req.body, other),
+                "",
+            ))),
         }
     }
 
@@ -1038,7 +1046,7 @@ mod tests {
         db.inject("mysql-edn-04", &mut env).unwrap();
         let req = db.trigger_request("mysql-edn-04").unwrap();
         match db.handle(&req, &mut env) {
-            Err(AppFailure::ErrorReturn(msg)) => assert!(msg.contains("full")),
+            Err(AppFailure::ErrorReturn(msg)) => assert!(msg.to_string().contains("full")),
             other => panic!("expected hard error, got {other:?}"),
         }
     }

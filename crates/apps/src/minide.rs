@@ -10,12 +10,12 @@
 
 use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
 use crate::race::RaceGadget;
+use crate::text::{Arg, Text};
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::fs::FsError;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::{ComponentDesc, CrashOnly, StateKind};
 use faultstudy_sim::time::Duration;
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -64,11 +64,11 @@ impl MiniDe {
         self.state.enabled_bugs.contains(slug)
     }
 
-    fn ok(&mut self, msg: impl Into<Cow<'static, str>>) -> Result<Response, AppFailure> {
+    fn ok(&mut self, msg: impl Into<Text>) -> Result<Response, AppFailure> {
         Ok(Response::Ok(msg.into()))
     }
 
-    fn click(&mut self, widget: &str) -> Result<Response, AppFailure> {
+    fn click(&mut self, widget: &str, req: &Request) -> Result<Response, AppFailure> {
         match widget {
             "pager-tasklist-tab" if self.bug("gnome-ei-01") => {
                 Err(AppFailure::Crash("pager died on the tasklist settings tab".into()))
@@ -82,17 +82,17 @@ impl MiniDe {
             "desktop-dismiss-menu" if self.bug("gnome-ei-05") => {
                 Err(AppFailure::Hang("grab handling deadlocked dismissing the menu".into()))
             }
-            _ => self.ok(format!("clicked {widget}")),
+            _ => self.ok(Text::new("clicked ", Arg::part_of(&req.body, widget), "")),
         }
     }
 
-    fn open_icon(&mut self, path: &str) -> Result<Response, AppFailure> {
+    fn open_icon(&mut self, path: &str, req: &Request) -> Result<Response, AppFailure> {
         if path.ends_with(".tar.gz") && self.bug("gnome-ei-04") {
             return Err(AppFailure::Crash(
                 "gmc: size declared long instead of unsigned long".into(),
             ));
         }
-        self.ok(format!("opened {path}"))
+        self.ok(Text::new("opened ", Arg::part_of(&req.body, path), ""))
     }
 
     fn open_display(&mut self, env: &Environment) -> Result<Response, AppFailure> {
@@ -122,12 +122,21 @@ impl MiniDe {
         }
     }
 
-    fn edit_properties(&mut self, path: &str, env: &Environment) -> Result<Response, AppFailure> {
+    fn edit_properties(
+        &mut self,
+        path: &str,
+        req: &Request,
+        env: &Environment,
+    ) -> Result<Response, AppFailure> {
         match env.fs.stat_checked(path) {
             Ok(_) => self.ok(format!("properties of {path}")),
-            Err(FsError::CorruptMetadata(_)) if self.bug("gnome-edn-03") => Err(AppFailure::Crash(
-                format!("properties dialog crashed on illegal owner field of {path}").into(),
-            )),
+            Err(FsError::CorruptMetadata(_)) if self.bug("gnome-edn-03") => {
+                Err(AppFailure::Crash(Text::new(
+                    "properties dialog crashed on illegal owner field of ",
+                    Arg::part_of(&req.body, path),
+                    "",
+                )))
+            }
             Err(e) => Ok(Response::Denied(format!("cannot stat {path}: {e}").into())),
         }
     }
@@ -135,15 +144,15 @@ impl MiniDe {
     fn race(
         &mut self,
         slug: &str,
-        what: &str,
+        what: &'static str,
         env: &mut Environment,
     ) -> Result<Response, AppFailure> {
         if !self.bug(slug) {
-            return self.ok(format!("{what} done"));
+            return self.ok(Text::new(what, " done", ""));
         }
         match RaceGadget::default().run(env.current_interleaving()) {
-            Ok(()) => self.ok(format!("{what} done")),
-            Err(reason) => Err(AppFailure::Crash(format!("{what}: {reason}").into())),
+            Ok(()) => self.ok(Text::new(what, " done", "")),
+            Err(reason) => Err(AppFailure::Crash(Text::new(what, ": ", reason))),
         }
     }
 }
@@ -161,19 +170,23 @@ impl Application for MiniDe {
         let body = &*req.body;
         if let Some(slug) = body.strip_prefix("PROBE ") {
             return if self.bug(slug) {
-                Err(AppFailure::Crash(format!("deterministic defect {slug} triggered").into()))
+                Err(AppFailure::Crash(Text::new(
+                    "deterministic defect ",
+                    Arg::part_of(&req.body, slug),
+                    " triggered",
+                )))
             } else {
                 self.ok("probe passed")
             };
         }
         if let Some(widget) = body.strip_prefix("CLICK ") {
-            return self.click(widget);
+            return self.click(widget, req);
         }
         if let Some(path) = body.strip_prefix("OPEN ") {
-            return self.open_icon(path);
+            return self.open_icon(path, req);
         }
         if let Some(path) = body.strip_prefix("EDIT-PROPS ") {
-            return self.edit_properties(path, env);
+            return self.edit_properties(path, req, env);
         }
         // gnome-ei-18: gnumeric's recursive-descent formula parser has no
         // depth limit; the healthy build bounds it.
@@ -214,7 +227,7 @@ impl Application for MiniDe {
             }
             "VIEW-AND-EDIT" => self.race("gnome-edt-02", "image view with property edit", env),
             "REMOVE-APPLET" => self.race("gnome-edt-03", "applet removal", env),
-            other => Ok(Response::Denied(format!("no such action: {other}").into())),
+            _ => Ok(Response::Denied(Text::new("no such action: ", &req.body, ""))),
         }
     }
 

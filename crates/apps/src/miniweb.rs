@@ -10,6 +10,7 @@
 //! operating environment exactly as their bug reports describe.
 
 use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
+use crate::text::{Arg, Text};
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::dns::Lookup;
 use faultstudy_env::fs::FsError;
@@ -210,24 +211,31 @@ impl MiniWeb {
 
         self.log_access(env)?;
         self.state.served += 1;
-        Ok(Response::Ok(format!("200 OK {path}").into()))
+        Ok(Response::Ok(Text::new("200 OK ", Arg::part_of(&req.body, path), "")))
     }
 
-    fn resolve(&mut self, host: &str, env: &mut Environment) -> Result<Response, AppFailure> {
+    fn resolve(
+        &mut self,
+        host: &str,
+        req: &Request,
+        env: &mut Environment,
+    ) -> Result<Response, AppFailure> {
         match env.dns.resolve(host, env.now()) {
             Lookup::Resolved { latency, .. } => {
                 if latency > REQUEST_TIMEOUT && self.bug("apache-edt-05") {
                     return Err(AppFailure::Hang("request stalled on slow DNS".into()));
                 }
                 self.state.served += 1;
-                Ok(Response::Ok(format!("resolved {host}").into()))
+                Ok(Response::Ok(Text::new("resolved ", Arg::part_of(&req.body, host), "")))
             }
             Lookup::ServerError if self.bug("apache-edt-01") => {
                 Err(AppFailure::Crash("unchecked DNS error dereferenced".into()))
             }
-            Lookup::ServerError | Lookup::NoRecord => {
-                Ok(Response::Denied(format!("cannot resolve {host}").into()))
-            }
+            Lookup::ServerError | Lookup::NoRecord => Ok(Response::Denied(Text::new(
+                "cannot resolve ",
+                Arg::part_of(&req.body, host),
+                "",
+            ))),
         }
     }
 
@@ -283,7 +291,7 @@ impl MiniWeb {
         }
         let killed = env.procs.kill_all_of(self.owner);
         self.state.leak_units = 0;
-        Ok(Response::Ok(format!("rejuvenated: {killed} children reaped").into()))
+        Ok(Response::Ok(Text::new("rejuvenated: ", u64::from(killed), " children reaped")))
     }
 }
 
@@ -300,14 +308,18 @@ impl Application for MiniWeb {
         let body = &*req.body;
         if let Some(slug) = body.strip_prefix("PROBE ") {
             return if self.bug(slug) {
-                Err(AppFailure::Crash(format!("deterministic defect {slug} triggered").into()))
+                Err(AppFailure::Crash(Text::new(
+                    "deterministic defect ",
+                    Arg::part_of(&req.body, slug),
+                    " triggered",
+                )))
             } else {
                 self.state.served += 1;
                 Ok(Response::Ok("probe passed".into()))
             };
         }
         if let Some(host) = body.strip_prefix("RESOLVE ") {
-            return self.resolve(host, env);
+            return self.resolve(host, req, env);
         }
         if let Some(path) = body.strip_prefix("GET ") {
             return self.serve_get(path, req, env);
@@ -324,7 +336,7 @@ impl Application for MiniWeb {
                 return Ok(Response::Denied("realm too long".into()));
             }
             self.state.served += 1;
-            return Ok(Response::Ok(format!("401 realm={realm}").into()));
+            return Ok(Response::Ok(Text::new("401 realm=", Arg::part_of(&req.body, realm), "")));
         }
         // apache-ei-19: `n` pipelined requests on one keep-alive
         // connection; the buggy per-connection counter is a signed short.
@@ -332,7 +344,7 @@ impl Application for MiniWeb {
             let Ok(n) = n.trim().parse::<u64>() else {
                 return Ok(Response::Denied("bad keepalive count".into()));
             };
-            self.state.keepalive_count += n;
+            self.state.keepalive_count = self.state.keepalive_count.saturating_add(n);
             if self.state.keepalive_count >= KEEPALIVE_WRAP {
                 if self.bug("apache-ei-19") {
                     return Err(AppFailure::Crash(
@@ -343,14 +355,14 @@ impl Application for MiniWeb {
                 self.state.keepalive_count = 0;
             }
             self.state.served += 1;
-            return Ok(Response::Ok(format!("served {n} pipelined requests").into()));
+            return Ok(Response::Ok(Text::new("served ", n, " pipelined requests")));
         }
         match body {
             "HUP" => self.sighup(env),
             "SPAWN" => self.spawn_child(env),
             "BIND" => self.bind_listener(env),
             "SSL" => self.ssl_handshake(env),
-            _ => Ok(Response::Denied(format!("400 bad request: {body}").into())),
+            _ => Ok(Response::Denied(Text::new("400 bad request: ", &req.body, ""))),
         }
     }
 
@@ -896,6 +908,23 @@ mod tests {
         let mut fresh = MiniWeb::new(&mut fresh_env);
         fresh.inject("apache-ei-19", &mut fresh_env).unwrap();
         assert!(fresh.handle(&Request::new("KEEPALIVE 100"), &mut fresh_env).unwrap().is_ok());
+    }
+
+    #[test]
+    fn a_huge_keepalive_count_saturates_the_counter() {
+        // 5 + u64::MAX saturates the counter past the wrap limit instead
+        // of overflowing it.
+        let huge = Request::new("KEEPALIVE 18446744073709551615");
+        let (mut env, mut web) = setup();
+        web.handle(&Request::new("KEEPALIVE 5"), &mut env).unwrap();
+        let resp = web.handle(&huge, &mut env).unwrap();
+        assert_eq!(resp, Response::Ok("served 18446744073709551615 pipelined requests".into()));
+        assert_eq!(web.state.keepalive_count, 0, "the healthy build recycles the connection");
+
+        let (mut env, mut web) = setup();
+        web.inject("apache-ei-19", &mut env).unwrap();
+        web.handle(&Request::new("KEEPALIVE 5"), &mut env).unwrap();
+        assert!(matches!(web.handle(&huge, &mut env), Err(AppFailure::Crash(_))));
     }
 
     #[test]

@@ -41,7 +41,8 @@ impl RaceGadget {
     /// Runs the two tasks under `interleaver`.
     ///
     /// Returns `Ok(())` if the user used the resource before the remover
-    /// freed it, or `Err(reason)` for the crashing interleavings.
+    /// freed it, or `Err(reason)` for the crashing interleavings; the
+    /// reason is a literal, so a crashing run allocates nothing.
     ///
     /// # Example
     ///
@@ -54,7 +55,7 @@ impl RaceGadget {
     /// let crashing = Interleaver::Fixed(vec![1, 1, 1, 0, 0, 0]);
     /// assert!(gadget.run(crashing).is_err());
     /// ```
-    pub fn run(&self, interleaver: Interleaver) -> Result<(), String> {
+    pub fn run(&self, interleaver: Interleaver) -> Result<(), &'static str> {
         let mut schedule = interleaver.start();
         let mut user_left = self.user_prepare_steps;
         let mut remover_left = self.remover_delay_steps;
@@ -71,7 +72,7 @@ impl RaceGadget {
             } else {
                 match remover_left.checked_sub(1) {
                     Some(left) => remover_left = left,
-                    None => return Err("use after free: resource gone".to_owned()),
+                    None => return Err("use after free: resource gone"),
                 }
             }
         }
@@ -112,7 +113,7 @@ mod tests {
     /// two-counter loop, kept as its reference: a task list stepped in the
     /// schedule's order, a task removed once done, a failed step aborting
     /// the run, and a step budget that models a hang.
-    fn reference(gadget: &RaceGadget, interleaver: Interleaver) -> Result<(), String> {
+    fn reference(gadget: &RaceGadget, interleaver: Interleaver) -> Result<(), &'static str> {
         enum Task {
             User { prepare_left: u32 },
             Remover { delay_left: u32 },
@@ -126,7 +127,7 @@ mod tests {
         let mut steps = 0u64;
         while !tasks.is_empty() {
             if steps >= 10_000 {
-                return Err("step budget exhausted".to_owned());
+                return Err("step budget exhausted");
             }
             let idx = schedule.choose(tasks.len());
             steps += 1;
@@ -138,7 +139,7 @@ mod tests {
                     false
                 }
                 Task::User { .. } if freed => {
-                    return Err("use after free: resource gone".to_owned());
+                    return Err("use after free: resource gone");
                 }
                 Task::User { .. } => true,
                 Task::Remover { .. } => {

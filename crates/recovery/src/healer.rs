@@ -23,7 +23,7 @@
 use crate::scrub::scrub_or_restart;
 use crate::strategy::RecoveryStrategy;
 use crate::RestartRetry;
-use faultstudy_apps::{Application, Request, Response};
+use faultstudy_apps::{Application, Request, Response, Text};
 use faultstudy_env::Environment;
 use faultstudy_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
@@ -176,7 +176,7 @@ impl RecoveryStrategy for ProfileHealer {
         _env: &mut Environment,
     ) -> Option<Response> {
         std::mem::take(&mut self.pending_discard)
-            .then(|| Response::Denied(format!("discarded by healer: {}", req.body).into()))
+            .then(|| Response::Denied(Text::new("discarded by healer: ", &req.body, "")))
     }
 }
 
@@ -224,6 +224,24 @@ mod tests {
         let run = run_workload(&mut app, &mut env, &workload, &mut healer);
         assert!(run.survived, "the EI fault is discarded, not retried to death");
         assert_eq!(run.failures, 2, "exactly one exploratory retry");
+    }
+
+    #[test]
+    fn the_discard_substitute_renders_the_request_body() {
+        let mut env = Environment::builder().seed(7).build();
+        let mut app = MiniWeb::new(&mut env);
+        // A literal body stays borrowed; a `PROBE` trigger's body is owned.
+        let probe = app.trigger_request("apache-ei-17").unwrap();
+        let cases = [
+            (Request::new("GET /a"), "discarded by healer: GET /a"),
+            (probe, "discarded by healer: PROBE apache-ei-17"),
+        ];
+        for (req, discarded) in cases {
+            let mut healer = ProfileHealer::new(3, ei_profile());
+            assert!(!healer.on_failure(&mut app, &mut env, 2), "the second failure discards");
+            let substitute = healer.manufacture(&req, &mut app, &mut env);
+            assert_eq!(substitute, Some(Response::Denied(discarded.into())));
+        }
     }
 
     #[test]

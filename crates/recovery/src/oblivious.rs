@@ -19,7 +19,7 @@
 //! per-app oracles are there to price.
 
 use crate::strategy::RecoveryStrategy;
-use faultstudy_apps::{Application, Request, Response};
+use faultstudy_apps::{Application, Request, Response, Text};
 use faultstudy_env::Environment;
 
 /// Discard-and-continue: drops a failing request with a visible `Denied`
@@ -69,7 +69,7 @@ impl RecoveryStrategy for Oblivious {
         _env: &mut Environment,
     ) -> Option<Response> {
         std::mem::take(&mut self.pending_discard)
-            .then(|| Response::Denied(format!("discarded after failure: {}", req.body).into()))
+            .then(|| Response::Denied(Text::new("discarded after failure: ", &req.body, "")))
     }
 }
 
@@ -118,7 +118,7 @@ impl RecoveryStrategy for ManufacturedValue {
         _env: &mut Environment,
     ) -> Option<Response> {
         std::mem::take(&mut self.pending_default)
-            .then(|| Response::Ok(format!("manufactured default for: {}", req.body).into()))
+            .then(|| Response::Ok(Text::new("manufactured default for: ", &req.body, "")))
     }
 }
 
@@ -155,6 +155,36 @@ mod tests {
         assert!(run.survived);
         assert_eq!(run.completed, 3);
         assert_eq!(run.failures, 1, "no retry at all");
+    }
+
+    #[test]
+    fn substitutes_render_the_request_body() {
+        let mut env = Environment::builder().seed(7).build();
+        let mut app = MiniWeb::new(&mut env);
+        // A literal body stays borrowed; a `PROBE` trigger's body is owned.
+        let probe = app.trigger_request("apache-ei-17").unwrap();
+        let cases = [
+            (
+                Request::new("GET /a"),
+                "discarded after failure: GET /a",
+                "manufactured default for: GET /a",
+            ),
+            (
+                probe,
+                "discarded after failure: PROBE apache-ei-17",
+                "manufactured default for: PROBE apache-ei-17",
+            ),
+        ];
+        for (req, discarded, manufactured) in cases {
+            let mut oblivious = Oblivious::default();
+            assert!(!oblivious.on_failure(&mut app, &mut env, 1));
+            let substitute = oblivious.manufacture(&req, &mut app, &mut env);
+            assert_eq!(substitute, Some(Response::Denied(discarded.into())));
+            let mut manufacture = ManufacturedValue::default();
+            assert!(!manufacture.on_failure(&mut app, &mut env, 1));
+            let substitute = manufacture.manufacture(&req, &mut app, &mut env);
+            assert_eq!(substitute, Some(Response::Ok(manufactured.into())));
+        }
     }
 
     #[test]

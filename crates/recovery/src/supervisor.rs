@@ -202,9 +202,10 @@ pub struct RequestSupervisor {
     backoff_total: Duration,
     failures: u32,
     recoveries: u32,
-    // The failure that ends a non-surviving run; formatted once at the
-    // end instead of per manifestation — recovered failures never
-    // surface.
+    /// The latest failed attempt's failure, kept unrendered: its reason is
+    /// a [`Text`](faultstudy_apps::Text) of pieces. Only a defeated run
+    /// renders it, once, into [`WorkloadRun::last_failure`]; the reasons of
+    /// recovered failures are dropped unread.
     last_failure: Option<AppFailure>,
 }
 
