@@ -11,8 +11,16 @@
 //! flag, filing month, …) lives in plain parallel columns. Funnel
 //! predicates that only look at one column (the §4 high-impact and
 //! production-version filters) walk a dense array instead of striding
-//! through whole reports, and the keyword scan reads the arena
-//! sequentially.
+//! through whole reports.
+//!
+//! [`ReportColumns::push`] lays rows out in *arena order*: a row's fields
+//! back to back in [`BugReport`] field order (title, body, how-to-repeat,
+//! developer notes, version), each row straight after the one before. The
+//! §4 keyword stage relies on it: it scans [`ReportColumns::arena`] in
+//! one sequential pass, then maps each match to the row whose
+//! [`ReportColumns::row_range`] holds it. A deserialized column set
+//! carries whatever spans it was given, so the stage first checks
+//! [`ReportColumns::in_arena_order`] and scans row by row when it fails.
 //!
 //! The layout is lossless: [`ReportColumns::materialize`] reconstructs
 //! the exact [`BugReport`] that was pushed.
@@ -20,6 +28,7 @@
 use crate::report::{BugReport, ReportSource, Status, YearMonth};
 use crate::taxonomy::{AppKind, Severity};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A byte range into the shared text arena of a [`ReportColumns`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,7 +44,8 @@ impl Span {
 }
 
 /// Struct-of-arrays bug-report storage: a contiguous text arena plus one
-/// column per field.
+/// column per field. Rows built by [`ReportColumns::push`] lie in arena
+/// order (see the [module docs](self)).
 ///
 /// # Example
 ///
@@ -160,9 +170,44 @@ impl ReportColumns {
         self.id.is_empty()
     }
 
-    /// Total bytes of text held by the arena.
-    pub fn arena_len(&self) -> usize {
-        self.text.len()
+    /// The text arena: every text field of every row, back to back.
+    pub fn arena(&self) -> &str {
+        &self.text
+    }
+
+    /// The arena bytes of one row, from the first byte of its title to
+    /// the last of its version, when the row lies in arena order (see
+    /// [`ReportColumns::in_arena_order`]).
+    pub fn row_range(&self, index: usize) -> Range<usize> {
+        let version = self.version[index];
+        self.title[index].offset as usize..version.offset as usize + version.len as usize
+    }
+
+    /// Whether `rows` lie in arena order: each row's fields back to back
+    /// in [`BugReport`] field order (title, body, how-to-repeat, developer
+    /// notes, version) and each row straight after the one before. Every
+    /// column set built by [`ReportColumns::push`] is; a deserialized one
+    /// need not be.
+    pub fn in_arena_order(&self, rows: Range<usize>) -> bool {
+        let mut at = match self.title.get(rows.start) {
+            Some(first) if !rows.is_empty() => first.offset as usize,
+            _ => return rows.is_empty(),
+        };
+        rows.into_iter().all(|i| {
+            [
+                self.title[i],
+                self.body[i],
+                self.how_to_repeat[i],
+                self.developer_notes[i],
+                self.version[i],
+            ]
+            .iter()
+            .all(|span| {
+                let next = span.offset as usize == at;
+                at = span.offset as usize + span.len as usize;
+                next
+            })
+        })
     }
 
     /// Iterates over all rows in archive order.
@@ -309,7 +354,7 @@ mod tests {
         let reports = vec![sample(1), sample(2)];
         let columns = ReportColumns::from_reports(&reports);
         let expected: usize = reports.iter().map(BugReport::text_len).sum();
-        assert_eq!(columns.arena_len(), expected);
+        assert_eq!(columns.arena().len(), expected);
     }
 
     #[test]
@@ -329,6 +374,45 @@ mod tests {
         assert_eq!(row.id(), 5);
         assert_eq!(row.text_segments(), columns.text_segments(0));
         assert_eq!(row.materialize(), r);
+    }
+
+    #[test]
+    fn pushed_rows_lie_in_arena_order() {
+        let reports = vec![sample(1), BugReport::builder(AppKind::Apache, 2).build(), sample(3)];
+        let columns = ReportColumns::from_reports(&reports);
+        assert!(columns.in_arena_order(0..3));
+        assert!(columns.in_arena_order(1..3) && columns.in_arena_order(2..2));
+        assert_eq!(columns.row_range(0), 0..reports[0].text_len());
+        assert_eq!(columns.row_range(1), columns.row_range(0).end..columns.row_range(0).end);
+        assert_eq!(columns.row_range(2).end, columns.arena().len());
+        assert_eq!(
+            &columns.arena()[columns.row_range(2)],
+            "server crashed 3segfault in optimizer\
+            OPTIMIZE TABLE tmissing initialization3.22.20"
+        );
+    }
+
+    #[test]
+    fn deserialized_rows_out_of_arena_order_are_told_apart() {
+        let columns = ReportColumns::from_reports(&[sample(1), sample(2), sample(3)]);
+        // Swap rows 0 and 1 in every per-row column, leaving the arena as
+        // it is: each row keeps its own text, out of arena order.
+        let mut value = serde_json::to_value(&columns);
+        let serde::Content::Map(fields) = &mut value else { panic!("a map") };
+        for (_, column) in fields {
+            if let serde::Content::Seq(rows) = column {
+                rows.swap(0, 1);
+            }
+        }
+        let swapped: ReportColumns = serde_json::from_value(&value).expect("deserializes");
+        assert_eq!(swapped.materialize(0), sample(2));
+        assert!(!swapped.in_arena_order(0..3) && !swapped.in_arena_order(0..2));
+        // Alone, each row's fields still lie back to back.
+        assert!((0..3).all(|row| swapped.in_arena_order(row..row + 1)));
+        let roundtrip: ReportColumns =
+            serde_json::from_str(&serde_json::to_string(&columns).expect("serializes"))
+                .expect("deserializes");
+        assert!(roundtrip.in_arena_order(0..3));
     }
 
     #[test]

@@ -331,7 +331,7 @@ impl SyntheticPopulation {
                 Row::Curated(index) => columns.push(&self.curated[index as usize]),
             }
         }
-        debug_assert_eq!(columns.arena_len(), noise_bytes + curated_bytes, "arena size");
+        debug_assert_eq!(columns.arena().len(), noise_bytes + curated_bytes, "arena size");
         columns
     }
 }

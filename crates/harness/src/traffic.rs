@@ -92,9 +92,15 @@ fn traffic_config(backoff_seed: u64) -> SupervisorConfig {
 /// the per-request path only indexes into it.
 ///
 /// Every body is safe on a healthy application (served or gracefully
-/// denied); the environment-touching entries (descriptors, DNS, entropy,
-/// hostname) are what couple the stream to the injection plan's
-/// perturbations. On MiniWeb the plan's companion defect is armed, and
+/// denied); the environment-touching entries are what couple the stream
+/// to the injection plan's perturbations: descriptors, DNS through
+/// MiniWeb's `RESOLVE`, entropy and the hostname. MiniDb's `CONNECT`
+/// couples to descriptor plans only: it reverse-resolves the default
+/// client `client0`, for which no campaign environment configures a
+/// reverse record, so `DnsService::resolve_reverse` answers `NoRecord`
+/// before it consults the DNS health, and every `CONNECT` that gets a
+/// descriptor answers `connected (unresolved client0)`, whatever the plan
+/// does to DNS. On MiniWeb the plan's companion defect is armed, and
 /// its triggering request rides in the mix — the fault under study is
 /// *part of the traffic*, exactly the paper's "users do not generously
 /// avoid the trigger" assumption.

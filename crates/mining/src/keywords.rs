@@ -5,8 +5,11 @@
 //! looked at a few hundred messages and found that these keywords were the
 //! ones commonly used to describe serious bugs)"*.
 
+use faultstudy_core::flat::ReportColumns;
 use faultstudy_core::report::BugReport;
+use faultstudy_exec::{run_chunk_fold, ParallelSpec};
 use faultstudy_textscan::{Automaton, PatternSetBuilder};
+use std::ops::Range;
 
 /// The paper's §4 MySQL mailing-list search keywords ("we use all the
 /// messages from the archives that matched one of the following
@@ -18,9 +21,12 @@ pub const MYSQL_KEYWORDS: [&str; 4] = ["crash", "segmentation", "race", "died"];
 /// [`KeywordQuery::new`] compiles the keywords once into an [`Automaton`]
 /// the query owns, and every match is one pass of it over the text with
 /// zero per-report allocations: no `full_text` concatenation, no
-/// `to_lowercase` copy. Keywords that total at most 64 bytes, such as the
-/// paper's own query ([`KeywordQuery::mysql`], 25 bytes), compile to the
-/// bit-parallel Shift-And engine; longer lists to the DFA.
+/// `to_lowercase` copy. Keywords whose bytes, plus one spacer between
+/// each two, total at most 64, such as the paper's own query
+/// ([`KeywordQuery::mysql`], 25 bytes), compile to the bit-parallel
+/// Shift-And engine; longer lists to the DFA. Over a whole archive,
+/// [`KeywordQuery::matching_rows`] scans the arena once and checks only
+/// the rows it flags.
 ///
 /// Equality compares the keywords.
 ///
@@ -95,6 +101,63 @@ impl KeywordQuery {
     /// span columns.
     pub fn matches_segments(&self, segments: &[&str]) -> bool {
         !self.automaton.scan_segments(segments).is_empty()
+    }
+
+    /// The rows of `columns` any keyword occurs in, ascending: the §4
+    /// keyword stage, equal to keeping every row whose
+    /// [`ReportColumns::text_segments`] [`Self::matches_segments`]
+    /// accepts, at any thread count.
+    ///
+    /// Rows are taken in contiguous blocks, one per call in a sequential
+    /// run and the executor's chunks otherwise. A block's arena text is
+    /// scanned in one [`Automaton::match_ends`] pass, one forward sweep
+    /// maps the rare match ends to the rows holding them, and only those
+    /// rows are confirmed by [`Self::matches_segments`], which also drops
+    /// a match that crosses a field or a row boundary or lies in the
+    /// unscanned version field. A block the pass cannot vouch for takes
+    /// the per-row scan instead: rows out of arena order
+    /// ([`ReportColumns::in_arena_order`]), non-ASCII text, or a query
+    /// that compiled to the DFA or holds an empty keyword.
+    pub fn matching_rows(&self, columns: &ReportColumns, parallel: ParallelSpec) -> Vec<usize> {
+        run_chunk_fold(
+            columns.len(),
+            parallel,
+            Vec::new,
+            |rows, kept| self.match_block(columns, rows, kept),
+            |all, mut part| all.append(&mut part),
+        )
+    }
+
+    /// Appends the rows of the block `rows` that match to `kept`.
+    fn match_block(&self, columns: &ReportColumns, rows: Range<usize>, kept: &mut Vec<usize>) {
+        if rows.is_empty() {
+            return;
+        }
+        let base = columns.row_range(rows.start).start;
+        let ends = if columns.in_arena_order(rows.clone()) {
+            self.automaton.match_ends(&columns.arena()[base..columns.row_range(rows.end - 1).end])
+        } else {
+            None
+        };
+        let Some(ends) = ends else {
+            kept.extend(rows.filter(|&row| self.matches_segments(&columns.text_segments(row))));
+            return;
+        };
+        let (mut row, mut confirmed) = (rows.start, None);
+        for end in ends {
+            // The arena offset of the match's last byte, and the row
+            // holding it: rows tile the block, so the sweep only moves on.
+            let at = base + end - 1;
+            while columns.row_range(row).end <= at {
+                row += 1;
+            }
+            if confirmed != Some(row) {
+                confirmed = Some(row);
+                if self.matches_segments(&columns.text_segments(row)) {
+                    kept.push(row);
+                }
+            }
+        }
     }
 
     /// The pre-automaton reference implementation of

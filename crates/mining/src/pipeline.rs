@@ -3,7 +3,10 @@
 //! Stages, in order:
 //!
 //! 1. **Keyword search** (mailing-list archives only): keep entries
-//!    matching the paper's serious-bug keywords.
+//!    matching the paper's serious-bug keywords. One pass over the
+//!    archive's text arena flags the few rows holding a keyword, and only
+//!    those are checked field by field
+//!    ([`KeywordQuery::matching_rows`]).
 //! 2. **High-impact filter**: keep severe/critical reports — those that
 //!    "crash, return an error condition, cause security problems, or stop
 //!    responding".
@@ -109,11 +112,12 @@ impl SelectionPipeline {
 
     /// Runs the funnel over `archive` on `parallel` worker threads.
     ///
-    /// Every filter stage evaluates its predicate as a parallel keep-mask
-    /// over report indices and then applies the mask sequentially, so stage
-    /// order — and therefore the outcome — is identical for any thread
-    /// count. Dedup stays a sequential reduce, but over titles normalized
-    /// in parallel.
+    /// The keyword stage scans contiguous row blocks in parallel and joins
+    /// their kept rows in block order; every later filter stage evaluates
+    /// its predicate as a parallel keep-mask over report indices and then
+    /// applies the mask sequentially. Stage order, and therefore the
+    /// outcome, is identical for any thread count. Dedup stays a
+    /// sequential reduce, but over titles normalized in parallel.
     ///
     /// The funnel is zero-copy until the end: stages filter a `Vec<usize>`
     /// of indices into the borrowed archive, and only the final survivors
@@ -153,17 +157,16 @@ impl SelectionPipeline {
         let columns = archive.columns();
         let mut funnel =
             vec![FunnelStage { name: "raw archive".to_owned(), survivors: columns.len() }];
-        let mut selected: Vec<usize> = (0..columns.len()).collect();
-
-        if let Some(q) = &self.keyword_query {
-            record_stage(metrics, app, "keyword match", selected.len());
-            let keep = run_indexed(selected.len(), parallel, |i| {
-                q.matches_segments(&columns.text_segments(selected[i]))
-            });
-            selected = retain_by_mask(selected, &keep);
-            funnel
-                .push(FunnelStage { name: "keyword match".to_owned(), survivors: selected.len() });
-        }
+        let mut selected = match &self.keyword_query {
+            Some(q) => {
+                record_stage(metrics, app, "keyword match", columns.len());
+                let kept = q.matching_rows(columns, parallel);
+                funnel
+                    .push(FunnelStage { name: "keyword match".to_owned(), survivors: kept.len() });
+                kept
+            }
+            None => (0..columns.len()).collect(),
+        };
 
         record_stage(metrics, app, "high impact", selected.len());
         let keep = run_indexed(selected.len(), parallel, |i| {

@@ -14,11 +14,16 @@
 //! Two engines share that contract, and compilation picks by size:
 //!
 //! - a bit-parallel **Shift-And** loop over one `u64` when the non-empty
-//!   patterns total at most 64 bytes (the §4 keyword query is 25): one
-//!   shift, one or and one and per byte;
+//!   patterns' bytes, plus one spacer bit between each two, total at most
+//!   64 (the §4 keyword query takes 28): one `lea` and one `and` per byte;
 //! - a classic **Aho–Corasick** DFA for every larger set (the 91-pattern
 //!   shared scan set): one table load per byte over a transition table
 //!   that covers all 256 byte values, so no per-byte case or range check.
+//!
+//! For one long text, such as a whole archive's arena,
+//! [`Automaton::match_ends`] runs the Shift-And engine as four
+//! interleaved lanes and returns where each occurrence ends, so a caller
+//! can find the few rows that hold a match without scanning row by row.
 //!
 //! Byte-identical semantics with the naive implementation are preserved:
 //!
@@ -185,10 +190,11 @@ impl PatternSetBuilder {
 /// non-empty, all-ASCII pattern set:
 ///
 /// - **Shift-And** (Baeza-Yates & Gonnet, "A new approach to text
-///   searching", CACM 1992) when the non-empty patterns total at most 64
-///   bytes: every pattern byte is one bit of a `u64`, and each text byte
-///   costs one shift, one or and one and on that word. The §4 keyword
-///   query (25 bytes) takes this engine.
+///   searching", CACM 1992) when the non-empty patterns' bytes plus one
+///   spacer bit between each two total at most 64: every pattern byte is
+///   one bit of a `u64`, and each text byte costs one `lea` and one `and`
+///   on that word. The §4 keyword query (25 bytes, 28 bits) takes this
+///   engine.
 /// - **Aho–Corasick DFA** for every larger set (such as the 91-pattern
 ///   shared scan set): the standard three steps — goto trie, BFS failure
 ///   links, then full DFA conversion (every missing transition resolved
@@ -213,20 +219,22 @@ enum Engine {
     /// An empty or non-ASCII pattern set: every scan takes the naive path
     /// (an empty set trivially returns).
     Naive,
-    /// A non-empty ASCII set whose non-empty patterns total at most
-    /// [`SHIFT_AND_BITS`] bytes.
+    /// A non-empty ASCII set whose non-empty patterns, with one spacer bit
+    /// between each two, total at most [`SHIFT_AND_BITS`] bits.
     ShiftAnd(Box<ShiftAnd>),
     /// Every larger ASCII set.
     Dfa(Dfa),
 }
 
-/// Bit-parallel Shift-And over the concatenated non-empty patterns: bit
-/// `j` of the state word is set when the text read so far ends with the
-/// first `j - start + 1` bytes of the pattern occupying bits `start..`.
+/// Bit-parallel Shift-And over the concatenated non-empty patterns, one
+/// spacer bit after each: bit `j` of the state word is set when the text
+/// read so far ends with the first `j - start + 1` bytes of the pattern
+/// occupying bits `start..`.
 #[derive(Debug, Clone)]
 struct ShiftAnd {
     /// `masks[b]` has bit `j` set when byte `b` equals, ASCII case folded,
-    /// pattern byte `j`. Non-ASCII bytes have empty masks.
+    /// pattern byte `j`. Non-ASCII bytes have empty masks, and no mask sets
+    /// a spacer bit.
     masks: [u64; ALPHABET],
     /// The first bit of every pattern: a match may begin at any byte.
     starts: u64,
@@ -237,11 +245,32 @@ struct ShiftAnd {
     ids: [PatternId; SHIFT_AND_BITS],
     /// The empty patterns, which hit every scanned text.
     empty: HitSet,
+    /// Bytes in the longest pattern: the state after a byte depends on
+    /// that many bytes of text and no more.
+    longest: usize,
 }
 
-/// Longest total of non-empty pattern bytes the Shift-And engine holds:
-/// one bit of its `u64` state word per byte.
+/// Bits of the Shift-And state word: the non-empty patterns' bytes plus
+/// one spacer between each two must fit.
 const SHIFT_AND_BITS: usize = 64;
+
+/// Text bytes each lane of [`Automaton::match_ends`] reads between two
+/// ASCII checks: eight `u64` words.
+const CHUNK: usize = 64;
+
+/// Independent Shift-And state words [`Automaton::match_ends`] advances
+/// side by side, each over its own piece of the text.
+const LANES: usize = 4;
+
+/// The high bit of every byte of a `u64`: set in a word's OR exactly when
+/// one of its bytes is not ASCII.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Bits the Shift-And engine needs for `patterns`: every non-empty
+/// pattern's bytes plus one spacer between each two.
+fn shift_and_bits(patterns: &[String]) -> usize {
+    patterns.iter().filter(|p| !p.is_empty()).map(|p| p.len() + 1).sum::<usize>().saturating_sub(1)
+}
 
 impl ShiftAnd {
     fn compile(patterns: &[String]) -> ShiftAnd {
@@ -251,6 +280,7 @@ impl ShiftAnd {
             ends: 0,
             ids: [0; SHIFT_AND_BITS],
             empty: HitSet::EMPTY,
+            longest: 0,
         };
         let mut bit = 0;
         for (id, pattern) in patterns.iter().enumerate() {
@@ -267,23 +297,38 @@ impl ShiftAnd {
             }
             engine.ends |= 1 << (bit - 1);
             engine.ids[bit - 1] = id as PatternId;
+            engine.longest = engine.longest.max(pattern.len());
+            // The spacer: no mask sets it, so the carry out of the
+            // pattern's last bit dies there.
+            bit += 1;
         }
         engine
     }
 
+    /// One byte of the scan. State words never hold a spacer bit, so
+    /// `state << 1` never meets a pattern's first bit, and the add equals
+    /// an or without a carry: one `lea` and one `and` on the dependent
+    /// chain.
+    #[inline(always)]
+    fn step(&self, state: u64, byte: u8) -> u64 {
+        ((state << 1) + self.starts) & self.masks[usize::from(byte)]
+    }
+
     /// Unions the patterns occurring in `text` into `hits`, or returns
-    /// false, touching nothing, when `text` is not ASCII.
+    /// false, touching nothing, when `text` is not ASCII. The ASCII check
+    /// rides in the scan loop: a non-ASCII byte has an empty mask, so the
+    /// state words it leaves are discarded with the rest of the scan.
     fn scan_into(&self, hits: &mut HitSet, text: &str) -> bool {
-        if !text.is_ascii() {
-            return false;
-        }
         let mut state = 0u64;
         let mut seen = 0u64;
+        let mut high = 0u8;
         for &b in text.as_bytes() {
-            // The carry out of one pattern's last bit lands on the next
-            // pattern's first bit, which `starts` sets anyway.
-            state = ((state << 1) | self.starts) & self.masks[usize::from(b)];
+            state = self.step(state, b);
             seen |= state;
+            high |= b;
+        }
+        if !high.is_ascii() {
+            return false;
         }
         hits.or_assign(&self.empty);
         let mut ended = seen & self.ends;
@@ -293,6 +338,100 @@ impl ShiftAnd {
         }
         true
     }
+
+    /// Every end of a pattern occurrence in `text`, or `None` when `text`
+    /// is not ASCII. See [`Automaton::match_ends`].
+    fn match_ends(&self, text: &[u8]) -> Option<Vec<usize>> {
+        let mut ends = Vec::new();
+        // Lane `l` reads `chunks` whole chunks from `l * stride`. It owns
+        // the bytes from where lane `l - 1` stops on, and starts `warmup`
+        // bytes before them, so its state is exact on every byte it owns.
+        // The last lane then runs on alone to the end of the text.
+        let warmup = self.longest - 1;
+        let chunks = (text.len() + (LANES - 1) * warmup) / (LANES * CHUNK);
+        let stride = (chunks * CHUNK).saturating_sub(warmup);
+        let mut lanes = Lanes { states: [0; LANES], chunk: 0, read: 0 };
+        while self.run_lanes(text, stride, chunks, &mut lanes)? {
+            for (lane, state) in lanes.states.iter().enumerate() {
+                let end = lane * stride + lanes.chunk * CHUNK + lanes.read;
+                if state & self.ends != 0 && (lane == 0 || end > lane * stride + warmup) {
+                    ends.push(end);
+                }
+            }
+        }
+        let at = if chunks > 0 { (LANES - 1) * stride + chunks * CHUNK } else { 0 };
+        let tail = &text[at..];
+        if !tail.is_ascii() {
+            return None;
+        }
+        let mut state = if chunks > 0 { lanes.states[LANES - 1] } else { 0 };
+        for (i, &b) in tail.iter().enumerate() {
+            state = self.step(state, b);
+            if state & self.ends != 0 {
+                ends.push(at + i + 1);
+            }
+        }
+        // Each lane's ends are ascending, but the lanes interleave.
+        ends.sort_unstable();
+        Some(ends)
+    }
+
+    /// Steps every lane on from where `lanes` stands. Returns true as soon
+    /// as some lane has just read a pattern's last byte, false once the
+    /// lanes' chunks are done, and `None` at a chunk holding a non-ASCII
+    /// byte. Never inlined: the loop makes no call, so its state words,
+    /// pointers and masks all stay in registers.
+    #[inline(never)]
+    fn run_lanes(
+        &self,
+        text: &[u8],
+        stride: usize,
+        chunks: usize,
+        lanes: &mut Lanes,
+    ) -> Option<bool> {
+        let mut states = lanes.states;
+        if lanes.read == CHUNK {
+            lanes.chunk += 1;
+            lanes.read = 0;
+        }
+        while lanes.chunk < chunks {
+            let pieces: [&[u8; CHUNK]; LANES] = std::array::from_fn(|lane| {
+                let from = lane * stride + lanes.chunk * CHUNK;
+                text[from..from + CHUNK].try_into().expect("a whole chunk")
+            });
+            if lanes.read == 0 && !pieces.iter().all(|piece| is_ascii(piece)) {
+                return None;
+            }
+            for i in lanes.read..CHUNK {
+                for (state, piece) in states.iter_mut().zip(&pieces) {
+                    *state = self.step(*state, piece[i]);
+                }
+                if states.iter().fold(0, |any, state| any | state) & self.ends != 0 {
+                    lanes.states = states;
+                    lanes.read = i + 1;
+                    return Some(true);
+                }
+            }
+            lanes.chunk += 1;
+            lanes.read = 0;
+        }
+        lanes.states = states;
+        Some(false)
+    }
+}
+
+/// Where the lanes of [`ShiftAnd::match_ends`] stand: every lane is
+/// `read` bytes into its chunk number `chunk`.
+struct Lanes {
+    states: [u64; LANES],
+    chunk: usize,
+    read: usize,
+}
+
+/// Whether the 64 bytes of `chunk` are ASCII, a word at a time.
+fn is_ascii(chunk: &[u8; CHUNK]) -> bool {
+    let words = chunk.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    words.fold(0, |high, word| high | word) & HIGH_BITS == 0
 }
 
 /// The Aho–Corasick DFA.
@@ -424,7 +563,7 @@ impl Automaton {
         let ascii = !patterns.is_empty() && patterns.iter().all(|p| p.is_ascii());
         let engine = if !ascii {
             Engine::Naive
-        } else if patterns.iter().map(String::len).sum::<usize>() <= SHIFT_AND_BITS {
+        } else if shift_and_bits(&patterns) <= SHIFT_AND_BITS {
             Engine::ShiftAnd(Box::new(ShiftAnd::compile(&patterns)))
         } else {
             Engine::Dfa(Dfa::compile(&patterns))
@@ -448,6 +587,43 @@ impl Automaton {
         let mut hits = HitSet::EMPTY;
         self.scan_into(&mut hits, text);
         hits
+    }
+
+    /// Every byte offset in `text` at which an occurrence of a pattern
+    /// ends (the offset just past its last byte), ascending and without
+    /// repeats: the ends of every occurrence, overlapping ones included,
+    /// that the naive lowercase-and-`contains` predicate sees.
+    ///
+    /// Built for long texts such as a whole archive's arena: the scan
+    /// advances four Shift-And state words side by side, each over its
+    /// own quarter of the text, so the CPU overlaps their dependent
+    /// chains. Each lane starts as many bytes before its quarter as the
+    /// longest pattern has minus one, so every end falls in exactly one
+    /// lane's own bytes; text is read in 64-byte chunks, each checked
+    /// for ASCII a word at a time.
+    ///
+    /// Returns `None` when it cannot answer bytewise: `text` is not ASCII,
+    /// the set did not compile to the Shift-And engine (it is empty,
+    /// non-ASCII, or too large), or it holds the empty pattern, which
+    /// ends everywhere. Allocates only the returned vector.
+    ///
+    /// ```
+    /// use faultstudy_textscan::PatternSetBuilder;
+    ///
+    /// let mut b = PatternSetBuilder::new();
+    /// b.add("race");
+    /// b.add("ace");
+    /// let automaton = b.build();
+    /// assert_eq!(automaton.match_ends("a RACE, a race"), Some(vec![6, 14]));
+    /// assert_eq!(automaton.match_ends("caf\u{e9} race"), None);
+    /// ```
+    pub fn match_ends(&self, text: &str) -> Option<Vec<usize>> {
+        match &self.engine {
+            Engine::ShiftAnd(engine) if engine.empty.is_empty() => {
+                engine.match_ends(text.as_bytes())
+            }
+            _ => None,
+        }
     }
 
     /// Scans several independent text segments (e.g. the fields of a bug
@@ -668,28 +844,29 @@ mod tests {
     }
 
     #[test]
-    fn a_64_byte_set_compiles_to_the_bit_engine() {
-        // Eight 8-byte patterns fill the state word; the last one ends on
+    fn a_set_filling_64_bits_with_its_spacers_compiles_to_the_bit_engine() {
+        // Seven 8-byte patterns and a 1-byte one take 57 bits, and the
+        // seven spacers between them the other 7: the last pattern ends on
         // bit 63. An empty pattern takes no bit.
         let patterns = [
             "segfault", "deadlock", "overflow", "hostname", "too many", "timeouts", "datafile",
-            "unlocked", "",
+            "x", "",
         ];
         let a = compiled(&patterns);
         assert!(matches!(a.engine, Engine::ShiftAnd(_)));
-        let hits = a.scan("the UNLOCKED table");
-        assert_eq!(hits, HitSet::of(&[7, 8]), "the last pattern and the empty one");
+        let hits = a.scan("the DATAFILE, X");
+        assert_eq!(hits, HitSet::of(&[6, 7, 8]), "the last two patterns and the empty one");
     }
 
     #[test]
-    fn a_65_byte_set_compiles_to_the_dfa() {
+    fn one_bit_more_compiles_to_the_dfa() {
         let patterns = [
             "segfault", "deadlock", "overflow", "hostname", "too many", "timeouts", "datafile",
-            "unlocked", "x",
+            "xy",
         ];
         let a = compiled(&patterns);
         assert!(matches!(a.engine, Engine::Dfa(_)));
-        assert_eq!(a.scan("the UNLOCKED table, x"), HitSet::of(&[7, 8]));
+        assert_eq!(a.scan("the DATAFILE, XY"), HitSet::of(&[6, 7]));
     }
 
     #[test]

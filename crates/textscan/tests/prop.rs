@@ -2,7 +2,7 @@
 //! lowercase-and-`contains` predicate on arbitrary text, with either
 //! engine.
 
-use faultstudy_textscan::PatternSetBuilder;
+use faultstudy_textscan::{Automaton, PatternSetBuilder};
 use proptest::prelude::*;
 
 /// Pattern shapes drawn from the real scan set: short words, two-word
@@ -170,4 +170,124 @@ fn boundary_text_strategy() -> impl Strategy<Value = String> {
         0..10,
     )
     .prop_map(|fragments| fragments.concat())
+}
+
+fn compiled(patterns: &[String]) -> Automaton {
+    let mut builder = PatternSetBuilder::new();
+    for p in patterns {
+        builder.add(p);
+    }
+    builder.build()
+}
+
+/// Every end of an occurrence of any of `patterns` in the lowercased
+/// `text`, ascending and without repeats. `str::match_indices` skips
+/// occurrences that overlap an earlier one (`racecar` twice in
+/// `racecaracecar`), so this tries every start.
+fn naive_match_ends(patterns: &[String], text: &str) -> Vec<usize> {
+    let lower = text.to_lowercase();
+    let mut ends = std::collections::BTreeSet::new();
+    for pattern in patterns {
+        let pattern = pattern.to_lowercase();
+        for start in 0..lower.len() {
+            if lower.as_bytes()[start..].starts_with(pattern.as_bytes()) {
+                ends.insert(start + pattern.len());
+            }
+        }
+    }
+    ends.into_iter().collect()
+}
+
+/// Patterns that share prefixes and suffixes and overlap one another and
+/// themselves: `racecar` ends where it begins.
+fn lane_pattern_strategy() -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(
+        prop::sample::select(vec![
+            "race".to_owned(),
+            "racecar".to_owned(),
+            "ace".to_owned(),
+            "e".to_owned(),
+            "car".to_owned(),
+            "cec".to_owned(),
+        ]),
+        1..5,
+    )
+}
+
+/// ASCII text of 0 to 1,000 bytes from fragments of those patterns in
+/// both cases, so matches land on chunk edges, across the bytes two lanes
+/// share, and in the tail.
+fn lane_text_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(
+        prop::sample::select(vec![
+            "race".to_owned(),
+            "RACECAR".to_owned(),
+            "aceca".to_owned(),
+            "rAc".to_owned(),
+            "e".to_owned(),
+            "c".to_owned(),
+            "xyz".to_owned(),
+            "  ".to_owned(),
+            "-------------".to_owned(),
+        ]),
+        0..200,
+    )
+    .prop_map(|fragments| {
+        let mut text = fragments.concat();
+        text.truncate(1_000);
+        text
+    })
+}
+
+proptest! {
+    /// `match_ends` equals every end of every occurrence the naive scan
+    /// finds, on texts short enough for one lane and long enough for
+    /// four.
+    #[test]
+    fn match_ends_equals_the_naive_ends(
+        patterns in lane_pattern_strategy(),
+        text in lane_text_strategy(),
+    ) {
+        prop_assert_eq!(
+            compiled(&patterns).match_ends(&text),
+            Some(naive_match_ends(&patterns, &text)),
+            "set {:?} in {} bytes {:?}", &patterns, text.len(), &text
+        );
+    }
+
+    /// `match_ends` cannot answer for non-ASCII text, wherever its first
+    /// non-ASCII byte sits, nor for a set holding the empty pattern.
+    #[test]
+    fn match_ends_declines_what_it_cannot_answer(
+        patterns in lane_pattern_strategy(),
+        text in lane_text_strategy(),
+        at in 0usize..1_001,
+    ) {
+        let mut accented = text.clone();
+        accented.insert(at.min(text.len()), '\u{e9}');
+        prop_assert_eq!(compiled(&patterns).match_ends(&accented), None);
+        let with_empty = [patterns, vec![String::new()]].concat();
+        prop_assert_eq!(compiled(&with_empty).match_ends(&text), None);
+    }
+}
+
+/// Long texts give every lane many chunks, so lane states carry across
+/// chunk edges and a scan resumes mid-chunk after each match, as it does
+/// over an archive's arena.
+#[test]
+fn match_ends_equals_the_naive_ends_over_long_texts() {
+    let fragments = ["race", "RACECAR", "aceca", "rAc", "e", "c", "xyz", "  ", "-------------"];
+    let patterns: Vec<String> = ["race", "racecar", "ace", "cec"].map(String::from).to_vec();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for len in [4_096, 20_000, 65_537] {
+        let mut text = String::new();
+        while text.len() < len {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            text.push_str(fragments[(state % fragments.len() as u64) as usize]);
+        }
+        let ends = compiled(&patterns).match_ends(&text);
+        assert_eq!(ends, Some(naive_match_ends(&patterns, &text)), "{} bytes", text.len());
+    }
 }

@@ -20,10 +20,11 @@
 //!   `(fault, strategy)` pair and every sample of the race faults; the
 //!   rest reuse a proven outcome and allocate nothing. Its per-sample
 //!   mean, set-up included, is held to a budget of its own.
-//! - The §4 keyword stage allocates nothing once its query is compiled:
-//!   each `KeywordQuery::matches_segments` is one `Automaton::scan_segments`
-//!   of the query's own automaton, and both text-scan engines scan ASCII
-//!   text in place.
+//! - The §4 keyword stage allocates nothing per row once its query is
+//!   compiled: each `KeywordQuery::matches_segments` is one
+//!   `Automaton::scan_segments` of the query's own automaton, both
+//!   text-scan engines scan ASCII text in place, and the stage's arena
+//!   pass allocates only its match-end and kept-row vectors.
 //! - Generating an archive and rendering it into columns makes the same
 //!   allocations at 44,000 and at 440,000 rows: a noise row is rendered
 //!   through one reused report into an arena reserved once, so no row
@@ -75,6 +76,11 @@ const ALLOCS_PER_MIX_REQUEST: f64 = 0.01;
 /// owned `PROBE` trigger, at most: one copy of the slug per attempt, plus
 /// the unit's setup spread over its failures (reads 1.010).
 const ALLOCS_PER_FAILED_ATTEMPT: f64 = 1.05;
+
+/// Allocations the keyword stage's arena pass may add going from the
+/// 44,000-row to the 440,000-row MySQL archive: the extra doublings of its
+/// match-end and kept-row vectors (reads 19 and 26).
+const ARENA_PASS_EXTRA_ALLOCS: u64 = 8;
 
 /// Each application's traffic-campaign mix without its fault triggers,
 /// plus the operator console's probe on MiniWeb: literal answers and
@@ -445,6 +451,26 @@ fn the_keyword_stage_allocates_nothing() {
         .map(|(what, n)| format!("{what}: {n} allocations"))
         .collect();
     assert!(allocating.is_empty(), "allocation-free scans allocated:\n{}", allocating.join("\n"));
+
+    // The stage's arena pass allocates only its match-end and kept-row
+    // vectors, whose doublings grow with the log of the matches: the
+    // tenfold archive may add a few doublings, never a row's allocation.
+    let arena_pass = |archive_size: usize| {
+        let spec =
+            PopulationSpec { archive_size, ..PopulationSpec::paper_scale(AppKind::Mysql, 2000) };
+        let columns = SyntheticPopulation::generate(&spec).to_columns();
+        allocations(|| {
+            black_box(mysql.matching_rows(&columns, ParallelSpec::SEQUENTIAL));
+        })
+    };
+    let paper = arena_pass(44_000);
+    let tenfold = arena_pass(440_000);
+    assert!(
+        tenfold <= paper + ARENA_PASS_EXTRA_ALLOCS,
+        "the keyword stage's arena pass makes {paper} allocations over 44,000 rows and \
+         {tenfold} over 440,000; at most {ARENA_PASS_EXTRA_ALLOCS} more are its vectors' \
+         doublings"
+    );
 }
 
 #[test]

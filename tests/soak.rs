@@ -1,13 +1,16 @@
 //! Soak tests: long mixed workloads with mid-stream fault injection, the
-//! closest the suite comes to the paper's production setting.
+//! closest the suite comes to the paper's production setting, and the §4
+//! keyword stage over the archive size the benchmark times.
 
 use faultstudy::apps::spawn_app;
 use faultstudy::core::taxonomy::{AppKind, FaultClass};
+use faultstudy::corpus::{PopulationSpec, SyntheticPopulation};
 use faultstudy::env::Environment;
 use faultstudy::exec::ParallelSpec;
 use faultstudy::harness::campaign::{CampaignReport, CampaignSpec};
 use faultstudy::harness::experiment::StrategyKind;
 use faultstudy::harness::Campaign;
+use faultstudy::mining::{Archive, KeywordQuery, PrecisionRecall, SelectionPipeline};
 use faultstudy::recovery::{run_workload, ProgressiveRetry, RestartRetry};
 use workload::WorkloadGen;
 
@@ -149,6 +152,34 @@ fn million_request_microreboot_campaign_holds_constant_state() {
         micro_ttr < restart_ttr,
         "median transient TTR: micro {micro_ttr}ns !< restart {restart_ttr}ns"
     );
+}
+
+/// The §4 keyword stage at the size the benchmark times: the 440,000-row
+/// MySQL archive in release mode (44,000 rows under debug assertions).
+/// The arena pass keeps exactly the rows the per-row scan keeps, on one
+/// thread and on two, and the funnel still selects the paper's 44 bugs.
+#[test]
+fn benchmark_size_keyword_stage_keeps_the_per_row_rows() {
+    const ROWS: usize = if cfg!(debug_assertions) { 44_000 } else { 440_000 };
+    let spec =
+        PopulationSpec { archive_size: ROWS, ..PopulationSpec::paper_scale(AppKind::Mysql, 2000) };
+    let population = SyntheticPopulation::generate(&spec);
+    let archive = Archive::from_columns(AppKind::Mysql, population.to_columns());
+    let columns = archive.columns();
+    assert!(columns.in_arena_order(0..ROWS), "generated rows lie in arena order");
+
+    let query = KeywordQuery::mysql();
+    let per_row: Vec<usize> =
+        (0..ROWS).filter(|&i| query.matches_segments(&columns.text_segments(i))).collect();
+    for parallel in [ParallelSpec::SEQUENTIAL, ParallelSpec::threads(2)] {
+        assert_eq!(query.matching_rows(columns, parallel), per_row, "{parallel:?}");
+    }
+
+    let outcome = SelectionPipeline::for_app(AppKind::Mysql).run_with(&archive, ParallelSpec::AUTO);
+    assert_eq!(outcome.funnel[1].survivors, per_row.len());
+    assert_eq!(outcome.unique_bugs(), 44);
+    let quality = PrecisionRecall::measure(&outcome.selected, &population.ground_truth);
+    assert_eq!((quality.precision(), quality.recall()), (1.0, 1.0));
 }
 
 #[test]
