@@ -13,8 +13,10 @@ test:
 bench:
 	cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --bin benchmark --
 
+# CI's Self-check: the paper's guarantees at two seeds.
 verify:
-	cargo run --release -p faultstudy-harness --bin faultstudy -- verify
+	cargo run --release -p faultstudy-harness --bin faultstudy -- verify --seed 2000
+	cargo run --release -p faultstudy-harness --bin faultstudy -- verify --seed 7
 
 # CI's release soak: only a release build runs the million-sample campaign
 # and the million-request stream, and the allocation budgets must hold on

@@ -7,12 +7,11 @@ use crate::text::Text;
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::CrashOnly;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
 /// One workload request to an application.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// The application-specific command, e.g. `"GET /index.html"` or
     /// `"SELECT COUNT(*) FROM t"`.
@@ -133,7 +132,7 @@ pub(crate) enum Checkpoint {
 }
 
 /// Error injecting a fault the application does not know.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectError {
     /// The slug that was not recognised.
     pub slug: String,

@@ -15,10 +15,9 @@
 //! fault.
 
 use faultstudy_sim::sched::Interleaver;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one race execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaceGadget {
     /// Setup steps the user performs before touching the resource. More
     /// setup widens the window in which the remover can win.

@@ -24,11 +24,10 @@ use crate::evidence::Evidence;
 use crate::report::BugReport;
 use crate::taxonomy::FaultClass;
 use faultstudy_env::condition::{ConditionKind, Persistence};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How sure the classifier is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Confidence {
     /// Inferred only from reproduction flakiness.
     Low,
@@ -55,7 +54,7 @@ impl fmt::Display for Confidence {
 /// provide a way to automatically increase the disk capacity", which would
 /// re-classify it as transient. Flipping these switches reproduces that
 /// re-classification, and the ablation benchmark sweeps them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryAssumptions {
     /// The system auto-grows storage, so full-disk/full-cache/file-size
     /// conditions clear on retry.
@@ -88,7 +87,7 @@ impl RecoveryAssumptions {
 }
 
 /// The classifier's verdict on one fault.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Classification {
     /// The assigned class.
     pub class: FaultClass,
@@ -116,7 +115,7 @@ pub struct Classification {
 ///     .classify_evidence(&Evidence::of_conditions([ConditionKind::FileSystemFull]));
 /// assert_eq!(verdict.class, FaultClass::EnvDependentNonTransient);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Classifier {
     assumptions: RecoveryAssumptions,
 }

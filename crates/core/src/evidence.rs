@@ -10,7 +10,6 @@
 use crate::lexicon::conditions_in_naive;
 use crate::report::BugReport;
 use faultstudy_env::condition::ConditionKind;
-use serde::{Deserialize, Serialize};
 
 /// Cues that a failure reproduces deterministically.
 ///
@@ -59,7 +58,7 @@ pub const RETRY_SUCCESS_CUES: &[&str] = &[
 ];
 
 /// The structured facts a classifier needs about one fault.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Evidence {
     /// Environmental conditions the report names, sorted and deduplicated.
     pub conditions: Vec<ConditionKind>,

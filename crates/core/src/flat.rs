@@ -15,23 +15,22 @@
 //!
 //! [`ReportColumns::push`] lays rows out in *arena order*: a row's fields
 //! back to back in [`BugReport`] field order (title, body, how-to-repeat,
-//! developer notes, version), each row straight after the one before. The
-//! §4 keyword stage relies on it: it scans [`ReportColumns::arena`] in
-//! one sequential pass, then maps each match to the row whose
-//! [`ReportColumns::row_range`] holds it. A deserialized column set
-//! carries whatever spans it was given, so the stage first checks
-//! [`ReportColumns::in_arena_order`] and scans row by row when it fails.
+//! developer notes, version), each row straight after the one before.
+//! `push` is the only way a row enters a column set, so every column set
+//! is in arena order: the [`ReportColumns::row_range`]s of its rows tile
+//! the arena. The §4 keyword stage relies on it: it scans
+//! [`ReportColumns::arena`] in one sequential pass, then maps each match
+//! to the row whose range holds it.
 //!
 //! The layout is lossless: [`ReportColumns::materialize`] reconstructs
 //! the exact [`BugReport`] that was pushed.
 
 use crate::report::{BugReport, ReportSource, Status, YearMonth};
 use crate::taxonomy::{AppKind, Severity};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// A byte range into the shared text arena of a [`ReportColumns`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     offset: u32,
     len: u32,
@@ -60,7 +59,7 @@ impl Span {
 /// assert_eq!(columns.title(0), "server crashed");
 /// assert_eq!(columns.materialize(0), report);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReportColumns {
     /// Every text field of every report, back to back in push order.
     text: String,
@@ -176,38 +175,11 @@ impl ReportColumns {
     }
 
     /// The arena bytes of one row, from the first byte of its title to
-    /// the last of its version, when the row lies in arena order (see
-    /// [`ReportColumns::in_arena_order`]).
+    /// the last of its version. Row `index + 1`'s range starts where this
+    /// one ends (see the [module docs](self)).
     pub fn row_range(&self, index: usize) -> Range<usize> {
         let version = self.version[index];
         self.title[index].offset as usize..version.offset as usize + version.len as usize
-    }
-
-    /// Whether `rows` lie in arena order: each row's fields back to back
-    /// in [`BugReport`] field order (title, body, how-to-repeat, developer
-    /// notes, version) and each row straight after the one before. Every
-    /// column set built by [`ReportColumns::push`] is; a deserialized one
-    /// need not be.
-    pub fn in_arena_order(&self, rows: Range<usize>) -> bool {
-        let mut at = match self.title.get(rows.start) {
-            Some(first) if !rows.is_empty() => first.offset as usize,
-            _ => return rows.is_empty(),
-        };
-        rows.into_iter().all(|i| {
-            [
-                self.title[i],
-                self.body[i],
-                self.how_to_repeat[i],
-                self.developer_notes[i],
-                self.version[i],
-            ]
-            .iter()
-            .all(|span| {
-                let next = span.offset as usize == at;
-                at = span.offset as usize + span.len as usize;
-                next
-            })
-        })
     }
 
     /// Iterates over all rows in archive order.
@@ -376,43 +348,31 @@ mod tests {
         assert_eq!(row.materialize(), r);
     }
 
+    /// The layout the keyword stage assumes: each row's range starts
+    /// where the one before ends, the last ends at the end of the arena,
+    /// and every searchable field lies inside its own row's range.
     #[test]
-    fn pushed_rows_lie_in_arena_order() {
+    fn pushed_rows_tile_the_arena() {
         let reports = vec![sample(1), BugReport::builder(AppKind::Apache, 2).build(), sample(3)];
         let columns = ReportColumns::from_reports(&reports);
-        assert!(columns.in_arena_order(0..3));
-        assert!(columns.in_arena_order(1..3) && columns.in_arena_order(2..2));
+        let arena = columns.arena();
+        let mut at = 0;
+        for row in 0..columns.len() {
+            let range = columns.row_range(row);
+            assert_eq!(range.start, at, "row {row} starts where the one before ends");
+            for segment in columns.text_segments(row) {
+                let offset = segment.as_ptr() as usize - arena.as_ptr() as usize;
+                assert!(range.start <= offset && offset + segment.len() <= range.end, "row {row}");
+            }
+            at = range.end;
+        }
+        assert_eq!(at, arena.len());
         assert_eq!(columns.row_range(0), 0..reports[0].text_len());
-        assert_eq!(columns.row_range(1), columns.row_range(0).end..columns.row_range(0).end);
-        assert_eq!(columns.row_range(2).end, columns.arena().len());
         assert_eq!(
-            &columns.arena()[columns.row_range(2)],
+            &arena[columns.row_range(2)],
             "server crashed 3segfault in optimizer\
             OPTIMIZE TABLE tmissing initialization3.22.20"
         );
-    }
-
-    #[test]
-    fn deserialized_rows_out_of_arena_order_are_told_apart() {
-        let columns = ReportColumns::from_reports(&[sample(1), sample(2), sample(3)]);
-        // Swap rows 0 and 1 in every per-row column, leaving the arena as
-        // it is: each row keeps its own text, out of arena order.
-        let mut value = serde_json::to_value(&columns);
-        let serde::Content::Map(fields) = &mut value else { panic!("a map") };
-        for (_, column) in fields {
-            if let serde::Content::Seq(rows) = column {
-                rows.swap(0, 1);
-            }
-        }
-        let swapped: ReportColumns = serde_json::from_value(&value).expect("deserializes");
-        assert_eq!(swapped.materialize(0), sample(2));
-        assert!(!swapped.in_arena_order(0..3) && !swapped.in_arena_order(0..2));
-        // Alone, each row's fields still lie back to back.
-        assert!((0..3).all(|row| swapped.in_arena_order(row..row + 1)));
-        let roundtrip: ReportColumns =
-            serde_json::from_str(&serde_json::to_string(&columns).expect("serializes"))
-                .expect("deserializes");
-        assert!(roundtrip.in_arena_order(0..3));
     }
 
     #[test]

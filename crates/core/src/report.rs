@@ -9,11 +9,11 @@
 //! filters on.
 
 use crate::taxonomy::{AppKind, Severity};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Where a report came from (§4 uses three different archive styles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ReportSource {
     /// A structured bug tracker (Apache's bugs.apache.org).
     Tracker,
@@ -35,7 +35,7 @@ impl fmt::Display for ReportSource {
 }
 
 /// Lifecycle status of a report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Status {
     /// Newly filed, unconfirmed.
     Open,
@@ -48,7 +48,7 @@ pub enum Status {
 }
 
 /// A calendar month, the granularity of the GNOME timeline (Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct YearMonth {
     /// Four-digit year.
     pub year: u16,
@@ -89,7 +89,7 @@ impl fmt::Display for YearMonth {
 ///
 /// Construct with [`BugReport::builder`]; the only mandatory inputs are the
 /// application and the report id.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BugReport {
     /// Application the report is filed against.
     pub app: AppKind,

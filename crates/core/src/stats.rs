@@ -10,7 +10,6 @@
 
 use crate::study::ClassCounts;
 use crate::taxonomy::FaultClass;
-use serde::{Deserialize, Serialize};
 
 /// Upper 5% critical values of the chi-square distribution for 1–12
 /// degrees of freedom (Abramowitz & Stegun, table 26.8).
@@ -18,7 +17,7 @@ const CHI2_CRIT_05: [f64; 12] =
     [3.841, 5.991, 7.815, 9.488, 11.070, 12.592, 14.067, 15.507, 16.919, 18.307, 19.675, 21.026];
 
 /// Result of a chi-square homogeneity test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Chi2Test {
     /// The test statistic.
     pub statistic: f64,

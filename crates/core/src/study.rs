@@ -2,13 +2,13 @@
 
 use crate::report::YearMonth;
 use crate::taxonomy::{AppKind, FaultClass};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// One classified fault, carrying just the metadata the tables and figures
 /// need.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassifiedFault {
     /// Application the fault belongs to.
     pub app: AppKind,
@@ -24,7 +24,7 @@ pub struct ClassifiedFault {
 }
 
 /// Per-application class counts — one row group of Tables 1–3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct ClassCounts {
     /// Environment-independent faults.
     pub independent: u32,
@@ -83,7 +83,7 @@ impl fmt::Display for ClassCounts {
 }
 
 /// The §5.4 discussion numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Discussion {
     /// Total faults across all applications (the paper: 139).
     pub total: u32,
@@ -118,7 +118,7 @@ pub struct Discussion {
 /// assert_eq!(study.total(), 1);
 /// assert_eq!(study.table(AppKind::Apache).independent, 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Study {
     per_app: BTreeMap<AppKind, ClassCounts>,
     faults: Vec<ClassifiedFault>,

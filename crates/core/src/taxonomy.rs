@@ -1,12 +1,12 @@
 //! The fault taxonomy of §3 and the applications of §4.
 
 use faultstudy_env::condition::{ConditionKind, Persistence};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The paper's three-way classification of software faults by their
 /// dependence on the operating environment (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum FaultClass {
     /// Occurs independent of the operating environment: given a specific
     /// workload, the fault always occurs. Completely deterministic
@@ -94,7 +94,7 @@ impl fmt::Display for FaultClass {
 }
 
 /// The three applications the study examines (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum AppKind {
     /// The Apache HTTP server.
     Apache,
@@ -146,7 +146,7 @@ impl fmt::Display for AppKind {
 /// Impact of a reported fault. The study keeps only high-impact reports —
 /// those that "crash, return an error condition, cause security problems,
 /// or stop responding" (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Severity {
     /// Cosmetic or documentation issues.
     Trivial,

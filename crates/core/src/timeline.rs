@@ -12,11 +12,11 @@
 use crate::report::YearMonth;
 use crate::study::{ClassCounts, Study};
 use crate::taxonomy::{AppKind, FaultClass};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One bar of a per-release figure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ReleaseBucket {
     /// Position of the release in the application's release order.
     pub release_idx: u8,
@@ -27,7 +27,7 @@ pub struct ReleaseBucket {
 }
 
 /// A per-release fault distribution (Figures 1 and 3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ReleaseSeries {
     /// The application plotted.
     pub app: AppKind,
@@ -36,7 +36,7 @@ pub struct ReleaseSeries {
 }
 
 /// A per-month fault distribution (Figure 2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TimeSeries {
     /// The application plotted.
     pub app: AppKind,

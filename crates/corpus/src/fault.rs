@@ -6,62 +6,40 @@
 //! enough text to synthesize a realistic [`BugReport`] whose evidence
 //! round-trips through the `faultstudy-core` classifier.
 
+use crate::releases_of;
 use faultstudy_core::report::{BugReport, ReportSource, Status, YearMonth};
 use faultstudy_core::study::ClassifiedFault;
 use faultstudy_core::taxonomy::{AppKind, FaultClass, Severity};
 use faultstudy_env::condition::ConditionKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Compact static form of one corpus entry, used by the per-app tables.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Entry {
+/// One fault of the curated 139-fault corpus: a row of its application's
+/// static table, so it borrows every text from the binary and copies
+/// freely.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CuratedFault {
     /// Stable identifier, e.g. `"apache-edt-03"`.
-    pub slug: &'static str,
+    pub(crate) slug: &'static str,
+    /// The application the fault occurred in.
+    pub(crate) app: AppKind,
     /// One-line summary (the report title).
-    pub title: &'static str,
-    /// Trigger/How-To-Repeat material. For environment-dependent entries
+    pub(crate) title: &'static str,
+    /// Trigger/How-To-Repeat material. For environment-dependent faults
     /// this contains the paper's trigger phrase, which the lexicon
     /// recognises.
-    pub detail: &'static str,
+    pub(crate) detail: &'static str,
     /// The triggering condition; `None` for environment-independent faults.
-    pub trigger: Option<ConditionKind>,
+    pub(crate) trigger: Option<ConditionKind>,
     /// Index into the application's release table.
-    pub release_idx: u8,
+    pub(crate) release_idx: u8,
     /// Filing date as `(year, month)`.
-    pub filed: (u16, u8),
-}
-
-/// One fault of the curated 139-fault corpus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CuratedFault {
-    slug: String,
-    app: AppKind,
-    title: String,
-    detail: String,
-    trigger: Option<ConditionKind>,
-    release_idx: u8,
-    release: String,
-    filed: YearMonth,
+    pub(crate) filed: (u16, u8),
 }
 
 impl CuratedFault {
-    pub(crate) fn from_entry(app: AppKind, releases: &[&str], e: &Entry) -> CuratedFault {
-        CuratedFault {
-            slug: e.slug.to_owned(),
-            app,
-            title: e.title.to_owned(),
-            detail: e.detail.to_owned(),
-            trigger: e.trigger,
-            release_idx: e.release_idx,
-            release: releases[e.release_idx as usize].to_owned(),
-            filed: YearMonth::new(e.filed.0, e.filed.1),
-        }
-    }
-
     /// Stable identifier, e.g. `"mysql-ei-04"`.
-    pub fn slug(&self) -> &str {
-        &self.slug
+    pub fn slug(&self) -> &'static str {
+        self.slug
     }
 
     /// The application the fault occurred in.
@@ -70,13 +48,13 @@ impl CuratedFault {
     }
 
     /// One-line summary.
-    pub fn title(&self) -> &str {
-        &self.title
+    pub fn title(&self) -> &'static str {
+        self.title
     }
 
     /// Trigger/mechanism description.
-    pub fn detail(&self) -> &str {
-        &self.detail
+    pub fn detail(&self) -> &'static str {
+        self.detail
     }
 
     /// The triggering environmental condition, `None` for
@@ -103,8 +81,13 @@ impl CuratedFault {
     }
 
     /// Release the fault was reported against.
-    pub fn release(&self) -> &str {
-        &self.release
+    pub fn release(&self) -> &'static str {
+        releases_of(self.app)[self.release_idx as usize]
+    }
+
+    /// Month the fault was reported.
+    fn filed(&self) -> YearMonth {
+        YearMonth::new(self.filed.0, self.filed.1)
     }
 
     /// The fault as a [`ClassifiedFault`] for study aggregation.
@@ -113,8 +96,8 @@ impl CuratedFault {
             app: self.app,
             class: self.class(),
             release_idx: self.release_idx,
-            release: self.release.clone(),
-            filed: self.filed,
+            release: self.release().to_owned(),
+            filed: self.filed(),
         }
     }
 
@@ -134,17 +117,17 @@ impl CuratedFault {
         let how_to_repeat = if self.trigger.is_none() {
             format!("{} Happens every time the operation is attempted.", self.detail)
         } else {
-            self.detail.clone()
+            self.detail.to_owned()
         };
         BugReport::builder(self.app, id)
-            .title(self.title.clone())
+            .title(self.title)
             .body(format!("{} fails in production: {}", self.app, self.title))
             .how_to_repeat(how_to_repeat)
             .developer_notes("confirmed against the released build".to_owned())
             .severity(Severity::Critical)
             .status(Status::Fixed)
-            .version(self.release.clone(), true)
-            .filed(self.filed)
+            .version(self.release(), true)
+            .filed(self.filed())
             .source(source)
             .build()
     }
@@ -160,9 +143,11 @@ impl fmt::Display for CuratedFault {
 mod tests {
     use super::*;
 
-    fn sample_entry() -> Entry {
-        Entry {
+    /// A MySQL fault reported against the second release, 3.22.16.
+    fn sample() -> CuratedFault {
+        CuratedFault {
             slug: "test-edn-01",
+            app: AppKind::Mysql,
             title: "server cannot write",
             detail: "operations fail once the full file system condition is reached",
             trigger: Some(ConditionKind::FileSystemFull),
@@ -172,45 +157,36 @@ mod tests {
     }
 
     #[test]
-    fn from_entry_resolves_release_label() {
-        let f = CuratedFault::from_entry(AppKind::Mysql, &["3.21", "3.22"], &sample_entry());
-        assert_eq!(f.release(), "3.22");
+    fn release_label_comes_from_the_apps_release_table() {
+        let f = sample();
+        assert_eq!(f.release(), "3.22.16");
+        assert_eq!(CuratedFault { app: AppKind::Apache, ..f }.release(), "1.3.0");
         assert_eq!(f.app(), AppKind::Mysql);
         assert_eq!(f.slug(), "test-edn-01");
     }
 
     #[test]
     fn class_derives_from_trigger() {
-        let f = CuratedFault::from_entry(AppKind::Mysql, &["a", "b"], &sample_entry());
-        assert_eq!(f.class(), FaultClass::EnvDependentNonTransient);
-        let mut e = sample_entry();
-        e.trigger = None;
-        let f = CuratedFault::from_entry(AppKind::Mysql, &["a", "b"], &e);
+        assert_eq!(sample().class(), FaultClass::EnvDependentNonTransient);
+        let f = CuratedFault { trigger: None, ..sample() };
         assert_eq!(f.class(), FaultClass::EnvironmentIndependent);
     }
 
     #[test]
     fn trigger_reps_follow_the_condition() {
-        let mut e = sample_entry();
-        e.trigger = Some(ConditionKind::ResourceLeak);
-        let f = CuratedFault::from_entry(AppKind::Apache, &["a", "b"], &e);
+        let f = CuratedFault { trigger: Some(ConditionKind::ResourceLeak), ..sample() };
         assert_eq!(f.trigger_reps(), 3, "leaks need repetition to drain the pool");
-        assert_eq!(
-            CuratedFault::from_entry(AppKind::Apache, &["a", "b"], &sample_entry()).trigger_reps(),
-            1
-        );
-        e.trigger = None;
-        let f = CuratedFault::from_entry(AppKind::Apache, &["a", "b"], &e);
-        assert_eq!(f.trigger_reps(), 1);
+        assert_eq!(sample().trigger_reps(), 1);
+        assert_eq!(CuratedFault { trigger: None, ..sample() }.trigger_reps(), 1);
     }
 
     #[test]
     fn as_classified_copies_metadata() {
-        let f = CuratedFault::from_entry(AppKind::Apache, &["1.2", "1.3"], &sample_entry());
+        let f = CuratedFault { app: AppKind::Apache, ..sample() };
         let c = f.as_classified();
         assert_eq!(c.app, AppKind::Apache);
         assert_eq!(c.class, FaultClass::EnvDependentNonTransient);
-        assert_eq!(c.release, "1.3");
+        assert_eq!(c.release, "1.3.0");
         assert_eq!(c.release_idx, 1);
         assert_eq!(c.filed, YearMonth::new(1999, 3));
     }
@@ -218,17 +194,19 @@ mod tests {
     #[test]
     fn synthesized_report_classifies_back_to_corpus_class() {
         use faultstudy_core::classify::Classifier;
-        let f = CuratedFault::from_entry(AppKind::Mysql, &["a", "b"], &sample_entry());
+        let f = sample();
         let verdict = Classifier::default().classify_report(&f.report(1));
         assert_eq!(verdict.class, f.class());
     }
 
     #[test]
     fn ei_report_carries_deterministic_cue() {
-        let mut e = sample_entry();
-        e.trigger = None;
-        e.detail = "crashes parsing the request.";
-        let f = CuratedFault::from_entry(AppKind::Apache, &["a", "b"], &e);
+        let f = CuratedFault {
+            app: AppKind::Apache,
+            trigger: None,
+            detail: "crashes parsing the request.",
+            ..sample()
+        };
         let r = f.report(2);
         assert!(r.how_to_repeat.contains("every time"));
         assert!(r.passes_selection());

@@ -38,26 +38,26 @@ use faultstudy_core::taxonomy::AppKind;
 
 /// Every fault of the study, Apache first, then GNOME, then MySQL.
 pub fn full_corpus() -> Vec<CuratedFault> {
-    let mut out = Vec::with_capacity(139);
-    out.extend(corpus_for(AppKind::Apache));
-    out.extend(corpus_for(AppKind::Gnome));
-    out.extend(corpus_for(AppKind::Mysql));
-    out
+    AppKind::ALL.map(table).concat()
 }
 
 /// The faults of one application, in corpus order.
 pub fn corpus_for(app: AppKind) -> Vec<CuratedFault> {
-    let (entries, releases) = match app {
-        AppKind::Apache => (apache::ENTRIES, apache::RELEASES),
-        AppKind::Gnome => (gnome::ENTRIES, gnome::RELEASES),
-        AppKind::Mysql => (mysql::ENTRIES, mysql::RELEASES),
-    };
-    entries.iter().map(|e| CuratedFault::from_entry(app, releases, e)).collect()
+    table(app).to_vec()
 }
 
 /// Looks up a fault by its stable slug (e.g. `"apache-edt-02"`).
 pub fn find(slug: &str) -> Option<CuratedFault> {
-    full_corpus().into_iter().find(|f| f.slug() == slug)
+    AppKind::ALL.iter().flat_map(|&app| table(app)).find(|f| f.slug() == slug).copied()
+}
+
+/// The static table of one application's faults.
+fn table(app: AppKind) -> &'static [CuratedFault] {
+    match app {
+        AppKind::Apache => apache::ENTRIES,
+        AppKind::Gnome => gnome::ENTRIES,
+        AppKind::Mysql => mysql::ENTRIES,
+    }
 }
 
 /// The release labels of one application, oldest first.

@@ -13,11 +13,10 @@
 //! [`crate::environment`] must agree on this mapping; the test suite checks
 //! the agreement end to end (the paper's proposed "end-to-end check", §5.4).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How an environmental condition behaves across a generic recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Persistence {
     /// The condition is still present when the operation is retried.
     /// Faults triggered by such conditions are environment-dependent-
@@ -50,7 +49,7 @@ impl fmt::Display for Persistence {
 /// The variants cover every condition named by the paper's 26 environment-
 /// dependent faults, plus [`ConditionKind::UnknownTransient`] for the GNOME
 /// report that "works on a retry" with no further diagnosis (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum ConditionKind {
     // ---- conditions that persist on retry (nontransient triggers) ----
@@ -266,15 +265,6 @@ mod tests {
     fn display_matches_slug() {
         for c in ConditionKind::ALL {
             assert_eq!(c.to_string(), c.slug());
-        }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        for c in ConditionKind::ALL {
-            let json = serde_json::to_string(&c).unwrap();
-            let back: ConditionKind = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, c);
         }
     }
 }

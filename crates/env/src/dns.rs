@@ -8,12 +8,11 @@
 //! touches).
 
 use faultstudy_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Health of the (forward) DNS service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DnsHealth {
     /// Lookups succeed promptly.
     Healthy,
@@ -24,7 +23,7 @@ pub enum DnsHealth {
 }
 
 /// Result of a name lookup.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Lookup {
     /// Resolved after the given latency.
     Resolved {
@@ -71,7 +70,7 @@ impl fmt::Display for Lookup {
 /// let later = SimTime::from_secs(31);
 /// assert!(matches!(dns.resolve("example.org", later), Lookup::Resolved { .. }));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnsService {
     health: DnsHealth,
     /// When the current unhealthy state repairs itself.

@@ -8,11 +8,10 @@
 //! are available.
 
 use faultstudy_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned when a read wants more entropy than the pool holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntropyExhausted {
     /// Bits requested.
     pub requested: u64,
@@ -49,7 +48,7 @@ impl std::error::Error for EntropyExhausted {}
 /// assert!(pool.read(128, SimTime::ZERO).is_err());
 /// assert!(pool.read(128, SimTime::from_secs(2)).is_ok());  // refilled
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntropyPool {
     capacity_bits: u64,
     bits: u64,

@@ -26,12 +26,11 @@ use faultstudy_obs::Metrics;
 use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
 use faultstudy_sim::sched::Interleaver;
 use faultstudy_sim::time::{Clock, Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a resource owner (an application or an external program)
 /// across every per-owner table in the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OwnerId(pub u32);
 
 impl fmt::Display for OwnerId {

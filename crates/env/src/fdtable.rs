@@ -8,12 +8,11 @@
 //! what every other owner can open.
 
 use crate::environment::OwnerId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A file descriptor handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fd(pub u32);
 
 impl fmt::Display for Fd {
@@ -23,7 +22,7 @@ impl fmt::Display for Fd {
 }
 
 /// Error returned when the descriptor table is exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FdExhausted {
     /// The configured table size.
     pub limit: u32,
@@ -53,7 +52,7 @@ impl std::error::Error for FdExhausted {}
 /// t.close(a).unwrap();
 /// assert!(t.open(app).is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FdTable {
     limit: u32,
     next: u32,

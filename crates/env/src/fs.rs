@@ -5,12 +5,11 @@
 //! (Apache), a log or database file exceeding the maximum allowed file size
 //! (Apache, MySQL), and a file with an illegal owner field (GNOME).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors returned by [`VirtualFs`] operations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsError {
     /// The filesystem has no space for the requested write.
     NoSpace {
@@ -51,7 +50,7 @@ impl fmt::Display for FsError {
 impl std::error::Error for FsError {}
 
 /// Metadata of one virtual file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMeta {
     /// Current size in bytes.
     pub size: u64,
@@ -83,7 +82,7 @@ impl FileMeta {
 /// assert_eq!(fs.used(), 300);
 /// assert!(fs.append("logs/a", 200).is_err()); // would exceed max file size
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualFs {
     files: BTreeMap<String, FileMeta>,
     capacity: u64,

@@ -6,11 +6,10 @@
 //! behaviour behind "SIGHUP kills apache on Solaris and Unixware" and
 //! MySQL's signal-masking race.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Signals the simulated kernel can deliver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Signal {
     /// Hang-up: conventionally asks a daemon to restart/rejuvenate.
     Hup,
@@ -35,7 +34,7 @@ impl fmt::Display for Signal {
 }
 
 /// A removable hardware component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HardwareComponent {
     /// The PCMCIA network card of the Apache corpus fault.
     PcmciaNic,
@@ -63,7 +62,7 @@ impl fmt::Display for HardwareComponent {
 /// host.remove_hardware(HardwareComponent::PcmciaNic);
 /// assert!(!host.hardware_present(HardwareComponent::PcmciaNic));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostConfig {
     boot_hostname: String,
     hostname: String,

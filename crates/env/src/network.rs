@@ -8,11 +8,10 @@
 //! (transient via [`crate::proctable::ProcessTable::kill_all_of`]).
 
 use faultstudy_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Quality of the network link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkQuality {
     /// Normal latency.
     Normal,
@@ -23,7 +22,7 @@ pub enum LinkQuality {
 }
 
 /// Errors surfaced by the network model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetError {
     /// The link is down.
     LinkDown,
@@ -59,7 +58,7 @@ impl std::error::Error for NetError {}
 /// assert_eq!(net.rtt_at(SimTime::from_secs(10)), Ok(Duration::from_secs(2)));
 /// assert_eq!(net.rtt_at(SimTime::from_secs(30)), Ok(Duration::from_millis(1)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Network {
     quality: LinkQuality,
     repair_at: SimTime,

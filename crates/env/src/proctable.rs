@@ -8,12 +8,11 @@
 //! processes associated with the application", clearing the condition.
 
 use crate::environment::OwnerId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A process identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(pub u32);
 
 impl fmt::Display for Pid {
@@ -23,7 +22,7 @@ impl fmt::Display for Pid {
 }
 
 /// Scheduling state of a process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcState {
     /// Making progress.
     Running,
@@ -32,7 +31,7 @@ pub enum ProcState {
 }
 
 /// Error returned when no process-table slots remain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcTableFull {
     /// The configured slot count.
     pub slots: u32,
@@ -46,7 +45,7 @@ impl fmt::Display for ProcTableFull {
 
 impl std::error::Error for ProcTableFull {}
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct ProcEntry {
     owner: OwnerId,
     state: ProcState,
@@ -70,7 +69,7 @@ struct ProcEntry {
 /// assert_eq!(t.kill_all_of(app), 1); // recovery kills app processes
 /// assert_eq!(t.in_use(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessTable {
     slots: u32,
     next_pid: u32,

@@ -17,11 +17,10 @@
 //! `VecDeque` reference for arbitrary send/recv interleavings.
 
 use crate::fault::{ChannelFaultKind, Leg, Persistence};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// One message in flight on a channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Monotone per-channel sequence number, assigned at send.
     pub seq: u64,
@@ -31,7 +30,7 @@ pub struct Message {
 }
 
 /// Why a send was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendError {
     /// The bounded queue is at capacity; the sender must back off.
     Full,

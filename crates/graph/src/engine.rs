@@ -38,7 +38,7 @@ use faultstudy_obs::Histogram;
 use faultstudy_recovery::{RebootScope, RestartTree};
 use faultstudy_sim::time::{Duration, SimTime};
 use faultstudy_traffic::{drive_open_loop, Answer, TrafficParams, UnitStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::borrow::Cow;
 
 /// Service time the web tier charges per request it handles.
@@ -63,7 +63,7 @@ pub const CHAIN_BUDGET: Duration = Duration::from_secs(4);
 pub const PROBE_EVERY: Duration = Duration::from_millis(50);
 
 /// Which recovery plane answers detected channel faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PlaneKind {
     /// Process-level supervision: the restart tree reboots components.
     Process,
@@ -88,14 +88,14 @@ impl PlaneKind {
 /// The typed error a per-channel recovery propagates upstream: the named
 /// channel was drained and reset, the exchange in flight is gone, and
 /// the caller may retry idempotently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelReset {
     /// The edge whose channel was reset.
     pub edge: EdgeId,
 }
 
 /// Per-edge wire ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct EdgeStats {
     /// Messages offered to the channel (requests, replies, retransmits).
     pub sends: u64,
@@ -127,7 +127,7 @@ impl EdgeStats {
 }
 
 /// The three edges' ledgers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct GraphEdges {
     /// Clients → miniweb.
     pub client_web: EdgeStats,
@@ -165,7 +165,7 @@ impl GraphEdges {
 
 /// Per-unit graph outcome: the base request ledger plus the cascade,
 /// amplification, and recovery-plane accounting the campaign folds.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct GraphUnitStats {
     /// The single-app ledger fields (offered/ok/dropped/latency/...).
     pub base: UnitStats,

@@ -27,11 +27,11 @@
 use faultstudy_core::taxonomy::FaultClass;
 use faultstudy_sim::rng::{split_seed, DetRng, Xoshiro256StarStar};
 use faultstudy_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The two transfer legs of one request/reply exchange over a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Leg {
     /// Caller → callee: the request travels down the chain.
     Request,
@@ -40,7 +40,7 @@ pub enum Leg {
 }
 
 /// The directed edges of the service topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeId {
     /// Clients → miniweb: every user request enters here.
     ClientWeb,
@@ -56,7 +56,7 @@ impl EdgeId {
 }
 
 /// Where on the chain a fault kind lives: which edge, which leg.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSite {
     /// The corrupted channel.
     pub edge: EdgeId,
@@ -65,7 +65,7 @@ pub struct FaultSite {
 }
 
 /// How long a fault stays armed on its channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Persistence {
     /// Consumed by the next matching transfer — the transient mechanism.
     OneShot,
@@ -76,7 +76,7 @@ pub enum Persistence {
 }
 
 /// What happens to the transfer that trips over the fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultBehavior {
     /// The sending endpoint dies mid-exchange; the message is lost and
     /// the sender needs recovery before the exchange can be retried.
@@ -98,7 +98,7 @@ pub enum FaultBehavior {
 }
 
 /// The twelve IPC fault kinds of the Theseus/MINIX3 comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum ChannelFaultKind {
     /// s1 — page fault in the sender mid-transmit: the db-side endpoint
     /// crashes after doing the work, the reply is lost.
@@ -259,7 +259,7 @@ impl fmt::Display for ChannelFaultKind {
 }
 
 /// One scheduled channel-fault arming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphFaultEvent {
     /// Simulated instant at which the fault arms on its site's channel.
     pub at: SimTime,
@@ -268,7 +268,7 @@ pub struct GraphFaultEvent {
 }
 
 /// A named, classed channel-fault plan: one kind, scheduled.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphFaultPlan {
     /// Stable plan name (the kind's name).
     pub name: String,
@@ -379,13 +379,5 @@ mod tests {
                 assert_eq!(site.leg, Leg::Request);
             }
         }
-    }
-
-    #[test]
-    fn plans_serialize_round_trip() {
-        let plans = graph_plans(11);
-        let json = serde_json::to_string(&plans).unwrap();
-        let back: Vec<GraphFaultPlan> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plans);
     }
 }

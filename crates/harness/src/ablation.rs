@@ -12,7 +12,6 @@ use faultstudy_env::Environment;
 use faultstudy_recovery::{
     run_workload, ProgressiveRetry, RecoveryStrategy, Rejuvenation, RollbackRecovery,
 };
-use serde::{Deserialize, Serialize};
 
 /// In-place retry in an *unchanged* environment: restore the checkpoint
 /// and immediately re-execute, without advancing simulated time. Under the
@@ -69,7 +68,7 @@ fn standard_env(seed: u64) -> Environment {
 }
 
 /// One point of the E11 checkpoint-interval sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPoint {
     /// Requests between checkpoints.
     pub interval: u32,
@@ -105,7 +104,7 @@ pub(crate) fn sweep_checkpoint_interval(intervals: &[u32], seed: u64) -> Vec<Che
 }
 
 /// One point of the E12 perturbation sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerturbationPoint {
     /// Retry budget.
     pub retries: u32,
@@ -154,7 +153,7 @@ pub(crate) fn sweep_perturbation(retry_budgets: &[u32], seeds: u64) -> Vec<Pertu
 }
 
 /// One point of the E13 rejuvenation sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RejuvenationPoint {
     /// Requests between proactive rejuvenations.
     pub period: u32,

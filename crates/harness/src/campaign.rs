@@ -17,12 +17,12 @@ use faultstudy_corpus::full_corpus;
 use faultstudy_exec::ParallelSpec;
 use faultstudy_obs::MetricsRegistry;
 use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::OnceLock;
 
 /// One (class, strategy) cell of a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CampaignCell {
     /// Fault class of the sampled faults.
     pub class: FaultClass,
@@ -35,7 +35,7 @@ pub struct CampaignCell {
 }
 
 /// Configuration of a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CampaignSpec {
     /// Number of `(fault, strategy, seed)` samples to draw.
     pub samples: u32,
@@ -44,7 +44,7 @@ pub struct CampaignSpec {
 }
 
 /// Aggregate of one campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignReport {
     /// The spec that produced this report.
     pub spec: CampaignSpec,

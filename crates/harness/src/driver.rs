@@ -14,7 +14,7 @@ use faultstudy_exec::{run_chunk_fold, ParallelSpec};
 use faultstudy_obs::MetricsRegistry;
 use faultstudy_sim::rng::SplitSeedStream;
 use faultstudy_traffic::{ArrivalKind, UnitStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One instance of the paper's end-to-end experiment (§5.4, §8): run each
@@ -47,7 +47,7 @@ pub trait Campaign: Sized + Serialize + fmt::Display {
 
 /// Configuration of an open-loop campaign: traffic, micro, oblivious and
 /// graph all offer their load from one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LoadSpec {
     /// Master seed; the campaign is a pure function of it.
     pub seed: u64,

@@ -11,11 +11,11 @@ use faultstudy_recovery::{
     run_workload, AppSpecific, NoRecovery, ProcessPair, ProgressiveRetry, RecoveryStrategy,
     Rejuvenation, RestartRetry, RollbackRecovery,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The recovery strategies the matrix compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum StrategyKind {
     /// No recovery: first failure is fatal (baseline).
     None,
@@ -84,7 +84,7 @@ impl fmt::Display for StrategyKind {
 }
 
 /// The outcome of one (fault, strategy) experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FaultOutcome {
     /// Corpus slug of the injected fault.
     pub slug: String,

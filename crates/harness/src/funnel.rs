@@ -5,10 +5,10 @@ use faultstudy_corpus::{PopulationSpec, SyntheticPopulation};
 use faultstudy_exec::ParallelSpec;
 use faultstudy_mining::{Archive, PipelineOutcome, PrecisionRecall, SelectionPipeline};
 use faultstudy_obs::MetricsRegistry;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A funnel run plus its quality against the generator's ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FunnelRun {
     /// The pipeline outcome with per-stage counts.
     pub outcome: PipelineOutcome,

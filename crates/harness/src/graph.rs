@@ -33,7 +33,7 @@ use faultstudy_graph::{
 use faultstudy_obs::{Histogram, MetricsRegistry};
 use faultstudy_sim::rng::split_seed;
 use faultstudy_traffic::{ArrivalKind, TrafficParams, UnitStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The retry-budget sweep: no retries (every bitten chain is a
@@ -46,7 +46,7 @@ pub const GRAPH_BUDGETS: [u32; 3] = [0, 1, 3];
 pub type GraphSpec = LoadSpec;
 
 /// One `(fault kind, plane, budget)` unit of the campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GraphCell {
     /// Fault plan name (the kind's wire name, e.g. `s1-sender-page-fault`).
     pub plan: String,
@@ -65,7 +65,7 @@ pub struct GraphCell {
 }
 
 /// Aggregate of one graph campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GraphReport {
     /// The spec that produced this report.
     pub spec: LoadSpec,

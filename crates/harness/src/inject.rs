@@ -30,18 +30,18 @@ use faultstudy_obs::MetricsRegistry;
 use faultstudy_recovery::{run_workload_supervised, BackoffPolicy, SupervisorConfig};
 use faultstudy_sim::rng::split_seed;
 use faultstudy_sim::time::Duration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Configuration of an injection campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct InjectSpec {
     /// Master seed; the campaign is a pure function of it.
     pub seed: u64,
 }
 
 /// One `(plan, strategy, scrub)` unit of the campaign.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct InjectCell {
     /// Injection plan name.
     pub plan: String,
@@ -70,7 +70,7 @@ pub struct InjectCell {
 }
 
 /// Aggregate of one injection campaign.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct InjectReport {
     /// The spec that produced this report.
     pub spec: InjectSpec,

@@ -23,13 +23,13 @@ use faultstudy_graph::PlaneKind;
 use faultstudy_obs::{Histogram, MetricsRegistry};
 use faultstudy_sim::time::Duration;
 use faultstudy_traffic::UnitStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
 /// Survival counts for one (class, strategy) cell.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Cell {
     /// Experiments in the cell.
     pub total: u32,
@@ -49,7 +49,7 @@ impl Cell {
 }
 
 /// One (class, strategy) entry of the matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MatrixCell {
     /// Fault class of the cell.
     pub class: FaultClass,
@@ -60,7 +60,7 @@ pub struct MatrixCell {
 }
 
 /// The full survival matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RecoveryMatrix {
     seed: u64,
     cells: Vec<MatrixCell>,

@@ -36,7 +36,7 @@ use faultstudy_obs::{Histogram, MetricsRegistry};
 use faultstudy_recovery::{MicroReboot, RecoveryStrategy, RestartRetry};
 use faultstudy_sim::rng::split_seed;
 use faultstudy_traffic::{ArrivalKind, UnitStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Retry budget of the process-restart mode, matching the recovery
@@ -52,7 +52,7 @@ const RESTART_RETRIES: u32 = 3;
 const MICRO_RETRIES: u32 = 8;
 
 /// The recovery mode of one campaign unit — the comparison axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum RecoveryMode {
     /// Whole-process restart from the last checkpoint ([`RestartRetry`]).
     Restart,
@@ -107,7 +107,7 @@ pub(crate) fn micro_plans(seed: u64) -> Vec<InjectionPlan> {
 }
 
 /// One `(plan, mode, application)` unit of the campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MicroCell {
     /// Application under load.
     pub app: AppKind,
@@ -126,7 +126,7 @@ pub struct MicroCell {
 }
 
 /// Aggregate of one microreboot campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MicroReport {
     /// The spec that produced this report.
     pub spec: LoadSpec,

@@ -51,7 +51,7 @@ use faultstudy_recovery::{
 };
 use faultstudy_sim::rng::split_seed;
 use faultstudy_traffic::{ArrivalKind, UnitStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Retry budget of the restart baseline, matching the recovery matrix.
@@ -74,7 +74,7 @@ const PROBE_REQUESTS: u64 = 96;
 pub type ObliviousSpec = LoadSpec;
 
 /// The recovery mode of one campaign unit — the comparison axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum HealMode {
     /// Whole-process restart from the last checkpoint ([`RestartRetry`]).
     Restart,
@@ -155,7 +155,7 @@ fn probe_profile(
 }
 
 /// One `(plan, mode, application)` unit of the campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ObliviousCell {
     /// Application under load.
     pub app: AppKind,
@@ -181,7 +181,7 @@ pub struct ObliviousCell {
 }
 
 /// Aggregate of one oblivious-recovery campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ObliviousReport {
     /// The spec that produced this report.
     pub spec: LoadSpec,

@@ -32,7 +32,7 @@ use faultstudy_recovery::{BackoffPolicy, RecoveryStrategy, SupervisorConfig};
 use faultstudy_sim::rng::split_seed;
 use faultstudy_sim::time::Duration;
 use faultstudy_traffic::{run_open_loop, ArrivalKind, TrafficParams, UnitStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The traffic campaign's [`LoadSpec`], under the name the benchmark
@@ -40,7 +40,7 @@ use std::fmt;
 pub type TrafficSpec = LoadSpec;
 
 /// One `(plan, strategy, application)` unit of the campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrafficCell {
     /// Application under load.
     pub app: AppKind,
@@ -57,7 +57,7 @@ pub struct TrafficCell {
 }
 
 /// Aggregate of one traffic campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrafficReport {
     /// The spec that produced this report.
     pub spec: LoadSpec,

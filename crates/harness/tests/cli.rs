@@ -83,14 +83,65 @@ fn lee_iyer_command_prints_reconciliation() {
     assert!(stdout.contains("29.0"));
 }
 
+/// FNV-1a-64 of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Each report command's stdout at seed 2000, in text and in `--json`,
+/// hashes to the digest pinned beside it, so output that changes across
+/// commits fails here. A change that alters a report on purpose updates
+/// the digest and says why.
+#[test]
+fn report_commands_keep_their_bytes() {
+    for (cmd, text, json) in [
+        ("tables", 0x0b36_b24c_3d0b_0241, 0x7ea6_3e09_3cdb_c1c9),
+        ("figures", 0x92cd_8dec_83e7_cb1e, 0xc4d6_0d21_7e0b_4d27),
+        ("summary", 0xe021_2567_477c_5972, 0x67f5_be63_150e_0a2a),
+        ("mine", 0xaabb_1fa9_4d61_3836, 0x6ec2_dcc5_45a4_bdb2),
+        ("metrics", 0xf94e_463c_8d7b_b056, 0x9892_18cf_50be_2056),
+        ("lee-iyer", 0x393f_1b6a_d04c_6b03, 0xa3e1_8239_2442_873b),
+    ] {
+        for (json_flag, digest) in [(None, text), (Some("--json"), json)] {
+            let args: Vec<&str> = [cmd, "--seed", "2000"].into_iter().chain(json_flag).collect();
+            let (stdout, stderr, ok) = run(&args);
+            assert!(ok && stderr.is_empty(), "{args:?}: {stderr}");
+            let got = fnv1a(stdout.as_bytes());
+            assert_eq!(got, digest, "{args:?}: digest {got:#018x} differs from the pinned one");
+        }
+    }
+}
+
+/// Every command with a `--json` form prints one JSON document. The
+/// campaigns run at sizes too small to keep their contracts, so they exit
+/// non-zero, but they still print their report. `all --json` prints the
+/// report commands' documents back to back.
 #[test]
 fn json_output_parses() {
-    for cmd in ["tables", "summary", "lee-iyer"] {
-        let (stdout, _, ok) = run(&[cmd, "--json"]);
-        assert!(ok, "{cmd}");
+    let parse = |args: &[&str]| {
+        let (stdout, stderr, _) = run(args);
         let value: serde_json::Value =
-            serde_json::from_str(&stdout).unwrap_or_else(|e| panic!("{cmd}: {e}"));
-        assert!(!value.is_null(), "{cmd}");
+            serde_json::from_str(&stdout).unwrap_or_else(|e| panic!("{args:?}: {e}: {stderr}"));
+        assert!(!value.is_null(), "{args:?}");
+        stdout
+    };
+    let reports: String = ["tables", "figures", "summary", "mine", "recover", "lee-iyer"]
+        .into_iter()
+        .map(|cmd| parse(&[cmd, "--json"]))
+        .collect();
+    assert_eq!(run(&["all", "--json"]).0, reports);
+    for args in [
+        &["metrics"][..],
+        &["campaign", "--samples", "20"],
+        &["inject"],
+        &["traffic", "--requests", "60"],
+        &["micro", "--requests", "10"],
+        &["graph", "--requests", "10"],
+        &["oblivious", "--requests", "150"],
+    ] {
+        parse(&[args, &["--json"]].concat());
     }
 }
 

@@ -15,7 +15,6 @@ use faultstudy_env::network::LinkQuality;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_sim::rng::{split_seed, DetRng, Xoshiro256StarStar};
 use faultstudy_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One kind of environment perturbation.
@@ -23,7 +22,7 @@ use std::fmt;
 /// Each variant carries everything its application needs, so applying an
 /// event is a pure function of `(event, environment)` — there is no hidden
 /// generator state to replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionKind {
     /// Open `per_event` descriptors as an external program and never close
     /// them: one step of a leak ramp. The paper's "competition between
@@ -131,7 +130,7 @@ impl fmt::Display for InjectionKind {
 }
 
 /// One scheduled perturbation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectionEvent {
     /// Simulated instant at which the event comes due.
     pub at: SimTime,
@@ -140,7 +139,7 @@ pub struct InjectionEvent {
 }
 
 /// A named, classed injection plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectionPlan {
     /// Stable plan name.
     pub name: String,
@@ -358,13 +357,5 @@ mod tests {
         assert!(!env.fds.is_exhausted());
         ramp.apply(&mut env, owner);
         assert!(env.fds.is_exhausted(), "fourth step saturates without panicking");
-    }
-
-    #[test]
-    fn plans_serialize_round_trip() {
-        let plans = standard_plans(11);
-        let json = serde_json::to_string(&plans).unwrap();
-        let back: Vec<InjectionPlan> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plans);
     }
 }

@@ -30,7 +30,6 @@
 
 use faultstudy_env::Environment;
 use faultstudy_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a component's state relates to a crash of that component.
@@ -38,7 +37,7 @@ use std::fmt;
 /// The taxonomy is the crash-only design rule made explicit: a component
 /// is safe to microreboot exactly when everything it would lose is either
 /// disposable or reconstructible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateKind {
     /// All state is disposable (request scratch, caches of caches, leaked
     /// allocations). Crashing loses nothing a fresh boot cannot live

@@ -3,7 +3,6 @@
 use faultstudy_core::flat::ReportColumns;
 use faultstudy_core::report::BugReport;
 use faultstudy_core::taxonomy::AppKind;
-use serde::{Deserialize, Serialize};
 
 /// A bug archive: the raw input to the §4 funnel.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// keyword scan walks the arena without per-report pointer chasing —
 /// paper-scale archives (44,000 MySQL messages) fit in a handful of
 /// allocations instead of five per report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Archive {
     app: AppKind,
     columns: ReportColumns,

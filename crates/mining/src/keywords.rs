@@ -114,10 +114,11 @@ impl KeywordQuery {
     /// maps the rare match ends to the rows holding them, and only those
     /// rows are confirmed by [`Self::matches_segments`], which also drops
     /// a match that crosses a field or a row boundary or lies in the
-    /// unscanned version field. A block the pass cannot vouch for takes
-    /// the per-row scan instead: rows out of arena order
-    /// ([`ReportColumns::in_arena_order`]), non-ASCII text, or a query
-    /// that compiled to the DFA or holds an empty keyword.
+    /// unscanned version field. The sweep relies on the rows' arena order,
+    /// which every [`ReportColumns`] keeps (see its
+    /// [module docs](faultstudy_core::flat)). A block the pass cannot vouch
+    /// for takes the per-row scan instead: non-ASCII text, or a query that
+    /// compiled to the DFA or holds an empty keyword.
     pub fn matching_rows(&self, columns: &ReportColumns, parallel: ParallelSpec) -> Vec<usize> {
         run_chunk_fold(
             columns.len(),
@@ -134,12 +135,8 @@ impl KeywordQuery {
             return;
         }
         let base = columns.row_range(rows.start).start;
-        let ends = if columns.in_arena_order(rows.clone()) {
-            self.automaton.match_ends(&columns.arena()[base..columns.row_range(rows.end - 1).end])
-        } else {
-            None
-        };
-        let Some(ends) = ends else {
+        let block = &columns.arena()[base..columns.row_range(rows.end - 1).end];
+        let Some(ends) = self.automaton.match_ends(block) else {
             kept.extend(rows.filter(|&row| self.matches_segments(&columns.text_segments(row))));
             return;
         };

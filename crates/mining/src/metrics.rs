@@ -1,7 +1,7 @@
 //! Selection-quality metrics against synthetic ground truth.
 
 use faultstudy_core::report::BugReport;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -10,7 +10,7 @@ use std::fmt;
 /// curated fault counts as recalled if any report describing it (primary or
 /// duplicate) was selected, and a selected report counts as precise if it
 /// describes some curated fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PrecisionRecall {
     /// Selected reports describing a real fault.
     pub true_positives: usize,

@@ -26,11 +26,11 @@ use faultstudy_core::taxonomy::AppKind;
 use faultstudy_exec::{retain_by_mask, run_indexed, ParallelSpec};
 use faultstudy_obs::{Metrics, MetricsRegistry};
 use faultstudy_sim::time::Duration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One stage of the funnel with its surviving count.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FunnelStage {
     /// Stage name.
     pub name: String,
@@ -39,7 +39,7 @@ pub struct FunnelStage {
 }
 
 /// The result of running a pipeline over an archive.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PipelineOutcome {
     /// The application mined.
     pub app: AppKind,

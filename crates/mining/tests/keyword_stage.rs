@@ -27,6 +27,27 @@ fn assert_stage_equals_per_row(query: &KeywordQuery, columns: &ReportColumns, wh
     }
 }
 
+/// The layout the arena pass relies on: row `i`'s range ends where row
+/// `i + 1`'s begins, the last row's range ends at the end of the arena,
+/// and every searchable field lies inside its own row's range.
+fn assert_rows_tile_the_arena(columns: &ReportColumns, what: &str) {
+    let arena = columns.arena();
+    let mut at = 0;
+    for row in 0..columns.len() {
+        let range = columns.row_range(row);
+        assert_eq!(range.start, at, "{what}: row {row} starts where the one before ends");
+        for segment in columns.text_segments(row) {
+            let offset = segment.as_ptr() as usize - arena.as_ptr() as usize;
+            assert!(
+                range.start <= offset && offset + segment.len() <= range.end,
+                "{what}: row {row}"
+            );
+        }
+        at = range.end;
+    }
+    assert_eq!(at, arena.len(), "{what}: the last row ends at the end of the arena");
+}
+
 fn report(id: u64, fields: [&str; 5]) -> BugReport {
     let [title, body, how_to_repeat, developer_notes, version] = fields;
     BugReport::builder(AppKind::Mysql, id)
@@ -57,6 +78,27 @@ fn handcrafted() -> Vec<BugReport> {
         // "died" across the how-to-repeat and the notes.
         report(9, ["", "", "the server di", "ed twice", "4.0"]),
     ]
+}
+
+/// `push` is the only way a row enters a column set, so every column set
+/// keeps the layout, whichever way it was built and at any size.
+#[test]
+fn rows_tile_the_arena() {
+    assert_rows_tile_the_arena(&ReportColumns::new(), "no rows");
+    assert_rows_tile_the_arena(&ReportColumns::from_reports(&handcrafted()), "handcrafted rows");
+    for seed in [1, 7, 42, 2000] {
+        for app in AppKind::ALL {
+            let paper = PopulationSpec::paper_scale(app, seed);
+            for archive_size in [100, 1_000, paper.archive_size] {
+                let spec = PopulationSpec { archive_size, ..paper };
+                let columns = SyntheticPopulation::generate(&spec).to_columns();
+                let what = format!("{app} at seed {seed}, {archive_size} rows");
+                assert_rows_tile_the_arena(&columns, &what);
+                let reports: Vec<BugReport> = columns.iter().map(|row| row.materialize()).collect();
+                assert_rows_tile_the_arena(&ReportColumns::from_reports(&reports), &what);
+            }
+        }
+    }
 }
 
 #[test]

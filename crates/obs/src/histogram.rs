@@ -11,7 +11,7 @@
 //! observed `min`/`max`), using only integer arithmetic so a quantile is a
 //! pure function of the recorded multiset.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Number of fixed buckets: one for zero plus one per base-2 order.
@@ -61,7 +61,7 @@ pub const fn bucket_hi(index: usize) -> u64 {
 /// assert_eq!(h.max(), Some(100));
 /// assert!(h.p50().unwrap() <= 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Histogram {
     /// Non-empty buckets only, as `(bucket index, count)` pairs sorted by
     /// index. Distributions here are narrow (a handful of base-2 orders),

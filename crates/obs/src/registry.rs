@@ -3,7 +3,7 @@
 use crate::histogram::Histogram;
 use crate::span::Span;
 use faultstudy_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -47,7 +47,7 @@ fn compose_key(out: &mut String, name: &str, label: &str) {
 /// assert_eq!(reg.counter("requests", "restart"), 2);
 /// assert_eq!(reg.histogram("retries", "restart").unwrap().count(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,

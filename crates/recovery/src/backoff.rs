@@ -12,7 +12,6 @@
 
 use faultstudy_sim::rng::{split_seed, DetRng, Xoshiro256StarStar};
 use faultstudy_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic, capped exponential backoff schedule.
 ///
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(p.delay(2) >= p.delay(1));
 /// assert!(p.delay(30) <= Duration::from_secs(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffPolicy {
     base: Duration,
     cap: Duration,

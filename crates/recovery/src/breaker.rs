@@ -10,8 +10,6 @@
 //! report "this strategy is not making progress" as a first-class,
 //! countable event rather than a timeout.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts consecutive failures and trips at a threshold.
 ///
 /// A threshold of zero disables the breaker entirely: it never trips.
@@ -28,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// b.record_success();
 /// assert!(!b.is_open());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CircuitBreaker {
     threshold: u32,
     consecutive: u32,

@@ -26,11 +26,10 @@ use crate::RestartRetry;
 use faultstudy_apps::{Application, Request, Response, Text};
 use faultstudy_env::Environment;
 use faultstudy_obs::MetricsRegistry;
-use serde::{Deserialize, Serialize};
 
 /// An observed failure signature, distilled from an instrumented run's
 /// metrics registry.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailureProfile {
     /// Requests lost after full microreboot escalation (`micro.lost`) —
     /// the signature of an environment-independent defect.

@@ -25,10 +25,9 @@ use faultstudy_apps::{AppFailure, Application, Request};
 use faultstudy_env::Environment;
 use faultstudy_obs::Span;
 use faultstudy_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of supervising one workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadRun {
     /// Requests that were eventually served.
     pub completed: usize,
@@ -65,7 +64,7 @@ pub trait EnvHook {
 /// Every knob has a neutral setting under which the hardened loop is
 /// byte-identical to [`run_workload`]; [`SupervisorConfig::permissive`]
 /// selects all of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Hang-detection deadline. A hung attempt costs this much simulated
     /// time before the watchdog declares it failed and counts the fire;
@@ -105,7 +104,7 @@ impl SupervisorConfig {
 
 /// Outcome of one hardened supervision: the plain [`WorkloadRun`] plus the
 /// supervisor's own event counts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisedRun {
     /// The underlying workload outcome.
     pub run: WorkloadRun,

@@ -8,11 +8,10 @@
 //! (12 of 139). This module renders that comparison and checks the
 //! consistency claim.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One study's timing/synchronization (≈ transient) fault fraction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyPoint {
     /// Citation label.
     pub study: String,
@@ -37,7 +36,7 @@ impl StudyPoint {
 }
 
 /// The comparison table of §7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelatedWork {
     /// Prior studies' points.
     pub prior: Vec<StudyPoint>,

@@ -23,12 +23,12 @@
 //! documented reconstruction that sums to the published endpoints, and
 //! the arithmetic is exposed so other splits can be explored.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The reconciliation inputs, in percentage points of all Tandem software
 /// faults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TandemReconciliation {
     /// Faults recovered by the deployed process-pair mechanism (82).
     pub raw_recovered: f64,

@@ -7,8 +7,6 @@
 //! xoshiro256\*\* is the workhorse stream generator; both are the standard,
 //! well-studied constructions by Blackman and Vigna.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic random number source.
 ///
 /// All simulation components draw randomness exclusively through this trait,
@@ -97,7 +95,7 @@ pub trait DetRng {
 /// let mut b = SplitMix64::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -216,7 +214,7 @@ impl SplitSeedStream {
 /// let v = rng.below(10);
 /// assert!(v < 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
 }

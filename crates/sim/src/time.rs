@@ -5,7 +5,6 @@
 //! timestamp in an experiment derives from a [`Clock`] advanced by the event
 //! loop.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -21,9 +20,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// let t = SimTime::ZERO + Duration::from_secs(2);
 /// assert_eq!(t.as_nanos(), 2_000_000_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -101,9 +98,7 @@ impl Sub<SimTime> for SimTime {
 /// A span of simulated time, in nanoseconds.
 ///
 /// Distinct from [`SimTime`] so that instants and spans cannot be mixed up.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {
@@ -167,7 +162,7 @@ impl fmt::Display for Duration {
 /// clock.advance(Duration::from_millis(10));
 /// assert_eq!(clock.now(), SimTime::from_millis(10));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Clock {
     now: SimTime,
 }

@@ -9,13 +9,13 @@
 
 use faultstudy_sim::rng::SplitSeedStream;
 use faultstudy_sim::time::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Nanoseconds per simulated second, as float for rate arithmetic.
 const NANOS_PER_SEC: f64 = 1_000_000_000.0;
 
 /// The shape of the offered-load curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ArrivalKind {
     /// Memoryless arrivals at a constant mean rate.
     Poisson,

@@ -24,13 +24,13 @@ use faultstudy_recovery::{
 use faultstudy_sim::rng::SplitSeedStream;
 use faultstudy_sim::time::Duration;
 use faultstudy_sim::wheel::TimingWheel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::session::Session;
 
 /// Per-unit traffic outcome: the request ledger and latency histogram a
 /// campaign folds into its (fault class × strategy) SLO accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct UnitStats {
     /// Requests the arrival schedule offered.
     pub offered: u64,

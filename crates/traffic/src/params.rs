@@ -2,10 +2,9 @@
 
 use crate::arrival::ArrivalKind;
 use faultstudy_sim::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Shape of the offered load for one traffic unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficParams {
     /// Arrival-process family for session starts.
     pub arrival: ArrivalKind,

@@ -1,7 +1,6 @@
 //! Integration: the §4 selection funnels at paper scale.
 
 use faultstudy::core::evidence::Evidence;
-use faultstudy::core::flat::ReportColumns;
 use faultstudy::core::scanset;
 use faultstudy::core::taxonomy::AppKind;
 use faultstudy::corpus::{PopulationSpec, SyntheticPopulation};
@@ -114,38 +113,5 @@ fn shared_scan_matches_the_naive_scans_on_the_paper_scale_archive() {
         let hits = set.hits_report(r);
         assert_eq!(query.matches(r), query.matches_naive(r), "keyword verdict on {}", r.id);
         assert_eq!(Evidence::from_hits(&hits), Evidence::extract_naive(r), "evidence on {}", r.id);
-    }
-}
-
-/// A column set whose rows are out of arena order, here a deserialized one
-/// with its rows reversed, takes the keyword stage's per-row path and
-/// keeps the rows the per-row scan keeps.
-#[test]
-fn the_keyword_stage_keeps_the_per_row_rows_out_of_arena_order() {
-    let spec =
-        PopulationSpec { archive_size: 3_000, ..PopulationSpec::paper_scale(AppKind::Mysql, 7) };
-    let columns = SyntheticPopulation::generate(&spec).to_columns();
-    let mut value = serde_json::to_value(&columns);
-    let serde_json::Value::Map(fields) = &mut value else { panic!("columns serialize to a map") };
-    for (_, column) in fields {
-        if let serde_json::Value::Seq(rows) = column {
-            rows.reverse();
-        }
-    }
-    let reversed: ReportColumns = serde_json::from_value(&value).expect("deserializes");
-    assert_eq!(reversed.materialize(0), columns.materialize(columns.len() - 1));
-    assert!(!reversed.in_arena_order(0..reversed.len()));
-
-    let query = KeywordQuery::mysql();
-    let expected: Vec<usize> = (0..reversed.len())
-        .filter(|&i| query.matches_segments(&reversed.text_segments(i)))
-        .collect();
-    assert!(!expected.is_empty());
-    for threads in [1, 2, 4] {
-        assert_eq!(
-            query.matching_rows(&reversed, ParallelSpec::threads(threads)),
-            expected,
-            "{threads} threads"
-        );
     }
 }

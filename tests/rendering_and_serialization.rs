@@ -1,5 +1,6 @@
-//! Integration: rendered artifacts contain the paper's numbers, and every
-//! serializable result round-trips through JSON (the CLI's `--json` path).
+//! Integration: rendered artifacts contain the paper's numbers, and the
+//! JSON text of the results the CLI prints with `--json` is lossless: it
+//! parses back to the tree it was written from.
 
 use faultstudy::core::taxonomy::AppKind;
 use faultstudy::core::timeline::{by_month, by_release};
@@ -7,7 +8,7 @@ use faultstudy::corpus::paper_study;
 use faultstudy::harness::campaign::{CampaignReport, CampaignSpec};
 use faultstudy::harness::{Campaign, ParallelSpec, RecoveryMatrix};
 use faultstudy::report::{
-    render_discussion, render_release_figure, render_table, render_time_figure, RelatedWork,
+    render_discussion, render_release_figure, render_table, render_time_figure,
     TandemReconciliation,
 };
 
@@ -46,42 +47,25 @@ fn discussion_renders_the_abstract_numbers() {
     }
 }
 
+/// A float that lost digits, or a string that lost an escape, on the way
+/// to text would parse back to a different tree.
 #[test]
-fn study_and_matrix_round_trip_through_json() {
-    let study = paper_study();
-    let json = serde_json::to_string(&study).expect("study serializes");
-    let back: faultstudy::core::study::Study =
-        serde_json::from_str(&json).expect("study deserializes");
-    assert_eq!(back, study);
-
+fn matrix_campaign_and_reconciliation_json_is_lossless() {
     let (matrix, _) = RecoveryMatrix::run(3, ParallelSpec::AUTO, false);
-    let json = serde_json::to_string(&matrix).expect("matrix serializes");
-    let back: RecoveryMatrix = serde_json::from_str(&json).expect("matrix deserializes");
-    assert_eq!(back, matrix);
-
     let (campaign, _) =
         CampaignReport::run(CampaignSpec { samples: 20, seed: 1 }, ParallelSpec::AUTO, false);
-    let json = serde_json::to_string(&campaign).expect("campaign serializes");
-    let back: CampaignReport = serde_json::from_str(&json).expect("campaign deserializes");
-    assert_eq!(back, campaign);
-
-    let rec = TandemReconciliation::default();
-    let json = serde_json::to_string(&rec).expect("reconciliation serializes");
-    let back: TandemReconciliation = serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(back, rec);
-
-    let rw = RelatedWork::paper(8.6);
-    let json = serde_json::to_string(&rw).expect("related work serializes");
-    let back: RelatedWork = serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(back, rw);
-}
-
-#[test]
-fn corpus_faults_round_trip_through_json() {
-    for fault in faultstudy::corpus::full_corpus().iter().take(10) {
-        let json = serde_json::to_string(fault).expect("fault serializes");
-        let back: faultstudy::corpus::CuratedFault =
-            serde_json::from_str(&json).expect("fault deserializes");
-        assert_eq!(&back, fault);
+    let reconciliation = TandemReconciliation::default();
+    for (what, json, tree) in [
+        ("matrix", serde_json::to_string(&matrix), serde_json::to_value(&matrix)),
+        ("campaign", serde_json::to_string(&campaign), serde_json::to_value(&campaign)),
+        (
+            "reconciliation",
+            serde_json::to_string(&reconciliation),
+            serde_json::to_value(&reconciliation),
+        ),
+    ] {
+        let parsed: serde_json::Value =
+            serde_json::from_str(&json.expect("serializes")).expect("parses");
+        assert_eq!(parsed, tree, "{what}");
     }
 }

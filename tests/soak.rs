@@ -166,7 +166,20 @@ fn benchmark_size_keyword_stage_keeps_the_per_row_rows() {
     let population = SyntheticPopulation::generate(&spec);
     let archive = Archive::from_columns(AppKind::Mysql, population.to_columns());
     let columns = archive.columns();
-    assert!(columns.in_arena_order(0..ROWS), "generated rows lie in arena order");
+    // The layout the arena pass relies on: the rows' ranges tile the
+    // arena, and each row's searchable fields lie inside its range.
+    let arena = columns.arena();
+    let mut at = 0;
+    for row in 0..ROWS {
+        let range = columns.row_range(row);
+        assert_eq!(range.start, at, "row {row} starts where the one before ends");
+        for segment in columns.text_segments(row) {
+            let offset = segment.as_ptr() as usize - arena.as_ptr() as usize;
+            assert!(range.start <= offset && offset + segment.len() <= range.end, "row {row}");
+        }
+        at = range.end;
+    }
+    assert_eq!(at, arena.len(), "the last row ends at the end of the arena");
 
     let query = KeywordQuery::mysql();
     let per_row: Vec<usize> =
