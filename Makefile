@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test bench verify soak docs fmt lint
+.PHONY: build test bench bench-pairs verify soak docs fmt lint
 
 build:
 	cargo build --release
@@ -12,6 +12,14 @@ test:
 # see benchmark/README.md for the options and the metrics it prints.
 bench:
 	cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --bin benchmark --
+
+# The pairs protocol behind a speed claim: ten alternating runs of the
+# benchmark built at BASE and at the working tree, each as long as
+# BENCHMARK.json's run_seconds, e.g.
+#   make bench-pairs BASE=HEAD WORKLOAD=graph SEED=3601
+# (see tools/bench-pairs.sh).
+bench-pairs:
+	tools/bench-pairs.sh
 
 # CI's Self-check: the paper's guarantees at two seeds.
 verify:

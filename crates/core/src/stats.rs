@@ -189,6 +189,7 @@ mod tests {
                 (3, counts(13, 1, 1)),
                 (4, counts(4, 0, 0)),
             ];
+            const RELEASES: [&str; 5] = ["r0", "r1", "r2", "r3", "r4"];
             let mut faults = Vec::new();
             let mut emit = |app: AppKind, spec: &[(u8, crate::study::ClassCounts)]| {
                 for (idx, c) in spec {
@@ -198,7 +199,7 @@ mod tests {
                                 app,
                                 class,
                                 release_idx: *idx,
-                                release: format!("r{idx}"),
+                                release: RELEASES[usize::from(*idx)],
                                 filed: YearMonth::new(1999, 1),
                             });
                         }

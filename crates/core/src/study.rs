@@ -17,8 +17,9 @@ pub struct ClassifiedFault {
     /// Index of the release the fault was reported against, ordered oldest
     /// to newest within the application (drives Figures 1 and 3).
     pub release_idx: u8,
-    /// Human-readable release label.
-    pub release: String,
+    /// Human-readable release label, borrowed from the corpus's release
+    /// tables.
+    pub release: &'static str,
     /// Month the fault was reported (drives Figure 2).
     pub filed: YearMonth,
 }
@@ -111,7 +112,7 @@ pub struct Discussion {
 ///     app: AppKind::Apache,
 ///     class: FaultClass::EnvironmentIndependent,
 ///     release_idx: 0,
-///     release: "1.2".into(),
+///     release: "1.2",
 ///     filed: YearMonth::new(1998, 7),
 /// }];
 /// let study = Study::from_faults(faults);
@@ -197,7 +198,7 @@ mod tests {
             app,
             class,
             release_idx: 0,
-            release: "r0".into(),
+            release: "r0",
             filed: YearMonth::new(1999, 1),
         }
     }

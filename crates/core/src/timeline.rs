@@ -21,7 +21,7 @@ pub struct ReleaseBucket {
     /// Position of the release in the application's release order.
     pub release_idx: u8,
     /// Release label.
-    pub release: String,
+    pub release: &'static str,
     /// Stacked class counts for the bar.
     pub counts: ClassCounts,
 }
@@ -58,7 +58,7 @@ pub struct TimeSeries {
 ///     app: AppKind::Mysql,
 ///     class: FaultClass::EnvironmentIndependent,
 ///     release_idx: 2,
-///     release: "3.22".into(),
+///     release: "3.22",
 ///     filed: YearMonth::new(1999, 2),
 /// }]);
 /// let series = by_release(&study, AppKind::Mysql);
@@ -66,11 +66,9 @@ pub struct TimeSeries {
 /// assert_eq!(series.buckets[0].release, "3.22");
 /// ```
 pub fn by_release(study: &Study, app: AppKind) -> ReleaseSeries {
-    let mut map: BTreeMap<u8, (String, ClassCounts)> = BTreeMap::new();
+    let mut map: BTreeMap<u8, (&'static str, ClassCounts)> = BTreeMap::new();
     for f in study.faults_of(app) {
-        let entry =
-            map.entry(f.release_idx).or_insert_with(|| (f.release.clone(), ClassCounts::default()));
-        entry.1.bump(f.class);
+        map.entry(f.release_idx).or_insert((f.release, ClassCounts::default())).1.bump(f.class);
     }
     ReleaseSeries {
         app,
@@ -144,8 +142,11 @@ mod tests {
     use super::*;
     use crate::study::ClassifiedFault;
 
+    const RELEASES: [&str; 2] = ["r0", "r1"];
+
     fn fault(app: AppKind, class: FaultClass, idx: u8, ym: YearMonth) -> ClassifiedFault {
-        ClassifiedFault { app, class, release_idx: idx, release: format!("r{idx}"), filed: ym }
+        let release = RELEASES[usize::from(idx)];
+        ClassifiedFault { app, class, release_idx: idx, release, filed: ym }
     }
 
     fn jan(m: u8) -> YearMonth {

@@ -118,7 +118,7 @@ proptest! {
                 app: *app,
                 class: *class,
                 release_idx: 0,
-                release: "r".into(),
+                release: "r",
                 filed: YearMonth::new(1999, 1),
             })
             .collect();
@@ -154,7 +154,7 @@ proptest! {
                 app: *app,
                 class: *class,
                 release_idx: 0,
-                release: "r".into(),
+                release: "r",
                 filed: YearMonth::new(1999, 1),
             })
             .collect();

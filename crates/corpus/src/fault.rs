@@ -96,7 +96,7 @@ impl CuratedFault {
             app: self.app,
             class: self.class(),
             release_idx: self.release_idx,
-            release: self.release().to_owned(),
+            release: self.release(),
             filed: self.filed(),
         }
     }

@@ -68,7 +68,11 @@ pub struct Environment {
     /// instrumented run computes exactly what an uninstrumented one does.
     pub metrics: Metrics,
     rng: Xoshiro256StarStar,
+    /// The interleave seed as of the last draw made from `rng`.
     interleave_seed: u64,
+    /// Draws from `rng` owed to `interleave_seed`: counted where time
+    /// passes or a reshuffle asks, made only when a reader needs the seed.
+    owed: u64,
     /// Set by the first [`Environment::current_interleaving`]; see
     /// [`Environment::seed_observed`].
     seed_observed: bool,
@@ -109,11 +113,24 @@ impl Environment {
     /// Advances simulated time by `d`. All lazily-healing subsystems (DNS,
     /// network, entropy) observe the new time on their next query, and the
     /// thread-scheduler timing drifts to a new interleave seed.
+    ///
+    /// A non-zero advance owes one draw from the randomness stream to the
+    /// interleave seed. The draw is made only when a reader needs the
+    /// seed, so a run that never reads it makes none.
     pub fn advance(&mut self, d: Duration) {
         self.clock.advance(d);
         if d > Duration::ZERO {
+            self.owed += 1;
+        }
+    }
+
+    /// Makes the owed draws, in order, leaving the interleave seed what
+    /// drawing on every advance and reshuffle would have left it.
+    fn settle(&mut self) {
+        for _ in 0..self.owed {
             self.interleave_seed = self.rng.next_u64();
         }
+        self.owed = 0;
     }
 
     /// The scheduler interleaving the *current* environment would impose on
@@ -124,22 +141,25 @@ impl Environment {
     /// This is the only read of anything derived from the builder's seed,
     /// so it sets the witness [`Environment::seed_observed`] reports.
     pub fn current_interleaving(&mut self) -> Interleaver {
+        self.settle();
         self.seed_observed = true;
         Interleaver::Seeded(self.interleave_seed)
     }
 
     /// Overrides the interleave seed; used by fault injection to arm a
-    /// race's crashing interleaving, and by tests.
+    /// race's crashing interleaving, and by tests. The owed draws are made
+    /// first, so the stream stays where drawing eagerly would leave it.
     pub fn force_interleave_seed(&mut self, seed: u64) {
+        self.settle();
         self.interleave_seed = seed;
     }
 
-    /// Draws a fresh interleave seed from the environment's randomness
-    /// stream — the draw [`Environment::advance`] makes when time passes —
+    /// Owes a fresh interleave seed from the environment's randomness
+    /// stream — the draw [`Environment::advance`] owes when time passes —
     /// without moving the clock: the progressive retry strategy's
     /// message-reordering perturbation \[Wang93\].
     pub fn reshuffle_interleaving(&mut self) {
-        self.interleave_seed = self.rng.next_u64();
+        self.owed += 1;
     }
 
     /// Whether [`Environment::current_interleaving`] has been called. The
@@ -334,8 +354,6 @@ impl EnvironmentBuilder {
 
     /// Builds the environment.
     pub fn build(self) -> Environment {
-        let mut rng = Xoshiro256StarStar::seed_from(self.seed);
-        let interleave_seed = rng.next_u64();
         Environment {
             clock: Clock::new(),
             fs: VirtualFs::new(self.fs_capacity, self.max_file_size),
@@ -346,8 +364,11 @@ impl EnvironmentBuilder {
             entropy: EntropyPool::new(ENTROPY_BITS, ENTROPY_RATE, SimTime::ZERO),
             host: HostConfig::new(HOSTNAME),
             metrics: if self.metrics { Metrics::enabled() } else { Metrics::disabled() },
-            rng,
-            interleave_seed,
+            rng: Xoshiro256StarStar::seed_from(self.seed),
+            // The first interleave seed is the stream's first draw, owed
+            // like every later one.
+            interleave_seed: 0,
+            owed: 1,
             seed_observed: false,
         }
     }

@@ -6,10 +6,81 @@ use faultstudy_env::entropy::EntropyPool;
 use faultstudy_env::fs::VirtualFs;
 use faultstudy_env::proctable::ProcessTable;
 use faultstudy_env::Environment;
+use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
+use faultstudy_sim::sched::Interleaver;
 use faultstudy_sim::time::{Duration, SimTime};
 use proptest::prelude::*;
 
+/// The environment's interleave seed as it was kept before draws were
+/// owed: one draw at build, one on every non-zero advance and every
+/// reshuffle, each made at once.
+struct EagerSeed {
+    rng: Xoshiro256StarStar,
+    seed: u64,
+    observed: bool,
+}
+
+impl EagerSeed {
+    fn new(seed: u64) -> EagerSeed {
+        let mut rng = Xoshiro256StarStar::seed_from(seed);
+        let seed = rng.next_u64();
+        EagerSeed { rng, seed, observed: false }
+    }
+
+    fn advance(&mut self, d: Duration) {
+        if d > Duration::ZERO {
+            self.seed = self.rng.next_u64();
+        }
+    }
+}
+
 proptest! {
+    /// Owed draws read exactly as eager ones: over any sequence of zero
+    /// and non-zero advances, reshuffles, forced seeds and reads, every
+    /// read sees the seed and the witness an environment that drew on
+    /// every advance would show.
+    #[test]
+    fn owed_draws_read_as_eager_draws(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..5, any::<u64>()), 0..80),
+    ) {
+        let mut env = Environment::builder().seed(seed).build();
+        let mut eager = EagerSeed::new(seed);
+        for (op, value) in ops {
+            match op {
+                0 => {
+                    env.advance(Duration::ZERO);
+                    eager.advance(Duration::ZERO);
+                }
+                1 => {
+                    let d = Duration::from_nanos(1 + value % 1_000_000_000);
+                    env.advance(d);
+                    eager.advance(d);
+                }
+                2 => {
+                    env.reshuffle_interleaving();
+                    eager.seed = eager.rng.next_u64();
+                }
+                3 => {
+                    env.force_interleave_seed(value);
+                    eager.seed = value;
+                }
+                _ => {
+                    let Interleaver::Seeded(got) = env.current_interleaving() else {
+                        panic!("the environment interleaves by seed");
+                    };
+                    eager.observed = true;
+                    prop_assert_eq!(got, eager.seed);
+                }
+            }
+            prop_assert_eq!(env.seed_observed(), eager.observed);
+        }
+        let Interleaver::Seeded(last) = env.current_interleaving() else {
+            panic!("the environment interleaves by seed");
+        };
+        prop_assert_eq!(last, eager.seed);
+    }
+
     /// Process-table slots are conserved under arbitrary spawn/hang/kill
     /// traffic, and per-owner counts sum to the total.
     #[test]

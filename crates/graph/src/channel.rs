@@ -12,9 +12,13 @@
 //! defect, exactly as the paper's §2 argument demands of any generic
 //! repair.
 //!
-//! Fault-free, a channel is a plain bounded FIFO: the differential
-//! property test pins its delivery order byte-for-byte against a
-//! `VecDeque` reference for arbitrary send/recv interleavings.
+//! The engine's transfers consult the fault state alone: chains are
+//! synchronous in simulated time, so a message would leave the queue
+//! within the exchange that put it there. The queue is the contract a
+//! channel keeps under any driver: fault-free, a channel is a plain
+//! bounded FIFO, and the differential property test pins its delivery
+//! order byte-for-byte against a `VecDeque` reference for arbitrary
+//! send/recv interleavings.
 
 use crate::fault::{ChannelFaultKind, Leg, Persistence};
 use std::borrow::Cow;
@@ -51,9 +55,9 @@ pub struct Channel {
     defect: Option<ChannelFaultKind>,
 }
 
-/// Default bound of every graph channel; chains are synchronous in
-/// simulated time, so depth never exceeds one in the engine — the bound
-/// exists so the FIFO contract is honest under arbitrary drivers.
+/// Default bound of every graph channel. The engine queues nothing (its
+/// transfers consult only the fault state); the bound exists so the FIFO
+/// contract is honest under arbitrary drivers.
 pub const CHANNEL_CAPACITY: usize = 8;
 
 impl Channel {
@@ -133,14 +137,12 @@ impl Channel {
     }
 
     /// Per-channel recovery: drains in-flight messages and clears pending
-    /// and wedged fault state. Returns the number of messages the drain
-    /// lost. A defect survives — resetting channel state cannot fix code.
-    pub(crate) fn reset(&mut self) -> u64 {
-        let lost = self.queue.len() as u64;
+    /// and wedged fault state. A defect survives — resetting channel state
+    /// cannot fix code.
+    pub(crate) fn reset(&mut self) {
         self.queue.clear();
         self.pending = None;
         self.wedged = None;
-        lost
     }
 }
 
@@ -189,7 +191,8 @@ mod tests {
         assert!(ch.fault_for(Leg::Reply).is_some());
         assert!(ch.fault_for(Leg::Reply).is_some(), "sticky repeats");
         ch.send("in flight").unwrap();
-        assert_eq!(ch.reset(), 1, "the drain lost the queued message");
+        ch.reset();
+        assert!(ch.recv().is_none(), "the drain emptied the queue");
         assert_eq!(ch.fault_for(Leg::Reply), None, "reset cleared the wedge");
 
         ch.arm(ChannelFaultKind::S3UnmappedMsgSend); // defect, reply leg

@@ -4,14 +4,16 @@
 //!
 //! The engine runs on the single-app engine's open-loop driver,
 //! [`drive_open_loop`] — sessions arrive on its event queue, think, and
-//! issue requests, and its tick runs the operator-console probe — but
+//! issue requests, and its tick runs the operator-console probe, which
+//! asks the web tier once per run of ticks between two requests — but
 //! each request is served by one `Chain`: a client-level retry loop
 //! around a web-tier call that may itself run a web-level retry loop
-//! around the db sub-call. Every message of the chain crosses its channel
-//! through the chain's one `transfer`. Both loops share ONE chain
-//! deadline, so a storm of nested retries can never charge the user more
-//! than [`CHAIN_BUDGET`] — the end-to-end-timeout contract this module's
-//! tests pin under every plan, plane and retry budget.
+//! around the db sub-call. Every message of the chain crosses its edge
+//! through the chain's one `transfer`, which consults the channel's fault
+//! state and nothing else. Both loops share ONE chain deadline, so a storm
+//! of nested retries can never charge the user more than [`CHAIN_BUDGET`]
+//! — the end-to-end-timeout contract this module's tests pin under every
+//! plan, plane and retry budget.
 //!
 //! The two recovery planes differ only in what a detected channel fault
 //! costs and tears down:
@@ -39,7 +41,6 @@ use faultstudy_recovery::{RebootScope, RestartTree};
 use faultstudy_sim::time::{Duration, SimTime};
 use faultstudy_traffic::{drive_open_loop, Answer, TrafficParams, UnitStats};
 use serde::Serialize;
-use std::borrow::Cow;
 
 /// Service time the web tier charges per request it handles.
 pub const WEB_SERVICE: Duration = Duration::from_micros(300);
@@ -101,7 +102,7 @@ pub struct EdgeStats {
     pub sends: u64,
     /// Messages that reached the far side.
     pub delivered: u64,
-    /// Messages lost on the wire (faults and recovery drains).
+    /// Messages lost on the wire to faults.
     pub lost: u64,
     /// Duplicate deliveries (sender-state-not-updated re-offers).
     pub duplicated: u64,
@@ -244,8 +245,8 @@ pub(crate) fn graph_mix() -> Vec<GraphRequest> {
 /// available at each level of the chain.
 ///
 /// Arrivals, sessions and the request ledger are [`drive_open_loop`]'s:
-/// it hands every request to a new `Chain` and ticks the console probe
-/// every [`PROBE_EVERY`], each after the plan's due events are applied.
+/// it hands every request to a new `Chain`, after the plan's due events
+/// are applied, and ticks the console probe every [`PROBE_EVERY`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_graph(
     env: &mut Environment,
@@ -261,6 +262,8 @@ pub fn run_graph(
     let mut stats = GraphUnitStats::default();
     let mut tree = RestartTree::new(&GRAPH_COMPONENTS, recovery_seed);
     let mix = graph_mix();
+    // The web tier's answer to the console since the last request.
+    let mut console = None;
     let base = drive_open_loop(
         env,
         &mix,
@@ -268,16 +271,15 @@ pub fn run_graph(
         arrival_seed,
         session_master,
         Some(PROBE_EVERY),
-        |env, req| {
-            graph.apply_due(plan, env.now());
-            match req {
-                Some(req) => Some(
-                    Chain::new(graph, env, &mut tree, &mut stats, plane, retry_budget).serve(req),
-                ),
-                None => {
-                    probe(graph, env, &mut stats);
-                    None
-                }
+        |env, req| match req {
+            Some(req) => {
+                console = None;
+                graph.apply_due(plan, env.now());
+                Some(Chain::new(graph, env, &mut tree, &mut stats, plane, retry_budget).serve(req))
+            }
+            None => {
+                probe(graph, env, &mut stats, &mut console);
+                None
             }
         },
     );
@@ -292,21 +294,34 @@ pub fn run_graph(
     stats
 }
 
+/// The operator console's request to the web tier.
+const CONSOLE_PROBE: &str = "PROBE console";
+
 /// One operator-console probe: minide sends a probe over its edge, the
 /// web tier answers. No fault kind targets this edge; the probe keeps
 /// the console channel live and measures that the graph stays responsive
 /// to operators while the data plane is under fault.
-fn probe(graph: &mut ServiceGraph, env: &mut Environment, stats: &mut GraphUnitStats) {
-    let edge = stats.edges.edge_mut(EdgeId::IdeWeb);
-    edge.sends += 1;
+///
+/// The web tier answers `PROBE console` from its armed defects alone, and
+/// only a request's chain can change them, so `console` keeps its answer
+/// for every probe until the next request clears it: the web tier is
+/// asked once per run of ticks. No probe consults a channel's fault state
+/// either, so the plan's due events wait for the next chain, which arms
+/// everything due by its start.
+fn probe(
+    graph: &mut ServiceGraph,
+    env: &mut Environment,
+    stats: &mut GraphUnitStats,
+    console: &mut Option<bool>,
+) {
     env.advance(TRANSFER);
-    let console = Request::new("PROBE console");
-    let _ = graph.channel(EdgeId::IdeWeb).send(console.body.clone());
-    let _ = graph.channel(EdgeId::IdeWeb).recv();
-    let ok = graph.node(NodeId::Web).handle(&console, env).map(|r| r.is_ok()).unwrap_or(false);
+    let ok = *console.get_or_insert_with(|| {
+        let probe = Request::new(CONSOLE_PROBE);
+        graph.node(NodeId::Web).handle(&probe, env).is_ok_and(|r| r.is_ok())
+    });
     env.advance(TRANSFER);
     let edge = stats.edges.edge_mut(EdgeId::IdeWeb);
-    edge.sends += 1;
+    edge.sends += 2;
     edge.delivered += 2;
     if ok {
         stats.probes += 1;
@@ -409,7 +424,7 @@ impl<'a> Chain<'a> {
         if self.expired() {
             return Err(ChannelReset { edge });
         }
-        self.transfer(edge, Leg::Request, req.web.body.clone())?;
+        self.transfer(edge, Leg::Request)?;
         self.charge(WEB_SERVICE);
         let web_denied = self.handle(edge, &req.web)?;
         let mut db_denied = false;
@@ -425,7 +440,7 @@ impl<'a> Chain<'a> {
         }
         // No corpus kind targets this leg, but the consult keeps the wire
         // honest under future corpora.
-        self.transfer(edge, Leg::Reply, Cow::Borrowed("reply"))?;
+        self.transfer(edge, Leg::Reply)?;
         Ok(web_denied || db_denied)
     }
 
@@ -448,14 +463,14 @@ impl<'a> Chain<'a> {
         if self.expired() {
             return Err(ChannelReset { edge });
         }
-        self.transfer(edge, Leg::Request, req.body.clone())?;
+        self.transfer(edge, Leg::Request)?;
         // Db service: the sub-call executes — this is the work retries
         // re-drive, the amplification the campaign prices.
         self.charge(DB_SERVICE);
         self.stats.db_seen += 1;
         let denied = self.handle(edge, req)?;
         // Reply leg: db → web. This is where the send-side corpus bites.
-        self.transfer(edge, Leg::Reply, Cow::Borrowed("reply"))?;
+        self.transfer(edge, Leg::Reply)?;
         Ok(denied)
     }
 
@@ -487,25 +502,14 @@ impl<'a> Chain<'a> {
     /// Moves one message across `edge` on `leg`; every message of the
     /// chain crosses here. The fault the channel holds for the leg, if
     /// any, decides the outcome, and the typed reset says the exchange was
-    /// torn down. The body is a request's own `Cow`, so a borrowed one
-    /// crosses the wire uncopied.
-    fn transfer(
-        &mut self,
-        edge: EdgeId,
-        leg: Leg,
-        body: Cow<'static, str>,
-    ) -> Result<(), ChannelReset> {
+    /// torn down. Chains are synchronous in simulated time, so a message
+    /// would come off the channel's queue within the exchange that put it
+    /// there: the transfer consults the fault state alone, and every queue
+    /// stays empty.
+    fn transfer(&mut self, edge: EdgeId, leg: Leg) -> Result<(), ChannelReset> {
         self.stats.edges.edge_mut(edge).sends += 1;
         self.charge(TRANSFER);
-        // Chains are synchronous in simulated time, so the queue is
-        // transit-only: the message goes on the wire and comes off it
-        // within the same exchange (the bounded-FIFO contract is pinned
-        // separately), and every queue is empty when a recovery resets it.
-        let channel = self.graph.channel(edge);
-        let _ = channel.send(body);
-        let fault = channel.fault_for(leg);
-        let _ = channel.recv();
-        let Some(kind) = fault else {
+        let Some(kind) = self.graph.channel(edge).fault_for(leg) else {
             self.stats.edges.edge_mut(edge).delivered += 1;
             return Ok(());
         };
@@ -607,13 +611,11 @@ impl<'a> Chain<'a> {
         }
     }
 
-    /// Drains and resets `edge`'s channel, booking the reset and the
-    /// drained messages as lost on that edge.
+    /// Drains and resets `edge`'s channel, booking the reset on that edge.
+    /// The drain loses nothing: transfers never queue a message.
     fn reset(&mut self, edge: EdgeId) {
-        let drained = self.graph.channel(edge).reset();
-        let e = self.stats.edges.edge_mut(edge);
-        e.resets += 1;
-        e.lost += drained;
+        self.graph.channel(edge).reset();
+        self.stats.edges.edge_mut(edge).resets += 1;
     }
 
     /// Counts a failure and notes the chain's first fault instant.
@@ -764,26 +766,20 @@ mod tests {
         }
     }
 
-    /// A process restart of web resets each channel web touches once and
-    /// books each drained message as lost on the edge it was drained from.
+    /// A process restart of web resets each channel web touches once, and
+    /// the resets lose nothing.
     #[test]
-    fn a_process_restart_of_web_resets_each_edge_once_and_books_its_drain() {
+    fn a_process_restart_of_web_resets_each_edge_once() {
         let mut env = Environment::builder().seed(7).build();
         let mut graph = ServiceGraph::new(&mut env);
-        for edge in EdgeId::ALL {
-            graph.channel(edge).send("queued").unwrap();
-        }
         let mut tree = RestartTree::new(&GRAPH_COMPONENTS, 13);
         let mut stats = GraphUnitStats::default();
         let mut chain =
             Chain::new(&mut graph, &mut env, &mut tree, &mut stats, PlaneKind::Process, 3);
         chain.recover(EdgeId::ClientWeb);
-        for edge in EdgeId::ALL {
-            assert!(graph.channel(edge).recv().is_none(), "{edge:?} drained");
-        }
         assert_eq!(stats.node_restarts, 1);
         for e in [stats.edges.client_web, stats.edges.web_db, stats.edges.ide_web] {
-            assert_eq!((e.resets, e.lost), (1, 1));
+            assert_eq!((e.resets, e.lost), (1, 0));
         }
     }
 
@@ -851,5 +847,130 @@ mod tests {
         }
         assert_eq!(chains, 4 * 12 * 2 * 3 * 200, "every offered request is one chain");
         assert_eq!(worst, CHAIN_BUDGET, "no chain outlives its budget, and some reach it");
+    }
+
+    /// The console as it probed before: each probe sends over the ide →
+    /// web channel's queue and asks the web tier itself.
+    fn probe_alone(graph: &mut ServiceGraph, env: &mut Environment, stats: &mut GraphUnitStats) {
+        let edge = stats.edges.edge_mut(EdgeId::IdeWeb);
+        edge.sends += 1;
+        env.advance(TRANSFER);
+        let console = Request::new(CONSOLE_PROBE);
+        let _ = graph.channel(EdgeId::IdeWeb).send(console.body.clone());
+        let _ = graph.channel(EdgeId::IdeWeb).recv();
+        let ok = graph.node(NodeId::Web).handle(&console, env).map(|r| r.is_ok()).unwrap_or(false);
+        env.advance(TRANSFER);
+        let edge = stats.edges.edge_mut(EdgeId::IdeWeb);
+        edge.sends += 1;
+        edge.delivered += 2;
+        if ok {
+            stats.probes += 1;
+        }
+    }
+
+    /// `run_graph` with every tick applying the plan's due events and
+    /// running its own `probe_alone`. Returns the ledger and the ticks
+    /// served.
+    fn run_graph_probing_alone(
+        env: &mut Environment,
+        graph: &mut ServiceGraph,
+        plan: &GraphFaultPlan,
+        plane: PlaneKind,
+        budget: u32,
+        params: &TrafficParams,
+        seed: u64,
+    ) -> (GraphUnitStats, u64) {
+        let mut stats = GraphUnitStats::default();
+        let mut tree = RestartTree::new(&GRAPH_COMPONENTS, split_seed(seed, 3));
+        let mut ticks = 0;
+        let base = drive_open_loop(
+            env,
+            &graph_mix(),
+            params,
+            split_seed(seed, 1),
+            split_seed(seed, 2),
+            Some(PROBE_EVERY),
+            |env, req| {
+                graph.apply_due(plan, env.now());
+                match req {
+                    Some(req) => Some(
+                        Chain::new(graph, env, &mut tree, &mut stats, plane, budget).serve(req),
+                    ),
+                    None => {
+                        probe_alone(graph, env, &mut stats);
+                        ticks += 1;
+                        None
+                    }
+                }
+            },
+        );
+        let base = UnitStats {
+            failures: stats.base.failures,
+            recoveries: stats.base.recoveries,
+            watchdog_fires: stats.base.watchdog_fires,
+            ..base
+        };
+        (GraphUnitStats { base, ..stats }, ticks)
+    }
+
+    /// A run of probes sharing one web-tier answer books what probing
+    /// each tick alone books, for every plan × plane × retry budget under
+    /// every arrival curve: the same ledger and the same final clock, with
+    /// one completed probe per tick. `run_graph` sends nothing on any
+    /// channel, where the lone probes send one message per tick on the
+    /// console's.
+    #[test]
+    fn a_probe_run_books_what_probing_each_tick_books() {
+        for seed in 1..=4 {
+            for arrival in ArrivalKind::ALL {
+                let params = TrafficParams::standard(arrival, 60);
+                for plan in graph_plans(seed) {
+                    for plane in PlaneKind::ALL {
+                        for budget in [0, 1, 3] {
+                            let what = format!(
+                                "{} {plane:?} b{budget} {arrival:?} seed {seed}",
+                                plan.name
+                            );
+                            let mut env = Environment::builder().seed(split_seed(seed, 0)).build();
+                            let mut graph = ServiceGraph::new(&mut env);
+                            let runs = run_graph(
+                                &mut env,
+                                &mut graph,
+                                &plan,
+                                plane,
+                                budget,
+                                &params,
+                                split_seed(seed, 1),
+                                split_seed(seed, 2),
+                                split_seed(seed, 3),
+                            );
+                            let mut ref_env =
+                                Environment::builder().seed(split_seed(seed, 0)).build();
+                            let mut ref_graph = ServiceGraph::new(&mut ref_env);
+                            let (single, ticks) = run_graph_probing_alone(
+                                &mut ref_env,
+                                &mut ref_graph,
+                                &plan,
+                                plane,
+                                budget,
+                                &params,
+                                seed,
+                            );
+                            assert_eq!(runs, single, "{what}");
+                            assert_eq!(env.now(), ref_env.now(), "{what}");
+                            assert_eq!(runs.probes, ticks, "{what}: one probe per tick");
+                            for edge in EdgeId::ALL {
+                                assert_eq!(
+                                    graph.channel(edge).send("next"),
+                                    Ok(0),
+                                    "{what}: {edge:?}"
+                                );
+                            }
+                            assert_eq!(ref_graph.channel(EdgeId::IdeWeb).send("next"), Ok(ticks));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! distributed dimension its method could not reach. The three simulated
 //! applications are wired into a tiered service — clients → miniweb →
 //! minidb, with minide as an operator console — and every request
-//! crosses bounded [`channel`]s in simulated time, scheduled on the
-//! event queue. On the wire rides the Theseus/MINIX3 IPC fault corpus
+//! crosses the [`channel`]s between its tiers in simulated time,
+//! scheduled on the event queue. On the wire rides the Theseus/MINIX3 IPC fault corpus
 //! ([`fault`]: the twelve s1–s7/r1–r5 kinds), each classified under the
 //! paper's transient / nontransient / environment-independent taxonomy
 //! and replayed byte-identically from `split_seed` plans. The [`engine`]

@@ -21,7 +21,8 @@
 //!   verify     CI self-check: exits non-zero if a guarantee fails
 //!   lee-iyer   the §7 reconciliation with \[Lee93\]
 //!   experiments the paper-vs-measured report (EXPERIMENTS.md)
-//!   all        the report commands (tables through lee-iyer), in order
+//!   all        the report commands (tables through lee-iyer), in order;
+//!              with --json, one object keyed by command
 //! ```
 //!
 //! Every command exits zero on success and non-zero with a message on
@@ -82,9 +83,45 @@ impl Options {
     }
 }
 
+/// A command's result. In `--json` mode a command returns the one
+/// document it prints, so that `all --json` can print six as one object;
+/// in text mode it prints as it goes and returns none.
+struct Done {
+    /// The document `--json` prints.
+    json: Option<serde_json::Value>,
+    /// Whether the command's checked guarantees held.
+    ok: bool,
+}
+
+impl Done {
+    /// A text-mode result.
+    fn printed(ok: bool) -> Done {
+        Done { json: None, ok }
+    }
+
+    /// `value` as the command's `--json` document.
+    fn json(value: &impl serde::Serialize, ok: bool) -> Done {
+        Done { json: Some(serde_json::to_value(value)), ok }
+    }
+}
+
+/// A command that runs under its options.
+type Command = fn(&Options) -> Done;
+
+/// The report commands `all` runs, in order: each one's name, which keys
+/// its document in `all --json`, and the command.
+const REPORTS: [(&str, Command); 6] = [
+    ("tables", tables),
+    ("figures", figures),
+    ("summary", summary),
+    ("mine", mine),
+    ("recover", |opts| run_campaign::<RecoveryMatrix>(opts.seed, opts)),
+    ("lee-iyer", lee_iyer),
+];
+
 /// Serializes `value` to pretty JSON on stdout; on failure, reports on
 /// stderr instead of panicking. Returns whether the output was produced.
-fn print_json<T: serde::Serialize>(what: &str, value: &T) -> bool {
+fn print_json(what: &str, value: &serde_json::Value) -> bool {
     match serde_json::to_string_pretty(value) {
         Ok(text) => {
             println!("{text}");
@@ -149,16 +186,10 @@ fn main() -> ExitCode {
             }
         }
     }
-    let ok = match command.as_str() {
-        "tables" => tables(&opts),
-        "figures" => figures(&opts),
-        "summary" => summary(&opts),
-        "mine" => mine(&opts),
-        "recover" => run_campaign::<RecoveryMatrix>(opts.seed, &opts),
-        "lee-iyer" => lee_iyer(&opts),
+    let done = match command.as_str() {
         "experiments" => {
             print!("{}", faultstudy_harness::experiments_markdown(opts.seed));
-            true
+            Done::printed(true)
         }
         "campaign" => run_campaign::<CampaignReport>(
             CampaignSpec { samples: opts.samples, seed: opts.seed },
@@ -170,32 +201,36 @@ fn main() -> ExitCode {
         "graph" => run_campaign::<GraphReport>(opts.load(), &opts),
         "oblivious" => run_campaign::<ObliviousReport>(opts.load(), &opts),
         "metrics" => metrics(&opts),
-        "verify" => verify(&opts),
+        "verify" => Done::printed(verify(&opts)),
         "all" => {
             // Run every report even if one fails, then report the worst.
-            let results = [
-                tables(&opts),
-                figures(&opts),
-                summary(&opts),
-                mine(&opts),
-                run_campaign::<RecoveryMatrix>(opts.seed, &opts),
-                lee_iyer(&opts),
-            ];
-            results.iter().all(|&ok| ok)
+            let mut ok = true;
+            let mut documents = Vec::new();
+            for (name, report) in REPORTS {
+                let done = report(&opts);
+                ok &= done.ok;
+                documents.extend(done.json.map(|json| (name.into(), json)));
+            }
+            let json = opts.json.then_some(serde_json::Value::Map(documents));
+            Done { json, ok }
         }
-        other => {
-            eprintln!("unknown command: {other}");
-            false
-        }
+        other => match REPORTS.iter().find(|(name, _)| *name == other) {
+            Some((_, report)) => report(&opts),
+            None => {
+                eprintln!("unknown command: {other}");
+                Done::printed(false)
+            }
+        },
     };
-    if ok {
+    let printed = done.json.is_none_or(|json| print_json(&command, &json));
+    if done.ok && printed {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-fn tables(opts: &Options) -> bool {
+fn tables(opts: &Options) -> Done {
     let study = paper_study();
     if opts.json {
         let per_app: Vec<_> = AppKind::ALL
@@ -208,15 +243,15 @@ fn tables(opts: &Options) -> bool {
                 })
             })
             .collect();
-        return print_json("tables", &per_app);
+        return Done::json(&per_app, true);
     }
     for app in AppKind::ALL {
         println!("{}", render_table(&study, app));
     }
-    true
+    Done::printed(true)
 }
 
-fn figures(opts: &Options) -> bool {
+fn figures(opts: &Options) -> Done {
     let study = paper_study();
     if opts.json {
         let value = serde_json::json!({
@@ -224,42 +259,39 @@ fn figures(opts: &Options) -> bool {
             "figure2": by_month(&study, AppKind::Gnome),
             "figure3": by_release(&study, AppKind::Mysql),
         });
-        return print_json("figures", &value);
+        return Done::json(&value, true);
     }
     println!("{}", render_release_figure(&by_release(&study, AppKind::Apache)));
     println!("{}", render_time_figure(&by_month(&study, AppKind::Gnome)));
     println!("{}", render_release_figure(&by_release(&study, AppKind::Mysql)));
-    true
+    Done::printed(true)
 }
 
-fn summary(opts: &Options) -> bool {
+fn summary(opts: &Options) -> Done {
     let discussion = paper_study().discussion();
     if opts.json {
-        return print_json("summary", &discussion);
+        return Done::json(&discussion, true);
     }
     println!("{}", render_discussion(&discussion));
-    true
+    Done::printed(true)
 }
 
 /// Prints the three funnels, reports each broken term of their §4
-/// contract on stderr, and returns whether there were none, in every
-/// output mode.
-fn mine(opts: &Options) -> bool {
+/// contract on stderr, and says whether there were none, in every output
+/// mode.
+fn mine(opts: &Options) -> Done {
     let (runs, _) = paper_scale_funnels(opts.seed, opts.parallel, false);
-    let printed = if opts.json {
-        print_json("funnels", &runs)
-    } else {
+    if !opts.json {
         for run in &runs {
             println!("{}", run.outcome);
             println!("  {}", run.quality);
         }
-        true
-    };
+    }
     let anomalies = funnel_violations(&runs);
     for anomaly in &anomalies {
         eprintln!("faultstudy: mine: ANOMALY: {anomaly}");
     }
-    printed && anomalies.is_empty()
+    Done { json: opts.json.then(|| serde_json::to_value(&runs)), ok: anomalies.is_empty() }
 }
 
 /// CI-style self-check: re-runs the headline experiments and exits
@@ -311,7 +343,7 @@ fn campaign_problems(campaign: &CampaignReport, injection: &InjectReport) -> Vec
 /// from an instrumented injection campaign, plus the mining pipeline's
 /// per-stage timings, all measured in simulated time and byte-identical
 /// for every seed and thread count.
-fn metrics(opts: &Options) -> bool {
+fn metrics(opts: &Options) -> Done {
     use faultstudy_harness::StrategyKind;
     use faultstudy_sim::time::Duration;
 
@@ -369,7 +401,7 @@ fn metrics(opts: &Options) -> bool {
             "mining_stages": serde_json::Value::Map(stages),
             "registry": registry,
         });
-        return print_json("metrics", &value);
+        return Done::json(&value, true);
     }
 
     print!("{}", matrix.render_with_ttr(&registry));
@@ -405,40 +437,37 @@ fn metrics(opts: &Options) -> bool {
             rps
         );
     }
-    true
+    Done::printed(true)
 }
 
 /// The one arm behind `recover` and every campaign subcommand: runs the
-/// campaign `spec` describes and prints it.
-fn run_campaign<C: Campaign>(spec: C::Spec, opts: &Options) -> bool {
-    print_campaign(&C::run(spec, opts.parallel, false).0, opts)
+/// campaign `spec` describes and reports it.
+fn run_campaign<C: Campaign>(spec: C::Spec, opts: &Options) -> Done {
+    report_campaign(&C::run(spec, opts.parallel, false).0, opts)
 }
 
-/// Prints `report` as JSON or text, reports each violation on stderr, and
-/// returns whether there were none — so a violated class contract, or an
-/// underpowered run that could not check one, exits non-zero in every
-/// output mode.
-fn print_campaign<C: Campaign>(report: &C, opts: &Options) -> bool {
-    let printed = if opts.json {
-        print_json(C::NAME, report)
-    } else {
+/// Prints `report` as text or returns it as JSON, reports each violation
+/// on stderr, and says whether there were none — so a violated class
+/// contract, or an underpowered run that could not check one, exits
+/// non-zero in every output mode.
+fn report_campaign<C: Campaign>(report: &C, opts: &Options) -> Done {
+    if !opts.json {
         print!("{}", report.text());
-        true
-    };
+    }
     let anomalies = report.violations();
     for anomaly in &anomalies {
         eprintln!("faultstudy: {}: ANOMALY: {anomaly}", C::NAME);
     }
-    printed && anomalies.is_empty()
+    Done { json: opts.json.then(|| serde_json::to_value(report)), ok: anomalies.is_empty() }
 }
 
-fn lee_iyer(opts: &Options) -> bool {
+fn lee_iyer(opts: &Options) -> Done {
     let r = TandemReconciliation::default();
     if opts.json {
-        return print_json("reconciliation", &r);
+        return Done::json(&r, true);
     }
     println!("{r}");
-    true
+    Done::printed(true)
 }
 
 #[cfg(test)]
@@ -463,8 +492,8 @@ mod tests {
         let clean = CampaignReport { anomalies: Vec::new(), ..report.clone() };
         for json in [false, true] {
             let opts = Options { json, ..Options::default() };
-            assert!(!print_campaign(&report, &opts), "an anomaly must fail (json: {json})");
-            assert!(print_campaign(&clean, &opts), "no anomaly must pass (json: {json})");
+            assert!(!report_campaign(&report, &opts).ok, "an anomaly must fail (json: {json})");
+            assert!(report_campaign(&clean, &opts).ok, "no anomaly must pass (json: {json})");
         }
     }
 

@@ -116,8 +116,8 @@ fn report_commands_keep_their_bytes() {
 
 /// Every command with a `--json` form prints one JSON document. The
 /// campaigns run at sizes too small to keep their contracts, so they exit
-/// non-zero, but they still print their report. `all --json` prints the
-/// report commands' documents back to back.
+/// non-zero, but they still print their report. `all --json` prints one
+/// object that holds each report command's document under its name.
 #[test]
 fn json_output_parses() {
     let parse = |args: &[&str]| {
@@ -125,13 +125,16 @@ fn json_output_parses() {
         let value: serde_json::Value =
             serde_json::from_str(&stdout).unwrap_or_else(|e| panic!("{args:?}: {e}: {stderr}"));
         assert!(!value.is_null(), "{args:?}");
-        stdout
+        value
     };
-    let reports: String = ["tables", "figures", "summary", "mine", "recover", "lee-iyer"]
-        .into_iter()
-        .map(|cmd| parse(&[cmd, "--json"]))
-        .collect();
-    assert_eq!(run(&["all", "--json"]).0, reports);
+    let all = parse(&["all", "--json"]);
+    let commands = ["tables", "figures", "summary", "mine", "recover", "lee-iyer"];
+    for cmd in commands {
+        assert_eq!(all.get(cmd), Some(&parse(&[cmd, "--json"])), "all --json: {cmd}");
+    }
+    let serde_json::Value::Map(entries) = &all else { panic!("all --json: not an object") };
+    let keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_ref()).collect();
+    assert_eq!(keys, commands, "all --json: one key per report command, in order");
     for args in [
         &["metrics"][..],
         &["campaign", "--samples", "20"],

@@ -7,9 +7,11 @@
 //! keys an event exactly as [`TimingWheel::schedule`] would but keeps it
 //! out of the heap, and `pop` takes whichever of the slot and the heap's
 //! top has the smaller key, so a periodic event that re-arms itself from
-//! each pop costs one compare instead of two sift passes. The property
-//! tests pin every pop, `len` and `now`, timers included, against a
-//! `BTreeMap<(time, seq), _>` reference.
+//! each pop costs one compare instead of two sift passes.
+//! [`TimingWheel::next_at`] peeks at the time of the next pop, so the
+//! open-loop driver can tell how many ticks fall before the heap's top.
+//! The property tests pin every pop, peek, `len` and `now`, timers
+//! included, against a `BTreeMap<(time, seq), _>` reference.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -138,13 +140,24 @@ impl<T> TimingWheel<T> {
         key
     }
 
+    /// Whether the pending timer pops before the heap's top.
+    fn timer_first(&self) -> bool {
+        self.timer
+            .as_ref()
+            .is_some_and(|timer| self.heap.peek().is_none_or(|top| timer.key < top.key))
+    }
+
+    /// The timestamp of the event the next [`TimingWheel::pop`] returns,
+    /// without removing it; `None` when nothing is pending.
+    pub fn next_at(&self) -> Option<SimTime> {
+        let next = if self.timer_first() { self.timer.as_ref() } else { self.heap.peek() }?;
+        Some(SimTime::from_nanos((next.key >> 64) as u64))
+    }
+
     /// Removes and returns the earliest event (the first scheduled among
     /// equal times), advancing [`TimingWheel::now`] to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let timer_first = self
-            .timer
-            .as_ref()
-            .is_some_and(|timer| self.heap.peek().is_none_or(|top| timer.key < top.key));
+        let timer_first = self.timer_first();
         let Pending { key, item } = if timer_first { self.timer.take() } else { self.heap.pop() }?;
         let at = (key >> 64) as u64;
         self.now = at;

@@ -89,8 +89,8 @@ proptest! {
     /// near and far offsets, pops interleaved with schedules, and the
     /// timer set in place of a schedule whenever it is free — the queue
     /// pops exactly what a `BTreeMap<(time, seq), _>` reference pops, in
-    /// the same order, and agrees with it on `len()` and `now()` after
-    /// every operation. A quarter of the operations land on the instant
+    /// the same order, agrees with it on `len()` and `now()` after every
+    /// operation, and peeks at the time it pops next. A quarter of the operations land on the instant
     /// of the one before (or on the queue's time, once that has passed
     /// it), so the timer often ties with heap events.
     #[test]
@@ -121,6 +121,8 @@ proptest! {
             prop_assert_eq!(wheel.len(), reference.len(), "len diverged after a schedule");
             prop_assert_eq!(wheel.now().as_nanos(), last_popped, "now moved on a schedule");
             for _ in 0..pops {
+                let next = reference.first_key_value().map(|(&(t, _), _)| t);
+                prop_assert_eq!(wheel.next_at().map(SimTime::as_nanos), next, "peek diverged");
                 match (wheel.pop(), reference.pop_first()) {
                     (Some((t, v)), Some(((rt, _), rv))) => {
                         prop_assert_eq!(t.as_nanos(), rt, "pop time diverged");

@@ -12,6 +12,11 @@
 //! pushed past an arrival's timestamp by earlier service, recovery
 //! stalls, or backoff, the difference is exactly the request's queueing
 //! delay and is charged to its latency.
+//!
+//! A periodic tick (the graph's operator console) pops from the queue a
+//! run at a time: the driver serves every tick that no other event
+//! separates in one pass, where and in the order popping each one
+//! through the queue would have served it, and re-arms the tick once.
 
 use crate::arrival::ArrivalProcess;
 use crate::params::TrafficParams;
@@ -22,7 +27,7 @@ use faultstudy_recovery::{
     EnvHook, RecoveryStrategy, RequestSupervisor, ServeOutcome, SupervisorConfig,
 };
 use faultstudy_sim::rng::SplitSeedStream;
-use faultstudy_sim::time::Duration;
+use faultstudy_sim::time::{Duration, SimTime};
 use faultstudy_sim::wheel::TimingWheel;
 use serde::Serialize;
 
@@ -126,6 +131,21 @@ pub enum Answer {
     Dropped,
 }
 
+/// How many ticks, `every` apart from `first`, pop before an event due at
+/// `next`: the first, plus each later one strictly earlier than `next`.
+/// Re-armed one pop at a time, every later tick would take a sequence
+/// number after every event now queued, so it loses a tie to `next`; the
+/// skipped re-arms shift later sequence numbers by a constant, which
+/// changes no pop order. With no event pending, the run is one tick.
+fn run_length(first: SimTime, every: Duration, next: Option<SimTime>) -> u64 {
+    match next {
+        Some(next) if next > first => {
+            1 + (next - first).as_nanos().saturating_sub(1) / every.as_nanos()
+        }
+        _ => 1,
+    }
+}
+
 /// Queue payload: what to do when simulated time reaches the event.
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -154,7 +174,11 @@ enum Event {
 /// start, for background work outside the offered load, and returns
 /// `None`; ticks stop once every request has been offered. The pending
 /// tick waits in the queue's timer slot ([`TimingWheel::set_timer`]), not
-/// its heap, and pops where a scheduled tick would have.
+/// its heap. When it pops, the driver serves it and every later tick due
+/// before the queue's next event, each with the clock caught up to its
+/// instant, and re-arms the slot once, at the tick after the run: every
+/// tick is served where, and in the order, popping each one would have
+/// served it.
 ///
 /// The returned ledger leaves `failures`, `recoveries` and
 /// `watchdog_fires` zero: the server counts those, and its caller fills
@@ -232,10 +256,17 @@ pub fn drive_open_loop<M>(
             }
             Event::Next(sid) => sid,
             Event::Tick => {
-                serve(env, None);
                 if let Some(every) = tick {
+                    let mut due = at;
+                    for _ in 0..run_length(at, every, wheel.next_at()) {
+                        if env.now() < due {
+                            env.advance(due.saturating_since(env.now()));
+                        }
+                        serve(env, None);
+                        due = due.saturating_add(every);
+                    }
                     if stats.offered < params.requests {
-                        wheel.set_timer(at.saturating_add(every), Event::Tick);
+                        wheel.set_timer(due, Event::Tick);
                     }
                 }
                 continue;
@@ -352,6 +383,47 @@ mod tests {
         let (stats, _) = run(0, 3);
         assert_eq!(stats.offered, 0);
         assert_eq!(stats.answered(), 0);
+    }
+
+    /// A tick run ends where popping each tick through the queue stops
+    /// popping ticks: at the queue's next event when it falls on a tick's
+    /// instant, whether that event was armed before the first tick or
+    /// after it, and one tick later when it falls a nanosecond past.
+    #[test]
+    fn a_tick_run_ends_where_popping_each_tick_stops() {
+        let (first, every) = (SimTime::from_millis(100), Duration::from_millis(50));
+        for k in 1..4 {
+            let on_tick = first.saturating_add(every.saturating_mul(k));
+            for (event_at, want) in [
+                (SimTime::from_nanos(on_tick.as_nanos() - 1), k),
+                (on_tick, k),
+                (on_tick.saturating_add(Duration::from_nanos(1)), k + 1),
+            ] {
+                for armed_before_the_tick in [true, false] {
+                    let mut wheel = TimingWheel::new();
+                    if armed_before_the_tick {
+                        wheel.schedule(event_at, false);
+                        wheel.set_timer(first, true);
+                    } else {
+                        wheel.set_timer(first, true);
+                        wheel.schedule(event_at, false);
+                    }
+                    let (mut popped, mut next) = (0, None);
+                    while let Some((at, true)) = wheel.pop() {
+                        if popped == 0 {
+                            next = wheel.next_at();
+                        }
+                        popped += 1;
+                        wheel.set_timer(at.saturating_add(every), true);
+                    }
+                    let what =
+                        format!("k {k}, event at {event_at}, before {armed_before_the_tick}");
+                    assert_eq!(popped, want, "{what}");
+                    assert_eq!(run_length(first, every, next), want, "{what}");
+                }
+            }
+        }
+        assert_eq!(run_length(first, every, None), 1, "with nothing else pending, one tick");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Pins the heap cost of the request path and of one sampled-campaign step.
 //!
-//! - Every answer of each application's traffic mix and a channel transfer
-//!   of a borrowed body allocate nothing: answers keep their text's pieces
-//!   (`200 OK {path}` holds `/index.html` borrowed from the request), and
-//!   every wire message of a service-graph chain is a transfer.
+//! - Every answer of each application's traffic mix, and a channel's send
+//!   and recv of a borrowed body, allocate nothing: answers keep their
+//!   text's pieces (`200 OK {path}` holds `/index.html` borrowed from the
+//!   request). A service-graph chain's transfers consult only their
+//!   channel's fault state and queue nothing.
 //! - A checkpoint's snapshot and restore allocate nothing while the
 //!   application holds no table data. Checkpoint strategies snapshot after
 //!   every served request, so a healthy open-loop unit of each mix, and a

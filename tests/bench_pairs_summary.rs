@@ -1,0 +1,166 @@
+//! `tools/pairs-summary.awk`, the summary `make bench-pairs` prints,
+//! against the benchmark's own order statistics.
+//!
+//! A speed claim passes when the change's median beats the base's by more
+//! than the spread between the base's quartiles, so the summary must cut
+//! its quartiles exactly as the benchmark does. The benchmark's
+//! `stats.rs` is compiled in here as the reference, and the summary's
+//! medians, quartiles, ratios, win counts and digest verdict are checked
+//! against it for sets of one to twelve pairs, including the cases that
+//! file's own tests take from Python.
+
+use std::io::Write;
+use std::process::{Command, Stdio};
+
+#[allow(dead_code)]
+#[path = "../benchmark/src/stats.rs"]
+mod stats;
+
+use stats::Summary;
+
+/// The metrics in the order the summary prints them, each with the
+/// decimals it prints and whether higher wins.
+const METRICS: [(&str, i32, bool); 4] = [
+    ("throughput", 0, true),
+    ("unscaled", 0, true),
+    ("setup_s", 4, false),
+    ("peak_rss_mb", 2, false),
+];
+
+/// One pair: both sides' four metrics and digests.
+struct Pair {
+    base: [f64; 4],
+    change: [f64; 4],
+    base_digest: &'static str,
+    change_digest: &'static str,
+}
+
+/// Runs the summary over `pairs`: its stdout and whether it exited 0.
+fn summarize(pairs: &[Pair]) -> (String, bool) {
+    let mut input = String::new();
+    for (i, p) in pairs.iter().enumerate() {
+        let [b0, b1, b2, b3] = p.base;
+        let [c0, c1, c2, c3] = p.change;
+        let first = if i % 2 == 0 { "base" } else { "change" };
+        input += &format!(
+            "{} {first} {b0} {b1} {b2} {b3} {} {c0} {c1} {c2} {c3} {}\n",
+            i + 1,
+            p.base_digest,
+            p.change_digest
+        );
+    }
+    let mut child = Command::new("awk")
+        .arg("-f")
+        .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/tools/pairs-summary.awk"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("awk runs");
+    child.stdin.take().expect("stdin").write_all(input.as_bytes()).expect("input written");
+    let out = child.wait_with_output().expect("awk finishes");
+    (String::from_utf8(out.stdout).expect("utf-8"), out.status.success())
+}
+
+/// Parses `median (q1-q3)` as two whitespace-separated fields.
+fn parse_summary(median: &str, quartiles: &str) -> [f64; 3] {
+    let (q1, q3) =
+        quartiles.trim_start_matches('(').trim_end_matches(')').split_once('-').expect("q1-q3");
+    [q1, median, q3].map(|v| v.parse().expect("a number"))
+}
+
+/// Checks the summary's output for `pairs` against `Summary::of`.
+fn check(pairs: &[Pair]) {
+    let what = format!("{} pairs", pairs.len());
+    let (out, ok) = summarize(pairs);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 6, "{what}: {out}");
+    for (k, &(name, decimals, higher)) in METRICS.iter().enumerate() {
+        let fields: Vec<&str> = lines[1 + k].split_whitespace().collect();
+        assert_eq!(fields.len(), 7, "{what}: {}", lines[1 + k]);
+        assert_eq!(fields[0], name, "{what}");
+        let base = Summary::of(&pairs.iter().map(|p| p.base[k]).collect::<Vec<_>>());
+        let change = Summary::of(&pairs.iter().map(|p| p.change[k]).collect::<Vec<_>>());
+        let tolerance = 0.5 * 10f64.powi(-decimals) + 1e-9;
+        for (printed, want, side) in [
+            (parse_summary(fields[1], fields[2]), base, "base"),
+            (parse_summary(fields[3], fields[4]), change, "change"),
+        ] {
+            for (got, want) in printed.into_iter().zip([want.q1, want.median, want.q3]) {
+                assert!(
+                    (got - want).abs() <= tolerance,
+                    "{what}, {name}, {side}: printed {got}, the benchmark cuts {want}"
+                );
+            }
+        }
+        let ratio: f64 = fields[5].trim_start_matches('x').parse().expect("a ratio");
+        let want_ratio = change.median / base.median;
+        assert!((ratio - want_ratio).abs() <= 0.0005 + 1e-9, "{what}, {name}: ratio {ratio}");
+        let won = pairs
+            .iter()
+            .filter(|p| if higher { p.change[k] > p.base[k] } else { p.change[k] < p.base[k] })
+            .count();
+        assert_eq!(fields[6], format!("{won}/{}", pairs.len()), "{what}, {name}");
+    }
+    let same = pairs.iter().filter(|p| p.base_digest == p.change_digest).count();
+    assert_eq!(lines[5], format!("digests equal in {same} of {} pairs", pairs.len()), "{what}");
+    assert_eq!(ok, same == pairs.len(), "{what}: exits 0 only when every digest matches");
+}
+
+/// A pair whose sides differ only in `setup_s`.
+fn setup_pair(base: f64, change: f64) -> Pair {
+    Pair {
+        base: [2.0e6, 1.5e6, base, 4.5],
+        change: [2.0e6, 1.5e6, change, 4.5],
+        base_digest: "d",
+        change_digest: "d",
+    }
+}
+
+/// The cases `stats.rs` checks against Python's `statistics.quantiles`,
+/// as `setup_s` columns: 1..10 (2.75, 5.5, 8.25), [2, 1] (0.75, 1.5,
+/// 2.25), [4, 1, 3] (median 3) and a single value.
+#[test]
+fn the_summary_cuts_the_python_cases_as_the_benchmark_does() {
+    let ten = [10.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
+    let pairs: Vec<Pair> = ten.iter().map(|&v| setup_pair(v, 11.0 - v)).collect();
+    check(&pairs);
+    let (out, _) = summarize(&pairs);
+    assert!(out.contains("5.5000 (2.7500-8.2500)"), "{out}");
+    check(&[setup_pair(2.0, 1.0), setup_pair(1.0, 2.0)]);
+    let (out, _) = summarize(&[setup_pair(2.0, 1.0), setup_pair(1.0, 2.0)]);
+    assert!(out.contains("1.5000 (0.7500-2.2500)"), "{out}");
+    check(&[setup_pair(4.0, 1.0), setup_pair(1.0, 1.0), setup_pair(3.0, 3.0)]);
+    check(&[setup_pair(7.0, 7.0)]);
+}
+
+/// Benchmark-like figures for one to twelve pairs, a digest mismatch in
+/// some sets: the summary agrees with the benchmark's summary on every
+/// metric.
+#[test]
+fn the_summary_agrees_with_the_benchmark_on_every_metric() {
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut draw = |lo: f64, hi: f64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        lo + (hi - lo) * (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    for n in 1..=12 {
+        for round in 0..4 {
+            let pairs: Vec<Pair> = (0..n)
+                .map(|i| Pair {
+                    base: [draw(1.6e6, 2.8e6), draw(1.2e6, 2.6e6), draw(0.1, 0.3), draw(4.3, 4.7)],
+                    change: [
+                        draw(1.6e6, 5.0e6),
+                        draw(1.2e6, 4.5e6),
+                        draw(0.1, 0.3),
+                        draw(4.3, 4.7),
+                    ],
+                    base_digest: "0123abcd",
+                    change_digest: if round == 3 && i == n / 2 { "4567ef01" } else { "0123abcd" },
+                })
+                .collect();
+            check(&pairs);
+        }
+    }
+}

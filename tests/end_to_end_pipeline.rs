@@ -32,7 +32,7 @@ fn mine_and_classify(app: AppKind, seed: u64) -> Vec<ClassifiedFault> {
                 app,
                 class: verdict.class,
                 release_idx: 0,
-                release: curated.release().to_owned(),
+                release: curated.release(),
                 filed: report.filed,
             }
         })
