@@ -11,7 +11,7 @@
 //! environment's thread interleaving.
 
 use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
-use crate::race::RaceGadget;
+use crate::race::{RaceGadget, ARMED_SEED};
 use crate::text::{Arg, Text};
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::dns::Lookup;
@@ -463,7 +463,7 @@ impl MiniDb {
         if !self.bug(slug) {
             return self.ok(Text::new(what, " complete", ""));
         }
-        match RaceGadget::default().run(env.current_interleaving()) {
+        match env.race(RaceGadget::default()) {
             Ok(()) => self.ok(Text::new(what, " complete", "")),
             Err(reason) => Err(AppFailure::Crash(Text::new(what, ": ", reason))),
         }
@@ -633,7 +633,7 @@ impl Application for MiniDb {
                 // Arm the race: the reported failure happened under an
                 // interleaving inside the window, so the first execution
                 // must observe one. Retries see fresh environment timing.
-                env.force_interleave_seed(RaceGadget::default().crashing_seed());
+                env.force_interleave_seed(ARMED_SEED);
             }
             _ => return Err(InjectError { slug: slug.to_owned() }),
         }

@@ -9,7 +9,7 @@
 //! environment's thread interleaving).
 
 use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
-use crate::race::RaceGadget;
+use crate::race::{RaceGadget, ARMED_SEED};
 use crate::text::{Arg, Text};
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::fs::FsError;
@@ -150,7 +150,7 @@ impl MiniDe {
         if !self.bug(slug) {
             return self.ok(Text::new(what, " done", ""));
         }
-        match RaceGadget::default().run(env.current_interleaving()) {
+        match env.race(RaceGadget::default()) {
             Ok(()) => self.ok(Text::new(what, " done", "")),
             Err(reason) => Err(AppFailure::Crash(Text::new(what, ": ", reason))),
         }
@@ -262,7 +262,7 @@ impl Application for MiniDe {
             "gnome-edt-02" | "gnome-edt-03" => {
                 // Arm the race (see MiniDb): the first execution runs under
                 // a crashing interleaving; retries see fresh timing.
-                env.force_interleave_seed(RaceGadget::default().crashing_seed());
+                env.force_interleave_seed(ARMED_SEED);
             }
             _ => return Err(InjectError { slug: slug.to_owned() }),
         }

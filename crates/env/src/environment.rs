@@ -22,9 +22,10 @@ use crate::fs::VirtualFs;
 use crate::host::HostConfig;
 use crate::network::{LinkQuality, Network};
 use crate::proctable::ProcessTable;
+use crate::witness::{DecidingRead, ReadLog, SeedSource};
 use faultstudy_obs::Metrics;
 use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
-use faultstudy_sim::sched::Interleaver;
+use faultstudy_sim::sched::{Interleaver, RaceGadget};
 use faultstudy_sim::time::{Clock, Duration, SimTime};
 use std::fmt;
 
@@ -68,14 +69,18 @@ pub struct Environment {
     /// instrumented run computes exactly what an uninstrumented one does.
     pub metrics: Metrics,
     rng: Xoshiro256StarStar,
-    /// The interleave seed as of the last draw made from `rng`.
+    /// The interleave seed as of the last draw made from `rng`, or the
+    /// value forced since.
     interleave_seed: u64,
     /// Draws from `rng` owed to `interleave_seed`: counted where time
     /// passes or a reshuffle asks, made only when a reader needs the seed.
     owed: u64,
-    /// Set by the first [`Environment::current_interleaving`]; see
-    /// [`Environment::seed_observed`].
-    seed_observed: bool,
+    /// Draws made from `rng` so far.
+    drawn: u64,
+    /// Whether `interleave_seed` was forced after the last draw.
+    forced: bool,
+    /// Every read of a seed-derived value; see [`Environment::read_log`].
+    reads: ReadLog,
 }
 
 /// How long one generic recovery (detect, kill, restore, restart) takes.
@@ -127,31 +132,73 @@ impl Environment {
     /// Makes the owed draws, in order, leaving the interleave seed what
     /// drawing on every advance and reshuffle would have left it.
     fn settle(&mut self) {
+        if self.owed == 0 {
+            return;
+        }
         for _ in 0..self.owed {
             self.interleave_seed = self.rng.next_u64();
         }
+        self.drawn += self.owed;
         self.owed = 0;
+        self.forced = false;
+    }
+
+    /// Runs `gadget` under the scheduler interleaving the *current*
+    /// environment imposes on concurrent tasks: the one deciding read of
+    /// the interleave seed. Distinct calls between
+    /// [`Environment::advance`]s see the same seed — a fixed environment
+    /// is deterministic; the seed only drifts when time passes (§3's
+    /// clock-interrupt timing).
+    ///
+    /// The read reduces the seed to the gadget's verdict, and the
+    /// environment logs where the seed came from with the gadget and the
+    /// verdict ([`Environment::read_log`]). Logging allocates nothing.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use faultstudy_env::Environment;
+    /// use faultstudy_sim::sched::RaceGadget;
+    ///
+    /// let mut env = Environment::builder().seed(3).build();
+    /// env.force_interleave_seed(RaceGadget::default().crashing_seed());
+    /// assert!(env.race(RaceGadget::default()).is_err());
+    /// assert_eq!(env.read_log().reads().count(), 1);
+    /// ```
+    pub fn race(&mut self, gadget: RaceGadget) -> Result<(), &'static str> {
+        self.settle();
+        let source = if self.forced {
+            SeedSource::Forced(self.interleave_seed)
+        } else {
+            SeedSource::Drawn(self.drawn)
+        };
+        let verdict = gadget.run(Interleaver::Seeded(self.interleave_seed));
+        self.reads.push(DecidingRead { source, gadget }, verdict.is_err());
+        verdict
     }
 
     /// The scheduler interleaving the *current* environment would impose on
-    /// concurrent tasks. Distinct calls between [`Environment::advance`]s
-    /// see the same seed — a fixed environment is deterministic; the seed
-    /// only drifts when time passes (§3's clock-interrupt timing).
+    /// concurrent tasks, as [`Environment::race`] sees it.
     ///
-    /// This is the only read of anything derived from the builder's seed,
-    /// so it sets the witness [`Environment::seed_observed`] reports.
+    /// This raw read hands out the seed itself, which can reach anything,
+    /// so it marks the [`Environment::read_log`] opaque. Production code
+    /// reads the seed only through [`Environment::race`]; tests read it
+    /// here.
     pub fn current_interleaving(&mut self) -> Interleaver {
         self.settle();
-        self.seed_observed = true;
+        self.reads.mark_opaque();
         Interleaver::Seeded(self.interleave_seed)
     }
 
     /// Overrides the interleave seed; used by fault injection to arm a
     /// race's crashing interleaving, and by tests. The owed draws are made
     /// first, so the stream stays where drawing eagerly would leave it.
+    /// A read of the forced value is the same under every seed, and the
+    /// log says so ([`SeedSource::Forced`]).
     pub fn force_interleave_seed(&mut self, seed: u64) {
         self.settle();
         self.interleave_seed = seed;
+        self.forced = true;
     }
 
     /// Owes a fresh interleave seed from the environment's randomness
@@ -162,19 +209,23 @@ impl Environment {
         self.owed += 1;
     }
 
-    /// Whether [`Environment::current_interleaving`] has been called. The
-    /// builder's seed reaches nothing but the randomness stream and the
-    /// interleave seed, and only that method reads either, so a run that
-    /// ends with this `false` would have executed identically under every
-    /// seed. The sampled campaign reuses such a run's outcome for every
-    /// later sample of its `(fault, strategy)` pair.
+    /// Every read of a seed-derived value so far: the seed witness.
     ///
-    /// The witness covers this one value: a clone carries a flag of its
+    /// The builder's seed reaches nothing but the randomness stream and
+    /// the interleave seed, and only [`Environment::race`] and
+    /// [`Environment::current_interleaving`] read either. So a run whose
+    /// log ends [blind](ReadLog::is_blind) would have executed identically
+    /// under every seed, and a run whose log is
+    /// [complete](ReadLog::is_complete) executes identically under every
+    /// seed that gives its reads the same verdicts. The sampled campaign
+    /// reuses outcomes on both grounds (DESIGN.md §13).
+    ///
+    /// The witness covers this one value: a clone carries a log of its
     /// own, and the derived `Debug` prints the seed-derived state without
-    /// setting the flag. Outside tests, nothing clones an environment or
+    /// logging a read. Outside tests, nothing clones an environment or
     /// formats one.
-    pub fn seed_observed(&self) -> bool {
-        self.seed_observed
+    pub fn read_log(&self) -> &ReadLog {
+        &self.reads
     }
 
     /// How long one generic recovery (detect, kill, restore, restart) takes.
@@ -243,7 +294,7 @@ impl Environment {
     /// [`ConditionKind::WorkloadTiming`], [`ConditionKind::UnknownTransient`])
     /// are properties of an execution, not of environment state, and always
     /// report `false` here; they are realised through
-    /// [`Environment::current_interleaving`] and the workload generator.
+    /// [`Environment::race`] and the workload generator.
     pub fn holds(&self, cond: ConditionKind) -> bool {
         let now = self.now();
         match cond {
@@ -369,7 +420,9 @@ impl EnvironmentBuilder {
             // like every later one.
             interleave_seed: 0,
             owed: 1,
-            seed_observed: false,
+            drawn: 0,
+            forced: false,
+            reads: ReadLog::default(),
         }
     }
 }
@@ -567,11 +620,45 @@ mod tests {
     #[test]
     fn reading_the_interleaving_sets_the_seed_witness() {
         let mut e = env();
-        assert!(!e.seed_observed());
+        assert!(e.read_log().is_blind());
         e.current_interleaving();
-        assert!(e.seed_observed());
+        assert!(!e.read_log().is_blind());
+        assert!(!e.read_log().is_complete(), "a raw read goes unrecorded");
         e.advance(Duration::from_secs(1));
-        assert!(e.seed_observed(), "the witness never clears");
+        assert!(!e.read_log().is_blind(), "the witness never clears");
+    }
+
+    #[test]
+    fn a_race_logs_the_draw_it_read_and_its_verdict() {
+        let gadget = RaceGadget::default();
+        let mut e = env();
+        let first = e.race(gadget);
+        e.advance(Duration::from_secs(1));
+        e.reshuffle_interleaving();
+        let third = e.race(gadget);
+        let again = e.race(gadget);
+        e.force_interleave_seed(gadget.crashing_seed());
+        let forced = e.race(gadget);
+        e.advance(Duration::from_secs(1));
+        let fourth = e.race(gadget);
+        assert!(!e.read_log().is_blind());
+        assert!(e.read_log().is_complete());
+        let sources: Vec<SeedSource> = e.read_log().reads().map(|(r, _)| r.source).collect();
+        assert_eq!(
+            sources,
+            [
+                SeedSource::Drawn(1),
+                SeedSource::Drawn(3),
+                SeedSource::Drawn(3),
+                SeedSource::Forced(gadget.crashing_seed()),
+                SeedSource::Drawn(4),
+            ]
+        );
+        let verdicts: Vec<bool> = e.read_log().reads().map(|(_, crashed)| crashed).collect();
+        let expected = [first, third, again, forced, fourth].map(|v| v.is_err());
+        assert_eq!(verdicts, expected);
+        assert!(forced.is_err(), "the forced seed crashes");
+        assert_eq!(third, again, "one instant, one interleaving");
     }
 
     #[test]
@@ -585,7 +672,7 @@ mod tests {
         e.scrub();
         e.on_generic_recovery(app);
         assert!(!e.holds(ConditionKind::RaceCondition));
-        assert!(!e.seed_observed(), "nothing read a seed-derived value");
+        assert!(e.read_log().is_blind(), "nothing read a seed-derived value");
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //! - [`environment`] — [`Environment`], the aggregate, including
 //!   [`Environment::on_generic_recovery`] which encodes the paper's retry
 //!   semantics, and natural dynamics under [`Environment::advance`].
+//! - [`witness`] — the log of every read of a seed-derived value
+//!   ([`ReadLog`](witness::ReadLog)), and the replay that judges logged
+//!   reads for another seed.
 //!
 //! # Example
 //!
@@ -56,6 +59,7 @@ pub mod fs;
 pub mod host;
 pub mod network;
 pub mod proctable;
+pub mod witness;
 
 pub use condition::{ConditionKind, Persistence};
 pub use environment::{Environment, EnvironmentBuilder, OwnerId};

@@ -5,47 +5,70 @@ use faultstudy_env::dns::{DnsHealth, DnsService};
 use faultstudy_env::entropy::EntropyPool;
 use faultstudy_env::fs::VirtualFs;
 use faultstudy_env::proctable::ProcessTable;
+use faultstudy_env::witness::{ReadLog, SeedReplay, SeedSource};
 use faultstudy_env::Environment;
 use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
-use faultstudy_sim::sched::Interleaver;
+use faultstudy_sim::sched::{Interleaver, RaceGadget};
 use faultstudy_sim::time::{Duration, SimTime};
 use proptest::prelude::*;
 
 /// The environment's interleave seed as it was kept before draws were
 /// owed: one draw at build, one on every non-zero advance and every
-/// reshuffle, each made at once.
+/// reshuffle, each made at once, with the source of the seed in force.
 struct EagerSeed {
     rng: Xoshiro256StarStar,
     seed: u64,
+    drawn: u64,
+    forced: bool,
     observed: bool,
+    complete: bool,
 }
 
 impl EagerSeed {
     fn new(seed: u64) -> EagerSeed {
-        let mut rng = Xoshiro256StarStar::seed_from(seed);
-        let seed = rng.next_u64();
-        EagerSeed { rng, seed, observed: false }
+        let rng = Xoshiro256StarStar::seed_from(seed);
+        let mut eager =
+            EagerSeed { rng, seed: 0, drawn: 0, forced: false, observed: false, complete: true };
+        eager.draw();
+        eager
+    }
+
+    fn draw(&mut self) {
+        self.seed = self.rng.next_u64();
+        self.drawn += 1;
+        self.forced = false;
     }
 
     fn advance(&mut self, d: Duration) {
         if d > Duration::ZERO {
-            self.seed = self.rng.next_u64();
+            self.draw();
+        }
+    }
+
+    fn source(&self) -> SeedSource {
+        if self.forced {
+            SeedSource::Forced(self.seed)
+        } else {
+            SeedSource::Drawn(self.drawn)
         }
     }
 }
 
 proptest! {
     /// Owed draws read exactly as eager ones: over any sequence of zero
-    /// and non-zero advances, reshuffles, forced seeds and reads, every
-    /// read sees the seed and the witness an environment that drew on
-    /// every advance would show.
+    /// and non-zero advances, reshuffles, forced seeds, raw reads and
+    /// races, every read sees the seed and the witness an environment that
+    /// drew on every advance would show, every race logs the source of its
+    /// seed, and a replay of the builder's seed judges each logged race as
+    /// the environment did.
     #[test]
     fn owed_draws_read_as_eager_draws(
         seed in any::<u64>(),
-        ops in prop::collection::vec((0u8..5, any::<u64>()), 0..80),
+        ops in prop::collection::vec((0u8..6, any::<u64>()), 0..80),
     ) {
         let mut env = Environment::builder().seed(seed).build();
         let mut eager = EagerSeed::new(seed);
+        let mut races = Vec::new();
         for (op, value) in ops {
             match op {
                 0 => {
@@ -59,21 +82,42 @@ proptest! {
                 }
                 2 => {
                     env.reshuffle_interleaving();
-                    eager.seed = eager.rng.next_u64();
+                    eager.draw();
                 }
                 3 => {
                     env.force_interleave_seed(value);
                     eager.seed = value;
+                    eager.forced = true;
                 }
-                _ => {
+                4 => {
                     let Interleaver::Seeded(got) = env.current_interleaving() else {
                         panic!("the environment interleaves by seed");
                     };
                     eager.observed = true;
+                    eager.complete = false;
                     prop_assert_eq!(got, eager.seed);
                 }
+                _ => {
+                    let gadget = RaceGadget {
+                        user_prepare_steps: (value % 4) as u32,
+                        remover_delay_steps: (value / 4 % 4) as u32,
+                    };
+                    let verdict = env.race(gadget);
+                    prop_assert_eq!(verdict, gadget.run(Interleaver::Seeded(eager.seed)));
+                    eager.observed = true;
+                    races.push((eager.source(), gadget, verdict.is_err()));
+                }
             }
-            prop_assert_eq!(env.seed_observed(), eager.observed);
+            prop_assert_eq!(!env.read_log().is_blind(), eager.observed);
+        }
+        let log = env.read_log();
+        let logged: Vec<_> = log.reads().map(|(r, crashed)| (r.source, r.gadget, crashed)).collect();
+        let capacity = ReadLog::CAPACITY;
+        prop_assert_eq!(&logged[..], &races[..races.len().min(capacity)]);
+        prop_assert_eq!(log.is_complete(), eager.complete && races.len() <= capacity);
+        let mut replay = SeedReplay::new(seed);
+        for (read, crashed) in log.reads() {
+            prop_assert_eq!(replay.judge(&read).is_err(), crashed);
         }
         let Interleaver::Seeded(last) = env.current_interleaving() else {
             panic!("the environment interleaves by seed");

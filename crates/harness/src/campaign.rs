@@ -11,6 +11,7 @@ use crate::driver::{drive, write_anomalies, Campaign};
 use crate::experiment::{
     build_workload, ledger_experiment, run_prepared, LeanOutcome, StrategyKind,
 };
+use crate::memo::{DecisionMemo, Proven};
 use faultstudy_apps::Request;
 use faultstudy_core::taxonomy::FaultClass;
 use faultstudy_corpus::full_corpus;
@@ -71,10 +72,14 @@ fn draw(faults: usize, sample_seed: u64) -> (usize, StrategyKind, u64) {
 /// Number of `(class, strategy)` cells a campaign can populate.
 const CELL_COUNT: usize = FaultClass::ALL.len() * StrategyKind::ALL.len();
 
-/// The proven outcome of a seed-blind `(fault, strategy)` pair, with its
-/// registry when the campaign is instrumented: what every later sample of
-/// the pair folds instead of running.
-type Proven = (LeanOutcome, Option<Box<MetricsRegistry>>);
+/// What one campaign has learned about a `(fault, strategy)` pair from its
+/// first run.
+enum Pair {
+    /// The run read no seed: its outcome holds at every seed.
+    Blind(Proven),
+    /// The run decided races: outcomes by decision path.
+    Reading(Box<DecisionMemo>),
+}
 
 /// Constant-size partial aggregate of one campaign index-partition: the
 /// streaming fold's accumulator. A whole campaign needs O(workers) of
@@ -171,13 +176,17 @@ impl Campaign for CampaignReport {
     /// O(samples).
     ///
     /// A run that never read its environment's seed
-    /// ([`Environment::seed_observed`](faultstudy_env::Environment::seed_observed))
+    /// ([`Environment::read_log`](faultstudy_env::Environment::read_log))
     /// proves the outcome of its `(fault, strategy)` pair at every seed.
     /// It fills the pair's slot, and every later sample of the pair folds
-    /// the slot's outcome and registry instead of running. The slots live
-    /// in this call and are shared by all workers; whichever fills one
-    /// stores the same value, so the report is the same at any thread
-    /// count and chunk size (DESIGN.md §13).
+    /// the slot's outcome and registry instead of running. A run whose
+    /// reads all decided races proves its outcome for every seed that
+    /// decides them alike: the pair's slot holds a [`DecisionMemo`], and a
+    /// later sample runs only when its decisions take a path no run has
+    /// taken yet. The slots live in this call and are shared by all
+    /// workers; whichever fills a slot or a memo node stores the same
+    /// value, so the report is the same at any thread count and chunk
+    /// size (DESIGN.md §13).
     ///
     /// The registry aggregates the supervisor's time-to-recovery and retry
     /// histograms per strategy and per `(class, strategy)` cell.
@@ -188,7 +197,7 @@ impl Campaign for CampaignReport {
     ) -> (CampaignReport, MetricsRegistry) {
         let corpus = full_corpus();
         let workloads: Vec<Vec<Request>> = corpus.iter().map(build_workload).collect();
-        let proven: Vec<OnceLock<Proven>> =
+        let pairs: Vec<OnceLock<Pair>> =
             (0..corpus.len() * StrategyKind::ALL.len()).map(|_| OnceLock::new()).collect();
         let acc = drive(
             spec.seed,
@@ -198,8 +207,13 @@ impl Campaign for CampaignReport {
             |acc: &mut CampaignAcc, _, sample_seed| {
                 let (fi, strategy, env_seed) = draw(corpus.len(), sample_seed);
                 let fault = &corpus[fi];
-                let slot = &proven[fi * StrategyKind::ALL.len() + strategy as usize];
-                let out = match slot.get() {
+                let slot = &pairs[fi * StrategyKind::ALL.len() + strategy as usize];
+                let proven = match slot.get() {
+                    Some(Pair::Blind(proven)) => Some(proven),
+                    Some(Pair::Reading(memo)) => memo.lookup(env_seed),
+                    None => None,
+                };
+                let out = match proven {
                     Some((out, metrics)) => {
                         if let Some(metrics) = metrics {
                             acc.registry.merge_from(metrics);
@@ -207,15 +221,20 @@ impl Campaign for CampaignReport {
                         *out
                     }
                     None => {
-                        let (out, metrics, seed_observed) =
+                        let (out, metrics, reads) =
                             run_prepared(fault, strategy, env_seed, &workloads[fi], instrumented);
                         if let Some(metrics) = &metrics {
                             acc.registry.merge_from(metrics);
                         }
-                        if !seed_observed {
-                            // A worker that filled the slot first stored
-                            // the same value.
-                            let _ = slot.set((out, metrics.map(Box::new)));
+                        let proven = (out, metrics.map(Box::new));
+                        // A worker that filled the slot first stored the
+                        // same kind of pair.
+                        if reads.is_blind() {
+                            let _ = slot.set(Pair::Blind(proven));
+                        } else if let Pair::Reading(memo) =
+                            slot.get_or_init(|| Pair::Reading(Box::default()))
+                        {
+                            memo.insert(&reads, proven);
                         }
                         out
                     }

@@ -5,6 +5,7 @@
 use faultstudy_apps::{spawn_app, Request};
 use faultstudy_core::taxonomy::FaultClass;
 use faultstudy_corpus::CuratedFault;
+use faultstudy_env::witness::ReadLog;
 use faultstudy_env::Environment;
 use faultstudy_obs::MetricsRegistry;
 use faultstudy_recovery::{
@@ -163,16 +164,17 @@ impl FaultOutcome {
 /// `recovery.ttr.class{<class>/<strategy>}`. Metrics are pure
 /// observation, so the outcome is the same either way.
 ///
-/// The flag is the environment's seed witness
-/// ([`Environment::seed_observed`]): `false` means the run, registry
-/// included, would have been the same under every seed.
+/// The log is the environment's seed witness ([`Environment::read_log`]):
+/// a blind log means the run, registry included, would have been the same
+/// under every seed, and a complete one that it is the same under every
+/// seed that gives its reads the same verdicts.
 pub fn run_prepared(
     fault: &CuratedFault,
     strategy: StrategyKind,
     seed: u64,
     workload: &[Request],
     metrics: bool,
-) -> (LeanOutcome, Option<MetricsRegistry>, bool) {
+) -> (LeanOutcome, Option<MetricsRegistry>, ReadLog) {
     let mut env = standard_env(seed, metrics);
     let mut app = spawn_app(fault.app(), &mut env);
     app.inject(fault.slug(), &mut env)
@@ -191,7 +193,7 @@ pub fn run_prepared(
         }
         reg
     });
-    (outcome, registry, env.seed_observed())
+    (outcome, registry, *env.read_log())
 }
 
 /// Runs one fault under one strategy against a workload prepared by

@@ -7,6 +7,8 @@
 //! # Modules
 //!
 //! - [`experiment`] — one fault × one strategy → one [`FaultOutcome`].
+//! - [`memo`] — the sampled campaign's outcomes of a race pair, one per
+//!   decision path.
 //! - [`Campaign`] — the one runner the recovery matrix and the six
 //!   campaigns below implement.
 //! - [`ablation`] — parameter sweeps over the recovery designs (E11–E13).
@@ -50,6 +52,7 @@ pub mod funnel;
 pub mod graph;
 pub mod inject;
 pub mod matrix;
+pub mod memo;
 pub mod micro;
 pub mod oblivious;
 pub mod traffic;

@@ -15,7 +15,8 @@
 //! - [`rng`] — SplitMix64 and xoshiro256\*\* deterministic PRNGs.
 //! - [`wheel`] — the event queue ([`TimingWheel`], a binary heap): O(log n)
 //!   schedule and pop, FIFO among same-time events.
-//! - [`sched`] — controllable interleavings ([`Interleaver`], [`Schedule`]),
+//! - [`sched`] — controllable interleavings ([`Interleaver`], [`Schedule`])
+//!   and the race they decide ([`RaceGadget`]),
 //!   used to reproduce race-condition faults.
 //!
 //! # Example
@@ -39,6 +40,6 @@ pub mod time;
 pub mod wheel;
 
 pub use rng::{DetRng, SplitMix64, Xoshiro256StarStar};
-pub use sched::{Interleaver, Schedule};
+pub use sched::{Interleaver, RaceGadget, Schedule};
 pub use time::{Clock, Duration, SimTime};
 pub use wheel::TimingWheel;

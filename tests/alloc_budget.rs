@@ -18,9 +18,12 @@
 //!   every sample that runs. `run_prepared_experiment`'s per-sample mean
 //!   is held to a budget.
 //! - A whole campaign runs only the first sample of each seed-blind
-//!   `(fault, strategy)` pair and every sample of the race faults; the
-//!   rest reuse a proven outcome and allocate nothing. Its per-sample
-//!   mean, set-up included, is held to a budget of its own.
+//!   `(fault, strategy)` pair and the first sample of each decision path
+//!   of the race faults' pairs; the rest reuse a proven outcome and
+//!   allocate nothing. A race's deciding read logs into the environment's
+//!   inline log, and a memo hit replays the sample's seed on the stack,
+//!   so neither allocates. The campaign's per-sample mean, set-up
+//!   included, is held to a budget of its own.
 //! - The §4 keyword stage allocates nothing per row once its query is
 //!   compiled: each `KeywordQuery::matches_segments` is one
 //!   `Automaton::scan_segments` of the query's own automaton, both
@@ -38,17 +41,22 @@
 use faultstudy::apps::{spawn_app, Request};
 use faultstudy::core::scanset;
 use faultstudy::core::taxonomy::{AppKind, FaultClass};
-use faultstudy::corpus::{full_corpus, PopulationSpec, SyntheticPopulation};
+use faultstudy::corpus::{find, full_corpus, PopulationSpec, SyntheticPopulation};
 use faultstudy::env::Environment;
 use faultstudy::exec::ParallelSpec;
 use faultstudy::graph::{
     run_graph, Channel, ChannelFaultKind, GraphFaultPlan, PlaneKind, ServiceGraph,
 };
-use faultstudy::harness::experiment::{build_workload, run_prepared_experiment, StrategyKind};
+use faultstudy::harness::experiment::{
+    build_workload, run_prepared, run_prepared_experiment, StrategyKind,
+};
+use faultstudy::harness::memo::DecisionMemo;
 use faultstudy::harness::{Campaign, CampaignReport, CampaignSpec};
 use faultstudy::mining::KeywordQuery;
 use faultstudy::recovery::{RestartRetry, SupervisorConfig};
 use faultstudy::sim::rng::split_seed;
+use faultstudy::sim::sched::RaceGadget;
+use faultstudy::sim::time::Duration;
 use faultstudy::traffic::{run_open_loop, ArrivalKind, TrafficParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -60,12 +68,12 @@ const BYTES_PER_SAMPLE: f64 = 1300.0;
 /// Mean allocation calls per sampled-campaign experiment, at most (reads
 /// 15.9; about 15% margin).
 const ALLOCS_PER_SAMPLE: f64 = 18.5;
-/// Mean bytes requested per sample of a whole campaign, at most (reads 80;
+/// Mean bytes requested per sample of a whole campaign, at most (reads 68;
 /// 15% margin).
-const BYTES_PER_CAMPAIGN_SAMPLE: f64 = 92.0;
+const BYTES_PER_CAMPAIGN_SAMPLE: f64 = 78.0;
 /// Mean allocation calls per sample of a whole campaign, at most (reads
-/// 1.09; about 15% margin).
-const ALLOCS_PER_CAMPAIGN_SAMPLE: f64 = 1.25;
+/// 0.88; about 15% margin).
+const ALLOCS_PER_CAMPAIGN_SAMPLE: f64 = 1.02;
 /// Mean allocation calls per offered request of a healthy graph unit, at
 /// most: the unit's setup spread over its requests (reads 0.0077).
 const ALLOCS_PER_GRAPH_REQUEST: f64 = 0.01;
@@ -384,6 +392,40 @@ fn one_campaign_sample_stays_within_its_allocation_budget() {
         "one campaign sample makes {allocs:.1} allocations of {bytes:.0} bytes on average; \
          the budget is {ALLOCS_PER_SAMPLE} allocations and {BYTES_PER_SAMPLE} bytes"
     );
+}
+
+#[test]
+fn a_deciding_read_and_a_memo_hit_allocate_nothing() {
+    let gadget = RaceGadget::default();
+    let mut env = Environment::builder().seed(5).build();
+    // Twice the log's capacity: the reads past it only mark it opaque.
+    let reads = allocations(|| {
+        for _ in 0..16 {
+            env.advance(Duration::from_millis(1));
+            black_box(env.race(gadget)).ok();
+        }
+    });
+    assert_eq!(reads, 0, "deciding reads allocate");
+
+    let fault = find("mysql-edt-01").expect("a race fault");
+    let workload = build_workload(&fault);
+    let memo = DecisionMemo::default();
+    let seeds = 0..256;
+    for seed in seeds.clone() {
+        if memo.lookup(seed).is_none() {
+            let (out, _, reads) =
+                run_prepared(&fault, StrategyKind::Progressive, seed, &workload, false);
+            memo.insert(&reads, (out, None));
+        }
+    }
+    let mut hits = 0;
+    let lookups = allocations(|| {
+        for seed in seeds {
+            hits += usize::from(black_box(memo.lookup(seed)).is_some());
+        }
+    });
+    assert_eq!(hits, 256, "every path is recorded");
+    assert_eq!(lookups, 0, "memo hits allocate");
 }
 
 #[test]

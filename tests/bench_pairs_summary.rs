@@ -5,9 +5,11 @@
 //! than the spread between the base's quartiles, so the summary must cut
 //! its quartiles exactly as the benchmark does. The benchmark's
 //! `stats.rs` is compiled in here as the reference, and the summary's
-//! medians, quartiles, ratios, win counts and digest verdict are checked
-//! against it for sets of one to twelve pairs, including the cases that
-//! file's own tests take from Python.
+//! medians, quartiles, ratios, win counts, verdicts and digest verdict
+//! are checked against it for sets of one to twelve pairs, including the
+//! cases that file's own tests take from Python. Crafted pair sets pin
+//! each verdict, `gain`, `same` and `worse`, at its edges, under the
+//! bounds `BENCHMARK.json` declares.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -26,6 +28,25 @@ const METRICS: [(&str, i32, bool); 4] = [
     ("setup_s", 4, false),
     ("peak_rss_mb", 2, false),
 ];
+
+/// `BENCHMARK.json`'s bound on the end-to-end metric `name`.
+fn bound(name: &str) -> f64 {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCHMARK.json"))
+        .expect("BENCHMARK.json is readable");
+    let json: serde_json::Value = serde_json::from_str(&text).expect("BENCHMARK.json parses");
+    let Some(serde_json::Value::Seq(metrics)) = json.get("end_to_end") else {
+        panic!("BENCHMARK.json has an end_to_end list");
+    };
+    let named = |m: &&serde_json::Value| matches!(m.get("name"), Some(serde_json::Value::Str(n)) if n == name);
+    let metric = metrics.iter().find(named).expect("the metric is declared");
+    metric.get("bound").and_then(serde_json::Value::as_f64).expect("a numeric bound")
+}
+
+/// Each printed metric's bound: the unscaled throughput takes the
+/// throughput's.
+fn bounds() -> [f64; 4] {
+    [bound("throughput"), bound("throughput"), bound("setup_s"), bound("peak_rss_mb")]
+}
 
 /// One pair: both sides' four metrics and digests.
 struct Pair {
@@ -49,7 +70,14 @@ fn summarize(pairs: &[Pair]) -> (String, bool) {
             p.change_digest
         );
     }
+    let [throughput, _, setup_s, peak_rss_mb] = bounds();
     let mut child = Command::new("awk")
+        .arg("-v")
+        .arg(format!("throughput_bound={throughput}"))
+        .arg("-v")
+        .arg(format!("setup_s_bound={setup_s}"))
+        .arg("-v")
+        .arg(format!("peak_rss_mb_bound={peak_rss_mb}"))
         .arg("-f")
         .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/tools/pairs-summary.awk"))
         .stdin(Stdio::piped())
@@ -68,15 +96,32 @@ fn parse_summary(median: &str, quartiles: &str) -> [f64; 3] {
     [q1, median, q3].map(|v| v.parse().expect("a number"))
 }
 
-/// Checks the summary's output for `pairs` against `Summary::of`.
-fn check(pairs: &[Pair]) {
+/// The verdict on one metric: `gain` when the change won at least 9 in 10
+/// of the pairs and its median beats the base's by more than the base's
+/// interquartile range, `worse` when its median is worse than the base's
+/// by more than `bound`, `same` otherwise.
+fn verdict(base: Summary, change: Summary, won: usize, higher: bool, bound: f64) -> &'static str {
+    let better = if higher { change.median - base.median } else { base.median - change.median };
+    if won * 10 >= base.n * 9 && better > base.q3 - base.q1 {
+        "gain"
+    } else if better < -bound * base.median {
+        "worse"
+    } else {
+        "same"
+    }
+}
+
+/// Checks the summary's output for `pairs` against `Summary::of`, and
+/// returns each metric's verdict.
+fn check(pairs: &[Pair]) -> [String; 4] {
     let what = format!("{} pairs", pairs.len());
     let (out, ok) = summarize(pairs);
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 6, "{what}: {out}");
+    let mut verdicts: [String; 4] = Default::default();
     for (k, &(name, decimals, higher)) in METRICS.iter().enumerate() {
         let fields: Vec<&str> = lines[1 + k].split_whitespace().collect();
-        assert_eq!(fields.len(), 7, "{what}: {}", lines[1 + k]);
+        assert_eq!(fields.len(), 8, "{what}: {}", lines[1 + k]);
         assert_eq!(fields[0], name, "{what}");
         let base = Summary::of(&pairs.iter().map(|p| p.base[k]).collect::<Vec<_>>());
         let change = Summary::of(&pairs.iter().map(|p| p.change[k]).collect::<Vec<_>>());
@@ -100,10 +145,14 @@ fn check(pairs: &[Pair]) {
             .filter(|p| if higher { p.change[k] > p.base[k] } else { p.change[k] < p.base[k] })
             .count();
         assert_eq!(fields[6], format!("{won}/{}", pairs.len()), "{what}, {name}");
+        let want = verdict(base, change, won, higher, bounds()[k]);
+        assert_eq!(fields[7], want, "{what}, {name}: {}", lines[1 + k]);
+        verdicts[k] = fields[7].to_owned();
     }
     let same = pairs.iter().filter(|p| p.base_digest == p.change_digest).count();
     assert_eq!(lines[5], format!("digests equal in {same} of {} pairs", pairs.len()), "{what}");
     assert_eq!(ok, same == pairs.len(), "{what}: exits 0 only when every digest matches");
+    verdicts
 }
 
 /// A pair whose sides differ only in `setup_s`.
@@ -163,4 +212,72 @@ fn the_summary_agrees_with_the_benchmark_on_every_metric() {
             check(&pairs);
         }
     }
+}
+
+/// Ten pairs whose throughput reads `base[i]` and `change[i]`; every other
+/// metric is equal on both sides.
+fn throughput_pairs(base: [f64; 10], change: [f64; 10]) -> Vec<Pair> {
+    base.iter()
+        .zip(change)
+        .map(|(&b, c)| Pair {
+            base: [b, 1.5e6, 0.2, 4.5],
+            change: [c, 1.5e6, 0.2, 4.5],
+            base_digest: "d",
+            change_digest: "d",
+        })
+        .collect()
+}
+
+/// Crafted pair files pin each verdict at its edges. The base's
+/// throughput is 1..=10 (millions): median 5.5, quartiles 2.75 and 8.25,
+/// so its interquartile range is 5.5.
+#[test]
+fn each_verdict_holds_at_its_edges() {
+    let base = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0].map(|v| v * 1e6);
+    let throughput = |change: [f64; 10]| check(&throughput_pairs(base, change))[0].clone();
+    let shifted = |by: f64| base.map(|v| v + by);
+
+    // Ten wins and a median 6.0 higher, past the 5.5 range: a gain.
+    assert_eq!(throughput(shifted(6e6)), "gain");
+    // Ten wins, but the median moves only 5.0: not past the range.
+    assert_eq!(throughput(shifted(5e6)), "same");
+    // Nine wins of ten still gain; eight do not.
+    let mut nine = shifted(6e6);
+    nine[0] = base[0];
+    assert_eq!(throughput(nine), "gain");
+    let mut eight = nine;
+    eight[1] = base[1];
+    assert_eq!(throughput(eight), "same");
+
+    // A median 20% below the base's is inside the 0.2 bound; past it is
+    // worse, though no pair needs to lose by much for that.
+    let drop = bound("throughput");
+    assert_eq!(throughput(base.map(|v| v * (1.0 - drop) + 1.0)), "same");
+    assert_eq!(throughput(base.map(|v| v * (1.0 - drop) - 1.0)), "worse");
+
+    // Lower is better for setup_s and peak RSS: a rise past the bound is
+    // worse, a fall by more than the range in every pair a gain.
+    let setup = |change: f64| {
+        let pairs: Vec<Pair> = (1..=10).map(|i| setup_pair(f64::from(i) * 0.01, change)).collect();
+        check(&pairs)[2].clone()
+    };
+    // Base setup_s 0.01..=0.10: median 0.055, range 0.055.
+    assert_eq!(setup(0.055 * (1.0 + bound("setup_s")) + 1e-6), "worse");
+    assert_eq!(setup(0.055 * (1.0 + bound("setup_s")) - 1e-6), "same");
+    assert_eq!(setup(0.001), "same", "0.054 better in every pair, not past the range");
+    let pairs: Vec<Pair> = (1..=10).map(|i| setup_pair(f64::from(i) * 0.01 + 1.0, 0.01)).collect();
+    assert_eq!(check(&pairs)[2], "gain");
+    let peak = |change: f64| {
+        let pairs: Vec<Pair> = (0..10)
+            .map(|i| Pair {
+                base: [2.0e6, 1.5e6, 0.2, 4.0 + f64::from(i) * 0.01],
+                change: [2.0e6, 1.5e6, 0.2, change],
+                base_digest: "d",
+                change_digest: "d",
+            })
+            .collect();
+        check(&pairs)[3].clone()
+    };
+    assert_eq!(peak(4.045 * (1.0 + bound("peak_rss_mb")) + 1e-6), "worse");
+    assert_eq!(peak(4.045 * (1.0 + bound("peak_rss_mb")) - 1e-6), "same");
 }

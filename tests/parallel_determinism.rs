@@ -165,6 +165,30 @@ fn reused_outcomes_match_materialized_reference() {
     }
 }
 
+/// At 20,000 samples each of the 28 race pairs recurs about 20 times, so
+/// the campaign takes and reuses its race memos' deeper decision paths
+/// (the 3,000-sample specs above draw about 3 samples per race pair).
+/// Instrumented and plain runs match the memo-free reference at every
+/// thread count and at two chunk sizes.
+#[test]
+fn race_decision_paths_match_materialized_reference() {
+    for seed in [11, 2000] {
+        let spec = CampaignSpec { samples: 20_000, seed };
+        let (reference, reference_registry) = materialized(spec, true);
+        for threads in THREAD_COUNTS {
+            for chunk in [7, 1000] {
+                let parallel = ParallelSpec::threads(threads).with_chunk(chunk);
+                let what = format!("seed {seed}, {threads} threads, chunk {chunk}");
+                let (instrumented, registry) = CampaignReport::run(spec, parallel, true);
+                assert_eq!(instrumented, reference, "{what}");
+                assert_eq!(registry, reference_registry, "registry: {what}");
+                let (plain, _) = CampaignReport::run(spec, parallel, false);
+                assert_eq!(plain, reference, "plain: {what}");
+            }
+        }
+    }
+}
+
 /// The work-queue chunk size is as unobservable as the thread count: any
 /// chunking of the sample index space folds to the same bytes.
 #[test]

@@ -2,11 +2,15 @@
 # The pairs protocol behind every speed claim, as one command: builds the
 # benchmark at a base revision and at the working tree, runs ten
 # alternating pairs of one workload, and prints each pair, then each
-# metric's medians and quartiles, their ratio and how many pairs the
-# working tree won.
+# metric's medians and quartiles, their ratio, how many pairs the working
+# tree won and the verdict (gain, same or worse; see
+# tools/pairs-summary.awk).
 #
 #   make bench-pairs BASE=<rev> WORKLOAD=<name> [SEED=1]
 #   BASE=<rev> WORKLOAD=<name> tools/bench-pairs.sh
+#
+# WORKLOAD=all runs every workload BENCHMARK.json declares in turn, ten
+# pairs each on the same seeds, and prints one summary block each.
 #
 # Pair i (from 0) runs seed SEED+i on both sides for BENCHMARK.json's
 # `run_seconds`, one benchmark process each, the base first when i is
@@ -18,17 +22,27 @@
 # The script reads only what the benchmark prints: its result line (the
 # scaled `throughput`, `setup_s` and `peak_rss_mb`), its `digest` line and
 # its `host speed` line (the unscaled throughput). The summary is
-# tools/pairs-summary.awk. It exits non-zero when a run fails or a pair's
-# digests differ.
+# tools/pairs-summary.awk, with BENCHMARK.json's bounds. It exits non-zero
+# when a run fails, and after the last summary when a pair's digests
+# differed.
 set -eu
 
 pairs=10
 base=${BASE:?set BASE to the revision to compare the working tree against}
-workload=${WORKLOAD:?set WORKLOAD to traffic, graph, campaign, oblivious_metrics or mining}
+workload=${WORKLOAD:?set WORKLOAD to traffic, graph, campaign, oblivious_metrics, mining or all}
 first_seed=${SEED:-1}
 
 root=$(git rev-parse --show-toplevel)
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9][0-9.]*\).*/\1/p' "$root/BENCHMARK.json")
+# bound NAME: the end-to-end metric NAME's bound in BENCHMARK.json.
+bound() {
+    sed -n 's/.*"name": *"'"$1"'".*"bound": *\([0-9][0-9.]*\).*/\1/p' "$root/BENCHMARK.json"
+}
+if [ "$workload" = all ]; then
+    workloads=$(sed -n 's/.*{"name": *"\([^"]*\)", *"why".*/\1/p' "$root/BENCHMARK.json")
+else
+    workloads=$workload
+fi
 rev=$(git -C "$root" rev-parse --verify "$base^{commit}")
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -43,9 +57,9 @@ echo "building the benchmark at the working tree" >&2
 CARGO_TARGET_DIR="$root/benchmark/target" cargo build --release --offline --quiet \
     --manifest-path "$root/benchmark/Cargo.toml" --bin benchmark
 
-# run SIDE SEED: one benchmark process of SIDE (base or change), from its
-# own tree so that its provenance names its commit. Prints one line:
-# throughput unscaled setup_s peak_rss_mb digest.
+# run SIDE SEED: one benchmark process of SIDE (base or change) on
+# $workload, from its own tree so that its provenance names its commit.
+# Prints one line: throughput unscaled setup_s peak_rss_mb digest.
 run() {
     if [ "$1" = base ]; then
         dir=$tmp/base bin=$tmp/target/release/benchmark
@@ -73,26 +87,31 @@ run() {
         }'
 }
 
-results=$tmp/pairs
-: > "$results"
-echo "$pairs pairs of $workload, $seconds s each, seeds $first_seed..$((first_seed + pairs - 1)): base $base against the working tree"
-i=0
-while [ "$i" -lt "$pairs" ]; do
-    seed=$((first_seed + i))
-    if [ $((i % 2)) -eq 0 ]; then
-        first=base
-        b=$(run base "$seed")
-        c=$(run change "$seed")
-    else
-        first=change
-        c=$(run change "$seed")
-        b=$(run base "$seed")
-    fi
-    echo "$seed $first $b $c" | tee -a "$results" | awk '{
-        printf "seed %s, %s first: throughput %.0f -> %.0f (x%.3f), unscaled %.0f -> %.0f (x%.3f), ", $1, $2, $3, $8, $8 / $3, $4, $9, $9 / $4
-        printf "setup_s %.4f -> %.4f, peak_rss_mb %.2f -> %.2f, digests %s\n", $5, $10, $6, $11, ($7 == $12 ? "equal" : "DIFFER")
-    }'
-    i=$((i + 1))
+status=0
+for workload in $workloads; do
+    results=$tmp/pairs-$workload
+    : > "$results"
+    echo "$pairs pairs of $workload, $seconds s each, seeds $first_seed..$((first_seed + pairs - 1)): base $base against the working tree"
+    i=0
+    while [ "$i" -lt "$pairs" ]; do
+        seed=$((first_seed + i))
+        if [ $((i % 2)) -eq 0 ]; then
+            first=base
+            b=$(run base "$seed")
+            c=$(run change "$seed")
+        else
+            first=change
+            c=$(run change "$seed")
+            b=$(run base "$seed")
+        fi
+        echo "$seed $first $b $c" | tee -a "$results" | awk '{
+            printf "seed %s, %s first: throughput %.0f -> %.0f (x%.3f), unscaled %.0f -> %.0f (x%.3f), ", $1, $2, $3, $8, $8 / $3, $4, $9, $9 / $4
+            printf "setup_s %.4f -> %.4f, peak_rss_mb %.2f -> %.2f, digests %s\n", $5, $10, $6, $11, ($7 == $12 ? "equal" : "DIFFER")
+        }'
+        i=$((i + 1))
+    done
+    awk -v throughput_bound="$(bound throughput)" -v setup_s_bound="$(bound setup_s)" \
+        -v peak_rss_mb_bound="$(bound peak_rss_mb)" \
+        -f "$root/tools/pairs-summary.awk" "$results" || status=1
 done
-
-awk -f "$root/tools/pairs-summary.awk" "$results"
+exit "$status"

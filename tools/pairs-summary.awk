@@ -2,9 +2,18 @@
 #   seed first base_throughput base_unscaled base_setup_s base_peak_rss_mb base_digest
 #              change_throughput change_unscaled change_setup_s change_peak_rss_mb change_digest
 # and prints, for each metric, both sides' medians with their quartiles,
-# the ratio of the medians and how many pairs the change won (higher
-# throughput, lower setup_s and peak RSS; ties win for neither side).
-# Exits non-zero unless every pair's digests are equal.
+# the ratio of the medians, how many pairs the change won (higher
+# throughput, lower setup_s and peak RSS; ties win for neither side) and
+# a verdict:
+#   gain   the change won at least 9 in 10 of the pairs, and its median
+#          beats the base's by more than the base's interquartile range;
+#   worse  the change's median is worse than the base's by more than the
+#          metric's bound;
+#   same   otherwise.
+# The bounds are BENCHMARK.json's, passed as -v throughput_bound=...
+# -v setup_s_bound=... -v peak_rss_mb_bound=...; the unscaled throughput
+# takes the throughput's. Exits non-zero unless every pair's digests are
+# equal.
 #
 # The quartiles are Python's statistics.quantiles(n=4) with its default
 # exclusive method, as the benchmark's own summary computes them;
@@ -27,6 +36,26 @@ function summary(v, n,   i, j, t) {
     q1 = cut(v, n, 1); med = cut(v, n, 2); q3 = cut(v, n, 3)
 }
 
+# The verdict on metric k from both medians, the base's quartiles and the
+# pairs the change won.
+function verdict(k, bm, b1, b3, cm, wins,   higher, better, bound) {
+    higher = k < 2
+    better = higher ? cm - bm : bm - cm
+    if (wins * 10 >= n * 9 && better > b3 - b1) return "gain"
+    bound = bounds[k + 1]
+    if (higher ? cm < bm * (1 - bound) : cm > bm * (1 + bound)) return "worse"
+    return "same"
+}
+
+BEGIN {
+    if (throughput_bound == "" || setup_s_bound == "" || peak_rss_mb_bound == "") {
+        print "pairs-summary.awk: pass -v throughput_bound=, setup_s_bound= and peak_rss_mb_bound=" > "/dev/stderr"
+        usage = 1
+        exit 2
+    }
+    split(throughput_bound " " throughput_bound " " setup_s_bound " " peak_rss_mb_bound, bounds, " ")
+}
+
 {
     n++
     for (k = 0; k < 4; k++) {
@@ -39,15 +68,16 @@ function summary(v, n,   i, j, t) {
 }
 
 END {
+    if (usage) exit 2
     split("throughput unscaled setup_s peak_rss_mb", name, " ")
     split("%.0f %.0f %.4f %.2f", form, " ")
-    printf "%-12s %30s %30s %8s %6s\n", "metric", "base median (q1-q3)", "change median (q1-q3)", "ratio", "won"
+    printf "%-12s %30s %30s %8s %6s %8s\n", "metric", "base median (q1-q3)", "change median (q1-q3)", "ratio", "won", "verdict"
     for (k = 0; k < 4; k++) {
         f = form[k + 1] " (" form[k + 1] "-" form[k + 1] ")"
         for (i = 1; i <= n; i++) { vb[i] = base[k, i]; vc[i] = change[k, i] }
         summary(vb, n); bm = med; b1 = q1; b3 = q3
         summary(vc, n); cm = med; c1 = q1; c3 = q3
-        printf "%-12s %30s %30s %8s %6s\n", name[k + 1], sprintf(f, bm, b1, b3), sprintf(f, cm, c1, c3), sprintf("x%.3f", cm / bm), (won[k] + 0) "/" n
+        printf "%-12s %30s %30s %8s %6s %8s\n", name[k + 1], sprintf(f, bm, b1, b3), sprintf(f, cm, c1, c3), sprintf("x%.3f", cm / bm), (won[k] + 0) "/" n, verdict(k, bm, b1, b3, cm, won[k] + 0)
     }
     printf "digests equal in %d of %d pairs\n", same, n
     exit same == n ? 0 : 1
