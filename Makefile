@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test bench bench-pairs verify soak docs fmt lint
+.PHONY: build test bench bench-pairs verify soak docs fmt lint ci
 
 build:
 	cargo build --release
@@ -45,3 +45,22 @@ fmt:
 lint:
 	cargo clippy --workspace --all-targets --locked -- -D warnings
 	cargo clippy --manifest-path benchmark/Cargo.toml --all-targets --locked -- -D warnings
+
+# Every step of CI (.github/workflows/ci.yml), in CI's order: format and
+# clippy on both packages, the workspace tests, the release soak, each
+# example run in release, the docs, the benchmark package's tests and the
+# self-check at two seeds. `make test` stays the quick tier-1 run.
+ci:
+	$(MAKE) fmt
+	$(MAKE) lint
+	cargo test --workspace -q --locked
+	$(MAKE) soak
+	cargo build --release --locked --examples
+	set -e; for example in examples/*.rs; do \
+		name=$$(basename "$$example" .rs); \
+		echo "== $$name"; \
+		./target/release/examples/"$$name" > /dev/null; \
+	done
+	$(MAKE) docs
+	cargo test -q --locked --manifest-path benchmark/Cargo.toml
+	$(MAKE) verify

@@ -9,6 +9,7 @@ use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::CrashOnly;
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// One workload request to an application.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,12 +112,14 @@ impl std::error::Error for AppFailure {}
 /// to [`Application::restore`], but cannot interpret it.
 ///
 /// It is not a serialization tree. Nothing but the application that took a
-/// checkpoint ever reads it, and checkpoint strategies snapshot after
-/// *every* served request, so building a value tree on each snapshot and
-/// looking every field up by name on each restore made the pair the largest
-/// allocation site on the request path. The parts that stay fixed for a
-/// whole unit (the armed defects, the desktop's boot hostname) sit behind
-/// shared handles, so a snapshot copies only what requests change.
+/// checkpoint ever reads it, and checkpoint strategies refresh theirs after
+/// *every* served request. A strategy keeps one checkpoint and refreshes it
+/// in place ([`Application::snapshot_into`]) rather than building a new one
+/// per request. The parts that stay fixed for a whole unit (the armed
+/// defects, the desktop's boot hostname) sit behind shared handles, and a
+/// refresh or a restore leaves a handle that already points at the
+/// application's own alone, so either one copies only what requests
+/// change.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppState(pub(crate) Checkpoint);
 
@@ -129,6 +132,14 @@ pub(crate) enum Checkpoint {
     Web(WebState),
     Db(DbState),
     De(DeState),
+}
+
+/// Points `into` at what `from` points at, unless it already does: copying
+/// a checkpoint over one that shares the handle touches no reference count.
+pub(crate) fn share<T: ?Sized>(into: &mut Arc<T>, from: &Arc<T>) {
+    if !Arc::ptr_eq(into, from) {
+        *into = Arc::clone(from);
+    }
 }
 
 /// Error injecting a fault the application does not know.
@@ -165,6 +176,14 @@ pub trait Application {
 
     /// Takes a full checkpoint of application state.
     fn snapshot(&self) -> AppState;
+
+    /// Overwrites `into` with a full checkpoint of application state: the
+    /// same value [`Application::snapshot`] returns, but refreshed in place
+    /// where `into` already holds a checkpoint of this kind of application.
+    /// The default replaces `into` with a new snapshot.
+    fn snapshot_into(&self, into: &mut AppState) {
+        *into = self.snapshot();
+    }
 
     /// Restores a checkpoint taken by [`Application::snapshot`].
     fn restore(&mut self, state: &AppState);

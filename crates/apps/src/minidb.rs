@@ -10,7 +10,9 @@
 //! the two race faults run the use-after-free gadget under the
 //! environment's thread interleaving.
 
-use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
+use crate::app::{
+    share, AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response,
+};
 use crate::race::{RaceGadget, ARMED_SEED};
 use crate::text::{Arg, Text};
 use faultstudy_core::taxonomy::AppKind;
@@ -177,13 +179,38 @@ impl Table {
 }
 
 /// The checkpointable state of the server.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct DbState {
     /// Shared with every checkpoint taken since the last defect was armed.
     enabled_bugs: Arc<BTreeSet<String>>,
-    /// Copied by every checkpoint: the data a checkpoint exists to keep.
+    /// Copied by every checkpoint that does not hold them already: the
+    /// data a checkpoint exists to keep.
     tables: BTreeMap<String, Table>,
     locked: BTreeSet<String>,
+}
+
+/// `snapshot` clones; `restore` and `snapshot_into` copy with `clone_from`,
+/// which keeps a defect set that is already shared and leaves equal tables
+/// and locks as they are.
+impl Clone for DbState {
+    fn clone(&self) -> DbState {
+        DbState {
+            enabled_bugs: Arc::clone(&self.enabled_bugs),
+            tables: self.tables.clone(),
+            locked: self.locked.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &DbState) {
+        let DbState { enabled_bugs, tables, locked } = source;
+        share(&mut self.enabled_bugs, enabled_bugs);
+        if self.tables != *tables {
+            self.tables.clone_from(tables);
+        }
+        if self.locked != *locked {
+            self.locked.clone_from(locked);
+        }
+    }
 }
 
 /// The MySQL-like database server.
@@ -587,6 +614,13 @@ impl Application for MiniDb {
 
     fn snapshot(&self) -> AppState {
         AppState(Checkpoint::Db(self.state.clone()))
+    }
+
+    fn snapshot_into(&self, into: &mut AppState) {
+        match &mut into.0 {
+            Checkpoint::Db(saved) => saved.clone_from(&self.state),
+            other => *other = Checkpoint::Db(self.state.clone()),
+        }
     }
 
     fn restore(&mut self, state: &AppState) {

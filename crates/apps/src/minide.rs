@@ -8,7 +8,9 @@
 //! ones (an unknown failure that works on retry, and two races run on the
 //! environment's thread interleaving).
 
-use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
+use crate::app::{
+    share, AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response,
+};
 use crate::race::{RaceGadget, ARMED_SEED};
 use crate::text::{Arg, Text};
 use faultstudy_core::taxonomy::AppKind;
@@ -20,7 +22,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The checkpointable state of the desktop.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct DeState {
     /// Shared with every checkpoint taken since the last defect was armed.
     enabled_bugs: Arc<BTreeSet<String>>,
@@ -28,6 +30,23 @@ pub(crate) struct DeState {
     /// files embed it, which is what makes a rename fatal. Shared with
     /// every checkpoint taken since the last cold start.
     boot_hostname: Arc<str>,
+}
+
+/// `snapshot` clones; `restore` and `snapshot_into` copy with `clone_from`,
+/// which keeps a defect set and a hostname that are already shared.
+impl Clone for DeState {
+    fn clone(&self) -> DeState {
+        DeState {
+            enabled_bugs: Arc::clone(&self.enabled_bugs),
+            boot_hostname: Arc::clone(&self.boot_hostname),
+        }
+    }
+
+    fn clone_from(&mut self, source: &DeState) {
+        let DeState { enabled_bugs, boot_hostname } = source;
+        share(&mut self.enabled_bugs, enabled_bugs);
+        share(&mut self.boot_hostname, boot_hostname);
+    }
 }
 
 /// The GNOME-like desktop shell.
@@ -233,6 +252,13 @@ impl Application for MiniDe {
 
     fn snapshot(&self) -> AppState {
         AppState(Checkpoint::De(self.state.clone()))
+    }
+
+    fn snapshot_into(&self, into: &mut AppState) {
+        match &mut into.0 {
+            Checkpoint::De(saved) => saved.clone_from(&self.state),
+            other => *other = Checkpoint::De(self.state.clone()),
+        }
     }
 
     fn restore(&mut self, state: &AppState) {

@@ -9,7 +9,9 @@
 //! transient environment-dependent faults each manipulate the simulated
 //! operating environment exactly as their bug reports describe.
 
-use crate::app::{AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response};
+use crate::app::{
+    share, AppFailure, AppState, Application, Checkpoint, InjectError, Request, Response,
+};
 use crate::text::{Arg, Text};
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::dns::Lookup;
@@ -37,7 +39,7 @@ const REALM_BUFFER: usize = 256;
 const KEEPALIVE_WRAP: u64 = 32768;
 
 /// The checkpointable state of the server.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct WebState {
     /// Shared with every checkpoint taken since the last defect was armed.
     enabled_bugs: Arc<BTreeSet<String>>,
@@ -46,6 +48,23 @@ pub(crate) struct WebState {
     cache_seq: u64,
     /// Requests on the current keep-alive connection (apache-ei-19).
     keepalive_count: u64,
+}
+
+/// `snapshot` clones; `restore` and `snapshot_into` copy with `clone_from`,
+/// which keeps a defect set that is already shared.
+impl Clone for WebState {
+    fn clone(&self) -> WebState {
+        WebState { enabled_bugs: Arc::clone(&self.enabled_bugs), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &WebState) {
+        let WebState { enabled_bugs, served, leak_units, cache_seq, keepalive_count } = source;
+        share(&mut self.enabled_bugs, enabled_bugs);
+        self.served = *served;
+        self.leak_units = *leak_units;
+        self.cache_seq = *cache_seq;
+        self.keepalive_count = *keepalive_count;
+    }
 }
 
 /// The Apache-like web server.
@@ -368,6 +387,13 @@ impl Application for MiniWeb {
 
     fn snapshot(&self) -> AppState {
         AppState(Checkpoint::Web(self.state.clone()))
+    }
+
+    fn snapshot_into(&self, into: &mut AppState) {
+        match &mut into.0 {
+            Checkpoint::Web(saved) => saved.clone_from(&self.state),
+            other => *other = Checkpoint::Web(self.state.clone()),
+        }
     }
 
     fn restore(&mut self, state: &AppState) {

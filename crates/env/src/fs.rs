@@ -138,7 +138,7 @@ impl VirtualFs {
     pub fn write(&mut self, path: impl Into<String>, size: u64) -> Result<(), FsError> {
         let path = path.into();
         let old = self.files.get(&path).map(|m| m.size).unwrap_or(0);
-        self.resize(old, size)?;
+        self.used = used_after(self.used, self.capacity, self.max_file_size, old, size)?;
         let owner = self.files.get(&path).map(|m| m.owner).unwrap_or(0);
         self.files.insert(path, FileMeta { size, owner });
         Ok(())
@@ -153,26 +153,12 @@ impl VirtualFs {
     /// resulting size.
     pub fn append(&mut self, path: impl AsRef<str>, bytes: u64) -> Result<(), FsError> {
         let path = path.as_ref();
-        let Some(old) = self.files.get(path).map(|m| m.size) else {
+        let Some(file) = self.files.get_mut(path) else {
             return self.write(path, bytes);
         };
-        let size = old.saturating_add(bytes);
-        self.resize(old, size)?;
-        self.files.get_mut(path).expect("the file exists").size = size;
-        Ok(())
-    }
-
-    /// Accounts for a file growing or shrinking from `old` to `size` bytes,
-    /// or changes nothing and says why it may not.
-    fn resize(&mut self, old: u64, size: u64) -> Result<(), FsError> {
-        if size > self.max_file_size {
-            return Err(FsError::FileTooLarge { would_be: size, max: self.max_file_size });
-        }
-        let grow = size.saturating_sub(old);
-        if grow > self.free() {
-            return Err(FsError::NoSpace { requested: grow, free: self.free() });
-        }
-        self.used = self.used - old + size;
+        let size = file.size.saturating_add(bytes);
+        self.used = used_after(self.used, self.capacity, self.max_file_size, file.size, size)?;
+        file.size = size;
         Ok(())
     }
 
@@ -278,6 +264,26 @@ impl VirtualFs {
             }
         }
     }
+}
+
+/// The bytes in use once a file of `old` bytes becomes `size` bytes, with
+/// `used` of `capacity` in use and files limited to `max_file_size`; or why
+/// the file may not change.
+fn used_after(
+    used: u64,
+    capacity: u64,
+    max_file_size: u64,
+    old: u64,
+    size: u64,
+) -> Result<u64, FsError> {
+    if size > max_file_size {
+        return Err(FsError::FileTooLarge { would_be: size, max: max_file_size });
+    }
+    let (grow, free) = (size.saturating_sub(old), capacity - used);
+    if grow > free {
+        return Err(FsError::NoSpace { requested: grow, free });
+    }
+    Ok(used - old + size)
 }
 
 #[cfg(test)]

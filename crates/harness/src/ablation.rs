@@ -10,7 +10,8 @@ use faultstudy_apps::{spawn_app, AppState, Application, Request};
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::Environment;
 use faultstudy_recovery::{
-    run_workload, ProgressiveRetry, RecoveryStrategy, Rejuvenation, RollbackRecovery,
+    refresh_checkpoint, run_workload, ProgressiveRetry, RecoveryStrategy, Rejuvenation,
+    RollbackRecovery,
 };
 
 /// In-place retry in an *unchanged* environment: restore the checkpoint
@@ -40,11 +41,11 @@ impl RecoveryStrategy for InstantRetry {
     }
 
     fn on_start(&mut self, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+        refresh_checkpoint(&mut self.checkpoint, app);
     }
 
     fn on_success(&mut self, _req: &Request, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+        refresh_checkpoint(&mut self.checkpoint, app);
     }
 
     fn on_failure(

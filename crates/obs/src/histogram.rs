@@ -10,6 +10,11 @@
 //! Quantiles are approximated from the bucket counts (clamped to the exact
 //! observed `min`/`max`), using only integer arithmetic so a quantile is a
 //! pure function of the recorded multiset.
+//!
+//! A [`Tally`] counts samples over the same buckets in a dense array, for a
+//! loop that records many samples into one histogram: it converts into the
+//! [`Histogram`] that recording each sample would have built, once, when
+//! the loop ends.
 
 use serde::Serialize;
 use std::fmt;
@@ -186,6 +191,74 @@ impl Histogram {
     }
 }
 
+/// The samples of one histogram still being recorded, one count per bucket.
+///
+/// Where [`Histogram::record`] searches its sparse buckets and inserts into
+/// them, [`Tally::record`] adds to one fixed slot, so a loop that records
+/// every answered request tallies here and converts once, with
+/// [`Tally::histogram`].
+///
+/// # Example
+///
+/// ```
+/// use faultstudy_obs::{Histogram, Tally};
+///
+/// let (mut tally, mut histogram) = (Tally::new(), Histogram::new());
+/// for v in [1, 2, 3, 100] {
+///     tally.record(v);
+///     histogram.record(v);
+/// }
+/// assert_eq!(tally.histogram(), histogram);
+/// ```
+#[derive(Debug)]
+pub struct Tally {
+    counts: [u64; BUCKETS],
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally::new()
+    }
+}
+
+impl Tally {
+    /// An empty tally.
+    pub fn new() -> Tally {
+        Tally { counts: [0; BUCKETS], sum: 0, min: u64::MAX, max: 0 }
+    }
+
+    /// Records one sample.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.counts[bucket_index(value)] += 1;
+        self.sum = self.sum.saturating_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// The histogram of the tallied samples: equal to recording each of
+    /// them into a [`Histogram`], in any order. Allocates its buckets
+    /// once, and not at all when nothing was tallied.
+    pub fn histogram(&self) -> Histogram {
+        let mut buckets = Vec::with_capacity(self.counts.iter().filter(|&&c| c > 0).count());
+        for (index, &count) in self.counts.iter().enumerate() {
+            if count > 0 {
+                buckets.push((index as u8, count));
+            }
+        }
+        Histogram {
+            buckets,
+            count: self.counts.iter().sum(),
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+        }
+    }
+}
+
 impl fmt::Display for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.count == 0 {
@@ -286,6 +359,20 @@ mod tests {
         let mut merged = left.clone();
         merged.merge_from(&right);
         assert_eq!(merged, whole);
+    }
+
+    #[test]
+    fn a_tally_converts_into_the_recorded_histogram() {
+        let values = [0u64, 0, 1, 3, 9, 81, 6561, u64::MAX, u64::MAX, 7, 1 << 40];
+        for n in 0..=values.len() {
+            let (mut tally, mut recorded) = (Tally::new(), Histogram::new());
+            for &v in &values[..n] {
+                tally.record(v);
+                recorded.record(v);
+            }
+            assert_eq!(tally.histogram(), recorded, "the first {n} values");
+        }
+        assert_eq!(Tally::new().histogram().buckets.capacity(), 0, "an empty tally allocates");
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod histogram;
 pub mod registry;
 pub mod span;
 
-pub use histogram::{bucket_hi, bucket_index, bucket_lo, Histogram, BUCKETS};
+pub use histogram::{bucket_hi, bucket_index, bucket_lo, Histogram, Tally, BUCKETS};
 pub use registry::{Metrics, MetricsRegistry};
 pub use span::Span;

@@ -1,7 +1,7 @@
 //! Property tests for the observability layer: the merge discipline that
 //! makes instrumented parallel runs byte-identical at any thread count.
 
-use faultstudy_obs::{bucket_hi, bucket_index, bucket_lo, Histogram, MetricsRegistry};
+use faultstudy_obs::{bucket_hi, bucket_index, bucket_lo, Histogram, MetricsRegistry, Tally};
 use proptest::prelude::*;
 
 fn hist_of(values: &[u64]) -> Histogram {
@@ -12,7 +12,30 @@ fn hist_of(values: &[u64]) -> Histogram {
     h
 }
 
+/// A sample stream that often holds 0, `u64::MAX` (two of which saturate
+/// the sum) and small latency-like values, besides arbitrary ones.
+fn samples() -> impl Strategy<Value = Vec<u64>> {
+    let sample = (0u8..4, any::<u64>()).prop_map(|(kind, v)| match kind {
+        0 => 0,
+        1 => u64::MAX,
+        2 => v % 1_000_000,
+        _ => v,
+    });
+    prop::collection::vec(sample, 0..120)
+}
+
 proptest! {
+    /// A tally converts into the histogram that records each of its
+    /// samples one at a time.
+    #[test]
+    fn a_tally_converts_into_the_recorded_histogram(values in samples()) {
+        let mut tally = Tally::new();
+        for &v in &values {
+            tally.record(v);
+        }
+        prop_assert_eq!(tally.histogram(), hist_of(&values), "{:?}", values);
+    }
+
     /// Histogram merge is commutative: a ∪ b == b ∪ a.
     #[test]
     fn histogram_merge_is_commutative(

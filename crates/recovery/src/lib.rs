@@ -70,7 +70,7 @@ pub use oblivious::{ManufacturedValue, Oblivious};
 pub use pair::ProcessPair;
 pub use progressive::ProgressiveRetry;
 pub use rejuvenation::Rejuvenation;
-pub use restart::RestartRetry;
+pub use restart::{refresh_checkpoint, RestartRetry};
 pub use rollback::RollbackRecovery;
 pub use scrub::StateScrub;
 pub use strategy::{NoRecovery, RecoveryStrategy};

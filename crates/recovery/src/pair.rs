@@ -14,6 +14,7 @@
 //! conditions that heal with time: a quick failover gives DNS less time to
 //! recover. The harness's recovery matrix makes this visible.
 
+use crate::restart::refresh_checkpoint;
 use crate::strategy::RecoveryStrategy;
 use faultstudy_apps::{AppState, Application, Request};
 use faultstudy_env::Environment;
@@ -47,12 +48,12 @@ impl RecoveryStrategy for ProcessPair {
     }
 
     fn on_start(&mut self, app: &mut dyn Application, _env: &mut Environment) {
-        self.backup = Some(app.snapshot());
+        refresh_checkpoint(&mut self.backup, app);
     }
 
     fn on_success(&mut self, _req: &Request, app: &mut dyn Application, _env: &mut Environment) {
         // Ship the state delta to the backup at the request boundary.
-        self.backup = Some(app.snapshot());
+        refresh_checkpoint(&mut self.backup, app);
     }
 
     fn on_failure(

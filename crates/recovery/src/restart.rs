@@ -11,11 +11,22 @@
 //! and calls it from its own hooks, so the step is written once: progressive
 //! retry and rejuvenation escalate around it, the state scrub and the
 //! profile healer fall back to it, and microreboot's whole-process rung is
-//! it.
+//! it. Every checkpoint any strategy keeps is taken through
+//! [`refresh_checkpoint`], which refreshes the one it holds in place.
 
 use crate::strategy::RecoveryStrategy;
 use faultstudy_apps::{AppState, Application, Request};
 use faultstudy_env::Environment;
+
+/// Refreshes `checkpoint` to `app`'s current state: in place when it holds
+/// a checkpoint already ([`Application::snapshot_into`]), a first
+/// [`Application::snapshot`] when it holds none.
+pub fn refresh_checkpoint(checkpoint: &mut Option<AppState>, app: &dyn Application) {
+    match checkpoint {
+        Some(saved) => app.snapshot_into(saved),
+        None => *checkpoint = Some(app.snapshot()),
+    }
+}
 
 /// Restart-and-retry with a bounded retry budget.
 ///
@@ -65,11 +76,11 @@ impl RecoveryStrategy for RestartRetry {
     }
 
     fn on_start(&mut self, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+        refresh_checkpoint(&mut self.checkpoint, app);
     }
 
     fn on_success(&mut self, _req: &Request, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+        refresh_checkpoint(&mut self.checkpoint, app);
     }
 
     fn on_failure(

@@ -10,6 +10,7 @@
 //! execution observes the *current* environment — both are exactly the
 //! paper's mechanism by which transient conditions disappear on retry.
 
+use crate::restart::refresh_checkpoint;
 use crate::strategy::RecoveryStrategy;
 use faultstudy_apps::{AppState, Application, Request};
 use faultstudy_env::Environment;
@@ -60,7 +61,7 @@ impl RecoveryStrategy for RollbackRecovery {
     }
 
     fn on_start(&mut self, app: &mut dyn Application, _env: &mut Environment) {
-        self.checkpoint = Some(app.snapshot());
+        refresh_checkpoint(&mut self.checkpoint, app);
         self.log.clear();
         self.since_checkpoint = 0;
     }
@@ -68,7 +69,7 @@ impl RecoveryStrategy for RollbackRecovery {
     fn on_success(&mut self, req: &Request, app: &mut dyn Application, _env: &mut Environment) {
         self.since_checkpoint += 1;
         if self.since_checkpoint >= self.checkpoint_every {
-            self.checkpoint = Some(app.snapshot());
+            refresh_checkpoint(&mut self.checkpoint, app);
             self.log.clear();
             self.since_checkpoint = 0;
         } else {

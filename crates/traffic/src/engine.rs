@@ -22,7 +22,7 @@ use crate::arrival::ArrivalProcess;
 use crate::params::TrafficParams;
 use faultstudy_apps::{Application, Request};
 use faultstudy_env::Environment;
-use faultstudy_obs::Histogram;
+use faultstudy_obs::{Histogram, Tally};
 use faultstudy_recovery::{
     EnvHook, RecoveryStrategy, RequestSupervisor, ServeOutcome, SupervisorConfig,
 };
@@ -220,6 +220,8 @@ pub fn drive_open_loop<M>(
     // Requests already promised to spawned sessions; the last session is
     // truncated so the unit offers exactly `params.requests`.
     let mut allotted: u64 = 0;
+    // Answered latencies, turned into the unit's histogram once it ends.
+    let mut latencies = Tally::new();
 
     let start = env.now();
     let gap = arrivals.next_gap(start);
@@ -280,7 +282,7 @@ pub fn drive_open_loop<M>(
         match answer {
             Answer::Served { denied } => {
                 let latency = env.now().saturating_since(at);
-                stats.latency.record(latency.as_nanos());
+                latencies.record(latency.as_nanos());
                 if denied {
                     stats.denied += 1;
                 } else {
@@ -300,6 +302,7 @@ pub fn drive_open_loop<M>(
             free.push(sid);
         }
     }
+    stats.latency = latencies.histogram();
     stats.sim_nanos = env.now().as_nanos();
     debug_assert_eq!(stats.offered, params.requests);
     stats

@@ -7,6 +7,10 @@
 //! pop. One recording server runs under both; it must be shown the same
 //! requests and ticks, in the same order and at the same clock readings,
 //! and both must leave the same ledger and the same clock.
+//!
+//! `drive_open_loop` also tallies answered latencies per unit and builds
+//! the unit's histogram once; the reference records each latency into the
+//! histogram as it is answered, with or without a tick.
 
 use faultstudy_env::Environment;
 use faultstudy_sim::rng::SplitSeedStream;
@@ -98,14 +102,15 @@ enum Event {
 }
 
 /// The driver as it was before tick runs: every tick pops through the
-/// queue and is served alone, and each pop re-arms the next.
+/// queue and is served alone, and each pop re-arms the next. Each answered
+/// latency is recorded into the histogram as it is answered.
 fn drive_tick_by_tick<M>(
     env: &mut Environment,
     mix: &[M],
     params: &TrafficParams,
     arrival_seed: u64,
     session_master: u64,
-    every: Duration,
+    tick: Option<Duration>,
     mut serve: impl FnMut(&mut Environment, Option<&M>) -> Option<Answer>,
 ) -> UnitStats {
     let mut stats = UnitStats::new();
@@ -123,7 +128,9 @@ fn drive_tick_by_tick<M>(
     let start = env.now();
     let gap = arrivals.next_gap(start);
     wheel.schedule(start.saturating_add(gap), Event::SessionStart);
-    wheel.set_timer(start.saturating_add(every), Event::Tick);
+    if let Some(every) = tick {
+        wheel.set_timer(start.saturating_add(every), Event::Tick);
+    }
     while let Some((at, event)) = wheel.pop() {
         if env.now() < at {
             env.advance(at.saturating_since(env.now()));
@@ -152,6 +159,7 @@ fn drive_tick_by_tick<M>(
             Event::Tick => {
                 serve(env, None);
                 if stats.offered < params.requests {
+                    let every = tick.expect("only an armed tick pops");
                     wheel.set_timer(at.saturating_add(every), Event::Tick);
                 }
                 continue;
@@ -219,7 +227,7 @@ fn tick_runs_serve_the_ticks_the_queue_pops() {
                     &params,
                     seed ^ 1,
                     seed ^ 2,
-                    every,
+                    Some(every),
                     |env, req| recorder.serve(env, req),
                 );
                 let reference_now = env.now();
@@ -247,4 +255,36 @@ fn tick_runs_serve_the_ticks_the_queue_pops() {
         }
     }
     assert!(ticks_served > 2 * runs_served, "{ticks_served} ticks in {runs_served} runs");
+}
+
+/// Under every arrival curve, with no tick and with one, the unit's latency
+/// histogram is the one recording each answered latency builds, answered
+/// by a server that sometimes stalls for up to forty periods.
+#[test]
+fn the_unit_histogram_records_every_answered_latency() {
+    let mix = [0u32, 1, 2, 3];
+    let every = Duration::from_millis(7);
+    for arrival in ArrivalKind::ALL {
+        for tick in [None, Some(every)] {
+            for seed in 1..=4u64 {
+                let params = TrafficParams::standard(arrival, 600);
+                let what = format!("{arrival:?}, tick {tick:?}, seed {seed}");
+
+                let mut env = Environment::builder().seed(seed).build();
+                let mut recorder = Recorder::new(every);
+                let serve = |env: &mut Environment, req: Option<&u32>| recorder.serve(env, req);
+                let reference =
+                    drive_tick_by_tick(&mut env, &mix, &params, seed ^ 1, seed ^ 2, tick, serve);
+
+                let mut env = Environment::builder().seed(seed).build();
+                let mut recorder = Recorder::new(every);
+                let serve = |env: &mut Environment, req: Option<&u32>| recorder.serve(env, req);
+                let stats =
+                    drive_open_loop(&mut env, &mix, &params, seed ^ 1, seed ^ 2, tick, serve);
+                assert_eq!(stats.latency, reference.latency, "{what}");
+                assert_eq!(stats.latency.count(), stats.answered(), "{what}");
+                assert!(stats.dropped > 0 && stats.answered() > 0, "{what}");
+            }
+        }
+    }
 }

@@ -5,10 +5,12 @@
 //!   text's pieces (`200 OK {path}` holds `/index.html` borrowed from the
 //!   request). A service-graph chain's transfers consult only their
 //!   channel's fault state and queue nothing.
-//! - A checkpoint's snapshot and restore allocate nothing while the
-//!   application holds no table data. Checkpoint strategies snapshot after
-//!   every served request, so a healthy open-loop unit of each mix, and a
-//!   healthy service-graph unit, allocate only their own setup.
+//! - A checkpoint's snapshot and restore, and a refresh of a warm
+//!   checkpoint in place and its restore, allocate nothing while the
+//!   application holds no table data. Checkpoint strategies refresh their
+//!   checkpoint after every served request, so a healthy open-loop unit of
+//!   each mix under each of them, and a healthy service-graph unit,
+//!   allocate only their own setup.
 //! - A failed attempt of an owned trigger request copies the argument of
 //!   its failure reason (the `PROBE` slug) out of the body; a unit whose
 //!   mix carries such a trigger holds its allocations per failed attempt
@@ -53,7 +55,7 @@ use faultstudy::harness::experiment::{
 use faultstudy::harness::memo::DecisionMemo;
 use faultstudy::harness::{Campaign, CampaignReport, CampaignSpec};
 use faultstudy::mining::KeywordQuery;
-use faultstudy::recovery::{RestartRetry, SupervisorConfig};
+use faultstudy::recovery::SupervisorConfig;
 use faultstudy::sim::rng::split_seed;
 use faultstudy::sim::sched::RaceGadget;
 use faultstudy::sim::time::Duration;
@@ -78,8 +80,9 @@ const ALLOCS_PER_CAMPAIGN_SAMPLE: f64 = 1.02;
 /// most: the unit's setup spread over its requests (reads 0.0077).
 const ALLOCS_PER_GRAPH_REQUEST: f64 = 0.01;
 /// Mean allocation calls per offered request of a healthy unit of an
-/// application's mix, at most: the unit's setup spread over its requests
-/// (reads 0.0063 to 0.0067).
+/// application's mix under a checkpointing strategy, at most: the unit's
+/// setup spread over its requests (reads 0.0063 to 0.0070; rollback recovery
+/// adds its message log).
 const ALLOCS_PER_MIX_REQUEST: f64 = 0.01;
 /// Mean allocation calls per failed attempt of a unit whose mix carries an
 /// owned `PROBE` trigger, at most: one copy of the slug per attempt, plus
@@ -223,7 +226,7 @@ fn every_mix_answer_and_wire_transfer_allocates_nothing() {
 fn snapshot_and_restore_allocate_nothing() {
     const PAIRS: u64 = 100;
     let mut allocating = Vec::new();
-    for (name, kind, _) in MIXES {
+    for (name, kind, bodies) in MIXES {
         let mut env = Environment::builder().seed(7).build();
         let mut app = spawn_app(kind, &mut env);
         if kind == AppKind::Apache {
@@ -239,17 +242,34 @@ fn snapshot_and_restore_allocate_nothing() {
         if n > 0 {
             allocating.push(format!("{name}: {n} allocations in {PAIRS} snapshot + restore pairs"));
         }
+
+        // A warm checkpoint, refreshed in place after a served request as a
+        // strategy's `on_success` refreshes it, then restored.
+        let mut warm = app.snapshot();
+        let req = Request::new(bodies[0]);
+        let mut refresh = || {
+            black_box(app.handle(&req, &mut env)).expect("a healthy application answers");
+            app.snapshot_into(&mut warm);
+            app.restore(black_box(&warm));
+        };
+        refresh();
+        let n = allocations(|| (0..PAIRS).for_each(|_| refresh()));
+        if n > 0 {
+            allocating
+                .push(format!("{name}: {n} allocations in {PAIRS} snapshot_into + restore pairs"));
+        }
     }
     assert!(allocating.is_empty(), "checkpoints allocated:\n{}", allocating.join("\n"));
 }
 
 /// Allocations per offered request, and per failed attempt, that one
-/// `RestartRetry` open-loop unit of 4,000 requests makes on a fresh `kind`
-/// with `defect` armed, drawing from `bodies` and, if `defect` is armed,
-/// from its trigger request twice. Counts only `run_open_loop`: building
-/// the environment and the application is paid once per unit, not once
-/// per request.
+/// open-loop unit of 4,000 requests under `strategy` (with the harness's
+/// budgets) makes on a fresh `kind` with `defect` armed, drawing from
+/// `bodies` and, if `defect` is armed, from its trigger request twice.
+/// Counts only `run_open_loop`: building the environment, the application
+/// and the strategy is paid once per unit, not once per request.
 fn unit_allocations(
+    strategy: StrategyKind,
     kind: AppKind,
     bodies: &[&'static str],
     defect: Option<&str>,
@@ -263,7 +283,7 @@ fn unit_allocations(
         let trigger = app.trigger_request(slug).expect("every defect has a trigger");
         mix.extend([trigger.clone(), trigger]);
     }
-    let mut strategy = RestartRetry::new(3);
+    let mut strategy = strategy.build();
     let config = SupervisorConfig::permissive();
     let params = TrafficParams::standard(ArrivalKind::Poisson, 4_000);
     let mut stats = None;
@@ -271,7 +291,7 @@ fn unit_allocations(
         stats = Some(run_open_loop(
             app.as_mut(),
             &mut env,
-            &mut strategy,
+            strategy.as_mut(),
             &config,
             None,
             &mix,
@@ -282,7 +302,7 @@ fn unit_allocations(
     });
     let stats = stats.expect("the unit ran");
     if defect.is_none() {
-        assert_eq!((stats.dropped, stats.failures), (0, 0), "{kind:?} is healthy");
+        assert_eq!((stats.dropped, stats.failures), (0, 0), "{kind:?} under {strategy:?}");
     }
     (allocs as f64 / stats.offered as f64, allocs as f64 / stats.failures as f64)
 }
@@ -290,12 +310,22 @@ fn unit_allocations(
 #[test]
 fn a_healthy_unit_of_each_mix_allocates_only_its_setup() {
     let mut over = Vec::new();
-    for (name, kind, bodies) in MIXES {
-        // The first unit pays for whatever is built once per process.
-        unit_allocations(kind, bodies, None, 1);
-        let (allocs, _) = unit_allocations(kind, bodies, None, 7);
-        if allocs > ALLOCS_PER_MIX_REQUEST {
-            over.push(format!("{name}: {allocs:.4} allocations per offered request"));
+    for strategy in [
+        StrategyKind::Restart,
+        StrategyKind::Rollback,
+        StrategyKind::ProcessPair,
+        StrategyKind::Progressive,
+        StrategyKind::Rejuvenation,
+    ] {
+        for (name, kind, bodies) in MIXES {
+            // The first unit pays for whatever is built once per process.
+            unit_allocations(strategy, kind, bodies, None, 1);
+            let (allocs, _) = unit_allocations(strategy, kind, bodies, None, 7);
+            if allocs > ALLOCS_PER_MIX_REQUEST {
+                over.push(format!(
+                    "{name} under {strategy}: {allocs:.4} allocations per offered request"
+                ));
+            }
         }
     }
     assert!(
@@ -310,8 +340,9 @@ fn a_failed_attempt_stays_within_its_allocation_budget() {
     let (_, kind, bodies) = MIXES[0];
     // An environment-independent defect reached through `PROBE`: every
     // attempt of its owned trigger fails, and every retry restores.
-    unit_allocations(kind, bodies, Some("apache-ei-17"), 1);
-    let (_, allocs) = unit_allocations(kind, bodies, Some("apache-ei-17"), 7);
+    unit_allocations(StrategyKind::Restart, kind, bodies, Some("apache-ei-17"), 1);
+    let (_, allocs) =
+        unit_allocations(StrategyKind::Restart, kind, bodies, Some("apache-ei-17"), 7);
     assert!(
         allocs <= ALLOCS_PER_FAILED_ATTEMPT,
         "a unit with an owned PROBE trigger makes {allocs:.3} allocations per failed attempt; \

@@ -8,8 +8,8 @@
 //! medians, quartiles, ratios, win counts, verdicts and digest verdict
 //! are checked against it for sets of one to twelve pairs, including the
 //! cases that file's own tests take from Python. Crafted pair sets pin
-//! each verdict, `gain`, `same` and `worse`, at its edges, under the
-//! bounds `BENCHMARK.json` declares.
+//! each verdict, `gain`, `unresolved`, `worse` and `same`, at its edges,
+//! under the bounds `BENCHMARK.json` declares.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -98,12 +98,15 @@ fn parse_summary(median: &str, quartiles: &str) -> [f64; 3] {
 
 /// The verdict on one metric: `gain` when the change won at least 9 in 10
 /// of the pairs and its median beats the base's by more than the base's
-/// interquartile range, `worse` when its median is worse than the base's
-/// by more than `bound`, `same` otherwise.
+/// interquartile range; otherwise `unresolved` when that range is wider
+/// than `bound` times the base's median, `worse` when the change's median
+/// is worse than the base's by more than `bound`, `same` otherwise.
 fn verdict(base: Summary, change: Summary, won: usize, higher: bool, bound: f64) -> &'static str {
     let better = if higher { change.median - base.median } else { base.median - change.median };
     if won * 10 >= base.n * 9 && better > base.q3 - base.q1 {
         "gain"
+    } else if base.q3 - base.q1 > bound * base.median {
+        "unresolved"
     } else if better < -bound * base.median {
         "worse"
     } else {
@@ -228,45 +231,76 @@ fn throughput_pairs(base: [f64; 10], change: [f64; 10]) -> Vec<Pair> {
         .collect()
 }
 
-/// Crafted pair files pin each verdict at its edges. The base's
-/// throughput is 1..=10 (millions): median 5.5, quartiles 2.75 and 8.25,
-/// so its interquartile range is 5.5.
+/// Ten base throughputs with median 5.5M whose interquartile range is
+/// `spread` times the median: 5.5M + spread * (i - 5.5) * 1M for i in
+/// 1..=10, whose quartiles fall at 2.75 and 8.25.
+fn base_with_spread(spread: f64) -> [f64; 10] {
+    std::array::from_fn(|i| 5.5e6 + spread * (i as f64 + 1.0 - 5.5) * 1e6)
+}
+
+/// Crafted pair files pin each verdict at its edges.
 #[test]
 fn each_verdict_holds_at_its_edges() {
-    let base = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0].map(|v| v * 1e6);
-    let throughput = |change: [f64; 10]| check(&throughput_pairs(base, change))[0].clone();
-    let shifted = |by: f64| base.map(|v| v + by);
+    let throughput =
+        |base: [f64; 10], change: [f64; 10]| check(&throughput_pairs(base, change))[0].clone();
+    let drop = bound("throughput");
 
+    // A wide base: 1..=10 (millions), median 5.5, quartiles 2.75 and
+    // 8.25, so its interquartile range of 5.5 is far past the bound.
+    let wide = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0].map(|v| v * 1e6);
+    let shifted = |base: [f64; 10], by: f64| base.map(|v| v + by);
     // Ten wins and a median 6.0 higher, past the 5.5 range: a gain.
-    assert_eq!(throughput(shifted(6e6)), "gain");
-    // Ten wins, but the median moves only 5.0: not past the range.
-    assert_eq!(throughput(shifted(5e6)), "same");
+    assert_eq!(throughput(wide, shifted(wide, 6e6)), "gain");
+    // Ten wins, but the median moves only 5.0: not past the range, and a
+    // range that wide cannot tell a change from noise.
+    assert_eq!(throughput(wide, shifted(wide, 5e6)), "unresolved");
     // Nine wins of ten still gain; eight do not.
-    let mut nine = shifted(6e6);
-    nine[0] = base[0];
-    assert_eq!(throughput(nine), "gain");
+    let mut nine = shifted(wide, 6e6);
+    nine[0] = wide[0];
+    assert_eq!(throughput(wide, nine), "gain");
     let mut eight = nine;
-    eight[1] = base[1];
-    assert_eq!(throughput(eight), "same");
+    eight[1] = wide[1];
+    assert_eq!(throughput(wide, eight), "unresolved");
+    // Even a median halved is unresolved over so wide a base.
+    assert_eq!(throughput(wide, wide.map(|v| v * 0.5)), "unresolved");
 
+    // The new edge: a base range just inside the bound times the median
+    // resolves an unchanged change as the same, just past it does not.
+    let inside = base_with_spread(drop - 1e-6);
+    assert_eq!(throughput(inside, inside), "same");
+    let past = base_with_spread(drop + 1e-6);
+    assert_eq!(throughput(past, past), "unresolved");
+
+    // A narrow base: median 5.5M, range 0.55M, a tenth of the median.
+    let narrow = base_with_spread(0.1);
+    assert_eq!(throughput(narrow, shifted(narrow, 0.56e6)), "gain");
+    assert_eq!(throughput(narrow, shifted(narrow, 0.54e6)), "same");
     // A median 20% below the base's is inside the 0.2 bound; past it is
     // worse, though no pair needs to lose by much for that.
-    let drop = bound("throughput");
-    assert_eq!(throughput(base.map(|v| v * (1.0 - drop) + 1.0)), "same");
-    assert_eq!(throughput(base.map(|v| v * (1.0 - drop) - 1.0)), "worse");
+    assert_eq!(throughput(narrow, narrow.map(|v| v * (1.0 - drop) + 1.0)), "same");
+    assert_eq!(throughput(narrow, narrow.map(|v| v * (1.0 - drop) - 1.0)), "worse");
 
     // Lower is better for setup_s and peak RSS: a rise past the bound is
     // worse, a fall by more than the range in every pair a gain.
-    let setup = |change: f64| {
-        let pairs: Vec<Pair> = (1..=10).map(|i| setup_pair(f64::from(i) * 0.01, change)).collect();
+    let setup = |base: &dyn Fn(u32) -> f64, change: f64| {
+        let pairs: Vec<Pair> = (1..=10).map(|i| setup_pair(base(i), change)).collect();
         check(&pairs)[2].clone()
     };
-    // Base setup_s 0.01..=0.10: median 0.055, range 0.055.
-    assert_eq!(setup(0.055 * (1.0 + bound("setup_s")) + 1e-6), "worse");
-    assert_eq!(setup(0.055 * (1.0 + bound("setup_s")) - 1e-6), "same");
-    assert_eq!(setup(0.001), "same", "0.054 better in every pair, not past the range");
-    let pairs: Vec<Pair> = (1..=10).map(|i| setup_pair(f64::from(i) * 0.01 + 1.0, 0.01)).collect();
-    assert_eq!(check(&pairs)[2], "gain");
+    // Base setup_s 0.051..=0.060: median 0.0555, range 0.0055.
+    let narrow = |i: u32| 0.05 + f64::from(i) * 0.001;
+    let rise = bound("setup_s");
+    assert_eq!(setup(&narrow, 0.0555 * (1.0 + rise) + 1e-6), "worse");
+    assert_eq!(setup(&narrow, 0.0555 * (1.0 + rise) - 1e-6), "same");
+    assert_eq!(setup(&narrow, 0.0505), "same", "0.005 better in every pair, not past the range");
+    assert_eq!(setup(&narrow, 0.0495), "gain", "0.006 better in every pair, past the range");
+    // Base setup_s 0.01..=0.10: median 0.055, range 0.055, wider than the
+    // bound, so neither a rise past the bound nor a fall short of the
+    // range resolves.
+    let wide = |i: u32| f64::from(i) * 0.01;
+    assert_eq!(setup(&wide, 0.055 * (1.0 + rise) + 1e-6), "unresolved");
+    assert_eq!(setup(&wide, 0.001), "unresolved", "0.054 better, not past the range");
+    // Base setup_s 1.01..=1.10 falling to 0.01 in every pair: a gain.
+    assert_eq!(setup(&|i| wide(i) + 1.0, 0.01), "gain");
     let peak = |change: f64| {
         let pairs: Vec<Pair> = (0..10)
             .map(|i| Pair {

@@ -3,7 +3,7 @@
 # benchmark at a base revision and at the working tree, runs ten
 # alternating pairs of one workload, and prints each pair, then each
 # metric's medians and quartiles, their ratio, how many pairs the working
-# tree won and the verdict (gain, same or worse; see
+# tree won and the verdict (gain, unresolved, worse or same; see
 # tools/pairs-summary.awk).
 #
 #   make bench-pairs BASE=<rev> WORKLOAD=<name> [SEED=1]

@@ -5,11 +5,15 @@
 # the ratio of the medians, how many pairs the change won (higher
 # throughput, lower setup_s and peak RSS; ties win for neither side) and
 # a verdict:
-#   gain   the change won at least 9 in 10 of the pairs, and its median
-#          beats the base's by more than the base's interquartile range;
-#   worse  the change's median is worse than the base's by more than the
-#          metric's bound;
-#   same   otherwise.
+#   gain        the change won at least 9 in 10 of the pairs, and its
+#               median beats the base's by more than the base's
+#               interquartile range;
+#   unresolved  not a gain, and the base's interquartile range is wider
+#               than the metric's bound times the base's median: the pairs
+#               spread too widely to show a regression either way;
+#   worse       the change's median is worse than the base's by more than
+#               the metric's bound;
+#   same        otherwise.
 # The bounds are BENCHMARK.json's, passed as -v throughput_bound=...
 # -v setup_s_bound=... -v peak_rss_mb_bound=...; the unscaled throughput
 # takes the throughput's. Exits non-zero unless every pair's digests are
@@ -43,6 +47,7 @@ function verdict(k, bm, b1, b3, cm, wins,   higher, better, bound) {
     better = higher ? cm - bm : bm - cm
     if (wins * 10 >= n * 9 && better > b3 - b1) return "gain"
     bound = bounds[k + 1]
+    if (b3 - b1 > bound * bm) return "unresolved"
     if (higher ? cm < bm * (1 - bound) : cm > bm * (1 + bound)) return "worse"
     return "same"
 }
@@ -71,13 +76,13 @@ END {
     if (usage) exit 2
     split("throughput unscaled setup_s peak_rss_mb", name, " ")
     split("%.0f %.0f %.4f %.2f", form, " ")
-    printf "%-12s %30s %30s %8s %6s %8s\n", "metric", "base median (q1-q3)", "change median (q1-q3)", "ratio", "won", "verdict"
+    printf "%-12s %30s %30s %8s %6s %10s\n", "metric", "base median (q1-q3)", "change median (q1-q3)", "ratio", "won", "verdict"
     for (k = 0; k < 4; k++) {
         f = form[k + 1] " (" form[k + 1] "-" form[k + 1] ")"
         for (i = 1; i <= n; i++) { vb[i] = base[k, i]; vc[i] = change[k, i] }
         summary(vb, n); bm = med; b1 = q1; b3 = q3
         summary(vc, n); cm = med; c1 = q1; c3 = q3
-        printf "%-12s %30s %30s %8s %6s %8s\n", name[k + 1], sprintf(f, bm, b1, b3), sprintf(f, cm, c1, c3), sprintf("x%.3f", cm / bm), (won[k] + 0) "/" n, verdict(k, bm, b1, b3, cm, won[k] + 0)
+        printf "%-12s %30s %30s %8s %6s %10s\n", name[k + 1], sprintf(f, bm, b1, b3), sprintf(f, cm, c1, c3), sprintf("x%.3f", cm / bm), (won[k] + 0) "/" n, verdict(k, bm, b1, b3, cm, won[k] + 0)
     }
     printf "digests equal in %d of %d pairs\n", same, n
     exit same == n ? 0 : 1
