@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test bench bench-pairs verify soak docs fmt lint ci
+.PHONY: build test bench bench-pairs cli-identity verify soak docs fmt lint ci
 
 build:
 	cargo build --release
@@ -20,6 +20,14 @@ bench:
 # (see tools/bench-pairs.sh).
 bench-pairs:
 	tools/bench-pairs.sh
+
+# Byte identity across commits: every `faultstudy` subcommand at two
+# seeds in text and JSON, plus the examples, built and run at BASE and at
+# the working tree, one `same` or `DIFFER` line each, e.g.
+#   make cli-identity BASE=HEAD
+# (see tools/cli-identity.sh).
+cli-identity:
+	tools/cli-identity.sh
 
 # CI's Self-check: the paper's guarantees at two seeds.
 verify:

@@ -142,16 +142,32 @@ pub(crate) fn share<T: ?Sized>(into: &mut Arc<T>, from: &Arc<T>) {
     }
 }
 
-/// Error injecting a fault the application does not know.
+/// Error injecting a fault: the application does not know the slug, or
+/// the environment cannot take the fault's precondition (a full disk has
+/// no room for the file the trigger needs). The defect stays unarmed, and
+/// neither the application nor the environment changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectError {
-    /// The slug that was not recognised.
+    /// The slug that was not injected.
     pub slug: String,
+    /// Why the injection failed.
+    pub reason: &'static str,
+}
+
+impl InjectError {
+    pub(crate) fn new(slug: &str, reason: &'static str) -> InjectError {
+        InjectError { slug: slug.to_owned(), reason }
+    }
+
+    /// The application does not know `slug`.
+    pub(crate) fn unknown(slug: &str) -> InjectError {
+        InjectError::new(slug, "unknown fault slug for this application")
+    }
 }
 
 impl fmt::Display for InjectError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown fault slug for this application: {}", self.slug)
+        write!(f, "cannot inject {}: {}", self.slug, self.reason)
     }
 }
 
@@ -194,7 +210,8 @@ pub trait Application {
     ///
     /// # Errors
     ///
-    /// [`InjectError`] if the slug does not belong to this application.
+    /// [`InjectError`] if the slug does not belong to this application, or
+    /// if the environment cannot take the precondition.
     fn inject(&mut self, slug: &str, env: &mut Environment) -> Result<(), InjectError>;
 
     /// Arms the corpus defect `slug` in this application *without* touching
@@ -210,7 +227,7 @@ pub trait Application {
     ///
     /// [`InjectError`] if the slug does not belong to this application.
     fn arm_defect(&mut self, slug: &str) -> Result<(), InjectError> {
-        Err(InjectError { slug: slug.to_owned() })
+        Err(InjectError::unknown(slug))
     }
 
     /// The request that triggers fault `slug` (the How-To-Repeat field), or
@@ -295,7 +312,8 @@ mod tests {
 
     #[test]
     fn inject_error_display() {
-        let e = InjectError { slug: "nope".into() };
+        let e = InjectError::unknown("nope");
         assert!(e.to_string().contains("nope"));
+        assert!(e.to_string().contains(e.reason));
     }
 }

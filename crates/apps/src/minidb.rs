@@ -631,12 +631,15 @@ impl Application for MiniDb {
     }
 
     fn inject(&mut self, slug: &str, env: &mut Environment) -> Result<(), InjectError> {
-        fn fixture(state: &mut DbState, env: &mut Environment, name: &str, rows: Vec<Vec<i64>>) {
-            let _ = env.fs.write(format!("minidb/{name}.dat"), ROW_BYTES * rows.len() as u64);
+        fn table(state: &mut DbState, name: &str, rows: Vec<Vec<i64>>) {
             state.tables.insert(
                 name.to_owned(),
                 Table { columns: vec!["k".into(), "v".into()], rows, indexed: Some(0) },
             );
+        }
+        fn fixture(state: &mut DbState, env: &mut Environment, name: &str, rows: Vec<Vec<i64>>) {
+            let _ = env.fs.write(format!("minidb/{name}.dat"), ROW_BYTES * rows.len() as u64);
+            table(state, name, rows);
         }
         match slug {
             "mysql-ei-01" => fixture(&mut self.state, env, "t", vec![vec![1, 10], vec![2, 20]]),
@@ -655,9 +658,15 @@ impl Application for MiniDb {
             }
             "mysql-edn-02" => {} // the client simply has no PTR record
             "mysql-edn-03" => {
-                fixture(&mut self.state, env, "t", vec![vec![1, 10]]);
+                // The table's data file has grown to the per-file limit.
                 let max = env.fs.max_file_size();
-                env.fs.write("minidb/t.dat", max).expect("data file can reach the limit");
+                env.fs.write("minidb/t.dat", max).map_err(|_| {
+                    InjectError::new(
+                        slug,
+                        "no room on the disk to grow the data file to the file size limit",
+                    )
+                })?;
+                table(&mut self.state, "t", vec![vec![1, 10]]);
             }
             "mysql-edn-04" => {
                 fixture(&mut self.state, env, "t", vec![vec![1, 10]]);
@@ -669,7 +678,7 @@ impl Application for MiniDb {
                 // must observe one. Retries see fresh environment timing.
                 env.force_interleave_seed(ARMED_SEED);
             }
-            _ => return Err(InjectError { slug: slug.to_owned() }),
+            _ => return Err(InjectError::unknown(slug)),
         }
         Arc::make_mut(&mut self.state.enabled_bugs).insert(slug.to_owned());
         Ok(())

@@ -281,7 +281,9 @@ impl Application for MiniDe {
                 env.fds.exhaust_as(self.owner);
             }
             "gnome-edn-03" => {
-                env.fs.write("home/user/broken.file", 16).expect("room for one small file");
+                env.fs.write("home/user/broken.file", 16).map_err(|_| {
+                    InjectError::new(slug, "no room on the disk for the corrupt file")
+                })?;
                 env.fs.set_owner("home/user/broken.file", u32::MAX).expect("file exists");
             }
             "gnome-edt-01" => {}
@@ -290,7 +292,7 @@ impl Application for MiniDe {
                 // a crashing interleaving; retries see fresh timing.
                 env.force_interleave_seed(ARMED_SEED);
             }
-            _ => return Err(InjectError { slug: slug.to_owned() }),
+            _ => return Err(InjectError::unknown(slug)),
         }
         Arc::make_mut(&mut self.state.enabled_bugs).insert(slug.to_owned());
         Ok(())

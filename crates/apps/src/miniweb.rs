@@ -418,9 +418,12 @@ impl Application for MiniWeb {
             }
             "apache-edn-04" => {
                 let max = env.fs.max_file_size();
-                env.fs
-                    .write("miniweb/access.log", max)
-                    .expect("log can grow to the per-file limit");
+                env.fs.write("miniweb/access.log", max).map_err(|_| {
+                    InjectError::new(
+                        slug,
+                        "no room on the disk to grow the access log to the file size limit",
+                    )
+                })?;
             }
             "apache-edn-06" => {
                 let free = env.net.resource_free();
@@ -445,7 +448,9 @@ impl Application for MiniWeb {
             }
             "apache-edt-03" => {} // purely a workload-timing fault
             "apache-edt-04" => {
-                let pid = env.procs.spawn(self.owner).expect("slot for hung child");
+                let pid = env.procs.spawn(self.owner).map_err(|_| {
+                    InjectError::new(slug, "no slot in the process table for the hung child")
+                })?;
                 env.procs.bind_port(pid, LISTEN_PORT).expect("child binds");
                 env.procs.hang(pid).expect("child hangs");
             }
@@ -462,7 +467,7 @@ impl Application for MiniWeb {
             "apache-edt-07" => {
                 env.entropy.drain(now);
             }
-            _ => return Err(InjectError { slug: slug.to_owned() }),
+            _ => return Err(InjectError::unknown(slug)),
         }
         Arc::make_mut(&mut self.state.enabled_bugs).insert(slug.to_owned());
         Ok(())
@@ -473,7 +478,7 @@ impl Application for MiniWeb {
         // trigger request. Unlike `inject`, the environment is untouched:
         // the injection plan owns the environmental half of the fault.
         if self.trigger_request(slug).is_none() {
-            return Err(InjectError { slug: slug.to_owned() });
+            return Err(InjectError::unknown(slug));
         }
         Arc::make_mut(&mut self.state.enabled_bugs).insert(slug.to_owned());
         Ok(())

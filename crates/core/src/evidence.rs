@@ -7,15 +7,12 @@
 //! text names, whether reproduction is reported as deterministic, and
 //! whether the reporter observed success on retry.
 
-use crate::lexicon::conditions_in_naive;
+use crate::lexicon::conditions_in;
 use crate::report::BugReport;
 use faultstudy_env::condition::ConditionKind;
 
 /// Cues that a failure reproduces deterministically.
-///
-/// Public so [`crate::scanset`] can register them with the shared
-/// automaton; treat as read-only data.
-pub const DETERMINISTIC_CUES: &[&str] = &[
+const DETERMINISTIC_CUES: &[&str] = &[
     "every time",
     "each time",
     "always crashes",
@@ -28,9 +25,8 @@ pub const DETERMINISTIC_CUES: &[&str] = &[
     "whenever",
 ];
 
-/// Cues that reproduction is flaky or impossible. Public for
-/// [`crate::scanset`]; treat as read-only data.
-pub const NONDETERMINISTIC_CUES: &[&str] = &[
+/// Cues that reproduction is flaky or impossible.
+const NONDETERMINISTIC_CUES: &[&str] = &[
     "sometimes",
     "occasionally",
     "intermittent",
@@ -45,9 +41,8 @@ pub const NONDETERMINISTIC_CUES: &[&str] = &[
     "unable to repeat",
 ];
 
-/// Cues that the operation succeeded when simply retried. Public for
-/// [`crate::scanset`]; treat as read-only data.
-pub const RETRY_SUCCESS_CUES: &[&str] = &[
+/// Cues that the operation succeeded when simply retried.
+const RETRY_SUCCESS_CUES: &[&str] = &[
     "works on a retry",
     "works on retry",
     "works after retry",
@@ -71,7 +66,7 @@ pub struct Evidence {
 }
 
 impl Evidence {
-    /// Extracts evidence from a report's full text.
+    /// Extracts evidence from a report's [`full_text`](BugReport::full_text).
     ///
     /// # Example
     ///
@@ -88,52 +83,17 @@ impl Evidence {
     /// assert_eq!(ev.deterministic_repro, Some(true));
     /// ```
     pub fn extract(report: &BugReport) -> Evidence {
-        let set = crate::scanset::shared();
-        Evidence::from_hits(&set.hits_report(report))
+        Evidence::from_text(&report.full_text())
     }
 
-    /// Extracts evidence from raw text (used by tests and by the mining
-    /// pipeline, which classifies mailing-list messages that are not yet
-    /// full [`BugReport`]s).
+    /// Extracts evidence from raw text, such as a message that is not yet
+    /// a full [`BugReport`]: the text is lowercased, and each lexicon rule
+    /// pattern and each cue is one `contains` on it.
     pub fn from_text(text: &str) -> Evidence {
-        let set = crate::scanset::shared();
-        Evidence::from_hits(&set.hits_text(text))
-    }
-
-    /// Builds evidence from a shared-automaton scan: every lexicon rule
-    /// and cue list is evaluated as a bitset probe, so callers that
-    /// already hold a [`HitSet`](faultstudy_textscan::HitSet) pay no
-    /// further text traversal.
-    pub fn from_hits(hits: &faultstudy_textscan::HitSet) -> Evidence {
-        let set = crate::scanset::shared();
-        if hits.is_empty() {
-            // Nothing hit, so no cue fired; `conditions` still consults the
-            // scan set, which alone knows whether a rule can hold vacuously.
-            return Evidence { conditions: set.conditions(hits), ..Evidence::default() };
-        }
-        Evidence {
-            conditions: set.conditions(hits),
-            // Nondeterministic cues dominate: "crashes sometimes,
-            // reproducible under load" is a flaky report.
-            deterministic_repro: set.deterministic_repro(hits),
-            retry_succeeded: set.retry_succeeded(hits),
-        }
-    }
-
-    /// The pre-automaton reference implementation of [`Self::extract`]:
-    /// concatenates [`BugReport::full_text`], lowercases it, and runs
-    /// every cue and rule as an independent `contains` scan (three
-    /// allocations, ~95 traversals). Ground truth for the differential
-    /// tests.
-    pub fn extract_naive(report: &BugReport) -> Evidence {
-        Evidence::from_text_naive(&report.full_text())
-    }
-
-    /// The pre-automaton reference implementation of [`Self::from_text`];
-    /// see [`Self::extract_naive`].
-    pub fn from_text_naive(text: &str) -> Evidence {
         let lower = text.to_lowercase();
-        let conditions = conditions_in_naive(&lower);
+        let conditions = conditions_in(&lower);
+        // Nondeterministic cues dominate: "crashes sometimes, reproducible
+        // under load" is a flaky report.
         let deterministic_repro = if NONDETERMINISTIC_CUES.iter().any(|c| lower.contains(c)) {
             Some(false)
         } else if DETERMINISTIC_CUES.iter().any(|c| lower.contains(c)) {

@@ -83,13 +83,8 @@ pub const RULES: &[Rule] = &[
 ];
 
 /// Scans `text` (any case) and returns every condition the lexicon finds,
-/// sorted and deduplicated.
-///
-/// One pass: the text is scanned once by the shared Aho–Corasick automaton
-/// ([`crate::scanset`]) and each rule's conjunction is evaluated against
-/// the resulting hit bitset — no `to_lowercase` allocation and no
-/// per-pattern traversal. Output is bit-identical to
-/// [`conditions_in_naive`].
+/// sorted and deduplicated: the text is lowercased once, and a rule holds
+/// when the lowercased text contains every one of its patterns.
 ///
 /// # Example
 ///
@@ -101,15 +96,6 @@ pub const RULES: &[Rule] = &[
 /// assert_eq!(found, vec![ConditionKind::FileSystemFull]);
 /// ```
 pub fn conditions_in(text: &str) -> Vec<ConditionKind> {
-    let set = crate::scanset::shared();
-    set.conditions(&set.hits_text(text))
-}
-
-/// The pre-automaton reference implementation: lowercases `text` and runs
-/// every rule as independent `contains` scans. Kept as the ground truth
-/// for the differential property tests; [`conditions_in`] must agree
-/// with it on every input.
-pub fn conditions_in_naive(text: &str) -> Vec<ConditionKind> {
     let lower = text.to_lowercase();
     let mut found: Vec<ConditionKind> = RULES
         .iter()
@@ -212,20 +198,6 @@ mod tests {
             conditions_in("RACE CONDITION in the scheduler"),
             vec![ConditionKind::RaceCondition]
         );
-    }
-
-    #[test]
-    fn automaton_path_agrees_with_naive_on_trigger_phrases() {
-        for text in [
-            "reverse dns is not configured for the remote host",
-            "full file system and a race condition; the file system is full",
-            "RACE CONDITION in the scheduler",
-            "dies with a segfault when the submitted url is very long",
-            "lack of events to generate sufficient random numbers in /dev/random",
-            "",
-        ] {
-            assert_eq!(conditions_in(text), conditions_in_naive(text), "{text:?}");
-        }
     }
 
     #[test]

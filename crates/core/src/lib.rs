@@ -20,8 +20,6 @@
 //! - [`evidence`] — [`evidence::Evidence`], the structured facts a
 //!   classifier needs, and extraction of evidence from report text.
 //! - [`lexicon`] — the keyword → condition lexicon used by extraction.
-//! - [`scanset`] — the shared single-pass Aho–Corasick scan set backing
-//!   the lexicon and the cue lists; it also holds the §4 keywords.
 //! - [`classify`] — the rule-based [`classify::Classifier`].
 //! - [`stats`] — chi-square homogeneity test quantifying the figures'
 //!   proportion-stability claim.
@@ -54,7 +52,6 @@ pub mod evidence;
 pub mod flat;
 pub mod lexicon;
 pub mod report;
-pub mod scanset;
 pub mod stats;
 pub mod study;
 pub mod taxonomy;

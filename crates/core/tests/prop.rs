@@ -176,77 +176,3 @@ proptest! {
         prop_assert!((1..=12).contains(&end.month));
     }
 }
-
-/// Text woven from real trigger phrases, cue words, and filler, so the
-/// differential tests exercise hits, near-misses, and overlaps rather
-/// than only keyword-free noise.
-fn scan_text_strategy() -> impl Strategy<Value = String> {
-    prop::collection::vec(
-        prop::sample::select(vec![
-            "the file system is full".to_owned(),
-            "file system".to_owned(),
-            "full".to_owned(),
-            "race condition".to_owned(),
-            "race".to_owned(),
-            "reverse dns".to_owned(),
-            "dns".to_owned(),
-            "slow".to_owned(),
-            "error".to_owned(),
-            "sometimes".to_owned(),
-            "whenever".to_owned(),
-            "reproducible".to_owned(),
-            "not reproducible".to_owned(),
-            "works on a retry".to_owned(),
-            "crash".to_owned(),
-            "the daemon died".to_owned(),
-            "SEGMENTATION".to_owned(),
-            "perfectly ordinary words".to_owned(),
-            " ".to_owned(),
-            "\n".to_owned(),
-            ", ".to_owned(),
-        ]),
-        0..10,
-    )
-    .prop_map(|fragments| fragments.concat())
-}
-
-proptest! {
-    /// The automaton-backed `conditions_in` is bit-identical to the naive
-    /// per-rule `contains` implementation on generated text.
-    #[test]
-    fn conditions_in_matches_naive(text in scan_text_strategy()) {
-        prop_assert_eq!(
-            conditions_in(&text),
-            faultstudy_core::lexicon::conditions_in_naive(&text),
-            "text {:?}", &text
-        );
-    }
-
-    /// ... and on fully arbitrary (including non-ASCII) text, where the
-    /// automaton takes its fallback path.
-    #[test]
-    fn conditions_in_matches_naive_on_arbitrary_text(text in ".{0,120}") {
-        prop_assert_eq!(
-            conditions_in(&text),
-            faultstudy_core::lexicon::conditions_in_naive(&text),
-            "text {:?}", &text
-        );
-    }
-
-    /// Single-pass evidence extraction equals the naive three-allocation
-    /// implementation, both from raw text and from a full report.
-    #[test]
-    fn evidence_matches_naive(
-        text in scan_text_strategy(),
-        title in "[a-zA-Z ]{0,30}",
-    ) {
-        prop_assert_eq!(Evidence::from_text(&text), Evidence::from_text_naive(&text));
-        let report = BugReport::builder(AppKind::Mysql, 1)
-            .title(title)
-            .body(text.clone())
-            .how_to_repeat("works on a retry sometimes")
-            .developer_notes(text)
-            .build();
-        prop_assert_eq!(Evidence::extract(&report), Evidence::extract_naive(&report));
-    }
-}

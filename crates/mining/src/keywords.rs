@@ -19,14 +19,15 @@ pub const MYSQL_KEYWORDS: [&str; 4] = ["crash", "segmentation", "race", "died"];
 /// A disjunctive, case-insensitive keyword query.
 ///
 /// [`KeywordQuery::new`] compiles the keywords once into an [`Automaton`]
-/// the query owns, and every match is one pass of it over the text with
-/// zero per-report allocations: no `full_text` concatenation, no
-/// `to_lowercase` copy. Keywords whose bytes, plus one spacer between
-/// each two, total at most 64, such as the paper's own query
+/// the query owns. Keywords whose bytes, plus one spacer between each
+/// two, total at most 64, such as the paper's own query
 /// ([`KeywordQuery::mysql`], 25 bytes), compile to the bit-parallel
-/// Shift-And engine; longer lists to the DFA. Over a whole archive,
-/// [`KeywordQuery::matching_rows`] scans the arena once and checks only
-/// the rows it flags.
+/// Shift-And engine, and every match is one pass of it over the text with
+/// zero per-report allocations: no `full_text` concatenation, no
+/// `to_lowercase` copy. Longer lists take the naive path, one lowercase
+/// copy of each field and one `contains` per keyword. Over a whole
+/// archive, [`KeywordQuery::matching_rows`] scans the arena once and
+/// checks only the rows it flags.
 ///
 /// Equality compares the keywords.
 ///
@@ -117,8 +118,8 @@ impl KeywordQuery {
     /// unscanned version field. The sweep relies on the rows' arena order,
     /// which every [`ReportColumns`] keeps (see its
     /// [module docs](faultstudy_core::flat)). A block the pass cannot vouch
-    /// for takes the per-row scan instead: non-ASCII text, or a query that
-    /// compiled to the DFA or holds an empty keyword.
+    /// for takes the per-row scan instead: non-ASCII text, or a query too
+    /// long for Shift-And or holding an empty keyword.
     pub fn matching_rows(&self, columns: &ReportColumns, parallel: ParallelSpec) -> Vec<usize> {
         run_chunk_fold(
             columns.len(),

@@ -150,7 +150,8 @@ fn paper_scale_archives_keep_the_per_row_rows() {
 fn queries_the_pass_cannot_vouch_for_take_the_per_row_path() {
     let columns =
         SyntheticPopulation::generate(&PopulationSpec::paper_scale(AppKind::Mysql, 7)).to_columns();
-    // 71 bytes compile to the DFA; the empty keyword matches every row.
+    // 71 bytes are too many for Shift-And and take the naive path; the
+    // empty keyword matches every row.
     let long = KeywordQuery::new([
         "hang",
         "deadlock",

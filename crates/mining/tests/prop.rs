@@ -145,9 +145,9 @@ fn keyword_text_strategy() -> impl Strategy<Value = String> {
 proptest! {
     /// The automaton-backed keyword match is bit-identical to the naive
     /// lowercase-and-`contains` implementation on woven and fully
-    /// arbitrary text, with either text-scan engine: the paper's MySQL
-    /// query (25 bytes) and a 17-byte custom query compile to Shift-And,
-    /// a 71-byte custom query to the DFA.
+    /// arbitrary text, on either text-scan path: the paper's MySQL query
+    /// (25 bytes) and a 17-byte custom query compile to Shift-And, and a
+    /// 71-byte custom query takes the naive path.
     #[test]
     fn keyword_match_agrees_with_naive(
         woven in keyword_text_strategy(),

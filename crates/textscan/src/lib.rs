@@ -1,24 +1,20 @@
 //! Single-pass, allocation-free multi-pattern text scanning.
 //!
-//! The mining funnel and the evidence extractor ask the same question of
-//! every report: *which of these fixed substrings occur in this text,
+//! The mining funnel's §4 keyword stage asks one question of every
+//! report: *which of these fixed substrings occur in this text,
 //! case-insensitively?* Answered naively that is one `to_lowercase`
-//! allocation plus one `contains` traversal per pattern — roughly 95
-//! traversals of every report in the corpus. This crate compiles the
-//! patterns once into an [`Automaton`] and answers with a single
-//! left-to-right pass over the text, ASCII case folding built into the
-//! tables, which produces a [`HitSet`]: a fixed-size stack bitset
-//! recording every pattern that occurs. Scanning performs **zero heap
-//! allocations** on ASCII text.
+//! allocation plus one `contains` traversal per pattern. This crate
+//! compiles the patterns once into an [`Automaton`] and answers with a
+//! single left-to-right pass over the text, ASCII case folding built into
+//! its masks, which produces a [`HitSet`]: a fixed-size stack bitset
+//! recording every pattern that occurs.
 //!
-//! Two engines share that contract, and compilation picks by size:
-//!
-//! - a bit-parallel **Shift-And** loop over one `u64` when the non-empty
-//!   patterns' bytes, plus one spacer bit between each two, total at most
-//!   64 (the §4 keyword query takes 28): one `lea` and one `and` per byte;
-//! - a classic **Aho–Corasick** DFA for every larger set (the 91-pattern
-//!   shared scan set): one table load per byte over a transition table
-//!   that covers all 256 byte values, so no per-byte case or range check.
+//! The bytewise engine is a bit-parallel **Shift-And** loop over one
+//! `u64`: one `lea` and one `and` per byte. It holds a set whose
+//! non-empty patterns' bytes, plus one spacer bit between each two, total
+//! at most 64 (the §4 keyword query takes 28), and scans ASCII text with
+//! **zero heap allocations**. Every other set, and all non-ASCII text,
+//! takes the naive path.
 //!
 //! For one long text, such as a whole archive's arena,
 //! [`Automaton::match_ends`] runs the Shift-And engine as four
@@ -31,8 +27,9 @@
 //!   Unicode-lowercased pattern, the same predicate the naive scans use.
 //! - Non-ASCII text (or a non-ASCII pattern set) cannot be case folded
 //!   bytewise, so [`Automaton::scan`] transparently falls back to the
-//!   naive lowercase-and-`contains` path for that input. The fast paths
-//!   cover every ASCII input, which is all of the paper's corpora.
+//!   naive lowercase-and-`contains` path for that input. The fast path
+//!   covers every ASCII input to a Shift-And set, which is all of the
+//!   paper's corpora.
 //!
 //! # Example
 //!
@@ -52,8 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
-
 /// Identifier of one pattern inside an [`Automaton`], assigned by
 /// [`PatternSetBuilder::add`] in insertion order (duplicates collapse onto
 /// the first id).
@@ -63,28 +58,15 @@ pub type PatternId = u16;
 const WORDS: usize = 4;
 
 /// Maximum number of distinct patterns one automaton can hold: the
-/// [`HitSet`] capacity. 256 comfortably covers the shared scan set
-/// (lexicon rules + reproducibility and retry cues: 91 patterns).
+/// [`HitSet`] capacity. Sets past Shift-And's 64 bits hold at most this
+/// many and take the naive path.
 pub const MAX_PATTERNS: usize = WORDS * 64;
 
-/// The byte alphabet the DFA transitions over. Patterns are ASCII, but the
-/// table covers all 256 byte values so the scan loop needs no per-byte
-/// range or case check: uppercase columns mirror their lowercase twins
-/// (case folding is baked into the table) and non-ASCII columns carry the
-/// [`NON_ASCII`] sentinel that diverts to the naive fallback.
+/// The byte alphabet the Shift-And masks cover. Patterns are ASCII, but
+/// every byte value has a mask, so the scan loop needs no per-byte range
+/// or case check: an uppercase byte's mask equals its lowercase twin's,
+/// and a non-ASCII byte's mask is empty.
 const ALPHABET: usize = 256;
-
-/// High bit of a packed transition word: set when the target state has a
-/// non-empty output set, so the scan loop only touches the per-node hit
-/// sets on the rare bytes that complete a match.
-const HAS_OUTPUT: u32 = 1 << 31;
-
-/// Sentinel flag on the 128 non-ASCII columns: bytewise case folding would
-/// be wrong past this byte, so the scan bails out to the naive path.
-const NON_ASCII: u32 = 1 << 30;
-
-/// Mask extracting the target state from a packed transition word.
-const STATE_MASK: u32 = !(HAS_OUTPUT | NON_ASCII);
 
 /// A fixed-capacity bitset of pattern hits — `Copy`, stack-allocated, and
 /// therefore free to create per report.
@@ -132,19 +114,6 @@ impl HitSet {
         }
         set
     }
-
-    /// Whether the two sets share at least one pattern: a disjunction over
-    /// the ids `other` was built from, in a fixed four-word pass instead of
-    /// a probe per id.
-    pub fn intersects(&self, other: &HitSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(w, o)| w & o != 0)
-    }
-
-    /// Whether every pattern in `other` is also in `self`: the conjunction
-    /// of the ids `other` was built from.
-    pub fn is_superset(&self, other: &HitSet) -> bool {
-        self.words.iter().zip(&other.words).all(|(w, o)| w & o == *o)
-    }
 }
 
 /// Collects patterns (deduplicated, case folded) and compiles them into an
@@ -186,44 +155,33 @@ impl PatternSetBuilder {
 /// A compiled multi-pattern matcher: one scan of the text reports every
 /// registered pattern that occurs in it.
 ///
-/// [`PatternSetBuilder::build`] picks one of two bytewise engines for a
-/// non-empty, all-ASCII pattern set:
+/// [`PatternSetBuilder::build`] compiles a non-empty, all-ASCII pattern
+/// set whose non-empty patterns' bytes plus one spacer bit between each
+/// two total at most 64 to **Shift-And** (Baeza-Yates & Gonnet, "A new
+/// approach to text searching", CACM 1992): every pattern byte is one bit
+/// of a `u64`, and each text byte costs one `lea` and one `and` on that
+/// word. The §4 keyword query (25 bytes, 28 bits) takes this engine.
 ///
-/// - **Shift-And** (Baeza-Yates & Gonnet, "A new approach to text
-///   searching", CACM 1992) when the non-empty patterns' bytes plus one
-///   spacer bit between each two total at most 64: every pattern byte is
-///   one bit of a `u64`, and each text byte costs one `lea` and one `and`
-///   on that word. The §4 keyword query (25 bytes, 28 bits) takes this
-///   engine.
-/// - **Aho–Corasick DFA** for every larger set (such as the 91-pattern
-///   shared scan set): the standard three steps — goto trie, BFS failure
-///   links, then full DFA conversion (every missing transition resolved
-///   through the failure chain at build time) with output sets propagated
-///   along failure links into per-node [`HitSet`]s. The scan loop is one
-///   table lookup per byte, plus one bitset union on the rare bytes whose
-///   target state completes a match.
-///
-/// Both report exactly the naive predicate's hits; an empty or non-ASCII
-/// pattern set always takes the naive path.
+/// An empty, non-ASCII or larger pattern set takes the naive path, which
+/// lowercases the text and runs one `contains` per pattern. Either way
+/// the scan reports exactly the naive predicate's hits.
 #[derive(Debug, Clone)]
 pub struct Automaton {
     engine: Engine,
     /// The lowercased patterns, indexed by [`PatternId`]; retained for the
-    /// non-ASCII fallback path and introspection.
+    /// naive path and introspection.
     patterns: Vec<String>,
 }
 
-/// The bytewise engine behind an [`Automaton`].
+/// The engine behind an [`Automaton`].
 #[derive(Debug, Clone)]
 enum Engine {
-    /// An empty or non-ASCII pattern set: every scan takes the naive path
-    /// (an empty set trivially returns).
+    /// An empty, non-ASCII or larger pattern set: every scan takes the
+    /// naive path (an empty set trivially returns).
     Naive,
     /// A non-empty ASCII set whose non-empty patterns, with one spacer bit
     /// between each two, total at most [`SHIFT_AND_BITS`] bits.
     ShiftAnd(Box<ShiftAnd>),
-    /// Every larger ASCII set.
-    Dfa(Dfa),
 }
 
 /// Bit-parallel Shift-And over the concatenated non-empty patterns, one
@@ -434,139 +392,13 @@ fn is_ascii(chunk: &[u8; CHUNK]) -> bool {
     words.fold(0, |high, word| high | word) & HIGH_BITS == 0
 }
 
-/// The Aho–Corasick DFA.
-#[derive(Debug, Clone)]
-struct Dfa {
-    /// Packed DFA transitions: `next[state * ALPHABET + byte]` is the next
-    /// state index, with [`HAS_OUTPUT`] set when that state has outputs.
-    next: Vec<u32>,
-    /// Union of the patterns ending at each state (own outputs plus the
-    /// failure chain's).
-    node_hits: Vec<HitSet>,
-    /// Whether the root state has outputs (i.e. the set contains an empty
-    /// pattern); when false — the overwhelmingly common case — the scan
-    /// loop skips the up-front root-hits union entirely.
-    root_has_output: bool,
-}
-
-impl Dfa {
-    fn compile(patterns: &[String]) -> Dfa {
-        // Goto trie. `u32::MAX` marks an absent edge until DFA conversion.
-        const NONE: u32 = u32::MAX;
-        let mut children: Vec<[u32; ALPHABET]> = vec![[NONE; ALPHABET]];
-        let mut node_hits: Vec<HitSet> = vec![HitSet::EMPTY];
-        for (id, pattern) in patterns.iter().enumerate() {
-            let mut node = 0usize;
-            for &b in pattern.as_bytes() {
-                let c = usize::from(b);
-                node = if children[node][c] == NONE {
-                    children.push([NONE; ALPHABET]);
-                    node_hits.push(HitSet::EMPTY);
-                    let new = (children.len() - 1) as u32;
-                    children[node][c] = new;
-                    new as usize
-                } else {
-                    children[node][c] as usize
-                };
-            }
-            node_hits[node].insert(id as PatternId);
-        }
-
-        // BFS: failure links, output propagation, and DFA conversion in one
-        // pass. Depth-1 nodes fail to the root; deeper nodes fail to where
-        // the root-ward DFA already goes on their edge byte.
-        let nodes = children.len();
-        let mut fail = vec![0u32; nodes];
-        let mut next = vec![0u32; nodes * ALPHABET];
-        let mut queue = VecDeque::new();
-        for c in 0..ALPHABET {
-            let child = children[0][c];
-            if child == NONE {
-                next[c] = 0;
-            } else {
-                fail[child as usize] = 0;
-                next[c] = child;
-                queue.push_back(child as usize);
-            }
-        }
-        while let Some(node) = queue.pop_front() {
-            let f = fail[node] as usize;
-            let inherited = node_hits[f];
-            node_hits[node].or_assign(&inherited);
-            for c in 0..ALPHABET {
-                let through_fail = next[f * ALPHABET + c] & STATE_MASK;
-                let child = children[node][c];
-                if child == NONE {
-                    next[node * ALPHABET + c] = through_fail;
-                } else {
-                    fail[child as usize] = through_fail;
-                    next[node * ALPHABET + c] = child;
-                    queue.push_back(child as usize);
-                }
-            }
-        }
-
-        // Pack the has-output flag into every transition targeting an
-        // output state, so the scan loop can skip the bitset union on the
-        // (overwhelmingly common) bytes that complete no match.
-        for entry in &mut next {
-            if !node_hits[(*entry & STATE_MASK) as usize].is_empty() {
-                *entry |= HAS_OUTPUT;
-            }
-        }
-
-        // Bake case folding into the table (uppercase columns mirror their
-        // lowercase twins, flags included — patterns are lowercase, so the
-        // uppercase columns built above were dead) and mark the non-ASCII
-        // columns with the fallback sentinel.
-        for state in 0..nodes {
-            let row = state * ALPHABET;
-            for c in b'A'..=b'Z' {
-                next[row + usize::from(c)] = next[row + usize::from(c.to_ascii_lowercase())];
-            }
-            for entry in &mut next[row + 128..row + ALPHABET] {
-                *entry = NON_ASCII;
-            }
-        }
-
-        let root_has_output = !node_hits[0].is_empty();
-        Dfa { next, node_hits, root_has_output }
-    }
-
-    /// Unions the patterns occurring in `text` into `hits`, or returns
-    /// false at the first non-ASCII byte, leaving in `hits` only patterns
-    /// the naive scan of `text` also finds.
-    fn scan_into(&self, hits: &mut HitSet, text: &str) -> bool {
-        // The root's outputs are the empty patterns, which match any text
-        // (including "") at position 0, mirroring `contains("") == true`.
-        if self.root_has_output {
-            let root_hits = self.node_hits[0];
-            hits.or_assign(&root_hits);
-        }
-        let mut state = 0usize;
-        for &b in text.as_bytes() {
-            let entry = self.next[state * ALPHABET + usize::from(b)];
-            state = (entry & STATE_MASK) as usize;
-            if entry & (HAS_OUTPUT | NON_ASCII) != 0 {
-                if entry & NON_ASCII != 0 {
-                    return false;
-                }
-                hits.or_assign(&self.node_hits[state]);
-            }
-        }
-        true
-    }
-}
-
 impl Automaton {
     fn compile(patterns: Vec<String>) -> Automaton {
         let ascii = !patterns.is_empty() && patterns.iter().all(|p| p.is_ascii());
-        let engine = if !ascii {
-            Engine::Naive
-        } else if shift_and_bits(&patterns) <= SHIFT_AND_BITS {
+        let engine = if ascii && shift_and_bits(&patterns) <= SHIFT_AND_BITS {
             Engine::ShiftAnd(Box::new(ShiftAnd::compile(&patterns)))
         } else {
-            Engine::Dfa(Dfa::compile(&patterns))
+            Engine::Naive
         };
         Automaton { engine, patterns }
     }
@@ -574,12 +406,6 @@ impl Automaton {
     /// Number of distinct patterns.
     pub fn pattern_count(&self) -> usize {
         self.patterns.len()
-    }
-
-    /// Whether a bytewise fast path (Shift-And or DFA) is available
-    /// (non-empty, all-ASCII pattern set).
-    pub fn is_ascii(&self) -> bool {
-        !matches!(self.engine, Engine::Naive)
     }
 
     /// Scans `text` once and returns the set of patterns occurring in it.
@@ -603,9 +429,9 @@ impl Automaton {
     /// for ASCII a word at a time.
     ///
     /// Returns `None` when it cannot answer bytewise: `text` is not ASCII,
-    /// the set did not compile to the Shift-And engine (it is empty,
-    /// non-ASCII, or too large), or it holds the empty pattern, which
-    /// ends everywhere. Allocates only the returned vector.
+    /// the set takes the naive path (it is empty, non-ASCII, or too
+    /// large), or it holds the empty pattern, which ends everywhere.
+    /// Allocates only the returned vector.
     ///
     /// ```
     /// use faultstudy_textscan::PatternSetBuilder;
@@ -654,16 +480,14 @@ impl Automaton {
     pub(crate) fn scan_into(&self, hits: &mut HitSet, text: &str) {
         let answered = match &self.engine {
             Engine::ShiftAnd(engine) => engine.scan_into(hits, text),
-            Engine::Dfa(dfa) => dfa.scan_into(hits, text),
-            // An empty set hits nothing; any other set here is non-ASCII.
+            // An empty set hits nothing; any other set here is non-ASCII
+            // or too large for Shift-And.
             Engine::Naive => self.patterns.is_empty(),
         };
         if !answered {
-            // Bytewise case folding would be wrong here (e.g. U+212A KELVIN
-            // SIGN lowercases to ASCII 'k'): scan the whole segment
-            // naively. Hits an engine found before bailing out are a
-            // subset of the naive hits, so the union is exactly the naive
-            // result.
+            // Bytewise case folding would be wrong for non-ASCII text (e.g.
+            // U+212A KELVIN SIGN lowercases to ASCII 'k'), and Shift-And
+            // left `hits` untouched: scan the whole segment naively.
             self.scan_naive(hits, text);
         }
     }
@@ -671,7 +495,7 @@ impl Automaton {
     /// The reference path: one lowercase allocation plus one `contains`
     /// traversal per pattern. Used for non-ASCII input, where bytewise
     /// case folding would be wrong (e.g. U+212A KELVIN SIGN lowercases to
-    /// ASCII `k`), and by the differential tests as the ground truth.
+    /// ASCII `k`), and for every set Shift-And cannot hold.
     fn scan_naive(&self, hits: &mut HitSet, text: &str) {
         let lower = text.to_lowercase();
         for (id, pattern) in self.patterns.iter().enumerate() {
@@ -687,17 +511,16 @@ mod tests {
     use super::*;
 
     /// `patterns` as the builder compiles them plus, when the builder
-    /// picks Shift-And, the same set compiled as a DFA, so each case below
-    /// checks every engine that can hold the set.
+    /// picks Shift-And, the same set on the naive path, so each case below
+    /// checks both paths that can hold the set.
     fn engines(patterns: &[&str]) -> Vec<(Automaton, Vec<PatternId>)> {
         let mut b = PatternSetBuilder::new();
         let ids: Vec<PatternId> = patterns.iter().map(|p| b.add(p)).collect();
         let built = b.build();
         let mut engines = Vec::new();
         if matches!(built.engine, Engine::ShiftAnd(_)) {
-            let dfa = Engine::Dfa(Dfa::compile(&built.patterns));
-            engines
-                .push((Automaton { engine: dfa, patterns: built.patterns.clone() }, ids.clone()));
+            let naive = Automaton { engine: Engine::Naive, patterns: built.patterns.clone() };
+            engines.push((naive, ids.clone()));
         }
         engines.push((built, ids));
         engines
@@ -790,7 +613,7 @@ mod tests {
     #[test]
     fn non_ascii_pattern_set_always_uses_naive_path() {
         for (a, ids) in engines(&["caf\u{e9}", "crash"]) {
-            assert!(!a.is_ascii());
+            assert!(matches!(a.engine, Engine::Naive));
             assert!(a.scan("visit the CAF\u{c9}").contains(ids[0]));
             assert!(a.scan("plain ascii crash").contains(ids[1]));
             assert!(!a.scan("nothing relevant").contains(ids[0]));
@@ -859,13 +682,13 @@ mod tests {
     }
 
     #[test]
-    fn one_bit_more_compiles_to_the_dfa() {
+    fn one_bit_more_takes_the_naive_path() {
         let patterns = [
             "segfault", "deadlock", "overflow", "hostname", "too many", "timeouts", "datafile",
             "xy",
         ];
         let a = compiled(&patterns);
-        assert!(matches!(a.engine, Engine::Dfa(_)));
+        assert!(matches!(a.engine, Engine::Naive));
         assert_eq!(a.scan("the DATAFILE, XY"), HitSet::of(&[6, 7]));
     }
 
@@ -889,11 +712,6 @@ mod tests {
         assert_eq!(h.len(), 4);
         assert!(h.contains(63) && h.contains(64) && h.contains(255));
         assert!(!h.contains(1));
-        assert!(h.intersects(&HitSet::of(&[1, 64])));
-        assert!(!h.intersects(&HitSet::of(&[1, 2])));
-        assert!(h.is_superset(&HitSet::of(&[0, 63, 64, 255])));
-        assert!(!h.is_superset(&HitSet::of(&[0, 1])));
-        assert!(h.is_superset(&HitSet::EMPTY));
         let mut other = HitSet::EMPTY;
         other.insert(7);
         h.or_assign(&other);

@@ -1,11 +1,11 @@
 //! Differential property tests: the automaton agrees with the naive
-//! lowercase-and-`contains` predicate on arbitrary text, with either
-//! engine.
+//! lowercase-and-`contains` predicate on arbitrary text, on Shift-And and
+//! on the naive path alike.
 
 use faultstudy_textscan::{Automaton, PatternSetBuilder};
 use proptest::prelude::*;
 
-/// Pattern shapes drawn from the real scan set: short words, two-word
+/// Pattern shapes drawn from the lexicon: short words, two-word
 /// phrases, overlapping prefixes/suffixes.
 fn pattern_strategy() -> impl Strategy<Value = String> {
     prop::sample::select(vec![
@@ -90,8 +90,8 @@ proptest! {
         prop_assert_eq!(automaton.scan_segments(&[&a, &b, &c]), automaton.scan(&joined));
     }
 
-    /// At the engines' 64-byte boundary, `scan` and `scan_segments` equal
-    /// the naive scan. The sets overlap heavily (`aa`/`aaa`, shared
+    /// At Shift-And's 64-bit boundary, where larger sets take the naive
+    /// path, `scan` and `scan_segments` equal the naive scan. The sets overlap heavily (`aa`/`aaa`, shared
     /// prefixes and suffixes), repeat patterns and often hold the empty
     /// one, and the text mixes case variants with U+212A KELVIN SIGN,
     /// which lowercases to the alphabet's `k`.

@@ -28,9 +28,9 @@
 //!   included, is held to a budget of its own.
 //! - The §4 keyword stage allocates nothing per row once its query is
 //!   compiled: each `KeywordQuery::matches_segments` is one
-//!   `Automaton::scan_segments` of the query's own automaton, both
-//!   text-scan engines scan ASCII text in place, and the stage's arena
-//!   pass allocates only its match-end and kept-row vectors.
+//!   `Automaton::scan_segments` of the query's own Shift-And automaton,
+//!   which scans ASCII text in place, and the stage's arena pass
+//!   allocates only its match-end and kept-row vectors.
 //! - Generating an archive and rendering it into columns makes the same
 //!   allocations at 44,000 and at 440,000 rows: a noise row is rendered
 //!   through one reused report into an arena reserved once, so no row
@@ -41,7 +41,6 @@
 //! threads allocate into their own counters, never into the measured one.
 
 use faultstudy::apps::{spawn_app, Request};
-use faultstudy::core::scanset;
 use faultstudy::core::taxonomy::{AppKind, FaultClass};
 use faultstudy::corpus::{find, full_corpus, PopulationSpec, SyntheticPopulation};
 use faultstudy::env::Environment;
@@ -497,27 +496,12 @@ fn the_keyword_stage_allocates_nothing() {
     });
     counts.push((format!("the §4 query over {} archive rows", columns.len()), n));
 
-    // The §4 query's 25 bytes compile to Shift-And; these 71 bytes, and
-    // the 91 patterns of the shared scan set, to the DFA.
-    let long = KeywordQuery::new([
-        "hang",
-        "deadlock",
-        "crash",
-        "segmentation fault",
-        "race condition",
-        "died unexpectedly",
-        "abort",
-    ]);
-    let shared = scanset::shared().automaton();
+    // The §4 query's 25 bytes compile to Shift-And.
     let text = ["Server CRASHED under load", "", "mysqld died unexpectedly: a race condition"];
-    let scans: [(&str, &dyn Fn() -> bool); 3] = [
-        ("the §4 query", &|| mysql.matches_segments(&text)),
-        ("a 71-byte query", &|| long.matches_segments(&text)),
-        ("the shared scan set", &|| !shared.scan_segments(&text).is_empty()),
-    ];
-    for (what, scan) in scans {
-        counts.push((what.to_owned(), allocations(|| assert!(black_box(scan())))));
-    }
+    counts.push((
+        "the §4 query".to_owned(),
+        allocations(|| assert!(black_box(mysql.matches_segments(&text)))),
+    ));
 
     let allocating: Vec<String> = counts
         .iter()
