@@ -7,7 +7,7 @@
 //! text names, whether reproduction is reported as deterministic, and
 //! whether the reporter observed success on retry.
 
-use crate::lexicon::conditions_in;
+use crate::lexicon::conditions_in_lowercase;
 use crate::report::BugReport;
 use faultstudy_env::condition::ConditionKind;
 
@@ -91,7 +91,7 @@ impl Evidence {
     /// pattern and each cue is one `contains` on it.
     pub fn from_text(text: &str) -> Evidence {
         let lower = text.to_lowercase();
-        let conditions = conditions_in(&lower);
+        let conditions = conditions_in_lowercase(&lower);
         // Nondeterministic cues dominate: "crashes sometimes, reproducible
         // under load" is a flaky report.
         let deterministic_repro = if NONDETERMINISTIC_CUES.iter().any(|c| lower.contains(c)) {

@@ -96,7 +96,12 @@ pub const RULES: &[Rule] = &[
 /// assert_eq!(found, vec![ConditionKind::FileSystemFull]);
 /// ```
 pub fn conditions_in(text: &str) -> Vec<ConditionKind> {
-    let lower = text.to_lowercase();
+    conditions_in_lowercase(&text.to_lowercase())
+}
+
+/// [`conditions_in`] over text that is lowercase already, so a caller that
+/// holds the lowercase copy makes no second one.
+pub(crate) fn conditions_in_lowercase(lower: &str) -> Vec<ConditionKind> {
     let mut found: Vec<ConditionKind> = RULES
         .iter()
         .filter(|r| r.all_of.iter().all(|p| lower.contains(p)))

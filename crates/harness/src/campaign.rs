@@ -14,7 +14,7 @@ use crate::experiment::{
 use crate::memo::{DecisionMemo, Proven};
 use faultstudy_apps::Request;
 use faultstudy_core::taxonomy::FaultClass;
-use faultstudy_corpus::full_corpus;
+use faultstudy_corpus::{full_corpus, CuratedFault};
 use faultstudy_exec::ParallelSpec;
 use faultstudy_obs::MetricsRegistry;
 use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
@@ -56,17 +56,28 @@ pub struct CampaignReport {
     pub anomalies: Vec<String>,
 }
 
-/// Draws the `(fault index, strategy, env_seed)` triple of the sample
-/// seeded by `sample_seed` from a corpus of `faults` faults.
+/// Draws the fault index and the strategy of the sample seeded by
+/// `sample_seed` from a corpus of `faults` faults, and returns them with
+/// the sample's generator, whose next draw is the sample's environment
+/// seed. A sample whose pair is proven seed-blind never makes that draw.
 ///
 /// The materialized reference engine in `tests/parallel_determinism.rs`
 /// keeps its own copy of this draw; the streaming-vs-materialized tests
 /// there fail if the two ever diverge.
-fn draw(faults: usize, sample_seed: u64) -> (usize, StrategyKind, u64) {
+fn draw(faults: usize, sample_seed: u64) -> (usize, StrategyKind, Xoshiro256StarStar) {
     let mut rng = Xoshiro256StarStar::seed_from(sample_seed);
     let fault = rng.below(faults as u64) as usize;
     let strategy = StrategyKind::ALL[rng.below(StrategyKind::ALL.len() as u64) as usize];
-    (fault, strategy, rng.next_u64())
+    (fault, strategy, rng)
+}
+
+/// Whether `out` under `strategy` breaks the deterministic guarantees: an
+/// environment-independent fault survived, or an environment-dependent
+/// nontransient one survived a generic strategy.
+fn violates(out: &LeanOutcome, strategy: StrategyKind) -> bool {
+    out.survived
+        && (out.class == FaultClass::EnvironmentIndependent
+            || (out.class == FaultClass::EnvDependentNonTransient && strategy.is_generic()))
 }
 
 /// Number of `(class, strategy)` cells a campaign can populate.
@@ -85,22 +96,34 @@ enum Pair {
 /// streaming fold's accumulator. A whole campaign needs O(workers) of
 /// these instead of O(samples) materialized outcomes, which is what lets
 /// sample counts reach the tens of millions.
+///
+/// A sample whose pair is proven seed-blind, with an outcome clean of the
+/// guarantees, only adds one to its pair's count; every other sample is
+/// folded one at a time, in index order. [`CampaignAcc::into_report`]
+/// folds each counted pair once, scaled by its count.
 struct CampaignAcc {
     /// `(survived, total)` per `(class, strategy)` cell, flat in the order
     /// the `ALL` arrays declare. That order equals the derived `Ord`
     /// order of both enums, so emitting non-empty cells in flat order
     /// reproduces a `BTreeMap` aggregation byte for byte.
     counts: [(u32, u32); CELL_COUNT],
+    /// Counted samples per `(fault, strategy)` pair, flat by slot index.
+    /// Only a pair whose slot holds a seed-blind outcome that keeps the
+    /// guarantees is counted, so once its count is non-zero a later sample
+    /// of it skips the slot read too.
+    blind: Vec<u32>,
     /// Guarantee violations, in sample-index order.
     anomalies: Vec<String>,
-    /// Merged metrics, folded per sample in index order.
+    /// Merged metrics: the samples folded one at a time, and by
+    /// `into_report` each counted pair's registry, once per sample.
     registry: MetricsRegistry,
 }
 
 impl CampaignAcc {
-    fn new() -> CampaignAcc {
+    fn new(pairs: usize) -> CampaignAcc {
         CampaignAcc {
             counts: [(0, 0); CELL_COUNT],
+            blind: vec![0; pairs],
             anomalies: Vec::new(),
             registry: MetricsRegistry::new(),
         }
@@ -119,17 +142,21 @@ impl CampaignAcc {
         out: LeanOutcome,
         instrumented: bool,
     ) {
-        let cell = &mut self.counts[Self::cell(out.class, strategy)];
-        cell.1 += 1;
-        cell.0 += u32::from(out.survived);
-        let violates = out.survived
-            && (out.class == FaultClass::EnvironmentIndependent
-                || (out.class == FaultClass::EnvDependentNonTransient && strategy.is_generic()));
-        if violates {
+        self.tally(strategy, out, 1, instrumented);
+        if violates(&out, strategy) {
             self.anomalies.push(format!("{slug} survived {} at seed {env_seed}", strategy.name()));
         }
+    }
+
+    /// Adds `n` samples of `strategy` with outcome `out` to their cell; an
+    /// instrumented run also ledgers them.
+    fn tally(&mut self, strategy: StrategyKind, out: LeanOutcome, n: u32, instrumented: bool) {
+        let cell = &mut self.counts[Self::cell(out.class, strategy)];
+        cell.1 += n;
+        cell.0 += n * u32::from(out.survived);
         if instrumented {
-            ledger_experiment(&mut self.registry, strategy, out.survived, out.recoveries);
+            let n = u64::from(n);
+            ledger_experiment(&mut self.registry, strategy, out.survived, out.recoveries, n);
         }
     }
 
@@ -143,11 +170,40 @@ impl CampaignAcc {
             a.0 += b.0;
             a.1 += b.1;
         }
+        for (a, b) in self.blind.iter_mut().zip(later.blind) {
+            *a += b;
+        }
         self.anomalies.extend(later.anomalies);
         self.registry.merge_from(&later.registry);
     }
 
-    fn into_report(self, spec: CampaignSpec) -> (CampaignReport, MetricsRegistry) {
+    /// Folds each counted pair once, its count scaled into its cell and
+    /// its proven registry merged into the campaign registry once per
+    /// sample, then emits the report. Counts add and registries merge
+    /// commutatively, so this equals folding each counted sample where it
+    /// fell.
+    fn into_report(
+        mut self,
+        spec: CampaignSpec,
+        pairs: &[OnceLock<Pair>],
+        instrumented: bool,
+    ) -> (CampaignReport, MetricsRegistry) {
+        for (index, slot) in pairs.iter().enumerate() {
+            let n = self.blind[index];
+            if n == 0 {
+                continue;
+            }
+            let Some(Pair::Blind((out, metrics))) = slot.get() else {
+                unreachable!("only the samples of a seed-blind pair are counted")
+            };
+            let strategy = StrategyKind::ALL[index % StrategyKind::ALL.len()];
+            self.tally(strategy, *out, n, instrumented);
+            if let Some(metrics) = metrics {
+                for _ in 0..n {
+                    self.registry.merge_from(metrics);
+                }
+            }
+        }
         let cells = FaultClass::ALL
             .iter()
             .flat_map(|&class| StrategyKind::ALL.iter().map(move |&strategy| (class, strategy)))
@@ -178,15 +234,20 @@ impl Campaign for CampaignReport {
     /// A run that never read its environment's seed
     /// ([`Environment::read_log`](faultstudy_env::Environment::read_log))
     /// proves the outcome of its `(fault, strategy)` pair at every seed.
-    /// It fills the pair's slot, and every later sample of the pair folds
-    /// the slot's outcome and registry instead of running. A run whose
-    /// reads all decided races proves its outcome for every seed that
-    /// decides them alike: the pair's slot holds a [`DecisionMemo`], and a
-    /// later sample runs only when its decisions take a path no run has
-    /// taken yet. The slots live in this call and are shared by all
-    /// workers; whichever fills a slot or a memo node stores the same
-    /// value, so the report is the same at any thread count and chunk
-    /// size (DESIGN.md §13).
+    /// It fills the pair's slot, and every later sample of the pair reuses
+    /// the slot's outcome and registry instead of running. When that
+    /// outcome keeps the guarantees, such a sample draws no environment
+    /// seed and only adds one to its pair's count in the accumulator,
+    /// which folds each pair's count once at the end; a sample whose
+    /// outcome breaks them is folded on its own, so its anomaly names its
+    /// environment seed in sample-index order. A run whose reads all
+    /// decided races proves its outcome for every seed that decides them
+    /// alike: the pair's slot holds a [`DecisionMemo`], and a later sample
+    /// runs only when its decisions take a path no run has taken yet. The
+    /// slots live in this call and are shared by all workers; whichever
+    /// fills a slot or a memo node stores the same value, and counts add
+    /// and registries merge commutatively, so the report is the same at
+    /// any thread count and chunk size (DESIGN.md §13).
     ///
     /// The registry aggregates the supervisor's time-to-recovery and retry
     /// histograms per strategy and per `(class, strategy)` cell.
@@ -196,54 +257,9 @@ impl Campaign for CampaignReport {
         instrumented: bool,
     ) -> (CampaignReport, MetricsRegistry) {
         let corpus = full_corpus();
-        let workloads: Vec<Vec<Request>> = corpus.iter().map(build_workload).collect();
         let pairs: Vec<OnceLock<Pair>> =
             (0..corpus.len() * StrategyKind::ALL.len()).map(|_| OnceLock::new()).collect();
-        let acc = drive(
-            spec.seed,
-            spec.samples as usize,
-            parallel,
-            CampaignAcc::new,
-            |acc: &mut CampaignAcc, _, sample_seed| {
-                let (fi, strategy, env_seed) = draw(corpus.len(), sample_seed);
-                let fault = &corpus[fi];
-                let slot = &pairs[fi * StrategyKind::ALL.len() + strategy as usize];
-                let proven = match slot.get() {
-                    Some(Pair::Blind(proven)) => Some(proven),
-                    Some(Pair::Reading(memo)) => memo.lookup(env_seed),
-                    None => None,
-                };
-                let out = match proven {
-                    Some((out, metrics)) => {
-                        if let Some(metrics) = metrics {
-                            acc.registry.merge_from(metrics);
-                        }
-                        *out
-                    }
-                    None => {
-                        let (out, metrics, reads) =
-                            run_prepared(fault, strategy, env_seed, &workloads[fi], instrumented);
-                        if let Some(metrics) = &metrics {
-                            acc.registry.merge_from(metrics);
-                        }
-                        let proven = (out, metrics.map(Box::new));
-                        // A worker that filled the slot first stored the
-                        // same kind of pair.
-                        if reads.is_blind() {
-                            let _ = slot.set(Pair::Blind(proven));
-                        } else if let Pair::Reading(memo) =
-                            slot.get_or_init(|| Pair::Reading(Box::default()))
-                        {
-                            memo.insert(&reads, proven);
-                        }
-                        out
-                    }
-                };
-                acc.record(fault.slug(), strategy, env_seed, out, instrumented);
-            },
-            CampaignAcc::merge,
-        );
-        acc.into_report(spec)
+        run_over(spec, parallel, instrumented, &corpus, &pairs)
     }
 
     /// The guarantee anomalies, then the ledger laws: the cells hold
@@ -265,6 +281,78 @@ impl Campaign for CampaignReport {
     fn text(&self) -> String {
         format!("{self}\n")
     }
+}
+
+/// [`Campaign::run`] over `corpus`, whose pairs' slots are `pairs`, one
+/// per `(fault, strategy)` in flat order. A slot that holds an outcome
+/// already is taken as proven.
+fn run_over(
+    spec: CampaignSpec,
+    parallel: ParallelSpec,
+    instrumented: bool,
+    corpus: &[CuratedFault],
+    pairs: &[OnceLock<Pair>],
+) -> (CampaignReport, MetricsRegistry) {
+    let workloads: Vec<Vec<Request>> = corpus.iter().map(build_workload).collect();
+    let acc = drive(
+        spec.seed,
+        spec.samples as usize,
+        parallel,
+        || CampaignAcc::new(pairs.len()),
+        |acc: &mut CampaignAcc, _, sample_seed| {
+            let (fi, strategy, mut rng) = draw(corpus.len(), sample_seed);
+            let pair = fi * StrategyKind::ALL.len() + strategy as usize;
+            let count = &mut acc.blind[pair];
+            if *count > 0 {
+                *count += 1;
+                return;
+            }
+            let slot = &pairs[pair];
+            let known = slot.get();
+            if let Some(Pair::Blind((out, _))) = known {
+                if !violates(out, strategy) {
+                    *count = 1;
+                    return;
+                }
+            }
+            let env_seed = rng.next_u64();
+            let fault = &corpus[fi];
+            let proven = match known {
+                Some(Pair::Blind(proven)) => Some(proven),
+                Some(Pair::Reading(memo)) => memo.lookup(env_seed),
+                None => None,
+            };
+            let out = match proven {
+                Some((out, metrics)) => {
+                    if let Some(metrics) = metrics {
+                        acc.registry.merge_from(metrics);
+                    }
+                    *out
+                }
+                None => {
+                    let (out, metrics, reads) =
+                        run_prepared(fault, strategy, env_seed, &workloads[fi], instrumented);
+                    if let Some(metrics) = &metrics {
+                        acc.registry.merge_from(metrics);
+                    }
+                    let proven = (out, metrics.map(Box::new));
+                    // A worker that filled the slot first stored the same
+                    // kind of pair.
+                    if reads.is_blind() {
+                        let _ = slot.set(Pair::Blind(proven));
+                    } else if let Pair::Reading(memo) =
+                        slot.get_or_init(|| Pair::Reading(Box::default()))
+                    {
+                        memo.insert(&reads, proven);
+                    }
+                    out
+                }
+            };
+            acc.record(fault.slug(), strategy, env_seed, out, instrumented);
+        },
+        CampaignAcc::merge,
+    );
+    acc.into_report(spec, pairs, instrumented)
 }
 
 impl CampaignReport {
@@ -379,6 +467,63 @@ mod tests {
             ["an anomaly", "transient/restart: survived 6 of 5"]
         );
         assert!(run(40, 5).violations().is_empty());
+    }
+
+    /// A sample whose pair is proven seed-blind folds one at a time when
+    /// the proven outcome breaks the guarantees, and by count otherwise.
+    /// Every slot is filled before the run, so no sample runs an
+    /// experiment: environment-independent faults "survive", which breaks
+    /// the guarantees, and every other fault dies. Each of the breaking
+    /// samples must still yield its anomaly line, with its environment
+    /// seed, in sample-index order, and the counted ones must add their
+    /// cells, ledger and registry as if folded one by one.
+    #[test]
+    fn a_proven_outcome_that_breaks_the_guarantees_keeps_every_anomaly() {
+        let corpus = full_corpus();
+        let spec = CampaignSpec { samples: 3_000, seed: 5 };
+        let proven = |fault: &CuratedFault, instrumented: bool| {
+            let class = fault.class();
+            let survived = class == FaultClass::EnvironmentIndependent;
+            let out = LeanOutcome { class, survived, failures: 1, recoveries: 2 };
+            let mut metrics = MetricsRegistry::new();
+            metrics.incr("proven.samples", fault.slug(), 1);
+            metrics.record("proven.value", "", u64::MAX / 3);
+            (out, instrumented.then(|| Box::new(metrics)))
+        };
+        let slots = |instrumented: bool| -> Vec<OnceLock<Pair>> {
+            let slot = |fault| OnceLock::from(Pair::Blind(proven(fault, instrumented)));
+            corpus.iter().flat_map(|fault| StrategyKind::ALL.map(|_| slot(fault))).collect()
+        };
+        for instrumented in [false, true] {
+            // The reference folds every sample one at a time.
+            let mut reference = CampaignAcc::new(0);
+            for index in 0..u64::from(spec.samples) {
+                let sample_seed = faultstudy_sim::rng::split_seed(spec.seed, index);
+                let (fi, strategy, mut rng) = draw(corpus.len(), sample_seed);
+                let (out, metrics) = proven(&corpus[fi], instrumented);
+                if let Some(metrics) = metrics {
+                    reference.registry.merge_from(&metrics);
+                }
+                let (slug, env_seed) = (corpus[fi].slug(), rng.next_u64());
+                reference.record(slug, strategy, env_seed, out, instrumented);
+            }
+            let (reference, reference_registry) = reference.into_report(spec, &[], instrumented);
+            assert!(reference.anomalies.len() > 100, "{} anomalies", reference.anomalies.len());
+            assert!(reference.anomalies.iter().all(|a| a.contains(" at seed ")));
+            for parallel in [
+                ParallelSpec::SEQUENTIAL,
+                ParallelSpec::threads(2).with_chunk(1),
+                ParallelSpec::threads(2).with_chunk(7),
+                ParallelSpec::threads(2),
+            ] {
+                let (report, registry) =
+                    run_over(spec, parallel, instrumented, &corpus, &slots(instrumented));
+                let what = format!("instrumented {instrumented}, {parallel:?}");
+                assert_eq!(report.anomalies, reference.anomalies, "{what}");
+                assert_eq!(report, reference, "{what}");
+                assert_eq!(registry, reference_registry, "{what}");
+            }
+        }
     }
 
     #[test]

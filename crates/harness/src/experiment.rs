@@ -209,22 +209,23 @@ pub fn run_prepared_experiment(
     run_prepared(fault, strategy, seed, workload, false).0
 }
 
-/// Ledgers one experiment into a registry that aggregates a whole
-/// population: `experiment.total`, `experiment.survived` and
-/// `recovery.actions`, each under the strategy's name. The matrix and the
-/// sampled campaign both ledger through it.
+/// Ledgers `samples` experiments with one outcome into a registry that
+/// aggregates a whole population: `experiment.total`,
+/// `experiment.survived` and `recovery.actions`, each under the strategy's
+/// name. The matrix and the sampled campaign both ledger through it.
 pub(crate) fn ledger_experiment(
     registry: &mut MetricsRegistry,
     strategy: StrategyKind,
     survived: bool,
     recoveries: u32,
+    samples: u64,
 ) {
-    registry.incr("experiment.total", strategy.name(), 1);
+    registry.incr("experiment.total", strategy.name(), samples);
     if survived {
-        registry.incr("experiment.survived", strategy.name(), 1);
+        registry.incr("experiment.survived", strategy.name(), samples);
     }
     if recoveries > 0 {
-        registry.incr("recovery.actions", strategy.name(), u64::from(recoveries));
+        registry.incr("recovery.actions", strategy.name(), samples * u64::from(recoveries));
     }
 }
 

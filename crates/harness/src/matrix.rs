@@ -101,7 +101,7 @@ impl Campaign for RecoveryMatrix {
                 (FaultOutcome::new(fault, strategy, out), metrics)
             },
             |registry, out: &FaultOutcome| {
-                ledger_experiment(registry, out.strategy, out.survived, out.recoveries);
+                ledger_experiment(registry, out.strategy, out.survived, out.recoveries, 1);
             },
         );
         let mut map: BTreeMap<(FaultClass, StrategyKind), Cell> = BTreeMap::new();

@@ -90,7 +90,7 @@ impl HitSet {
     }
 
     /// Unions `other` into `self`.
-    pub fn or_assign(&mut self, other: &HitSet) {
+    pub(crate) fn or_assign(&mut self, other: &HitSet) {
         for (w, o) in self.words.iter_mut().zip(&other.words) {
             *w |= o;
         }
@@ -99,20 +99,6 @@ impl HitSet {
     /// Whether no pattern was hit.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|w| *w == 0)
-    }
-
-    /// Number of patterns hit.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// The set containing exactly `ids`.
-    pub fn of(ids: &[PatternId]) -> HitSet {
-        let mut set = HitSet::EMPTY;
-        for &id in ids {
-            set.insert(id);
-        }
-        set
     }
 }
 
@@ -403,11 +389,6 @@ impl Automaton {
         Automaton { engine, patterns }
     }
 
-    /// Number of distinct patterns.
-    pub fn pattern_count(&self) -> usize {
-        self.patterns.len()
-    }
-
     /// Scans `text` once and returns the set of patterns occurring in it.
     pub fn scan(&self, text: &str) -> HitSet {
         let mut hits = HitSet::EMPTY;
@@ -509,6 +490,29 @@ impl Automaton {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HitSet {
+        /// Number of patterns hit.
+        fn len(&self) -> usize {
+            self.words.iter().map(|w| w.count_ones() as usize).sum()
+        }
+
+        /// The set containing exactly `ids`.
+        fn of(ids: &[PatternId]) -> HitSet {
+            let mut set = HitSet::EMPTY;
+            for &id in ids {
+                set.insert(id);
+            }
+            set
+        }
+    }
+
+    impl Automaton {
+        /// Number of distinct patterns.
+        fn pattern_count(&self) -> usize {
+            self.patterns.len()
+        }
+    }
 
     /// `patterns` as the builder compiles them plus, when the builder
     /// picks Shift-And, the same set on the naive path, so each case below

@@ -69,12 +69,12 @@ const BYTES_PER_SAMPLE: f64 = 1300.0;
 /// Mean allocation calls per sampled-campaign experiment, at most (reads
 /// 15.9; about 15% margin).
 const ALLOCS_PER_SAMPLE: f64 = 18.5;
-/// Mean bytes requested per sample of a whole campaign, at most (reads 68;
-/// 15% margin).
-const BYTES_PER_CAMPAIGN_SAMPLE: f64 = 78.0;
+/// Mean bytes requested per sample of a whole campaign, at most (reads
+/// 57.8; about 15% margin).
+const BYTES_PER_CAMPAIGN_SAMPLE: f64 = 67.0;
 /// Mean allocation calls per sample of a whole campaign, at most (reads
-/// 0.88; about 15% margin).
-const ALLOCS_PER_CAMPAIGN_SAMPLE: f64 = 1.02;
+/// 0.817; about 15% margin).
+const ALLOCS_PER_CAMPAIGN_SAMPLE: f64 = 0.94;
 /// Mean allocation calls per offered request of a healthy graph unit, at
 /// most: the unit's setup spread over its requests (reads 0.0077).
 const ALLOCS_PER_GRAPH_REQUEST: f64 = 0.01;

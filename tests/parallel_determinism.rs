@@ -167,23 +167,32 @@ fn reused_outcomes_match_materialized_reference() {
 
 /// At 20,000 samples each of the 28 race pairs recurs about 20 times, so
 /// the campaign takes and reuses its race memos' deeper decision paths
-/// (the 3,000-sample specs above draw about 3 samples per race pair).
-/// Instrumented and plain runs match the memo-free reference at every
-/// thread count and at two chunk sizes.
+/// (the 3,000-sample specs above draw about 3 samples per race pair), and
+/// so does each seed-blind pair, so most samples only add to their pair's
+/// count, which the campaign folds once per pair at the end. With chunks
+/// of one sample every sample starts a fresh accumulator, which has
+/// counted no pair yet, so each reads its pair's slot and every count
+/// passes through a chunk merge. Instrumented runs, registry included,
+/// and plain runs match the memo-free reference at 1, 2, 4 and 8 threads
+/// and at chunk sizes 1, 7, 1000 and auto (0).
 #[test]
 fn race_decision_paths_match_materialized_reference() {
     for seed in [11, 2000] {
         let spec = CampaignSpec { samples: 20_000, seed };
         let (reference, reference_registry) = materialized(spec, true);
-        for threads in THREAD_COUNTS {
-            for chunk in [7, 1000] {
+        let reference_json = serde_json::to_string(&reference).expect("campaign serializes");
+        for threads in [1, 2, 4, 8] {
+            for chunk in [1, 7, 1000, 0] {
                 let parallel = ParallelSpec::threads(threads).with_chunk(chunk);
                 let what = format!("seed {seed}, {threads} threads, chunk {chunk}");
                 let (instrumented, registry) = CampaignReport::run(spec, parallel, true);
                 assert_eq!(instrumented, reference, "{what}");
                 assert_eq!(registry, reference_registry, "registry: {what}");
-                let (plain, _) = CampaignReport::run(spec, parallel, false);
+                let json = serde_json::to_string(&instrumented).expect("campaign serializes");
+                assert_eq!(json, reference_json, "json bytes: {what}");
+                let (plain, registry) = CampaignReport::run(spec, parallel, false);
                 assert_eq!(plain, reference, "plain: {what}");
+                assert!(registry.is_empty(), "plain registry: {what}");
             }
         }
     }

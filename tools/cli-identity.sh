@@ -9,9 +9,10 @@
 #
 # The invocations: every subcommand at seeds 2000 and 7, in text and in
 # `--json`; `graph --arrival bursty|diurnal`, in text and in `--json`;
-# `campaign --samples 200000 --threads 1|2 --json` (the default 500
-# samples repeat few (fault, strategy) pairs, so they barely exercise the
-# campaign's reuse of proven outcomes); and each example under examples/.
+# `campaign --samples 200000 --threads 1|2 --json`, at the default seed
+# 2000 and at `--seed 7` (the default 500 samples repeat few (fault,
+# strategy) pairs, so they barely exercise the campaign's reuse of proven
+# outcomes and its per-pair counts); and each example under examples/.
 #
 # The base is built in a temporary shared clone with a target directory
 # of its own, both removed on exit; the working tree builds into target/
@@ -59,6 +60,7 @@ metrics verify lee-iyer experiments all"
     done
     for threads in 1 2; do
         echo "faultstudy campaign --samples 200000 --threads $threads --json"
+        echo "faultstudy campaign --samples 200000 --seed 7 --threads $threads --json"
     done
     for example in "$root"/examples/*.rs; do
         echo "example $(basename "$example" .rs)"
