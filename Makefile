@@ -1,6 +1,7 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: build test bench bench-pairs cli-identity verify soak docs fmt lint ci
+.PHONY: build test bench bench-pairs cli-identity verify soak docs fmt lint workspace-tests \
+	examples bench-tests ci
 
 build:
 	cargo build --release
@@ -44,6 +45,24 @@ soak:
 docs:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# CI's Workspace tests step.
+workspace-tests:
+	cargo test --workspace -q --locked
+
+# CI's Examples step: each example runs to completion in release; clippy
+# only compiles them.
+examples:
+	cargo build --release --locked --examples
+	set -e; for example in examples/*.rs; do \
+		name=$$(basename "$$example" .rs); \
+		echo "== $$name"; \
+		./target/release/examples/"$$name" > /dev/null; \
+	done
+
+# CI's Benchmark tests step.
+bench-tests:
+	cargo test -q --locked --manifest-path benchmark/Cargo.toml
+
 # The benchmark package sits outside the workspace, so each target
 # checks it on its own.
 fmt:
@@ -54,21 +73,17 @@ lint:
 	cargo clippy --workspace --all-targets --locked -- -D warnings
 	cargo clippy --manifest-path benchmark/Cargo.toml --all-targets --locked -- -D warnings
 
-# Every step of CI (.github/workflows/ci.yml), in CI's order: format and
-# clippy on both packages, the workspace tests, the release soak, each
-# example run in release, the docs, the benchmark package's tests and the
-# self-check at two seeds. `make test` stays the quick tier-1 run.
+# Every step of CI (.github/workflows/ci.yml), in CI's order; each CI
+# step runs one of these targets: format and clippy on both packages, the
+# workspace tests, the release soak, each example run in release, the
+# docs, the benchmark package's tests and the self-check at two seeds.
+# `make test` stays the quick tier-1 run.
 ci:
 	$(MAKE) fmt
 	$(MAKE) lint
-	cargo test --workspace -q --locked
+	$(MAKE) workspace-tests
 	$(MAKE) soak
-	cargo build --release --locked --examples
-	set -e; for example in examples/*.rs; do \
-		name=$$(basename "$$example" .rs); \
-		echo "== $$name"; \
-		./target/release/examples/"$$name" > /dev/null; \
-	done
+	$(MAKE) examples
 	$(MAKE) docs
-	cargo test -q --locked --manifest-path benchmark/Cargo.toml
+	$(MAKE) bench-tests
 	$(MAKE) verify

@@ -178,13 +178,13 @@ impl Environment {
     }
 
     /// The scheduler interleaving the *current* environment would impose on
-    /// concurrent tasks, as [`Environment::race`] sees it.
+    /// concurrent tasks, as [`Environment::race`] sees it: the crate's unit
+    /// tests read the seed here.
     ///
     /// This raw read hands out the seed itself, which can reach anything,
-    /// so it marks the [`Environment::read_log`] opaque. Production code
-    /// reads the seed only through [`Environment::race`]; tests read it
-    /// here.
-    pub fn current_interleaving(&mut self) -> Interleaver {
+    /// so it marks the [`Environment::read_log`] opaque.
+    #[cfg(test)]
+    pub(crate) fn current_interleaving(&mut self) -> Interleaver {
         self.settle();
         self.reads.mark_opaque();
         Interleaver::Seeded(self.interleave_seed)
@@ -212,10 +212,11 @@ impl Environment {
     /// Every read of a seed-derived value so far: the seed witness.
     ///
     /// The builder's seed reaches nothing but the randomness stream and
-    /// the interleave seed, and only [`Environment::race`] and
-    /// [`Environment::current_interleaving`] read either. So a run whose
-    /// log ends [blind](ReadLog::is_blind) would have executed identically
-    /// under every seed, and a run whose log is
+    /// the interleave seed, and only [`Environment::race`] reads either
+    /// (the crate's unit tests also read the interleave seed raw, which
+    /// marks the log opaque). So a run whose log ends
+    /// [blind](ReadLog::is_blind) would have executed identically under
+    /// every seed, and a run whose log is
     /// [complete](ReadLog::is_complete) executes identically under every
     /// seed that gives its reads the same verdicts. The sampled campaign
     /// reuses outcomes on both grounds (DESIGN.md §13).
@@ -431,6 +432,8 @@ impl EnvironmentBuilder {
 mod tests {
     use super::*;
     use crate::host::HardwareComponent;
+    use crate::witness::SeedReplay;
+    use proptest::prelude::*;
 
     fn env() -> Environment {
         Environment::builder().seed(7).fd_limit(4).proc_slots(4).build()
@@ -681,5 +684,126 @@ mod tests {
         let a = format!("{:?}", e.current_interleaving());
         e.advance(Duration::ZERO);
         assert_eq!(a, format!("{:?}", e.current_interleaving()));
+    }
+
+    /// The environment's interleave seed as it was kept before draws were
+    /// owed: one draw at build, one on every non-zero advance and every
+    /// reshuffle, each made at once, with the source of the seed in force.
+    struct EagerSeed {
+        rng: Xoshiro256StarStar,
+        seed: u64,
+        drawn: u64,
+        forced: bool,
+        observed: bool,
+        complete: bool,
+    }
+
+    impl EagerSeed {
+        fn new(seed: u64) -> EagerSeed {
+            let rng = Xoshiro256StarStar::seed_from(seed);
+            let mut eager = EagerSeed {
+                rng,
+                seed: 0,
+                drawn: 0,
+                forced: false,
+                observed: false,
+                complete: true,
+            };
+            eager.draw();
+            eager
+        }
+
+        fn draw(&mut self) {
+            self.seed = self.rng.next_u64();
+            self.drawn += 1;
+            self.forced = false;
+        }
+
+        fn advance(&mut self, d: Duration) {
+            if d > Duration::ZERO {
+                self.draw();
+            }
+        }
+
+        fn source(&self) -> SeedSource {
+            if self.forced {
+                SeedSource::Forced(self.seed)
+            } else {
+                SeedSource::Drawn(self.drawn)
+            }
+        }
+    }
+
+    proptest! {
+        /// Owed draws read exactly as eager ones: over any sequence of zero
+        /// and non-zero advances, reshuffles, forced seeds, raw reads and
+        /// races, every read sees the seed and the witness an environment that
+        /// drew on every advance would show, every race logs the source of its
+        /// seed, and a replay of the builder's seed judges each logged race as
+        /// the environment did.
+        #[test]
+        fn owed_draws_read_as_eager_draws(
+            seed in any::<u64>(),
+            ops in prop::collection::vec((0u8..6, any::<u64>()), 0..80),
+        ) {
+            let mut env = Environment::builder().seed(seed).build();
+            let mut eager = EagerSeed::new(seed);
+            let mut races = Vec::new();
+            for (op, value) in ops {
+                match op {
+                    0 => {
+                        env.advance(Duration::ZERO);
+                        eager.advance(Duration::ZERO);
+                    }
+                    1 => {
+                        let d = Duration::from_nanos(1 + value % 1_000_000_000);
+                        env.advance(d);
+                        eager.advance(d);
+                    }
+                    2 => {
+                        env.reshuffle_interleaving();
+                        eager.draw();
+                    }
+                    3 => {
+                        env.force_interleave_seed(value);
+                        eager.seed = value;
+                        eager.forced = true;
+                    }
+                    4 => {
+                        let Interleaver::Seeded(got) = env.current_interleaving() else {
+                            panic!("the environment interleaves by seed");
+                        };
+                        eager.observed = true;
+                        eager.complete = false;
+                        prop_assert_eq!(got, eager.seed);
+                    }
+                    _ => {
+                        let gadget = RaceGadget {
+                            user_prepare_steps: (value % 4) as u32,
+                            remover_delay_steps: (value / 4 % 4) as u32,
+                        };
+                        let verdict = env.race(gadget);
+                        prop_assert_eq!(verdict, gadget.run(Interleaver::Seeded(eager.seed)));
+                        eager.observed = true;
+                        races.push((eager.source(), gadget, verdict.is_err()));
+                    }
+                }
+                prop_assert_eq!(!env.read_log().is_blind(), eager.observed);
+            }
+            let log = env.read_log();
+            let logged: Vec<_> =
+                log.reads().map(|(r, crashed)| (r.source, r.gadget, crashed)).collect();
+            let capacity = ReadLog::CAPACITY;
+            prop_assert_eq!(&logged[..], &races[..races.len().min(capacity)]);
+            prop_assert_eq!(log.is_complete(), eager.complete && races.len() <= capacity);
+            let mut replay = SeedReplay::new(seed);
+            for (read, crashed) in log.reads() {
+                prop_assert_eq!(replay.judge(&read).is_err(), crashed);
+            }
+            let Interleaver::Seeded(last) = env.current_interleaving() else {
+                panic!("the environment interleaves by seed");
+            };
+            prop_assert_eq!(last, eager.seed);
+        }
     }
 }

@@ -11,11 +11,11 @@
 //! anything ([`SeedReplay`]), and two runs whose reads agree on every
 //! verdict execute identically.
 //!
-//! A raw read of the interleave seed
-//! ([`Environment::current_interleaving`](crate::Environment::current_interleaving))
-//! hands out the value itself, so it marks the log opaque, as does a
-//! deciding read past the log's [`ReadLog::CAPACITY`]. The log is inline
-//! and fixed in size, so recording a read never allocates.
+//! A deciding read past the log's [`ReadLog::CAPACITY`] goes unrecorded,
+//! so it marks the log opaque; so does a raw read of the interleave seed,
+//! which hands out the value itself and which only the crate's unit tests
+//! make. The log is inline and fixed in size, so recording a read never
+//! allocates.
 
 use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
 use faultstudy_sim::sched::{Interleaver, RaceGadget};
@@ -91,6 +91,7 @@ impl ReadLog {
     }
 
     /// Records a read that handed out the seed-derived value itself.
+    #[cfg(test)]
     pub(crate) fn mark_opaque(&mut self) {
         self.opaque = true;
     }

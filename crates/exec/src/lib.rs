@@ -9,8 +9,9 @@
 //!   thread count or scheduling.
 //! - [`run_chunk_fold`] — the streaming variant: each worker folds its
 //!   chunks of indices into a constant-size partial aggregate and partials
-//!   merge **in index order**, so memory is O(workers), not O(jobs).
-//!   This is what makes 10–100M-sample campaigns possible: the
+//!   merge **in index order**, so memory is one partial per chunk in
+//!   flight, not one result per job: O(workers) partials while the workers
+//!   keep pace. This is what makes 10–100M-sample campaigns possible: the
 //!   materialize-then-fold path would hold every sample alive at once.
 //!
 //! Combined with per-index seed derivation
@@ -115,8 +116,11 @@ impl Default for ParallelSpec {
 /// pull chunk numbers from a shared atomic cursor, fold each chunk into a
 /// fresh partial created by `init`, and ship `(chunk, partial)` back over
 /// a bounded channel; the calling thread merges partials strictly in chunk
-/// order, buffering at most the channel bound of out-of-order arrivals.
-/// Peak memory is O(workers + buffered partials), independent of `jobs`.
+/// order. It drains the channel as fast as partials arrive and parks each
+/// out-of-order one until the chunks before it are merged. Peak memory is
+/// O(workers) partials while the workers keep pace; while one worker holds
+/// the oldest unmerged chunk, the others keep folding and parking, so up
+/// to one partial per chunk finished ahead of the stalled one waits.
 ///
 /// The result equals the sequential fold `init(); chunk_fn(0..jobs)`
 /// whenever `merge(a, b)` is equivalent to folding `b`'s indices directly
@@ -172,9 +176,11 @@ where
         }
         drop(tx);
 
-        // Merge strictly in chunk order; out-of-order arrivals wait in a
-        // bounded buffer (the channel cap bounds how far ahead workers can
-        // run, so the buffer cannot grow with the job count).
+        // Merge strictly in chunk order; out-of-order arrivals wait in
+        // `parked`. The channel is drained as fast as partials arrive, so
+        // its cap does not bound how far ahead workers run: while one
+        // worker holds the oldest unmerged chunk, every chunk the others
+        // finish waits here.
         let mut next = 0usize;
         let mut parked: BTreeMap<usize, A> = BTreeMap::new();
         for (chunk, partial) in rx.iter() {

@@ -51,9 +51,10 @@ struct Options {
     /// `AUTO` = available parallelism. Results are byte-identical for every
     /// value.
     parallel: ParallelSpec,
-    /// Sample count for the `campaign` subcommand. The streaming fold
-    /// holds O(threads) state regardless of this value, so multi-million
-    /// sample stress runs are just slower, not bigger.
+    /// Sample count for the `campaign` subcommand. The streaming fold's
+    /// state does not grow with this value (one accumulator per chunk in
+    /// flight), so multi-million sample stress runs are just slower, not
+    /// bigger.
     samples: u32,
     /// Total requests the open-loop campaigns (`traffic`, `micro`,
     /// `oblivious`, `graph`) offer across their units. All of it is
@@ -303,10 +304,10 @@ fn verify(opts: &Options) -> bool {
     if study.total() != 139 {
         problems.push(format!("corpus has {} faults, expected 139", study.total()));
     }
-    problems.extend(RecoveryMatrix::run(opts.seed, opts.parallel, false).0.violations());
+    problems.extend(RecoveryMatrix::run(opts.seed, opts.parallel).violations());
     let spec = CampaignSpec { samples: 200, seed: opts.seed };
-    let (campaign, _) = CampaignReport::run(spec, opts.parallel, false);
-    let (injection, _) = InjectReport::run(InjectSpec { seed: opts.seed }, opts.parallel, false);
+    let campaign = CampaignReport::run(spec, opts.parallel);
+    let injection = InjectReport::run(InjectSpec { seed: opts.seed }, opts.parallel);
     problems.extend(campaign_problems(&campaign, &injection));
     problems.extend(funnel_violations(&paper_scale_funnels(opts.seed, opts.parallel, false).0));
     if problems.is_empty() {
@@ -347,10 +348,11 @@ fn metrics(opts: &Options) -> Done {
     use faultstudy_harness::StrategyKind;
     use faultstudy_sim::time::Duration;
 
-    let (matrix, mut registry) = RecoveryMatrix::run(opts.seed, opts.parallel, true);
+    let (matrix, mut registry) = RecoveryMatrix::run_instrumented(opts.seed, opts.parallel);
     let (_, mining) = paper_scale_funnels(opts.seed, opts.parallel, true);
     registry.merge_from(&mining);
-    let (_, injection) = InjectReport::run(InjectSpec { seed: opts.seed }, opts.parallel, true);
+    let (_, injection) =
+        InjectReport::run_instrumented(InjectSpec { seed: opts.seed }, opts.parallel);
     registry.merge_from(&injection);
 
     if opts.json {
@@ -443,7 +445,7 @@ fn metrics(opts: &Options) -> Done {
 /// The one arm behind `recover` and every campaign subcommand: runs the
 /// campaign `spec` describes and reports it.
 fn run_campaign<C: Campaign>(spec: C::Spec, opts: &Options) -> Done {
-    report_campaign(&C::run(spec, opts.parallel, false).0, opts)
+    report_campaign(&C::run(spec, opts.parallel), opts)
 }
 
 /// Prints `report` as text or returns it as JSON, reports each violation
@@ -499,10 +501,9 @@ mod tests {
 
     #[test]
     fn verify_holds_the_sampled_campaign_to_its_ledger_laws() {
-        let (injection, _) =
-            InjectReport::run(InjectSpec { seed: 2000 }, ParallelSpec::SEQUENTIAL, false);
+        let injection = InjectReport::run(InjectSpec { seed: 2000 }, ParallelSpec::SEQUENTIAL);
         let spec = CampaignSpec { samples: 200, seed: 2000 };
-        let (campaign, _) = CampaignReport::run(spec, ParallelSpec::SEQUENTIAL, false);
+        let campaign = CampaignReport::run(spec, ParallelSpec::SEQUENTIAL);
         assert_eq!(campaign_problems(&campaign, &injection), Vec::<String>::new());
         // No anomaly, but the cells hold one sample of the two drawn.
         let short = CampaignReport {

@@ -8,15 +8,12 @@
 //! the campaign reports their survival rate with its spread.
 
 use crate::driver::{drive, write_anomalies, Campaign};
-use crate::experiment::{
-    build_workload, ledger_experiment, run_prepared, LeanOutcome, StrategyKind,
-};
-use crate::memo::{DecisionMemo, Proven};
+use crate::experiment::{build_workload, run_prepared, LeanOutcome, StrategyKind};
+use crate::memo::DecisionMemo;
 use faultstudy_apps::Request;
 use faultstudy_core::taxonomy::FaultClass;
 use faultstudy_corpus::{full_corpus, CuratedFault};
 use faultstudy_exec::ParallelSpec;
-use faultstudy_obs::MetricsRegistry;
 use faultstudy_sim::rng::{DetRng, Xoshiro256StarStar};
 use serde::Serialize;
 use std::fmt;
@@ -87,15 +84,17 @@ const CELL_COUNT: usize = FaultClass::ALL.len() * StrategyKind::ALL.len();
 /// first run.
 enum Pair {
     /// The run read no seed: its outcome holds at every seed.
-    Blind(Proven),
+    Blind(LeanOutcome),
     /// The run decided races: outcomes by decision path.
     Reading(Box<DecisionMemo>),
 }
 
 /// Constant-size partial aggregate of one campaign index-partition: the
-/// streaming fold's accumulator. A whole campaign needs O(workers) of
-/// these instead of O(samples) materialized outcomes, which is what lets
-/// sample counts reach the tens of millions.
+/// streaming fold's accumulator. A whole campaign holds one of these per
+/// chunk in flight instead of O(samples) materialized outcomes: O(workers)
+/// while the workers keep pace, and one more for each chunk finished ahead
+/// of a stalled one, which waits unmerged (`run_chunk_fold`). That is what
+/// lets sample counts reach the tens of millions.
 ///
 /// A sample whose pair is proven seed-blind, with an outcome clean of the
 /// guarantees, only adds one to its pair's count; every other sample is
@@ -114,54 +113,34 @@ struct CampaignAcc {
     blind: Vec<u32>,
     /// Guarantee violations, in sample-index order.
     anomalies: Vec<String>,
-    /// Merged metrics: the samples folded one at a time, and by
-    /// `into_report` each counted pair's registry, once per sample.
-    registry: MetricsRegistry,
 }
 
 impl CampaignAcc {
     fn new(pairs: usize) -> CampaignAcc {
-        CampaignAcc {
-            counts: [(0, 0); CELL_COUNT],
-            blind: vec![0; pairs],
-            anomalies: Vec::new(),
-            registry: MetricsRegistry::new(),
-        }
+        CampaignAcc { counts: [(0, 0); CELL_COUNT], blind: vec![0; pairs], anomalies: Vec::new() }
     }
 
     fn cell(class: FaultClass, strategy: StrategyKind) -> usize {
         class as usize * StrategyKind::ALL.len() + strategy as usize
     }
 
-    /// Folds one sample's outcome in; an instrumented run also ledgers it.
-    fn record(
-        &mut self,
-        slug: &str,
-        strategy: StrategyKind,
-        env_seed: u64,
-        out: LeanOutcome,
-        instrumented: bool,
-    ) {
-        self.tally(strategy, out, 1, instrumented);
+    /// Folds one sample's outcome in.
+    fn record(&mut self, slug: &str, strategy: StrategyKind, env_seed: u64, out: LeanOutcome) {
+        self.tally(strategy, out, 1);
         if violates(&out, strategy) {
             self.anomalies.push(format!("{slug} survived {} at seed {env_seed}", strategy.name()));
         }
     }
 
-    /// Adds `n` samples of `strategy` with outcome `out` to their cell; an
-    /// instrumented run also ledgers them.
-    fn tally(&mut self, strategy: StrategyKind, out: LeanOutcome, n: u32, instrumented: bool) {
+    /// Adds `n` samples of `strategy` with outcome `out` to their cell.
+    fn tally(&mut self, strategy: StrategyKind, out: LeanOutcome, n: u32) {
         let cell = &mut self.counts[Self::cell(out.class, strategy)];
         cell.1 += n;
         cell.0 += n * u32::from(out.survived);
-        if instrumented {
-            let n = u64::from(n);
-            ledger_experiment(&mut self.registry, strategy, out.survived, out.recoveries, n);
-        }
     }
 
     /// Merges a later index-partition into this one. Because every fold
-    /// ingredient is append (anomalies) or accumulate (counts, registry),
+    /// ingredient is append (anomalies) or accumulate (counts),
     /// merging partials in index order is identical to having folded the
     /// later partition's samples directly — the law the differential
     /// tests in `tests/parallel_determinism.rs` pin down.
@@ -174,35 +153,22 @@ impl CampaignAcc {
             *a += b;
         }
         self.anomalies.extend(later.anomalies);
-        self.registry.merge_from(&later.registry);
     }
 
-    /// Folds each counted pair once, its count scaled into its cell and
-    /// its proven registry merged into the campaign registry once per
-    /// sample, then emits the report. Counts add and registries merge
-    /// commutatively, so this equals folding each counted sample where it
-    /// fell.
-    fn into_report(
-        mut self,
-        spec: CampaignSpec,
-        pairs: &[OnceLock<Pair>],
-        instrumented: bool,
-    ) -> (CampaignReport, MetricsRegistry) {
+    /// Folds each counted pair once, its count scaled into its cell, then
+    /// emits the report. Counts add commutatively, so this equals folding
+    /// each counted sample where it fell.
+    fn into_report(mut self, spec: CampaignSpec, pairs: &[OnceLock<Pair>]) -> CampaignReport {
         for (index, slot) in pairs.iter().enumerate() {
             let n = self.blind[index];
             if n == 0 {
                 continue;
             }
-            let Some(Pair::Blind((out, metrics))) = slot.get() else {
+            let Some(Pair::Blind(out)) = slot.get() else {
                 unreachable!("only the samples of a seed-blind pair are counted")
             };
             let strategy = StrategyKind::ALL[index % StrategyKind::ALL.len()];
-            self.tally(strategy, *out, n, instrumented);
-            if let Some(metrics) = metrics {
-                for _ in 0..n {
-                    self.registry.merge_from(metrics);
-                }
-            }
+            self.tally(strategy, *out, n);
         }
         let cells = FaultClass::ALL
             .iter()
@@ -216,7 +182,7 @@ impl CampaignAcc {
                 total,
             })
             .collect();
-        (CampaignReport { spec, cells, anomalies: self.anomalies }, self.registry)
+        CampaignReport { spec, cells, anomalies: self.anomalies }
     }
 }
 
@@ -228,14 +194,15 @@ impl Campaign for CampaignReport {
     /// sample `index` draws the same `(fault, strategy, env_seed)` triple no
     /// matter which worker executes it. Every fault's workload is prepared
     /// once up front, and the driver folds each chunk of samples into a
-    /// constant-size `CampaignAcc`, so memory is O(workers), not
-    /// O(samples).
+    /// constant-size `CampaignAcc`, so memory does not grow with the sample
+    /// count: one accumulator per chunk in flight, O(workers) while the
+    /// workers keep pace.
     ///
     /// A run that never read its environment's seed
     /// ([`Environment::read_log`](faultstudy_env::Environment::read_log))
     /// proves the outcome of its `(fault, strategy)` pair at every seed.
     /// It fills the pair's slot, and every later sample of the pair reuses
-    /// the slot's outcome and registry instead of running. When that
+    /// the slot's outcome instead of running. When that
     /// outcome keeps the guarantees, such a sample draws no environment
     /// seed and only adds one to its pair's count in the accumulator,
     /// which folds each pair's count once at the end; a sample whose
@@ -246,20 +213,13 @@ impl Campaign for CampaignReport {
     /// runs only when its decisions take a path no run has taken yet. The
     /// slots live in this call and are shared by all workers; whichever
     /// fills a slot or a memo node stores the same value, and counts add
-    /// and registries merge commutatively, so the report is the same at
-    /// any thread count and chunk size (DESIGN.md §13).
-    ///
-    /// The registry aggregates the supervisor's time-to-recovery and retry
-    /// histograms per strategy and per `(class, strategy)` cell.
-    fn run(
-        spec: CampaignSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (CampaignReport, MetricsRegistry) {
+    /// commutatively, so the report is the same at any thread count and
+    /// chunk size (DESIGN.md §13).
+    fn run(spec: CampaignSpec, parallel: ParallelSpec) -> CampaignReport {
         let corpus = full_corpus();
         let pairs: Vec<OnceLock<Pair>> =
             (0..corpus.len() * StrategyKind::ALL.len()).map(|_| OnceLock::new()).collect();
-        run_over(spec, parallel, instrumented, &corpus, &pairs)
+        run_over(spec, parallel, &corpus, &pairs)
     }
 
     /// The guarantee anomalies, then the ledger laws: the cells hold
@@ -289,10 +249,9 @@ impl Campaign for CampaignReport {
 fn run_over(
     spec: CampaignSpec,
     parallel: ParallelSpec,
-    instrumented: bool,
     corpus: &[CuratedFault],
     pairs: &[OnceLock<Pair>],
-) -> (CampaignReport, MetricsRegistry) {
+) -> CampaignReport {
     let workloads: Vec<Vec<Request>> = corpus.iter().map(build_workload).collect();
     let acc = drive(
         spec.seed,
@@ -309,7 +268,7 @@ fn run_over(
             }
             let slot = &pairs[pair];
             let known = slot.get();
-            if let Some(Pair::Blind((out, _))) = known {
+            if let Some(Pair::Blind(out)) = known {
                 if !violates(out, strategy) {
                     *count = 1;
                     return;
@@ -318,49 +277,36 @@ fn run_over(
             let env_seed = rng.next_u64();
             let fault = &corpus[fi];
             let proven = match known {
-                Some(Pair::Blind(proven)) => Some(proven),
+                Some(Pair::Blind(out)) => Some(*out),
                 Some(Pair::Reading(memo)) => memo.lookup(env_seed),
                 None => None,
             };
-            let out = match proven {
-                Some((out, metrics)) => {
-                    if let Some(metrics) = metrics {
-                        acc.registry.merge_from(metrics);
-                    }
-                    *out
+            let out = proven.unwrap_or_else(|| {
+                let (out, _, reads) =
+                    run_prepared(fault, strategy, env_seed, &workloads[fi], false);
+                // A worker that filled the slot first stored the same kind
+                // of pair.
+                if reads.is_blind() {
+                    let _ = slot.set(Pair::Blind(out));
+                } else if let Pair::Reading(memo) =
+                    slot.get_or_init(|| Pair::Reading(Box::default()))
+                {
+                    memo.insert(&reads, out);
                 }
-                None => {
-                    let (out, metrics, reads) =
-                        run_prepared(fault, strategy, env_seed, &workloads[fi], instrumented);
-                    if let Some(metrics) = &metrics {
-                        acc.registry.merge_from(metrics);
-                    }
-                    let proven = (out, metrics.map(Box::new));
-                    // A worker that filled the slot first stored the same
-                    // kind of pair.
-                    if reads.is_blind() {
-                        let _ = slot.set(Pair::Blind(proven));
-                    } else if let Pair::Reading(memo) =
-                        slot.get_or_init(|| Pair::Reading(Box::default()))
-                    {
-                        memo.insert(&reads, proven);
-                    }
-                    out
-                }
-            };
-            acc.record(fault.slug(), strategy, env_seed, out, instrumented);
+                out
+            });
+            acc.record(fault.slug(), strategy, env_seed, out);
         },
         CampaignAcc::merge,
     );
-    acc.into_report(spec, pairs, instrumented)
+    acc.into_report(spec, pairs)
 }
 
 impl CampaignReport {
-    /// `Campaign::run` without metrics. Kept only because
-    /// `benchmark/src/workload.rs` names it; everything else calls
-    /// [`Campaign::run`].
+    /// [`Campaign::run`] under the name `benchmark/src/workload.rs` calls
+    /// it by; everything else calls [`Campaign::run`].
     pub fn run_with(spec: CampaignSpec, parallel: ParallelSpec) -> CampaignReport {
-        Self::run(spec, parallel, false).0
+        Self::run(spec, parallel)
     }
 }
 
@@ -386,7 +332,7 @@ mod tests {
     use super::*;
 
     fn run(samples: u32, seed: u64) -> CampaignReport {
-        CampaignReport::run(CampaignSpec { samples, seed }, ParallelSpec::AUTO, false).0
+        CampaignReport::run(CampaignSpec { samples, seed }, ParallelSpec::AUTO)
     }
 
     #[test]
@@ -419,18 +365,6 @@ mod tests {
             assert!(rate >= 0.8, "{strategy}: transient rate {rate:.2} over {n}");
         }
         assert_eq!(transient(StrategyKind::None).0, 0, "no recovery, no survival");
-    }
-
-    #[test]
-    fn instrumented_campaign_ledgers_every_sample() {
-        let spec = CampaignSpec { samples: 60, seed: 11 };
-        let (_, registry) = CampaignReport::run(spec, ParallelSpec::AUTO, true);
-        let total: u64 =
-            StrategyKind::ALL.iter().map(|s| registry.counter("experiment.total", s.name())).sum();
-        assert_eq!(total, 60, "every sample counted exactly once");
-        // Some sampled strategy recovered a transient fault, so at least
-        // one TTR distribution is populated.
-        assert!(registry.histograms().any(|(k, _)| k.starts_with("recovery.ttr")));
     }
 
     #[test]
@@ -476,53 +410,42 @@ mod tests {
     /// the guarantees, and every other fault dies. Each of the breaking
     /// samples must still yield its anomaly line, with its environment
     /// seed, in sample-index order, and the counted ones must add their
-    /// cells, ledger and registry as if folded one by one.
+    /// cells as if folded one by one.
     #[test]
     fn a_proven_outcome_that_breaks_the_guarantees_keeps_every_anomaly() {
         let corpus = full_corpus();
         let spec = CampaignSpec { samples: 3_000, seed: 5 };
-        let proven = |fault: &CuratedFault, instrumented: bool| {
+        let proven = |fault: &CuratedFault| {
             let class = fault.class();
             let survived = class == FaultClass::EnvironmentIndependent;
-            let out = LeanOutcome { class, survived, failures: 1, recoveries: 2 };
-            let mut metrics = MetricsRegistry::new();
-            metrics.incr("proven.samples", fault.slug(), 1);
-            metrics.record("proven.value", "", u64::MAX / 3);
-            (out, instrumented.then(|| Box::new(metrics)))
+            LeanOutcome { class, survived, failures: 1, recoveries: 2 }
         };
-        let slots = |instrumented: bool| -> Vec<OnceLock<Pair>> {
-            let slot = |fault| OnceLock::from(Pair::Blind(proven(fault, instrumented)));
-            corpus.iter().flat_map(|fault| StrategyKind::ALL.map(|_| slot(fault))).collect()
-        };
-        for instrumented in [false, true] {
-            // The reference folds every sample one at a time.
-            let mut reference = CampaignAcc::new(0);
-            for index in 0..u64::from(spec.samples) {
-                let sample_seed = faultstudy_sim::rng::split_seed(spec.seed, index);
-                let (fi, strategy, mut rng) = draw(corpus.len(), sample_seed);
-                let (out, metrics) = proven(&corpus[fi], instrumented);
-                if let Some(metrics) = metrics {
-                    reference.registry.merge_from(&metrics);
-                }
-                let (slug, env_seed) = (corpus[fi].slug(), rng.next_u64());
-                reference.record(slug, strategy, env_seed, out, instrumented);
-            }
-            let (reference, reference_registry) = reference.into_report(spec, &[], instrumented);
-            assert!(reference.anomalies.len() > 100, "{} anomalies", reference.anomalies.len());
-            assert!(reference.anomalies.iter().all(|a| a.contains(" at seed ")));
-            for parallel in [
-                ParallelSpec::SEQUENTIAL,
-                ParallelSpec::threads(2).with_chunk(1),
-                ParallelSpec::threads(2).with_chunk(7),
-                ParallelSpec::threads(2),
-            ] {
-                let (report, registry) =
-                    run_over(spec, parallel, instrumented, &corpus, &slots(instrumented));
-                let what = format!("instrumented {instrumented}, {parallel:?}");
-                assert_eq!(report.anomalies, reference.anomalies, "{what}");
-                assert_eq!(report, reference, "{what}");
-                assert_eq!(registry, reference_registry, "{what}");
-            }
+        // The reference folds every sample one at a time.
+        let mut reference = CampaignAcc::new(0);
+        for index in 0..u64::from(spec.samples) {
+            let sample_seed = faultstudy_sim::rng::split_seed(spec.seed, index);
+            let (fi, strategy, mut rng) = draw(corpus.len(), sample_seed);
+            let (slug, env_seed) = (corpus[fi].slug(), rng.next_u64());
+            reference.record(slug, strategy, env_seed, proven(&corpus[fi]));
+        }
+        let reference = reference.into_report(spec, &[]);
+        assert!(reference.anomalies.len() > 100, "{} anomalies", reference.anomalies.len());
+        assert!(reference.anomalies.iter().all(|a| a.contains(" at seed ")));
+        for parallel in [
+            ParallelSpec::SEQUENTIAL,
+            ParallelSpec::threads(2).with_chunk(1),
+            ParallelSpec::threads(2).with_chunk(7),
+            ParallelSpec::threads(2),
+        ] {
+            let slots: Vec<OnceLock<Pair>> = corpus
+                .iter()
+                .flat_map(|fault| {
+                    StrategyKind::ALL.map(|_| OnceLock::from(Pair::Blind(proven(fault))))
+                })
+                .collect();
+            let report = run_over(spec, parallel, &corpus, &slots);
+            assert_eq!(report.anomalies, reference.anomalies, "{parallel:?}");
+            assert_eq!(report, reference, "{parallel:?}");
         }
     }
 

@@ -21,8 +21,8 @@ use std::fmt;
 /// fault class under each recovery strategy and tabulate the outcome per
 /// class. The recovery matrix and the six campaigns all implement it, and
 /// `tests/campaign_contract.rs` holds all seven to one contract: the
-/// report, its JSON, its text and its registry are the same bytes at any
-/// thread count and chunk size, instrumented or not.
+/// report, its JSON and its text are the same bytes at any thread count
+/// and chunk size.
 pub trait Campaign: Sized + Serialize + fmt::Display {
     /// What a run is a pure function of.
     type Spec;
@@ -30,11 +30,8 @@ pub trait Campaign: Sized + Serialize + fmt::Display {
     /// The subcommand that runs it, as it appears in `ANOMALY:` lines.
     const NAME: &'static str;
 
-    /// Runs the campaign on `parallel` workers. An instrumented run
-    /// enables each unit's metrics sink and returns the merged registry;
-    /// a plain run returns it empty. The report is the same either way.
-    fn run(spec: Self::Spec, parallel: ParallelSpec, instrumented: bool)
-        -> (Self, MetricsRegistry);
+    /// Runs the campaign on `parallel` workers.
+    fn run(spec: Self::Spec, parallel: ParallelSpec) -> Self;
 
     /// Violations of the campaign's class contract; empty on success.
     fn violations(&self) -> Vec<String>;
@@ -85,18 +82,34 @@ where
     run_chunk_fold(units, parallel, init, chunk, merge)
 }
 
-/// Runs a campaign whose units each report one cell: the cells in index
-/// order, and the campaign registry. `unit(index, unit_seed)` returns a
-/// cell and the registry its environment recorded, if any. Only an
-/// instrumented run merges those and `ledger`s each cell into the
-/// campaign registry; a plain run returns it empty.
-pub(crate) fn drive_cells<C, U, L>(
+/// Runs a campaign whose units each report one cell: `unit(index,
+/// unit_seed)` makes the cell, and the cells come back in index order.
+pub(crate) fn drive_cells<C, U>(seed: u64, units: usize, parallel: ParallelSpec, unit: U) -> Vec<C>
+where
+    C: Send,
+    U: Fn(usize, u64) -> C + Sync,
+{
+    drive(
+        seed,
+        units,
+        parallel,
+        Vec::new,
+        |cells: &mut Vec<C>, index, unit_seed| cells.push(unit(index, unit_seed)),
+        |cells, later| cells.extend(later),
+    )
+}
+
+/// [`drive_cells`] for a campaign that can also run instrumented:
+/// `unit(index, unit_seed)` returns a cell and the registry its
+/// environment recorded, if any. Given a `ledger`, the run merges those
+/// and `ledger`s each cell into the campaign registry; without one it
+/// returns the registry empty.
+pub(crate) fn drive_ledgered<C, U, L>(
     seed: u64,
     units: usize,
     parallel: ParallelSpec,
-    instrumented: bool,
     unit: U,
-    ledger: L,
+    ledger: Option<L>,
 ) -> (Vec<C>, MetricsRegistry)
 where
     C: Send,
@@ -110,7 +123,7 @@ where
         || (Vec::new(), MetricsRegistry::new()),
         |(cells, registry): &mut (Vec<C>, MetricsRegistry), index, unit_seed| {
             let (cell, metrics) = unit(index, unit_seed);
-            if instrumented {
+            if let Some(ledger) = &ledger {
                 if let Some(metrics) = &metrics {
                     registry.merge_from(metrics);
                 }
@@ -137,24 +150,6 @@ pub(crate) fn unit_share(requests: u64, units: usize, index: usize) -> u64 {
     let units = units as u64;
     requests / units + u64::from((index as u64) < requests % units)
 }
-
-/// Ledgers a unit's request ledger into a campaign registry under `label`:
-/// `<campaign>.offered`, `.ok`, `.denied`, `.dropped`, `.slo.violations`
-/// and `.sim_nanos` counters and the `.latency` histogram.
-macro_rules! ledger {
-    ($registry:expr, $campaign:literal, $label:expr, $stats:expr) => {{
-        let registry: &mut faultstudy_obs::MetricsRegistry = $registry;
-        let (label, stats): (&str, &faultstudy_traffic::UnitStats) = ($label, $stats);
-        registry.incr(concat!($campaign, ".offered"), label, stats.offered);
-        registry.incr(concat!($campaign, ".ok"), label, stats.ok);
-        registry.incr(concat!($campaign, ".denied"), label, stats.denied);
-        registry.incr(concat!($campaign, ".dropped"), label, stats.dropped);
-        registry.incr(concat!($campaign, ".slo.violations"), label, stats.slo_violations);
-        registry.incr(concat!($campaign, ".sim_nanos"), label, stats.sim_nanos);
-        registry.merge_histogram(concat!($campaign, ".latency"), label, stats.latency.clone());
-    }};
-}
-pub(crate) use ledger;
 
 /// Folds `parts` into one with `absorb`: the per-class tallies and
 /// campaign totals behind every cell report's accessors.

@@ -209,23 +209,22 @@ pub fn run_prepared_experiment(
     run_prepared(fault, strategy, seed, workload, false).0
 }
 
-/// Ledgers `samples` experiments with one outcome into a registry that
-/// aggregates a whole population: `experiment.total`,
-/// `experiment.survived` and `recovery.actions`, each under the strategy's
-/// name. The matrix and the sampled campaign both ledger through it.
+/// Ledgers one experiment's outcome into a registry that aggregates a
+/// whole population: `experiment.total`, `experiment.survived` and
+/// `recovery.actions`, each under the strategy's name. The instrumented
+/// matrix ledgers each of its experiments through it.
 pub(crate) fn ledger_experiment(
     registry: &mut MetricsRegistry,
     strategy: StrategyKind,
     survived: bool,
     recoveries: u32,
-    samples: u64,
 ) {
-    registry.incr("experiment.total", strategy.name(), samples);
+    registry.incr("experiment.total", strategy.name(), 1);
     if survived {
-        registry.incr("experiment.survived", strategy.name(), samples);
+        registry.incr("experiment.survived", strategy.name(), 1);
     }
     if recoveries > 0 {
-        registry.incr("recovery.actions", strategy.name(), samples * u64::from(recoveries));
+        registry.incr("recovery.actions", strategy.name(), u64::from(recoveries));
     }
 }
 
@@ -255,27 +254,8 @@ pub fn run_fault_experiment(
     FaultOutcome::new(fault, strategy, out)
 }
 
-/// Like [`run_fault_experiment`], but with the environment's metrics sink
-/// enabled; returns the registry alongside the outcome.
-///
-/// The registry carries the supervisor's per-strategy time-to-recovery and
-/// retry histograms, plus the TTR distribution re-keyed under this
-/// experiment's matrix cell, `recovery.ttr.class{<class>/<strategy>}`.
-/// Survival counters (`experiment.*{<strategy>}`) are added by the
-/// aggregating callers — the campaign and the matrix — which see the whole
-/// sample population. Metrics are pure observation, so the outcome is
-/// byte-identical to the uninstrumented run's.
-pub fn run_fault_experiment_instrumented(
-    fault: &CuratedFault,
-    strategy: StrategyKind,
-    seed: u64,
-) -> (FaultOutcome, MetricsRegistry) {
-    let (out, registry, _) = run_prepared(fault, strategy, seed, &build_workload(fault), true);
-    (FaultOutcome::new(fault, strategy, out), registry.expect("metrics were enabled"))
-}
-
-/// The `<class>/<strategy>` label of a matrix cell, interned once so the
-/// per-sample instrumented path never formats a label.
+/// The `<class>/<strategy>` label of a matrix cell, interned once so an
+/// instrumented experiment never formats a label.
 pub(crate) fn cell_label(class: FaultClass, strategy: StrategyKind) -> &'static str {
     use std::sync::OnceLock;
     static CELLS: OnceLock<Vec<String>> = OnceLock::new();
@@ -342,8 +322,11 @@ mod tests {
     fn instrumented_experiment_matches_plain_and_carries_metrics() {
         let fault = find("apache-edt-04").unwrap();
         let plain = run_fault_experiment(&fault, StrategyKind::Restart, 7);
-        let (outcome, reg) = run_fault_experiment_instrumented(&fault, StrategyKind::Restart, 7);
+        let (out, reg, _) =
+            run_prepared(&fault, StrategyKind::Restart, 7, &build_workload(&fault), true);
+        let outcome = FaultOutcome::new(&fault, StrategyKind::Restart, out);
         assert_eq!(outcome, plain, "instrumentation must not perturb the experiment");
+        let reg = reg.expect("metrics were enabled");
         let ttr = reg.histogram("recovery.ttr", "restart").expect("recovery happened");
         assert!(ttr.max().unwrap() > 0);
         assert_eq!(

@@ -191,7 +191,7 @@ pub fn experiments_markdown(seed: u64) -> String {
     )
     .expect("w");
     writeln!(md).expect("w");
-    let matrix = RecoveryMatrix::run(seed, ParallelSpec::AUTO, false).0;
+    let matrix = RecoveryMatrix::run(seed, ParallelSpec::AUTO);
     writeln!(md, "| Strategy | EI survived | EDN survived | EDT survived | Overall |").expect("w");
     writeln!(md, "|---|---|---|---|---|").expect("w");
     for strategy in StrategyKind::ALL {
@@ -313,7 +313,7 @@ pub fn experiments_markdown(seed: u64) -> String {
     .expect("w");
     writeln!(md).expect("w");
     let spec = LoadSpec { seed, requests: 6_000, arrival: ArrivalKind::Poisson };
-    let oblivious = ObliviousReport::run(spec, ParallelSpec::AUTO, false).0;
+    let oblivious = ObliviousReport::run(spec, ParallelSpec::AUTO);
     let (ei, edn) = (FaultClass::EnvironmentIndependent, FaultClass::EnvDependentNonTransient);
     writeln!(
         md,
@@ -406,7 +406,7 @@ pub fn experiments_markdown(seed: u64) -> String {
     .expect("w");
     writeln!(md).expect("w");
     let spec = LoadSpec { seed, requests: 7_200, arrival: ArrivalKind::Poisson };
-    let graph = GraphReport::run(spec, ParallelSpec::AUTO, false).0;
+    let graph = GraphReport::run(spec, ParallelSpec::AUTO);
     let full = *GRAPH_BUDGETS.last().expect("sweep is nonempty");
     writeln!(md, "| Class | Plane | Availability | Dropped | TTR p50 | Amplification |")
         .expect("w");

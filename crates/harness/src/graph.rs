@@ -15,12 +15,12 @@
 //! request a client chain first demanded).
 //!
 //! Determinism: units run on the campaign driver, with arrival, session
-//! and recovery seeds derived per unit — reports and registries are
-//! byte-identical at any thread count and chunk size.
+//! and recovery seeds derived per unit — reports are byte-identical at any
+//! thread count and chunk size.
 
 use crate::driver::{
-    drive_cells, fold, grid, ledger, miss_rate, ms, unit_share, write_anomalies, write_title,
-    write_totals, Campaign, LoadSpec,
+    drive_cells, fold, grid, miss_rate, ms, unit_share, write_anomalies, write_title, write_totals,
+    Campaign, LoadSpec,
 };
 use crate::experiment::standard_env;
 use crate::matrix::RecoveryMatrix;
@@ -30,7 +30,7 @@ use faultstudy_graph::{
     graph_plans, run_graph, ChannelFaultKind, GraphFaultPlan, GraphUnitStats, PlaneKind,
     ServiceGraph,
 };
-use faultstudy_obs::{Histogram, MetricsRegistry};
+use faultstudy_obs::Histogram;
 use faultstudy_sim::rng::split_seed;
 use faultstudy_traffic::{ArrivalKind, TrafficParams, UnitStats};
 use serde::Serialize;
@@ -83,9 +83,8 @@ fn run_unit(
     requests: u64,
     arrival: ArrivalKind,
     unit_seed: u64,
-    instrumented: bool,
-) -> (GraphCell, Option<MetricsRegistry>) {
-    let mut env = standard_env(unit_seed, instrumented);
+) -> GraphCell {
+    let mut env = standard_env(unit_seed, false);
     let mut graph = ServiceGraph::new(&mut env);
     let params = TrafficParams::standard(arrival, requests);
     let stats = run_graph(
@@ -100,7 +99,7 @@ fn run_unit(
         split_seed(unit_seed, 3),
     );
     let fired = stats.edges.total().faults;
-    let cell = GraphCell {
+    GraphCell {
         plan: plan.name.clone(),
         class: plan.class,
         kind: plan.kind,
@@ -108,25 +107,7 @@ fn run_unit(
         budget,
         fired,
         stats,
-    };
-    (cell, env.metrics.take())
-}
-
-/// Ledgers a finished unit into the campaign registry under its
-/// `<class>/<plane>/b<budget>` cell label.
-fn ledger_unit(registry: &mut MetricsRegistry, cell: &GraphCell) {
-    let label = format!("{}/{}/b{}", cell.class.short(), cell.plane.name(), cell.budget);
-    let s = &cell.stats;
-    ledger!(registry, "graph", &label, &s.base);
-    registry.incr("graph.db.first", &label, s.db_first);
-    registry.incr("graph.db.seen", &label, s.db_seen);
-    registry.incr("graph.channel.recoveries", &label, s.channel_recoveries);
-    registry.incr("graph.node.restarts", &label, s.node_restarts);
-    let edges = s.edges.total();
-    registry.incr("graph.edge.lost", &label, edges.lost);
-    registry.incr("graph.edge.resets", &label, edges.resets);
-    registry.merge_histogram("graph.ttr.class", &label, s.ttr.clone());
-    registry.merge_histogram("graph.cascade.depth", &label, s.cascade_depth.clone());
+    }
 }
 
 impl Campaign for GraphReport {
@@ -135,46 +116,17 @@ impl Campaign for GraphReport {
 
     /// Each unit derives its arrival, session and recovery seeds from its
     /// own unit seed.
-    ///
-    /// The registry carries the per-cell request ledgers
-    /// (`graph.offered`, `graph.ok`, `graph.denied`, `graph.dropped`,
-    /// `graph.slo.violations`, `graph.sim_nanos`), the distributed cost
-    /// counters (`graph.db.first`, `graph.db.seen`,
-    /// `graph.channel.recoveries`, `graph.node.restarts`,
-    /// `graph.edge.lost`, `graph.edge.resets`), the merged per-cell
-    /// histograms (`graph.latency`, `graph.ttr.class`,
-    /// `graph.cascade.depth`), and everything the units' environments
-    /// recorded.
-    fn run(
-        spec: LoadSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (GraphReport, MetricsRegistry) {
+    fn run(spec: LoadSpec, parallel: ParallelSpec) -> GraphReport {
         let plans = graph_plans(spec.seed);
         let (planes, budgets) = (PlaneKind::ALL.len(), GRAPH_BUDGETS.len());
         let units = plans.len() * planes * budgets;
-        let (cells, registry) = drive_cells(
-            spec.seed,
-            units,
-            parallel,
-            instrumented,
-            |index, unit_seed| {
-                let (plan, plane, budget) = grid(index, planes, budgets);
-                let (plane, budget) = (PlaneKind::ALL[plane], GRAPH_BUDGETS[budget]);
-                let requests = unit_share(spec.requests, units, index);
-                run_unit(
-                    &plans[plan],
-                    plane,
-                    budget,
-                    requests,
-                    spec.arrival,
-                    unit_seed,
-                    instrumented,
-                )
-            },
-            ledger_unit,
-        );
-        (GraphReport { spec, cells }, registry)
+        let cells = drive_cells(spec.seed, units, parallel, |index, unit_seed| {
+            let (plan, plane, budget) = grid(index, planes, budgets);
+            let (plane, budget) = (PlaneKind::ALL[plane], GRAPH_BUDGETS[budget]);
+            let requests = unit_share(spec.requests, units, index);
+            run_unit(&plans[plan], plane, budget, requests, spec.arrival, unit_seed)
+        });
+        GraphReport { spec, cells }
     }
 
     fn violations(&self) -> Vec<String> {
@@ -183,17 +135,16 @@ impl Campaign for GraphReport {
 
     /// The report, then the distributed comparison matrix.
     fn text(&self) -> String {
-        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL, false).0;
+        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL);
         format!("{self}{}", matrix.render_with_graph(self))
     }
 }
 
 impl GraphReport {
-    /// `Campaign::run` without metrics. Kept only because
-    /// `benchmark/src/workload.rs` names it; everything else calls
-    /// [`Campaign::run`].
+    /// [`Campaign::run`] under the name `benchmark/src/workload.rs` calls
+    /// it by; everything else calls [`Campaign::run`].
     pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> GraphReport {
-        Self::run(spec, parallel, false).0
+        Self::run(spec, parallel)
     }
 
     /// The folded graph ledger of every unit of `class` under `plane` at
@@ -365,7 +316,7 @@ mod tests {
     }
 
     fn run(spec: LoadSpec) -> GraphReport {
-        GraphReport::run(spec, ParallelSpec::AUTO, false).0
+        GraphReport::run(spec, ParallelSpec::AUTO)
     }
 
     #[test]
@@ -430,26 +381,6 @@ mod tests {
         // strictly worse availability than the full budget, same plane.
         let b0 = report.class_stats(edn, PlaneKind::Channel, 0);
         assert!(b0.dropped > 0, "zero budget must surface drops");
-    }
-
-    #[test]
-    fn instrumented_ledgers_reconcile_with_the_report() {
-        let (report, registry) = GraphReport::run(small_spec(5), ParallelSpec::AUTO, true);
-        let mut offered = 0;
-        let mut cascade = 0;
-        for class in FaultClass::ALL {
-            for plane in PlaneKind::ALL {
-                for budget in GRAPH_BUDGETS {
-                    let label = format!("{}/{}/b{}", class.short(), plane.name(), budget);
-                    offered += registry.counter("graph.offered", &label);
-                    cascade +=
-                        registry.histogram("graph.cascade.depth", &label).map_or(0, |h| h.count());
-                }
-            }
-        }
-        assert_eq!(offered, report.totals().offered);
-        assert_eq!(cascade, report.graph_totals().cascade_depth.count());
-        assert!(cascade > 0, "the campaign must fault some chains");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! run on the campaign driver — the report is byte-identical at any
 //! thread count and chunk size.
 
-use crate::driver::{drive_cells, grid, write_anomalies, Campaign};
+use crate::driver::{drive_ledgered, grid, write_anomalies, Campaign};
 use crate::experiment::{standard_env, StrategyKind};
 use faultstudy_apps::{Application, MiniWeb};
 use faultstudy_core::taxonomy::FaultClass;
@@ -177,37 +177,8 @@ impl Campaign for InjectReport {
     type Spec = InjectSpec;
     const NAME: &'static str = "inject";
 
-    /// The registry carries the supervisor's hardening counters
-    /// (`supervisor.watchdog`, `supervisor.breaker.trips`,
-    /// `supervisor.scrubs`, `supervisor.backoff`), the injector's
-    /// `inject.applied` event counts, the per-strategy `inject.units` and
-    /// `inject.survived` ledger, and the usual recovery histograms.
-    fn run(
-        spec: InjectSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (InjectReport, MetricsRegistry) {
-        let plans = standard_plans(spec.seed);
-        let strategies = StrategyKind::ALL.len();
-        let (cells, registry) = drive_cells(
-            spec.seed,
-            plans.len() * strategies * 2,
-            parallel,
-            instrumented,
-            |index, unit_seed| {
-                let (plan, strategy, scrub) = grid(index, strategies, 2);
-                let strategy = StrategyKind::ALL[strategy];
-                run_unit(&plans[plan], strategy, scrub == 1, unit_seed, instrumented)
-            },
-            |registry, cell: &InjectCell| {
-                registry.incr("inject.units", cell.strategy.name(), 1);
-                if cell.survived {
-                    registry.incr("inject.survived", cell.strategy.name(), 1);
-                }
-            },
-        );
-        let anomalies = cells.iter().filter_map(contract_violation).collect();
-        (InjectReport { spec, cells, anomalies }, registry)
+    fn run(spec: InjectSpec, parallel: ParallelSpec) -> InjectReport {
+        Self::run_body(spec, parallel, false).0
     }
 
     fn violations(&self) -> Vec<String> {
@@ -216,6 +187,49 @@ impl Campaign for InjectReport {
 }
 
 impl InjectReport {
+    /// [`Campaign::run`] with every unit's metrics sink on, returning the
+    /// merged registry too; the report is the same either way.
+    ///
+    /// The registry carries the supervisor's hardening counters
+    /// (`supervisor.watchdog`, `supervisor.breaker.trips`,
+    /// `supervisor.scrubs`, `supervisor.backoff`), the injector's
+    /// `inject.applied` event counts, the per-strategy `inject.units` and
+    /// `inject.survived` ledger, and the usual recovery histograms.
+    pub fn run_instrumented(
+        spec: InjectSpec,
+        parallel: ParallelSpec,
+    ) -> (InjectReport, MetricsRegistry) {
+        Self::run_body(spec, parallel, true)
+    }
+
+    /// The one body of [`Campaign::run`] and [`InjectReport::run_instrumented`].
+    fn run_body(
+        spec: InjectSpec,
+        parallel: ParallelSpec,
+        instrumented: bool,
+    ) -> (InjectReport, MetricsRegistry) {
+        let plans = standard_plans(spec.seed);
+        let strategies = StrategyKind::ALL.len();
+        let (cells, registry) = drive_ledgered(
+            spec.seed,
+            plans.len() * strategies * 2,
+            parallel,
+            |index, unit_seed| {
+                let (plan, strategy, scrub) = grid(index, strategies, 2);
+                let strategy = StrategyKind::ALL[strategy];
+                run_unit(&plans[plan], strategy, scrub == 1, unit_seed, instrumented)
+            },
+            instrumented.then_some(|registry: &mut MetricsRegistry, cell: &InjectCell| {
+                registry.incr("inject.units", cell.strategy.name(), 1);
+                if cell.survived {
+                    registry.incr("inject.survived", cell.strategy.name(), 1);
+                }
+            }),
+        );
+        let anomalies = cells.iter().filter_map(contract_violation).collect();
+        (InjectReport { spec, cells, anomalies }, registry)
+    }
+
     /// `(survived, total)` over every unit of `class` under `strategy`
     /// with the given scrub setting.
     pub fn class_survival(
@@ -294,7 +308,7 @@ mod tests {
     use super::*;
 
     fn run(seed: u64) -> InjectReport {
-        InjectReport::run(InjectSpec { seed }, ParallelSpec::AUTO, false).0
+        InjectReport::run(InjectSpec { seed }, ParallelSpec::AUTO)
     }
 
     #[test]
@@ -355,7 +369,7 @@ mod tests {
     #[test]
     fn instrumented_campaign_ledgers_every_unit() {
         let (report, registry) =
-            InjectReport::run(InjectSpec { seed: 5 }, ParallelSpec::AUTO, true);
+            InjectReport::run_instrumented(InjectSpec { seed: 5 }, ParallelSpec::AUTO);
         let units: u64 =
             StrategyKind::ALL.iter().map(|s| registry.counter("inject.units", s.name())).sum();
         assert_eq!(units, 9 * 7 * 2, "every unit counted exactly once");

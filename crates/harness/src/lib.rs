@@ -59,9 +59,7 @@ pub mod traffic;
 
 pub use campaign::{CampaignReport, CampaignSpec};
 pub use driver::{Campaign, LoadSpec};
-pub use experiment::{
-    run_fault_experiment, run_fault_experiment_instrumented, FaultOutcome, StrategyKind,
-};
+pub use experiment::{run_fault_experiment, FaultOutcome, StrategyKind};
 pub use expreport::experiments_markdown;
 pub use faultstudy_exec::ParallelSpec;
 pub use funnel::{funnel_violations, paper_scale_funnels};

@@ -7,7 +7,7 @@
 //! generic retry-based recovery. Running every corpus fault under every
 //! strategy turns that prediction into measurement.
 
-use crate::driver::{drive_cells, Campaign};
+use crate::driver::{drive_ledgered, Campaign};
 use crate::experiment::{
     build_workload, ledger_experiment, run_prepared, FaultOutcome, StrategyKind,
 };
@@ -75,44 +75,8 @@ impl Campaign for RecoveryMatrix {
     /// Runs the whole corpus under every strategy, each fault's workload
     /// prepared once. Every experiment runs on the matrix seed itself, so
     /// the driver's per-unit seeds go unused.
-    ///
-    /// The registry holds a time-to-recovery histogram per strategy
-    /// (`recovery.ttr{<strategy>}`) and per `(class, strategy)` cell
-    /// (`recovery.ttr.class{<class>/<strategy>}`); render them next to the
-    /// survival columns with [`RecoveryMatrix::render_with_ttr`].
-    fn run(
-        seed: u64,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (RecoveryMatrix, MetricsRegistry) {
-        let corpus = full_corpus();
-        let workloads: Vec<Vec<Request>> = corpus.iter().map(build_workload).collect();
-        let strategies = StrategyKind::ALL.len();
-        let (outcomes, registry) = drive_cells(
-            seed,
-            corpus.len() * strategies,
-            parallel,
-            instrumented,
-            |index, _| {
-                let (fault, workload) =
-                    (&corpus[index / strategies], &workloads[index / strategies]);
-                let strategy = StrategyKind::ALL[index % strategies];
-                let (out, metrics, _) = run_prepared(fault, strategy, seed, workload, instrumented);
-                (FaultOutcome::new(fault, strategy, out), metrics)
-            },
-            |registry, out: &FaultOutcome| {
-                ledger_experiment(registry, out.strategy, out.survived, out.recoveries, 1);
-            },
-        );
-        let mut map: BTreeMap<(FaultClass, StrategyKind), Cell> = BTreeMap::new();
-        for out in &outcomes {
-            let cell = map.entry((out.class, out.strategy)).or_default();
-            cell.total += 1;
-            cell.survived += u32::from(out.survived);
-        }
-        let cells =
-            map.into_iter().map(|((class, strategy), cell)| MatrixCell { class, strategy, cell });
-        (RecoveryMatrix { seed, cells: cells.collect(), outcomes }, registry)
+    fn run(seed: u64, parallel: ParallelSpec) -> RecoveryMatrix {
+        Self::run_body(seed, parallel, false).0
     }
 
     /// The paper's thesis, checked on the matrix: no strategy survives an
@@ -145,6 +109,57 @@ impl Campaign for RecoveryMatrix {
 }
 
 impl RecoveryMatrix {
+    /// [`Campaign::run`] with every experiment's metrics sink on, returning
+    /// the merged registry too; the matrix is the same either way.
+    ///
+    /// The registry holds a time-to-recovery histogram per strategy
+    /// (`recovery.ttr{<strategy>}`) and per `(class, strategy)` cell
+    /// (`recovery.ttr.class{<class>/<strategy>}`), and the
+    /// `experiment.total`, `experiment.survived` and `recovery.actions`
+    /// ledger per strategy; render the histograms next to the survival
+    /// columns with [`RecoveryMatrix::render_with_ttr`].
+    pub fn run_instrumented(
+        seed: u64,
+        parallel: ParallelSpec,
+    ) -> (RecoveryMatrix, MetricsRegistry) {
+        Self::run_body(seed, parallel, true)
+    }
+
+    /// The one body of [`Campaign::run`] and [`RecoveryMatrix::run_instrumented`].
+    fn run_body(
+        seed: u64,
+        parallel: ParallelSpec,
+        instrumented: bool,
+    ) -> (RecoveryMatrix, MetricsRegistry) {
+        let corpus = full_corpus();
+        let workloads: Vec<Vec<Request>> = corpus.iter().map(build_workload).collect();
+        let strategies = StrategyKind::ALL.len();
+        let (outcomes, registry) = drive_ledgered(
+            seed,
+            corpus.len() * strategies,
+            parallel,
+            |index, _| {
+                let (fault, workload) =
+                    (&corpus[index / strategies], &workloads[index / strategies]);
+                let strategy = StrategyKind::ALL[index % strategies];
+                let (out, metrics, _) = run_prepared(fault, strategy, seed, workload, instrumented);
+                (FaultOutcome::new(fault, strategy, out), metrics)
+            },
+            instrumented.then_some(|registry: &mut MetricsRegistry, out: &FaultOutcome| {
+                ledger_experiment(registry, out.strategy, out.survived, out.recoveries);
+            }),
+        );
+        let mut map: BTreeMap<(FaultClass, StrategyKind), Cell> = BTreeMap::new();
+        for out in &outcomes {
+            let cell = map.entry((out.class, out.strategy)).or_default();
+            cell.total += 1;
+            cell.survived += u32::from(out.survived);
+        }
+        let cells =
+            map.into_iter().map(|((class, strategy), cell)| MatrixCell { class, strategy, cell });
+        (RecoveryMatrix { seed, cells: cells.collect(), outcomes }, registry)
+    }
+
     /// One cell of the matrix.
     pub fn cell(&self, class: FaultClass, strategy: StrategyKind) -> Cell {
         self.cells
@@ -183,7 +198,7 @@ impl RecoveryMatrix {
 
     /// Renders the matrix with a time-to-recovery column per strategy,
     /// taken from the `recovery.ttr{<strategy>}` histograms of the registry
-    /// an instrumented [`Campaign::run`] returns. Strategies that
+    /// [`RecoveryMatrix::run_instrumented`] returns. Strategies that
     /// never recovered anything show `-`.
     pub fn render_with_ttr(&self, registry: &MetricsRegistry) -> String {
         let mut out = self.to_string();
@@ -405,7 +420,7 @@ mod tests {
     use super::*;
 
     fn run(seed: u64) -> RecoveryMatrix {
-        RecoveryMatrix::run(seed, ParallelSpec::AUTO, false).0
+        RecoveryMatrix::run(seed, ParallelSpec::AUTO)
     }
 
     // One full-matrix computation shared by the assertions below.
@@ -476,7 +491,7 @@ mod tests {
     #[test]
     fn instrumented_matrix_matches_plain_and_renders_ttr() {
         let plain = matrix();
-        let (m, registry) = RecoveryMatrix::run(2000, ParallelSpec::AUTO, true);
+        let (m, registry) = RecoveryMatrix::run_instrumented(2000, ParallelSpec::AUTO);
         assert_eq!(m, plain, "metrics must not perturb the matrix");
         // Retry strategies recovered transient faults, so their TTR columns
         // are populated; the baseline never recovers anything.

@@ -8,8 +8,8 @@
 //! read; and the verdicts so far determine everything up to the next read,
 //! which is therefore the same read in every run that agrees on them. The
 //! runs of one pair form a binary decision tree: a node is a read, its two
-//! branches the verdicts, and a leaf the outcome (and, when instrumented,
-//! the registry) every run along that path proves.
+//! branches the verdicts, and a leaf the outcome every run along that path
+//! proves.
 //!
 //! [`DecisionMemo`] holds that tree in a fixed pool of nodes. A sample
 //! judges the recorded reads for its own environment seed
@@ -24,13 +24,8 @@
 
 use crate::experiment::LeanOutcome;
 use faultstudy_env::witness::{DecidingRead, ReadLog, SeedReplay};
-use faultstudy_obs::MetricsRegistry;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// The outcome a run proved, with its registry when the run was
-/// instrumented: what later samples fold instead of running.
-pub type Proven = (LeanOutcome, Option<Box<MetricsRegistry>>);
 
 /// Nodes in one memo's pool. A race pair's tree has one read node and one
 /// leaf per retry, plus the first read and the leaf where the budget runs
@@ -59,18 +54,18 @@ struct Node {
 
 enum Entry {
     Read(DecidingRead),
-    Leaf(Proven),
+    Leaf(LeanOutcome),
 }
 
 impl DecisionMemo {
     /// The outcome a run under environment seed `seed` proves, if a run on
     /// the same decision path has been recorded.
-    pub fn lookup(&self, seed: u64) -> Option<&Proven> {
+    pub fn lookup(&self, seed: u64) -> Option<LeanOutcome> {
         let mut replay = SeedReplay::new(seed);
         let mut node = &self.nodes[0];
         loop {
             match node.entry.get()? {
-                Entry::Leaf(proven) => return Some(proven),
+                Entry::Leaf(out) => return Some(*out),
                 Entry::Read(read) => {
                     let crashed = replay.judge(read).is_err();
                     let next = node.next[usize::from(crashed)].load(Ordering::Acquire);
@@ -84,7 +79,7 @@ impl DecisionMemo {
     /// proved. A log that is not [complete](ReadLog::is_complete) records
     /// nothing, and neither does the rest of a path the pool has no room
     /// for.
-    pub fn insert(&self, reads: &ReadLog, proven: Proven) {
+    pub fn insert(&self, reads: &ReadLog, out: LeanOutcome) {
         if !reads.is_complete() {
             return;
         }
@@ -100,7 +95,7 @@ impl DecisionMemo {
                 None => return,
             }
         }
-        let _ = node.entry.set(Entry::Leaf(proven));
+        let _ = node.entry.set(Entry::Leaf(out));
     }
 
     /// The node `link` leads to, claiming and linking a fresh one when the

@@ -20,19 +20,18 @@
 //!
 //! Determinism: units run on the campaign driver, and each is the traffic
 //! campaign's open-loop unit with the same per-unit seed derivation —
-//! reports and registries are byte-identical at any thread count and
-//! chunk size.
+//! reports are byte-identical at any thread count and chunk size.
 
 use crate::driver::{
-    drive_cells, fold, grid, ledger, miss_rate, ms, unit_share, write_anomalies, write_title,
-    write_totals, Campaign, LoadSpec,
+    drive_cells, fold, grid, miss_rate, ms, unit_share, write_anomalies, write_title, write_totals,
+    Campaign, LoadSpec,
 };
 use crate::matrix::RecoveryMatrix;
 use crate::traffic::serve_plan;
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
 use faultstudy_exec::ParallelSpec;
 use faultstudy_inject::{standard_plans, InjectionPlan};
-use faultstudy_obs::{Histogram, MetricsRegistry};
+use faultstudy_obs::Histogram;
 use faultstudy_recovery::{MicroReboot, RecoveryStrategy, RestartRetry};
 use faultstudy_sim::rng::split_seed;
 use faultstudy_traffic::{ArrivalKind, UnitStats};
@@ -137,10 +136,8 @@ pub struct MicroReport {
 /// One campaign unit: the open-loop unit of [`serve_plan`] under the
 /// unit's recovery mode.
 ///
-/// The environment's metrics sink is *always* enabled here — the cell's
-/// TTR histogram comes from the supervisor's `recovery.ttr` spans — so
-/// the plain and instrumented campaigns run the very same simulation and
-/// produce identical reports.
+/// The environment's metrics sink is enabled here: the cell's TTR
+/// histogram comes from the supervisor's `recovery.ttr` spans.
 fn run_unit(
     plan: &InjectionPlan,
     mode: RecoveryMode,
@@ -148,12 +145,12 @@ fn run_unit(
     requests: u64,
     arrival: ArrivalKind,
     unit_seed: u64,
-) -> (MicroCell, Option<MetricsRegistry>) {
+) -> MicroCell {
     let mut strategy = mode.build(unit_seed);
     let served = serve_plan(plan, app, strategy.as_mut(), arrival, requests, unit_seed, true);
     let registry = served.registry.expect("metrics were enabled");
     let ttr = registry.histogram("recovery.ttr", mode.name()).cloned().unwrap_or_default();
-    let cell = MicroCell {
+    MicroCell {
         app,
         plan: plan.name.clone(),
         class: plan.class,
@@ -161,8 +158,7 @@ fn run_unit(
         injected: served.injected,
         stats: served.stats,
         ttr,
-    };
-    (cell, Some(registry))
+    }
 }
 
 impl Campaign for MicroReport {
@@ -171,41 +167,17 @@ impl Campaign for MicroReport {
 
     /// Each unit is the traffic campaign's open-loop unit with the same
     /// per-unit seed derivation.
-    ///
-    /// The registry carries the per-cell ledgers (`micro.offered`,
-    /// `micro.ok`, `micro.denied`, `micro.dropped`, `micro.slo.violations`,
-    /// `micro.sim_nanos`, `micro.latency`, `micro.ttr.class`) and
-    /// everything the units' environments recorded: the microreboot
-    /// strategy's per-component counters (`micro.reboot`,
-    /// `micro.reboot.subtree`, `micro.reboot.process`, `micro.lost`) and
-    /// per-component TTR spans (`micro.ttr`), supervisor hardening
-    /// counters, and injector applications.
-    fn run(
-        spec: LoadSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (MicroReport, MetricsRegistry) {
+    fn run(spec: LoadSpec, parallel: ParallelSpec) -> MicroReport {
         let plans = micro_plans(spec.seed);
         let (modes, apps) = (RecoveryMode::ALL.len(), AppKind::ALL.len());
         let units = plans.len() * modes * apps;
-        let (cells, registry) = drive_cells(
-            spec.seed,
-            units,
-            parallel,
-            instrumented,
-            |index, unit_seed| {
-                let (plan, mode, app) = grid(index, modes, apps);
-                let (mode, app) = (RecoveryMode::ALL[mode], AppKind::ALL[app]);
-                let requests = unit_share(spec.requests, units, index);
-                run_unit(&plans[plan], mode, app, requests, spec.arrival, unit_seed)
-            },
-            |registry, cell: &MicroCell| {
-                let label = format!("{}/{}", cell.class.short(), cell.mode.name());
-                ledger!(registry, "micro", &label, &cell.stats);
-                registry.merge_histogram("micro.ttr.class", &label, cell.ttr.clone());
-            },
-        );
-        (MicroReport { spec, cells }, registry)
+        let cells = drive_cells(spec.seed, units, parallel, |index, unit_seed| {
+            let (plan, mode, app) = grid(index, modes, apps);
+            let (mode, app) = (RecoveryMode::ALL[mode], AppKind::ALL[app]);
+            let requests = unit_share(spec.requests, units, index);
+            run_unit(&plans[plan], mode, app, requests, spec.arrival, unit_seed)
+        });
+        MicroReport { spec, cells }
     }
 
     /// Violations of the campaign's class contract on the state-leak
@@ -250,7 +222,7 @@ impl Campaign for MicroReport {
 
     /// The report, then the microreboot comparison matrix.
     fn text(&self) -> String {
-        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL, false).0;
+        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL);
         format!("{self}{}", matrix.render_with_micro(self))
     }
 }
@@ -333,7 +305,7 @@ mod tests {
     }
 
     fn run(spec: LoadSpec) -> MicroReport {
-        MicroReport::run(spec, ParallelSpec::AUTO, false).0
+        MicroReport::run(spec, ParallelSpec::AUTO)
     }
 
     #[test]
@@ -361,26 +333,6 @@ mod tests {
         // The crash-only worker pool discards the leak and keeps serving.
         assert_eq!(micro.stats.dropped, 0, "microreboot must not lose a single request");
         assert!(micro.stats.availability() > restart.stats.availability());
-    }
-
-    #[test]
-    fn instrumented_ledgers_reconcile_with_the_report() {
-        let (report, registry) = MicroReport::run(small_spec(5), ParallelSpec::AUTO, true);
-        let mut offered = 0;
-        for class in FaultClass::ALL {
-            for mode in RecoveryMode::ALL {
-                let label = format!("{}/{}", class.short(), mode.name());
-                offered += registry.counter("micro.offered", &label);
-            }
-        }
-        assert_eq!(offered, report.totals().offered);
-        // The microreboot strategy's own counters surfaced in the merge.
-        let reboots: u64 = registry
-            .counters()
-            .filter(|(k, _)| k.starts_with("micro.reboot{"))
-            .map(|(_, v)| v)
-            .sum();
-        assert!(reboots > 0, "microreboot units must perform component reboots");
     }
 
     #[test]

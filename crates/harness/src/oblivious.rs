@@ -36,7 +36,7 @@
 //! chunk size.
 
 use crate::driver::{
-    drive_cells, fold, grid, ledger, unit_share, write_anomalies, write_title, Campaign, LoadSpec,
+    drive_ledgered, fold, grid, unit_share, write_anomalies, write_title, Campaign, LoadSpec,
 };
 use crate::matrix::RecoveryMatrix;
 use crate::micro::micro_plans;
@@ -313,45 +313,8 @@ impl Campaign for ObliviousReport {
 
     /// The healer's probe runs on its own environment, seeded
     /// `split_seed(unit_seed, 5)`.
-    ///
-    /// The registry carries the units' environment registries and the
-    /// per-cell ledgers (`oblivious.offered`, `oblivious.ok`,
-    /// `oblivious.denied`, `oblivious.dropped`, `oblivious.slo.violations`,
-    /// `oblivious.sim_nanos`, `oblivious.substitute.discarded`,
-    /// `oblivious.substitute.manufactured`, `oblivious.oracle.violations`,
-    /// `oblivious.latency`, `oblivious.ttr.class`).
-    fn run(
-        spec: LoadSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (ObliviousReport, MetricsRegistry) {
-        let plans = micro_plans(spec.seed);
-        let (modes, apps) = (HealMode::ALL.len(), AppKind::ALL.len());
-        let units = plans.len() * modes * apps;
-        let (cells, registry) = drive_cells(
-            spec.seed,
-            units,
-            parallel,
-            instrumented,
-            |index, unit_seed| {
-                let (plan, mode, app) = grid(index, modes, apps);
-                let (mode, app) = (HealMode::ALL[mode], AppKind::ALL[app]);
-                let requests = unit_share(spec.requests, units, index);
-                run_unit(&plans[plan], mode, app, requests, spec.arrival, unit_seed)
-            },
-            |registry, cell: &ObliviousCell| {
-                let label = format!("{}/{}", cell.class.short(), cell.mode.name());
-                ledger!(registry, "oblivious", &label, &cell.stats);
-                registry.incr("oblivious.substitute.discarded", &label, cell.discarded);
-                registry.incr("oblivious.substitute.manufactured", &label, cell.manufactured);
-                registry.incr("oblivious.oracle.violations", &label, cell.oracle_violations);
-                registry.merge_histogram("oblivious.ttr.class", &label, cell.ttr.clone());
-            },
-        );
-        // The contract spans modes, so it is checked on the complete
-        // fold — a pure function of the cells, hence thread-invariant.
-        let anomalies = contract_anomalies(&cells);
-        (ObliviousReport { spec, cells, anomalies }, registry)
+    fn run(spec: LoadSpec, parallel: ParallelSpec) -> ObliviousReport {
+        Self::run_body(spec, parallel, false).0
     }
 
     fn violations(&self) -> Vec<String> {
@@ -360,20 +323,71 @@ impl Campaign for ObliviousReport {
 
     /// The report, then the wrong-answer matrix.
     fn text(&self) -> String {
-        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL, false).0;
+        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL);
         format!("{self}{}", matrix.render_with_oracle(self))
     }
 }
 
 impl ObliviousReport {
-    /// `Campaign::run` with metrics. Kept only because
-    /// `benchmark/src/workload.rs` names it; everything else calls
-    /// [`Campaign::run`].
+    /// [`Campaign::run`], also returning the campaign registry; the report
+    /// is the same either way. The benchmark's `oblivious_metrics`
+    /// workload runs it.
+    ///
+    /// The registry carries the units' environment registries and the
+    /// per-cell ledgers (`oblivious.offered`, `oblivious.ok`,
+    /// `oblivious.denied`, `oblivious.dropped`, `oblivious.slo.violations`,
+    /// `oblivious.sim_nanos`, `oblivious.substitute.discarded`,
+    /// `oblivious.substitute.manufactured`, `oblivious.oracle.violations`,
+    /// `oblivious.latency`, `oblivious.ttr.class`).
     pub fn run_instrumented(
         spec: LoadSpec,
         parallel: ParallelSpec,
     ) -> (ObliviousReport, MetricsRegistry) {
-        Self::run(spec, parallel, true)
+        Self::run_body(spec, parallel, true)
+    }
+
+    /// The one body of [`Campaign::run`] and
+    /// [`ObliviousReport::run_instrumented`]. Every unit's metrics sink is
+    /// on either way (see `run_unit`); only an instrumented run merges the
+    /// units' registries and ledgers each cell.
+    fn run_body(
+        spec: LoadSpec,
+        parallel: ParallelSpec,
+        instrumented: bool,
+    ) -> (ObliviousReport, MetricsRegistry) {
+        let plans = micro_plans(spec.seed);
+        let (modes, apps) = (HealMode::ALL.len(), AppKind::ALL.len());
+        let units = plans.len() * modes * apps;
+        let (cells, registry) = drive_ledgered(
+            spec.seed,
+            units,
+            parallel,
+            |index, unit_seed| {
+                let (plan, mode, app) = grid(index, modes, apps);
+                let (mode, app) = (HealMode::ALL[mode], AppKind::ALL[app]);
+                let requests = unit_share(spec.requests, units, index);
+                run_unit(&plans[plan], mode, app, requests, spec.arrival, unit_seed)
+            },
+            instrumented.then_some(|registry: &mut MetricsRegistry, cell: &ObliviousCell| {
+                let label = format!("{}/{}", cell.class.short(), cell.mode.name());
+                let (label, stats) = (label.as_str(), &cell.stats);
+                registry.incr("oblivious.offered", label, stats.offered);
+                registry.incr("oblivious.ok", label, stats.ok);
+                registry.incr("oblivious.denied", label, stats.denied);
+                registry.incr("oblivious.dropped", label, stats.dropped);
+                registry.incr("oblivious.slo.violations", label, stats.slo_violations);
+                registry.incr("oblivious.sim_nanos", label, stats.sim_nanos);
+                registry.merge_histogram("oblivious.latency", label, stats.latency.clone());
+                registry.incr("oblivious.substitute.discarded", label, cell.discarded);
+                registry.incr("oblivious.substitute.manufactured", label, cell.manufactured);
+                registry.incr("oblivious.oracle.violations", label, cell.oracle_violations);
+                registry.merge_histogram("oblivious.ttr.class", label, cell.ttr.clone());
+            }),
+        );
+        // The contract spans modes, so it is checked on the complete
+        // fold — a pure function of the cells, hence thread-invariant.
+        let anomalies = contract_anomalies(&cells);
+        (ObliviousReport { spec, cells, anomalies }, registry)
     }
 
     /// Every unit of `class` under `mode`, across all plans and
@@ -458,7 +472,7 @@ mod tests {
     }
 
     fn run(spec: LoadSpec) -> ObliviousReport {
-        ObliviousReport::run(spec, ParallelSpec::AUTO, false).0
+        ObliviousReport::run(spec, ParallelSpec::AUTO)
     }
 
     /// The unit for `(plan, mode, app)`, if the plan exists.
@@ -526,7 +540,8 @@ mod tests {
 
     #[test]
     fn instrumented_ledgers_reconcile_with_the_report() {
-        let (report, registry) = ObliviousReport::run(small_spec(5), ParallelSpec::AUTO, true);
+        let (report, registry) =
+            ObliviousReport::run_instrumented(small_spec(5), ParallelSpec::AUTO);
         let mut offered = 0;
         let mut oracle = 0;
         for class in FaultClass::ALL {

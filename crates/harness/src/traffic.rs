@@ -14,14 +14,14 @@
 //! microreboot and oblivious campaigns.
 //!
 //! Determinism: units run on the campaign driver, with arrival schedules
-//! and session randomness derived per unit — the report and the metrics
-//! registry are byte-identical at any thread count and chunk size.
+//! and session randomness derived per unit — the report is byte-identical
+//! at any thread count and chunk size.
 
 use crate::driver::{
-    drive_cells, fold, grid, ledger, miss_rate, ms, unit_share, write_anomalies, write_title,
-    write_totals, Campaign, LoadSpec,
+    drive_cells, fold, grid, miss_rate, ms, unit_share, write_anomalies, write_title, write_totals,
+    Campaign, LoadSpec,
 };
-use crate::experiment::{cell_label, standard_env, StrategyKind};
+use crate::experiment::{standard_env, StrategyKind};
 use crate::matrix::RecoveryMatrix;
 use faultstudy_apps::{spawn_app, Application, Request};
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
@@ -206,57 +206,28 @@ impl Campaign for TrafficReport {
 
     /// Each unit draws its arrival schedule and session randomness from
     /// its own unit seed.
-    ///
-    /// The registry carries per-cell request ledgers (`traffic.offered`,
-    /// `traffic.ok`, `traffic.denied`, `traffic.dropped`,
-    /// `traffic.slo.violations`, `traffic.sim_nanos`), the merged
-    /// per-cell latency histograms (`traffic.latency`), and everything
-    /// the environment's own sink recorded (supervisor hardening
-    /// counters, recovery TTR spans, injector applications).
-    fn run(
-        spec: LoadSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (TrafficReport, MetricsRegistry) {
+    fn run(spec: LoadSpec, parallel: ParallelSpec) -> TrafficReport {
         let plans = standard_plans(spec.seed);
         let (strategies, apps) = (StrategyKind::ALL.len(), AppKind::ALL.len());
         let units = plans.len() * strategies * apps;
-        let (cells, registry) = drive_cells(
-            spec.seed,
-            units,
-            parallel,
-            instrumented,
-            |index, unit_seed| {
-                let (plan, strategy, app) = grid(index, strategies, apps);
-                let (plan, strategy, app) =
-                    (&plans[plan], StrategyKind::ALL[strategy], AppKind::ALL[app]);
-                let requests = unit_share(spec.requests, units, index);
-                let mut strat = strategy.build();
-                let served = serve_plan(
-                    plan,
-                    app,
-                    strat.as_mut(),
-                    spec.arrival,
-                    requests,
-                    unit_seed,
-                    instrumented,
-                );
-                let cell = TrafficCell {
-                    app,
-                    plan: plan.name.clone(),
-                    class: plan.class,
-                    strategy,
-                    injected: served.injected,
-                    stats: served.stats,
-                };
-                (cell, served.registry)
-            },
-            |registry, cell: &TrafficCell| {
-                let label = cell_label(cell.class, cell.strategy);
-                ledger!(registry, "traffic", label, &cell.stats);
-            },
-        );
-        (TrafficReport { spec, cells }, registry)
+        let cells = drive_cells(spec.seed, units, parallel, |index, unit_seed| {
+            let (plan, strategy, app) = grid(index, strategies, apps);
+            let (plan, strategy, app) =
+                (&plans[plan], StrategyKind::ALL[strategy], AppKind::ALL[app]);
+            let requests = unit_share(spec.requests, units, index);
+            let mut strat = strategy.build();
+            let served =
+                serve_plan(plan, app, strat.as_mut(), spec.arrival, requests, unit_seed, false);
+            TrafficCell {
+                app,
+                plan: plan.name.clone(),
+                class: plan.class,
+                strategy,
+                injected: served.injected,
+                stats: served.stats,
+            }
+        });
+        TrafficReport { spec, cells }
     }
 
     fn violations(&self) -> Vec<String> {
@@ -265,17 +236,16 @@ impl Campaign for TrafficReport {
 
     /// The report, then the SLO-miss matrix.
     fn text(&self) -> String {
-        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL, false).0;
+        let matrix = RecoveryMatrix::run(self.spec.seed, ParallelSpec::SEQUENTIAL);
         format!("{self}{}", matrix.render_with_slo(self))
     }
 }
 
 impl TrafficReport {
-    /// `Campaign::run` without metrics. Kept only because
-    /// `benchmark/src/workload.rs` names it; everything else calls
-    /// [`Campaign::run`].
+    /// [`Campaign::run`] under the name `benchmark/src/workload.rs` calls
+    /// it by; everything else calls [`Campaign::run`].
     pub fn run_with(spec: LoadSpec, parallel: ParallelSpec) -> TrafficReport {
-        Self::run(spec, parallel, false).0
+        Self::run(spec, parallel)
     }
 
     /// The folded ledger of every unit of `class` under `strategy`,
@@ -370,7 +340,7 @@ mod tests {
     }
 
     fn run(spec: LoadSpec) -> TrafficReport {
-        TrafficReport::run(spec, ParallelSpec::AUTO, false).0
+        TrafficReport::run(spec, ParallelSpec::AUTO)
     }
 
     #[test]
@@ -410,23 +380,6 @@ mod tests {
             bare.availability()
         );
         assert!(report.totals().failures > 0, "the campaign must exercise faults");
-    }
-
-    #[test]
-    fn instrumented_ledgers_reconcile_with_the_report() {
-        let (report, registry) = TrafficReport::run(small_spec(5), ParallelSpec::AUTO, true);
-        let mut offered = 0;
-        let mut latency_count = 0;
-        for class in FaultClass::ALL {
-            for strategy in StrategyKind::ALL {
-                let label = format!("{}/{}", class.short(), strategy.name());
-                offered += registry.counter("traffic.offered", &label);
-                latency_count +=
-                    registry.histogram("traffic.latency", &label).map_or(0, |h| h.count());
-            }
-        }
-        assert_eq!(offered, report.totals().offered);
-        assert_eq!(latency_count, report.totals().latency.count());
     }
 
     #[test]

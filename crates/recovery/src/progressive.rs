@@ -77,11 +77,14 @@ impl RecoveryStrategy for ProgressiveRetry {
 mod tests {
     use super::*;
     use faultstudy_apps::{MiniDb, Request};
+    use faultstudy_sim::sched::RaceGadget;
 
     #[test]
     fn escalation_stages_fire_in_order() {
         // A twin environment under plain restart-retry shows what each
-        // stage adds: the interleaving is read through `Debug`.
+        // stage adds. The twins draw from one stream, so where a deciding
+        // read's seed came from (its draw number) tells their
+        // interleavings apart.
         let twins = || {
             let mut env = Environment::builder().seed(4).build();
             let app = MiniDb::new(&mut env);
@@ -93,7 +96,10 @@ mod tests {
         let mut plain = RestartRetry::new(5);
         s.on_start(&mut app, &mut env);
         plain.on_start(&mut plain_app, &mut plain_env);
-        let interleaving = |env: &mut Environment| format!("{:?}", env.current_interleaving());
+        let interleaving = |env: &mut Environment| {
+            let _ = env.race(RaceGadget::default());
+            env.read_log().reads().last().map(|(read, _)| read.source)
+        };
         assert!(s.on_failure(&mut app, &mut env, 1));
         assert!(plain.on_failure(&mut plain_app, &mut plain_env, 1));
         assert_eq!(

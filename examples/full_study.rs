@@ -49,7 +49,7 @@ fn main() {
     }
     println!();
 
-    let (matrix, _) = RecoveryMatrix::run(2000, ParallelSpec::AUTO, false);
+    let matrix = RecoveryMatrix::run(2000, ParallelSpec::AUTO);
     println!("{matrix}");
 
     println!("{}", TandemReconciliation::default());

@@ -15,7 +15,7 @@ use faultstudy::harness::{Campaign, ParallelSpec, RecoveryMatrix};
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     if full {
-        let (matrix, _) = RecoveryMatrix::run(2000, ParallelSpec::AUTO, false);
+        let matrix = RecoveryMatrix::run(2000, ParallelSpec::AUTO);
         println!("{matrix}");
         let restart = matrix.overall(StrategyKind::Restart);
         println!(

@@ -70,7 +70,7 @@ const BYTES_PER_SAMPLE: f64 = 1300.0;
 /// 15.9; about 15% margin).
 const ALLOCS_PER_SAMPLE: f64 = 18.5;
 /// Mean bytes requested per sample of a whole campaign, at most (reads
-/// 57.8; about 15% margin).
+/// 57.2; about 15% margin).
 const BYTES_PER_CAMPAIGN_SAMPLE: f64 = 67.0;
 /// Mean allocation calls per sample of a whole campaign, at most (reads
 /// 0.817; about 15% margin).
@@ -445,7 +445,7 @@ fn a_deciding_read_and_a_memo_hit_allocate_nothing() {
         if memo.lookup(seed).is_none() {
             let (out, _, reads) =
                 run_prepared(&fault, StrategyKind::Progressive, seed, &workload, false);
-            memo.insert(&reads, (out, None));
+            memo.insert(&reads, out);
         }
     }
     let mut hits = 0;
@@ -463,7 +463,7 @@ fn a_whole_campaign_stays_within_its_allocation_budget() {
     const SAMPLES: u32 = 20_000;
     let run = |seed: u64| {
         let spec = CampaignSpec { samples: SAMPLES, seed };
-        black_box(CampaignReport::run(spec, ParallelSpec::SEQUENTIAL, false));
+        black_box(CampaignReport::run(spec, ParallelSpec::SEQUENTIAL));
     };
     // The first run pays for whatever is built once per process.
     run(1);

@@ -27,10 +27,10 @@ fn populations_funnels_matrices_campaigns_reports_are_seed_pure() {
     assert_eq!(SyntheticPopulation::generate(&spec), SyntheticPopulation::generate(&spec));
     let funnels = || paper_scale_funnels(5, ParallelSpec::AUTO, false).0;
     assert_eq!(funnels(), funnels());
-    let matrix = || RecoveryMatrix::run(5, ParallelSpec::AUTO, false);
+    let matrix = || RecoveryMatrix::run(5, ParallelSpec::AUTO);
     assert_eq!(matrix(), matrix());
     let campaign =
-        || CampaignReport::run(CampaignSpec { samples: 40, seed: 5 }, ParallelSpec::AUTO, false);
+        || CampaignReport::run(CampaignSpec { samples: 40, seed: 5 }, ParallelSpec::AUTO);
     assert_eq!(campaign(), campaign());
     assert_eq!(experiments_markdown(5), experiments_markdown(5));
 }

@@ -2,8 +2,8 @@
 //! pinned end to end.
 //!
 //! Determinism first: the campaign is a pure function of its spec —
-//! report, merged metrics registry, and every rendered table are
-//! byte-identical at any thread count and chunk size
+//! report and every rendered table are byte-identical at any thread count
+//! and chunk size
 //! (`campaign_contract.rs` holds every campaign to the same contract).
 //! Then the two acceptance pins of the distributed fault plane: (1) on sticky
 //! (nontransient) channel wedges at the full retry budget, per-channel
@@ -25,18 +25,18 @@ fn contract_spec(seed: u64) -> LoadSpec {
 }
 
 fn contract_report() -> GraphReport {
-    GraphReport::run(contract_spec(2000), ParallelSpec::AUTO, false).0
+    GraphReport::run(contract_spec(2000), ParallelSpec::AUTO)
 }
 
-/// The campaign is a pure function of its spec: report, merged registry,
-/// rendered campaign table, and the matrix's distributed comparison are
-/// all byte-identical at any thread count and chunk size.
+/// The campaign is a pure function of its spec: report, rendered campaign
+/// table, and the matrix's distributed comparison are all byte-identical
+/// at any thread count and chunk size.
 #[test]
 fn campaign_is_byte_identical_across_threads_and_chunks() {
     let spec = contract_spec(5);
-    let (reference, ref_registry) = GraphReport::run(spec, ParallelSpec::threads(1), true);
+    let reference = GraphReport::run(spec, ParallelSpec::threads(1));
     let ref_rendered = reference.to_string();
-    let (matrix, _) = RecoveryMatrix::run(5, ParallelSpec::AUTO, false);
+    let matrix = RecoveryMatrix::run(5, ParallelSpec::AUTO);
     let ref_matrix_table = matrix.render_with_graph(&reference);
     let specs = [
         ParallelSpec::threads(2),
@@ -45,9 +45,8 @@ fn campaign_is_byte_identical_across_threads_and_chunks() {
         ParallelSpec::threads(4).with_chunk(1),
     ];
     for parallel in specs {
-        let (report, registry) = GraphReport::run(spec, parallel, true);
+        let report = GraphReport::run(spec, parallel);
         assert_eq!(report, reference, "report diverged at {parallel:?}");
-        assert_eq!(registry, ref_registry, "registry diverged at {parallel:?}");
         assert_eq!(report.to_string(), ref_rendered, "rendered bytes diverged at {parallel:?}");
         assert_eq!(
             matrix.render_with_graph(&report),
@@ -57,31 +56,6 @@ fn campaign_is_byte_identical_across_threads_and_chunks() {
     }
 }
 
-/// The plain and the instrumented run drive the very same simulation:
-/// the report is unchanged and its ledgers reconcile with the registry's
-/// per-cell counters.
-#[test]
-fn instrumentation_does_not_perturb_the_campaign() {
-    let spec = contract_spec(3);
-    let plain = GraphReport::run_with(spec, ParallelSpec::threads(2));
-    let (instrumented, registry) = GraphReport::run(spec, ParallelSpec::threads(2), true);
-    assert_eq!(instrumented, plain);
-    let mut offered = 0;
-    for class in FaultClass::ALL {
-        for plane in PlaneKind::ALL {
-            for budget in GRAPH_BUDGETS {
-                let label = format!("{}/{}/b{}", class.short(), plane.name(), budget);
-                offered += registry.counter("graph.offered", &label);
-            }
-        }
-    }
-    assert_eq!(offered, plain.totals().offered);
-}
-
-/// Acceptance pin 1 — on sticky (nontransient) wedges at the full retry
-/// budget, per-channel recovery must lose nothing and strictly beat
-/// process supervision on median time-to-recovery: draining a channel
-/// and rebooting one endpoint is orders cheaper than restarting nodes.
 #[test]
 fn channel_recovery_beats_process_supervision_on_sticky_wedges() {
     let report = contract_report();

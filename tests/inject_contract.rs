@@ -18,7 +18,7 @@ use faultstudy::sim::rng::split_seed;
 
 #[test]
 fn the_class_contract_holds_under_direct_environment_injection() {
-    let (report, _) = InjectReport::run(InjectSpec { seed: 2000 }, ParallelSpec::AUTO, false);
+    let report = InjectReport::run(InjectSpec { seed: 2000 }, ParallelSpec::AUTO);
     assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
 
     // 1. The environment-independent control survives nothing — no

@@ -23,7 +23,7 @@ use faultstudy::traffic::ArrivalKind;
 fn contract_report() -> MicroReport {
     // 6000 / 60 units = 100 requests per unit, exactly.
     let spec = LoadSpec { seed: 2000, requests: 6_000, arrival: ArrivalKind::Poisson };
-    MicroReport::run(spec, ParallelSpec::AUTO, false).0
+    MicroReport::run(spec, ParallelSpec::AUTO)
 }
 
 /// The headline differential: state poisoned *inside* the checkpoint

@@ -1,21 +1,17 @@
 //! Determinism under concurrency: campaigns, funnels, and dedup must be
 //! pure functions of their spec — thread count must be unobservable in
 //! every result, down to the serialized byte. `campaign_contract.rs`
-//! holds every campaign report to the same thread, chunk and
-//! instrumentation invariance.
+//! holds every campaign report to the same thread and chunk invariance.
 
 use faultstudy::core::report::BugReport;
 use faultstudy::core::taxonomy::{AppKind, FaultClass, Severity};
 use faultstudy::corpus::full_corpus;
 use faultstudy::exec::{run_indexed, ParallelSpec};
 use faultstudy::harness::campaign::{CampaignCell, CampaignReport, CampaignSpec};
-use faultstudy::harness::experiment::{
-    run_fault_experiment, run_fault_experiment_instrumented, StrategyKind,
-};
+use faultstudy::harness::experiment::{run_fault_experiment, StrategyKind};
 use faultstudy::harness::funnel::paper_scale_funnels;
 use faultstudy::harness::Campaign;
 use faultstudy::mining::dedup::{dedup_indices_keyed, normalize_title};
-use faultstudy::obs::MetricsRegistry;
 use faultstudy::sim::rng::{split_seed, DetRng, Xoshiro256StarStar};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -28,20 +24,17 @@ struct Sample {
     class: FaultClass,
     strategy: StrategyKind,
     survived: bool,
-    recoveries: u32,
     anomaly: Option<String>,
-    /// `Some` only for instrumented samples that recorded anything.
-    metrics: Option<MetricsRegistry>,
 }
 
 /// The materialized reference engine: the sampled campaign as it was
 /// first written. It collects every sample outcome into a vector, then
 /// aggregates into a `BTreeMap` — O(samples) memory. It shares no fold
-/// and no ledger with `Campaign::run`, only the experiment itself: its
-/// draw and its three-counter ledger are copies, so the streaming tests
-/// below fail if either side drifts. It runs every sample, reusing no
-/// outcome, so it also checks the campaign's reuse of proven outcomes.
-fn materialized(spec: CampaignSpec, instrumented: bool) -> (CampaignReport, MetricsRegistry) {
+/// with `Campaign::run`, only the experiment itself: its draw is a copy,
+/// so the streaming tests below fail if either side drifts. It runs every
+/// sample, reusing no outcome, so it also checks the campaign's reuse of
+/// proven outcomes.
+fn materialized(spec: CampaignSpec) -> CampaignReport {
     let corpus = full_corpus();
     let samples: Vec<Sample> = (0..u64::from(spec.samples))
         .map(|index| {
@@ -49,12 +42,7 @@ fn materialized(spec: CampaignSpec, instrumented: bool) -> (CampaignReport, Metr
             let fault = &corpus[rng.below(corpus.len() as u64) as usize];
             let strategy = StrategyKind::ALL[rng.below(StrategyKind::ALL.len() as u64) as usize];
             let env_seed = rng.next_u64();
-            let (out, metrics) = if instrumented {
-                let (out, reg) = run_fault_experiment_instrumented(fault, strategy, env_seed);
-                (out, (!reg.is_empty()).then_some(reg))
-            } else {
-                (run_fault_experiment(fault, strategy, env_seed), None)
-            };
+            let out = run_fault_experiment(fault, strategy, env_seed);
             // The deterministic guarantees of the taxonomy.
             let violates = out.survived
                 && (out.class == FaultClass::EnvironmentIndependent
@@ -64,35 +52,19 @@ fn materialized(spec: CampaignSpec, instrumented: bool) -> (CampaignReport, Metr
                 class: out.class,
                 strategy,
                 survived: out.survived,
-                recoveries: out.recoveries,
                 anomaly: violates.then(|| {
                     format!("{} survived {} at seed {env_seed}", out.slug, strategy.name())
                 }),
-                metrics,
             }
         })
         .collect();
     let mut cells: BTreeMap<(FaultClass, StrategyKind), (u32, u32)> = BTreeMap::new();
     let mut anomalies = Vec::new();
-    let mut registry = MetricsRegistry::new();
     for sample in samples {
         let cell = cells.entry((sample.class, sample.strategy)).or_insert((0, 0));
         cell.1 += 1;
         cell.0 += u32::from(sample.survived);
         anomalies.extend(sample.anomaly);
-        if let Some(reg) = &sample.metrics {
-            registry.merge_from(reg);
-        }
-        if instrumented {
-            registry.incr("experiment.total", sample.strategy.name(), 1);
-            if sample.survived {
-                registry.incr("experiment.survived", sample.strategy.name(), 1);
-            }
-            if sample.recoveries > 0 {
-                let actions = u64::from(sample.recoveries);
-                registry.incr("recovery.actions", sample.strategy.name(), actions);
-            }
-        }
     }
     let cells = cells
         .into_iter()
@@ -103,7 +75,7 @@ fn materialized(spec: CampaignSpec, instrumented: bool) -> (CampaignReport, Metr
             total,
         })
         .collect();
-    (CampaignReport { spec, cells, anomalies }, registry)
+    CampaignReport { spec, cells, anomalies }
 }
 
 /// `CampaignReport` JSON is byte-identical across `--threads 1/2/8` for
@@ -124,19 +96,16 @@ fn campaign_json_is_byte_identical_across_thread_counts() {
 }
 
 /// The streaming fold is a drop-in replacement for the materialized
-/// engine: both the report and the instrumented metrics registry are
-/// byte-identical at every thread count.
+/// engine: the report is byte-identical at every thread count.
 #[test]
 fn streaming_fold_matches_materialized_reference_at_every_thread_count() {
     for seed in MASTER_SEEDS {
         let spec = CampaignSpec { samples: 150, seed };
-        let (reference, reference_registry) = materialized(spec, true);
+        let reference = materialized(spec);
         let reference_json = serde_json::to_string(&reference).expect("campaign serializes");
         for threads in [1, 2, 4, 8] {
-            let (streamed, registry) =
-                CampaignReport::run(spec, ParallelSpec::threads(threads), true);
+            let streamed = CampaignReport::run(spec, ParallelSpec::threads(threads));
             assert_eq!(streamed, reference, "seed {seed}, {threads} threads");
-            assert_eq!(registry, reference_registry, "registry: seed {seed}, {threads} threads");
             let json = serde_json::to_string(&streamed).expect("campaign serializes");
             assert_eq!(json, reference_json, "json bytes: seed {seed}, {threads} threads");
         }
@@ -146,21 +115,15 @@ fn streaming_fold_matches_materialized_reference_at_every_thread_count() {
 /// At 3,000 samples most `(fault, strategy)` pairs recur, so about 2,000
 /// samples per run fold an outcome their pair's first seed-blind run
 /// proved instead of running (the 150-sample specs above repeat ~11
-/// pairs). Instrumented and plain runs both match the memo-free
-/// reference.
+/// pairs). The runs match the memo-free reference.
 #[test]
 fn reused_outcomes_match_materialized_reference() {
     for seed in [7, 2000] {
         let spec = CampaignSpec { samples: 3_000, seed };
-        let (reference, reference_registry) = materialized(spec, true);
+        let reference = materialized(spec);
         for threads in THREAD_COUNTS {
-            let parallel = ParallelSpec::threads(threads);
-            let (instrumented, registry) = CampaignReport::run(spec, parallel, true);
-            assert_eq!(instrumented, reference, "seed {seed}, {threads} threads");
-            assert_eq!(registry, reference_registry, "registry: seed {seed}, {threads} threads");
-            let (plain, registry) = CampaignReport::run(spec, parallel, false);
-            assert_eq!(plain, reference, "plain: seed {seed}, {threads} threads");
-            assert!(registry.is_empty(), "plain: seed {seed}, {threads} threads");
+            let report = CampaignReport::run(spec, ParallelSpec::threads(threads));
+            assert_eq!(report, reference, "seed {seed}, {threads} threads");
         }
     }
 }
@@ -172,27 +135,23 @@ fn reused_outcomes_match_materialized_reference() {
 /// count, which the campaign folds once per pair at the end. With chunks
 /// of one sample every sample starts a fresh accumulator, which has
 /// counted no pair yet, so each reads its pair's slot and every count
-/// passes through a chunk merge. Instrumented runs, registry included,
-/// and plain runs match the memo-free reference at 1, 2, 4 and 8 threads
-/// and at chunk sizes 1, 7, 1000 and auto (0).
+/// passes through a chunk merge. The runs match the memo-free reference,
+/// JSON bytes included, at 1, 2, 4 and 8 threads and at chunk sizes 1, 7,
+/// 1000 and auto (0).
 #[test]
 fn race_decision_paths_match_materialized_reference() {
     for seed in [11, 2000] {
         let spec = CampaignSpec { samples: 20_000, seed };
-        let (reference, reference_registry) = materialized(spec, true);
+        let reference = materialized(spec);
         let reference_json = serde_json::to_string(&reference).expect("campaign serializes");
         for threads in [1, 2, 4, 8] {
             for chunk in [1, 7, 1000, 0] {
                 let parallel = ParallelSpec::threads(threads).with_chunk(chunk);
                 let what = format!("seed {seed}, {threads} threads, chunk {chunk}");
-                let (instrumented, registry) = CampaignReport::run(spec, parallel, true);
-                assert_eq!(instrumented, reference, "{what}");
-                assert_eq!(registry, reference_registry, "registry: {what}");
-                let json = serde_json::to_string(&instrumented).expect("campaign serializes");
+                let report = CampaignReport::run(spec, parallel);
+                assert_eq!(report, reference, "{what}");
+                let json = serde_json::to_string(&report).expect("campaign serializes");
                 assert_eq!(json, reference_json, "json bytes: {what}");
-                let (plain, registry) = CampaignReport::run(spec, parallel, false);
-                assert_eq!(plain, reference, "plain: {what}");
-                assert!(registry.is_empty(), "plain registry: {what}");
             }
         }
     }
@@ -203,13 +162,12 @@ fn race_decision_paths_match_materialized_reference() {
 #[test]
 fn streaming_fold_is_identical_for_every_chunk_size() {
     let spec = CampaignSpec { samples: 130, seed: 2000 };
-    let (reference, reference_registry) = materialized(spec, true);
+    let reference = materialized(spec);
     for chunk in [1, 2, 7, 16, 64, 130, 1000] {
         for threads in [2, 4] {
             let parallel = ParallelSpec::threads(threads).with_chunk(chunk);
-            let (streamed, registry) = CampaignReport::run(spec, parallel, true);
+            let streamed = CampaignReport::run(spec, parallel);
             assert_eq!(streamed, reference, "chunk {chunk}, {threads} threads");
-            assert_eq!(registry, reference_registry, "registry: chunk {chunk}, {threads} threads");
         }
     }
 }

@@ -7,7 +7,7 @@ use faultstudy::harness::experiment::{run_fault_experiment, StrategyKind};
 use faultstudy::harness::{Campaign, ParallelSpec, RecoveryMatrix};
 
 fn matrix(seed: u64) -> RecoveryMatrix {
-    RecoveryMatrix::run(seed, ParallelSpec::AUTO, false).0
+    RecoveryMatrix::run(seed, ParallelSpec::AUTO)
 }
 
 #[test]

@@ -51,9 +51,8 @@ fn discussion_renders_the_abstract_numbers() {
 /// to text would parse back to a different tree.
 #[test]
 fn matrix_campaign_and_reconciliation_json_is_lossless() {
-    let (matrix, _) = RecoveryMatrix::run(3, ParallelSpec::AUTO, false);
-    let (campaign, _) =
-        CampaignReport::run(CampaignSpec { samples: 20, seed: 1 }, ParallelSpec::AUTO, false);
+    let matrix = RecoveryMatrix::run(3, ParallelSpec::AUTO);
+    let campaign = CampaignReport::run(CampaignSpec { samples: 20, seed: 1 }, ParallelSpec::AUTO);
     let reconciliation = TandemReconciliation::default();
     for (what, json, tree) in [
         ("matrix", serde_json::to_string(&matrix), serde_json::to_value(&matrix)),

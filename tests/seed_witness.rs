@@ -17,9 +17,9 @@
 //! - the seed-reading pairs are exactly the four race faults under every
 //!   strategy, so every environment-independent and nontransient pair is
 //!   seed-blind;
-//! - a race pair's memo answers every seed with the outcome and registry
-//!   a run at that seed proves, and ends with one decision path per
-//!   retry that can end the race plus one that exhausts the budget.
+//! - a race pair's memo answers every seed with the outcome a run at that
+//!   seed proves, and ends with one decision path per retry that can end
+//!   the race plus one that exhausts the budget.
 
 use faultstudy::core::taxonomy::FaultClass;
 use faultstudy::corpus::{find, full_corpus};
@@ -99,12 +99,12 @@ fn only_the_race_faults_read_the_environment_seed() {
     assert_eq!(blind_by_class[transient as usize], class_pairs(transient) - expected.len());
 }
 
-/// Every race pair at 256 environment seeds, plain and instrumented: a
-/// memo fed each run it cannot answer answers every seed with what a run
-/// there proves, outcome and registry, and ends with the retry budget
-/// plus one leaves. The first read sees the seed injection forces, so it
-/// crashes at every seed; each retry then survives or crashes the race,
-/// and the last one that crashes exhausts the budget.
+/// Every race pair at 256 environment seeds: a memo fed each run it
+/// cannot answer answers every seed with the outcome a run there proves,
+/// and ends with the retry budget plus one leaves. The first read sees
+/// the seed injection forces, so it crashes at every seed; each retry
+/// then survives or crashes the race, and the last one that crashes
+/// exhausts the budget.
 #[test]
 fn a_race_pairs_memo_answers_as_its_runs_do() {
     let seeds: Vec<u64> = (0..256).map(|i| split_seed(0x5eed, i)).collect();
@@ -114,23 +114,19 @@ fn a_race_pairs_memo_answers_as_its_runs_do() {
         let workload = build_workload(&fault);
         for (strategy, budget) in RETRY_BUDGETS {
             let pair = format!("{slug}/{}", strategy.name());
-            for metrics in [false, true] {
-                let memo = DecisionMemo::default();
-                for &seed in &seeds {
-                    let (out, registry, reads) =
-                        run_prepared(&fault, strategy, seed, &workload, metrics);
-                    assert!(reads.is_complete(), "{pair}: a read went unlogged at seed {seed}");
-                    assert!(reads.reads().count() <= budget + 1, "{pair}: seed {seed}");
-                    let proven = (out, registry.map(Box::new));
-                    if memo.lookup(seed).is_none() {
-                        memo.insert(&reads, proven.clone());
-                    }
-                    assert_eq!(memo.lookup(seed), Some(&proven), "{pair}: seed {seed}");
+            let memo = DecisionMemo::default();
+            for &seed in &seeds {
+                let (out, _, reads) = run_prepared(&fault, strategy, seed, &workload, false);
+                assert!(reads.is_complete(), "{pair}: a read went unlogged at seed {seed}");
+                assert!(reads.reads().count() <= budget + 1, "{pair}: seed {seed}");
+                if memo.lookup(seed).is_none() {
+                    memo.insert(&reads, out);
                 }
-                assert_eq!(memo.leaves(), budget + 1, "{pair}, metrics {metrics}");
-                leaves += memo.leaves();
+                assert_eq!(memo.lookup(seed), Some(out), "{pair}: seed {seed}");
             }
+            assert_eq!(memo.leaves(), budget + 1, "{pair}");
+            leaves += memo.leaves();
         }
     }
-    assert_eq!(leaves, 2 * 108, "108 leaves over the 28 race pairs, plain and instrumented");
+    assert_eq!(leaves, 108, "108 leaves over the 28 race pairs");
 }

@@ -95,8 +95,8 @@ fn soak_outcomes_are_reproducible() {
 fn million_sample_streaming_campaign_holds_constant_state() {
     const SAMPLES: u32 = if cfg!(debug_assertions) { 50_000 } else { 1_000_000 };
     let spec = |samples| CampaignSpec { samples, seed: 2000 };
-    let (small, _) = CampaignReport::run(spec(SAMPLES / 10), ParallelSpec::AUTO, false);
-    let (big, _) = CampaignReport::run(spec(SAMPLES), ParallelSpec::AUTO, false);
+    let small = CampaignReport::run(spec(SAMPLES / 10), ParallelSpec::AUTO);
+    let big = CampaignReport::run(spec(SAMPLES), ParallelSpec::AUTO);
 
     // 10x the samples, identical aggregate shape: the fold's state is the
     // (class, strategy) cross product, not the sample stream.
@@ -131,8 +131,8 @@ fn million_request_microreboot_campaign_holds_constant_state() {
 
     const REQUESTS: u64 = if cfg!(debug_assertions) { 60_000 } else { 1_000_000 };
     let spec = |requests| LoadSpec { seed: 2000, requests, arrival: ArrivalKind::Poisson };
-    let (small, _) = MicroReport::run(spec(REQUESTS / 10), ParallelSpec::AUTO, false);
-    let (big, _) = MicroReport::run(spec(REQUESTS), ParallelSpec::AUTO, false);
+    let small = MicroReport::run(spec(REQUESTS / 10), ParallelSpec::AUTO);
+    let big = MicroReport::run(spec(REQUESTS), ParallelSpec::AUTO);
 
     // 10x the requests, identical aggregate shape.
     assert_eq!(big.cells.len(), small.cells.len(), "cell count must not scale with load");
